@@ -66,10 +66,7 @@ func main() {
 	plNaive := sub.Bool("naive", false, "run the pipeline unoptimized with isolated per-stage engines")
 	plProbe := sub.Int("probe", 0, "sample size for measured filter selectivity in pipeline (0 = trust spec hints)")
 	plMaterialized := sub.Bool("materialized", false, "disable record streaming between pipeline stages")
-	plChunk := sub.Int("chunk", 0, "records per streaming micro-batch for pipeline (0 = max(batch, 8); forces a fixed width)")
-	plAdaptive := sub.Bool("adaptive", false, "enable the adaptive runtime for pipeline: self-tuned chunk widths, side-input overlap, mid-run filter re-ordering")
-	plChunkMin := sub.Int("chunk-min", 0, "adaptive chunk width floor for pipeline (0 = 1)")
-	plChunkMax := sub.Int("chunk-max", 0, "adaptive chunk width ceiling for pipeline (0 = 64)")
+	plAdaptive := sub.Bool("adaptive", false, "enable the adaptive runtime for pipeline: side-input overlap, mid-run filter re-ordering")
 	plFaults := sub.String("faults", "",
 		"inject deterministic upstream faults for pipeline: key=val,... over seed, transient, timeout, ratelimit, permanent, malformed, wrong-section, burst-every, burst-len (empty = none)")
 	plRetries := sub.Int("retries", 3, "max attempts per upstream call for pipeline when -faults is set (1 = no retries)")
@@ -294,10 +291,7 @@ func main() {
 			Model:         counting,
 			Batch:         *batch,
 			Parallelism:   16,
-			Chunk:         *plChunk,
 			Adaptive:      *plAdaptive,
-			ChunkMin:      *plChunkMin,
-			ChunkMax:      *plChunkMax,
 			Materialized:  *plMaterialized || *plNaive,
 			Isolated:      *plNaive,
 			OnRecordError: *plOnRecordError,
@@ -618,9 +612,8 @@ commands:
                   optimizer, record streaming, shared engine, and per-stage
                   attribution (-spec file.json -model M -batch K -naive
                   -probe K measures hintless filter selectivity on a sample,
-                  -materialized disables streaming, -chunk N pins the
-                  micro-batch width, -adaptive enables the self-tuning
-                  runtime with -chunk-min/-chunk-max bounds,
+                  -materialized disables streaming, -adaptive enables
+                  side-input overlap and mid-run filter re-ordering,
                   -faults key=val,... injects deterministic upstream faults
                   healed by -retries N attempts, -on-record-error
                   fail|skip|quarantine picks the degraded-mode policy)

@@ -180,7 +180,7 @@ type (
 	// Pipeline is a compiled, runnable stage DAG.
 	Pipeline = pipeline.Pipeline
 	// PipelineConfig parameterises one pipeline run (model, budget,
-	// shared layer, batching, streaming chunk size).
+	// shared layer, batching, per-stage in-flight window).
 	PipelineConfig = pipeline.ExecConfig
 	// PipelineResult is a run's tables, scalars, and per-stage accounting.
 	PipelineResult = pipeline.Result

@@ -22,7 +22,9 @@ func main() {
 
 	// A two-filter chain over the flavours table: hintless, so the static
 	// plan keeps the user's order while the adaptive runtime replans from
-	// observed keep rates at chunk boundaries.
+	// observed keep rates as records finish. A narrow in-flight window
+	// (Parallelism 2) gives the evidence time to accumulate before most
+	// records start.
 	spec := pipeline.Spec{
 		Source: pipeline.SourceSpec{Dataset: "flavors"},
 		Stages: []pipeline.StageSpec{
@@ -43,7 +45,7 @@ func main() {
 		}
 		counting := llm.NewCounting(sim.NewNamed("sim-gpt-3.5-turbo"))
 		res, err := p.Run(ctx, pipeline.ExecConfig{
-			Model: counting, Adaptive: adaptive, ChunkMin: 1, ChunkMax: 4, Parallelism: 8,
+			Model: counting, Adaptive: adaptive, Parallelism: 2,
 		}, tables)
 		if err != nil {
 			log.Fatal(err)

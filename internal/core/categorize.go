@@ -90,22 +90,9 @@ func (e *Engine) Categorize(ctx context.Context, req CategorizeRequest) (Categor
 	if len(categories) == 0 {
 		return CategorizeResult{}, badRequestf("no categories to assign to")
 	}
+	c := &PreparedCategorize{e: e, s: s, categories: categories}
 	assignments, err := e.mapIdx(ctx, len(req.Items), func(ctx context.Context, i int) (string, error) {
-		return quality.AskWithRetry(ctx, s.model, prompt.Categorize(req.Items[i], categories),
-			func(text string) (string, error) {
-				v, err := prompt.ParseValue(text)
-				if err != nil {
-					return "", err
-				}
-				// Snap to the closest legal category; reject junk so the
-				// retry loop re-asks.
-				for _, c := range categories {
-					if v == c {
-						return c, nil
-					}
-				}
-				return "", fmt.Errorf("%q not in category set: %w", v, prompt.ErrUnparseable)
-			}, e.retries)
+		return c.Ask(ctx, req.Items[i])
 	})
 	if err != nil {
 		return CategorizeResult{}, fmt.Errorf("categorize: %w", err)
@@ -115,4 +102,42 @@ func (e *Engine) Categorize(ctx context.Context, req CategorizeRequest) (Categor
 		Categories:  categories,
 		Usage:       s.usage(),
 	}, nil
+}
+
+// PreparedCategorize is the per-item form of direct categorization: the
+// session is built once and Ask assigns one item to the closed category
+// set. Categorize itself runs its assignment fan-out through Ask. Safe
+// for concurrent use.
+type PreparedCategorize struct {
+	e          *Engine
+	s          *session
+	categories []string
+}
+
+// PrepareCategorize returns the per-item form of CategorizeDirect over
+// the given closed category set.
+func (e *Engine) PrepareCategorize(categories []string) (*PreparedCategorize, error) {
+	if len(categories) == 0 {
+		return nil, badRequestf("no categories to assign to")
+	}
+	return &PreparedCategorize{e: e, s: e.newBatchedSession(), categories: categories}, nil
+}
+
+// Ask assigns one item to a category.
+func (c *PreparedCategorize) Ask(ctx context.Context, item string) (string, error) {
+	return quality.AskWithRetry(ctx, c.s.model, prompt.Categorize(item, c.categories),
+		func(text string) (string, error) {
+			v, err := prompt.ParseValue(text)
+			if err != nil {
+				return "", err
+			}
+			// Snap to the closest legal category; reject junk so the
+			// retry loop re-asks.
+			for _, cat := range c.categories {
+				if v == cat {
+					return cat, nil
+				}
+			}
+			return "", fmt.Errorf("%q not in category set: %w", v, prompt.ErrUnparseable)
+		}, c.e.retries)
 }

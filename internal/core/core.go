@@ -59,7 +59,12 @@ func WithEmbedder(em embed.Embedder) Option {
 	return func(e *Engine) { e.embedder = em }
 }
 
-// WithParallelism bounds concurrent LLM calls (default 8).
+// DefaultParallelism is the concurrent-call bound of an engine built
+// without WithParallelism.
+const DefaultParallelism = 8
+
+// WithParallelism bounds concurrent LLM calls (default
+// DefaultParallelism).
 func WithParallelism(p int) Option {
 	return func(e *Engine) { e.parallelism = p }
 }
@@ -141,7 +146,7 @@ func New(model llm.Model, opts ...Option) *Engine {
 		model:       model,
 		budget:      workflow.Unlimited(),
 		embedder:    embed.Default(),
-		parallelism: 8,
+		parallelism: DefaultParallelism,
 		retries:     3,
 		cache:       true,
 	}

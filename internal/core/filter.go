@@ -8,6 +8,7 @@ import (
 	"repro/internal/prompt"
 	"repro/internal/quality"
 	"repro/internal/token"
+	"repro/internal/workflow"
 )
 
 // FilterStrategy selects how per-item predicate checks are answered.
@@ -54,13 +55,30 @@ type FilterResult struct {
 	Usage token.Usage
 }
 
-// Filter tests every item against the predicate.
-func (e *Engine) Filter(ctx context.Context, req FilterRequest) (FilterResult, error) {
-	if len(req.Items) == 0 {
-		return FilterResult{}, badRequestf("no items to filter")
-	}
+// FilterAnswer is one item's decision from a PreparedFilter.
+type FilterAnswer struct {
+	// Keep reports whether the item satisfies the predicate.
+	Keep bool
+	// Asks counts the model samples the decision took.
+	Asks int
+}
+
+// PreparedFilter is the per-item form of Filter: the request is
+// validated and the session built once, then Ask decides one item at a
+// time. Filter itself is PrepareFilter plus a bounded fan-out over Ask, so
+// a caller that receives items one by one (the streaming executor) runs
+// exactly the unit tasks a whole-table call would. Safe for concurrent use.
+type PreparedFilter struct {
+	e   *Engine
+	s   *session
+	req FilterRequest
+}
+
+// PrepareFilter validates req (Items is ignored) and returns its per-item
+// form.
+func (e *Engine) PrepareFilter(req FilterRequest) (*PreparedFilter, error) {
 	if req.Predicate == "" {
-		return FilterResult{}, badRequestf("empty predicate")
+		return nil, badRequestf("empty predicate")
 	}
 	if req.Strategy == "" {
 		req.Strategy = FilterPerItem
@@ -77,49 +95,59 @@ func (e *Engine) Filter(ctx context.Context, req FilterRequest) (FilterResult, e
 	if req.Temperature == 0 {
 		req.Temperature = 0.7
 	}
+	switch req.Strategy {
+	case FilterPerItem, FilterMajority, FilterSequential:
+	default:
+		return nil, badRequestf("unknown filter strategy %q", req.Strategy)
+	}
 	// Per-item checks are homogeneous temperature-0 unit tasks — the
 	// batchable shape. The sampling strategies re-roll with per-ask seeds,
 	// which would never share an envelope, so they skip the batcher.
-	s := e.sessionWith(req.Strategy == FilterPerItem)
-	res := FilterResult{Keep: make([]bool, len(req.Items))}
-	answers, err := e.mapIdx(ctx, len(req.Items), func(ctx context.Context, i int) (string, error) {
-		p := prompt.FilterItem(req.Items[i], req.Predicate)
-		var (
-			keep bool
-			asks int
-			err  error
-		)
-		switch req.Strategy {
-		case FilterPerItem:
-			keep, err = quality.AskWithRetry(ctx, s.model, p, prompt.ParseYesNo, e.retries)
-			asks = 1
-		case FilterMajority:
-			var yes, no int
-			keep, yes, no, err = quality.MajorityYesNo(ctx, s.model, p, req.Votes, req.Temperature)
-			asks = yes + no
-		case FilterSequential:
-			keep, asks, err = quality.SequentialYesNo(ctx, s.model, p, req.MaxAsks, req.Margin, req.Temperature)
-		default:
-			return "", badRequestf("unknown filter strategy %q", req.Strategy)
-		}
-		if err != nil {
-			return "", err
-		}
-		if keep {
-			return fmt.Sprintf("Y%d", asks), nil
-		}
-		return fmt.Sprintf("N%d", asks), nil
+	return &PreparedFilter{e: e, s: e.sessionWith(req.Strategy == FilterPerItem), req: req}, nil
+}
+
+// Ask tests one item against the predicate.
+func (f *PreparedFilter) Ask(ctx context.Context, item string) (FilterAnswer, error) {
+	p := prompt.FilterItem(item, f.req.Predicate)
+	var (
+		ans FilterAnswer
+		err error
+	)
+	switch f.req.Strategy {
+	case FilterPerItem:
+		ans.Keep, err = quality.AskWithRetry(ctx, f.s.model, p, prompt.ParseYesNo, f.e.retries)
+		ans.Asks = 1
+	case FilterMajority:
+		var yes, no int
+		ans.Keep, yes, no, err = quality.MajorityYesNo(ctx, f.s.model, p, f.req.Votes, f.req.Temperature)
+		ans.Asks = yes + no
+	case FilterSequential:
+		ans.Keep, ans.Asks, err = quality.SequentialYesNo(ctx, f.s.model, p, f.req.MaxAsks, f.req.Margin, f.req.Temperature)
+	}
+	return ans, err
+}
+
+// Filter tests every item against the predicate.
+func (e *Engine) Filter(ctx context.Context, req FilterRequest) (FilterResult, error) {
+	if len(req.Items) == 0 {
+		return FilterResult{}, badRequestf("no items to filter")
+	}
+	f, err := e.PrepareFilter(req)
+	if err != nil {
+		return FilterResult{}, err
+	}
+	answers, err := workflow.Map(ctx, len(req.Items), e.parallelism, func(ctx context.Context, i int) (FilterAnswer, error) {
+		return f.Ask(ctx, req.Items[i])
 	})
 	if err != nil {
 		return FilterResult{}, fmt.Errorf("filter: %w", err)
 	}
+	res := FilterResult{Keep: make([]bool, len(req.Items))}
 	for i, a := range answers {
-		res.Keep[i] = a[0] == 'Y'
-		var asks int
-		fmt.Sscanf(a[1:], "%d", &asks)
-		res.Asks += asks
+		res.Keep[i] = a.Keep
+		res.Asks += a.Asks
 	}
-	res.Usage = s.usage()
+	res.Usage = f.s.usage()
 	return res, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/prompt"
 	"repro/internal/quality"
 	"repro/internal/token"
+	"repro/internal/workflow"
 )
 
 // ImputeStrategy selects how missing values are filled.
@@ -61,13 +62,39 @@ type ImputeResult struct {
 	Usage token.Usage
 }
 
-// Impute fills the target field of every query record.
-func (e *Engine) Impute(ctx context.Context, req ImputeRequest) (ImputeResult, error) {
-	if len(req.Queries) == 0 {
-		return ImputeResult{}, badRequestf("no queries to impute")
-	}
+// ImputeAnswer is one query record's outcome from a PreparedImpute.
+type ImputeAnswer struct {
+	// Value is the imputed target value.
+	Value string
+	// ByLLM reports whether the model was asked (false: k-NN decided).
+	ByLLM bool
+}
+
+// PreparedImpute is the per-record form of Impute under a fixed strategy:
+// the training table is rendered and indexed, the target map built and
+// the session opened once, then Ask imputes one query record at a time.
+// Impute itself is PrepareImpute plus a bounded fan-out over Ask. Safe for
+// concurrent use.
+type PreparedImpute struct {
+	e   *Engine
+	s   *session
+	req ImputeRequest
+
+	// ix, targets and trainText (each training record's rendering without
+	// the target, by ID) serve the k-NN vote and the few-shot example pool;
+	// they stay nil when no query ever reads a neighbour (kMax == 0: the
+	// llm strategy zero-shot, or no training table).
+	ix        *embed.Index
+	targets   map[string]string
+	trainText map[string]string
+	kMax      int
+}
+
+// PrepareImpute validates req (Queries is ignored) and returns its
+// per-record form.
+func (e *Engine) PrepareImpute(req ImputeRequest) (*PreparedImpute, error) {
 	if req.TargetField == "" {
-		return ImputeResult{}, badRequestf("missing target field")
+		return nil, badRequestf("missing target field")
 	}
 	if req.Strategy == "" {
 		req.Strategy = ImputeHybrid
@@ -75,11 +102,26 @@ func (e *Engine) Impute(ctx context.Context, req ImputeRequest) (ImputeResult, e
 	if req.Neighbors == 0 {
 		req.Neighbors = 3
 	}
+	switch req.Strategy {
+	case ImputeKNN, ImputeLLM, ImputeHybrid:
+	default:
+		return nil, badRequestf("unknown impute strategy %q", req.Strategy)
+	}
 	if req.Strategy != ImputeLLM && len(req.Train) == 0 {
-		return ImputeResult{}, badRequestf("strategy %q needs training records", req.Strategy)
+		return nil, badRequestf("strategy %q needs training records", req.Strategy)
 	}
 	if (req.Examples > 0) && len(req.Train) < req.Examples {
-		return ImputeResult{}, badRequestf("%d examples requested but only %d training records", req.Examples, len(req.Train))
+		return nil, badRequestf("%d examples requested but only %d training records", req.Examples, len(req.Train))
+	}
+	// One top-k query per record, wide enough for both the k-NN vote and
+	// the few-shot example pool. The llm strategy never votes, so without
+	// examples it needs no neighbours — and then no index either.
+	p := &PreparedImpute{e: e, req: req, kMax: req.Examples}
+	if req.Strategy != ImputeLLM && req.Neighbors > p.kMax {
+		p.kMax = req.Neighbors
+	}
+	if len(req.Train) == 0 {
+		p.kMax = 0
 	}
 
 	// Index training records by their serialization without the target —
@@ -87,140 +129,113 @@ func (e *Engine) Impute(ctx context.Context, req ImputeRequest) (ImputeResult, e
 	// evidence only. The corpus is embedded in parallel, or reused outright
 	// when an index registry already holds it (e.g. planner profiling runs
 	// over the same training set).
-	targets := make(map[string]string, len(req.Train))
-	trainByID := make(map[string]dataset.Record, len(req.Train))
-	trainItems := make([]embed.Item, 0, len(req.Train))
+	var trainItems []embed.Item
+	if p.kMax > 0 {
+		p.targets = make(map[string]string, len(req.Train))
+		p.trainText = make(map[string]string, len(req.Train))
+		trainItems = make([]embed.Item, 0, len(req.Train))
+	}
 	for _, r := range req.Train {
 		v, ok := r.Get(req.TargetField)
 		if !ok {
-			return ImputeResult{}, badRequestf("training record %q lacks target %q", r.ID, req.TargetField)
+			return nil, badRequestf("training record %q lacks target %q", r.ID, req.TargetField)
 		}
-		trainItems = append(trainItems, embed.Item{ID: r.ID, Text: r.WithoutField(req.TargetField).String()})
-		targets[r.ID] = v
-		trainByID[r.ID] = r
+		if p.kMax == 0 {
+			continue
+		}
+		text := r.WithoutField(req.TargetField).String()
+		trainItems = append(trainItems, embed.Item{ID: r.ID, Text: text})
+		p.targets[r.ID] = v
+		p.trainText[r.ID] = text
 	}
-	ix := e.index(trainItems)
-
+	if p.kMax > 0 {
+		p.ix = e.index(trainItems)
+	}
 	// Imputation prompts are homogeneous per-record unit tasks (the knn
 	// strategy issues none, so the wrapper is inert there).
-	s := e.newBatchedSession()
-	res := ImputeResult{Values: make([]string, len(req.Queries))}
-
-	// Each query is serialized and embedded exactly once: one top-k query
-	// wide enough for both the k-NN vote and the few-shot example pool.
-	kMax := req.Neighbors
-	if req.Examples > kMax {
-		kMax = req.Examples
-	}
-	serialized := make([]string, len(req.Queries))
-	nnAll := make([][]embed.Neighbor, len(req.Queries))
-	for i, q := range req.Queries {
-		serialized[i] = q.WithoutField(req.TargetField).String()
-		if len(req.Train) > 0 {
-			nnAll[i] = ix.Nearest(serialized[i], kMax)
-		}
-	}
-
-	type knnInfo struct {
-		mode      string
-		unanimous bool
-		neighbors []embed.Neighbor
-	}
-	knn := make([]knnInfo, len(req.Queries))
-	if len(req.Train) > 0 {
-		for i := range req.Queries {
-			nn := nnAll[i]
-			if len(nn) > req.Neighbors {
-				nn = nn[:req.Neighbors]
-			}
-			votes := make(map[string]int)
-			order := []string{}
-			for _, nb := range nn {
-				v := targets[nb.ID]
-				if votes[v] == 0 {
-					order = append(order, v)
-				}
-				votes[v]++
-			}
-			best, bestN := "", 0
-			for _, v := range order { // first-seen tie-break: nearest wins
-				if votes[v] > bestN {
-					best, bestN = v, votes[v]
-				}
-			}
-			knn[i] = knnInfo{
-				mode:      best,
-				unanimous: len(nn) > 0 && bestN == len(nn),
-				neighbors: nn,
-			}
-		}
-	}
-
-	askLLM := func(ctx context.Context, i int) (string, error) {
-		var examples []prompt.Example
-		if req.Examples > 0 {
-			// Few-shot examples: the query's nearest training neighbours,
-			// shown with their gold target (the paper's k'-neighbour
-			// examples) — a prefix of the single per-query k-NN result.
-			nn := nnAll[i]
-			if len(nn) > req.Examples {
-				nn = nn[:req.Examples]
-			}
-			for _, nb := range nn {
-				examples = append(examples, prompt.Example{
-					Input:  trainByID[nb.ID].WithoutField(req.TargetField).String(),
-					Output: targets[nb.ID],
-				})
-			}
-		}
-		return quality.AskWithRetry(ctx, s.model, prompt.Impute(serialized[i], req.TargetField, examples),
-			prompt.ParseValue, e.retries)
-	}
-
-	switch req.Strategy {
-	case ImputeKNN:
-		for i := range req.Queries {
-			res.Values[i] = knn[i].mode
-		}
-		res.KNNDecided = len(req.Queries)
-	case ImputeLLM:
-		values, err := e.mapIdx(ctx, len(req.Queries), askLLM)
-		if err != nil {
-			return ImputeResult{}, fmt.Errorf("llm impute: %w", err)
-		}
-		copy(res.Values, values)
-		res.LLMCalls = len(req.Queries)
-	case ImputeHybrid:
-		var contested []int
-		for i := range req.Queries {
-			if knn[i].unanimous {
-				res.Values[i] = knn[i].mode
-				res.KNNDecided++
-			} else {
-				contested = append(contested, i)
-			}
-		}
-		values, err := workflowMapSubset(ctx, e, contested, askLLM)
-		if err != nil {
-			return ImputeResult{}, fmt.Errorf("hybrid impute: %w", err)
-		}
-		for k, i := range contested {
-			res.Values[i] = values[k]
-		}
-		res.LLMCalls = len(contested)
-	default:
-		return ImputeResult{}, badRequestf("unknown impute strategy %q", req.Strategy)
-	}
-	res.Usage = s.usage()
-	return res, nil
+	p.s = e.newBatchedSession()
+	return p, nil
 }
 
-// workflowMapSubset fans fn out over an index subset, preserving subset
-// order in the result.
-func workflowMapSubset(ctx context.Context, e *Engine, subset []int, fn func(ctx context.Context, i int) (string, error)) ([]string, error) {
-	return e.mapIdx(ctx, len(subset), func(ctx context.Context, k int) (string, error) {
-		return fn(ctx, subset[k])
+// Ask imputes the target field of one query record. Any existing target
+// value is ignored (and never shown to the model).
+func (p *PreparedImpute) Ask(ctx context.Context, q dataset.Record) (ImputeAnswer, error) {
+	// The query is serialized and embedded exactly once.
+	serialized := q.WithoutField(p.req.TargetField).String()
+	var nn []embed.Neighbor
+	if p.kMax > 0 {
+		nn = p.ix.Nearest(serialized, p.kMax)
+	}
+	if p.req.Strategy != ImputeLLM {
+		vote := nn
+		if len(vote) > p.req.Neighbors {
+			vote = vote[:p.req.Neighbors]
+		}
+		votes := make(map[string]int)
+		var order []string
+		for _, nb := range vote {
+			v := p.targets[nb.ID]
+			if votes[v] == 0 {
+				order = append(order, v)
+			}
+			votes[v]++
+		}
+		best, bestN := "", 0
+		for _, v := range order { // first-seen tie-break: nearest wins
+			if votes[v] > bestN {
+				best, bestN = v, votes[v]
+			}
+		}
+		if p.req.Strategy == ImputeKNN || (len(vote) > 0 && bestN == len(vote)) {
+			return ImputeAnswer{Value: best}, nil
+		}
+	}
+	var examples []prompt.Example
+	if p.req.Examples > 0 {
+		// Few-shot examples: the query's nearest training neighbours,
+		// shown with their gold target (the paper's k'-neighbour
+		// examples) — a prefix of the single per-query k-NN result.
+		if len(nn) > p.req.Examples {
+			nn = nn[:p.req.Examples]
+		}
+		for _, nb := range nn {
+			examples = append(examples, prompt.Example{
+				Input:  p.trainText[nb.ID],
+				Output: p.targets[nb.ID],
+			})
+		}
+	}
+	v, err := quality.AskWithRetry(ctx, p.s.model, prompt.Impute(serialized, p.req.TargetField, examples),
+		prompt.ParseValue, p.e.retries)
+	return ImputeAnswer{Value: v, ByLLM: true}, err
+}
+
+// Impute fills the target field of every query record.
+func (e *Engine) Impute(ctx context.Context, req ImputeRequest) (ImputeResult, error) {
+	if len(req.Queries) == 0 {
+		return ImputeResult{}, badRequestf("no queries to impute")
+	}
+	p, err := e.PrepareImpute(req)
+	if err != nil {
+		return ImputeResult{}, err
+	}
+	answers, err := workflow.Map(ctx, len(req.Queries), e.parallelism, func(ctx context.Context, i int) (ImputeAnswer, error) {
+		return p.Ask(ctx, req.Queries[i])
 	})
+	if err != nil {
+		return ImputeResult{}, fmt.Errorf("%s impute: %w", p.req.Strategy, err)
+	}
+	res := ImputeResult{Values: make([]string, len(answers))}
+	for i, a := range answers {
+		res.Values[i] = a.Value
+		if a.ByLLM {
+			res.LLMCalls++
+		} else {
+			res.KNNDecided++
+		}
+	}
+	res.Usage = p.s.usage()
+	return res, nil
 }
 
 // NearestTrainValues returns the k nearest training target values for a

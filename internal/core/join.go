@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/consistency"
 	"repro/internal/token"
+	"repro/internal/workflow"
 )
 
 // JoinStrategy selects how a fuzzy join is executed.
@@ -98,37 +99,67 @@ func (e *Engine) Join(ctx context.Context, req JoinRequest) (JoinResult, error) 
 }
 
 func (e *Engine) joinNestedLoop(ctx context.Context, s *session, req JoinRequest) (JoinResult, error) {
-	type pair struct{ l, r int }
-	var pairs []pair
-	for l := range req.Left {
-		for r := range req.Right {
-			pairs = append(pairs, pair{l, r})
-		}
-	}
-	answers, err := e.mapIdx(ctx, len(pairs), func(ctx context.Context, k int) (string, error) {
-		p := pairs[k]
-		yes, err := e.matchOnce(ctx, s, req.Left[p.l], req.Right[p.r])
-		if err != nil {
-			return "", err
-		}
-		if yes {
-			return "Y", nil
-		}
-		return "N", nil
+	j := &PreparedJoin{e: e, s: s, right: req.Right}
+	answers, err := workflow.Map(ctx, len(req.Left), e.parallelism, func(ctx context.Context, l int) (JoinAnswer, error) {
+		return j.Ask(ctx, req.Left[l])
 	})
 	if err != nil {
 		return JoinResult{}, fmt.Errorf("nested-loop join: %w", err)
 	}
-	res := JoinResult{LLMComparisons: len(pairs)}
-	for k, a := range answers {
-		if a == "Y" {
-			res.Matches = append(res.Matches, JoinPair{
-				LeftID:  req.Left[pairs[k].l].ID,
-				RightID: req.Right[pairs[k].r].ID,
-			})
-		}
+	var res JoinResult
+	for _, a := range answers {
+		res.Matches = append(res.Matches, a.Matches...)
+		res.LLMComparisons += a.Comparisons
 	}
 	return res, nil
+}
+
+// JoinAnswer is one left record's outcome from a PreparedJoin.
+type JoinAnswer struct {
+	// Matches lists the left record's matched pairs in right-side order.
+	Matches []JoinPair
+	// Comparisons counts the match questions sent to the model.
+	Comparisons int
+}
+
+// PreparedJoin is the per-record form of the nested-loop join: the right
+// side and the session are fixed once, then Ask matches one left record
+// against every right record. Join's nested-loop strategy is a bounded
+// fan-out over Ask, so overlap is per left record. Safe for concurrent use.
+type PreparedJoin struct {
+	e     *Engine
+	s     *session
+	right []Entity
+}
+
+// PrepareJoin returns the per-record form of JoinNestedLoop against the
+// given right side.
+func (e *Engine) PrepareJoin(right []Entity) (*PreparedJoin, error) {
+	if len(right) == 0 {
+		return nil, badRequestf("join needs records on both sides")
+	}
+	return &PreparedJoin{e: e, s: e.newSession(), right: right}, nil
+}
+
+// Ask matches one left record against the whole right side, one
+// comparison at a time; callers overlap left records, not pairs.
+func (j *PreparedJoin) Ask(ctx context.Context, left Entity) (JoinAnswer, error) {
+	for _, r := range j.right {
+		if r.ID == left.ID {
+			return JoinAnswer{}, badRequestf("duplicate entity ID %q across join inputs", left.ID)
+		}
+	}
+	ans := JoinAnswer{Comparisons: len(j.right)}
+	for r := range j.right {
+		yes, err := j.e.matchOnce(ctx, j.s, left, j.right[r])
+		if err != nil {
+			return JoinAnswer{}, err
+		}
+		if yes {
+			ans.Matches = append(ans.Matches, JoinPair{LeftID: left.ID, RightID: j.right[r].ID})
+		}
+	}
+	return ans, nil
 }
 
 // joinTransitive sequences candidate comparisons from most to least

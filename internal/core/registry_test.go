@@ -80,8 +80,10 @@ func TestIndexRegistryPlannerProfilingReuse(t *testing.T) {
 	reg := embed.NewRegistry()
 	engine := New(sim.NewNamed("sim-claude"), WithEmbedder(em), WithIndexRegistry(reg))
 
+	// Two few-shot examples, so the llm candidate reads neighbours too (a
+	// zero-shot llm run never touches the index).
 	_, err := engine.PlanImpute(ctx(), ds.Train, ds.TargetField,
-		[]ImputeStrategy{ImputeKNN, ImputeLLM, ImputeHybrid}, 5, 0, 0.8, 0, len(ds.Test))
+		[]ImputeStrategy{ImputeKNN, ImputeLLM, ImputeHybrid}, 5, 2, 0.8, 0, len(ds.Test))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,8 +104,8 @@ func PipelineBench(ctx context.Context, iters int, stateDir string) (*BenchRepor
 		// feed runs the configuration as a standing query: the source
 		// table shrinks to static and the feed records arrive mid-run on
 		// ExecConfig.Feed (the scenario harness's workload shape). Serial
-		// execution (Parallelism 1, Chunk 1, no batching) keeps every
-		// counter — including the cache-hit/coalesce split — deterministic.
+		// execution (Parallelism 1, no batching) keeps every counter —
+		// including the cache-hit/coalesce split — deterministic.
 		static, feed []dataset.Record
 	}
 	source := tables["source"]
@@ -115,7 +115,7 @@ func PipelineBench(ctx context.Context, iters int, stateDir string) (*BenchRepor
 		{name: "pipeline-optimized-materialized", spec: optimized, cfg: pipeline.ExecConfig{Parallelism: 16, Batch: 8, Materialized: true}},
 		{name: "pipeline-optimized-streaming", spec: optimized, cfg: pipeline.ExecConfig{Parallelism: 16, Batch: 8}},
 		{name: "pipeline-adaptive", spec: optimized, cfg: pipeline.ExecConfig{Parallelism: 16, Batch: 8, Adaptive: true}},
-		{name: "scenario-standing-query", spec: optimized, cfg: pipeline.ExecConfig{Parallelism: 1, Chunk: 1},
+		{name: "scenario-standing-query", spec: optimized, cfg: pipeline.ExecConfig{Parallelism: 1},
 			static: source[:half], feed: source[half:]},
 	}
 

@@ -75,7 +75,7 @@ type PipelineStudyRun struct {
 // PipelineStudyResult compares naive sequential operator invocation with
 // the optimized pipeline — materialized with the spec's selectivity
 // hints, record-streaming with probed (measured) selectivities, and the
-// adaptive runtime (self-tuned chunks, mid-run replanning) — on one
+// adaptive runtime (side-input overlap, mid-run replanning) — on one
 // workload, plus a latency-modelled side-input overlap scenario.
 type PipelineStudyResult struct {
 	Naive, Optimized, Streaming, Adaptive PipelineStudyRun
@@ -292,13 +292,8 @@ func PipelineStudy(ctx context.Context, cfg PipelineStudyConfig) (*PipelineStudy
 	streaming.ProbeCalls = attr.Usage(workflow.StageProbe).Calls
 
 	// Adaptive configuration: the same probed plan under the adaptive
-	// runtime — micro-batch widths self-tune, and commutable filter runs
-	// may be re-ordered mid-run. Unit tasks are identical to the streaming
-	// configuration, and flooring the self-tuned width at the streaming
-	// run's fixed chunk makes "adaptive spends at most the streaming
-	// run's calls" structural rather than a timing accident: widths only
-	// grow from there, so batch envelopes pack at least as well even when
-	// a loaded machine's queue waits would otherwise shrink them.
+	// runtime — commutable filter runs may be re-ordered mid-run. Unit
+	// tasks are identical to the streaming configuration.
 	adaModel, err := pipelineStudyModel(cfg.Model)
 	if err != nil {
 		return nil, err
@@ -307,7 +302,6 @@ func PipelineStudy(ctx context.Context, cfg PipelineStudyConfig) (*PipelineStudy
 	adaCfg := pipeline.ExecConfig{
 		Model: adaModel, Parallelism: cfg.Parallelism, Batch: cfg.Batch,
 		Exec: workflow.NewExecLayer(), Attribution: adaAttr, Adaptive: true,
-		ChunkMin: max(cfg.Batch, 8),
 	}
 	adaSpec, _, err := pipeline.OptimizeProbed(ctx, hintless, adaCfg, tables,
 		pipeline.ProbeOptions{Sample: cfg.ProbeSample})
@@ -423,17 +417,9 @@ func OverlapScenario(ctx context.Context, latency time.Duration) (*OverlapScenar
 		if err != nil {
 			return 0, nil, err
 		}
-		// Single-record chunks keep every stage's work serial so the
-		// latency model is legible; the adaptive run expresses that
-		// through the chunk bounds (leaving the inter-stage buffers at
-		// their default width, so the fast side filter is never throttled
-		// to the slow feed's pace by a one-slot channel).
-		cfg := pipeline.ExecConfig{Model: newModel(), Parallelism: 1}
-		if adaptive {
-			cfg.Adaptive, cfg.ChunkMin, cfg.ChunkMax = true, 1, 1
-		} else {
-			cfg.Chunk = 1
-		}
+		// One record in flight per stage keeps every stage's work serial so
+		// the latency model is legible.
+		cfg := pipeline.ExecConfig{Model: newModel(), Parallelism: 1, Adaptive: adaptive}
 		start := time.Now()
 		res, err := p.Run(ctx, cfg, tables)
 		if err != nil {

@@ -101,7 +101,7 @@ func ResilienceBench(ctx context.Context) ([]ResilienceBenchRow, error) {
 			return nil, fmt.Errorf("resilience bench %s: %w", c.name, err)
 		}
 		res, err := p.Run(ctx, pipeline.ExecConfig{
-			Model: counting, Parallelism: 1, Chunk: 1,
+			Model: counting, Parallelism: 1,
 			Attribution:   workflow.NewAttribution(),
 			OnRecordError: c.mode,
 		}, map[string][]dataset.Record{"source": recs})

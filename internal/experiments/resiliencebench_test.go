@@ -17,14 +17,17 @@ func TestResilienceBenchPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every record's ask is issued exactly once, so the arithmetic is per
+	// record: poison = 6 healthy attempts + 2 permanent faults (never
+	// retried); outage = 8 records x MaxAttempts 2, each attempt a fault.
 	want := []ResilienceBenchRow{
 		{Name: "faultless", InjectedFaults: 0, Attempts: 8, Retries: 0,
 			Quarantined: 0, Availability: 1, UpstreamCalls: 8, UpstreamTokens: 232},
 		{Name: "flicker-heal", InjectedFaults: 8, Attempts: 16, Retries: 8,
 			Quarantined: 0, Availability: 1, UpstreamCalls: 8, UpstreamTokens: 232},
-		{Name: "poison-quarantine", InjectedFaults: 4, Attempts: 10, Retries: 0,
+		{Name: "poison-quarantine", InjectedFaults: 2, Attempts: 8, Retries: 0,
 			Quarantined: 2, Availability: 0.75, UpstreamCalls: 6, UpstreamTokens: 175},
-		{Name: "outage-degrade", InjectedFaults: 32, Attempts: 32, Retries: 16,
+		{Name: "outage-degrade", InjectedFaults: 16, Attempts: 16, Retries: 8,
 			Quarantined: 8, Availability: 0, UpstreamCalls: 0, UpstreamTokens: 0},
 	}
 	if len(rows) != len(want) {

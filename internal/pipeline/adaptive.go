@@ -3,7 +3,9 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -12,92 +14,18 @@ import (
 )
 
 // The adaptive streaming runtime (ExecConfig.Adaptive) tunes a running
-// plan from live observations, in three coordinated pieces:
+// plan from live observations, in two coordinated pieces:
 //
-//   - adaptive chunk sizing: each stage's micro-batch width self-tunes
-//     between ChunkMin and ChunkMax from the observed balance of queue
-//     wait (blocked assembling input) versus service time (processing a
-//     chunk), instead of the fixed Chunk knob;
 //   - side-input overlap: a streamable stage with a dynamic side input
 //     buffers its main input in a spillable spool while the side stage
 //     materializes, then streams — instead of draining first (execute.go);
 //   - mid-run re-optimization: runs of adjacent commutable filter stages
-//     execute as one segment whose internal order is revised at chunk
-//     boundaries as observed keep rates refine the optimizer's probed or
+//     execute as one segment whose internal order is revised between
+//     records as observed keep rates refine the optimizer's probed or
 //     hinted selectivity estimates (this file).
 //
-// All three leave temperature-0 results byte-identical to the fixed plan;
-// they only change when work happens and how much of it there is.
-
-// chunker decides the next micro-batch width for one stage's stream and
-// learns from how each chunk went. Implementations are owned by a single
-// stage goroutine and need no locking.
-type chunker interface {
-	// size returns the width the next chunk should aim for.
-	size() int
-	// observe reports one processed chunk: how long the stage was blocked
-	// assembling it (wait), how long processing plus downstream emission
-	// took (service), and how many records it carried.
-	observe(wait, service time.Duration, records int)
-}
-
-// fixedChunker is the pre-adaptive behaviour: a constant width.
-type fixedChunker int
-
-func (c fixedChunker) size() int                         { return int(c) }
-func (c fixedChunker) observe(_, _ time.Duration, _ int) {}
-
-// chunkBalanceFactor is the dead band of the adaptive width controller: a
-// chunk grows only when service time dominates queue wait by this factor
-// (input is plentiful — amortize per-chunk overhead over more records),
-// and shrinks only when wait dominates service by the same factor (the
-// stage is starved — hand records downstream sooner rather than idling to
-// fill a wide chunk). In between, the width holds steady.
-const chunkBalanceFactor = 4
-
-// adaptiveChunker doubles or halves the width between floor and ceiling
-// based on the wait/service balance. Temperature-0 results are identical
-// for every width sequence (chunked stages are per-record), so the
-// controller is free to chase throughput without a correctness cost.
-type adaptiveChunker struct {
-	min, max, cur int
-}
-
-func newAdaptiveChunker(min, max, start int) *adaptiveChunker {
-	if min <= 0 {
-		min = 1
-	}
-	if max < min {
-		max = min
-	}
-	if start < min {
-		start = min
-	}
-	if start > max {
-		start = max
-	}
-	return &adaptiveChunker{min: min, max: max, cur: start}
-}
-
-func (c *adaptiveChunker) size() int { return c.cur }
-
-func (c *adaptiveChunker) observe(wait, service time.Duration, records int) {
-	if records == 0 {
-		return
-	}
-	switch {
-	case wait*chunkBalanceFactor < service && c.cur < c.max:
-		c.cur *= 2
-		if c.cur > c.max {
-			c.cur = c.max
-		}
-	case service*chunkBalanceFactor < wait && c.cur > c.min:
-		c.cur /= 2
-		if c.cur < c.min {
-			c.cur = c.min
-		}
-	}
-}
+// Both leave temperature-0 results byte-identical to the fixed plan; they
+// only change when work happens and how much of it there is.
 
 // stageStats accumulates one stage's streaming timings; the stage
 // goroutine owns it and flushes the total into the run's Attribution
@@ -107,36 +35,22 @@ type stageStats struct {
 	t     workflow.StageTiming
 }
 
-func (s *stageStats) observe(wait, service time.Duration, records int) {
-	if s == nil {
+// close settles a stage that consumed records: whatever of the time since
+// start was not spent starved for input (Wait) was Service, under one
+// operator preparation.
+func (s *stageStats) close(start time.Time, records int) {
+	if records == 0 {
 		return
 	}
-	s.t.Wait += wait
-	s.t.Service += service
+	s.t.Service += time.Since(start) - s.t.Wait
 	s.t.Chunks++
 	s.t.Records += records
 }
 
-// addWait and addService accumulate time outside any chunk — the
-// side-overlap buffering wait, a segment tail's emission backpressure —
-// without inflating the chunk count.
-func (s *stageStats) addWait(d time.Duration) {
-	if s != nil {
-		s.t.Wait += d
-	}
-}
-
-func (s *stageStats) addService(d time.Duration) {
-	if s != nil {
-		s.t.Service += d
-	}
-}
-
 func (s *stageStats) flush(attr *workflow.Attribution) {
-	if s == nil || s.t == (workflow.StageTiming{}) {
-		return
+	if s.t != (workflow.StageTiming{}) {
+		attr.ObserveTiming(s.stage, s.t)
 	}
-	attr.ObserveTiming(s.stage, s.t)
 }
 
 // selectivityPriorWeight is how many pseudo-records the optimizer's
@@ -184,6 +98,7 @@ type segMember struct {
 	st   filterStage
 	spec StageSpec
 	out  *streamOut
+	pf   *core.PreparedFilter
 
 	seen, kept, asks int
 }
@@ -209,119 +124,125 @@ func segmentOrder(members []*segMember) []int {
 	return order
 }
 
-func sameOrder(a, b []int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// segPass is one record's trip through a segment: the order it ran under
+// and the samples each member it reached spent. It passed every member it
+// reached but the last, which kept it only when keptAll is set.
+type segPass struct {
+	order   []int
+	asks    []int
+	keptAll bool
 }
 
 // runSegment drives one commutable filter segment as a single streaming
-// unit: every chunk flows through all member filters in the segment's
-// current order, evidence accumulates per member, and at each chunk
-// boundary the order may be revised for chunks not yet started — in-flight
-// work is never re-ordered, and the segment's final output is identical to
-// any fixed order at temperature 0. Each member's operator calls run under
-// its own stage tag, so per-stage attribution is preserved.
+// stage: every record flows through the member filters in the segment's
+// current order, evidence accumulates per member as records finish, and
+// the order may then be revised for records not yet started — a record in
+// flight is never re-ordered, and the segment's final output is identical
+// to any fixed order at temperature 0. Each member's operator calls run
+// under its own stage tag, so per-stage attribution is preserved. The
+// segment shares one window: starvation (Wait) is reported under the head
+// member, time with records in flight (Service) under the tail.
 func (p *Pipeline) runSegment(ctx context.Context, cancel context.CancelFunc, cfg ExecConfig, rt *execRuntime,
-	state *runState, outs map[string]*streamOut, in <-chan dataset.Record, tables map[string][]dataset.Record,
-	idxs []int) {
+	state *runState, outs map[string]*streamOut, in <-chan seqRecord, idxs []int) {
 	members := make([]*segMember, len(idxs))
 	for i, j := range idxs {
 		spec := p.specs[j]
 		members[i] = &segMember{st: p.stages[j].(filterStage), spec: spec, out: outs[spec.Name]}
 	}
-	tail := members[len(members)-1]
+	head, tail := members[0], members[len(members)-1]
 	defer func() {
 		for _, m := range members {
-			close(m.out.done)
-			m.out.closeSubs()
+			m.out.finish()
 		}
 	}()
-	up := outs[members[0].spec.Input]
-	env := &Env{Engine: rt.engineFor(), Budget: rt.budget, Tables: tables,
-		chunk: cfg.newChunker(), run: state}
-	// One timing ledger per member: each filter's service time and record
-	// flow land under its own stage name, chunk-assembly wait under
-	// whichever member ran first (it is the one actually blocked on
-	// upstream), and emission backpressure under the tail.
-	stats := make([]*stageStats, len(members))
-	for i, m := range members {
-		stats[i] = &stageStats{stage: m.spec.Name}
-	}
-	defer func() {
-		for _, s := range stats {
-			s.flush(rt.attr)
-		}
-	}()
+	up := outs[head.spec.Input]
+	engine := rt.engineFor()
+	env := &Env{width: cfg.window(), stats: &stageStats{stage: head.spec.Name}, run: state}
 
-	order := segmentOrder(members)
-	consumed, reorders := 0, 0
-	for {
-		start := time.Now()
-		chunk, more, err := nextChunk(ctx, in, env.chunk.size())
-		wait := time.Since(start)
-		if err != nil {
-			members[0].out.err = err
-			return
-		}
-		consumed += len(chunk)
-		if len(chunk) > 0 {
-			work := time.Now()
-			recs := chunk
-			for pos, mi := range order {
+	var order atomic.Pointer[[]int] // read by each record's goroutine as it starts
+	reorders := 0
+	start := time.Now()
+	consumed, err := window(ctx, env, in,
+		func() error {
+			for _, m := range members {
+				pf, err := engine.PrepareFilter(m.st.request())
+				if err != nil {
+					return fmt.Errorf("stage %q: %w", m.spec.Name, err)
+				}
+				m.pf = pf
+			}
+			first := segmentOrder(members)
+			order.Store(&first)
+			return nil
+		},
+		func(ctx context.Context, r dataset.Record) (segPass, error) {
+			pass := segPass{order: *order.Load()}
+			for _, mi := range pass.order {
 				m := members[mi]
-				if len(recs) == 0 {
+				a, err := m.pf.Ask(workflow.TagStage(ctx, m.spec.Name), render(r, m.spec.Field))
+				if err != nil {
+					return pass, fmt.Errorf("stage %q: %w", m.spec.Name, err)
+				}
+				pass.asks = append(pass.asks, a.Asks)
+				if !a.Keep {
+					return pass, nil
+				}
+			}
+			pass.keptAll = true
+			return pass, nil
+		},
+		func(r seqRecord, pass segPass, err error) error {
+			if err != nil {
+				return err
+			}
+			for pos, asks := range pass.asks {
+				m := members[pass.order[pos]]
+				m.seen++
+				m.asks += asks
+				m.out.consumed++
+				if pos == len(pass.asks)-1 && !pass.keptAll {
 					break
 				}
-				eval := time.Now()
-				kept, asks, err := m.st.filter(workflow.TagStage(ctx, m.spec.Name), env, recs)
-				if err != nil {
-					m.out.err = fmt.Errorf("stage %q: %w", m.spec.Name, err)
-					cancel()
-					return
-				}
-				memberWait := time.Duration(0)
-				if pos == 0 {
-					memberWait = wait
-				}
-				stats[mi].observe(memberWait, time.Since(eval), len(recs))
-				m.seen += len(recs)
-				m.kept += len(kept)
-				m.asks += asks
-				m.out.consumed += len(recs)
+				m.kept++
 				if m != tail {
-					m.out.table = append(m.out.table, kept...)
-				}
-				recs = kept
-			}
-			emitStart := time.Now()
-			for _, r := range recs {
-				tail.out.table = append(tail.out.table, r)
-				if !tail.out.send(ctx, r) {
-					members[0].out.err = ctx.Err()
-					return
+					m.out.got.add(r)
 				}
 			}
-			stats[len(members)-1].addService(time.Since(emitStart))
-			env.chunk.observe(wait, time.Since(work), len(chunk))
-			// Chunk boundary: revise the order for not-yet-started chunks
-			// from the refined estimates. The chunk just finished ran whole
-			// under the old order — in-flight work is never re-ordered.
-			if next := segmentOrder(members); !sameOrder(next, order) {
-				order = next
+			if pass.keptAll {
+				if err := tail.out.emit(ctx, r); err != nil {
+					return err
+				}
+			}
+			// Revise the order for records not yet started from the refined
+			// estimates.
+			if next := segmentOrder(members); !slices.Equal(next, *order.Load()) {
+				order.Store(&next)
 				reorders++
 			}
+			return nil
+		})
+	if consumed > 0 {
+		for _, m := range members {
+			t := workflow.StageTiming{Records: m.seen, Chunks: min(m.seen, 1)}
+			if m == head {
+				t.Wait = env.stats.t.Wait
+			}
+			if m == tail {
+				t.Service = time.Since(start) - env.stats.t.Wait
+			}
+			rt.attr.ObserveTiming(m.spec.Name, t)
 		}
-		if !more {
-			break
+	}
+	if err != nil {
+		head.out.err = err
+		if !cancellation(err) {
+			cancel()
 		}
+		return
 	}
 	<-up.done
 	if up.err != nil {
-		members[0].out.err = up.err
+		head.out.err = up.err
 		return
 	}
 	if consumed == 0 {
@@ -332,11 +253,10 @@ func (p *Pipeline) runSegment(ctx context.Context, cancel context.CancelFunc, cf
 		state.mu.Unlock()
 		return
 	}
+	state.mu.Lock()
+	defer state.mu.Unlock()
 	for _, m := range members {
-		detail := filterDetail(m.kept, m.seen, m.asks)
-		if m == tail {
-			detail += fmt.Sprintf("; adaptive segment of %d filters, order revised %d times", len(members), reorders)
-		}
-		env.detail(m.spec.Name, detail)
+		state.details[m.spec.Name] = filterDetail(m.kept, m.seen, m.asks)
 	}
+	state.details[tail.spec.Name] += fmt.Sprintf("; adaptive segment of %d filters, order revised %d times", len(members), reorders)
 }

@@ -21,12 +21,14 @@ import (
 func TestRecordSpoolSpill(t *testing.T) {
 	spool := newRecordSpool(4)
 	defer spool.Close()
-	var want []dataset.Record
+	var want []seqRecord
 	for i := 0; i < 11; i++ {
-		r := dataset.Record{ID: fmt.Sprintf("r%02d", i), Fields: []dataset.Field{
+		// Keys deliberately not in arrival order: the spool is FIFO and
+		// must hand back exactly the keys it was given.
+		r := seqRecord{int64(100 - i), dataset.Record{ID: fmt.Sprintf("r%02d", i), Fields: []dataset.Field{
 			{Name: "name", Value: fmt.Sprintf("item %d", i)},
 			{Name: "note", Value: `quotes " and | separators`},
-		}}
+		}}}
 		want = append(want, r)
 		if err := spool.Append(r); err != nil {
 			t.Fatal(err)
@@ -35,7 +37,7 @@ func TestRecordSpoolSpill(t *testing.T) {
 	if spool.Len() != 11 {
 		t.Fatalf("Len = %d, want 11", spool.Len())
 	}
-	var got []dataset.Record
+	var got []seqRecord
 	for {
 		r, ok, err := spool.Pop()
 		if err != nil {
@@ -51,34 +53,6 @@ func TestRecordSpoolSpill(t *testing.T) {
 	}
 	if spool.Len() != 0 {
 		t.Fatalf("Len after drain = %d, want 0", spool.Len())
-	}
-}
-
-// TestAdaptiveChunkerTunes pins the width controller: service-dominated
-// chunks grow toward the ceiling, wait-dominated chunks shrink toward
-// the floor, and a balanced load holds steady.
-func TestAdaptiveChunkerTunes(t *testing.T) {
-	c := newAdaptiveChunker(2, 32, 8)
-	for i := 0; i < 10; i++ {
-		c.observe(time.Millisecond, 100*time.Millisecond, c.size())
-	}
-	if c.size() != 32 {
-		t.Fatalf("service-dominated chunker at %d, want ceiling 32", c.size())
-	}
-	for i := 0; i < 10; i++ {
-		c.observe(100*time.Millisecond, time.Millisecond, c.size())
-	}
-	if c.size() != 2 {
-		t.Fatalf("wait-dominated chunker at %d, want floor 2", c.size())
-	}
-	before := c.size()
-	c.observe(10*time.Millisecond, 10*time.Millisecond, before)
-	if c.size() != before {
-		t.Fatalf("balanced chunk moved the width %d -> %d", before, c.size())
-	}
-	c.observe(0, 0, 0) // empty chunk: no evidence, no move
-	if c.size() != before {
-		t.Fatal("empty chunk moved the width")
 	}
 }
 
@@ -122,11 +96,10 @@ func TestAdaptiveSegments(t *testing.T) {
 	}
 }
 
-// TestAdaptiveMatchesMaterialized is the tentpole property test: on the
-// sim model, an adaptive run — self-tuned chunks, segment replanning —
+// TestAdaptiveMatchesMaterialized pins the adaptive runtime's identity on
+// the sim model: an adaptive run — segment replanning between records —
 // produces byte-identical final tables and scalars to a materialized run
-// and to fixed-chunk streaming runs at widths 1, 3, and 16, across
-// several adaptive bounds.
+// and to plain streaming runs, at in-flight windows 1, 3 and 16.
 func TestAdaptiveMatchesMaterialized(t *testing.T) {
 	tables, _ := SourceSpec{Dataset: "restaurants", Records: 14, Train: 30, Seed: 9}.Tables()
 	for i, r := range tables["source"] {
@@ -134,7 +107,7 @@ func TestAdaptiveMatchesMaterialized(t *testing.T) {
 	}
 	// Two adjacent hintless filters form a replannable segment; the
 	// surrounding stages exercise barrier (resolve, count) and streaming
-	// (impute) paths under adaptive chunking.
+	// (impute) paths.
 	spec := Spec{Stages: []StageSpec{
 		{Name: "entities", Kind: KindResolve, Strategy: "pairwise", InvariantFields: []string{"type"}},
 		{Name: "served", Kind: KindFilter, Field: "type", Predicate: "the restaurant serves food"},
@@ -156,36 +129,22 @@ func TestAdaptiveMatchesMaterialized(t *testing.T) {
 		return res
 	}
 	want := run(ExecConfig{Materialized: true})
-	for _, chunk := range []int{1, 3, 16} {
-		got := run(ExecConfig{Chunk: chunk})
+	for _, width := range []int{1, 3, 16} {
+		got := run(ExecConfig{Parallelism: width})
 		if !reflect.DeepEqual(want.Tables, got.Tables) || !reflect.DeepEqual(want.Scalars, got.Scalars) {
-			t.Fatalf("fixed chunk %d differs from materialized", chunk)
+			t.Fatalf("window %d differs from materialized", width)
 		}
-	}
-	// An inverted floor/ceiling is rejected up front, not silently
-	// clamped to the floor.
-	{
-		p, err := Compile(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := ExecConfig{Adaptive: true, ChunkMin: 32, ChunkMax: 8, Model: sim.NewNamed("sim-gpt-3.5-turbo")}
-		if _, err := p.Run(context.Background(), cfg, tables); err == nil || !strings.Contains(err.Error(), "ChunkMin") {
-			t.Fatalf("ChunkMin > ChunkMax accepted: err = %v", err)
-		}
-	}
-	for _, bounds := range [][2]int{{0, 0}, {1, 4}, {2, 64}, {16, 16}} {
-		got := run(ExecConfig{Adaptive: true, ChunkMin: bounds[0], ChunkMax: bounds[1]})
+		got = run(ExecConfig{Adaptive: true, Parallelism: width})
 		// Segment-internal tables may legitimately differ when the order
 		// was revised mid-run; everything downstream of the segment — and
 		// the segment's own output — must be byte-identical.
 		for _, stage := range []string{"entities", "named", "city", "n"} {
 			if !reflect.DeepEqual(want.Tables[stage], got.Tables[stage]) {
-				t.Fatalf("adaptive bounds %v: stage %q table differs from materialized", bounds, stage)
+				t.Fatalf("adaptive window %d: stage %q table differs from materialized", width, stage)
 			}
 		}
 		if !reflect.DeepEqual(want.Scalars, got.Scalars) {
-			t.Fatalf("adaptive bounds %v: scalars %v != %v", bounds, got.Scalars, want.Scalars)
+			t.Fatalf("adaptive window %d: scalars %v != %v", width, got.Scalars, want.Scalars)
 		}
 	}
 }
@@ -257,7 +216,7 @@ func TestAdaptiveSideInputOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := p.Run(context.Background(), ExecConfig{
-		Model: splitModel("overlap-side", gate, onJoin), Adaptive: true, Chunk: 1, Parallelism: 1,
+		Model: splitModel("overlap-side", gate, onJoin), Adaptive: true, Parallelism: 1,
 	}, flavorTables(4))
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +234,7 @@ func TestAdaptiveSideInputOverlap(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := p.Run(context.Background(), ExecConfig{
-			Model: splitModel("calm", nil, nil), Adaptive: adaptive, Chunk: 1,
+			Model: splitModel("calm", nil, nil), Adaptive: adaptive,
 		}, flavorTables(4))
 		if err != nil {
 			t.Fatal(err)
@@ -321,7 +280,7 @@ func TestAdaptiveSideOverlapFailureNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = p.Run(context.Background(), ExecConfig{Model: model, Adaptive: true, Chunk: 1, Parallelism: 1}, flavorTables(6))
+	_, err = p.Run(context.Background(), ExecConfig{Model: model, Adaptive: true, Parallelism: 1}, flavorTables(6))
 	if err == nil || !strings.Contains(err.Error(), "join comparison explosion") || !strings.Contains(err.Error(), `"match"`) {
 		t.Fatalf("err = %v, want the join stage's root cause", err)
 	}
@@ -373,7 +332,7 @@ func TestAdaptiveSideOverlapSpillFailureNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = p.Run(context.Background(), ExecConfig{Model: model, Adaptive: true, Chunk: 1, Parallelism: 1}, flavorTables(8))
+	_, err = p.Run(context.Background(), ExecConfig{Model: model, Adaptive: true, Parallelism: 1}, flavorTables(8))
 	if err == nil || !strings.Contains(err.Error(), "join comparison explosion") || !strings.Contains(err.Error(), `"match"`) {
 		t.Fatalf("err = %v, want the join stage's root cause", err)
 	}
@@ -391,7 +350,7 @@ func TestAdaptiveSideOverlapSpillFailureNoLeak(t *testing.T) {
 
 // TestMidRunReplanReordersFilters is the mid-run re-optimization pin:
 // two hintless filters start in user order (estimates tie at the 0.5
-// prior), the observed keep rates diverge within a few chunks, and the
+// prior), the observed keep rates diverge within a few records, and the
 // segment flips the genuinely tighter filter to the front for the
 // not-yet-started remainder of the stream — spending fewer loose-filter
 // evaluations than the static order would, with the final table
@@ -419,7 +378,7 @@ func TestMidRunReplanReordersFilters(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := p.Run(context.Background(), ExecConfig{
-			Model: model, Adaptive: adaptive, Chunk: 1, Parallelism: 1,
+			Model: model, Adaptive: adaptive, Parallelism: 1,
 		}, flavorTables(n))
 		if err != nil {
 			t.Fatal(err)
@@ -455,7 +414,7 @@ func TestMidRunReplanReordersFilters(t *testing.T) {
 		t.Fatal(err)
 	}
 	iso, err := p.Run(context.Background(), ExecConfig{
-		Model: model, Adaptive: true, Isolated: true, Chunk: 1, Parallelism: 1,
+		Model: model, Adaptive: true, Isolated: true, Parallelism: 1,
 	}, flavorTables(n))
 	if err != nil {
 		t.Fatal(err)
@@ -479,56 +438,85 @@ func stageByName(t *testing.T, res *Result, name string) StageReport {
 	return StageReport{}
 }
 
-// TestNextChunkCancellation is the satellite regression pin: a cancelled
-// context must win the next chunk boundary promptly whether the upstream
-// is idle (nothing buffered, the stage is blocked on its first record) or
+// TestWindowCancellation is the regression pin on the streaming loop: a
+// cancelled context must end it promptly whether the upstream is idle
+// (nothing buffered, the stage is blocked waiting for its first record) or
 // flooding (records always ready, so the select could keep choosing the
-// receive case forever without the explicit entry poll).
-func TestNextChunkCancellation(t *testing.T) {
+// receive case without the explicit poll at the top of each turn) — and
+// in both cases every record goroutine it started has exited by the time
+// it returns.
+func TestWindowCancellation(t *testing.T) {
+	var running atomic.Int32
+	task := func(ctx context.Context, _ dataset.Record) (struct{}, error) {
+		running.Add(1)
+		defer running.Add(-1)
+		<-ctx.Done()
+		return struct{}{}, ctx.Err()
+	}
+	done := func(_ seqRecord, _ struct{}, err error) error { return err }
+	env := func() *Env { return &Env{width: 2, stats: &stageStats{stage: "s"}} }
+
 	// Idle upstream: block on an open, empty channel; cancel mid-wait.
-	idle := make(chan dataset.Record)
+	idle := make(chan seqRecord)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	done := make(chan error, 1)
+	finished := make(chan error, 1)
 	go func() {
-		_, _, err := nextChunk(ctx, idle, 8)
-		done <- err
+		_, err := window(ctx, env(), idle, func() error { return nil }, task, done)
+		finished <- err
 	}()
 	select {
-	case err := <-done:
+	case err := <-finished:
 		if err == nil {
-			t.Fatal("nextChunk returned nil on a cancelled idle upstream")
+			t.Fatal("window returned nil on a cancelled idle upstream")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("nextChunk did not return promptly after cancellation during an idle upstream")
+		t.Fatal("window did not return promptly after cancellation during an idle upstream")
 	}
 
-	// Busy upstream: the channel always has a record ready, and the
-	// context is already cancelled — the entry poll must still surface the
-	// cancellation instead of assembling another chunk.
-	busy := make(chan dataset.Record, 4)
+	// Flooding upstream: the channel always has a record ready and the
+	// window has free slots, and the context is already cancelled — the
+	// poll must surface the cancellation before a single record starts.
+	busy := make(chan seqRecord, 4)
 	for i := 0; i < 4; i++ {
-		busy <- dataset.Record{ID: fmt.Sprintf("r%d", i)}
+		busy <- seqRecord{int64(i), dataset.Record{ID: fmt.Sprintf("r%d", i)}}
 	}
 	cctx, ccancel := context.WithCancel(context.Background())
 	ccancel()
-	if chunk, _, err := nextChunk(cctx, busy, 2); err == nil {
-		t.Fatalf("nextChunk assembled %d records under a cancelled context", len(chunk))
+	if n, err := window(cctx, env(), busy, func() error { return nil }, task, done); err == nil || n != 0 {
+		t.Fatalf("window started %d records under a cancelled context (err = %v)", n, err)
+	}
+
+	// Mid-flight: two records in flight when the cancel lands; window must
+	// wait them out before returning.
+	mctx, mcancel := context.WithCancel(context.Background())
+	go func() {
+		for running.Load() < 2 {
+			time.Sleep(time.Millisecond)
+		}
+		mcancel()
+	}()
+	if _, err := window(mctx, env(), busy, func() error { return nil }, task, done); err == nil {
+		t.Fatal("window returned nil after a mid-flight cancellation")
+	}
+	if n := running.Load(); n != 0 {
+		t.Fatalf("window returned with %d record goroutines still running", n)
 	}
 }
 
 // TestAdaptiveIdleUpstreamCancellation is the end-to-end version: cancel
-// the caller's context while a downstream stage idles in nextChunk
-// waiting for a slow producer, and the whole run must return promptly.
+// the caller's context while a downstream stage idles with an empty
+// window, waiting for a slow producer, and the whole run must return
+// promptly.
 func TestAdaptiveIdleUpstreamCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	model := llm.Func{ModelName: "slow", Fn: func(mctx context.Context, req llm.Request) (llm.Response, error) {
-		// The filter never answers: downstream categorize idles in
-		// nextChunk the whole run.
+		// The filter never answers: downstream categorize idles on its
+		// input the whole run.
 		select {
 		case <-mctx.Done():
 			return llm.Response{}, mctx.Err()

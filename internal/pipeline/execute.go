@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -17,17 +18,17 @@ import (
 	"repro/internal/workflow"
 )
 
-// OnRecordError values: what a streaming per-record stage does when a
-// chunk's records cannot be processed (after the resilience policy, if
-// any, has already done its retrying). Barrier stages always fail fast —
+// OnRecordError values: what a streaming per-record stage does when one
+// record's unit task fails (after the resilience policy, if any, has
+// already done its retrying). Barrier stages always fail fast —
 // their output depends on the whole table, so dropping records would
 // silently change the answer rather than narrow it.
 const (
 	// OnRecordFail aborts the run on the first record error (the default,
 	// and the only pre-existing behaviour).
 	OnRecordFail = "fail"
-	// OnRecordSkip retries the failed chunk record by record and silently
-	// drops the records that still fail, reporting only a count.
+	// OnRecordSkip silently drops exactly the records whose unit task
+	// failed, reporting only a count.
 	OnRecordSkip = "skip"
 	// OnRecordQuarantine is skip plus evidence: dropped records are
 	// counted per stage with the first few per-record errors preserved in
@@ -55,9 +56,9 @@ type ExecConfig struct {
 	// Feed turns the run into a standing query: records received on the
 	// channel join the stream behind the static "source" table, in arrival
 	// order, while the pipeline is already executing — per-record stages
-	// re-evaluate incrementally chunk by chunk (reusing the adaptive
-	// chunker and, on the side-input overlap path, the spillable spool),
-	// and barrier stages simply see the longer stream. Run returns only
+	// evaluate each record as it arrives (on the side-input overlap path
+	// through the spillable spool), and barrier stages simply see the
+	// longer stream. Run returns only
 	// after Feed is closed and fully drained, so the caller must feed and
 	// close the channel from another goroutine. Temperature-0 results
 	// after full ingestion are byte-identical to a batch run whose source
@@ -73,32 +74,23 @@ type ExecConfig struct {
 	// Batch packs up to this many unit tasks per envelope prompt (<= 1
 	// disables batching).
 	Batch int
-	// Parallelism bounds concurrent LLM calls per operator (default 8).
+	// Parallelism bounds concurrent LLM calls per operator (default
+	// core.DefaultParallelism). It is also each streaming stage's in-flight
+	// window: a stage starts a record's unit task the moment the record
+	// arrives and fewer than Parallelism are in flight, and hands every
+	// finished record downstream at once, so round trips overlap across
+	// records and across stages. Parallelism 1 is strictly serial per stage.
 	Parallelism int
-	// Chunk bounds the records per streaming micro-batch (default
-	// max(Batch, 8)). Larger chunks amortize per-invocation overhead;
-	// smaller ones hand records downstream sooner. A positive Chunk
-	// always forces that fixed width, even under Adaptive.
-	Chunk int
-	// Adaptive enables the adaptive streaming runtime: per-stage
-	// micro-batch widths self-tune between ChunkMin and ChunkMax from
-	// observed service time versus queue wait (unless Chunk pins them), a
-	// streamable stage with a dynamic side input overlaps its main path
-	// with the side stage's materialization through a spillable buffer
-	// instead of draining first, and runs of adjacent commutable filter
-	// stages may be re-ordered at chunk boundaries as observed
-	// selectivities refine the optimizer's estimates. Temperature-0
-	// results are identical either way. A no-op under Materialized;
-	// Isolated keeps per-stage engines, so it disables the segment
-	// re-ordering (which would share one engine across members) while
-	// chunk self-tuning and side-input overlap still apply.
+	// Adaptive enables the adaptive streaming runtime: a streamable stage
+	// with a dynamic side input overlaps its main path with the side
+	// stage's materialization through a spillable buffer instead of
+	// draining first, and runs of adjacent commutable filter stages may
+	// be re-ordered between records as observed selectivities refine the
+	// optimizer's estimates. Temperature-0 results are identical either
+	// way. A no-op under Materialized; Isolated keeps per-stage engines,
+	// so it disables the segment re-ordering (which would share one
+	// engine across members) while side-input overlap still applies.
 	Adaptive bool
-	// ChunkMin and ChunkMax bound the adaptive chunk width (defaults 1
-	// and 64). Setting both with ChunkMin > ChunkMax is rejected at Run;
-	// a floor alone above the default ceiling raises the ceiling to
-	// match, pinning that width. Ignored unless Adaptive is set and
-	// Chunk is 0.
-	ChunkMin, ChunkMax int
 	// Materialized disables record-level streaming: every stage drains its
 	// whole input before running — the pre-streaming executor behaviour.
 	// Temperature-0 results are identical either way; the flag exists for
@@ -120,76 +112,29 @@ type ExecConfig struct {
 	Resilience *resil.Policy
 	// OnRecordError selects degraded-mode execution for streaming
 	// per-record stages: OnRecordFail (default), OnRecordSkip, or
-	// OnRecordQuarantine. A failing chunk is retried record by record and
-	// the records that still fail are dropped (skip) or dropped-and-
-	// reported (quarantine) instead of aborting the run. Context
+	// OnRecordQuarantine. Exactly the records whose unit task failed are
+	// dropped (skip) or dropped-and-reported (quarantine) instead of
+	// aborting the run; nothing is asked twice. Context
 	// cancellation, budget exhaustion, and an open circuit breaker always
 	// abort — they poison every record, not one. Barrier stages and
 	// adaptive filter segments fail fast regardless.
 	OnRecordError string
 }
 
-// chunkSize resolves the streaming micro-batch width.
-func (cfg ExecConfig) chunkSize() int {
-	if cfg.Chunk > 0 {
-		return cfg.Chunk
+// window resolves the per-stage in-flight bound.
+func (cfg ExecConfig) window() int {
+	if cfg.Parallelism > 0 {
+		return cfg.Parallelism
 	}
-	if cfg.Batch > 8 {
-		return cfg.Batch
-	}
-	return 8
+	return core.DefaultParallelism
 }
 
-// chunkBounds resolves the adaptive width floor and ceiling. The default
-// ceiling never sits below the fixed-width default (max(Batch, 8)): a
-// large Batch must stay reachable, or adaptive runs would pack envelopes
-// worse than fixed streaming ever could. Explicitly conflicting bounds
-// were rejected at Run, so max < min here means only the floor was set
-// and it clears the default ceiling — the ceiling rises to match.
-func (cfg ExecConfig) chunkBounds() (min, max int) {
-	min, max = cfg.ChunkMin, cfg.ChunkMax
-	if min <= 0 {
-		min = 1
-	}
-	if max <= 0 {
-		max = 64
-		if cs := cfg.chunkSize(); cs > max {
-			max = cs
-		}
-	}
-	if max < min {
-		max = min
-	}
-	return min, max
-}
-
-// adaptiveChunking reports whether stage widths self-tune this run: a
-// positive Chunk still forces a fixed size, and Materialized disables
-// streaming (and with it the whole adaptive runtime).
-func (cfg ExecConfig) adaptiveChunking() bool {
-	return cfg.Adaptive && cfg.Chunk == 0 && !cfg.Materialized
-}
-
-// newChunker builds one stage's micro-batch width policy.
-func (cfg ExecConfig) newChunker() chunker {
-	if !cfg.adaptiveChunking() {
-		return fixedChunker(cfg.chunkSize())
-	}
-	min, max := cfg.chunkBounds()
-	return newAdaptiveChunker(min, max, cfg.chunkSize())
-}
-
-// chunkCap sizes each inter-stage channel: the widest chunk the run may
-// assemble, so a grown adaptive chunk can actually fill from the buffer.
-func (cfg ExecConfig) chunkCap() int {
-	if cfg.adaptiveChunking() {
-		_, max := cfg.chunkBounds()
-		if max > cfg.chunkSize() {
-			return max
-		}
-	}
-	return cfg.chunkSize()
-}
+// edgeBuffer is the capacity of every inter-stage channel. It is wider
+// than a window so a fast branch is not paced by a slow sibling reading
+// the same producer (a side stage must finish while the main path is
+// still working for side-input overlap to buy anything), and bounded so a
+// standing query's backlog stays proportional to the number of stages.
+const edgeBuffer = 64
 
 // runtime binds one run's shared machinery: the budget, the attribution
 // ledger, and the engine factory (one shared engine unless Isolated).
@@ -279,7 +224,7 @@ type Env struct {
 	// materialized from an earlier stage's stream.
 	Tables map[string][]dataset.Record
 
-	chunk chunker
+	width int // in-flight window of a streaming stage
 	stats *stageStats
 	run   *runState
 	onErr string // resolved OnRecordError mode
@@ -306,7 +251,8 @@ type runState struct {
 }
 
 // dropRecord records one record dropped under skip or quarantine mode.
-func (e *Env) dropRecord(stage string, r dataset.Record, err error) {
+func (e *Env) dropRecord(r dataset.Record, err error) {
+	stage := e.stats.stage
 	e.run.mu.Lock()
 	defer e.run.mu.Unlock()
 	if e.onErr == OnRecordSkip {
@@ -352,9 +298,10 @@ type StageReport struct {
 	Usage token.Usage
 	// Cost prices Usage at the model's rate.
 	Cost float64
-	// Timing is the stage's observed streaming behaviour: service time
-	// versus queue wait, chunks, and records — the signals the adaptive
-	// chunker tunes against, surfaced for inspection and benchmarks.
+	// Timing is the stage's observed streaming behaviour: time starved for
+	// input (Wait) versus time with work in flight (Service), operator
+	// preparations (Chunks) and records, surfaced for inspection and
+	// benchmarks.
 	Timing workflow.StageTiming
 	// Detail is the stage's operator-specific summary.
 	Detail string
@@ -372,7 +319,7 @@ type Result struct {
 	// under ExecConfig.Adaptive: inside a re-orderable filter segment,
 	// a non-tail filter's table (and its In/Out counts) reflects the
 	// records it actually evaluated under the orders used, which can
-	// vary with chunk-boundary timing; the segment's tail table — what
+	// vary with completion timing when Parallelism > 1; the segment's tail table — what
 	// every downstream consumer sees — and all non-segment tables are
 	// byte-identical to a non-adaptive run at temperature 0.
 	Tables map[string][]dataset.Record
@@ -396,30 +343,82 @@ type Result struct {
 	Resilience workflow.ResilienceStats
 }
 
+// seqRecord is one record on an inter-stage edge. seq is its position in
+// the stage's output table: the source feeder numbers records as they
+// enter, per-record stages keep the key (a fan-out stage widens it, see
+// runWindow), and barrier stages renumber their output. Records may
+// overtake each other on an edge; everything that needs a table — a
+// stage's collected output, a barrier's drained input — restores sequence
+// order once, at collection, never per hop.
+type seqRecord struct {
+	seq int64
+	rec dataset.Record
+}
+
+// ordered accumulates records with their sequence keys and sorts them
+// back into sequence order on demand.
+type ordered struct {
+	recs     []dataset.Record
+	seqs     []int64
+	unsorted bool
+}
+
+func (o *ordered) add(r seqRecord) {
+	if n := len(o.seqs); n > 0 && r.seq < o.seqs[n-1] {
+		o.unsorted = true
+	}
+	o.recs = append(o.recs, r.rec)
+	o.seqs = append(o.seqs, r.seq)
+}
+
+// table returns the records in sequence order.
+func (o *ordered) table() []dataset.Record {
+	if o.unsorted {
+		sort.Sort(o)
+		o.unsorted = false
+	}
+	return o.recs
+}
+
+func (o *ordered) Len() int           { return len(o.seqs) }
+func (o *ordered) Less(i, j int) bool { return o.seqs[i] < o.seqs[j] }
+func (o *ordered) Swap(i, j int) {
+	o.seqs[i], o.seqs[j] = o.seqs[j], o.seqs[i]
+	o.recs[i], o.recs[j] = o.recs[j], o.recs[i]
+}
+
 // streamOut is one stage's output viewed both as a stream and as a
 // table: the owning goroutine sends each record to every subscribed
 // consumer channel while collecting the full table for the Result (and
 // for dynamic side-table consumers, who need it whole). done closes when
-// the stage finishes; err is set before done closes on failure.
+// the stage finishes, after table is set in sequence order; err is set
+// before done closes on failure.
 type streamOut struct {
 	table    []dataset.Record
+	got      ordered
 	err      error
 	consumed int
 	done     chan struct{}
-	subs     []chan dataset.Record
+	subs     []chan seqRecord
+}
+
+// emit collects one output record and sends it downstream.
+func (o *streamOut) emit(ctx context.Context, r seqRecord) error {
+	o.got.add(r)
+	return o.send(ctx, r)
 }
 
 // send delivers one record to every subscriber, honouring backpressure;
-// it reports false when the run's context is cancelled.
-func (o *streamOut) send(ctx context.Context, r dataset.Record) bool {
+// it fails when the run's context is cancelled.
+func (o *streamOut) send(ctx context.Context, r seqRecord) error {
 	for _, ch := range o.subs {
 		select {
 		case ch <- r:
 		case <-ctx.Done():
-			return false
+			return ctx.Err()
 		}
 	}
-	return true
+	return nil
 }
 
 func (o *streamOut) closeSubs() {
@@ -428,11 +427,21 @@ func (o *streamOut) closeSubs() {
 	}
 }
 
-// drain collects the whole input stream — the barrier path — and then
-// surfaces the upstream error if the stream ended because its producer
-// failed.
-func drain(ctx context.Context, in <-chan dataset.Record, up *streamOut) ([]dataset.Record, error) {
-	var recs []dataset.Record
+// finish publishes the collected table (unless the stage set one whole)
+// and ends the stream.
+func (o *streamOut) finish() {
+	if o.table == nil {
+		o.table = o.got.table()
+	}
+	o.closeSubs()
+	close(o.done)
+}
+
+// drain collects the whole input stream in sequence order — the barrier
+// path — and then surfaces the upstream error if the stream ended because
+// its producer failed.
+func drain(ctx context.Context, in <-chan seqRecord, up *streamOut) ([]dataset.Record, error) {
+	var got ordered
 	for {
 		select {
 		case r, ok := <-in:
@@ -441,64 +450,22 @@ func drain(ctx context.Context, in <-chan dataset.Record, up *streamOut) ([]data
 				if up.err != nil {
 					return nil, up.err
 				}
-				return recs, nil
+				return got.table(), nil
 			}
-			recs = append(recs, r)
+			got.add(r)
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 	}
 }
 
-// nextChunk assembles one streaming micro-batch: it blocks for the first
-// record, then greedily tops up with whatever the producer has already
-// buffered (up to n), so a fast upstream fills chunks and a slow one
-// doesn't stall the stage. Returns more=false once the stream is
-// exhausted; the final chunk may still carry records.
-//
-// Cancellation is checked eagerly, not just inside the selects: the
-// blocking first-record receive races a ready channel against ctx.Done,
-// and Go's select picks ready cases at random — a busy upstream could
-// otherwise keep a cancelled stage assembling chunks indefinitely. The
-// explicit polls make cancellation win the next boundary deterministically
-// whether the upstream is idle (the select's Done case fires) or flooding
-// (the entry poll fires).
-func nextChunk(ctx context.Context, in <-chan dataset.Record, n int) (chunk []dataset.Record, more bool, err error) {
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	select {
-	case r, ok := <-in:
-		if !ok {
-			return nil, false, nil
-		}
-		chunk = append(chunk, r)
-	case <-ctx.Done():
-		return nil, false, ctx.Err()
-	}
-	for len(chunk) < n {
-		if err := ctx.Err(); err != nil {
-			return chunk, false, err
-		}
-		select {
-		case r, ok := <-in:
-			if !ok {
-				return chunk, false, nil
-			}
-			chunk = append(chunk, r)
-		default:
-			return chunk, true, nil
-		}
-	}
-	return chunk, true, nil
-}
-
 // Run executes the pipeline over the given tables (which must include
 // "source") as a streaming dataflow: every stage runs in its own
 // goroutine, records flow between stages over bounded channels, and a
 // per-record stage (filter, direct categorize, fixed-strategy impute,
-// nested-loop join) processes micro-batches while its upstream is still
-// emitting. Barrier stages — sort, max, count, resolve, planner-driven
+// nested-loop join) runs each record's unit task as the record arrives,
+// up to Parallelism at once, handing finished records downstream
+// immediately. Barrier stages — sort, max, count, resolve, planner-driven
 // impute, any stage with a dynamic side input, or everything when
 // cfg.Materialized is set — drain their input first; results are
 // identical either way at temperature 0. Unless Isolated, all stages
@@ -512,9 +479,6 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 	source, ok := tables["source"]
 	if !ok {
 		return nil, fmt.Errorf("pipeline: tables lack %q", "source")
-	}
-	if cfg.ChunkMin > 0 && cfg.ChunkMax > 0 && cfg.ChunkMin > cfg.ChunkMax {
-		return nil, fmt.Errorf("pipeline: ChunkMin %d exceeds ChunkMax %d", cfg.ChunkMin, cfg.ChunkMax)
 	}
 	switch cfg.OnRecordError {
 	case "", OnRecordFail, OnRecordSkip, OnRecordQuarantine:
@@ -554,15 +518,14 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 	// table after its done closes. Stages inside a segment take no edge
 	// of their own — the segment consumes the head's input and emits on
 	// the tail's output, whose downstream subscriptions wire as usual.
-	chunk := cfg.chunkCap()
-	inputs := make(map[string]chan dataset.Record, len(p.stages))
+	inputs := make(map[string]chan seqRecord, len(p.stages))
 	for i, st := range p.stages {
 		if segID[i] > 0 {
 			if j := indexOf(p.specs, p.specs[i].Input); j >= 0 && segID[j] == segID[i] {
 				continue // intra-segment edge: records flow inside the goroutine
 			}
 		}
-		ch := make(chan dataset.Record, chunk)
+		ch := make(chan seqRecord, edgeBuffer)
 		inputs[st.Name()] = ch
 		up := outs[st.Input()]
 		up.subs = append(up.subs, ch)
@@ -573,17 +536,20 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 	var wg sync.WaitGroup
 
 	// Feed the materialized source table to its subscribers, then — for a
-	// standing query — the ingest channel until it closes. Fed records are
-	// not appended to root.table: the slice aliases the caller's "source"
-	// table, and consumers see every record through the stream either way.
+	// standing query — the ingest channel until it closes, numbering the
+	// records in arrival order. Fed records are not appended to root.table:
+	// the slice aliases the caller's "source" table, and consumers see
+	// every record through the stream either way.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		defer root.closeSubs()
+		var seq int64
 		for _, r := range root.table {
-			if !root.send(ctx, r) {
+			if root.send(ctx, seqRecord{seq, r}) != nil {
 				return
 			}
+			seq++
 		}
 		if cfg.Feed == nil {
 			return
@@ -594,9 +560,10 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 				if !ok {
 					return
 				}
-				if !root.send(ctx, r) {
+				if root.send(ctx, seqRecord{seq, r}) != nil {
 					return
 				}
+				seq++
 			case <-ctx.Done():
 				return
 			}
@@ -607,7 +574,7 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 		wg.Add(1)
 		go func(seg []int) {
 			defer wg.Done()
-			p.runSegment(ctx, cancel, cfg, rt, state, outs, inputs[p.specs[seg[0]].Name], tables, seg)
+			p.runSegment(ctx, cancel, cfg, rt, state, outs, inputs[p.specs[seg[0]].Name], seg)
 		}(seg)
 	}
 	for i, st := range p.stages {
@@ -631,7 +598,7 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 	var cancelErr error
 	for _, st := range p.stages {
 		if err := outs[st.Name()].err; err != nil {
-			if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+			if !cancellation(err) {
 				return nil, err
 			}
 			if cancelErr == nil {
@@ -644,7 +611,7 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 	}
 	// An outer cancellation can end the source feeder (and with it every
 	// stream) without any stage recording an error — e.g. a stage whose
-	// in-flight chunk completed after the cancel sees only a closed
+	// in-flight records completed after the cancel sees only a closed
 	// channel. Never report such a truncated run as success.
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
@@ -693,11 +660,10 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 // runStage drives one stage goroutine: resolve the side table, consume
 // the input (streamed or drained), run the operator, and emit outputs.
 func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg ExecConfig, rt *execRuntime,
-	state *runState, outs map[string]*streamOut, in <-chan dataset.Record, tables map[string][]dataset.Record,
+	state *runState, outs map[string]*streamOut, in <-chan seqRecord, tables map[string][]dataset.Record,
 	st Stage, spec StageSpec) {
 	out := outs[st.Name()]
-	defer close(out.done)
-	defer out.closeSubs()
+	defer out.finish()
 	up := outs[st.Input()]
 
 	// fail records a propagated (or cancellation) error without re-wrap;
@@ -722,7 +688,7 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 	}
 
 	env := &Env{Engine: rt.engineFor(), Budget: rt.budget, Tables: tables,
-		chunk: cfg.newChunker(), stats: &stageStats{stage: st.Name()}, run: state,
+		width: cfg.window(), stats: &stageStats{stage: st.Name()}, run: state,
 		onErr: cfg.OnRecordError}
 	defer env.stats.flush(rt.attr)
 
@@ -738,20 +704,22 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 	dynamicSide := sideStage(p.specs, spec) >= 0
 
 	streamer, ok := st.(Streamer)
-	canStream := ok && streamer.CanStream() && !cfg.Materialized
-	emit := func(r dataset.Record) error {
-		out.table = append(out.table, r)
-		if !out.send(ctx, r) {
-			return ctx.Err()
+	if ok && streamer.CanStream() && !cfg.Materialized && (!dynamicSide || cfg.Adaptive) {
+		start := time.Now()
+		sctx := workflow.TagStage(ctx, st.Name())
+		var err error
+		if dynamicSide {
+			out.consumed, err = runWindowWithSide(sctx, env, outs[spec.Side], in, spec.Side, streamer, out)
+		} else {
+			out.consumed, err = runWindow(sctx, env, in, streamer, out)
 		}
-		return nil
-	}
-
-	if canStream && !dynamicSide {
-		consumed, err := streamer.RunStream(workflow.TagStage(ctx, st.Name()), env, in, emit)
-		out.consumed = consumed
+		env.stats.close(start, out.consumed)
 		if err != nil {
-			abort(err)
+			if propagated(err, outs, spec) {
+				fail(err)
+			} else {
+				abort(err)
+			}
 			return
 		}
 		// The stream may have ended because the producer failed; the
@@ -761,29 +729,7 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 			fail(up.err)
 			return
 		}
-		if consumed == 0 {
-			skipEmpty()
-		}
-		return
-	}
-
-	if canStream && dynamicSide && cfg.Adaptive {
-		consumed, err := p.runStreamWithSide(ctx, cfg, env, outs, in, tables, streamer, st, spec, emit)
-		out.consumed = consumed
-		if err != nil {
-			if propagated(err, outs, spec) {
-				fail(err)
-			} else {
-				abort(err)
-			}
-			return
-		}
-		<-up.done
-		if up.err != nil {
-			fail(up.err)
-			return
-		}
-		if consumed == 0 {
+		if out.consumed == 0 {
 			skipEmpty()
 		}
 		return
@@ -810,24 +756,23 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 		}
 		env.Tables = overlaySide(tables, spec.Side, side.table)
 	}
-	wait := time.Since(start)
+	env.stats.t.Wait = time.Since(start)
 	if len(recs) == 0 {
 		skipEmpty()
 		return
 	}
-	work := time.Now()
 	table, err := st.Run(workflow.TagStage(ctx, st.Name()), env, recs)
 	if err != nil {
 		abort(err)
 		return
 	}
 	out.table = table
-	for _, r := range table {
-		if !out.send(ctx, r) {
+	for i, r := range table {
+		if out.send(ctx, seqRecord{int64(i), r}) != nil {
 			return
 		}
 	}
-	env.stats.observe(wait, time.Since(work), len(recs))
+	env.stats.close(start, len(recs))
 }
 
 // overlaySide copies the static-table map with one dynamic side table
@@ -841,12 +786,18 @@ func overlaySide(tables map[string][]dataset.Record, name string, side []dataset
 	return overlay
 }
 
+// cancellation reports whether err is a context ending rather than a
+// failure of the work itself.
+func cancellation(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
 // propagated reports whether err came from upstream (the side stage's
 // failure or a cancellation) rather than this stage's own operator, so
 // runStage records it without re-wrapping and without cancelling the run
 // a second time.
 func propagated(err error, outs map[string]*streamOut, spec StageSpec) bool {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	if cancellation(err) {
 		return true
 	}
 	if side := outs[spec.Side]; side != nil {
@@ -870,16 +821,16 @@ func propagated(err error, outs map[string]*streamOut, spec StageSpec) bool {
 // path without thousand-record inputs.
 var sideSpoolMem = 0
 
-// runStreamWithSide is the adaptive side-input overlap path: spool the
+// runWindowWithSide is the adaptive side-input overlap path: spool the
 // main input while the dynamic side stage materializes, then stream the
-// spooled prefix followed by the live channel through the stage. The
-// spool keeps the main path consuming (no backpressure deadlock through a
-// shared ancestor) without the full drain the barrier path pays, so
-// downstream receives records as soon as the side table is ready.
-func (p *Pipeline) runStreamWithSide(ctx context.Context, cfg ExecConfig, env *Env, outs map[string]*streamOut,
-	in <-chan dataset.Record, tables map[string][]dataset.Record, streamer Streamer, st Stage, spec StageSpec,
-	emit func(dataset.Record) error) (int, error) {
-	side := outs[spec.Side]
+// spooled prefix followed by the live channel through the stage's window.
+// The spool keeps the main path consuming (no backpressure deadlock
+// through a shared ancestor) without the full drain the barrier path
+// pays, so downstream receives records as soon as the side table is
+// ready. Spooled records keep their sequence keys, so replay order is
+// immaterial to the result.
+func runWindowWithSide(ctx context.Context, env *Env, side *streamOut, in <-chan seqRecord, sideName string,
+	streamer Streamer, out *streamOut) (int, error) {
 	spool := newRecordSpool(sideSpoolMem)
 	defer spool.Close()
 
@@ -912,18 +863,16 @@ buffering:
 	if side.err != nil {
 		return spool.Len(), side.err
 	}
-	env.Tables = overlaySide(tables, spec.Side, side.table)
-	// The spool-fill wait is time blocked on inputs, but not a processed
-	// micro-batch — record it without inflating the chunk count.
-	env.stats.addWait(time.Since(start))
+	env.Tables = overlaySide(env.Tables, sideName, side.table)
+	env.stats.t.Wait += time.Since(start)
 
 	// Replay the spool, then pipe the live channel, on one merged stream
-	// the stage consumes in chunks. The feeder owns its reads of the spool,
+	// the stage's window consumes. The feeder owns its reads of the spool,
 	// so this function must not return — and the deferred spool.Close must
 	// not run — until the feeder has exited: fcancel unblocks it even when
-	// the run's context is still live (e.g. RunStream failed mid-replay),
+	// the run's context is still live (e.g. the window failed mid-replay),
 	// and the second defer waits for it. No goroutine can leak.
-	merged := make(chan dataset.Record, cfg.chunkCap())
+	merged := make(chan seqRecord, edgeBuffer)
 	feedErr := make(chan error, 1)
 	feedDone := make(chan struct{})
 	fctx, fcancel := context.WithCancel(ctx)
@@ -966,7 +915,7 @@ buffering:
 		}
 	}()
 
-	consumed, err := streamer.RunStream(workflow.TagStage(ctx, st.Name()), env, merged, emit)
+	consumed, err := runWindow(ctx, env, merged, streamer, out)
 	if err == nil {
 		select {
 		case ferr := <-feedErr:

@@ -36,7 +36,7 @@ func (p *Pipeline) Start(ctx context.Context, cfg ExecConfig, tables map[string]
 }
 
 // Cancel aborts the run. The executor's streaming stages observe the
-// cancellation at their next chunk boundary and unwind; Wait then returns
+// cancellation at once, wait out the records in flight and unwind; Wait then returns
 // the run's context error. Cancelling a finished job is a no-op.
 func (j *Job) Cancel() { j.cancel() }
 

@@ -86,7 +86,7 @@ func TestJobCancelNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := p.Start(context.Background(), ExecConfig{Model: model, Chunk: 1, Parallelism: 2}, flavorTables(6))
+	j := p.Start(context.Background(), ExecConfig{Model: model, Parallelism: 2}, flavorTables(6))
 	<-started
 	j.Cancel()
 

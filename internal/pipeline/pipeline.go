@@ -13,9 +13,11 @@
 // order while spending strictly less.
 //
 // Run executes the DAG as a streaming dataflow: stages exchange records
-// over bounded channels, so a downstream per-record stage (filter,
-// direct categorize, fixed-strategy impute, nested-loop join) starts
-// while its upstream is still emitting, while barrier stages
+// over bounded channels, and a per-record stage (filter, direct
+// categorize, fixed-strategy impute, nested-loop join) keeps up to
+// Parallelism records in flight, handing each downstream the moment it
+// finishes — upstream round trips overlap across records and stages, and
+// sequence keys restore table order at collection — while barrier stages
 // (sort/max/count, resolve, planner-driven impute) drain their input
 // first. A join's right side or an impute's example pool may name an
 // earlier stage instead of a static table; the executor materializes
@@ -29,14 +31,12 @@
 // sample before ordering (probe spend attributed under
 // workflow.StageProbe).
 //
-// ExecConfig.Adaptive enables the adaptive streaming runtime: per-stage
-// micro-batch widths self-tune between ChunkMin and ChunkMax from
-// observed service time versus queue wait, a streamable stage with a
-// dynamic side input overlaps its main path with the side stage's
-// materialization through a spillable buffer instead of draining first,
-// and runs of adjacent commutable filters execute as segments whose
-// internal order is revised at chunk boundaries as observed keep rates
-// refine the optimizer's estimates — all with byte-identical
+// ExecConfig.Adaptive enables the adaptive streaming runtime: a
+// streamable stage with a dynamic side input overlaps its main path with
+// the side stage's materialization through a spillable buffer instead of
+// draining first, and runs of adjacent commutable filters execute as
+// segments whose internal order is revised between records as observed
+// keep rates refine the optimizer's estimates — all with byte-identical
 // temperature-0 results.
 //
 // ExecConfig.Feed turns a run into a standing query: records arriving on

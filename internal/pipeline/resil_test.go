@@ -44,7 +44,6 @@ func TestQuarantineIsolatesPoisonedRecords(t *testing.T) {
 	p := filterSpec(t)
 	res, err := p.Run(context.Background(), ExecConfig{
 		Model:         poisonOn(poisoned),
-		Chunk:         3,
 		Parallelism:   1,
 		OnRecordError: OnRecordQuarantine,
 	}, flavorTables(6))
@@ -80,7 +79,6 @@ func TestSkipModeDropsSilently(t *testing.T) {
 	p := filterSpec(t)
 	res, err := p.Run(context.Background(), ExecConfig{
 		Model:         poisonOn(dataset.FlavorNames()[1], dataset.FlavorNames()[4]),
-		Chunk:         4,
 		Parallelism:   1,
 		OnRecordError: OnRecordSkip,
 	}, flavorTables(6))
@@ -103,7 +101,7 @@ func TestSkipModeDropsSilently(t *testing.T) {
 func TestRecordErrorDefaultsToFailFast(t *testing.T) {
 	p := filterSpec(t)
 	_, err := p.Run(context.Background(), ExecConfig{
-		Model: poisonOn(dataset.FlavorNames()[2]), Chunk: 3, Parallelism: 1,
+		Model: poisonOn(dataset.FlavorNames()[2]), Parallelism: 1,
 	}, flavorTables(6))
 	if err == nil || !strings.Contains(err.Error(), "bad record") {
 		t.Fatalf("default mode did not fail fast: %v", err)
@@ -132,7 +130,7 @@ func TestBarrierStageFailsFastUnderQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = p.Run(context.Background(), ExecConfig{
-		Model: model, Chunk: 2, Parallelism: 1, OnRecordError: OnRecordQuarantine,
+		Model: model, Parallelism: 1, OnRecordError: OnRecordQuarantine,
 	}, flavorTables(4))
 	if err == nil || !strings.Contains(err.Error(), "ranking down") {
 		t.Fatalf("barrier failure absorbed by quarantine: %v", err)
@@ -143,7 +141,7 @@ func TestBudgetExhaustionNotQuarantined(t *testing.T) {
 	p := filterSpec(t)
 	budget := workflow.NewBudget(0, 2, 0) // two tokens: the first call exhausts it
 	_, err := p.Run(context.Background(), ExecConfig{
-		Model: poisonOn(), Budget: budget, Chunk: 2, Parallelism: 1,
+		Model: poisonOn(), Budget: budget, Parallelism: 1,
 		OnRecordError: OnRecordQuarantine,
 	}, flavorTables(6))
 	if err == nil || !errors.Is(err, workflow.ErrBudgetExhausted) {
@@ -173,7 +171,6 @@ func TestResilienceHealsTransientFaults(t *testing.T) {
 	res, err := p.Run(context.Background(), ExecConfig{
 		Model:       inner,
 		Attribution: attr,
-		Chunk:       2,
 		Parallelism: 1,
 		Resilience:  &resil.Policy{MaxAttempts: 3, BaseBackoff: time.Microsecond},
 	}, flavorTables(4))
@@ -213,7 +210,7 @@ func TestFaultlessRunByteIdentical(t *testing.T) {
 		model := llm.Model(llm.Func{ModelName: "plain", Fn: func(_ context.Context, req llm.Request) (llm.Response, error) {
 			return unit("Yes"), nil
 		}})
-		cfg := ExecConfig{Model: model, Chunk: 2, Parallelism: 1}
+		cfg := ExecConfig{Model: model, Parallelism: 1}
 		if wrap {
 			cfg.Model = llm.WithFaults(model, llm.FaultPlan{})
 			cfg.Resilience = &resil.Policy{MaxAttempts: 3, BreakerThreshold: 5, HedgeAfter: time.Hour}
@@ -247,7 +244,7 @@ func TestBreakerOpenAbortsNotQuarantines(t *testing.T) {
 	}}
 	p := filterSpec(t)
 	res, err := p.Run(context.Background(), ExecConfig{
-		Model: inner, Chunk: 2, Parallelism: 1,
+		Model: inner, Parallelism: 1,
 		Resilience:    &resil.Policy{MaxAttempts: 1, BreakerThreshold: 1, BreakerCooldown: time.Minute},
 		OnRecordError: OnRecordQuarantine,
 	}, flavorTables(6))

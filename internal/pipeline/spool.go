@@ -15,15 +15,15 @@ import (
 const spoolMemRecords = 1024
 
 // recordSpool is a FIFO buffer for the side-input overlap path: records
-// append while the side stage is still materializing, then replay in
-// arrival order once it finishes. The first memCap records stay in an
+// append — sequence keys and all — while the side stage is still
+// materializing, then replay in arrival order once it finishes. The first memCap records stay in an
 // in-memory ring; overflow spills to an unlinked temp file as JSON lines,
 // so an arbitrarily large buffered stream costs bounded memory. Append
 // and replay phases do not interleave: the executor appends until the
 // side stage completes, then drains. A spool is owned by one goroutine.
 type recordSpool struct {
 	memCap int
-	ring   []dataset.Record
+	ring   []seqRecord
 	head   int // next record to pop from ring
 
 	spill   *os.File
@@ -41,13 +41,14 @@ func newRecordSpool(memCap int) *recordSpool {
 
 // spoolRecord is the spill-file serialization of one record.
 type spoolRecord struct {
+	Seq    int64    `json:"seq"`
 	ID     string   `json:"id"`
 	Names  []string `json:"names"`
 	Values []string `json:"values"`
 }
 
 // Append buffers one record, spilling to disk past the memory cap.
-func (s *recordSpool) Append(r dataset.Record) error {
+func (s *recordSpool) Append(r seqRecord) error {
 	if len(s.ring) < s.memCap {
 		s.ring = append(s.ring, r)
 		return nil
@@ -63,8 +64,8 @@ func (s *recordSpool) Append(r dataset.Record) error {
 		s.spill = f
 		s.w = bufio.NewWriter(f)
 	}
-	sr := spoolRecord{ID: r.ID}
-	for _, f := range r.Fields {
+	sr := spoolRecord{Seq: r.seq, ID: r.rec.ID}
+	for _, f := range r.rec.Fields {
 		sr.Names = append(sr.Names, f.Name)
 		sr.Values = append(sr.Values, f.Value)
 	}
@@ -87,42 +88,42 @@ func (s *recordSpool) Len() int {
 // Pop returns the oldest buffered record in FIFO order; ok is false when
 // the spool is empty. The in-memory ring drains first (it holds the
 // oldest records), then the spill file replays sequentially.
-func (s *recordSpool) Pop() (dataset.Record, bool, error) {
+func (s *recordSpool) Pop() (seqRecord, bool, error) {
 	if s.head < len(s.ring) {
 		r := s.ring[s.head]
-		s.ring[s.head] = dataset.Record{} // release for GC
+		s.ring[s.head] = seqRecord{} // release for GC
 		s.head++
 		return r, true, nil
 	}
 	if s.spilled == 0 {
-		return dataset.Record{}, false, nil
+		return seqRecord{}, false, nil
 	}
 	if s.r == nil {
 		if err := s.w.Flush(); err != nil {
-			return dataset.Record{}, false, fmt.Errorf("spool: %w", err)
+			return seqRecord{}, false, fmt.Errorf("spool: %w", err)
 		}
 		if _, err := s.spill.Seek(0, 0); err != nil {
-			return dataset.Record{}, false, fmt.Errorf("spool: %w", err)
+			return seqRecord{}, false, fmt.Errorf("spool: %w", err)
 		}
 		s.r = bufio.NewScanner(s.spill)
 		s.r.Buffer(make([]byte, 64*1024), 16*1024*1024)
 	}
 	if !s.r.Scan() {
 		if err := s.r.Err(); err != nil {
-			return dataset.Record{}, false, fmt.Errorf("spool: %w", err)
+			return seqRecord{}, false, fmt.Errorf("spool: %w", err)
 		}
-		return dataset.Record{}, false, fmt.Errorf("spool: spill file truncated (%d records unread)", s.spilled)
+		return seqRecord{}, false, fmt.Errorf("spool: spill file truncated (%d records unread)", s.spilled)
 	}
 	var sr spoolRecord
 	if err := json.Unmarshal(s.r.Bytes(), &sr); err != nil {
-		return dataset.Record{}, false, fmt.Errorf("spool: %w", err)
+		return seqRecord{}, false, fmt.Errorf("spool: %w", err)
 	}
 	s.spilled--
 	rec := dataset.Record{ID: sr.ID}
 	for i := range sr.Names {
 		rec.Fields = append(rec.Fields, dataset.Field{Name: sr.Names[i], Value: sr.Values[i]})
 	}
-	return rec, true, nil
+	return seqRecord{sr.Seq, rec}, true, nil
 }
 
 // Close releases the spill file, if any.

@@ -10,15 +10,16 @@ import (
 )
 
 // spoolTestRecord builds a distinguishable record so FIFO violations are
-// attributable to a specific position.
-func spoolTestRecord(i int) dataset.Record {
-	return dataset.Record{
+// attributable to a specific position. Its sequence key runs against the
+// append order, so a spool that re-ordered by key would be caught.
+func spoolTestRecord(i int) seqRecord {
+	return seqRecord{int64(1<<20 - i), dataset.Record{
 		ID: fmt.Sprintf("rec-%06d", i),
 		Fields: []dataset.Field{
 			{Name: "seq", Value: fmt.Sprintf("%d", i)},
 			{Name: "payload", Value: fmt.Sprintf("value for record %d", i)},
 		},
-	}
+	}}
 }
 
 // drainSpool pops every record, checking FIFO order against the append
@@ -37,15 +38,16 @@ func drainSpool(t *testing.T, s *recordSpool, n int) {
 			t.Fatalf("Pop %d of %d: spool empty early", i, n)
 		}
 		want := spoolTestRecord(i)
-		if r.ID != want.ID {
-			t.Fatalf("pop %d returned %q, want %q (FIFO order broken)", i, r.ID, want.ID)
+		if r.rec.ID != want.rec.ID || r.seq != want.seq {
+			t.Fatalf("pop %d returned %q (key %d), want %q (key %d) (FIFO order broken)",
+				i, r.rec.ID, r.seq, want.rec.ID, want.seq)
 		}
-		if len(r.Fields) != len(want.Fields) {
-			t.Fatalf("pop %d returned %d fields, want %d", i, len(r.Fields), len(want.Fields))
+		if len(r.rec.Fields) != len(want.rec.Fields) {
+			t.Fatalf("pop %d returned %d fields, want %d", i, len(r.rec.Fields), len(want.rec.Fields))
 		}
-		for j, f := range r.Fields {
-			if f != want.Fields[j] {
-				t.Fatalf("pop %d field %d = %+v, want %+v", i, j, f, want.Fields[j])
+		for j, f := range r.rec.Fields {
+			if f != want.rec.Fields[j] {
+				t.Fatalf("pop %d field %d = %+v, want %+v", i, j, f, want.rec.Fields[j])
 			}
 		}
 	}

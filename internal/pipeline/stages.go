@@ -7,6 +7,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -30,80 +31,150 @@ type Stage interface {
 	Run(ctx context.Context, env *Env, in []dataset.Record) ([]dataset.Record, error)
 }
 
-// Streamer is the optional streaming face of a Stage: a stage that can
-// process records in bounded micro-batches (Env's chunk size), emitting
-// outputs while its upstream is still producing. The executor streams a
-// stage only when CanStream reports true — and never in Materialized
-// mode or when the stage takes a dynamic side input.
+// Streamer is the optional streaming face of a Stage: a stage whose
+// operator decides each record on its own, so the executor can run
+// records as they arrive and emit each the moment it finishes. The
+// executor streams a stage only when CanStream reports true — never in
+// Materialized mode, and with a dynamic side input only under Adaptive.
 type Streamer interface {
 	// CanStream reports whether the configured strategy keeps each
-	// record's outcome independent of which other records share a chunk —
-	// the property that makes chunked execution return byte-identical
+	// record's outcome independent of which other records it runs beside —
+	// the property that makes per-record execution return byte-identical
 	// temperature-0 results to a whole-table run.
 	CanStream() bool
-	// RunStream consumes records from in until it closes, emits output
-	// records via emit (which blocks on downstream backpressure), and
-	// returns how many input records it consumed.
-	RunStream(ctx context.Context, env *Env, in <-chan dataset.Record, emit func(dataset.Record) error) (int, error)
+	// Prepare builds the stage's per-record operator against env: the
+	// session, side table and index are resolved once per run, when the
+	// first record arrives.
+	Prepare(env *Env) (recordOp, error)
 }
 
-// runChunked drives a streaming stage's common loop: assemble bounded
-// micro-batches from in, hand each to process, and emit its outputs. The
-// width of each chunk comes from the stage's chunker — fixed by default,
-// self-tuning under ExecConfig.Adaptive — which observes, along with the
-// stage's stats, how long the stage waited for input versus how long
-// processing and emission took.
-func runChunked(ctx context.Context, env *Env, in <-chan dataset.Record, emit func(dataset.Record) error,
-	process func(ctx context.Context, chunk []dataset.Record) ([]dataset.Record, error)) (int, error) {
-	consumed := 0
-	for {
-		start := time.Now()
-		chunk, more, err := nextChunk(ctx, in, env.chunk.size())
-		wait := time.Since(start)
-		if err != nil {
-			return consumed, err
+// recordOp is a streaming stage's prepared operator.
+type recordOp struct {
+	// ask runs one record's unit task and returns its output records, in
+	// output order. It is called from up to Env.width goroutines at once.
+	ask func(ctx context.Context, r dataset.Record) ([]dataset.Record, error)
+	// detail summarises the finished stream for the stage report.
+	detail func(consumed int) string
+	// fanout is the most outputs one record can produce (0 means 1). A
+	// fan-out stage widens the sequence key — output j of input seq gets
+	// seq*fanout+j — so its outputs sort into input order, then output
+	// order, with no re-sequencing on the edge.
+	fanout int64
+}
+
+// window is the executor's one streaming loop: it starts task for each
+// record the moment the record arrives and fewer than env.width are in
+// flight (one goroutine per record), and calls done on the stage
+// goroutine as each finishes, in completion order. prepare runs once, on
+// the stage goroutine, before the first task. A non-nil error from
+// prepare or done ends the loop, which cancels and waits out the tasks
+// still in flight before returning. Time blocked with an empty window is
+// the stage's Wait.
+//
+// Cancellation is also polled at the top of every turn: Go's select picks
+// among ready cases at random, so a flooding upstream could otherwise keep
+// a cancelled stage starting records.
+func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare func() error,
+	task func(context.Context, dataset.Record) (T, error), done func(seqRecord, T, error) error) (int, error) {
+	type result struct {
+		in  seqRecord
+		out T
+		err error
+	}
+	tctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	results := make(chan result, env.width) // a slot per in-flight record: tasks never block
+	consumed, inflight := 0, 0
+	stop := func(err error) (int, error) {
+		cancel()
+		for ; inflight > 0; inflight-- {
+			<-results
 		}
-		consumed += len(chunk)
-		if len(chunk) > 0 {
-			work := time.Now()
-			out, err := process(ctx, chunk)
-			if err != nil {
-				if !degradable(env, err) {
-					return consumed, err
-				}
-				// Degraded mode: retry the chunk record by record so one
-				// poisoned record costs itself, not its chunk-mates. Healthy
-				// records were answered (and cached) during the chunk attempt,
-				// so their solo retries are upstream-free.
-				out = out[:0]
-				for _, r := range chunk {
-					solo, err := process(ctx, []dataset.Record{r})
-					if err != nil {
-						if !degradable(env, err) {
-							return consumed, err
-						}
-						env.dropRecord(env.stats.stage, r, err)
-						continue
-					}
-					out = append(out, solo...)
+		return consumed, err
+	}
+	for in != nil || inflight > 0 {
+		if err := ctx.Err(); err != nil {
+			return stop(err)
+		}
+		next := in
+		if inflight == env.width {
+			next = nil
+		}
+		var idle time.Time
+		if inflight == 0 {
+			idle = time.Now()
+		}
+		select {
+		case r, ok := <-next:
+			if inflight == 0 {
+				env.stats.t.Wait += time.Since(idle)
+			}
+			if !ok {
+				in = nil
+				continue
+			}
+			if consumed == 0 {
+				if err := prepare(); err != nil {
+					return stop(err)
 				}
 			}
-			for _, r := range out {
-				if err := emit(r); err != nil {
-					return consumed, err
-				}
+			consumed++
+			inflight++
+			go func() {
+				out, err := task(tctx, r.rec)
+				results <- result{r, out, err}
+			}()
+		case res := <-results:
+			inflight--
+			if err := done(res.in, res.out, res.err); err != nil {
+				return stop(err)
 			}
-			service := time.Since(work)
-			env.chunk.observe(wait, service, len(chunk))
-			env.stats.observe(wait, service, len(chunk))
-		}
-		if !more {
-			return consumed, nil
+		case <-ctx.Done():
+			return stop(ctx.Err())
 		}
 	}
+	return consumed, nil
 }
 
-// degradable reports whether a process error may be absorbed by skip or
+// runWindow streams one stage through window: prepare the operator at the
+// first record, ask per record, emit each record's outputs as it finishes
+// and — in degraded mode — drop exactly the record whose ask failed.
+func runWindow(ctx context.Context, env *Env, in <-chan seqRecord, st Streamer, out *streamOut) (int, error) {
+	var op recordOp
+	consumed, err := window(ctx, env, in,
+		func() (err error) {
+			op, err = st.Prepare(env)
+			if op.fanout == 0 {
+				op.fanout = 1
+			}
+			return err
+		},
+		func(ctx context.Context, r dataset.Record) ([]dataset.Record, error) { return op.ask(ctx, r) },
+		func(r seqRecord, recs []dataset.Record, err error) error {
+			if err != nil {
+				if !degradable(env, err) {
+					return err
+				}
+				env.dropRecord(r.rec, err)
+				return nil
+			}
+			if r.seq > (math.MaxInt64-op.fanout)/op.fanout {
+				return fmt.Errorf("sequence key overflow at record %q (fan-out %d)", r.rec.ID, op.fanout)
+			}
+			for j, rec := range recs {
+				if err := out.emit(ctx, seqRecord{r.seq*op.fanout + int64(j), rec}); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	if err == nil && consumed > 0 {
+		env.detail(env.stats.stage, op.detail(consumed))
+	}
+	return consumed, err
+}
+
+// degradable reports whether a record error may be absorbed by skip or
 // quarantine mode. Cancellation, budget exhaustion, and an open circuit
 // breaker poison every record, not one — degrading on them would drop
 // the whole stream one record at a time.
@@ -111,11 +182,7 @@ func degradable(env *Env, err error) bool {
 	if env.onErr != OnRecordSkip && env.onErr != OnRecordQuarantine {
 		return false
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, workflow.ErrBudgetExhausted) || errors.Is(err, resil.ErrBreakerOpen) {
-		return false
-	}
-	return true
+	return !cancellation(err) && !errors.Is(err, workflow.ErrBudgetExhausted) && !errors.Is(err, resil.ErrBreakerOpen)
 }
 
 // baseStage carries the shared identity fields.
@@ -177,24 +244,8 @@ func entities(in []dataset.Record, field string) []core.Entity {
 
 type filterStage struct{ baseStage }
 
-// filter runs the predicate over one table (or chunk) and returns the
-// surviving records plus the model samples spent.
-func (s filterStage) filter(ctx context.Context, env *Env, in []dataset.Record) ([]dataset.Record, int, error) {
-	res, err := env.Engine.Filter(ctx, core.FilterRequest{
-		Items:     renderAll(in, s.spec.Field),
-		Predicate: s.spec.Predicate,
-		Strategy:  core.FilterStrategy(s.spec.Strategy),
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	var out []dataset.Record
-	for i, keep := range res.Keep {
-		if keep {
-			out = append(out, in[i])
-		}
-	}
-	return out, res.Asks, nil
+func (s filterStage) request() core.FilterRequest {
+	return core.FilterRequest{Predicate: s.spec.Predicate, Strategy: core.FilterStrategy(s.spec.Strategy)}
 }
 
 // filterDetail is the one report string for a filter's work, shared by
@@ -208,95 +259,96 @@ func filterDetail(kept, seen, asks int) string {
 const detailSkippedEmpty = "skipped: empty input"
 
 func (s filterStage) Run(ctx context.Context, env *Env, in []dataset.Record) ([]dataset.Record, error) {
-	out, asks, err := s.filter(ctx, env, in)
+	req := s.request()
+	req.Items = renderAll(in, s.spec.Field)
+	res, err := env.Engine.Filter(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	env.detail(s.Name(), filterDetail(len(out), len(in), asks))
+	var out []dataset.Record
+	for i, keep := range res.Keep {
+		if keep {
+			out = append(out, in[i])
+		}
+	}
+	env.detail(s.Name(), filterDetail(len(out), len(in), res.Asks))
 	return out, nil
 }
 
 // CanStream implements Streamer: every filter policy decides per item.
 func (s filterStage) CanStream() bool { return true }
 
-func (s filterStage) RunStream(ctx context.Context, env *Env, in <-chan dataset.Record, emit func(dataset.Record) error) (int, error) {
-	var kept, asks int
-	consumed, err := runChunked(ctx, env, in, emit, func(ctx context.Context, chunk []dataset.Record) ([]dataset.Record, error) {
-		out, a, err := s.filter(ctx, env, chunk)
-		if err != nil {
-			return nil, err
-		}
-		kept += len(out)
-		asks += a
-		return out, nil
-	})
+func (s filterStage) Prepare(env *Env) (recordOp, error) {
+	f, err := env.Engine.PrepareFilter(s.request())
 	if err != nil {
-		return consumed, err
+		return recordOp{}, err
 	}
-	if consumed > 0 {
-		env.detail(s.Name(), filterDetail(kept, consumed, asks))
-	}
-	return consumed, nil
+	var kept, asks atomic.Int64
+	return recordOp{
+		ask: func(ctx context.Context, r dataset.Record) ([]dataset.Record, error) {
+			a, err := f.Ask(ctx, render(r, s.spec.Field))
+			asks.Add(int64(a.Asks))
+			if err != nil || !a.Keep {
+				return nil, err
+			}
+			kept.Add(1)
+			return []dataset.Record{r}, nil
+		},
+		detail: func(consumed int) string { return filterDetail(int(kept.Load()), consumed, int(asks.Load())) },
+	}, nil
 }
 
 type categorizeStage struct{ baseStage }
 
-// categorize assigns one table (or chunk) and returns the annotated
-// records plus the category count the operator reported.
-func (s categorizeStage) categorize(ctx context.Context, env *Env, in []dataset.Record) ([]dataset.Record, int, error) {
+func (s categorizeStage) outField() string {
+	if s.spec.OutField != "" {
+		return s.spec.OutField
+	}
+	return "category"
+}
+
+func (s categorizeStage) Run(ctx context.Context, env *Env, in []dataset.Record) ([]dataset.Record, error) {
 	res, err := env.Engine.Categorize(ctx, core.CategorizeRequest{
 		Items:      renderAll(in, s.spec.Field),
 		Categories: s.spec.Categories,
 		Strategy:   core.CategorizeStrategy(s.spec.Strategy),
 	})
 	if err != nil {
-		return nil, 0, err
-	}
-	field := s.spec.OutField
-	if field == "" {
-		field = "category"
+		return nil, err
 	}
 	out := make([]dataset.Record, len(in))
 	for i, r := range in {
 		out[i] = r.Clone()
-		out[i].Set(field, res.Assignments[i])
+		out[i].Set(s.outField(), res.Assignments[i])
 	}
-	return out, len(res.Categories), nil
-}
-
-func (s categorizeStage) Run(ctx context.Context, env *Env, in []dataset.Record) ([]dataset.Record, error) {
-	out, categories, err := s.categorize(ctx, env, in)
-	if err != nil {
-		return nil, err
-	}
-	env.detail(s.Name(), fmt.Sprintf("%d categories", categories))
+	env.detail(s.Name(), fmt.Sprintf("%d categories", len(res.Categories)))
 	return out, nil
 }
 
 // CanStream implements Streamer: direct assignment against a closed
 // category set is per-record; two-phase discovers the set from the whole
-// table, so chunk membership would change it.
+// table, so which records it sees would change it.
 func (s categorizeStage) CanStream() bool {
 	return s.spec.Strategy != string(core.CategorizeTwoPhase)
 }
 
-func (s categorizeStage) RunStream(ctx context.Context, env *Env, in <-chan dataset.Record, emit func(dataset.Record) error) (int, error) {
-	categories := 0
-	consumed, err := runChunked(ctx, env, in, emit, func(ctx context.Context, chunk []dataset.Record) ([]dataset.Record, error) {
-		out, c, err := s.categorize(ctx, env, chunk)
-		if err != nil {
-			return nil, err
-		}
-		categories = c
-		return out, nil
-	})
+func (s categorizeStage) Prepare(env *Env) (recordOp, error) {
+	c, err := env.Engine.PrepareCategorize(s.spec.Categories)
 	if err != nil {
-		return consumed, err
+		return recordOp{}, err
 	}
-	if consumed > 0 {
-		env.detail(s.Name(), fmt.Sprintf("%d categories", categories))
-	}
-	return consumed, nil
+	return recordOp{
+		ask: func(ctx context.Context, r dataset.Record) ([]dataset.Record, error) {
+			v, err := c.Ask(ctx, render(r, s.spec.Field))
+			if err != nil {
+				return nil, err
+			}
+			out := r.Clone()
+			out.Set(s.outField(), v)
+			return []dataset.Record{out}, nil
+		},
+		detail: func(int) string { return fmt.Sprintf("%d categories", len(s.spec.Categories)) },
+	}, nil
 }
 
 // resolveStage deduplicates the table: records the engine judges to refer
@@ -343,15 +395,32 @@ func (s resolveStage) Run(ctx context.Context, env *Env, in []dataset.Record) ([
 
 type imputeStage struct{ baseStage }
 
-func (s imputeStage) Run(ctx context.Context, env *Env, in []dataset.Record) ([]dataset.Record, error) {
+// request resolves the training side table into the operator request
+// (without queries).
+func (s imputeStage) request(env *Env) (core.ImputeRequest, error) {
 	side := s.spec.Side
 	if side == "" {
 		side = "train"
 	}
 	train := env.Tables[side]
 	if len(train) == 0 {
-		return nil, fmt.Errorf("stage %q: side table %q is empty or missing", s.Name(), side)
+		return core.ImputeRequest{}, fmt.Errorf("stage %q: side table %q is empty or missing", s.Name(), side)
 	}
+	return core.ImputeRequest{
+		Train:       train,
+		TargetField: s.spec.TargetField,
+		Strategy:    core.ImputeStrategy(s.spec.Strategy),
+		Neighbors:   s.spec.Neighbors,
+		Examples:    s.spec.Examples,
+	}, nil
+}
+
+func (s imputeStage) Run(ctx context.Context, env *Env, in []dataset.Record) ([]dataset.Record, error) {
+	req, err := s.request(env)
+	if err != nil {
+		return nil, err
+	}
+	train := req.Train
 	strategy := s.spec.Strategy
 	note := ""
 	if strategy == "auto" {
@@ -389,34 +458,22 @@ func (s imputeStage) Run(ctx context.Context, env *Env, in []dataset.Record) ([]
 		strategy = plan.Chosen
 		note = fmt.Sprintf("; planner chose %q (%s)", plan.Chosen, plan.Reason)
 	}
-	out, llmCalls, knnDecided, err := s.impute(ctx, env, in, train, strategy)
+	req.Strategy, req.Queries = core.ImputeStrategy(strategy), in
+	res, err := env.Engine.Impute(ctx, req)
 	if err != nil {
 		return nil, err
-	}
-	env.detail(s.Name(), fmt.Sprintf("%d by LLM, %d by k-NN%s", llmCalls, knnDecided, note))
-	return out, nil
-}
-
-// impute fills the target field for one table (or chunk) of query
-// records against the resolved training table.
-func (s imputeStage) impute(ctx context.Context, env *Env, in, train []dataset.Record, strategy string) ([]dataset.Record, int, int, error) {
-	res, err := env.Engine.Impute(ctx, core.ImputeRequest{
-		Train:       train,
-		Queries:     in,
-		TargetField: s.spec.TargetField,
-		Strategy:    core.ImputeStrategy(strategy),
-		Neighbors:   s.spec.Neighbors,
-		Examples:    s.spec.Examples,
-	})
-	if err != nil {
-		return nil, 0, 0, err
 	}
 	out := make([]dataset.Record, len(in))
 	for i, r := range in {
 		out[i] = r.Clone()
 		out[i].Set(s.spec.TargetField, res.Values[i])
 	}
-	return out, res.LLMCalls, res.KNNDecided, nil
+	env.detail(s.Name(), imputeDetail(res.LLMCalls, res.KNNDecided)+note)
+	return out, nil
+}
+
+func imputeDetail(llmCalls, knnDecided int) string {
+	return fmt.Sprintf("%d by LLM, %d by k-NN", llmCalls, knnDecided)
 }
 
 // CanStream implements Streamer: a fixed strategy answers per query
@@ -425,32 +482,34 @@ func (s imputeStage) impute(ctx context.Context, env *Env, in, train []dataset.R
 // must see the whole table (the same reason it blocks filter pushdown).
 func (s imputeStage) CanStream() bool { return s.spec.Strategy != "auto" }
 
-func (s imputeStage) RunStream(ctx context.Context, env *Env, in <-chan dataset.Record, emit func(dataset.Record) error) (int, error) {
-	side := s.spec.Side
-	if side == "" {
-		side = "train"
-	}
-	train := env.Tables[side]
-	if len(train) == 0 {
-		return 0, fmt.Errorf("stage %q: side table %q is empty or missing", s.Name(), side)
-	}
-	var llmCalls, knnDecided int
-	consumed, err := runChunked(ctx, env, in, emit, func(ctx context.Context, chunk []dataset.Record) ([]dataset.Record, error) {
-		out, llm, knn, err := s.impute(ctx, env, chunk, train, s.spec.Strategy)
-		if err != nil {
-			return nil, err
-		}
-		llmCalls += llm
-		knnDecided += knn
-		return out, nil
-	})
+func (s imputeStage) Prepare(env *Env) (recordOp, error) {
+	req, err := s.request(env)
 	if err != nil {
-		return consumed, err
+		return recordOp{}, err
 	}
-	if consumed > 0 {
-		env.detail(s.Name(), fmt.Sprintf("%d by LLM, %d by k-NN", llmCalls, knnDecided))
+	p, err := env.Engine.PrepareImpute(req)
+	if err != nil {
+		return recordOp{}, err
 	}
-	return consumed, nil
+	var llmCalls atomic.Int64
+	return recordOp{
+		ask: func(ctx context.Context, r dataset.Record) ([]dataset.Record, error) {
+			a, err := p.Ask(ctx, r)
+			if err != nil {
+				return nil, err
+			}
+			if a.ByLLM {
+				llmCalls.Add(1)
+			}
+			out := r.Clone()
+			out.Set(s.spec.TargetField, a.Value)
+			return []dataset.Record{out}, nil
+		},
+		detail: func(consumed int) string {
+			llm := int(llmCalls.Load())
+			return imputeDetail(llm, consumed-llm)
+		},
+	}, nil
 }
 
 // joinStage fuzzy-joins the input table (left) against a static side
@@ -458,12 +517,35 @@ func (s imputeStage) RunStream(ctx context.Context, env *Env, in <-chan dataset.
 // record annotated with the matching right ID.
 type joinStage struct{ baseStage }
 
-// join matches one table (or chunk) of left records against the resolved
-// right side and returns annotated matches plus the comparison stats.
-// Output rows are ordered by the left record's input position (then
-// right ID) — not by the engine's global LeftID sort — so a chunked run
-// concatenates to exactly the whole-table result.
-func (s joinStage) join(ctx context.Context, env *Env, in, side []dataset.Record) ([]dataset.Record, core.JoinResult, error) {
+// side resolves the right-side table.
+func (s joinStage) side(env *Env) ([]dataset.Record, error) {
+	side := env.Tables[s.spec.Side]
+	if len(side) == 0 {
+		return nil, fmt.Errorf("stage %q: side table %q is empty or missing", s.Name(), s.spec.Side)
+	}
+	return side, nil
+}
+
+func (s joinStage) outField() string {
+	if s.spec.OutField != "" {
+		return s.spec.OutField
+	}
+	return "match"
+}
+
+func joinDetail(matches, comparisons, byClosure, byDistance int) string {
+	return fmt.Sprintf("%d matches (%d comparisons, %d skipped by closure, %d by distance)",
+		matches, comparisons, byClosure, byDistance)
+}
+
+// Run joins the whole table. Output rows are ordered by the left record's
+// input position (then right ID) — not by the engine's global LeftID sort
+// — which is exactly the order the streaming path's sequence keys give.
+func (s joinStage) Run(ctx context.Context, env *Env, in []dataset.Record) ([]dataset.Record, error) {
+	side, err := s.side(env)
+	if err != nil {
+		return nil, err
+	}
 	res, err := env.Engine.Join(ctx, core.JoinRequest{
 		Left:              entities(in, s.spec.Field),
 		Right:             entities(side, s.spec.Field),
@@ -471,17 +553,13 @@ func (s joinStage) join(ctx context.Context, env *Env, in, side []dataset.Record
 		CandidateDistance: s.spec.BlockDistance,
 	})
 	if err != nil {
-		return nil, core.JoinResult{}, err
+		return nil, err
 	}
 	byID := make(map[string]dataset.Record, len(in))
 	pos := make(map[string]int, len(in))
 	for i, r := range in {
 		byID[r.ID] = r
 		pos[r.ID] = i
-	}
-	field := s.spec.OutField
-	if field == "" {
-		field = "match"
 	}
 	matches := append([]core.JoinPair(nil), res.Matches...)
 	sort.Slice(matches, func(i, j int) bool {
@@ -490,62 +568,53 @@ func (s joinStage) join(ctx context.Context, env *Env, in, side []dataset.Record
 		}
 		return matches[i].RightID < matches[j].RightID
 	})
-	out := make([]dataset.Record, 0, len(matches))
+	var out []dataset.Record // nil when nothing matched, as the streaming path collects it
 	for _, m := range matches {
 		r := byID[m.LeftID].Clone()
-		r.Set(field, m.RightID)
+		r.Set(s.outField(), m.RightID)
 		out = append(out, r)
 	}
-	return out, res, nil
-}
-
-func (s joinStage) Run(ctx context.Context, env *Env, in []dataset.Record) ([]dataset.Record, error) {
-	side := env.Tables[s.spec.Side]
-	if len(side) == 0 {
-		return nil, fmt.Errorf("stage %q: side table %q is empty or missing", s.Name(), s.spec.Side)
-	}
-	out, res, err := s.join(ctx, env, in, side)
-	if err != nil {
-		return nil, err
-	}
-	env.detail(s.Name(), fmt.Sprintf("%d matches (%d comparisons, %d skipped by closure, %d by distance)",
-		len(res.Matches), res.LLMComparisons, res.SkippedByTransitivity, res.SkippedByDistance))
+	env.detail(s.Name(), joinDetail(len(res.Matches), res.LLMComparisons, res.SkippedByTransitivity, res.SkippedByDistance))
 	return out, nil
 }
 
 // CanStream implements Streamer: nested-loop matches each left record
 // against the static right side independently. The transitive strategy
-// reuses closure evidence across left records, so chunking would change
-// which comparisons it skips.
+// reuses closure evidence across left records, so which records it has
+// already seen would change which comparisons it skips.
 func (s joinStage) CanStream() bool {
 	return s.spec.Strategy == string(core.JoinNestedLoop)
 }
 
-func (s joinStage) RunStream(ctx context.Context, env *Env, in <-chan dataset.Record, emit func(dataset.Record) error) (int, error) {
-	side := env.Tables[s.spec.Side]
-	if len(side) == 0 {
-		return 0, fmt.Errorf("stage %q: side table %q is empty or missing", s.Name(), s.spec.Side)
-	}
-	var matches, comparisons, byClosure, byDistance int
-	consumed, err := runChunked(ctx, env, in, emit, func(ctx context.Context, chunk []dataset.Record) ([]dataset.Record, error) {
-		out, res, err := s.join(ctx, env, chunk, side)
-		if err != nil {
-			return nil, err
-		}
-		matches += len(res.Matches)
-		comparisons += res.LLMComparisons
-		byClosure += res.SkippedByTransitivity
-		byDistance += res.SkippedByDistance
-		return out, nil
-	})
+func (s joinStage) Prepare(env *Env) (recordOp, error) {
+	side, err := s.side(env)
 	if err != nil {
-		return consumed, err
+		return recordOp{}, err
 	}
-	if consumed > 0 {
-		env.detail(s.Name(), fmt.Sprintf("%d matches (%d comparisons, %d skipped by closure, %d by distance)",
-			matches, comparisons, byClosure, byDistance))
+	j, err := env.Engine.PrepareJoin(entities(side, s.spec.Field))
+	if err != nil {
+		return recordOp{}, err
 	}
-	return consumed, nil
+	var matches, comparisons atomic.Int64
+	return recordOp{
+		ask: func(ctx context.Context, r dataset.Record) ([]dataset.Record, error) {
+			a, err := j.Ask(ctx, core.Entity{ID: r.ID, Text: render(r, s.spec.Field)})
+			if err != nil {
+				return nil, err
+			}
+			matches.Add(int64(len(a.Matches)))
+			comparisons.Add(int64(a.Comparisons))
+			sort.Slice(a.Matches, func(i, k int) bool { return a.Matches[i].RightID < a.Matches[k].RightID })
+			out := make([]dataset.Record, len(a.Matches))
+			for i, m := range a.Matches {
+				out[i] = r.Clone()
+				out[i].Set(s.outField(), m.RightID)
+			}
+			return out, nil
+		},
+		detail: func(int) string { return joinDetail(int(matches.Load()), int(comparisons.Load()), 0, 0) },
+		fanout: int64(len(side)),
+	}, nil
 }
 
 type sortStage struct{ baseStage }

@@ -31,7 +31,7 @@ func feedRecords(waves ...[]dataset.Record) <-chan dataset.Record {
 // records ingested mid-run through ExecConfig.Feed must leave every
 // table, scalar, and detail byte-identical to a batch run whose source
 // table already held the full record set — across streaming, adaptive
-// (self-tuned chunks and filter segments), and materialized execution.
+// (filter segments), and materialized execution.
 func TestStandingQueryMatchesBatch(t *testing.T) {
 	model := llm.Func{ModelName: "standing", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
 		switch {
@@ -60,20 +60,21 @@ func TestStandingQueryMatchesBatch(t *testing.T) {
 	static, fed := all[:5], all[5:]
 
 	// exact compares every table, scalar, and stage report byte for byte.
-	// The self-tuned adaptive configuration compares final outputs only:
-	// its chunk widths (and with them the segment's internal order
-	// revisions) depend on wall-clock timing, so intra-segment tables may
-	// legitimately differ between two runs — the segment tail and
-	// everything downstream may not. Pinning Chunk keeps the adaptive
-	// runtime's segments while making the whole report deterministic.
+	// The adaptive configuration with two records in flight compares final
+	// outputs only: which records had finished when a later one started
+	// (and with it the segment's internal order revisions) depends on
+	// wall-clock timing, so intra-segment tables may legitimately differ
+	// between two runs — the segment tail and everything downstream may
+	// not. One record in flight keeps the adaptive runtime's segments
+	// while making the whole report deterministic.
 	configs := []struct {
 		name  string
 		cfg   ExecConfig
 		exact bool
 	}{
-		{"streaming", ExecConfig{Chunk: 2, Parallelism: 2}, true},
-		{"adaptive-pinned-chunk", ExecConfig{Adaptive: true, Chunk: 1, Parallelism: 2}, true},
-		{"adaptive-selftuned", ExecConfig{Adaptive: true, Parallelism: 2}, false},
+		{"streaming", ExecConfig{Parallelism: 2}, true},
+		{"adaptive-serial", ExecConfig{Adaptive: true, Parallelism: 1}, true},
+		{"adaptive-windowed", ExecConfig{Adaptive: true, Parallelism: 2}, false},
 		{"materialized", ExecConfig{Materialized: true, Parallelism: 2}, true},
 	}
 	for _, tc := range configs {
@@ -147,14 +148,14 @@ func TestStandingQueryEmptySource(t *testing.T) {
 	fed := flavorTables(6)["source"]
 
 	batchP, _ := Compile(spec)
-	batch, err := batchP.Run(context.Background(), ExecConfig{Model: model, Chunk: 1},
+	batch, err := batchP.Run(context.Background(), ExecConfig{Model: model},
 		map[string][]dataset.Record{"source": fed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	standP, _ := Compile(spec)
 	standing, err := standP.Run(context.Background(),
-		ExecConfig{Model: model, Chunk: 1, Feed: feedRecords(fed)},
+		ExecConfig{Model: model, Feed: feedRecords(fed)},
 		map[string][]dataset.Record{"source": nil})
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +181,7 @@ func TestStandingQueryCancellation(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		p, _ := Compile(spec)
-		_, err := p.Run(ctx, ExecConfig{Model: model, Chunk: 1, Feed: feed}, flavorTables(3))
+		_, err := p.Run(ctx, ExecConfig{Model: model, Feed: feed}, flavorTables(3))
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)

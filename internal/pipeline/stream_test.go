@@ -22,9 +22,9 @@ func unit(text string) llm.Response {
 	return llm.Response{Text: text, Model: "test", Usage: token.Usage{PromptTokens: 1, CompletionTokens: 1, Calls: 1}}
 }
 
-// TestStreamingOverlapsStages proves record-level streaming: with a
-// chunk size of 1, the categorize stage must process the first record
-// while the upstream filter is still working through later ones. The
+// TestStreamingOverlapsStages proves record-level streaming: with one
+// record in flight per stage, the categorize stage must process the first
+// record while the upstream filter is still working through later ones. The
 // model blocks the filter's last record until a categorize call has
 // arrived — a materialized executor, which runs categorize only after
 // the filter returns its whole table, would deadlock here.
@@ -60,7 +60,7 @@ func TestStreamingOverlapsStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Run(context.Background(), ExecConfig{Model: model, Chunk: 1, Parallelism: 1}, flavorTables(4))
+	res, err := p.Run(context.Background(), ExecConfig{Model: model, Parallelism: 1}, flavorTables(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +84,14 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 		{Name: "city", Kind: KindImpute, TargetField: "city", Side: "train", Strategy: "hybrid", Neighbors: 3, Examples: 2},
 		{Name: "n", Kind: KindCount, Field: "city", Predicate: "q", Strategy: "per-item"},
 	}}
-	runWith := func(materialized bool, chunk int) *Result {
+	runWith := func(materialized bool, width int) *Result {
 		t.Helper()
 		p, err := Compile(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := p.Run(context.Background(), ExecConfig{
-			Model: sim.NewNamed("sim-gpt-3.5-turbo"), Materialized: materialized, Chunk: chunk,
+			Model: sim.NewNamed("sim-gpt-3.5-turbo"), Materialized: materialized, Parallelism: width,
 		}, tables)
 		if err != nil {
 			t.Fatal(err)
@@ -99,21 +99,21 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 		return res
 	}
 	want := runWith(true, 0)
-	for _, chunk := range []int{1, 3, 64} {
-		got := runWith(false, chunk)
+	for _, width := range []int{1, 3, 64} {
+		got := runWith(false, width)
 		if !reflect.DeepEqual(want.Tables, got.Tables) {
-			t.Fatalf("chunk %d: streaming tables differ from materialized", chunk)
+			t.Fatalf("window %d: streaming tables differ from materialized", width)
 		}
 		if !reflect.DeepEqual(want.Scalars, got.Scalars) {
-			t.Fatalf("chunk %d: streaming scalars %v != materialized %v", chunk, got.Scalars, want.Scalars)
+			t.Fatalf("window %d: streaming scalars %v != materialized %v", width, got.Scalars, want.Scalars)
 		}
 		for i := range want.Stages {
 			if want.Stages[i].Detail != got.Stages[i].Detail {
-				t.Fatalf("chunk %d: stage %q detail %q != %q",
-					chunk, want.Stages[i].Name, got.Stages[i].Detail, want.Stages[i].Detail)
+				t.Fatalf("window %d: stage %q detail %q != %q",
+					width, want.Stages[i].Name, got.Stages[i].Detail, want.Stages[i].Detail)
 			}
 			if want.Stages[i].In != got.Stages[i].In || want.Stages[i].Out != got.Stages[i].Out {
-				t.Fatalf("chunk %d: stage %q in/out %d/%d != %d/%d", chunk, want.Stages[i].Name,
+				t.Fatalf("window %d: stage %q in/out %d/%d != %d/%d", width, want.Stages[i].Name,
 					got.Stages[i].In, got.Stages[i].Out, want.Stages[i].In, want.Stages[i].Out)
 			}
 		}
@@ -148,7 +148,7 @@ func TestStreamingCancellationNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = p.Run(context.Background(), ExecConfig{Model: model, Chunk: 1, Parallelism: 1}, flavorTables(6))
+	_, err = p.Run(context.Background(), ExecConfig{Model: model, Parallelism: 1}, flavorTables(6))
 	if err == nil || !strings.Contains(err.Error(), "mid-stream explosion") || !strings.Contains(err.Error(), `"keep"`) {
 		t.Fatalf("err = %v, want the failing stage's root cause", err)
 	}
@@ -167,10 +167,10 @@ func TestStreamingCancellationNoLeak(t *testing.T) {
 }
 
 // TestStreamingJoinOrderMatchesMaterialized: the engine's Join sorts
-// matches by LeftID globally, which a chunked run cannot reproduce — so
-// the join stage orders its output by input position instead, and a
-// streamed nested-loop join over non-ID-ordered input must concatenate
-// to exactly the materialized table.
+// matches by LeftID globally, which a per-record run cannot reproduce —
+// so the join stage orders its output by input position instead, and a
+// streamed nested-loop join over non-ID-ordered input must collect to
+// exactly the materialized table, whatever order its records finish in.
 func TestStreamingJoinOrderMatchesMaterialized(t *testing.T) {
 	model := llm.Func{ModelName: "match-all", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
 		return unit("Yes"), nil
@@ -194,7 +194,7 @@ func TestStreamingJoinOrderMatchesMaterialized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := p.Run(context.Background(), ExecConfig{Model: model, Materialized: materialized, Chunk: 1}, tables)
+		res, err := p.Run(context.Background(), ExecConfig{Model: model, Materialized: materialized}, tables)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +233,7 @@ func TestOuterCancellationIsNotSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Run(ctx, ExecConfig{Model: model, Chunk: 1, Parallelism: 1}, flavorTables(6))
+	res, err := p.Run(ctx, ExecConfig{Model: model, Parallelism: 1}, flavorTables(6))
 	if err == nil {
 		t.Fatalf("cancelled run reported success with %d/6 records", len(res.Tables["keep"]))
 	}

@@ -122,8 +122,7 @@ func (s *session) tables(sc *Scenario) map[string][]dataset.Record {
 func (s *session) execConfig(k ExecKnobs) pipeline.ExecConfig {
 	return pipeline.ExecConfig{
 		Model: s.counting, Exec: s.exec, Registry: s.registry, Attribution: s.attr,
-		Batch: k.Batch, Parallelism: k.Parallelism, Chunk: k.Chunk,
-		Adaptive: k.Adaptive, ChunkMin: k.ChunkMin, ChunkMax: k.ChunkMax,
+		Batch: k.Batch, Parallelism: k.Parallelism, Adaptive: k.Adaptive,
 		Materialized: k.Materialized, OnRecordError: k.OnRecordError,
 	}
 }
@@ -456,7 +455,6 @@ func (s *session) sessionServer(sc *Scenario, load *ServerLoad) *server.Server {
 		Tenants:       tenants,
 		Batch:         sc.Exec.Batch,
 		Parallelism:   sc.Exec.Parallelism,
-		Chunk:         sc.Exec.Chunk,
 		Adaptive:      sc.Exec.Adaptive,
 	})
 	return s.srv

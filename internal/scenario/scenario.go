@@ -143,10 +143,9 @@ type Turn struct {
 // its runs; everything else (model, layer, registry, ledger) is the
 // session's.
 type ExecKnobs struct {
-	Batch, Parallelism, Chunk int
-	Adaptive                  bool
-	ChunkMin, ChunkMax        int
-	Materialized              bool
+	Batch, Parallelism int
+	Adaptive           bool
+	Materialized       bool
 	// OnRecordError selects the degraded-mode record policy
 	// (pipeline.OnRecordFail / OnRecordSkip / OnRecordQuarantine; empty
 	// means fail — today's semantics).

@@ -74,7 +74,7 @@ func ColdStart() *Scenario {
 			"and the exact rows and tally.",
 		Spec:       kindSpec(),
 		Source:     kindRecords(),
-		Exec:       ExecKnobs{Parallelism: 2, Chunk: 2},
+		Exec:       ExecKnobs{Parallelism: 2},
 		Predicates: kindPredicates(),
 		Turns: []Turn{
 			{Name: "first-query", Kind: TurnQuery},
@@ -101,7 +101,7 @@ func WarmCacheReplay() *Scenario {
 			"every ask is a shared-cache hit.",
 		Spec:       kindSpec(),
 		Source:     kindRecords(),
-		Exec:       ExecKnobs{Parallelism: 2, Chunk: 2},
+		Exec:       ExecKnobs{Parallelism: 2},
 		Predicates: kindPredicates(),
 		Turns: []Turn{
 			{Name: "first-pass", Kind: TurnQuery},
@@ -151,7 +151,7 @@ func MidRunIngestion() *Scenario {
 			"3-call upstream spend.",
 		Spec:       kindSpec(),
 		Source:     kindRecords()[:4],
-		Exec:       ExecKnobs{Parallelism: 2, Chunk: 2},
+		Exec:       ExecKnobs{Parallelism: 2},
 		Predicates: kindPredicates(),
 		Turns: []Turn{
 			{Name: "late-arrivals", Kind: TurnIngest, Records: ingest},
@@ -185,7 +185,7 @@ func BurstLoad() *Scenario {
 			"hits or coalesced joins.",
 		Spec:       kindSpec(),
 		Source:     kindRecords(),
-		Exec:       ExecKnobs{Parallelism: 4, Chunk: 2},
+		Exec:       ExecKnobs{Parallelism: 4},
 		Predicates: kindPredicates(),
 		Turns: []Turn{
 			{Name: "congestion", Kind: TurnLatency, Latency: 2 * time.Millisecond},
@@ -237,7 +237,7 @@ func OverlapIngestion() *Scenario {
 				Strategy: "nested-loop", Input: "live"},
 		}},
 		Source: static,
-		Exec:   ExecKnobs{Parallelism: 1, Chunk: 1, Adaptive: true},
+		Exec:   ExecKnobs{Parallelism: 1, Adaptive: true},
 		Predicates: []sim.Predicate{
 			fieldPred("slot-pool", "slot is pool", "pool"),
 			fieldPred("slot-live", "slot is live", "live"),
@@ -296,7 +296,7 @@ func AdaptiveReplanDrift() *Scenario {
 			{Name: "tight", Kind: pipeline.KindFilter, Field: "region", Predicate: "the region is east"},
 		}},
 		Source: static,
-		Exec:   ExecKnobs{Parallelism: 1, Chunk: 1, Adaptive: true},
+		Exec:   ExecKnobs{Parallelism: 1, Adaptive: true},
 		Predicates: []sim.Predicate{
 			fieldPred("tier-gold", "tier is gold", "gold"),
 			fieldPred("region-east", "region is east", "east"),
@@ -334,7 +334,7 @@ func DeclserverMultiTenant() *Scenario {
 			"both checkpoints.",
 		Spec:       kindSpec(),
 		Source:     kindRecords(),
-		Exec:       ExecKnobs{Parallelism: 2, Chunk: 2},
+		Exec:       ExecKnobs{Parallelism: 2},
 		Predicates: kindPredicates(),
 		Turns: []Turn{
 			{Name: "mixed-burst", Kind: TurnServer, Server: &ServerLoad{
@@ -372,9 +372,9 @@ func DeclserverMultiTenant() *Scenario {
 // story: a deterministic fault burst flickers mid-run and retries heal
 // every fault invisibly; then a total outage window forces one record
 // into quarantine while the run still completes; then the storm clears
-// and the next run repairs the gap. Serial execution (Parallelism 1,
-// Chunk 1) keeps the burst window's call-order arithmetic exact, so the
-// retry and quarantine counts pin.
+// and the next run repairs the gap. Serial execution (Parallelism 1: one
+// record in flight per stage) keeps the burst window's call-order
+// arithmetic exact, so the retry and quarantine counts pin.
 func FaultBurstRecovery() *Scenario {
 	arrivals := []dataset.Record{
 		rec("late-w0", "kind", "widget"),
@@ -393,7 +393,7 @@ func FaultBurstRecovery() *Scenario {
 			"storm clears and the follow-up run repairs the gap for 1 call.",
 		Spec:       kindSpec(),
 		Source:     kindRecords(),
-		Exec:       ExecKnobs{Parallelism: 1, Chunk: 1, OnRecordError: pipeline.OnRecordQuarantine},
+		Exec:       ExecKnobs{Parallelism: 1, OnRecordError: pipeline.OnRecordQuarantine},
 		Predicates: kindPredicates(),
 		Resilience: &resil.Policy{MaxAttempts: 3, BaseBackoff: 50 * time.Microsecond},
 		Turns: []Turn{
@@ -419,11 +419,11 @@ func FaultBurstRecovery() *Scenario {
 				WantRows: 4, WantScalars: map[string]string{"tally": "4"},
 			},
 			{
-				// The failing ask spends its retries twice: once in the chunk
-				// pass, once in the record-by-record reprocess that decides
-				// quarantine — 4 retries here on top of heal-through's 2.
+				// The failing ask is asked once and spends its 2 retries once
+				// (MaxAttempts 3) on top of heal-through's 2; the record whose
+				// ask failed is the record quarantined.
 				Name: "degraded-completes", AfterTurn: "degrade",
-				MinCalls: 5, MaxCalls: 5, WantRetries: 6, WantQuarantined: 1,
+				MinCalls: 5, MaxCalls: 5, WantRetries: 4, WantQuarantined: 1,
 				WantRows: 4, WantScalars: map[string]string{"tally": "4"},
 			},
 			{
@@ -454,7 +454,7 @@ func BreakerOpenRecover() *Scenario {
 			"recovery run costs exactly 1 call and closes the circuit.",
 		Spec:       kindSpec(),
 		Source:     kindRecords(),
-		Exec:       ExecKnobs{Parallelism: 1, Chunk: 1},
+		Exec:       ExecKnobs{Parallelism: 1},
 		Predicates: kindPredicates(),
 		Resilience: &resil.Policy{
 			MaxAttempts:      1,

@@ -92,12 +92,12 @@ type Config struct {
 	// warm-load from persisted files (core.WithStateDir's wiring). Drain
 	// flushes and closes it.
 	StateDir string
-	// Batch, Parallelism, Chunk, and Adaptive pin the ExecConfig of every
-	// job (zero values take the pipeline defaults). Note the tenant
-	// reports' free-serve split is exact only with batching off: a batch
-	// co-rider is also a zero-usage serve.
-	Batch, Parallelism, Chunk int
-	Adaptive                  bool
+	// Batch, Parallelism, and Adaptive pin the ExecConfig of every job
+	// (zero values take the pipeline defaults). Note the tenant reports'
+	// free-serve split is exact only with batching off: a batch co-rider
+	// is also a zero-usage serve.
+	Batch, Parallelism int
+	Adaptive           bool
 	// MaxConcurrent caps jobs running at once (default 4); MaxQueue bounds
 	// jobs waiting for a slot (default 16; negative means no queue).
 	MaxConcurrent, MaxQueue int
@@ -719,7 +719,6 @@ func (s *Server) runJob(ctx context.Context, j *job, t *tenant, tk *ticket, p *p
 		Attribution:   workflow.NewAttribution(),
 		Batch:         s.cfg.Batch,
 		Parallelism:   s.cfg.Parallelism,
-		Chunk:         s.cfg.Chunk,
 		Adaptive:      s.cfg.Adaptive,
 		OnRecordError: s.cfg.OnRecordError,
 	}

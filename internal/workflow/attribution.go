@@ -61,20 +61,20 @@ func TenantTag(ctx context.Context) string {
 }
 
 // StageTiming aggregates one stage's observed streaming behaviour: how
-// long it spent doing work versus waiting for input, and how many
-// micro-batches (chunks) and records flowed through it. The pipeline
-// executor's per-stage stats feed these observations into the run's
-// Attribution, where they surface in the run report next to the stage's
-// token spend — and where the adaptive chunker reads the service-time /
-// queue-wait balance it tunes against.
+// long it had work in flight versus how long it was starved for input,
+// and how many records flowed through it. The pipeline executor's
+// per-stage stats feed these observations into the run's Attribution,
+// where they surface in the run report next to the stage's token spend.
 type StageTiming struct {
-	// Service is time spent processing chunks (operator work plus
-	// downstream emission, i.e. backpressure).
+	// Service is time spent with records in flight or being emitted
+	// (operator work plus downstream backpressure).
 	Service time.Duration
-	// Wait is time spent blocked assembling input chunks — waiting on a
-	// slow upstream.
+	// Wait is time spent with nothing in flight, blocked on input —
+	// waiting on a slow upstream.
 	Wait time.Duration
-	// Chunks counts the micro-batches processed (1 for a barrier stage).
+	// Chunks counts operator preparations: 1 per stage run that saw a
+	// record (a streaming stage prepares its operator once, a barrier
+	// stage invokes it once).
 	Chunks int
 	// Records counts the input records consumed.
 	Records int

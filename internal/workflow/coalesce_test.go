@@ -239,3 +239,49 @@ func TestCoalescingFollowerHonoursOwnContext(t *testing.T) {
 		t.Fatal("cancelled follower still blocked on the flight")
 	}
 }
+
+// TestLateCallerDoesNotLeadSecondFlight pins the exactly-once contract of
+// ExecLayer.Wrap under the one interleaving that used to break it: caller
+// B misses the cache while leader A is still upstream; A finishes,
+// publishing its response and retiring its flight; only then does B reach
+// the flight group. B finds no flight — it must be answered from the cache
+// its would-be predecessor filled, not lead a second upstream call.
+func TestLateCallerDoesNotLeadSecondFlight(t *testing.T) {
+	var calls atomic.Int64
+	upstream, release := make(chan struct{}, 1), make(chan struct{})
+	gated := gatedModel(&calls, release)
+	layer := NewExecLayer()
+	m := layer.Wrap(llm.Func{ModelName: "gated", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
+		upstream <- struct{}{}
+		return gated.Complete(ctx, req)
+	}}).(*observedModel).inner.(*sharedModel)
+	ctx := context.Background()
+	req := llm.Request{Prompt: "same ask"}
+	key := keyFor(m.Name(), req)
+
+	leader := make(chan error, 1)
+	go func() {
+		_, err := m.Complete(ctx, req)
+		leader <- err
+	}()
+	<-upstream // A is the leader and is upstream
+	if _, ok := layer.cache.get(key); ok {
+		t.Fatal("B's lookup hit the cache while the leader was still upstream")
+	}
+	close(release)
+	if err := <-leader; err != nil {
+		t.Fatal(err)
+	}
+
+	// B resumes from its miss only now.
+	resp, err := m.afterMiss(ctx, key, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("%d upstream calls for one unit task: the late caller led a second flight", n)
+	}
+	if resp.Text != "echo:same ask" || !resp.Usage.IsZero() {
+		t.Fatalf("late caller got %+v, want the cached answer at zero usage", resp)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/llm"
+	"repro/internal/token"
 )
 
 // ExecStats is a point-in-time snapshot of an ExecLayer's effect.
@@ -95,10 +96,53 @@ func (l *ExecLayer) Cache() *Cache { return l.cache }
 
 // Wrap layers the shared cache and coalescer over m: lookups hit the cache
 // first; misses coalesce with identical in-flight requests; only flight
-// leaders reach m. When a ServeObserver is attached, every successful ask
-// is additionally reported to it with the ask's context.
+// leaders reach m, and a leader publishes its response to the cache before
+// its flight retires. When a ServeObserver is attached, every successful
+// ask is additionally reported to it with the ask's context.
 func (l *ExecLayer) Wrap(m llm.Model) llm.Model {
-	return &observedModel{inner: NewCachedWith(NewCoalescingWith(m, l.flights), l.cache), layer: l}
+	return &observedModel{inner: &sharedModel{inner: m, layer: l}, layer: l}
+}
+
+// sharedModel is the cache-then-coalesce path of one wrapped model. It is
+// what makes "answered upstream exactly once" hold under concurrency:
+// stacking a CachedModel over a CoalescingModel leaves a gap between the
+// flight retiring and the response reaching the cache, in which a caller
+// that had already missed the cache finds no flight and leads a second
+// one. Here the leader closes the gap from both sides — it re-checks the
+// cache on entry (a predecessor may have published since this caller's
+// miss) and publishes before FlightGroup.do retires its flight.
+type sharedModel struct {
+	inner llm.Model
+	layer *ExecLayer
+}
+
+// Name implements llm.Model.
+func (m *sharedModel) Name() string { return m.inner.Name() }
+
+// Complete implements llm.Model. The hit path is one cache lookup.
+func (m *sharedModel) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
+	key := keyFor(m.inner.Name(), req)
+	if resp, ok := m.layer.cache.get(key); ok {
+		resp.Usage = token.Usage{}
+		return resp, nil
+	}
+	return m.afterMiss(ctx, key, req)
+}
+
+// afterMiss is the path of a caller whose cache lookup missed: join the
+// key's flight, or lead one.
+func (m *sharedModel) afterMiss(ctx context.Context, key cacheKey, req llm.Request) (llm.Response, error) {
+	return m.layer.flights.do(ctx, key, func() (llm.Response, error) {
+		if resp, ok := m.layer.cache.get(key); ok {
+			resp.Usage = token.Usage{}
+			return resp, nil
+		}
+		resp, err := m.inner.Complete(ctx, req)
+		if err == nil {
+			m.layer.cache.put(key, resp)
+		}
+		return resp, err
+	})
 }
 
 // SetServeObserver attaches (or, with nil, detaches) the per-ask observer.
