@@ -125,15 +125,19 @@ func TestEndToEndTinyBudgetFailsCleanly(t *testing.T) {
 // infrastructure faults — those belong to the transport layer, which the
 // HTTP client covers).
 func TestEndToEndModelFailurePropagates(t *testing.T) {
-	flaky := workflow.NewFlaky(NewSimModel("sim-gpt-3.5-turbo"), 2)
+	// Every second upstream call fails (a burst window of one call in two).
+	flaky := llm.WithFaults(NewSimModel("sim-gpt-3.5-turbo"), llm.FaultPlan{BurstEvery: 2, BurstLen: 1})
 	engine := NewEngine(flaky, WithParallelism(1))
 	_, err := engine.Sort(context.Background(), SortRequest{
 		Items:     dataset.FlavorNames()[:6],
 		Criterion: "how chocolatey they are",
 		Strategy:  SortPairwise,
 	})
-	if !errors.Is(err, workflow.ErrInjected) {
+	if !errors.Is(err, llm.ErrTransient) {
 		t.Fatalf("want injected failure to propagate, got %v", err)
+	}
+	if st := flaky.Stats(); st.Burst == 0 {
+		t.Fatalf("fault stats = %+v, want burst failures injected", st)
 	}
 }
 

@@ -84,7 +84,7 @@ func WithoutCache() Option {
 // WithExecutionLayer attaches a shared execution layer: one sharded
 // response cache plus one in-flight coalescer spanning every operator
 // this engine runs — and every other engine given the same layer. It
-// replaces the default per-invocation cache; WithoutCache is ignored
+// replaces the default per-invocation layer; WithoutCache is ignored
 // while a layer is attached.
 func WithExecutionLayer(l *workflow.ExecLayer) Option {
 	return func(e *Engine) { e.exec = l }
@@ -195,34 +195,30 @@ func (e *Engine) CloseState() error {
 // Model returns the engine's underlying model (unwrapped).
 func (e *Engine) Model() llm.Model { return e.model }
 
-// session wraps the engine's model for one operator invocation: budget
-// admission, usage counting scoped to the operation, optional per-stage
-// usage attribution (tag read from the call context), optional unit-task
-// batching, and a cache — the engine's shared execution layer when one is
-// attached, a private per-invocation cache otherwise.
+// session wraps the engine's model for one operator invocation: one
+// workflow.Meter (budget admission, usage scoped to the operation, and
+// per-stage attribution under the call context's tag), optional unit-task
+// batching, and a cache-and-coalescer — the engine's shared execution
+// layer when one is attached, a private per-invocation layer otherwise.
 type session struct {
-	model    llm.Model
-	counting *llm.CountingModel
+	model llm.Model
+	meter *workflow.Meter
 }
 
 func (e *Engine) newSession() *session { return e.sessionWith(false) }
 
 // newBatchedSession is the opt-in entry for strategies whose fan-out
 // issues homogeneous unit tasks: when the engine has batching enabled,
-// concurrent tasks are packed into multi-task prompts. Usage counting
-// sits below the batcher, so s.usage() reports the real (reduced)
-// envelope spend.
+// concurrent tasks are packed into multi-task prompts. The meter sits
+// below the batcher, so s.usage() reports the real (reduced) envelope
+// spend.
 func (e *Engine) newBatchedSession() *session { return e.sessionWith(true) }
 
 func (e *Engine) sessionWith(batchable bool) *session {
-	counting := llm.NewCounting(workflow.NewBudgeted(e.model, e.budget))
-	var m llm.Model = counting
-	if e.attr != nil {
-		// Below the batcher and the cache, so attribution sees exactly the
-		// billed upstream calls — envelopes once, cache hits never — tagged
-		// with the stage label of the context that led the call.
-		m = workflow.NewAttributing(m, e.attr)
-	}
+	// Below the batcher and the cache, so the meter settles exactly the
+	// billed upstream calls — envelopes once, cache hits never.
+	meter := workflow.NewMeter(e.model, e.budget, e.attr)
+	var m llm.Model = meter
 	if batchable && e.batch > 1 {
 		opts := workflow.BatchOptions{MaxBatch: e.batch}
 		if e.exec != nil {
@@ -237,14 +233,14 @@ func (e *Engine) sessionWith(batchable bool) *session {
 	case e.exec != nil:
 		m = e.exec.Wrap(m)
 	case e.cache:
-		m = workflow.NewCached(m)
+		m = workflow.NewExecLayer().Wrap(m)
 	}
-	return &session{model: m, counting: counting}
+	return &session{model: m, meter: meter}
 }
 
 // usage returns the tokens actually spent in this session (cache hits are
 // free and therefore absent).
-func (s *session) usage() token.Usage { return s.counting.Total() }
+func (s *session) usage() token.Usage { return s.meter.Usage() }
 
 // index builds — or, when an index registry is attached, reuses — a k-NN
 // index over the items. Registry-served indexes are shared and must be

@@ -426,10 +426,10 @@ func (h *Harness) runBurst(ctx context.Context, sc *Scenario, s *session, turn T
 // the counting model as its upstream (so the session snapshot stays the
 // single source of truth for calls and tokens), the shared exec layer,
 // registry, and the session ledger as the per-tenant attribution. Every
-// job the server runs uses a fresh per-run stage ledger internally, so the
-// session ledger records each genuine upstream call exactly once, under
-// its tenant label — which keeps the harness's attributed==total invariant
-// intact for server scenarios.
+// job the server runs records into a fresh per-run stage ledger that is a
+// child of the session ledger, so the session ledger receives each genuine
+// upstream call exactly once, under its tenant label — which keeps the
+// harness's attributed==total invariant intact for server scenarios.
 func (s *session) sessionServer(sc *Scenario, load *ServerLoad) *server.Server {
 	if s.srv != nil {
 		return s.srv

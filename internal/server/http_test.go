@@ -202,7 +202,7 @@ func TestHTTPStatusMapping(t *testing.T) {
 
 // TestStatusForMapping pins the error→wire translation table, including
 // the budget (402) and drain (503) arms the lifecycle tests cannot reach
-// deterministically (a call cap never overshoots: BudgetedModel refuses
+// deterministically (a call cap never overshoots: the meter refuses
 // before issuing, so admission sees spend at — not past — the cap).
 func TestStatusForMapping(t *testing.T) {
 	cases := []struct {

@@ -9,14 +9,14 @@
 // Fairness and accounting are per tenant: admission runs through a
 // per-tenant token bucket (workflow.RateLimiter, refusal → ErrRateLimited →
 // HTTP 429) and a global concurrency cap with bounded queueing (ErrBusy →
-// HTTP 503); every job's context is tagged with its tenant
-// (workflow.TagTenant), so a service-wide attribution ledger records each
-// genuine upstream call under the tenant that caused it — the per-tenant
-// sum equals the global upstream truth by construction, an invariant the
-// test battery pins under concurrent load. Per-tenant budgets
-// (workflow.Budget) ride below the shared cache, so tenants are charged
-// only for calls the cache could not absorb, and one tenant's spend can
-// never bleed into another's caps.
+// HTTP 503); every job's ledger is a child of the service-wide
+// attribution ledger labelled with the job's tenant, so each genuine
+// upstream call is recorded once, under the tenant that caused it — and
+// the per-tenant sum is checked against an independent upstream counter,
+// an invariant the test battery pins under concurrent load. Per-tenant
+// budgets (workflow.Budget) ride below the shared cache, so tenants are
+// charged only for calls the cache could not absorb, and one tenant's
+// spend can never bleed into another's caps.
 //
 // The HTTP transport (Handler) is a sibling of internal/llm/httpapi's
 // OpenAI-style JSON API: POST /v1/pipelines submits (sync or async),
@@ -84,8 +84,7 @@ type TenantLimits struct {
 // Config parameterises a Server.
 type Config struct {
 	// Model answers every unit task (required). The server wraps it with
-	// its own upstream counter and the tenant ledger; pass the rawest
-	// model you have.
+	// its own upstream counter; pass the rawest model you have.
 	Model llm.Model
 	// StateDir enables persistent warm state: the shared cache is backed
 	// by an append-only log replayed at construction, and corpus indexes
@@ -395,7 +394,6 @@ type Server struct {
 	registry *embed.Registry
 	counting *llm.CountingModel
 	ledger   *workflow.Attribution
-	model    llm.Model
 	resil    *resil.Model
 	gate     *gate
 
@@ -492,14 +490,14 @@ func New(cfg Config) *Server {
 			s.stateErr = fmt.Errorf("server: attaching state under %s: %w", cfg.StateDir, err)
 		}
 	}
-	// The engine stack every job shares, bottom-up: the raw model, the
-	// optional resilience wrapper (retry/hedge/breaker — *below* the
-	// counter, so only the winning attempt of each logical call is ever
-	// billed), the upstream-truth counter, then the tenant ledger keyed by
-	// the context's tenant tag. Each job's ExecConfig layers its own
-	// budget, per-stage attribution, and the shared cache on top, so only
-	// genuine upstream calls reach this stack — which is exactly what
-	// makes ledger total == counter total an invariant.
+	// The model every job shares, bottom-up: the raw model, the optional
+	// resilience wrapper (retry/hedge/breaker — *below* the counter, so
+	// only the winning attempt of each logical call is ever billed), and
+	// the upstream-truth counter. Each job's ExecConfig layers one meter
+	// (tenant budget, per-stage attribution forwarding to the tenant
+	// ledger) and the shared cache on top, so only genuine upstream calls
+	// reach the counter — which is what Balanced cross-checks: the ledger
+	// the meters feed against the total this counter keeps on its own.
 	base := llm.Model(cfg.Model)
 	if cfg.Resilience != nil {
 		p := *cfg.Resilience
@@ -514,7 +512,6 @@ func New(cfg Config) *Server {
 		base = s.resil
 	}
 	s.counting = llm.NewCounting(base)
-	s.model = workflow.NewAttributingBy(s.counting, s.ledger, workflow.TenantTag)
 	s.exec.SetServeObserver(s)
 	s.baseCtx, s.baseStop = context.WithCancel(context.Background())
 	if cfg.StateDir != "" {
@@ -712,11 +709,11 @@ func (s *Server) runJob(ctx context.Context, j *job, t *tenant, tk *ticket, p *p
 	j.setState(JobRunning)
 	start := time.Now()
 	cfg := pipeline.ExecConfig{
-		Model:         s.model,
+		Model:         s.counting,
 		Exec:          s.exec,
 		Registry:      s.registry,
 		Budget:        t.budget,
-		Attribution:   workflow.NewAttribution(),
+		Attribution:   s.ledger.Child(t.id),
 		Batch:         s.cfg.Batch,
 		Parallelism:   s.cfg.Parallelism,
 		Adaptive:      s.cfg.Adaptive,

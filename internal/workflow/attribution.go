@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/llm"
 	"repro/internal/token"
 )
 
@@ -25,7 +24,7 @@ type stageTagKey struct{}
 
 // TagStage returns a context whose LLM calls are attributed to the given
 // stage label. The pipeline executor tags each stage's context before
-// running its operator; every wrapper below the engine's cache then sees
+// running its operator; the engine's Meter, below the cache, then reads
 // the label via StageTag.
 func TagStage(ctx context.Context, stage string) context.Context {
 	return context.WithValue(ctx, stageTagKey{}, stage)
@@ -39,16 +38,15 @@ func StageTag(ctx context.Context) string {
 }
 
 // tenantTagKey is the context key carrying the current tenant label. It is
-// distinct from stageTagKey so a multi-tenant service can attribute the
-// same call twice along orthogonal axes: per stage inside one run's ledger
-// and per tenant in a service-wide ledger, without either tag clobbering
-// the other.
+// distinct from stageTagKey so a multi-tenant service can tell whose ask
+// it is serving (per-tenant serve counts, retry budgets) without
+// clobbering the stage label the same context carries.
 type tenantTagKey struct{}
 
-// TagTenant returns a context whose LLM calls are attributed to the given
-// tenant label. A pipeline service tags each job's context before running
-// it; the executor then layers stage tags on top per stage, and both labels
-// ride the same context to every wrapper below the cache.
+// TagTenant returns a context whose unit asks belong to the given tenant.
+// A pipeline service tags each job's context before running it; the
+// executor then layers stage tags on top per stage, and both labels ride
+// the same context down the call path.
 func TagTenant(ctx context.Context, tenant string) context.Context {
 	return context.WithValue(ctx, tenantTagKey{}, tenant)
 }
@@ -98,6 +96,10 @@ func (t StageTiming) Add(o StageTiming) StageTiming {
 // (ObserveTiming), which the executor feeds and the run report surfaces.
 // Safe for concurrent use.
 type Attribution struct {
+	// parent, when set, receives every Record under label (see Child).
+	parent *Attribution
+	label  string
+
 	mu     sync.Mutex
 	usage  map[string]token.Usage
 	cost   map[string]float64
@@ -128,12 +130,27 @@ func (a *Attribution) Timing(stage string) StageTiming {
 	return a.timing[stage]
 }
 
+// Child returns an empty ledger whose every Record also lands, call by
+// call, in a under the given label. A multi-tenant service gives each job
+// a child of its service-wide ledger labelled with the job's tenant: the
+// job's report breaks spend down per stage while the parent accumulates
+// the same calls per tenant, live — one record, two rollups, no second
+// wrapper on the call path. Timings and resilience counters stay local.
+func (a *Attribution) Child(label string) *Attribution {
+	c := NewAttribution()
+	c.parent, c.label = a, label
+	return c
+}
+
 // Record adds usage under the stage label, priced at the model's rate.
 func (a *Attribution) Record(stage, model string, u token.Usage) {
 	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.usage[stage] = a.usage[stage].Add(u)
 	a.cost[stage] += token.PriceFor(model).Cost(u)
+	a.mu.Unlock()
+	if a.parent != nil {
+		a.parent.Record(a.label, model, u)
+	}
 }
 
 // Usage returns the usage recorded under one stage label.
@@ -218,44 +235,4 @@ func (a *Attribution) Resilience() ResilienceStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.resil
-}
-
-// AttributingModel wraps a model so every upstream call's usage is
-// recorded in an Attribution under a label drawn from the call's context.
-// It sits below the batcher and the cache (the engine's session wires it
-// there), so it observes exactly the calls a vendor would bill: one record
-// per envelope, none for cache hits.
-type AttributingModel struct {
-	inner llm.Model
-	attr  *Attribution
-	label func(context.Context) string
-}
-
-// NewAttributing wraps m, recording into a under the context's stage tag.
-func NewAttributing(m llm.Model, a *Attribution) *AttributingModel {
-	return NewAttributingBy(m, a, StageTag)
-}
-
-// NewAttributingBy wraps m, recording into a under label(ctx). The label
-// function picks the rollup axis: StageTag breaks a run down per stage
-// (the pipeline report), TenantTag breaks a service down per tenant (the
-// declserver ledger). Both wrappers can stack on one model — each records
-// the same genuine upstream calls into its own ledger.
-func NewAttributingBy(m llm.Model, a *Attribution, label func(context.Context) string) *AttributingModel {
-	return &AttributingModel{inner: m, attr: a, label: label}
-}
-
-// Name implements llm.Model.
-func (m *AttributingModel) Name() string { return m.inner.Name() }
-
-// Complete implements llm.Model. Usage is recorded even when the call
-// returns an error alongside a response (the budget-exhaustion path
-// charges such calls too, and attribution must stay in lockstep with the
-// budget).
-func (m *AttributingModel) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
-	resp, err := m.inner.Complete(ctx, req)
-	if !resp.Usage.IsZero() {
-		m.attr.Record(m.label(ctx), m.inner.Name(), resp.Usage)
-	}
-	return resp, err
 }

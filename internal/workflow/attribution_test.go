@@ -2,6 +2,7 @@ package workflow
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -29,7 +30,7 @@ func TestAttributionSplitsByStageAndSumsToTotal(t *testing.T) {
 	var calls atomic.Int64
 	attr := NewAttribution()
 	counting := llm.NewCounting(echoModel("m", &calls))
-	m := NewAttributing(counting, attr)
+	m := NewMeter(counting, Unlimited(), attr)
 	ctx := context.Background()
 
 	for i := 0; i < 3; i++ {
@@ -81,15 +82,47 @@ func TestAttributionRecordsChargedErrors(t *testing.T) {
 		return llm.Response{
 			Text:  "x",
 			Model: "m",
-			Usage: token.Usage{PromptTokens: 5, CompletionTokens: 5, Calls: 1},
-		}, fmt.Errorf("budget exhausted after charging")
+			Usage: token.Usage{PromptTokens: 50, CompletionTokens: 50, Calls: 1},
+		}, nil
 	}}
-	m := NewAttributing(inner, attr)
-	if _, err := m.Complete(TagStage(context.Background(), "s"), llm.Request{Prompt: "p"}); err == nil {
-		t.Fatal("error should propagate")
+	// The admission estimate (1 + EstimateCompletion tokens) fits the cap;
+	// the 100 tokens the call really used cross it.
+	m := NewMeter(inner, NewBudget(0, 70, 0), attr)
+	if _, err := m.Complete(TagStage(context.Background(), "s"), llm.Request{Prompt: "p"}); !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}
-	if u := attr.Usage("s"); u.Calls != 1 || u.Total() != 10 {
+	if u := attr.Usage("s"); u.Calls != 1 || u.Total() != 100 {
 		t.Fatalf("charged-error usage = %+v, want recorded", u)
+	}
+}
+
+// TestAttributionChildForwardsPerCall: a child ledger keeps its own
+// per-stage split while every record also lands in the parent under the
+// child's label, as it happens — not at some later fold.
+func TestAttributionChildForwardsPerCall(t *testing.T) {
+	parent := NewAttribution()
+	a, b := parent.Child("tenant-a"), parent.Child("tenant-b")
+	u := token.Usage{PromptTokens: 2, CompletionTokens: 1, Calls: 1}
+	a.Record("filter", "m", u)
+	if got := parent.Usage("tenant-a"); got != u {
+		t.Fatalf("parent after one child record = %+v, want %+v (records must forward per call)", got, u)
+	}
+	a.Record("sort", "m", u)
+	b.Record("filter", "m", u)
+	if got := a.Stages(); len(got) != 2 || got[0] != "filter" || got[1] != "sort" {
+		t.Fatalf("child stages = %v", got)
+	}
+	if got := parent.Stages(); len(got) != 2 || got[0] != "tenant-a" || got[1] != "tenant-b" {
+		t.Fatalf("parent labels = %v", got)
+	}
+	at, ac := a.Total()
+	bt, bc := b.Total()
+	pt, pc := parent.Total()
+	if pt != at.Add(bt) || pc != ac+bc {
+		t.Fatalf("parent total (%+v, %v) != sum of children (%+v, %v)", pt, pc, at.Add(bt), ac+bc)
+	}
+	if parent.Usage("tenant-a") != at || parent.Cost("tenant-b") != bc {
+		t.Fatal("parent's per-label rollup differs from the child's own total")
 	}
 }
 

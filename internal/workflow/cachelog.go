@@ -18,11 +18,10 @@ import (
 // CacheLog is the append-only persistence form of a Cache: one
 // length-prefixed, checksummed binary record per inserted entry, appended
 // in O(entry) — no rewrite of existing bytes — with an explicit
-// compaction that rewrites live entries only. It replaces the O(cache)
-// whole-file JSON snapshot (Cache.Save) for long-running or frequently
-// flushed processes: a flush costs only the delta since the previous
-// flush, and a crash mid-append loses at most the final partial record
-// (Replay recovers the valid prefix and truncates the torn tail).
+// compaction that rewrites live entries only. A flush costs only the
+// delta since the previous flush, and a crash mid-append loses at most
+// the final partial record (Replay recovers the valid prefix and
+// truncates the torn tail).
 //
 // Layout:
 //
@@ -83,8 +82,8 @@ const (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrNotCacheLog reports that a file exists at the log path but does not
-// start with the cache-log magic — likely a JSON snapshot or an unrelated
-// file, which OpenCacheLog refuses to append to.
+// start with the cache-log magic — an unrelated file, which OpenCacheLog
+// refuses to append to.
 var ErrNotCacheLog = errors.New("workflow: file is not a cache log")
 
 // OpenCacheLog opens the log at path, creating it (and its parent
@@ -233,8 +232,7 @@ func decodeRecordPayload(p []byte) (cacheEntry, bool) {
 // intact record, and ReplayStats.Recovered reports it. Corruption earlier
 // in the file is handled the same way (everything after the first bad
 // record is dropped), so at worst a flipped byte costs the suffix — never
-// a crash, never a poisoned cache. Contrast Cache.Load, whose snapshot
-// format is all-or-nothing.
+// a crash, never a poisoned cache.
 func (lg *CacheLog) Replay(c *Cache) (ReplayStats, error) {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()

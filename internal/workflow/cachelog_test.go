@@ -3,12 +3,12 @@ package workflow
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -34,16 +34,16 @@ func fillCache(c *Cache, n, salt int) []cacheKey {
 	return keys
 }
 
-// saveBytes returns the cache's canonical snapshot form, the equivalence
-// oracle for every log test: two caches with identical contents produce
-// identical snapshots.
+// saveBytes returns the cache's canonical form (its sorted entries as
+// JSON), the equivalence oracle for every log test: two caches with
+// identical contents produce identical bytes.
 func saveBytes(t *testing.T, c *Cache) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
+	raw, err := json.Marshal(entryList(c.snapshot()))
+	if err != nil {
+		t.Fatalf("marshal cache contents: %v", err)
 	}
-	return buf.Bytes()
+	return raw
 }
 
 func openLog(t *testing.T, path string) *CacheLog {
@@ -292,9 +292,10 @@ func TestCacheLogBitFlipRecovery(t *testing.T) {
 func TestCacheLogConcurrentAppendsDuringQueries(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.log")
 	lg := openLog(t, path)
-	c := NewCache(0)
+	layer := NewExecLayer()
+	c := layer.Cache()
 	var calls atomic.Int64
-	model := NewCachedWith(echoModel("m", &calls), c)
+	model := layer.Wrap(echoModel("m", &calls))
 	ctx := context.Background()
 
 	var wg sync.WaitGroup
@@ -349,7 +350,7 @@ func TestOpenCacheLogRejectsForeignFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := OpenCacheLog(path); !errors.Is(err, ErrNotCacheLog) {
-		t.Fatalf("OpenCacheLog on JSON snapshot = %v, want ErrNotCacheLog", err)
+		t.Fatalf("OpenCacheLog on a foreign file = %v, want ErrNotCacheLog", err)
 	}
 }
 
@@ -376,46 +377,6 @@ func TestCacheLogFlushBeforeReplayRefused(t *testing.T) {
 	}
 	if _, err := lg2.Flush(c2); err != nil {
 		t.Fatalf("Flush after Replay: %v", err)
-	}
-}
-
-// TestCacheLoadTypedErrors pins the snapshot loader's error contract:
-// empty input is a valid empty cache, malformed input is a *SnapshotError
-// and merges nothing.
-func TestCacheLoadTypedErrors(t *testing.T) {
-	c := NewCache(2)
-	if err := c.Load(strings.NewReader("")); err != nil {
-		t.Fatalf("Load(empty) = %v, want nil", err)
-	}
-	cases := []string{
-		`[{"model":"m","prompt":"p","text":"t"}`, // truncated mid-stream
-		`{"model":"m"}`,                          // wrong shape
-		`not json at all`,
-		`[{"model":"m","prompt":"p","text":"t"}] trailing garbage`,
-	}
-	for _, in := range cases {
-		c := NewCache(2)
-		err := c.Load(strings.NewReader(in))
-		var se *SnapshotError
-		if !errors.As(err, &se) {
-			t.Fatalf("Load(%q) = %v, want *SnapshotError", in, err)
-		}
-		if size, _ := c.Stats(); size != 0 {
-			t.Fatalf("Load(%q) merged %d entries from a corrupt stream", in, size)
-		}
-	}
-	// A valid snapshot still round-trips.
-	good := NewCache(2)
-	fillCache(good, 5, 2)
-	var buf bytes.Buffer
-	if err := good.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Load(&buf); err != nil {
-		t.Fatalf("Load(valid) = %v", err)
-	}
-	if size, _ := c.Stats(); size != 5 {
-		t.Fatalf("loaded %d entries, want 5", size)
 	}
 }
 

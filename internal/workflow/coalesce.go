@@ -90,40 +90,3 @@ func (g *FlightGroup) do(ctx context.Context, key cacheKey, fn func() (llm.Respo
 		}
 	}
 }
-
-// CoalescingModel wraps a model so concurrent identical requests collapse
-// into one upstream call. Under workflow.Map's parallelism, N goroutines
-// issuing the same unit task pay for exactly one completion; followers
-// receive the shared response with zero usage, mirroring cache-hit
-// accounting. Sequential repeats are NOT deduplicated — that is the
-// cache's job; the coalescer only closes the window where identical
-// requests are simultaneously in flight (and would all miss a cache).
-type CoalescingModel struct {
-	inner llm.Model
-	group *FlightGroup
-}
-
-// NewCoalescing wraps m with a private flight group.
-func NewCoalescing(m llm.Model) *CoalescingModel {
-	return NewCoalescingWith(m, NewFlightGroup())
-}
-
-// NewCoalescingWith wraps m against an existing (possibly shared) group.
-func NewCoalescingWith(m llm.Model, g *FlightGroup) *CoalescingModel {
-	return &CoalescingModel{inner: m, group: g}
-}
-
-// Name implements llm.Model.
-func (c *CoalescingModel) Name() string { return c.inner.Name() }
-
-// Coalesced returns the group's coalesced-request count.
-func (c *CoalescingModel) Coalesced() int { return c.group.Coalesced() }
-
-// Complete implements llm.Model. The leader's context drives the upstream
-// call; a follower cancelled while waiting gets its own context error, and
-// a leader error is shared with every follower of that flight.
-func (c *CoalescingModel) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
-	return c.group.do(ctx, keyFor(c.inner.Name(), req), func() (llm.Response, error) {
-		return c.inner.Complete(ctx, req)
-	})
-}

@@ -35,7 +35,8 @@ func gatedModel(calls *atomic.Int64, release <-chan struct{}) llm.Model {
 func TestCoalescingCollapsesIdenticalConcurrent(t *testing.T) {
 	var calls atomic.Int64
 	release := make(chan struct{})
-	c := NewCoalescing(gatedModel(&calls, release))
+	layer := NewExecLayer()
+	c := layer.Wrap(gatedModel(&calls, release))
 	ctx := context.Background()
 
 	const n = 8
@@ -72,8 +73,8 @@ func TestCoalescingCollapsesIdenticalConcurrent(t *testing.T) {
 	if calls.Load() != 1 {
 		t.Fatalf("upstream calls = %d, want 1", calls.Load())
 	}
-	if c.Coalesced() != n-1 {
-		t.Fatalf("coalesced = %d, want %d", c.Coalesced(), n-1)
+	if got := layer.Stats().Coalesced; got != n-1 {
+		t.Fatalf("coalesced = %d, want %d", got, n-1)
 	}
 	for _, text := range texts {
 		if text != "echo:same" {
@@ -90,7 +91,7 @@ func TestCoalescingKeepsDistinctRequestsApart(t *testing.T) {
 	var calls atomic.Int64
 	release := make(chan struct{})
 	close(release)
-	c := NewCoalescing(gatedModel(&calls, release))
+	c := NewExecLayer().Wrap(gatedModel(&calls, release))
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -127,7 +128,7 @@ func TestCoalescingSharesLeaderError(t *testing.T) {
 		<-release
 		return llm.Response{}, boom
 	}}
-	c := NewCoalescing(inner)
+	c := NewExecLayer().Wrap(inner)
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
@@ -170,7 +171,8 @@ func TestCoalescingFollowerSurvivesLeaderCancellation(t *testing.T) {
 			return llm.Response{Text: "ok", Model: "m", Usage: token.Usage{Calls: 1}}, nil
 		}
 	}}
-	c := NewCoalescing(inner)
+	layer := NewExecLayer()
+	c := layer.Wrap(inner)
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)
@@ -187,7 +189,7 @@ func TestCoalescingFollowerSurvivesLeaderCancellation(t *testing.T) {
 		followerResp, err = c.Complete(context.Background(), llm.Request{Prompt: "p"})
 		followerDone <- err
 	}()
-	for c.Coalesced() == 0 {
+	for layer.Stats().Coalesced == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	cancelLeader()
@@ -210,7 +212,8 @@ func TestCoalescingFollowerHonoursOwnContext(t *testing.T) {
 	var calls atomic.Int64
 	release := make(chan struct{})
 	defer close(release)
-	c := NewCoalescing(gatedModel(&calls, release))
+	layer := NewExecLayer()
+	c := layer.Wrap(gatedModel(&calls, release))
 
 	leaderErr := make(chan error, 1)
 	go func() {
@@ -226,7 +229,7 @@ func TestCoalescingFollowerHonoursOwnContext(t *testing.T) {
 		_, err := c.Complete(followerCtx, llm.Request{Prompt: "p"})
 		done <- err
 	}()
-	for c.Coalesced() == 0 {
+	for layer.Stats().Coalesced == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
@@ -254,7 +257,7 @@ func TestLateCallerDoesNotLeadSecondFlight(t *testing.T) {
 	m := layer.Wrap(llm.Func{ModelName: "gated", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
 		upstream <- struct{}{}
 		return gated.Complete(ctx, req)
-	}}).(*observedModel).inner.(*sharedModel)
+	}}).(*sharedModel)
 	ctx := context.Background()
 	req := llm.Request{Prompt: "same ask"}
 	key := keyFor(m.Name(), req)

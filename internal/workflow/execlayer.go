@@ -50,11 +50,10 @@ type ServeObserver interface {
 // ExecLayer is the shared high-throughput execution substrate: one
 // sharded response cache plus one in-flight coalescer that span every
 // operator (and every engine) wrapped against it. Without it, each
-// operator invocation builds a private cache (core's per-session default),
-// so nothing is reused across operators and concurrent identical requests
-// all miss. With it, an identical unit task is answered upstream exactly
-// once per process — first by coalescing while in flight, then by the
-// cache forever after.
+// operator invocation builds a private layer (core's per-session default),
+// so nothing is reused across operators. With it, an identical unit task
+// is answered upstream exactly once per process — first by coalescing
+// while in flight, then by the cache forever after.
 //
 // The layer also implements BatchObserver: engines that batch below it
 // (core.WithBatching) report envelope and solo-retry counts here, so
@@ -70,7 +69,7 @@ type ExecLayer struct {
 	soloRetries atomic.Int64
 
 	// serveObs holds the optional ServeObserver (serveObsBox), consulted
-	// per ask by the wrapper Wrap layers on top of the cache.
+	// per ask by the wrapper Wrap returns.
 	serveObs atomic.Value
 
 	// stateMu guards the optional persistence attachment (OpenState).
@@ -91,7 +90,8 @@ func NewExecLayerShards(shards int) *ExecLayer {
 	return &ExecLayer{cache: NewCache(shards), flights: NewFlightGroup()}
 }
 
-// Cache returns the shared cache handle, for Save/Load persistence.
+// Cache returns the shared cache handle, for pre-seeding (Cache.Put) and
+// size/hit stats.
 func (l *ExecLayer) Cache() *Cache { return l.cache }
 
 // Wrap layers the shared cache and coalescer over m: lookups hit the cache
@@ -100,17 +100,18 @@ func (l *ExecLayer) Cache() *Cache { return l.cache }
 // its flight retires. When a ServeObserver is attached, every successful
 // ask is additionally reported to it with the ask's context.
 func (l *ExecLayer) Wrap(m llm.Model) llm.Model {
-	return &observedModel{inner: &sharedModel{inner: m, layer: l}, layer: l}
+	return &sharedModel{inner: m, layer: l}
 }
 
 // sharedModel is the cache-then-coalesce path of one wrapped model. It is
 // what makes "answered upstream exactly once" hold under concurrency:
-// stacking a CachedModel over a CoalescingModel leaves a gap between the
-// flight retiring and the response reaching the cache, in which a caller
-// that had already missed the cache finds no flight and leads a second
-// one. Here the leader closes the gap from both sides — it re-checks the
-// cache on entry (a predecessor may have published since this caller's
-// miss) and publishes before FlightGroup.do retires its flight.
+// a cache wrapper stacked over a separate coalescing wrapper leaves a gap
+// between the flight retiring and the response reaching the cache, in
+// which a caller that had already missed the cache finds no flight and
+// leads a second one. Here the leader closes the gap from both sides — it
+// re-checks the cache on entry (a predecessor may have published since
+// this caller's miss) and publishes before FlightGroup.do retires its
+// flight.
 type sharedModel struct {
 	inner llm.Model
 	layer *ExecLayer
@@ -119,14 +120,25 @@ type sharedModel struct {
 // Name implements llm.Model.
 func (m *sharedModel) Name() string { return m.inner.Name() }
 
-// Complete implements llm.Model. The hit path is one cache lookup.
+// Complete implements llm.Model. The hit path is one cache lookup; every
+// successful ask is reported to the layer's ServeObserver, classified free
+// when the response carries zero usage (served without a fresh billed
+// upstream call).
 func (m *sharedModel) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
 	key := keyFor(m.inner.Name(), req)
-	if resp, ok := m.layer.cache.get(key); ok {
+	resp, hit := m.layer.cache.get(key)
+	if hit {
 		resp.Usage = token.Usage{}
-		return resp, nil
+	} else {
+		var err error
+		if resp, err = m.afterMiss(ctx, key, req); err != nil {
+			return resp, err
+		}
 	}
-	return m.afterMiss(ctx, key, req)
+	if box, ok := m.layer.serveObs.Load().(serveObsBox); ok && box.obs != nil {
+		box.obs.ObserveServe(ctx, resp.Usage.IsZero())
+	}
+	return resp, nil
 }
 
 // afterMiss is the path of a caller whose cache lookup missed: join the
@@ -150,28 +162,6 @@ func (m *sharedModel) afterMiss(ctx context.Context, key cacheKey, req llm.Reque
 // observation point keep the observer they loaded.
 func (l *ExecLayer) SetServeObserver(o ServeObserver) {
 	l.serveObs.Store(serveObsBox{obs: o})
-}
-
-// observedModel sits on top of an ExecLayer's cache and reports each
-// successful ask to the layer's ServeObserver, classifying it free when the
-// response carried zero usage (served without a fresh billed upstream call).
-type observedModel struct {
-	inner llm.Model
-	layer *ExecLayer
-}
-
-// Name implements llm.Model.
-func (m *observedModel) Name() string { return m.inner.Name() }
-
-// Complete implements llm.Model.
-func (m *observedModel) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
-	resp, err := m.inner.Complete(ctx, req)
-	if err == nil {
-		if box, ok := m.layer.serveObs.Load().(serveObsBox); ok && box.obs != nil {
-			box.obs.ObserveServe(ctx, resp.Usage.IsZero())
-		}
-	}
-	return resp, err
 }
 
 // ObserveBatch implements BatchObserver.

@@ -1,13 +1,13 @@
 // Package workflow provides the execution machinery under the declarative
 // engine: monetary/token budget enforcement (the paper's "within the
-// specified monetary budget"), the shared execution layer (sharded
-// response cache plus in-flight request coalescing, see ExecLayer),
-// unit-task batching into envelope prompts (BatchingModel),
-// bounded-concurrency fan-out (Map), client-side rate limiting,
-// per-model usage tracing (Trace), and per-stage usage attribution
-// (Attribution, TagStage) that lets one shared budget be broken down by
-// pipeline stage — including the optimizer's selectivity probes under
-// the reserved StageProbe label. See docs/EXECUTION.md.
+// specified monetary budget") and per-call accounting (Budget, Meter),
+// the shared execution layer (sharded response cache plus in-flight
+// request coalescing, see ExecLayer), unit-task batching into envelope
+// prompts (BatchingModel), bounded-concurrency fan-out (Map), client-side
+// rate limiting, and per-stage usage attribution (Attribution, TagStage)
+// that lets one shared budget be broken down by pipeline stage —
+// including the optimizer's selectivity probes under the reserved
+// StageProbe label. See docs/EXECUTION.md.
 package workflow
 
 import (
@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/llm"
 	"repro/internal/token"
 )
 
@@ -139,47 +138,6 @@ func (b *Budget) Reset() {
 	b.spentDollars = 0
 }
 
-// BudgetedModel wraps a model with budget admission control: calls are
-// refused with ErrBudgetExhausted once the budget no longer allows the
-// estimated spend, and every completed call is charged.
-type BudgetedModel struct {
-	inner  llm.Model
-	budget *Budget
-	// EstimateCompletion is the completion-token allowance assumed at
-	// admission time (prompt tokens are measured exactly).
-	EstimateCompletion int
-}
-
-// NewBudgeted wraps m against budget b.
-func NewBudgeted(m llm.Model, b *Budget) *BudgetedModel {
-	return &BudgetedModel{inner: m, budget: b, EstimateCompletion: 64}
-}
-
-// Name implements llm.Model.
-func (m *BudgetedModel) Name() string { return m.inner.Name() }
-
-// Complete implements llm.Model with admission control and charging.
-func (m *BudgetedModel) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
-	estimate := token.Usage{
-		PromptTokens:     token.Count(req.Prompt),
-		CompletionTokens: m.EstimateCompletion,
-		Calls:            1,
-	}
-	if !m.budget.Allows(m.inner.Name(), estimate) {
-		return llm.Response{}, fmt.Errorf("refusing call to %q: %w", m.inner.Name(), ErrBudgetExhausted)
-	}
-	resp, err := m.inner.Complete(ctx, req)
-	if err != nil {
-		return resp, err
-	}
-	if cerr := m.budget.Charge(m.inner.Name(), resp.Usage); cerr != nil {
-		// The response is still valid; surface the exhaustion so the
-		// caller stops issuing further work.
-		return resp, cerr
-	}
-	return resp, nil
-}
-
 // Map runs fn over indices 0..n-1 with at most parallelism concurrent
 // invocations and collects the results in index order. The first error
 // cancels outstanding work and is returned alongside the partial results
@@ -228,66 +186,4 @@ func Map[T any](ctx context.Context, n, parallelism int, fn func(ctx context.Con
 		firstErr = fmt.Errorf("workflow: %w", ctx.Err())
 	}
 	return results, firstErr
-}
-
-// Trace accumulates per-model usage for reporting. Safe for concurrent
-// use.
-type Trace struct {
-	mu      sync.Mutex
-	byModel map[string]token.Usage
-}
-
-// NewTrace returns an empty trace.
-func NewTrace() *Trace { return &Trace{byModel: make(map[string]token.Usage)} }
-
-// Record adds usage under the given model name.
-func (t *Trace) Record(model string, u token.Usage) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.byModel[model] = t.byModel[model].Add(u)
-}
-
-// Usage returns the usage recorded for one model.
-func (t *Trace) Usage(model string) token.Usage {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.byModel[model]
-}
-
-// Total returns usage summed across models, and the total dollar cost at
-// list prices.
-func (t *Trace) Total() (token.Usage, float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var u token.Usage
-	var cost float64
-	for model, usage := range t.byModel {
-		u = u.Add(usage)
-		cost += token.PriceFor(model).Cost(usage)
-	}
-	return u, cost
-}
-
-// TracedModel wraps a model so every successful call is recorded in a
-// Trace.
-type TracedModel struct {
-	inner llm.Model
-	trace *Trace
-}
-
-// NewTraced wraps m, recording into tr.
-func NewTraced(m llm.Model, tr *Trace) *TracedModel {
-	return &TracedModel{inner: m, trace: tr}
-}
-
-// Name implements llm.Model.
-func (m *TracedModel) Name() string { return m.inner.Name() }
-
-// Complete implements llm.Model.
-func (m *TracedModel) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
-	resp, err := m.inner.Complete(ctx, req)
-	if err == nil {
-		m.trace.Record(m.inner.Name(), resp.Usage)
-	}
-	return resp, err
 }

@@ -1,7 +1,6 @@
 package workflow
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -72,7 +71,7 @@ func TestBudgetDollarCap(t *testing.T) {
 
 func TestBudgetedModel(t *testing.T) {
 	b := NewBudget(0, 0, 2)
-	m := NewBudgeted(fixedModel("m", "hello"), b)
+	m := NewMeter(fixedModel("m", "hello"), b, nil)
 	if m.Name() != "m" {
 		t.Fatal("name")
 	}
@@ -97,7 +96,8 @@ func TestCachedModel(t *testing.T) {
 		calls.Add(1)
 		return llm.Response{Text: "v", Usage: token.Usage{PromptTokens: 1, Calls: 1}}, nil
 	}}
-	c := NewCached(inner)
+	layer := NewExecLayer()
+	c := layer.Wrap(inner)
 	r1, err := c.Complete(context.Background(), llm.Request{Prompt: "p"})
 	if err != nil {
 		t.Fatal(err)
@@ -115,9 +115,8 @@ func TestCachedModel(t *testing.T) {
 	if !r2.Usage.IsZero() {
 		t.Fatal("cache hits must report zero usage")
 	}
-	size, hits := c.Stats()
-	if size != 1 || hits != 1 {
-		t.Fatalf("stats = %d, %d", size, hits)
+	if st := layer.Stats(); st.CacheSize != 1 || st.CacheHits != 1 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
@@ -127,7 +126,7 @@ func TestCachedModelSeedSeparation(t *testing.T) {
 		calls.Add(1)
 		return llm.Response{Text: fmt.Sprintf("v%d", req.Seed)}, nil
 	}}
-	c := NewCached(inner)
+	c := NewExecLayer().Wrap(inner)
 	// Temperature > 0: different seeds are distinct requests.
 	c.Complete(context.Background(), llm.Request{Prompt: "p", Temperature: 1, Seed: 1})
 	c.Complete(context.Background(), llm.Request{Prompt: "p", Temperature: 1, Seed: 2})
@@ -150,7 +149,7 @@ func TestCachedModelDoesNotCacheErrors(t *testing.T) {
 		}
 		return llm.Response{Text: "ok"}, nil
 	}}
-	c := NewCached(inner)
+	c := NewExecLayer().Wrap(inner)
 	if _, err := c.Complete(context.Background(), llm.Request{Prompt: "p"}); err == nil {
 		t.Fatal("first call should fail")
 	}
@@ -228,32 +227,6 @@ func TestMapZeroTasks(t *testing.T) {
 	}
 }
 
-func TestTrace(t *testing.T) {
-	tr := NewTrace()
-	tr.Record("a", token.Usage{PromptTokens: 10, Calls: 1})
-	tr.Record("a", token.Usage{PromptTokens: 5, Calls: 1})
-	tr.Record("b", token.Usage{CompletionTokens: 7, Calls: 1})
-	if got := tr.Usage("a"); got.PromptTokens != 15 || got.Calls != 2 {
-		t.Fatalf("usage(a) = %+v", got)
-	}
-	total, cost := tr.Total()
-	if total.Calls != 3 || cost <= 0 {
-		t.Fatalf("total = %+v, $%f", total, cost)
-	}
-}
-
-func TestTracedModel(t *testing.T) {
-	tr := NewTrace()
-	m := NewTraced(fixedModel("m", "out"), tr)
-	if m.Name() != "m" {
-		t.Fatal("name")
-	}
-	m.Complete(context.Background(), llm.Request{Prompt: "hello world"})
-	if tr.Usage("m").Calls != 1 {
-		t.Fatal("traced call not recorded")
-	}
-}
-
 func TestBudgetChargeAccumulatesProperty(t *testing.T) {
 	f := func(charges []uint8) bool {
 		b := Unlimited()
@@ -267,58 +240,5 @@ func TestBudgetChargeAccumulatesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCachedModelSaveLoad(t *testing.T) {
-	var calls atomic.Int64
-	inner := llm.Func{ModelName: "m", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
-		calls.Add(1)
-		return llm.Response{Text: "answer to " + req.Prompt, Model: "m",
-			Usage: token.Usage{PromptTokens: 3, CompletionTokens: 2, Calls: 1}}, nil
-	}}
-	c1 := NewCached(inner)
-	for _, p := range []string{"q1", "q2", "q3"} {
-		if _, err := c1.Complete(context.Background(), llm.Request{Prompt: p}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := c1.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// A fresh process: load the cache, repeats are free.
-	c2 := NewCached(inner)
-	if err := c2.Load(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	before := calls.Load()
-	resp, err := c2.Complete(context.Background(), llm.Request{Prompt: "q2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != before {
-		t.Fatal("loaded cache should serve repeats without inner calls")
-	}
-	if resp.Text != "answer to q2" {
-		t.Fatalf("text = %q", resp.Text)
-	}
-	if !resp.Usage.IsZero() {
-		t.Fatal("loaded cache hits must report zero usage")
-	}
-	// Save is deterministic.
-	var buf2 bytes.Buffer
-	if err := c1.Save(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != buf2.String() {
-		t.Fatal("Save output not deterministic")
-	}
-}
-
-func TestCachedModelLoadRejectsJunk(t *testing.T) {
-	c := NewCached(fixedModel("m", "x"))
-	if err := c.Load(bytes.NewReader([]byte("{not json"))); err == nil {
-		t.Fatal("junk input should error")
 	}
 }
