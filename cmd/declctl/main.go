@@ -74,9 +74,8 @@ func main() {
 		"degraded-mode record policy for pipeline: fail (default), skip, or quarantine")
 	plRecords := sub.Int("records", 24, "base source records for pipeline-study")
 	plDup := sub.Float64("dup", 0.4, "duplicated fraction for pipeline-study")
-	benchIters := sub.Int("iters", 3, "iterations per bench configuration")
 	stateDir := sub.String("state-dir", "",
-		"persistent-state directory: bench and index-bench warm-load saved indexes from it (building and saving on the first run); cache-compact rewrites its cache log")
+		"persistent-state directory: index-bench warm-loads its saved index from it (building and saving on the first run); cache-compact rewrites its cache log")
 	scName := sub.String("name", "", "scenario ID to run for scenario (see -list)")
 	scList := sub.Bool("list", false, "list the pre-built scenarios for scenario")
 	srvURL := sub.String("server", "http://localhost:8080", "declserver base URL for submit/status/report")
@@ -85,19 +84,7 @@ func main() {
 	srvOptimize := sub.Bool("optimize", false, "ask the server to optimize the spec before running")
 	srvJob := sub.String("job", "", "job ID for status")
 	srvCancel := sub.Bool("cancel", false, "cancel the job named by -job")
-	// For scenario and index-bench, -json is a switch (emit the result as
-	// JSON on stdout); everywhere else it is the bench baseline's output
-	// path. One FlagSet serves every command, so the flag registers per
-	// command.
-	var benchJSON *string
-	var switchJSON *bool
-	if cmd == "scenario" || cmd == "index-bench" {
-		switchJSON = sub.Bool("json", false, "emit the result as JSON")
-		benchJSON = new(string)
-	} else {
-		benchJSON = sub.String("json", "", "write machine-readable bench results to this file (e.g. BENCH_PR5.json)")
-		switchJSON = new(bool)
-	}
+	asJSON := sub.Bool("json", false, "emit the result as JSON on stdout for scenario and index-bench")
 	sub.Parse(flag.Args()[1:])
 
 	ctx := context.Background()
@@ -246,7 +233,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		if *switchJSON {
+		if *asJSON {
 			raw, err := json.MarshalIndent(rows, "", "  ")
 			if err != nil {
 				return err
@@ -370,7 +357,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		if *switchJSON {
+		if *asJSON {
 			raw, err := json.MarshalIndent(res, "", "  ")
 			if err != nil {
 				return err
@@ -395,21 +382,6 @@ func main() {
 		}
 		return nil
 	}
-	bench := func() error {
-		report, err := experiments.PipelineBench(ctx, *benchIters, *stateDir)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatBenchReport(report))
-		if *benchJSON != "" {
-			if err := experiments.WriteBenchReport(report, *benchJSON); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *benchJSON)
-		}
-		return nil
-	}
-
 	cacheCompact := func() error {
 		if *stateDir == "" {
 			return fmt.Errorf("cache-compact needs -state-dir <dir> (the directory holding %s)", workflow.CacheLogName)
@@ -513,7 +485,7 @@ func main() {
 		run("Execution layer: shared cache + coalescing + batching", execLayer)
 	case "index-bench":
 		// JSON output stays machine-readable: no header or timing wrapper.
-		if *switchJSON {
+		if *asJSON {
 			if err := indexBench(); err != nil {
 				fmt.Fprintf(os.Stderr, "declctl: index-bench: %v\n", err)
 				os.Exit(1)
@@ -527,7 +499,7 @@ func main() {
 		run("Pipeline study: naive sequential vs optimized DAG", pipelineStudy)
 	case "scenario":
 		// JSON output stays machine-readable: no header or timing wrapper.
-		if *switchJSON {
+		if *asJSON {
 			if err := runScenario(); err != nil {
 				fmt.Fprintf(os.Stderr, "declctl: scenario: %v\n", err)
 				os.Exit(1)
@@ -537,8 +509,6 @@ func main() {
 		}
 	case "scenario-study":
 		run("Scenario study: all pre-built scenarios on the sim engine", scenarioStudy)
-	case "bench":
-		run(fmt.Sprintf("Pipeline bench: %d iterations per configuration", *benchIters), bench)
 	case "submit":
 		// JSON output stays machine-readable: no header or timing wrapper.
 		if err := serverSubmit(); err != nil {
@@ -627,10 +597,6 @@ commands:
                   machine-readable result)
   scenario-study  run every pre-built scenario and print the per-scenario
                   call/token/cache counters with pass verdicts
-  bench           time the pipeline benchmark configurations and optionally
-                  write a machine-readable perf baseline
-                  (-iters N -json BENCH_PR5.json; -state-dir D warms the
-                  index benchmarks from persisted state)
   cache-compact   replay a persistent cache log, print its record/live/byte
                   stats, and rewrite it down to live entries only
                   (-state-dir D names the directory holding cache.log)
@@ -642,5 +608,8 @@ commands:
   report          one tenant's server report: spend, job counters, latency
                   percentiles, cache-hit share (-server URL -tenant T)
   all             run everything
+
+Performance is not measured here: bash benchmark/run.sh runs the
+repository benchmark (see benchmark/README.md).
 `)
 }

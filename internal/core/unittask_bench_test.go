@@ -49,6 +49,40 @@ func unitTaskChain() (llm.Model, context.Context) {
 	return e.newSession().model, ctx
 }
 
+// TestUnitTaskAllocs pins the chain's allocations, which need no clock:
+// a warm ask allocates nothing and a cold ask against a free upstream at
+// most 3 (leading a flight and publishing the answer; cache growth
+// amortises below one). These are the allocs/op BenchmarkUnitTaskHit and
+// BenchmarkUnitTaskMiss print, asserted — a span, closure or context
+// value added to either path fails here instead of reading as noise.
+func TestUnitTaskAllocs(t *testing.T) {
+	m, ctx := unitTaskChain()
+	ask := func(req llm.Request) {
+		resp, err := m.Complete(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unitTaskSink = resp
+	}
+
+	warm := llm.Request{Prompt: "is record 7 a tool? answer yes or no\n"}
+	ask(warm)
+	if got := testing.AllocsPerRun(200, func() { ask(warm) }); got != 0 {
+		t.Errorf("warm ask allocates %v times, want 0", got)
+	}
+
+	// AllocsPerRun calls the function once more than it counts.
+	const runs = 200
+	cold := make([]llm.Request, runs+1)
+	for i := range cold {
+		cold[i].Prompt = "is record " + strconv.Itoa(1000+i) + " a tool? answer yes or no\n"
+	}
+	next := 0
+	if got := testing.AllocsPerRun(runs, func() { ask(cold[next]); next++ }); got > 3 {
+		t.Errorf("cold ask allocates %v times, want at most 3", got)
+	}
+}
+
 var unitTaskSink llm.Response
 
 // BenchmarkUnitTaskHit is one warm unit ask through the server's chain:

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-
-	"repro/internal/dataset"
 )
 
 // seedIndex replicates the seed repository's index verbatim — per-item
@@ -179,18 +177,13 @@ var scanBench struct {
 func scanBenchSetup(b *testing.B) {
 	b.Helper()
 	scanBench.once.Do(func() {
-		const n = 100000
-		texts := dataset.GenerateSyntheticTexts(n+64, 11)
-		items := make([]Item, n)
-		for i := range items {
-			items[i] = Item{ID: fmt.Sprintf("s%d", i), Text: texts[i]}
-		}
+		items, queries := syntheticCorpus(100000, 64, 11)
 		ix := NewIndex(Default())
 		ix.AddAll(items)
 		scanBench.exact = ix
 		scanBench.quant = ix.WithOptions(IndexOptions{Quantize: true})
 		scanBench.quant.ensureQuantized()
-		for _, q := range texts[n:] {
+		for _, q := range queries {
 			scanBench.queries = append(scanBench.queries, ix.embed32(q))
 		}
 	})

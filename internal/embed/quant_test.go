@@ -113,7 +113,8 @@ func TestQuantizedRerankMatchesExactTopK(t *testing.T) {
 // TestANNRecall. The flat quantized index must measure a perfect 1.0
 // (its re-rank is pinned byte-identical to exact); ANN+quantized may
 // additionally lose candidates to partition probing, so it shares ANN's
-// 0.95 floor at the documented probe setting.
+// 0.95 floor at the documented probe setting — and, on the index-bench
+// corpus at default settings, ANN's exact pinned figure.
 func TestQuantizedRecall(t *testing.T) {
 	all := simTexts(t, 1100)
 	items, heldOut := all[:1000], all[1000:]
@@ -137,6 +138,16 @@ func TestQuantizedRecall(t *testing.T) {
 		t.Fatalf("ANN+quantized recall = %.3f, want >= 0.95", recall)
 	}
 	t.Logf("ANN+quantized recall@10 over %d held-out queries: %.3f", len(queries), recall)
+
+	items, queries = indexBenchCorpus()
+	exact = NewIndex(Default())
+	exact.AddAll(items)
+	if got := recall3(exact, exact.WithOptions(IndexOptions{Quantize: true}), queries, 10); got != 1 {
+		t.Fatalf("index-bench flat quantized recall = %.3f, want exactly 1", got)
+	}
+	if got := recall3(exact, exact.WithOptions(IndexOptions{ANN: true, Quantize: true}), queries, 10); got != 0.878 {
+		t.Fatalf("index-bench ANN+quantized recall = %.3f, pinned 0.878 (same candidates as plain ANN)", got)
+	}
 }
 
 // TestQuantizedMatchesANNCandidates pins ANN+quantized to plain ANN on

@@ -31,9 +31,10 @@ type IndexBenchConfig struct {
 	RerankFactor int
 	// Seed drives the synthetic corpus (0 = 7, the repo's sim seed).
 	Seed int64
-	// FlatOnly skips the ANN modes — full-store scans only. The committed
-	// ≥2x evidence row uses this: at large N the k-means assignment pass
-	// would dominate a run whose point is the scan-kernel comparison.
+	// FlatOnly skips the ANN modes — full-store scans only. The N=100k
+	// ≥2x evidence run (docs/VECTOR.md) uses this: at large N the k-means
+	// assignment pass would dominate a run whose point is the scan-kernel
+	// comparison.
 	FlatOnly bool
 	// StateDir enables warm index persistence: the fully equipped index
 	// (every tier the other flags call for) is loaded from a .dpix file
@@ -41,7 +42,8 @@ type IndexBenchConfig struct {
 	// cold build otherwise. The exact row's build_ms then reports the
 	// one-read load instead of the embed cost, and rows carry warm=true —
 	// how `declctl index-bench -state-dir` measures the warm/rebuild
-	// ratio pinned in BENCH_PR5.json.
+	// ratio (the benchmark reports the same pair per workload corpus as
+	// embed.index_load_ms and embed.index_build_ms).
 	StateDir string
 }
 
@@ -121,8 +123,8 @@ func IndexBench(cfg IndexBenchConfig) ([]IndexBenchRow, error) {
 		start := time.Now()
 		if loaded, err := embed.LoadIndex(statePath, em, items, fullOpts); err == nil {
 			// One read restored the store and every saved tier. The exact
-			// row's build_ms becomes the load time — the number the warm
-			// vs rebuild speedup in BENCH_PR5.json is computed from.
+			// row's build_ms becomes the load time — compare it with a
+			// cold run's to get the warm vs rebuild speedup.
 			warmIx, warm = loaded, true
 			base = loaded.WithOptions(embed.IndexOptions{})
 			embedMS = msSince(start)

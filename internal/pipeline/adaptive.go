@@ -17,7 +17,7 @@ import (
 // plan from live observations, in two coordinated pieces:
 //
 //   - side-input overlap: a streamable stage with a dynamic side input
-//     buffers its main input in a spillable spool while the side stage
+//     buffers its main input in memory while the side stage
 //     materializes, then streams — instead of draining first (execute.go);
 //   - mid-run re-optimization: runs of adjacent commutable filter stages
 //     execute as one segment whose internal order is revised between

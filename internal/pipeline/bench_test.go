@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/llm"
 	"repro/internal/llm/sim"
+	"repro/internal/workflow"
 )
 
 // benchSpec is a small filter→dedupe→impute chain in the pessimal user
@@ -21,8 +23,7 @@ func benchSpec() Spec {
 	}}
 }
 
-func benchTables(b *testing.B) map[string][]dataset.Record {
-	b.Helper()
+func benchTables() map[string][]dataset.Record {
 	ds := dataset.GenerateRestaurants(40, 12, 7)
 	source := make([]dataset.Record, len(ds.Test))
 	for i, r := range ds.Test {
@@ -37,7 +38,7 @@ func benchRun(b *testing.B, spec Spec, cfg ExecConfig) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tables := benchTables(b)
+	tables := benchTables()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := p.Run(context.Background(), cfg, tables); err != nil {
@@ -101,5 +102,86 @@ func BenchmarkPipelineOptimize(b *testing.B) {
 		if _, _, err := Optimize(spec); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestBenchCountersPinned pins the execution-layer counters of one cold
+// run of the benchmark workload (restaurants 12 source / 40 train) under
+// every executor configuration benchmarked above, plus a serial standing
+// query fed half the source mid-run. The Parallelism 16 rows issue their
+// asks concurrently, so how the batcher's linger packs envelopes (calls,
+// tokens, batches) and how free serves split between cache hits and
+// coalesced followers depend on the schedule; what is exact on them is
+// the distinct unit tasks answered (CacheSize) and the asks served free
+// (CacheHits + Coalesced). The serial row is exact throughout. A diff
+// here means the engine changed what a run costs — rebase the numbers
+// only with an explanation.
+func TestBenchCountersPinned(t *testing.T) {
+	optimized, _, err := Optimize(benchSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type counters struct{ calls, tokens, hits, coalesced, batches, soloRetries int }
+	cases := []struct {
+		name      string
+		spec      Spec
+		cfg       ExecConfig
+		feedHalf  bool
+		cacheSize int
+		free      int
+		serial    *counters // the full row, where execution is serial
+	}{
+		// An isolated run builds a private engine per stage and must leave
+		// the shared layer it was handed untouched.
+		{name: "naive", spec: benchSpec(),
+			cfg: ExecConfig{Parallelism: 16, Isolated: true, Materialized: true}},
+		{name: "optimized-materialized", spec: optimized,
+			cfg:       ExecConfig{Parallelism: 16, Batch: 8, Materialized: true},
+			cacheSize: 30, free: 3},
+		{name: "optimized-streaming", spec: optimized,
+			cfg:       ExecConfig{Parallelism: 16, Batch: 8},
+			cacheSize: 30, free: 3},
+		{name: "adaptive", spec: optimized,
+			cfg:       ExecConfig{Parallelism: 16, Batch: 8, Adaptive: true},
+			cacheSize: 30, free: 3},
+		{name: "standing-query", spec: optimized,
+			cfg:       ExecConfig{Parallelism: 1},
+			feedHalf:  true,
+			cacheSize: 30, free: 3,
+			serial: &counters{calls: 30, tokens: 2520, hits: 3}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := Compile(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counting := llm.NewCounting(sim.NewNamed("sim-gpt-3.5-turbo"))
+			layer := workflow.NewExecLayer()
+			cfg, tables := tc.cfg, benchTables()
+			cfg.Model, cfg.Exec = counting, layer
+			if tc.feedHalf {
+				source := tables["source"]
+				half := len(source) / 2
+				tables["source"] = source[:half]
+				cfg.Feed = feedRecords(source[half:])
+			}
+			if _, err := p.Run(context.Background(), cfg, tables); err != nil {
+				t.Fatal(err)
+			}
+			st := layer.Stats()
+			if st.CacheSize != tc.cacheSize || st.CacheHits+st.Coalesced != tc.free {
+				t.Errorf("{cache size %d, free serves %d} differs from pinned {%d, %d}",
+					st.CacheSize, st.CacheHits+st.Coalesced, tc.cacheSize, tc.free)
+			}
+			if tc.serial == nil {
+				return
+			}
+			total := counting.Total()
+			got := counters{total.Calls, total.Total(), st.CacheHits, st.Coalesced, st.Batches, st.SoloRetries}
+			if got != *tc.serial {
+				t.Errorf("serial counters %+v differ from pinned %+v", got, *tc.serial)
+			}
+		})
 	}
 }

@@ -56,13 +56,14 @@ type ExecConfig struct {
 	// Feed turns the run into a standing query: records received on the
 	// channel join the stream behind the static "source" table, in arrival
 	// order, while the pipeline is already executing — per-record stages
-	// evaluate each record as it arrives (on the side-input overlap path
-	// through the spillable spool), and barrier stages simply see the
-	// longer stream. Run returns only
-	// after Feed is closed and fully drained, so the caller must feed and
-	// close the channel from another goroutine. Temperature-0 results
-	// after full ingestion are byte-identical to a batch run whose source
-	// table already contained the fed records (pinned by
+	// evaluate each record as it arrives, and barrier stages simply see
+	// the longer stream. (A per-record stage with a dynamic side input
+	// holds arrivals until the side stage finishes: buffered under
+	// Adaptive, drained like a barrier otherwise.) Run returns only after
+	// Feed is closed and fully drained, so the caller must feed and close
+	// the channel from another goroutine. Temperature-0 results after full
+	// ingestion are byte-identical to a batch run whose source table
+	// already contained the fed records (pinned by
 	// TestStandingQueryMatchesBatch). Nil runs the static table alone.
 	Feed <-chan dataset.Record
 	// Attribution is the per-stage ledger the run records into; nil builds
@@ -83,13 +84,14 @@ type ExecConfig struct {
 	Parallelism int
 	// Adaptive enables the adaptive streaming runtime: a streamable stage
 	// with a dynamic side input overlaps its main path with the side
-	// stage's materialization through a spillable buffer instead of
-	// draining first, and runs of adjacent commutable filter stages may
-	// be re-ordered between records as observed selectivities refine the
-	// optimizer's estimates. Temperature-0 results are identical either
-	// way. A no-op under Materialized; Isolated keeps per-stage engines,
-	// so it disables the segment re-ordering (which would share one
-	// engine across members) while side-input overlap still applies.
+	// stage's materialization — buffering arrivals in memory until the
+	// side table lands — instead of draining first, and runs of adjacent
+	// commutable filter stages may be re-ordered between records as
+	// observed selectivities refine the optimizer's estimates.
+	// Temperature-0 results are identical either way. A no-op under
+	// Materialized; Isolated keeps per-stage engines, so it disables the
+	// segment re-ordering (which would share one engine across members)
+	// while side-input overlap still applies.
 	Adaptive bool
 	// Materialized disables record-level streaming: every stage drains its
 	// whole input before running — the pre-streaming executor behaviour.
@@ -697,10 +699,10 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 	// the side stage finishes — otherwise a shared ancestor could deadlock
 	// on backpressure. The classic answer is barrier mode: drain the main
 	// input, await the side, run. The adaptive runtime restores overlap
-	// for streamable stages instead: buffer the main input in a spillable
-	// spool while the side materializes, then stream the spool plus the
-	// live tail — the main path never stops consuming, and downstream
-	// starts receiving as soon as the side table lands.
+	// for streamable stages instead: buffer the main input while the side
+	// materializes, then stream the buffer plus the live tail — the main
+	// path never stops consuming, and downstream starts receiving as soon
+	// as the side table lands.
 	dynamicSide := sideStage(p.specs, spec) >= 0
 
 	streamer, ok := st.(Streamer)
@@ -803,8 +805,8 @@ func propagated(err error, outs map[string]*streamOut, spec StageSpec) bool {
 	if side := outs[spec.Side]; side != nil {
 		// side.err is published by close(side.done); reading it before
 		// that close is a data race with the side stage's goroutine, and
-		// an error raised while the side is still running (e.g. a spool
-		// failure) cannot have come from it anyway.
+		// an error raised while the side is still running cannot have come
+		// from it anyway.
 		select {
 		case <-side.done:
 			if side.err != nil && errors.Is(err, side.err) {
@@ -816,24 +818,19 @@ func propagated(err error, outs map[string]*streamOut, spec StageSpec) bool {
 	return false
 }
 
-// sideSpoolMem overrides the overlap spool's in-memory record capacity;
-// 0 takes the spool default. Tests shrink it to force the disk-spill
-// path without thousand-record inputs.
-var sideSpoolMem = 0
-
-// runWindowWithSide is the adaptive side-input overlap path: spool the
+// runWindowWithSide is the adaptive side-input overlap path: buffer the
 // main input while the dynamic side stage materializes, then stream the
-// spooled prefix followed by the live channel through the stage's window.
-// The spool keeps the main path consuming (no backpressure deadlock
-// through a shared ancestor) without the full drain the barrier path
-// pays, so downstream receives records as soon as the side table is
-// ready. Spooled records keep their sequence keys, so replay order is
-// immaterial to the result.
+// buffered prefix followed by the live channel through the stage's
+// window. Buffering keeps the main path consuming (no backpressure
+// deadlock through a shared ancestor) without the full drain the barrier
+// path pays, so downstream receives records as soon as the side table is
+// ready. The buffer is a plain slice: every record in it is already held
+// by its producer (the stage's output table or the caller's source), so
+// it adds references, not copies. Buffered records keep their sequence
+// keys, so replay order is immaterial to the result.
 func runWindowWithSide(ctx context.Context, env *Env, side *streamOut, in <-chan seqRecord, sideName string,
 	streamer Streamer, out *streamOut) (int, error) {
-	spool := newRecordSpool(sideSpoolMem)
-	defer spool.Close()
-
+	var buffered []seqRecord
 	start := time.Now()
 	inOpen := true
 buffering:
@@ -844,13 +841,11 @@ buffering:
 				inOpen = false
 				break buffering
 			}
-			if err := spool.Append(r); err != nil {
-				return spool.Len(), err
-			}
+			buffered = append(buffered, r)
 		case <-side.done:
 			break buffering
 		case <-ctx.Done():
-			return spool.Len(), ctx.Err()
+			return len(buffered), ctx.Err()
 		}
 	}
 	// The main input may have closed first; the side table is still the
@@ -858,22 +853,20 @@ buffering:
 	select {
 	case <-side.done:
 	case <-ctx.Done():
-		return spool.Len(), ctx.Err()
+		return len(buffered), ctx.Err()
 	}
 	if side.err != nil {
-		return spool.Len(), side.err
+		return len(buffered), side.err
 	}
 	env.Tables = overlaySide(env.Tables, sideName, side.table)
 	env.stats.t.Wait += time.Since(start)
 
-	// Replay the spool, then pipe the live channel, on one merged stream
-	// the stage's window consumes. The feeder owns its reads of the spool,
-	// so this function must not return — and the deferred spool.Close must
-	// not run — until the feeder has exited: fcancel unblocks it even when
-	// the run's context is still live (e.g. the window failed mid-replay),
-	// and the second defer waits for it. No goroutine can leak.
+	// Replay the buffer, then pipe the live channel, on one merged stream
+	// the stage's window consumes. This function does not return until the
+	// feeder has exited: fcancel unblocks it even when the run's context
+	// is still live (e.g. the window failed mid-replay), and the deferred
+	// receive waits for it. No goroutine can leak.
 	merged := make(chan seqRecord, edgeBuffer)
-	feedErr := make(chan error, 1)
 	feedDone := make(chan struct{})
 	fctx, fcancel := context.WithCancel(ctx)
 	defer func() {
@@ -883,15 +876,7 @@ buffering:
 	go func() {
 		defer close(feedDone)
 		defer close(merged)
-		for {
-			r, ok, err := spool.Pop()
-			if err != nil {
-				feedErr <- err
-				return
-			}
-			if !ok {
-				break
-			}
+		for _, r := range buffered {
 			select {
 			case merged <- r:
 			case <-fctx.Done():
@@ -915,15 +900,7 @@ buffering:
 		}
 	}()
 
-	consumed, err := runWindow(ctx, env, merged, streamer, out)
-	if err == nil {
-		select {
-		case ferr := <-feedErr:
-			err = ferr
-		default:
-		}
-	}
-	return consumed, err
+	return runWindow(ctx, env, merged, streamer, out)
 }
 
 // FormatResult renders a run report as a text table: one row per stage

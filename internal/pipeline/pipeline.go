@@ -33,8 +33,8 @@
 //
 // ExecConfig.Adaptive enables the adaptive streaming runtime: a
 // streamable stage with a dynamic side input overlaps its main path with
-// the side stage's materialization through a spillable buffer instead of
-// draining first, and runs of adjacent commutable filters execute as
+// the side stage's materialization through an in-memory buffer instead
+// of draining first, and runs of adjacent commutable filters execute as
 // segments whose internal order is revised between records as observed
 // keep rates refine the optimizer's estimates — all with byte-identical
 // temperature-0 results.

@@ -207,14 +207,12 @@ func randomWindowSpec(rng *rand.Rand) (spec Spec, dynamic bool) {
 
 // TestWindowMatchesMaterializedProperty is the byte-identity contract as
 // one property: for random specs — filter segments under Adaptive, join
-// fan-out, a dynamic side input spilling its spool to disk, a standing
+// fan-out, a dynamic side input buffered under Adaptive, a standing
 // query's Feed — run under prompt-determined latency at in-flight windows
 // 1, 2 and 8, every table (in order), every scalar and every stage's
 // record counts equal the Materialized run's, and per-stage attribution
 // sums to the run total.
 func TestWindowMatchesMaterializedProperty(t *testing.T) {
-	sideSpoolMem = 1
-	defer func() { sideSpoolMem = 0 }()
 	tables, _ := SourceSpec{Dataset: "restaurants", Records: 10, Train: 24, Seed: 4}.Tables()
 	for i, r := range tables["source"] {
 		tables["source"][i] = r.WithoutField("city")

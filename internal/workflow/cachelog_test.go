@@ -178,6 +178,41 @@ func TestCacheLogReplayCompactEquivalence(t *testing.T) {
 			t.Fatalf("trial %d: compacted replay diverged from snapshot", trial)
 		}
 	}
+
+	// One fixed workload with its exact on-disk figures, so a change to
+	// the record framing or the entry encoding shows as a number: 5000
+	// inserts, flush, 1000 of them overwritten, flush — every overwrite is
+	// an appended record, and compaction drops exactly the superseded ones.
+	const entries, overwrites = 5000, 1000
+	c := NewCache(0)
+	put := func(i, gen int) {
+		c.Put("bench", fmt.Sprintf("prompt-%d", i),
+			llm.Response{Text: fmt.Sprintf("answer-%d-gen%d", i, gen), Model: "bench"})
+	}
+	lg := openLog(t, filepath.Join(t.TempDir(), "cache.log"))
+	for i := 0; i < entries; i++ {
+		put(i, 0)
+	}
+	if _, err := lg.Flush(c); err != nil {
+		t.Fatalf("fixed workload: Flush: %v", err)
+	}
+	for i := 0; i < overwrites; i++ {
+		put(i, 1)
+	}
+	if _, err := lg.Flush(c); err != nil {
+		t.Fatalf("fixed workload: overwrite Flush: %v", err)
+	}
+	if st := lg.Stats(); st.Records != entries+overwrites || st.Bytes != 427568 {
+		t.Fatalf("fixed workload: log holds %d records / %d bytes, pinned %d / 427568",
+			st.Records, st.Bytes, entries+overwrites)
+	}
+	if err := lg.Compact(c); err != nil {
+		t.Fatalf("fixed workload: Compact: %v", err)
+	}
+	if st := lg.Stats(); st.Records != entries || st.Bytes != 357788 {
+		t.Fatalf("fixed workload: compacted log holds %d records / %d bytes, pinned %d / 357788",
+			st.Records, st.Bytes, entries)
+	}
 }
 
 // TestCacheLogTornTailRecovery pins crash recovery: truncating the file
