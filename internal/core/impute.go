@@ -71,23 +71,24 @@ type ImputeAnswer struct {
 }
 
 // PreparedImpute is the per-record form of Impute under a fixed strategy:
-// the training table is rendered and indexed, the target map built and
-// the session opened once, then Ask imputes one query record at a time.
-// Impute itself is PrepareImpute plus a bounded fan-out over Ask. Safe for
-// concurrent use.
+// the training table is indexed (or its index found) and the session
+// opened once, then Ask imputes one query record at a time. Impute itself
+// is PrepareImpute plus a bounded fan-out over Ask. Safe for concurrent
+// use.
 type PreparedImpute struct {
 	e   *Engine
 	s   *session
 	req ImputeRequest
 
-	// ix, targets and trainText (each training record's rendering without
-	// the target, by ID) serve the k-NN vote and the few-shot example pool;
-	// they stay nil when no query ever reads a neighbour (kMax == 0: the
-	// llm strategy zero-shot, or no training table).
-	ix        *embed.Index
-	targets   map[string]string
-	trainText map[string]string
-	kMax      int
+	// ix serves the k-NN vote and the few-shot example pool; it stays nil
+	// when no query ever reads a neighbour (kMax == 0: the llm strategy
+	// zero-shot, or no training table). A neighbour's target value and text
+	// are read from its row of req.Train, which is the neighbour's position
+	// in ix — except under duplicate ids, where rows maps a position to the
+	// last row carrying that id (the row whose vector the index kept).
+	ix   *embed.Index
+	rows []int32
+	kMax int
 }
 
 // PrepareImpute validates req (Queries is ignored) and returns its
@@ -124,32 +125,52 @@ func (e *Engine) PrepareImpute(req ImputeRequest) (*PreparedImpute, error) {
 		p.kMax = 0
 	}
 
-	// Index training records by their serialization without the target —
-	// the same view the model gets, so neighbours reflect queryable
-	// evidence only. The corpus is embedded in parallel, or reused outright
-	// when an index registry already holds it (e.g. planner profiling runs
-	// over the same training set).
-	var trainItems []embed.Item
-	if p.kMax > 0 {
-		p.targets = make(map[string]string, len(req.Train))
-		p.trainText = make(map[string]string, len(req.Train))
-		trainItems = make([]embed.Item, 0, len(req.Train))
+	// One pass over the training table checks every record carries the
+	// target and, when a registry may already hold this table's index,
+	// hashes it into the key the index is filed under.
+	var key *embed.KeyWriter
+	if p.kMax > 0 && e.registry != nil {
+		key = embed.NewKeyWriter()
+		key.String(req.TargetField)
 	}
 	for _, r := range req.Train {
-		v, ok := r.Get(req.TargetField)
-		if !ok {
+		if _, ok := r.Get(req.TargetField); !ok {
 			return nil, badRequestf("training record %q lacks target %q", r.ID, req.TargetField)
 		}
-		if p.kMax == 0 {
-			continue
+		if key != nil {
+			key.String(r.ID)
+			key.Int(len(r.Fields))
+			for _, f := range r.Fields {
+				key.String(f.Name)
+				key.String(f.Value)
+			}
 		}
-		text := r.WithoutField(req.TargetField).String()
-		trainItems = append(trainItems, embed.Item{ID: r.ID, Text: text})
-		p.targets[r.ID] = v
-		p.trainText[r.ID] = text
 	}
 	if p.kMax > 0 {
-		p.ix = e.index(trainItems)
+		// Training records are indexed by their serialization without the
+		// target — the same view the model gets, so neighbours reflect
+		// queryable evidence only. The corpus is embedded in parallel, or
+		// not rendered at all when an index registry already holds it (an
+		// earlier job over the same table, planner profiling runs).
+		render := func() []embed.Item {
+			items := make([]embed.Item, len(req.Train))
+			for i, r := range req.Train {
+				items[i] = embed.Item{ID: r.ID, Text: p.serialize(r)}
+			}
+			return items
+		}
+		if key != nil {
+			p.ix = e.registry.IndexFrom(e.embedder, key.Sum(), e.ixOpts, render)
+		} else {
+			p.ix = e.index(render())
+		}
+		if p.ix.Len() != len(req.Train) { // duplicate ids: the last row wins
+			p.rows = make([]int32, p.ix.Len())
+			for i, r := range req.Train {
+				pos, _ := p.ix.Position(r.ID)
+				p.rows[pos] = int32(i)
+			}
+		}
 	}
 	// Imputation prompts are homogeneous per-record unit tasks (the knn
 	// strategy issues none, so the wrapper is inert there).
@@ -157,11 +178,26 @@ func (e *Engine) PrepareImpute(req ImputeRequest) (*PreparedImpute, error) {
 	return p, nil
 }
 
+// serialize renders a record the way the model and the index see it:
+// without the target field.
+func (p *PreparedImpute) serialize(r dataset.Record) string {
+	return r.WithoutField(p.req.TargetField).String()
+}
+
+// trainRow returns the training record a neighbour stands for.
+func (p *PreparedImpute) trainRow(nb embed.Neighbor) dataset.Record {
+	pos, _ := p.ix.Position(nb.ID)
+	if p.rows != nil {
+		pos = int(p.rows[pos])
+	}
+	return p.req.Train[pos]
+}
+
 // Ask imputes the target field of one query record. Any existing target
 // value is ignored (and never shown to the model).
 func (p *PreparedImpute) Ask(ctx context.Context, q dataset.Record) (ImputeAnswer, error) {
 	// The query is serialized and embedded exactly once.
-	serialized := q.WithoutField(p.req.TargetField).String()
+	serialized := p.serialize(q)
 	var nn []embed.Neighbor
 	if p.kMax > 0 {
 		nn = p.ix.Nearest(serialized, p.kMax)
@@ -174,7 +210,7 @@ func (p *PreparedImpute) Ask(ctx context.Context, q dataset.Record) (ImputeAnswe
 		votes := make(map[string]int)
 		var order []string
 		for _, nb := range vote {
-			v := p.targets[nb.ID]
+			v, _ := p.trainRow(nb).Get(p.req.TargetField)
 			if votes[v] == 0 {
 				order = append(order, v)
 			}
@@ -199,10 +235,9 @@ func (p *PreparedImpute) Ask(ctx context.Context, q dataset.Record) (ImputeAnswe
 			nn = nn[:p.req.Examples]
 		}
 		for _, nb := range nn {
-			examples = append(examples, prompt.Example{
-				Input:  p.trainText[nb.ID],
-				Output: p.targets[nb.ID],
-			})
+			r := p.trainRow(nb)
+			v, _ := r.Get(p.req.TargetField)
+			examples = append(examples, prompt.Example{Input: p.serialize(r), Output: v})
 		}
 	}
 	v, err := quality.AskWithRetry(ctx, p.s.model, prompt.Impute(serialized, p.req.TargetField, examples),

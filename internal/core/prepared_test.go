@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
@@ -120,4 +121,82 @@ func entitiesOf(recs []dataset.Record, prefix string) []Entity {
 		out[i] = Entity{ID: fmt.Sprintf("%s%02d", prefix, i), Text: name}
 	}
 	return out
+}
+
+// dupTrain is a restaurants train table in which rows 10–19 carry the ids
+// of rows 0–9: ten ids name two different records each. The queries are
+// four unseen records and four of the second carriers themselves, whose
+// nearest neighbour is therefore a duplicated id.
+func dupTrain() (train, queries []dataset.Record, target string) {
+	ds := dataset.GenerateRestaurants(30, 4, 11)
+	train = append([]dataset.Record(nil), ds.Train...)
+	for i := 10; i < 20; i++ {
+		train[i] = train[i].Clone()
+		train[i].ID = train[i-10].ID
+	}
+	queries = append(queries, ds.Test...)
+	for _, r := range train[10:14] {
+		queries = append(queries, r.WithoutField(ds.TargetField))
+	}
+	return train, queries, ds.TargetField
+}
+
+// TestImputeDuplicateTrainIDs pins what a train table with repeated ids
+// imputes: for each id the last row carrying it is the one indexed, voted
+// with and shown as an example. The values are those of the implementation
+// that kept id-keyed maps of targets and texts; reading a neighbour's row
+// from the table itself must not move them, with or without a registry
+// (whose index may have been built by an earlier, identical table).
+func TestImputeDuplicateTrainIDs(t *testing.T) {
+	train, queries, target := dupTrain()
+	wantKNN := []string{"los angeles", "new york", "new orleans", "los angeles", "new york", "new orleans", "new orleans", "new york"}
+	wantHybrid := []string{"chicago", "atlanta", "las vegas", "chicago", "new york", "new orleans", "new orleans", "new york"}
+	const wantHybridLLM = 8
+	for _, opts := range [][]Option{nil, {WithIndexRegistry(embed.NewRegistry())}} {
+		engine := New(sim.NewNamed("sim-gpt-3.5-turbo"), opts...)
+		for round := 0; round < 2; round++ { // the second round finds the registry's index
+			knn, err := engine.Impute(ctx(), ImputeRequest{Train: train, Queries: queries, TargetField: target, Strategy: ImputeKNN, Neighbors: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(knn.Values, wantKNN) {
+				t.Fatalf("knn values (registry %v, round %d) = %q, want %q", opts != nil, round, knn.Values, wantKNN)
+			}
+			hybrid, err := engine.Impute(ctx(), ImputeRequest{Train: train, Queries: queries, TargetField: target, Strategy: ImputeHybrid, Neighbors: 3, Examples: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(hybrid.Values, wantHybrid) || hybrid.LLMCalls != wantHybridLLM {
+				t.Fatalf("hybrid (registry %v, round %d) = %q with %d LLM calls, want %q with %d",
+					opts != nil, round, hybrid.Values, hybrid.LLMCalls, wantHybrid, wantHybridLLM)
+			}
+		}
+	}
+}
+
+// TestPrepareImputeWarmAllocsIndependentOfTrainSize: once a registry holds
+// a train table's index, preparing another impute over that table hashes
+// it and nothing more — no rendering, no per-record map entries — so the
+// allocation count does not grow with the table.
+func TestPrepareImputeWarmAllocsIndependentOfTrainSize(t *testing.T) {
+	engine := New(sim.NewNamed("sim-gpt-3.5-turbo"), WithIndexRegistry(embed.NewRegistry()))
+	allocs := func(n int) float64 {
+		ds := dataset.GenerateRestaurants(n, 1, 3)
+		req := ImputeRequest{Train: ds.Train, TargetField: ds.TargetField, Strategy: ImputeHybrid, Neighbors: 5, Examples: 2}
+		if _, err := engine.PrepareImpute(req); err != nil { // builds the index
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := engine.PrepareImpute(req); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// Equal up to a pooled scratch buffer the embedder's fingerprint probe
+	// may or may not find (the race detector empties pools at random);
+	// per-record work would show as tens of thousands.
+	small, large := allocs(1000), allocs(4000)
+	if large > small+4 {
+		t.Fatalf("warm PrepareImpute allocates %.0f times over 1000 train records and %.0f over 4000; it should not depend on the table", small, large)
+	}
 }

@@ -121,6 +121,15 @@ func (ix *Index) Options() IndexOptions { return ix.opts }
 // Len returns the number of indexed items.
 func (ix *Index) Len() int { return len(ix.ids) }
 
+// Position returns where id sits in insertion order: the index of the
+// first item added under it (re-adding an id replaces its vector in
+// place), which for an index built from a table without duplicate ids is
+// the row number.
+func (ix *Index) Position(id string) (int, bool) {
+	pos, ok := ix.byID[id]
+	return pos, ok
+}
+
 // vec returns the stored vector at position pos as a subslice of the
 // backing array.
 func (ix *Index) vec(pos int) []float32 {

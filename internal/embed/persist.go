@@ -65,7 +65,10 @@ var hostLittleEndian = func() bool {
 // slot: a hash over the full registry key, so distinct corpora, embedder
 // configurations, and normalized option sets never collide on one file.
 func IndexFileName(em Embedder, items []Item, opts IndexOptions) string {
-	key := keyOf(em, items, opts)
+	return fileKeyOf(em, items, opts).fileName()
+}
+
+func (key fileKey) fileName() string {
 	h := fnv.New64a()
 	var buf [8]byte
 	put := func(v uint64) {
@@ -195,13 +198,17 @@ func (cw *crcWriter) i8s(v []int8) {
 // arguments supply the invalidation key and must be the corpus the index
 // was built from.
 func SaveIndex(path string, ix *Index, em Embedder, items []Item) error {
+	return saveIndex(path, ix, fileKeyOf(em, items, ix.opts))
+}
+
+// saveIndex is SaveIndex under an invalidation key already computed.
+func saveIndex(path string, ix *Index, key fileKey) error {
 	if ix.opts.ANN {
 		ix.ensurePartitions()
 	}
 	if ix.opts.Quantize {
 		ix.ensureQuantized()
 	}
-	key := keyOf(em, items, ix.opts)
 
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("embed: save index: %w", err)
@@ -236,7 +243,7 @@ func SaveIndex(path string, ix *Index, em Embedder, items []Item) error {
 }
 
 // writeIndexStream emits the header and every section in file order.
-func writeIndexStream(cw *crcWriter, ix *Index, key registryKey, pt *partitions, qz *quantized) {
+func writeIndexStream(cw *crcWriter, ix *Index, key fileKey, pt *partitions, qz *quantized) {
 	n := len(ix.ids)
 	o := key.opts
 	// Header.
@@ -503,6 +510,12 @@ func (r *indexReader) readLists(p int) [][]int32 {
 // for the life of the process — the index and every WithOptions view
 // alias it, so it is never unmapped after a successful load.
 func LoadIndex(path string, em Embedder, items []Item, opts IndexOptions) (*Index, error) {
+	return loadIndex(path, em, fileKeyOf(em, items, opts))
+}
+
+// loadIndex is LoadIndex under an invalidation key already computed; the
+// key's options are the requested ones.
+func loadIndex(path string, em Embedder, key fileKey) (*Index, error) {
 	b, unmap, err := mapIndexFile(path)
 	if err != nil {
 		// No mmap on this platform, or the map failed: fall back to one
@@ -512,7 +525,7 @@ func LoadIndex(path string, em Embedder, items []Item, opts IndexOptions) (*Inde
 			return nil, fmt.Errorf("%w: %s", ErrNotIndexFile, path)
 		}
 	}
-	ix, err := decodeIndex(b, path, em, items, opts)
+	ix, err := decodeIndex(b, path, em, key)
 	if err != nil && unmap != nil {
 		unmap()
 	}
@@ -521,7 +534,7 @@ func LoadIndex(path string, em Embedder, items []Item, opts IndexOptions) (*Inde
 
 // decodeIndex validates and decodes a complete index file image; on
 // success the returned index aliases b.
-func decodeIndex(b []byte, path string, em Embedder, items []Item, opts IndexOptions) (*Index, error) {
+func decodeIndex(b []byte, path string, em Embedder, key fileKey) (*Index, error) {
 	if len(b) < indexHeaderLen+4 || string(b[:4]) != indexMagic {
 		return nil, fmt.Errorf("%w: %s", ErrNotIndexFile, path)
 	}
@@ -533,7 +546,6 @@ func decodeIndex(b []byte, path string, em Embedder, items []Item, opts IndexOpt
 		return nil, fmt.Errorf("%w: %s failed checksum (delete the file to force a rebuild)", ErrCorruptIndex, path)
 	}
 
-	key := keyOf(em, items, opts)
 	r := &indexReader{b: body, off: 8}
 	fingerprint := r.u64()
 	var hash [16]byte

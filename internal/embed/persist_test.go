@@ -240,6 +240,47 @@ func TestRegistryWarmLoad(t *testing.T) {
 	if _, saves := reb.PersistStats(); saves != 1 {
 		t.Fatalf("changed corpus should re-save, saves = %d", saves)
 	}
+
+	// A file written before the registry moved its in-memory key to
+	// SHA-256 (testdata, saved by that commit's Registry over this corpus
+	// and these options) still warm-loads, through either entrance: the
+	// file's name and header stayed on the FNV key.
+	const fixture = "index-2c74558a7621fe0b.dpix"
+	old := []Item{
+		{ID: "r0", Text: "golden dragon chinese restaurant"},
+		{ID: "r1", Text: "quantum lattice survey methods"},
+		{ID: "r2", Text: "indexing moving objects"},
+		{ID: "r3", Text: "golden dragon chinese restaurant x"},
+		{ID: "r4", Text: "citation entity survey"},
+	}
+	if name := IndexFileName(em, old, opts); name != fixture {
+		t.Fatalf("IndexFileName = %s, want %s as before", name, fixture)
+	}
+	image, err := os.ReadFile(filepath.Join("testdata", fixture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldDir := t.TempDir() // a failed load would rebuild and overwrite: keep that out of testdata
+	if err := os.WriteFile(filepath.Join(oldDir, fixture), image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, index := range map[string]func(*Registry) *Index{
+		"IndexWith": func(r *Registry) *Index { return r.IndexWith(em, old, opts) },
+		"IndexFrom": func(r *Registry) *Index {
+			return r.IndexFrom(em, SourceKey{1}, opts, func() []Item { return old })
+		},
+	} {
+		reg := NewRegistry()
+		reg.SetStateDir(oldDir)
+		ix := index(reg)
+		builds, _ := reg.Stats()
+		if loads, saves := reg.PersistStats(); builds != 0 || loads != 1 || saves != 0 {
+			t.Fatalf("%s over the old file: %d builds, %d warm loads, %d saves; want one warm load", name, builds, loads, saves)
+		}
+		if nn := ix.Nearest(old[3].Text, 2); len(nn) != 2 || nn[0].ID != "r3" || nn[1].ID != "r0" {
+			t.Fatalf("%s: loaded index answers %v", name, nn)
+		}
+	}
 }
 
 // FuzzLoadIndex throws arbitrary bytes at the index decoder: it must

@@ -1,20 +1,92 @@
 package embed
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"hash"
 	"hash/fnv"
 	"math"
 	"path/filepath"
 	"sync"
 )
 
-// registryKey identifies a corpus by content and index configuration:
-// the embedding dimensionality, an embedder fingerprint, the normalised
-// IndexOptions, and a 128-bit hash over the (id, text) pairs in order.
-// Two calls with the same items, an equivalent embedder, and equivalent
-// options — regardless of which operator or pipeline stage makes them —
-// resolve to the same key and therefore the same built index; a
-// quantized and an exact index over the same corpus never share a slot.
+// SourceKey is a SHA-256 that stands for a corpus: one a caller computed
+// over whatever its items are rendered from (IndexFrom), or the content
+// hash of the items themselves (IndexWith). The registry is shared by
+// tenants, so the hash that addresses it is collision resistant — and,
+// with the CPU's SHA extensions, faster than the FNV-128a it replaced.
+type SourceKey [sha256.Size]byte
+
+// KeyWriter builds a SourceKey from a sequence of strings and counts.
+// Every value is length-prefixed, so distinct sequences never collide by
+// concatenation. Values gather in a small buffer between hash writes: a
+// corpus is tens of thousands of short strings.
+type KeyWriter struct {
+	h   hash.Hash
+	buf []byte
+}
+
+// NewKeyWriter returns an empty KeyWriter.
+func NewKeyWriter() *KeyWriter {
+	return &KeyWriter{h: sha256.New(), buf: make([]byte, 0, 4096)}
+}
+
+func (w *KeyWriter) flush() {
+	w.h.Write(w.buf)
+	w.buf = w.buf[:0]
+}
+
+// Int adds a count (a record's field count, say) to the key.
+func (w *KeyWriter) Int(n int) {
+	if cap(w.buf)-len(w.buf) < binary.MaxVarintLen64 {
+		w.flush()
+	}
+	w.buf = binary.AppendUvarint(w.buf, uint64(n))
+}
+
+// String adds one length-prefixed string to the key.
+func (w *KeyWriter) String(s string) {
+	w.Int(len(s))
+	if cap(w.buf)-len(w.buf) < len(s) {
+		w.flush()
+	}
+	if len(s) > cap(w.buf) {
+		w.h.Write([]byte(s))
+		return
+	}
+	w.buf = append(w.buf, s...)
+}
+
+// Sum returns the key of everything written so far.
+func (w *KeyWriter) Sum() SourceKey {
+	w.flush()
+	var k SourceKey
+	w.h.Sum(k[:0])
+	return k
+}
+
+// registryKey addresses one slot: the embedding dimensionality, an
+// embedder fingerprint, the normalised IndexOptions, and a SHA-256 that
+// is either the content hash of the (id, text) pairs in order or, with
+// source set, a key the caller computed over what the items are rendered
+// from — the flag keeps the two from ever naming the same slot. Two calls
+// with the same corpus, an equivalent embedder, and equivalent options —
+// regardless of which operator or pipeline stage makes them — resolve to
+// the same key and therefore the same built index; a quantized and an
+// exact index over the same corpus never share a slot.
 type registryKey struct {
+	dim         int
+	fingerprint uint64
+	opts        IndexOptions
+	source      bool
+	hash        SourceKey
+}
+
+// fileKey is what a persisted index file is named after and checked
+// against: FNV-128a over the items, kept (indexVersion unchanged) so files
+// written before the registry moved to SHA-256 still warm-load. It is
+// computed once per registry miss and never addresses anything in memory.
+type fileKey struct {
 	dim         int
 	n           int
 	fingerprint uint64
@@ -44,13 +116,14 @@ type registryEntry struct {
 	ix   *Index
 }
 
-// Registry caches built indexes keyed by corpus content, by an embedder
-// fingerprint (the embedding of a fixed probe text), and by normalised
-// IndexOptions, so stages of one pipeline (and repeated planner
-// profiling passes) that index the same corpus with equivalent embedders
-// and options embed it exactly once, while engines sharing a registry
-// with *different* embedder or index configurations — exact vs ANN vs
-// quantized — never serve each other's vectors.
+// Registry caches built indexes keyed by corpus (the SHA-256 of its
+// items, or of what they are rendered from), by an embedder fingerprint
+// (the embedding of a fixed probe text), and by normalised IndexOptions,
+// so stages of one pipeline (and repeated planner profiling passes) that
+// index the same corpus with equivalent embedders and options embed it
+// exactly once, while engines sharing a registry with *different*
+// embedder or index configurations — exact vs ANN vs quantized — never
+// serve each other's vectors.
 //
 // Returned indexes are shared: treat them as immutable and query-only
 // (Index is safe for concurrent queries once mutation stops, which the
@@ -73,24 +146,21 @@ func NewRegistry() *Registry {
 	return &Registry{entries: make(map[registryKey]*registryEntry)}
 }
 
-// keyOf hashes the corpus content. FNV-128a over length-prefixed fields
-// keeps distinct corpora from colliding by concatenation tricks.
-func keyOf(em Embedder, items []Item, opts IndexOptions) registryKey {
+// fileKeyOf hashes the corpus content. FNV-128a over length-prefixed
+// fields keeps distinct corpora from colliding by concatenation tricks.
+func fileKeyOf(em Embedder, items []Item, opts IndexOptions) fileKey {
 	h := fnv.New128a()
-	var lenBuf [8]byte
+	var buf []byte
 	writeStr := func(s string) {
-		n := len(s)
-		for i := 0; i < 8; i++ {
-			lenBuf[i] = byte(n >> (8 * i))
-		}
-		h.Write(lenBuf[:])
-		h.Write([]byte(s))
+		buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(len(s)))
+		buf = append(buf, s...)
+		h.Write(buf)
 	}
 	for _, it := range items {
 		writeStr(it.ID)
 		writeStr(it.Text)
 	}
-	key := registryKey{dim: em.Dim(), n: len(items), fingerprint: fingerprint(em), opts: opts.normalized()}
+	key := fileKey{dim: em.Dim(), n: len(items), fingerprint: fingerprint(em), opts: opts.normalized()}
 	h.Sum(key.hash[:0])
 	return key
 }
@@ -122,9 +192,27 @@ func (r *Registry) Index(em Embedder, items []Item) *Index {
 // IndexWith is Index with explicit IndexOptions (ANN mode, quantized
 // tier, partition/probe/rerank knobs). Options are part of the slot key
 // in normalised form, so a quantized and an exact request over the same
-// corpus build — and keep — separate indexes.
+// corpus build — and keep — separate indexes. It is IndexFrom with the
+// content hash of the items as the key.
 func (r *Registry) IndexWith(em Embedder, items []Item, opts IndexOptions) *Index {
-	key := keyOf(em, items, opts)
+	w := NewKeyWriter()
+	for _, it := range items {
+		w.String(it.ID)
+		w.String(it.Text)
+	}
+	return r.index(em, registryKey{hash: w.Sum()}, opts, func() []Item { return items })
+}
+
+// IndexFrom returns the shared index filed under a key the caller
+// computed over whatever the corpus is rendered from — cheaper than
+// rendering it only to hash it. render produces the items and runs only
+// when the slot is empty; a key must determine what render returns.
+func (r *Registry) IndexFrom(em Embedder, source SourceKey, opts IndexOptions, render func() []Item) *Index {
+	return r.index(em, registryKey{source: true, hash: source}, opts, render)
+}
+
+func (r *Registry) index(em Embedder, key registryKey, opts IndexOptions, render func() []Item) *Index {
+	key.dim, key.fingerprint, key.opts = em.Dim(), fingerprint(em), opts.normalized()
 	r.mu.Lock()
 	e, ok := r.entries[key]
 	if !ok {
@@ -136,13 +224,18 @@ func (r *Registry) IndexWith(em Embedder, items []Item, opts IndexOptions) *Inde
 
 	built, warmed, saved := false, false, false
 	e.once.Do(func() {
+		items := render()
 		// With a state dir set, try the persisted file first: a hit skips
 		// embedding and clustering entirely; any load failure (missing,
 		// stale corpus, corrupt) falls through to a build that re-saves.
+		// The file's key is hashed here, once, for the name, the load's
+		// header check and the save.
 		var path string
+		var fk fileKey
 		if stateDir != "" {
-			path = filepath.Join(stateDir, IndexFileName(em, items, opts))
-			if ix, err := LoadIndex(path, em, items, opts); err == nil {
+			fk = fileKeyOf(em, items, opts)
+			path = filepath.Join(stateDir, fk.fileName())
+			if ix, err := loadIndex(path, em, fk); err == nil {
 				e.ix = ix
 				warmed = true
 				return
@@ -150,7 +243,7 @@ func (r *Registry) IndexWith(em Embedder, items []Item, opts IndexOptions) *Inde
 		}
 		ix := NewIndexWith(em, opts)
 		ix.AddAll(items)
-		if path != "" && SaveIndex(path, ix, em, items) == nil {
+		if path != "" && saveIndex(path, ix, fk) == nil {
 			saved = true
 		}
 		e.ix = ix

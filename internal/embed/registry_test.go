@@ -70,6 +70,51 @@ func TestRegistryReusesIndexForSameCorpus(t *testing.T) {
 	}
 }
 
+// TestRegistryIndexFromRendersOnMissOnly: under a source key the corpus
+// is rendered for the first request alone; later requests are hits that
+// never call render, and the key's slot is not the slot the same 32 bytes
+// would name as an item content hash.
+func TestRegistryIndexFromRendersOnMissOnly(t *testing.T) {
+	em := Default()
+	r := NewRegistry()
+	corpus := testItems(20, "a")
+	w := NewKeyWriter()
+	w.String("what the corpus is rendered from")
+	w.Int(len(corpus))
+	key := w.Sum()
+
+	renders := 0
+	render := func() []Item { renders++; return corpus }
+	ix := r.IndexFrom(em, key, IndexOptions{}, render)
+	if again := r.IndexFrom(em, key, IndexOptions{}, render); again != ix {
+		t.Fatal("same source key must return the same index")
+	}
+	if builds, hits := r.Stats(); renders != 1 || builds != 1 || hits != 1 {
+		t.Fatalf("%d renders, %d builds, %d hits; want 1 each", renders, builds, hits)
+	}
+	if nn := ix.Nearest(corpus[4].Text, 1); len(nn) != 1 || nn[0].ID != corpus[4].ID {
+		t.Fatalf("index under a source key answers %v", nn)
+	}
+
+	// IndexWith is the same entrance keyed by the items' own hash: a slot
+	// of its own, even if someone passes that very hash as a source key.
+	w = NewKeyWriter()
+	for _, it := range corpus {
+		w.String(it.ID)
+		w.String(it.Text)
+	}
+	byItems := r.IndexWith(em, corpus, IndexOptions{})
+	if byItems == ix {
+		t.Fatal("an item-keyed request must not be served from a source-keyed slot")
+	}
+	if forged := r.IndexFrom(em, w.Sum(), IndexOptions{}, func() []Item { return testItems(3, "b") }); forged == byItems {
+		t.Fatal("a source key equal to an item hash reached the item-keyed slot")
+	}
+	if builds, _ := r.Stats(); builds != 3 {
+		t.Fatalf("builds = %d, want 3", builds)
+	}
+}
+
 // TestRegistryConcurrentRequestsBuildOnce hammers one corpus from many
 // goroutines; exactly one build may happen and everyone must share it.
 func TestRegistryConcurrentRequestsBuildOnce(t *testing.T) {

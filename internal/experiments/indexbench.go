@@ -47,12 +47,6 @@ type IndexBenchConfig struct {
 	StateDir string
 }
 
-// DefaultIndexBenchConfig exercises the acceptance scale: 10k records,
-// top-10 queries.
-func DefaultIndexBenchConfig() IndexBenchConfig {
-	return IndexBenchConfig{N: 10000, K: 10, Queries: 200, Seed: 7}
-}
-
 // IndexBenchRow reports one index mode's configuration, build time,
 // query throughput, scan traffic, and recall against exact search.
 // Everything but build_ms and qps is deterministic for a given config

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/dataset"
@@ -111,6 +112,12 @@ type OverlapScenarioResult struct {
 	// the main input buffers while the side stage materializes, and
 	// matching starts the moment the side table lands.
 	Overlap time.Duration
+	// DrainFirstEarly and OverlapEarly count, per run, the join comparisons
+	// issued before the last feed-predicate call returned: the structure
+	// the two clocks are a consequence of. Drain-first issues none — the
+	// join waits for its whole main input — and the adaptive runtime
+	// issues at least one.
+	DrainFirstEarly, OverlapEarly int
 	// Matches counts the join's output rows (equal in both runs).
 	Matches int
 	// Identical reports whether both runs produced byte-identical match
@@ -353,8 +360,10 @@ func PipelineStudy(ctx context.Context, cfg PipelineStudyConfig) (*PipelineStudy
 // materializes and starts matching the moment the side table lands, so
 // join work pipelines with the slow feed. Latency is deterministic — a
 // fixed per-call delay on the feed predicate and the join comparisons
-// (llm.WithLatency), with the side filter answering instantly — so the
-// structural gap, roughly 1.6x on this shape, dwarfs scheduling noise.
+// (llm.WithLatency), with the side filter answering instantly — and the
+// model records call order, so what a test asserts is the structure
+// (comparisons issued while the feed is still running), not the roughly
+// 1.6x wall-clock gap that follows from it on an idle machine.
 func OverlapScenario(ctx context.Context, latency time.Duration) (*OverlapScenarioResult, error) {
 	if latency <= 0 {
 		latency = 15 * time.Millisecond
@@ -375,13 +384,30 @@ func OverlapScenario(ctx context.Context, latency time.Duration) (*OverlapScenar
 		{Name: "match", Kind: pipeline.KindJoin, Field: "name", Side: "pool",
 			Strategy: "nested-loop", Input: "feed"},
 	}}
-	newModel := func() llm.Model {
+	// callOrder counts the join comparisons that entered the model before
+	// the last feed-predicate call came back.
+	type callOrder struct {
+		mu                sync.Mutex
+		joins, earlyJoins int
+	}
+	newModel := func(order *callOrder) llm.Model {
 		slow := llm.WithLatency(llm.Func{ModelName: "overlap-base",
 			Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
 				return llm.Response{Text: "Yes", Model: "overlap-base",
 					Usage: token.Usage{PromptTokens: 1, CompletionTokens: 1, Calls: 1}}, nil
 			}}, latency)
 		return llm.Func{ModelName: "overlap", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
+			if strings.Contains(req.Prompt, "feedpred") {
+				defer func() {
+					order.mu.Lock()
+					order.earlyJoins = order.joins
+					order.mu.Unlock()
+				}()
+			} else if !strings.Contains(req.Prompt, "poolpred") {
+				order.mu.Lock()
+				order.joins++
+				order.mu.Unlock()
+			}
 			if strings.Contains(req.Prompt, "satisfy the condition") {
 				idx := -1
 				for i := 0; i < n; i++ {
@@ -412,34 +438,37 @@ func OverlapScenario(ctx context.Context, latency time.Duration) (*OverlapScenar
 			return slow.Complete(ctx, req)
 		}}
 	}
-	run := func(adaptive bool) (time.Duration, []dataset.Record, error) {
+	run := func(adaptive bool) (time.Duration, int, []dataset.Record, error) {
 		p, err := pipeline.Compile(spec)
 		if err != nil {
-			return 0, nil, err
+			return 0, 0, nil, err
 		}
+		var order callOrder
 		// One record in flight per stage keeps every stage's work serial so
 		// the latency model is legible.
-		cfg := pipeline.ExecConfig{Model: newModel(), Parallelism: 1, Adaptive: adaptive}
+		cfg := pipeline.ExecConfig{Model: newModel(&order), Parallelism: 1, Adaptive: adaptive}
 		start := time.Now()
 		res, err := p.Run(ctx, cfg, tables)
 		if err != nil {
-			return 0, nil, err
+			return 0, 0, nil, err
 		}
-		return time.Since(start), res.Tables["match"], nil
+		return time.Since(start), order.earlyJoins, res.Tables["match"], nil
 	}
-	drainClock, drainMatches, err := run(false)
+	drainClock, drainEarly, drainMatches, err := run(false)
 	if err != nil {
 		return nil, err
 	}
-	overlapClock, overlapMatches, err := run(true)
+	overlapClock, overlapEarly, overlapMatches, err := run(true)
 	if err != nil {
 		return nil, err
 	}
 	return &OverlapScenarioResult{
-		DrainFirst: drainClock,
-		Overlap:    overlapClock,
-		Matches:    len(overlapMatches),
-		Identical:  reflect.DeepEqual(drainMatches, overlapMatches),
+		DrainFirst:      drainClock,
+		Overlap:         overlapClock,
+		DrainFirstEarly: drainEarly,
+		OverlapEarly:    overlapEarly,
+		Matches:         len(overlapMatches),
+		Identical:       reflect.DeepEqual(drainMatches, overlapMatches),
 	}, nil
 }
 
@@ -466,9 +495,9 @@ func FormatPipelineStudy(res *PipelineStudyResult) string {
 	fmt.Fprintf(&b, "probe calls: %d of the streaming run's %d (hint-trusting optimized run: 0)\n",
 		res.Streaming.ProbeCalls, res.Streaming.UpstreamCalls)
 	if res.Overlap != nil {
-		fmt.Fprintf(&b, "overlap scenario: drain-first %s vs adaptive overlap %s on %d matches (identical: %v)\n",
+		fmt.Fprintf(&b, "overlap scenario: drain-first %s vs adaptive overlap %s on %d matches (identical: %v); join comparisons issued while the feed was still running: %d vs %d\n",
 			res.Overlap.DrainFirst.Round(time.Millisecond), res.Overlap.Overlap.Round(time.Millisecond),
-			res.Overlap.Matches, res.Overlap.Identical)
+			res.Overlap.Matches, res.Overlap.Identical, res.Overlap.DrainFirstEarly, res.Overlap.OverlapEarly)
 	}
 	b.WriteString("per-stage attribution (adaptive runtime):\n")
 	for _, s := range res.Adaptive.Stages {

@@ -70,9 +70,11 @@ func TestPipelineStudyPinned(t *testing.T) {
 	// streaming+probed run and, like it, strictly cheaper than naive (the
 	// two issue the same unit tasks; their upstream call counts differ only
 	// by how the batcher's linger happened to pack envelopes, which is
-	// machine timing, so neither is pinned against the other), and a
-	// strict wall-clock win on the side-input overlap scenario under its
-	// deterministic latency model.
+	// machine timing, so neither is pinned against the other), and on the
+	// side-input overlap scenario the structure its wall-clock win comes
+	// from: the join compares while the feed is still running. (The two
+	// clocks themselves are reported, not compared — single timed runs on
+	// a loaded box.)
 	if !res.AdaptiveIdentical {
 		t.Fatal("adaptive runtime results differ from the streaming + probed run at temperature 0")
 	}
@@ -86,9 +88,9 @@ func TestPipelineStudyPinned(t *testing.T) {
 	if res.Overlap == nil || !res.Overlap.Identical || res.Overlap.Matches == 0 {
 		t.Fatalf("overlap scenario did not reproduce identical matches: %+v", res.Overlap)
 	}
-	if res.Overlap.Overlap >= res.Overlap.DrainFirst {
-		t.Fatalf("adaptive overlap wall clock %s did not beat drain-first %s",
-			res.Overlap.Overlap, res.Overlap.DrainFirst)
+	if res.Overlap.DrainFirstEarly != 0 || res.Overlap.OverlapEarly == 0 {
+		t.Fatalf("join comparisons issued before the last feed call returned: drain-first %d (want 0), adaptive %d (want at least 1)",
+			res.Overlap.DrainFirstEarly, res.Overlap.OverlapEarly)
 	}
 
 	// Attribution consistency, for all configurations: the per-stage sums

@@ -3,8 +3,11 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -52,7 +55,7 @@ func FuzzServerSpecSubmit(f *testing.F) {
 		switch resp.StatusCode {
 		case http.StatusOK, http.StatusAccepted, http.StatusBadRequest,
 			http.StatusPaymentRequired, http.StatusTooManyRequests,
-			http.StatusServiceUnavailable:
+			http.StatusRequestEntityTooLarge, http.StatusServiceUnavailable:
 		default:
 			t.Fatalf("submit answered %d for %q — hostile input must map to a deliberate status", resp.StatusCode, body)
 		}
@@ -63,6 +66,90 @@ func FuzzServerSpecSubmit(f *testing.F) {
 		health.Body.Close()
 		if health.StatusCode != http.StatusOK {
 			t.Fatalf("healthz %d after %q — a bad submission must not degrade the service", health.StatusCode, body)
+		}
+	})
+}
+
+// decodeSeeds are submission bodies around every edge of the canonical
+// shape the interning decoder recognises: the benchmark's four layouts
+// first, then each way a body can stop being canonical.
+var decodeSeeds = func() []string {
+	const (
+		spec   = `"spec":{"stages":[{"name":"keep","kind":"filter","field":"kind","predicate":"the kind is tool"}]}`
+		source = `[{"ID":"a","Fields":[{"Name":"kind","Value":"tool"}]},{"ID":"b","Fields":[{"Name":"kind","Value":"toy"}]}]`
+		train  = `[{"ID":"t1","Fields":[{"Name":"kind","Value":"tool"},{"Name":"city","Value":"x"}]}]`
+		tricky = `[{"ID":"]","Fields":[{"Name":"q\"uote","Value":"back\\slash"},{"Name":"}{","Value":"[\u005d"}]}]`
+	)
+	seeds := []string{
+		`{"tenant":"t",` + spec + `,"tables":{"source":` + source + `}}`,
+		`{"tenant":"t",` + spec + `,"tables":{"source":` + source + `,"train":` + train + `}}`,
+		`{"tenant":"t",` + spec + `,"tables":{"source":` + source + `},"async":true}`,
+		`{"tenant":"t",` + spec + `,"tables":{"source":` + source + `,"train":` + train + `},"async":true}`,
+		`{"tenant":"t",` + spec + `,"Tables":{"source":` + source + `}}`,
+		`{"tenant":"t","tables":{"source":` + source + `},` + spec + `}`,
+		`{"tenant":"t","tables":{"source":` + source + `},"tables":{"source":` + train + `}}`,
+		`{"tenant":"t","tables":{"source":` + source + `},"TABLES":{"train":` + train + `}}`,
+		`{"tenant":"t","t\u0061bles":{"source":` + source + `}}`,
+		`{"tenant":"t","table\u017f":{"source":` + source + `}}`,
+		`{"tenant":"t","tableſ":{"source":` + source + `}}`,
+		`{"tenant":"t",` + spec + `,"tables":null}`,
+		`{"tenant":"t",` + spec + `,"tables":{}}`,
+		`{"tenant":"t",` + spec + `,"tables":[]}`,
+		`{"tenant":"t",` + spec + `,"tables":{"source":null}}`,
+		`{"tenant":"t",` + spec + `,"tables":{"source":[]}}`,
+		`{"tenant":"t",` + spec + `,"tables":{"source":{}}}`,
+		`{"tenant":"t","spec":{"stages":[{"name":"tables","kind":"filter","predicate":"\"tables\":{\"source\":[]}"}]},"tables":{"source":` + source + `}}`,
+		`{"tenant":"t",` + spec + `,"tables":{"source":` + tricky + `}}`,
+		`{"tenant":"t",` + spec + `,"tables":{"source":` + source + `,"source":` + train + `}}`,
+		`{"tenant":"t",` + spec + `,"tables":{"sou\u0072ce":` + source + `}}`,
+		`{"tenant":"t",` + spec + `,"tables":{"größe":` + source + `}}`,
+		" \n\t{ \"tenant\" : \"t\" , \"tables\" : { \"source\" : " + source + " } } \n",
+		`{"tenant":"t",` + spec + `,"tables":{"source":` + source + `}} trailing`,
+		`{"tenant":"t",` + spec + `,"tables":{"source":` + source + `}}{"tenant":"u"}`,
+		`{"tenant":"t",` + spec + `,"tables":{"source":` + source[:len(source)-9],
+		`{"tenant":"t",` + spec + `,"tables":{"source":` + source + `}`,
+		`{"tenant":"t",` + spec + `,"tables":{"source":` + source + `,}}`,
+		`{"tenant":"t",` + spec + `,"tables":{"source":[{"ID":1}]}}`,
+		`{"tenant":"t",` + spec + `,"tables":{"source":[{"ID":"a","Extra":` + strings.Repeat("[", 40) + strings.Repeat("]", 40) + `}]}}`,
+		`{"tenant":"t",` + spec + `,"tables":{"source":[}}`,
+		`{"tenant":"t",` + spec + `,"tables":{"source":` + source + ` "train":` + train + `}}`,
+		`{"tenant":7,"tables":{"source":` + source + `}}`,
+		`["tables",{"source":` + source + `}]`,
+		`null`,
+		``,
+	}
+	return seeds
+}()
+
+// FuzzDecodeSubmit is the differential test of the interning decoder: on
+// any body, decodeSubmit and one json.Decoder over the whole body agree on
+// error-or-not and, when both accept, on the decoded request. It runs
+// against a fresh interner (every table a first sight) and against one
+// that already holds the seeds' tables and keeps whatever the fuzzer
+// gets accepted, so mutated bodies meet the hit path too.
+func FuzzDecodeSubmit(f *testing.F) {
+	warm := &Server{tables: newTableInterner()}
+	for _, seed := range decodeSeeds {
+		f.Add([]byte(seed))
+		warm.decodeSubmit([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var want SubmitRequest
+		wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
+		for name, s := range map[string]*Server{"cold": {tables: newTableInterner()}, "warm": warm} {
+			got, err := s.decodeSubmit(body)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("%s interner: decodeSubmit error %v, json.Decoder error %v, on %q", name, err, wantErr, body)
+			}
+			if err != nil {
+				if err.Error() != wantErr.Error() {
+					t.Fatalf("%s interner: error text %q, json.Decoder says %q, on %q", name, err, wantErr, body)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s interner: decoded %+v, json.Decoder decoded %+v, on %q", name, got, want, body)
+			}
 		}
 	})
 }

@@ -1,19 +1,27 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/resil"
 	"repro/internal/workflow"
 )
 
-// maxBodyBytes bounds a submission body; anything larger is a 400, not a
-// wedged decoder.
+// maxBodyBytes bounds a submission body; anything larger is a 413 once
+// the limit is crossed, not a buffer that grows with the sender's patience.
 const maxBodyBytes = 8 << 20
+
+// bodyPool recycles the buffers submission bodies are read into. A body
+// is decoded and its buffer returned before the job is admitted; nothing
+// decoded aliases it (encoding/json copies every string).
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // apiError is the JSON error envelope, mirroring internal/llm/httpapi.
 type apiError struct {
@@ -39,10 +47,11 @@ func writeError(w http.ResponseWriter, code int, typ, msg string) {
 }
 
 // statusFor maps the server's sentinel errors onto HTTP semantics: the
-// caller's fault (400), over the tenant's rate (429), over the tenant's
-// budget (402), no capacity or shutting down (503), the upstream's
-// breaker open (503 with Retry-After, see fail), unknown resource (404),
-// everything else the server's fault (500).
+// caller's fault (400; a body over maxBodyBytes is 413, see handleSubmit),
+// over the tenant's rate (429), over the tenant's budget (402), no
+// capacity or shutting down (503), the upstream's breaker open (503 with
+// Retry-After, see fail), unknown resource (404), everything else the
+// server's fault (500).
 func statusFor(err error) (code int, typ string) {
 	switch {
 	case errors.Is(err, ErrBadSpec):
@@ -94,10 +103,31 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// readSubmit reads and decodes a submission body through a pooled buffer.
+func (s *Server) readSubmit(w http.ResponseWriter, r *http.Request) (SubmitRequest, error) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		buf.Reset()
+		bodyPool.Put(buf)
+	}()
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF without growing
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		return SubmitRequest{}, err
+	}
+	return s.decodeSubmit(buf.Bytes())
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	req, err := s.readSubmit(w, r)
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request_too_large",
+				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+			return
+		}
 		writeError(w, http.StatusBadRequest, "invalid_request_error", "malformed request body: "+err.Error())
 		return
 	}

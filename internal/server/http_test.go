@@ -133,7 +133,8 @@ func TestHTTPLifecycle(t *testing.T) {
 }
 
 // TestHTTPStatusMapping drives the refusals reachable over the wire:
-// 400 for malformed and invalid submissions, 404 for unknown jobs and
+// 400 for malformed and invalid submissions, 413 for a body over the
+// limit, 404 for unknown jobs and
 // tenants, 429 for throttled tenants, and a mid-run budget exhaustion
 // reported in the job; TestStatusForMapping pins the rest of the table.
 func TestHTTPStatusMapping(t *testing.T) {
@@ -154,6 +155,14 @@ func TestHTTPStatusMapping(t *testing.T) {
 		t.Fatalf("malformed JSON: %d %s", code, b)
 	} else if !strings.Contains(string(b), "invalid_request_error") {
 		t.Fatalf("malformed JSON error envelope: %s", b)
+	}
+	// One byte over the limit, valid JSON up to there: the size is what is
+	// refused, and by name.
+	oversize := append([]byte(`{"tenant":"normal","pad":"`), bytes.Repeat([]byte("a"), maxBodyBytes)...)
+	if code, b := post(t, ts, "/v1/pipelines", oversize); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize body: %d %s, want 413", code, b)
+	} else if !strings.Contains(string(b), "request_too_large") {
+		t.Fatalf("413 envelope: %s", b)
 	}
 	if code, b := post(t, ts, "/v1/pipelines", body(SubmitRequest{Tenant: "no way", Spec: toolSpec(), Tables: tables})); code != http.StatusBadRequest {
 		t.Fatalf("hostile tenant ID: %d %s", code, b)

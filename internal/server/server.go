@@ -287,6 +287,11 @@ type Stats struct {
 	Running        int  `json:"running"`
 	Waiting        int  `json:"waiting"`
 	Draining       bool `json:"draining"`
+	// TableBytes is the table JSON received in submission bodies the
+	// decoder could delimit; TableBytesShared the part of it answered from
+	// the table interner without decoding.
+	TableBytes       int64 `json:"table_bytes"`
+	TableBytesShared int64 `json:"table_bytes_shared"`
 	// Resilience counters, present when Config.Resilience is set.
 	Retries      int  `json:"retries,omitempty"`
 	Hedges       int  `json:"hedges,omitempty"`
@@ -396,6 +401,9 @@ type Server struct {
 	ledger   *workflow.Attribution
 	resil    *resil.Model
 	gate     *gate
+	// tables shares the decoded form of tables that arrive byte-identical
+	// in many submissions (intern.go).
+	tables *tableInterner
 
 	// Job GC: effective retention (negative = disabled) and terminal-job
 	// cap (0 = none), plus the sweeper goroutine's lifecycle.
@@ -470,6 +478,7 @@ func New(cfg Config) *Server {
 		registry:  cfg.Registry,
 		ledger:    cfg.Ledger,
 		gate:      newGate(cfg.MaxConcurrent, cfg.MaxQueue),
+		tables:    newTableInterner(),
 		retention: retention,
 		maxJobs:   maxJobs,
 		tenants:   make(map[string]*tenant),
@@ -835,6 +844,7 @@ func (s *Server) Stats() *Stats {
 		Tenants: tenants, Jobs: jobs,
 		Running: running, Waiting: waiting, Draining: draining,
 	}
+	st.TableBytes, st.TableBytesShared = s.tables.counts()
 	if s.resil != nil {
 		rs := s.resil.Stats()
 		st.Retries, st.Hedges, st.BreakerOpens = rs.Retries, rs.Hedges, rs.BreakerOpens
