@@ -283,27 +283,32 @@ func CountTokens(s string) int { return token.Count(s) }
 
 // NewEmbeddingIndex returns an exact k-NN index over the default
 // character-n-gram embedder, for callers building custom blocking or
-// neighbour-augmentation pipelines.
+// neighbour-augmentation pipelines. Past 512 items its scans read an int8
+// copy of the vectors and prove each answer equal to the float32 scan's
+// (docs/VECTOR.md, "Quantized tier") — same results, 1.25x the memory.
 func NewEmbeddingIndex() *embed.Index { return embed.NewIndex(embed.Default()) }
 
 // EmbeddingIndexOptions configures NewEmbeddingIndexWith and
 // WithIndexOptions: ANN mode, partition/probe counts, the k-means seed,
-// and the int8-quantized tier (Quantize/RerankFactor). See
-// docs/VECTOR.md for the recall/speed trade-off.
+// and the int8-quantized tier (Quantize/RerankFactor). Only ANN trades
+// recall for speed; without it Quantize and RerankFactor never change a
+// result. See docs/VECTOR.md.
 type EmbeddingIndexOptions = embed.IndexOptions
 
 // WithIndexOptions sets the index configuration the engine's k-NN
 // operators build (or fetch from a registry) their corpus indexes with —
-// enable ANN probing or the quantized distance tier for large corpora.
+// enable ANN probing for large corpora, with or without int8 scoring of
+// the probed lists.
 func WithIndexOptions(opts EmbeddingIndexOptions) Option { return core.WithIndexOptions(opts) }
 
 // IndexItem is one (id, text) pair for batch insertion via Index.AddAll.
 type IndexItem = embed.Item
 
 // NewEmbeddingIndexWith returns a k-NN index over the default embedder
-// with explicit options — enable ANN for approximate sublinear queries,
-// or Quantize for int8-scored scans with exact re-ranking, each with a
-// measured-recall knob (embed.Recall, `declctl index-bench`).
+// with explicit options — enable ANN for approximate sublinear queries
+// (recall is measured: embed.Recall, `declctl index-bench`), and Quantize
+// to score ANN probe lists in int8, or to start the flat index's
+// certified int8 scan at 64 items instead of 512.
 func NewEmbeddingIndexWith(opts EmbeddingIndexOptions) *embed.Index {
 	return embed.NewIndexWith(embed.Default(), opts)
 }

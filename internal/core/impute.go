@@ -100,6 +100,9 @@ func (e *Engine) PrepareImpute(req ImputeRequest) (*PreparedImpute, error) {
 	if req.Strategy == "" {
 		req.Strategy = ImputeHybrid
 	}
+	if req.Neighbors < 0 || req.Examples < 0 {
+		return nil, badRequestf("negative neighbour or example count")
+	}
 	if req.Neighbors == 0 {
 		req.Neighbors = 3
 	}
@@ -111,7 +114,7 @@ func (e *Engine) PrepareImpute(req ImputeRequest) (*PreparedImpute, error) {
 	if req.Strategy != ImputeLLM && len(req.Train) == 0 {
 		return nil, badRequestf("strategy %q needs training records", req.Strategy)
 	}
-	if (req.Examples > 0) && len(req.Train) < req.Examples {
+	if len(req.Train) < req.Examples {
 		return nil, badRequestf("%d examples requested but only %d training records", req.Examples, len(req.Train))
 	}
 	// One top-k query per record, wide enough for both the k-NN vote and

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -169,6 +170,44 @@ func TestImputeDuplicateTrainIDs(t *testing.T) {
 			if !reflect.DeepEqual(hybrid.Values, wantHybrid) || hybrid.LLMCalls != wantHybridLLM {
 				t.Fatalf("hybrid (registry %v, round %d) = %q with %d LLM calls, want %q with %d",
 					opts != nil, round, hybrid.Values, hybrid.LLMCalls, wantHybrid, wantHybridLLM)
+			}
+		}
+	}
+}
+
+// TestImputeNeighborCounts: the neighbour and example counts arrive from
+// outside (a job spec), so a negative one is a bad request — it used to
+// slice vote[:-3] inside a worker goroutine nothing can recover — and one
+// beyond the table, however far, votes over the whole table without
+// sizing anything by it (1<<40 used to allocate a heap that large).
+func TestImputeNeighborCounts(t *testing.T) {
+	ds := dataset.GenerateRestaurants(40, 3, 9)
+	n := len(ds.Train)
+	engine := New(sim.NewNamed("sim-claude"))
+	whole, err := engine.Impute(ctx(), ImputeRequest{Train: ds.Train, Queries: ds.Test, TargetField: ds.TargetField, Strategy: ImputeKNN, Neighbors: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		neighbors, examples int
+		bad                 bool
+	}{
+		{neighbors: -1, bad: true},
+		{neighbors: -3, bad: true},
+		{examples: -1, bad: true},
+		{neighbors: 0},
+		{neighbors: n},
+		{neighbors: n + 7},
+		{neighbors: 1 << 40},
+	} {
+		for _, strategy := range []ImputeStrategy{ImputeKNN, ImputeHybrid, ImputeLLM} {
+			res, err := engine.Impute(ctx(), ImputeRequest{Train: ds.Train, Queries: ds.Test, TargetField: ds.TargetField,
+				Strategy: strategy, Neighbors: tc.neighbors, Examples: tc.examples})
+			if tc.bad != errors.Is(err, ErrBadRequest) || (!tc.bad && err != nil) {
+				t.Fatalf("%s neighbors=%d examples=%d: err = %v, want bad request %v", strategy, tc.neighbors, tc.examples, err, tc.bad)
+			}
+			if strategy == ImputeKNN && tc.neighbors >= n && !reflect.DeepEqual(res.Values, whole.Values) {
+				t.Fatalf("neighbors=%d over %d records: %v, want the whole-table vote %v", tc.neighbors, n, res.Values, whole.Values)
 			}
 		}
 	}

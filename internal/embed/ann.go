@@ -261,7 +261,7 @@ func (ix *Index) annSearch(q []float32, k, skip int) []Neighbor {
 	}
 	if ix.opts.Quantize && len(ix.ids) >= quantMinPoints {
 		qz := ix.ensureQuantized()
-		qRow, qNorm := qz.encodeQuery(q)
+		qRow, qNorm := qz.encodeQuery(nil, q)
 		sl := ix.newShortlist(k)
 		for _, c := range chosen {
 			for _, j := range pt.members[c] {
@@ -302,7 +302,7 @@ func (ix *Index) Within(text string, radius float64) []Neighbor {
 	if len(ix.ids) == 0 || radius < 0 {
 		return nil
 	}
-	q := ix.embed32(text)
+	q := ix.embed32(nil, text)
 	pt := ix.ensurePartitions()
 	r2 := radius * radius
 	var idxs []int

@@ -61,14 +61,20 @@ func (ix *seedIndex) blocks(threshold float64) [][]string {
 // and ANN partition probing. Queries are held out of the index (same
 // corpus distribution, no self-hit). The acceptance bar is ANN ≥10x
 // over seed-scan at ≥0.95 measured recall on this corpus.
+//
+// The n=…/exact and n=…/certified pairs are where certMinPoints and
+// certShortlist come from: the exact scan against the certified int8
+// path (forced on at every size through Quantize) over the first N
+// records, k = 5, with the share of queries whose proof closed.
 func BenchmarkIndexNearest(b *testing.B) {
 	const n, k = 10000, 10
-	all := simTexts(b, n+256)
-	items, heldOut := all[:n], all[n:]
+	all := simTexts(b, 16384+256)
+	items, heldOut := all[:n], all[len(all)-256:]
 	queries := make([]string, len(heldOut))
 	for i, it := range heldOut {
 		queries[i] = it.Text
 	}
+	sc := new(searchScratch)
 
 	b.Run("seed-scan", func(b *testing.B) {
 		ix := &seedIndex{embedder: Default()}
@@ -90,11 +96,11 @@ func BenchmarkIndexNearest(b *testing.B) {
 		ix.AddAll(items)
 		qvecs := make([][]float32, len(queries))
 		for i, q := range queries {
-			qvecs[i] = ix.embed32(q)
+			qvecs[i] = ix.embed32(nil, q)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ix.search(qvecs[i%len(queries)], k, -1)
+			ix.exactScan(qvecs[i%len(queries)], k, -1)
 		}
 	})
 
@@ -110,13 +116,36 @@ func BenchmarkIndexNearest(b *testing.B) {
 		b.ReportMetric(Recall(exact, ix, queries[:128], k), "recall@10")
 		qvecs := make([][]float32, len(queries))
 		for i, q := range queries {
-			qvecs[i] = ix.embed32(q)
+			qvecs[i] = ix.embed32(nil, q)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ix.search(qvecs[i%len(queries)], k, -1)
+			ix.search(sc, qvecs[i%len(queries)], k, -1)
 		}
 	})
+
+	for _, n := range []int{64, 256, 512, 1024, 4096, 16384} {
+		ix := NewIndexWith(Default(), IndexOptions{Quantize: true})
+		ix.AddAll(all[:n])
+		ix.ensureQuantized()
+		qvecs := make([][]float32, len(queries))
+		for i, q := range queries {
+			qvecs[i] = ix.embed32(nil, q)
+		}
+		b.Run(fmt.Sprintf("n=%d/exact", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ix.exactScan(qvecs[i%len(queries)], 5, -1)
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/certified", n), func(b *testing.B) {
+			c0, f0 := ix.ScanStats()
+			for i := 0; i < b.N; i++ {
+				ix.search(sc, qvecs[i%len(queries)], 5, -1)
+			}
+			c1, f1 := ix.ScanStats()
+			b.ReportMetric(float64(c1-c0)/float64(c1-c0+f1-f0), "certified")
+		})
+	}
 }
 
 // BenchmarkBlocks compares the seed quadratic seed-scan blocking against
@@ -164,13 +193,11 @@ func BenchmarkEmbed(b *testing.B) {
 	})
 }
 
-// scanBench holds one shared N=100k store for the flat-vs-quantized scan
-// benchmarks: the corpus is embedded once per binary run, and the
-// quantized side is a WithOptions view over the same float32 vectors.
+// scanBench holds one shared N=100k store for the exact-vs-certified scan
+// benchmarks: the corpus is embedded once per binary run.
 var scanBench struct {
 	once    sync.Once
-	exact   *Index
-	quant   *Index
+	ix      *Index
 	queries [][]float32
 }
 
@@ -180,33 +207,33 @@ func scanBenchSetup(b *testing.B) {
 		items, queries := syntheticCorpus(100000, 64, 11)
 		ix := NewIndex(Default())
 		ix.AddAll(items)
-		scanBench.exact = ix
-		scanBench.quant = ix.WithOptions(IndexOptions{Quantize: true})
-		scanBench.quant.ensureQuantized()
+		ix.ensureQuantized()
+		scanBench.ix = ix
 		for _, q := range queries {
-			scanBench.queries = append(scanBench.queries, ix.embed32(q))
+			scanBench.queries = append(scanBench.queries, ix.embed32(nil, q))
 		}
 	})
 }
 
 // BenchmarkFlatScan is the exact float32 heap scan over 100k records —
-// the baseline the quantized tier's ≥2x QPS acceptance bar is measured
+// the baseline the int8 path's ≥2x QPS acceptance bar is measured
 // against.
 func BenchmarkFlatScan(b *testing.B) {
 	scanBenchSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scanBench.exact.search(scanBench.queries[i%len(scanBench.queries)], 10, -1)
+		scanBench.ix.exactScan(scanBench.queries[i%len(scanBench.queries)], 10, -1)
 	}
 }
 
-// BenchmarkQuantizedScan is the int8 shortlist + exact re-rank scan over
-// the same 100k records and queries as BenchmarkFlatScan.
+// BenchmarkQuantizedScan is the certified int8 shortlist + exact re-rank
+// over the same 100k records and queries as BenchmarkFlatScan.
 func BenchmarkQuantizedScan(b *testing.B) {
 	scanBenchSetup(b)
+	sc := new(searchScratch)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scanBench.quant.search(scanBench.queries[i%len(scanBench.queries)], 10, -1)
+		scanBench.ix.search(sc, scanBench.queries[i%len(scanBench.queries)], 10, -1)
 	}
 }
 

@@ -6,14 +6,15 @@
 // embeddings do reliably.
 //
 // The index (index.go) stores vectors in one contiguous float32 backing
-// array and answers exact top-k queries with a bounded max-heap; an
-// opt-in ANN mode (ann.go) probes a few k-means partitions instead of
-// scanning everything, trading a measured amount of recall for an
-// order-of-magnitude throughput gain; an opt-in quantized tier
-// (quant.go) scans int8 codes through an integer kernel and re-ranks a
-// shortlist with exact float32 distances — byte-identical top-k at the
-// default settings, 4x less scan traffic. Both knobs compose, and both
-// keep recall a measured property (Recall, `declctl index-bench`).
+// array and answers exact top-k queries with a bounded max-heap; past a
+// few hundred items the flat scan runs over an int8 copy of the store
+// (quant.go) — an integer kernel shortlists, exact float32 distances
+// re-rank, and a per-query certificate proves the answer byte-identical
+// to the float32 scan's, which runs instead when the proof does not
+// close. An opt-in ANN mode (ann.go) probes a few k-means partitions
+// instead of scanning everything, trading a measured amount of recall
+// (Recall, `declctl index-bench`) for an order-of-magnitude throughput
+// gain, and can score its probe lists through the same int8 kernel.
 package embed
 
 import (

@@ -45,27 +45,32 @@ type IndexOptions struct {
 	Probes int
 	// Seed drives the deterministic k-means initialisation (default 1).
 	Seed int64
-	// Quantize enables the int8 scalar-quantized distance tier (quant.go):
-	// candidate scoring runs over a blocked []int8 code array — 4x less
-	// scan traffic than float32 — and the RerankFactor*k quantized
-	// shortlist is re-ranked with exact float32 distances. At the default
-	// RerankFactor the final top-k is pinned byte-identical to the exact
-	// scan on the sim corpora (TestQuantizedRerankMatchesExactTopK);
-	// combined with ANN, partition probe lists are scored through the
-	// quantized kernel. Within and Blocks always use exact distances.
+	// Quantize asks for the int8 scalar-quantized distance tier (quant.go)
+	// from quantMinPoints items up. On a flat index it cannot change a
+	// result: the flat int8 path is certified equal to the exact scan
+	// query by query (exact-scan fallback otherwise) and switches itself on
+	// at certMinPoints whether or not Quantize is set — the option only
+	// lowers that size. Combined with ANN, partition probe lists are
+	// scored through the quantized kernel into a RerankFactor·k shortlist
+	// that is re-ranked exactly, which is uncertified: it reproduces plain
+	// ANN's ranking on the sim corpora (TestQuantizedMatchesANNCandidates).
+	// Within and Blocks always use exact distances.
 	Quantize bool
-	// RerankFactor is the quantized shortlist multiplier: the scan keeps
-	// RerankFactor*k candidates by quantized distance, then re-ranks them
-	// exactly (default DefaultRerankFactor). Raise it to trade speed back
-	// for fidelity headroom on corpora with adversarially tight margins.
+	// RerankFactor is the quantized shortlist multiplier (default
+	// DefaultRerankFactor). Under ANN+Quantize the shortlist is
+	// RerankFactor·k candidates; on a flat index it is only a floor on the
+	// certified path's fixed shortlist width and cannot change a result.
 	RerankFactor int
 }
 
 // Index is a k-NN index over embedded texts. Vectors live in a single
 // contiguous []float32 backing array — one allocation, cache-friendly
 // scans — and top-k queries use a bounded max-heap, so exact search is
-// O(N·dim + N·log k) with no full-result materialisation. It is not safe
-// for concurrent mutation; build it fully, then query from any goroutine.
+// O(N·dim + N·log k) with no full-result materialisation. Past
+// certMinPoints items the flat scan reads an int8 copy of the store
+// instead and proves its answer equal to the exact scan's (quant.go). It
+// is not safe for concurrent mutation; build it fully, then query from
+// any goroutine.
 type Index struct {
 	embedder Embedder
 	dim      int
@@ -80,6 +85,23 @@ type Index struct {
 	partMu  sync.Mutex
 	quant   atomic.Pointer[quantized]
 	quantMu sync.Mutex
+	// scans counts certified-path outcomes; WithOptions views share it, and
+	// a Registry points every index it serves at its own.
+	scans *scanCounters
+}
+
+// scanCounters says what share of flat-index queries had the property the
+// certified path is built on: certified answered from the int8 shortlist
+// with the proof closed, fallbacks re-ran as the exact scan. Queries that
+// never enter the path (ANN, small indexes, k too large) count as neither.
+type scanCounters struct {
+	certified, fallbacks atomic.Int64
+}
+
+// ScanStats returns how many flat queries on this index (and the views
+// sharing its counters) were certified and how many fell back.
+func (ix *Index) ScanStats() (certified, fallbacks int64) {
+	return ix.scans.certified.Load(), ix.scans.fallbacks.Load()
 }
 
 // NewIndex returns an empty exact-search index using the given embedder.
@@ -91,7 +113,7 @@ func NewIndexWith(e Embedder, opts IndexOptions) *Index {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	return &Index{embedder: e, dim: e.Dim(), byID: make(map[string]int), opts: opts}
+	return &Index{embedder: e, dim: e.Dim(), byID: make(map[string]int), opts: opts, scans: new(scanCounters)}
 }
 
 // WithOptions returns a queryable view of a fully built index under
@@ -107,7 +129,7 @@ func (ix *Index) WithOptions(opts IndexOptions) *Index {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	view := &Index{embedder: ix.embedder, dim: ix.dim, ids: ix.ids, data: ix.data, byID: ix.byID, opts: opts}
+	view := &Index{embedder: ix.embedder, dim: ix.dim, ids: ix.ids, data: ix.data, byID: ix.byID, opts: opts, scans: ix.scans}
 	view.quant.Store(ix.quant.Load())
 	if opts.Partitions == ix.opts.Partitions && opts.Seed == ix.opts.Seed {
 		view.part.Store(ix.part.Load())
@@ -187,14 +209,33 @@ func (ix *Index) AddAll(items []Item) {
 	}
 }
 
-// embed32 embeds query text into a float32 vector.
-func (ix *Index) embed32(text string) []float32 {
-	v := ix.embedder.Embed(text)
-	q := make([]float32, len(v))
-	for i, x := range v {
-		q[i] = float32(x)
+// searchScratch is the working memory of one top-k query that does not
+// leave with the result: the float32 query vector, its int8 code row and
+// the certified path's shortlist heap. Pooled so a query allocates only
+// what it returns and the small re-rank heap.
+type searchScratch struct {
+	q     []float32
+	qRow  []int8
+	short bounded[int64]
+}
+
+var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
+
+// embed32 embeds query text into buf as a float32 vector.
+func (ix *Index) embed32(buf []float32, text string) []float32 {
+	q := buf[:0]
+	for _, x := range ix.embedder.Embed(text) {
+		q = append(q, float32(x))
 	}
 	return q
+}
+
+// nearestText embeds text into pooled scratch and searches with it.
+func (ix *Index) nearestText(text string, k, skip int) []Neighbor {
+	sc := searchPool.Get().(*searchScratch)
+	defer searchPool.Put(sc)
+	sc.q = ix.embed32(sc.q, text)
+	return ix.search(sc, sc.q, k, skip)
 }
 
 // Nearest returns the k nearest stored items to the query text by L2
@@ -205,7 +246,7 @@ func (ix *Index) Nearest(text string, k int) []Neighbor {
 	if k <= 0 || len(ix.ids) == 0 {
 		return nil
 	}
-	return ix.search(ix.embed32(text), k, -1)
+	return ix.nearestText(text, k, -1)
 }
 
 // NearestOther behaves like Nearest but excludes the item stored under
@@ -219,7 +260,7 @@ func (ix *Index) NearestOther(text, excludeID string, k int) []Neighbor {
 	if pos, ok := ix.byID[excludeID]; ok {
 		skip = pos
 	}
-	return ix.search(ix.embed32(text), k, skip)
+	return ix.nearestText(text, k, skip)
 }
 
 // NearestByID returns the k nearest items to the one stored under id,
@@ -230,7 +271,9 @@ func (ix *Index) NearestByID(id string, k int) []Neighbor {
 	if !ok || k <= 0 {
 		return nil
 	}
-	return ix.search(ix.vec(pos), k, pos)
+	sc := searchPool.Get().(*searchScratch)
+	defer searchPool.Put(sc)
+	return ix.search(sc, ix.vec(pos), k, pos)
 }
 
 // DistanceByID returns the L2 distance between two stored vectors. The
@@ -247,15 +290,26 @@ func (ix *Index) DistanceByID(a, b string) (float64, bool) {
 	return math.Sqrt(float64(l2sq32(ix.vec(pa), ix.vec(pb)))), true
 }
 
-// search dispatches a query vector to the ANN, quantized, or exact path.
-// skip is a position to exclude (-1 for none).
-func (ix *Index) search(q []float32, k, skip int) []Neighbor {
+// search dispatches a query vector to the ANN, certified int8, or exact
+// path. skip is a position to exclude (-1 for none). k is clamped to the
+// index size first: every path sizes a heap by it.
+func (ix *Index) search(sc *searchScratch, q []float32, k, skip int) []Neighbor {
+	k = min(k, len(ix.ids))
 	if ix.opts.ANN && len(ix.ids) >= annMinPoints {
 		return ix.annSearch(q, k, skip)
 	}
-	if ix.opts.Quantize && len(ix.ids) >= quantMinPoints {
-		return ix.quantFlatSearch(q, k, skip)
+	if width := ix.shortlistWidth(k); width > 0 {
+		if nn, ok := ix.certifiedSearch(sc, q, k, skip, width); ok {
+			return nn
+		}
 	}
+	return ix.exactScan(q, k, skip)
+}
+
+// exactScan is the exact search: every stored vector scored with the
+// float32 kernel through the k-bounded heap. It is what every other path
+// is measured or proved against.
+func (ix *Index) exactScan(q []float32, k, skip int) []Neighbor {
 	t := newTopK(k)
 	for i := 0; i < len(ix.ids); i++ {
 		if i == skip {

@@ -147,7 +147,7 @@ func TestHeapTopKMatchesSortRanking(t *testing.T) {
 			query := items[rng.Intn(len(items))].Text
 			k := 1 + rng.Intn(len(items)+2)
 			got := ix.Nearest(query, k)
-			want := bruteNearest(ix, ix.embed32(query), k, -1)
+			want := bruteNearest(ix, ix.embed32(nil, query), k, -1)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d: heap top-%d diverges from sort ranking:\n got %v\nwant %v",
 					trial, k, got, want)
@@ -307,7 +307,7 @@ func TestWithinMatchesBruteForce(t *testing.T) {
 	for _, radius := range []float64{0.3, 0.8, 1.2} {
 		query := items[7].Text
 		got := ix.Within(query, radius)
-		q := ix.embed32(query)
+		q := ix.embed32(nil, query)
 		var want []Neighbor
 		for _, nb := range bruteNearest(ix, q, ix.Len(), -1) {
 			if nb.Distance <= radius {
@@ -451,6 +451,57 @@ func TestANNNearestContracts(t *testing.T) {
 	for _, nb := range ix.NearestOther(items[42].Text, items[42].ID, 3) {
 		if nb.ID == items[42].ID {
 			t.Fatalf("NearestOther returned the excluded id: %+v", nb)
+		}
+	}
+}
+
+// TestCertifiedNearestAllocs pins the pooled scratch: a warm certified
+// Nearest allocates no more than the exact scan does — the embedding, the
+// re-rank heap and the result: 7 allocations, one fewer than before the
+// int8 path became the flat scan — because the query vector, its code row
+// and the shortlist heap come from searchPool.
+func TestCertifiedNearestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	items := simTexts(t, certMinPoints+100)
+	small := NewIndex(Default())
+	small.AddAll(items[:certMinPoints-1])
+	big := NewIndex(Default())
+	big.AddAll(items[:certMinPoints+50])
+	query := items[certMinPoints+70].Text
+	big.Nearest(query, 5) // builds the code array, fills the pool
+	exact := testing.AllocsPerRun(100, func() { small.Nearest(query, 5) })
+	certified := testing.AllocsPerRun(100, func() { big.Nearest(query, 5) })
+	if c, f := big.ScanStats(); c == 0 || f != 0 {
+		t.Fatalf("the query should certify every time: %d certified, %d fallbacks", c, f)
+	}
+	if c, f := small.ScanStats(); c+f != 0 {
+		t.Fatalf("an index of %d rows is below the crossover, yet %d queries took the int8 path", small.Len(), c+f)
+	}
+	if certified > exact || exact > 7 {
+		t.Fatalf("Nearest allocates %v times certified, %v exact; want certified ≤ exact ≤ 7", certified, exact)
+	}
+}
+
+// TestNearestClampsK regresses the unclamped heap: k far beyond the index
+// size used to size a heap of k entries before a single row was scored
+// (neighbors: 1<<40 took a server down). Every path returns Len() results.
+func TestNearestClampsK(t *testing.T) {
+	items := simTexts(t, certMinPoints+10)
+	for _, opts := range []IndexOptions{{}, {Quantize: true}, {ANN: true}, {ANN: true, Quantize: true}} {
+		for _, n := range []int{10, quantMinPoints + 5, len(items)} {
+			ix := NewIndexWith(Default(), opts)
+			ix.AddAll(items[:n])
+			if got := ix.Nearest(items[0].Text, 1<<40); len(got) != n {
+				t.Fatalf("%+v n=%d: Nearest(k=1<<40) returned %d results", opts, n, len(got))
+			}
+			if got := ix.NearestOther(items[0].Text, items[0].ID, 1<<40); len(got) != n-1 {
+				t.Fatalf("%+v n=%d: NearestOther(k=1<<40) returned %d results", opts, n, len(got))
+			}
+			if got := ix.NearestByID(items[1].ID, 1<<40); len(got) != n-1 {
+				t.Fatalf("%+v n=%d: NearestByID(k=1<<40) returned %d results", opts, n, len(got))
+			}
 		}
 	}
 }

@@ -191,12 +191,12 @@ func (cw *crcWriter) i8s(v []int8) {
 }
 
 // SaveIndex persists a fully built index to path, forcing the tier
-// structures its options call for (partitions under ANN, the code array
-// under Quantize) so a warm load serves queries without rebuilding
-// either. The write goes through a temp file + rename, so a crash never
-// leaves a half-written file under the final name. The em and items
-// arguments supply the invalidation key and must be the corpus the index
-// was built from.
+// structures its queries will use (partitions under ANN, the code array
+// under Quantize or when the flat path is past its crossover) so a warm
+// load serves queries without rebuilding either. The write goes through
+// a temp file + rename, so a crash never leaves a half-written file
+// under the final name. The em and items arguments supply the
+// invalidation key and must be the corpus the index was built from.
 func SaveIndex(path string, ix *Index, em Embedder, items []Item) error {
 	return saveIndex(path, ix, fileKeyOf(em, items, ix.opts))
 }
@@ -206,7 +206,7 @@ func saveIndex(path string, ix *Index, key fileKey) error {
 	if ix.opts.ANN {
 		ix.ensurePartitions()
 	}
-	if ix.opts.Quantize {
+	if ix.opts.Quantize || (!ix.opts.ANN && ix.shortlistWidth(1) > 0) {
 		ix.ensureQuantized()
 	}
 
@@ -582,7 +582,7 @@ func decodeIndex(b []byte, path string, em Embedder, key fileKey) (*Index, error
 	if r.err != nil {
 		return nil, fmt.Errorf("%w: %s sections truncated", ErrCorruptIndex, path)
 	}
-	ix := &Index{embedder: em, dim: dim, opts: key.opts, data: data}
+	ix := &Index{embedder: em, dim: dim, opts: key.opts, data: data, scans: new(scanCounters)}
 	ix.ids = make([]string, n)
 	ix.byID = make(map[string]int, n)
 	prev := uint32(0)
@@ -635,6 +635,10 @@ func decodeIndex(b []byte, path string, em Embedder, key fileKey) (*Index, error
 		if r.err != nil {
 			return nil, fmt.Errorf("%w: %s quant section truncated", ErrCorruptIndex, path)
 		}
+		// The file does not carry the store's residual; one pass over
+		// store and codes measures it, and vouches for the pair as it
+		// does so (see quantized.resid).
+		qz.resid = qz.maxResidual(data)
 		ix.quant.Store(qz)
 	}
 	return ix, nil

@@ -1,6 +1,8 @@
 package embed
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -193,6 +195,74 @@ func TestLoadIndexTierTransferRules(t *testing.T) {
 	fresh := NewIndexWith(em, IndexOptions{ANN: true, Quantize: true, Partitions: 4, Seed: 2})
 	fresh.AddAll(items)
 	assertIdenticalTopK(t, "repartitioned", fresh, diff, 8)
+}
+
+// TestSaveCarriesCodeArrayPastCrossover: an index the flat path will scan
+// through its code array is saved with it whatever its options say, so a
+// warm load answers its first query from the file's section instead of
+// encoding the store again; below the crossover nothing extra is written.
+// A file without the section — what the previous format writer produced
+// for these options — still loads, and builds the array on first use.
+func TestSaveCarriesCodeArrayPastCrossover(t *testing.T) {
+	em := Default()
+	items := randomCorpus(certMinPoints+20, 76)
+	dir := t.TempDir()
+
+	built := NewIndex(em)
+	built.AddAll(items)
+	path := filepath.Join(dir, "big.dpix")
+	if err := SaveIndex(path, built, em, items); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadIndex(path, em, items, IndexOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qz := loaded.quant.Load()
+	if qz == nil {
+		t.Fatal("warm load past the crossover did not restore the code array")
+	}
+	if want := built.quant.Load().resid; qz.resid != want || !(qz.resid > 0) {
+		t.Fatalf("loaded residual %v, built %v", qz.resid, want)
+	}
+	assertIdenticalTopK(t, "past crossover", built, loaded, 5)
+	if loaded.quant.Load() != qz {
+		t.Fatal("the first queries rebuilt the code array")
+	}
+	if c, _ := loaded.ScanStats(); c == 0 {
+		t.Fatal("no query on the loaded index was certified")
+	}
+
+	small := NewIndex(em)
+	small.AddAll(items[:certMinPoints-1])
+	path = filepath.Join(dir, "small.dpix")
+	if err := SaveIndex(path, small, em, items[:certMinPoints-1]); err != nil {
+		t.Fatal(err)
+	}
+	if loaded, err = LoadIndex(path, em, items[:certMinPoints-1], IndexOptions{}); err != nil || loaded.quant.Load() != nil {
+		t.Fatalf("below the crossover: err %v, code array present %v", err, loaded.quant.Load() != nil)
+	}
+
+	// The same index as a file with no code section.
+	var image bytes.Buffer
+	cw := &crcWriter{w: bufio.NewWriter(&image)}
+	key := fileKeyOf(em, items, IndexOptions{})
+	writeIndexStream(cw, built, key, nil, nil)
+	cw.u32(cw.crc)
+	if err := cw.w.Flush(); err != nil || cw.err != nil {
+		t.Fatal(err, cw.err)
+	}
+	old, err := decodeIndex(image.Bytes(), "no-section", em, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old.quant.Load() != nil {
+		t.Fatal("a file without the section produced a code array")
+	}
+	assertIdenticalTopK(t, "no section", built, old, 5)
+	if old.quant.Load() == nil {
+		t.Fatal("the flat path did not build the code array lazily")
+	}
 }
 
 // TestRegistryWarmLoad drives the state-dir flow end to end: first

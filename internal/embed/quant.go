@@ -2,28 +2,36 @@ package embed
 
 import "math"
 
-// The int8 scalar-quantized distance tier (IndexOptions.Quantize).
+// The int8 scalar-quantized distance tier.
 //
 // Candidate scoring is the memory-bound half of every k-NN query: a flat
 // scan at N=1M touches a gigabyte of float32 per query. This tier encodes
 // the store into a blocked []int8 code array — 4x less scan traffic —
-// scores candidates with an integer dot-product kernel (SSE2 assembly on
-// amd64, a pure-Go loop elsewhere), keeps a RerankFactor*k shortlist by
-// quantized distance, and re-ranks the shortlist with exact float32
-// distances so the final ranking (ties included) is decided by the same
-// arithmetic as the exact scan. The quantized ordering only has to place
-// the true top-k inside the shortlist — a measured property, pinned like
-// ANN recall (TestQuantizedRecall, TestQuantizedRerankMatchesExactTopK).
+// scores candidates with an integer dot-product kernel (SIMD assembly on
+// amd64, a pure-Go loop elsewhere), keeps a shortlist by quantized
+// distance, and re-ranks the shortlist with exact float32 distances so
+// the final ranking (ties included) is decided by the same arithmetic as
+// the exact scan.
+//
+// On a flat index the shortlist is then *certified* (certifiedSearch): a
+// triangle-inequality bound over the shared grid proves that no row left
+// out of the shortlist can rank among the top k, and a query whose proof
+// does not close re-runs as the exact scan. The flat path therefore
+// returns the exact scan's answer bit for bit, always — which is why it
+// is on without being asked for once an index is past certMinPoints. In
+// ANN mode (annSearch) probe lists are scored through the same kernel
+// into a RerankFactor·k shortlist; there the quantized ordering only has
+// to place the probed top-k inside the shortlist, a measured property
+// pinned like ANN recall (TestQuantizedMatchesANNCandidates).
 
-// quantMinPoints is the index size below which quantized queries fall
-// back to the exact scan: encoding and shortlisting a tiny index costs
-// more than reading it whole (same rationale as annMinPoints).
+// quantMinPoints is the index size below which IndexOptions.Quantize is
+// ignored: encoding and shortlisting a tiny index costs more than reading
+// it whole (same rationale as annMinPoints).
 const quantMinPoints = 64
 
 // DefaultRerankFactor is the shortlist multiplier when
-// IndexOptions.RerankFactor is unset: 4k quantized candidates re-ranked
-// exactly per top-k query. It measures byte-identical final top-k against
-// the exact scan across the sim corpora.
+// IndexOptions.RerankFactor is unset: the int8 shortlist holds at least
+// 4k candidates per top-k query.
 const DefaultRerankFactor = 4
 
 // quantBlock is the code-row alignment: rows are zero-padded to a
@@ -34,23 +42,29 @@ const DefaultRerankFactor = 4
 const quantBlock = 16
 
 // quantized is the scalar-quantization view over an index's float32
-// store: one global affine grid (x ≈ lo + scale·(code+128)) chosen from
-// the store's min/max, int8 codes in a blocked row-major array, and
+// store: one global affine grid (x ≈ lo + scale·(code+128)) spanning the
+// store's min/max, int8 codes in a blocked row-major array, and
 // precomputed per-row code norms so the scoring kernel reduces to one
 // integer dot product per candidate:
 //
 //	Σ(cq−cv)² = |cq|² + |cv|² − 2·cq·cv
 //
-// Distances in code units are monotone in the dequantized approximation
-// (one shared scale), which is all shortlist ranking needs; the exact
-// re-rank never consults them again.
+// Two vectors' grid points are exactly scale·√Σ(cq−cv)² apart (one shared
+// scale), so code distance ranks candidates and, with each vector's
+// distance to its own grid point, bounds the true distance from below.
 type quantized struct {
 	dim    int
 	stride int     // dim rounded up to a multiple of quantBlock
 	lo     float32 // grid origin: minimum stored component
-	scale  float32 // grid step: (max − lo) / 255
+	scale  float32 // grid step: (max − lo) / 255, or just above (buildQuantized)
 	codes  []int8  // n × stride, row-major, padding zeroed
 	norms  []int32 // per-row Σ code²
+	// resid is the largest distance from a stored vector to its grid
+	// point, measured over the store (about 0.6 of the analytic
+	// (scale/2)·√dim). It is NaN or +Inf when the store or the grid is not
+	// finite, which fails every certificate. Not persisted: a loaded code
+	// array measures it again.
+	resid float64
 }
 
 func (qz *quantized) row(i int) []int8 {
@@ -89,6 +103,16 @@ func buildQuantized(ix *Index) *quantized {
 	if !(qz.scale > 0) { // constant (or empty) store: any positive step works
 		qz.lo, qz.scale = lo, 1
 	}
+	// Stretch the step (by under 1/m) so that zero is a grid point when the
+	// store straddles it. N-gram embeddings are sparse — most components
+	// are exactly 0 — and wherever min and max happen to leave zero between
+	// two grid points, every one of those components is off by the same
+	// amount, up to scale/2. That alone doubled resid and the query
+	// residual on a 100k synthetic corpus (0.041 against 0.019) and cut the
+	// certified share of its queries from 64 of 64 to 18.
+	if m := float32(math.Floor(float64(-lo / qz.scale))); lo < 0 && hi > 0 && m >= 1 {
+		qz.scale = -lo / m
+	}
 	qz.codes = make([]int8, n*stride)
 	qz.norms = make([]int32, n)
 	for i := 0; i < n; i++ {
@@ -101,13 +125,45 @@ func buildQuantized(ix *Index) *quantized {
 		}
 		qz.norms[i] = norm
 	}
+	qz.resid = qz.maxResidual(ix.data)
 	return qz
 }
 
-// encodeQuery quantizes a query vector onto the store's grid, returning
-// the padded code row and its norm.
-func (qz *quantized) encodeQuery(q []float32) ([]int8, int32) {
-	row := make([]int8, qz.stride)
+// residual returns ‖v − v̂‖ in float64, v̂ being the grid point row
+// encodes. Each component is taken relative to the grid origin first —
+// x − lo is exact or as good as in float64, both being float32 — so the
+// result is accurate to a 2⁻⁴⁰th of a grid step however far from zero the
+// store sits. Any NaN or ±Inf in v, or a non-finite grid, yields NaN or
+// +Inf.
+func (qz *quantized) residual(v []float32, row []int8) float64 {
+	lo, scale := float64(qz.lo), float64(qz.scale)
+	var s float64
+	for d, x := range v {
+		e := (float64(x) - lo) - scale*float64(int(row[d])+128)
+		s += e * e
+	}
+	return math.Sqrt(s)
+}
+
+// maxResidual measures resid over a store; a NaN residual sticks.
+func (qz *quantized) maxResidual(data []float32) float64 {
+	var worst float64
+	for i := range qz.norms {
+		if r := qz.residual(data[i*qz.dim:(i+1)*qz.dim], qz.row(i)); r > worst || r != r {
+			worst = r
+		}
+	}
+	return worst
+}
+
+// encodeQuery quantizes a query vector onto the store's grid into buf
+// (grown when too small), returning the padded code row and its norm.
+func (qz *quantized) encodeQuery(buf []int8, q []float32) ([]int8, int32) {
+	if cap(buf) < qz.stride {
+		buf = make([]int8, qz.stride)
+	}
+	row := buf[:qz.stride]
+	clear(row[len(q):])
 	var norm int32
 	for d, x := range q {
 		c := qz.encode(x)
@@ -150,17 +206,18 @@ func (ix *Index) rerankFactor() int {
 	return DefaultRerankFactor
 }
 
-// newShortlist returns the bounded heap collecting the quantized
-// candidate shortlist for a top-k query.
+// newShortlist returns the bounded heap collecting an ANN query's
+// quantized candidate shortlist.
 func (ix *Index) newShortlist(k int) *bounded[int64] {
 	short := ix.rerankFactor() * k
 	return &bounded[int64]{k: short, idx: make([]int, 0, short), d2: make([]int64, 0, short)}
 }
 
-// rerank scores shortlisted candidates with exact float32 distances
-// through the same bounded heap as the exact scan, so the returned top-k
-// — distances, ordering, and tie-breaks — is byte-identical to a full
-// exact scan whenever the shortlist contains the true top-k.
+// rerank scores an ANN query's shortlisted candidates with exact float32
+// distances through the same bounded heap as the exact scan, so the
+// returned top-k — distances, ordering, and tie-breaks — is byte-identical
+// to exact scoring of the probed set whenever the shortlist contains its
+// top-k.
 func (ix *Index) rerank(q []float32, k int, cand []int) []Neighbor {
 	t := newTopK(k)
 	for _, i := range cand {
@@ -169,29 +226,134 @@ func (ix *Index) rerank(q []float32, k int, cand []int) []Neighbor {
 	return t.neighbors(ix.ids)
 }
 
-// quantFlatSearch is the flat-index quantized path: one integer-kernel
-// pass over every code row builds the shortlist, then the shortlist is
-// re-ranked exactly. ANN mode scores partition probe lists through the
-// same kernel (see annSearch).
-func (ix *Index) quantFlatSearch(q []float32, k, skip int) []Neighbor {
+// certMinPoints is the flat-index size from which queries take the
+// certified int8 path without being asked to. BenchmarkIndexNearest runs
+// the exact scan and the certified path side by side at N = 64 … 16384
+// (table in docs/VECTOR.md): at dim 256 the two are level at N = 256, the
+// certified path is 1.4x ahead at 512, 3.4x at 4096 and 5.4x at 16384,
+// and the sim corpora certify every held-out query at each of those
+// sizes. Below 512 the fixed costs — encoding the query, re-ranking the
+// shortlist — eat the saving on a scan that fits in cache anyway.
+// IndexOptions.Quantize lowers the threshold to quantMinPoints and
+// changes nothing else.
+const certMinPoints = 512
+
+// certShortlist is the shortlist width the certified path keeps by code
+// distance (RerankFactor·k when that is larger, never more than half the
+// index — see shortlistWidth). The width sets how far the bound reaches:
+// the certificate closes when the width-th code distance clears the k-th
+// true distance by the quantization error, so a wider list certifies more
+// queries and re-ranks more rows. Held-out queries, k = 5, five seeds × 256
+// per corpus: on 512 to 16000 restaurant, product and citation records
+// width 128 fell back on 0 of 11520, width 64 on 1, width 32 on 29; on
+// 100k synthetic texts, where distances concentrate, width 128 fell back
+// on 0 of 384 and width 64 on 6. At N = 4096 a fallback costs what four
+// certified queries do and re-ranking 128 rows a sixth of one, so the
+// wider list is the cheaper way to keep the share at zero.
+const certShortlist = 128
+
+// certSlack is the relative margin the certificate keeps for rounding. It
+// has two things to cover. The float32 kernel l2sq32 rounds each term's
+// subtraction and square and then carries it through at most dim/4 + 6
+// additions (four accumulators, a three-element tail, the final
+// three-way sum), so its result is no less than (d² − dim·2⁻¹²⁶)·(1 − γ)
+// with γ ≤ (dim/4 + 16)·2⁻²⁴ — every term is non-negative, so errors
+// cannot cancel a sum to below that — the 2⁻¹²⁶ per term being squares
+// that underflow. And the bound is itself computed, in float64: its
+// positive term reach is at least one grid step, its two residuals are
+// each good to 2⁻⁴⁰ of a step (quantized.residual), so its absolute error
+// is under 2⁻³⁹·reach; the certificate demands the bound be at least
+// certSlack·reach, which keeps the relative error of its square under
+// 10⁻⁸. 2⁻¹⁰ covers γ plus that for every dim up to certMaxDim with a
+// factor of two to spare (at dim 256, γ is 4.8·10⁻⁶), and costs nothing
+// measurable: the quantization terms of the bound are fifty times larger.
+const certSlack = 1.0 / 1024
+
+// certMaxDim is the widest embedding certSlack's derivation covers; wider
+// indexes keep the exact scan.
+const certMaxDim = 1 << 15
+
+// shortlistWidth returns the width of the certified path's shortlist for a
+// top-k query, or 0 when the query takes the exact scan outright: the
+// index is below the crossover, or k is so large that RerankFactor·k rows
+// do not fit in half the index and the code pass would save nothing.
+func (ix *Index) shortlistWidth(k int) int {
+	n := len(ix.ids)
+	minPoints := certMinPoints
+	if ix.opts.Quantize {
+		minPoints = quantMinPoints
+	}
+	if n < minPoints || ix.dim > certMaxDim {
+		return 0
+	}
+	floor := ix.rerankFactor() * k
+	width := min(max(certShortlist, floor), n/2)
+	if width < floor {
+		return 0
+	}
+	return width
+}
+
+// certifiedSearch is the flat-index int8 path. One integer-kernel pass
+// over every code row keeps the width closest rows by code distance, the
+// exact float32 kernel re-ranks those into the top k, and one scalar test
+// then proves the answer equal to the exact scan's — or reports false,
+// and the caller runs the exact scan.
+//
+// The proof. Write x̂ for the grid point a vector's codes name. Grid
+// points are exactly scale·√D apart, D the integer code distance. Every
+// row v left out of the shortlist has D(q, v) ≥ D_root, the shortlist
+// heap's root, so by the triangle inequality
+//
+//	‖q − v‖ ≥ ‖q̂ − v̂‖ − ‖q − q̂‖ − ‖v − v̂‖ ≥ scale·√D_root − ‖q − q̂‖ − resid = LB
+//
+// with ‖q − q̂‖ measured for this query against the codes it was actually
+// given (so clamping a far-away query costs reach, never correctness) and
+// resid the largest ‖v − v̂‖ in the store. If LB², less the rounding
+// margin of certSlack, exceeds τ — the k-th smallest float32 d² among the
+// re-ranked rows — then every left-out row's float32 d² is strictly
+// greater than τ, the exact scan would have ranked it after all k kept
+// rows whatever its position, and the two answers are the same k rows
+// with distances from the same arithmetic. A NaN or ±Inf anywhere — in
+// q, in the store, in the grid — makes LB NaN or −Inf or τ +Inf, and
+// every comparison below is written to be false then.
+func (ix *Index) certifiedSearch(sc *searchScratch, q []float32, k, skip, width int) ([]Neighbor, bool) {
 	qz := ix.ensureQuantized()
-	qRow, qNorm := qz.encodeQuery(q)
-	sl := ix.newShortlist(k)
+	qRow, qNorm := qz.encodeQuery(sc.qRow, q)
+	sc.qRow = qRow
+	sl := &sc.short
+	sl.k, sl.idx, sl.d2 = width, sl.idx[:0], sl.d2[:0]
 	for i := 0; i < len(ix.ids); i++ {
 		if i == skip {
 			continue
 		}
 		sl.push(i, qz.codeD2(qNorm, qRow, i))
 	}
-	return ix.rerank(q, k, sl.positions())
+	t := newTopK(k)
+	for _, i := range sl.positions() {
+		t.push(i, l2sq32(q, ix.vec(i)))
+	}
+
+	reach := float64(qz.scale) * math.Sqrt(float64(sl.d2[0]))
+	lb := reach - qz.residual(q, qRow) - qz.resid
+	tau := float64(t.d2[0]) + float64(ix.dim)*0x1p-126
+	if len(sl.idx) == width && len(t.idx) == k && lb > certSlack*reach && lb*lb*(1-certSlack) > tau {
+		ix.scans.certified.Add(1)
+		return t.neighbors(ix.ids), true
+	}
+	ix.scans.fallbacks.Add(1)
+	return nil, false
 }
 
 // ScanBytesPerRecord reports the bytes of vector data a candidate scan
 // touches per record under the given options — the working-set metric
 // `declctl index-bench` reports as bytes/record (dim·4 for float32 scans,
-// the padded code-row stride for the quantized tier). The quantized index
-// retains the float32 store for exact re-ranking, so resident memory is
-// 1.25x a float-only index while scan traffic drops 4x.
+// the padded code-row stride for the quantized tier). For a flat index
+// without Quantize the figure is the exact scan's, which is what it reads
+// below certMinPoints and on a fallback; past that size it reads code
+// rows like the quantized tier. An index with a code array retains the
+// float32 store for exact re-ranking, so resident memory is 1.25x a
+// float-only index while scan traffic drops 4x.
 func ScanBytesPerRecord(opts IndexOptions, dim int) int {
 	if opts.Quantize {
 		return (dim + quantBlock - 1) / quantBlock * quantBlock

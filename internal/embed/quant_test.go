@@ -63,7 +63,7 @@ func TestQuantizeDequantizeErrorBounded(t *testing.T) {
 			}
 		}
 		for qi := 0; qi < 5; qi++ {
-			qRow, qNorm := qz.encodeQuery(ix.vec(qi * ix.Len() / 5))
+			qRow, qNorm := qz.encodeQuery(nil, ix.vec(qi*ix.Len()/5))
 			for i := 0; i < ix.Len(); i += 17 {
 				var direct int64
 				row := qz.row(i)
@@ -79,11 +79,12 @@ func TestQuantizeDequantizeErrorBounded(t *testing.T) {
 	}
 }
 
-// TestQuantizedRerankMatchesExactTopK is the fidelity pin from the
-// issue: at the default RerankFactor, quantized shortlisting plus exact
-// re-ranking reproduces the float32 exact scan's top-k byte-identically
-// — same ids, same distances, same tie-breaks — across random corpora,
-// k values, and exclusion queries.
+// TestQuantizedRerankMatchesExactTopK is a regression test for the proof:
+// int8 shortlisting plus exact re-ranking, certified or fallen back,
+// reproduces the float32 exact scan's top-k byte-identically — same ids,
+// same distances, same tie-breaks — across random corpora, k values, and
+// exclusion queries. TestCertifiedMatchesExact is the adversarial
+// version.
 func TestQuantizedRerankMatchesExactTopK(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	for trial := 0; trial < 20; trial++ {
@@ -108,10 +109,10 @@ func TestQuantizedRerankMatchesExactTopK(t *testing.T) {
 	}
 }
 
-// TestQuantizedRecall pins the quantized tier at ≥0.95 recall@10 on 1k
-// sim records with held-out queries — the same discipline as
-// TestANNRecall. The flat quantized index must measure a perfect 1.0
-// (its re-rank is pinned byte-identical to exact); ANN+quantized may
+// TestQuantizedRecall pins the quantized tier on 1k sim records with
+// held-out queries — the same discipline as TestANNRecall. For the flat
+// index it is a regression test for the proof: recall must be exactly 1.0,
+// which the certificate guarantees rather than measures. ANN+quantized may
 // additionally lose candidates to partition probing, so it shares ANN's
 // 0.95 floor at the documented probe setting — and, on the index-bench
 // corpus at default settings, ANN's exact pinned figure.

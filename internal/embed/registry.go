@@ -139,6 +139,9 @@ type Registry struct {
 	stateDir  string
 	warmLoads int
 	saves     int
+	// scans is the certified-path tally of every index this registry
+	// serves (each is pointed at it before it is published).
+	scans scanCounters
 }
 
 // NewRegistry returns an empty registry.
@@ -236,12 +239,14 @@ func (r *Registry) index(em Embedder, key registryKey, opts IndexOptions, render
 			fk = fileKeyOf(em, items, opts)
 			path = filepath.Join(stateDir, fk.fileName())
 			if ix, err := loadIndex(path, em, fk); err == nil {
+				ix.scans = &r.scans
 				e.ix = ix
 				warmed = true
 				return
 			}
 		}
 		ix := NewIndexWith(em, opts)
+		ix.scans = &r.scans
 		ix.AddAll(items)
 		if path != "" && saveIndex(path, ix, fk) == nil {
 			saved = true
@@ -271,4 +276,11 @@ func (r *Registry) Stats() (builds, hits int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.builds, r.hits
+}
+
+// ScanStats returns, over every index the registry has served, how many
+// flat queries the certified int8 path answered with its proof closed and
+// how many fell back to the exact scan.
+func (r *Registry) ScanStats() (certified, fallbacks int64) {
+	return r.scans.certified.Load(), r.scans.fallbacks.Load()
 }

@@ -64,6 +64,12 @@ type IndexBenchRow struct {
 	QPS            float64 `json:"qps"`
 	Recall         float64 `json:"recall"`
 	BytesPerRecord int     `json:"bytes_per_record"`
+	// Certified and Fallbacks split the timed queries that took the flat
+	// int8 path: answered from the shortlist with the exactness proof
+	// closed, or re-run as the exact scan. Both are zero for ANN modes and
+	// for indexes below the path's crossover.
+	Certified int64 `json:"certified"`
+	Fallbacks int64 `json:"fallbacks"`
 	// Warm reports that the run served this row from a persisted index
 	// file (IndexBenchConfig.StateDir) instead of building it.
 	Warm bool `json:"warm,omitempty"`
@@ -134,30 +140,35 @@ func IndexBench(cfg IndexBenchConfig) ([]IndexBenchRow, error) {
 	// measure runs every query against ix, returning the per-query result
 	// sets, throughput, and the time of one untimed warm-up query — which
 	// forces the view's lazy tier builds, so it reports the code-array or
-	// partition build cost.
-	measure := func(ix *embed.Index) ([][]embed.Neighbor, float64, float64) {
+	// partition build cost — and the timed queries' certified/fallback split.
+	measure := func(ix *embed.Index) ([][]embed.Neighbor, float64, float64, [2]int64) {
 		start := time.Now()
 		ix.Nearest(queries[0], cfg.K)
 		prepMS := msSince(start)
 		res := make([][]embed.Neighbor, len(queries))
+		c0, f0 := ix.ScanStats()
 		start = time.Now()
 		for i, q := range queries {
 			res[i] = ix.Nearest(q, cfg.K)
 		}
-		return res, float64(len(queries)) / time.Since(start).Seconds(), prepMS
+		qps := float64(len(queries)) / time.Since(start).Seconds()
+		c1, f1 := ix.ScanStats()
+		return res, qps, prepMS, [2]int64{c1 - c0, f1 - f0}
 	}
 
 	rerank := cfg.RerankFactor
 	if rerank == 0 {
 		rerank = embed.DefaultRerankFactor
 	}
-	row := func(mode string, opts embed.IndexOptions, buildMS, qps, recall float64) IndexBenchRow {
+	row := func(mode string, opts embed.IndexOptions, buildMS, qps, recall float64, scans [2]int64) IndexBenchRow {
 		r := IndexBenchRow{
 			Mode: mode, N: cfg.N, Dim: dim,
 			Quantize: opts.Quantize,
 			BuildMS:  buildMS, QPS: qps,
 			Recall:         math.Round(recall*1000) / 1000,
 			BytesPerRecord: embed.ScanBytesPerRecord(opts, dim),
+			Certified:      scans[0],
+			Fallbacks:      scans[1],
 			Warm:           warm,
 		}
 		if opts.ANN {
@@ -169,8 +180,8 @@ func IndexBench(cfg IndexBenchConfig) ([]IndexBenchRow, error) {
 		return r
 	}
 
-	truth, exactQPS, _ := measure(base)
-	rows := []IndexBenchRow{row("exact", embed.IndexOptions{}, embedMS, exactQPS, 1)}
+	truth, exactQPS, _, scans := measure(base)
+	rows := []IndexBenchRow{row("exact", embed.IndexOptions{}, embedMS, exactQPS, 1, scans)}
 
 	// final tracks the most-equipped view of the chain — the one whose
 	// options equal fullOpts and whose built tiers a cold run persists.
@@ -178,8 +189,8 @@ func IndexBench(cfg IndexBenchConfig) ([]IndexBenchRow, error) {
 	if cfg.Quantize {
 		qOpts := embed.IndexOptions{Quantize: true, RerankFactor: cfg.RerankFactor}
 		quant := base.WithOptions(qOpts)
-		res, qps, prepMS := measure(quant)
-		rows = append(rows, row("quant", qOpts, prepMS, qps, recallVs(truth, res)))
+		res, qps, prepMS, scans := measure(quant)
+		rows = append(rows, row("quant", qOpts, prepMS, qps, recallVs(truth, res), scans))
 		src, final = quant, quant // carries the built code array into the ANN views
 	}
 	if !cfg.FlatOnly {
@@ -193,15 +204,15 @@ func IndexBench(cfg IndexBenchConfig) ([]IndexBenchRow, error) {
 			annSrc = warmIx
 		}
 		ann := annSrc.WithOptions(annOpts)
-		res, qps, prepMS := measure(ann)
-		rows = append(rows, row("ann", annOpts, prepMS, qps, recallVs(truth, res)))
+		res, qps, prepMS, scans := measure(ann)
+		rows = append(rows, row("ann", annOpts, prepMS, qps, recallVs(truth, res), scans))
 		final = ann
 		if cfg.Quantize {
 			aqOpts := annOpts
 			aqOpts.Quantize, aqOpts.RerankFactor = true, cfg.RerankFactor
 			annq := ann.WithOptions(aqOpts) // shares ann's partitions and quant's codes
-			res, qps, prepMS := measure(annq)
-			rows = append(rows, row("ann+quant", aqOpts, prepMS, qps, recallVs(truth, res)))
+			res, qps, prepMS, scans := measure(annq)
+			rows = append(rows, row("ann+quant", aqOpts, prepMS, qps, recallVs(truth, res), scans))
 			final = annq
 		}
 	}
@@ -248,10 +259,10 @@ func recallVs(truth, got [][]embed.Neighbor) float64 {
 // FormatIndexBench renders the study in the repo's table style.
 func FormatIndexBench(rows []IndexBenchRow) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-10s %10s %12s %10s %10s\n", "mode", "build(ms)", "queries/sec", "recall", "bytes/rec")
+	fmt.Fprintf(&sb, "%-10s %10s %12s %10s %10s %10s %10s\n", "mode", "build(ms)", "queries/sec", "recall", "certified", "fallbacks", "bytes/rec")
 	byMode := make(map[string]IndexBenchRow, len(rows))
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-10s %10.1f %12.0f %10.3f %10d\n", r.Mode, r.BuildMS, r.QPS, r.Recall, r.BytesPerRecord)
+		fmt.Fprintf(&sb, "%-10s %10.1f %12.0f %10.3f %10d %10d %10d\n", r.Mode, r.BuildMS, r.QPS, r.Recall, r.Certified, r.Fallbacks, r.BytesPerRecord)
 		byMode[r.Mode] = r
 	}
 	exact, ok := byMode["exact"]

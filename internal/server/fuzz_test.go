@@ -44,6 +44,9 @@ func FuzzServerSpecSubmit(f *testing.F) {
 	f.Add([]byte(`{"tenant":"t","async":true}`))
 	f.Add([]byte(`{"tenant":"t","spec":{"stages":[{"name":"a","kind":"filter"},{"name":"a","kind":"filter"}]}}`))
 	f.Add(bytes.Repeat([]byte(`{"spec":`), 2000))
+	for _, body := range hostileNeighborBodies {
+		f.Add([]byte(body))
+	}
 
 	ts := fuzzServer()
 	f.Fuzz(func(t *testing.T, body []byte) {

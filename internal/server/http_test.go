@@ -233,3 +233,45 @@ func TestStatusForMapping(t *testing.T) {
 		}
 	}
 }
+
+// TestHostileNeighborCounts: an impute stage's neighbour count comes
+// straight from the submission. A negative one used to panic inside a
+// per-record worker goroutine and a huge one to exhaust memory sizing a
+// heap — either took the whole service down. Both must now be answered
+// (refused, failed or completed — never a crash), and the server must
+// serve the next job.
+func TestHostileNeighborCounts(t *testing.T) {
+	ts := httptest.NewServer(New(Config{Model: testOracle()}).Handler())
+	defer ts.Close()
+	for _, body := range hostileNeighborBodies {
+		code, b := post(t, ts, "/v1/pipelines", []byte(body))
+		if code != http.StatusOK && code != http.StatusBadRequest {
+			t.Fatalf("%s: answered %d %s", body, code, b)
+		}
+		if code == http.StatusOK {
+			var st JobStatus
+			if err := json.Unmarshal(b, &st); err != nil || (st.State != JobDone && st.State != JobFailed) {
+				t.Fatalf("%s: job %s (%v)", body, b, err)
+			}
+		}
+	}
+	raw, _ := json.Marshal(SubmitRequest{Tenant: "t", Spec: toolSpec(), Tables: kindTable("next", 4, "tool", "toy")})
+	code, b := post(t, ts, "/v1/pipelines", raw)
+	var st JobStatus
+	if err := json.Unmarshal(b, &st); code != http.StatusOK || err != nil || st.State != JobDone {
+		t.Fatalf("the job after the hostile ones: %d %s", code, b)
+	}
+}
+
+// hostileNeighborBodies are k-NN impute submissions whose neighbour count
+// is negative or far beyond any table (also FuzzServerSpecSubmit seeds).
+var hostileNeighborBodies = func() []string {
+	const tables = `"tables":{"source":[{"ID":"q","Fields":[{"Name":"kind","Value":"tool"}]}],` +
+		`"train":[{"ID":"a","Fields":[{"Name":"kind","Value":"tool"},{"Name":"city","Value":"x"}]},` +
+		`{"ID":"b","Fields":[{"Name":"kind","Value":"toy"},{"Name":"city","Value":"y"}]}]}`
+	spec := func(neighbors string) string {
+		return `{"tenant":"t","spec":{"stages":[{"name":"fill","kind":"impute","target_field":"city","strategy":"knn","neighbors":` +
+			neighbors + `}]},` + tables + `}`
+	}
+	return []string{spec("-3"), spec("1099511627776")}
+}()
