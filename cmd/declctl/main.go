@@ -52,15 +52,6 @@ func main() {
 	items := sub.Int("items", 60, "workload width for exec-layer")
 	repeats := sub.Int("repeats", 3, "workload repeats for exec-layer")
 	batch := sub.Int("batch", 8, "unit tasks per envelope for exec-layer")
-	ixN := sub.Int("n", 10000, "indexed records for index-bench")
-	ixK := sub.Int("k", 10, "neighbours per query for index-bench")
-	ixQueries := sub.Int("queries", 200, "timed queries for index-bench")
-	ixPartitions := sub.Int("partitions", 0, "ANN partitions for index-bench (0 = √N)")
-	ixProbes := sub.Int("probes", 0, "ANN probes per query for index-bench (0 = partitions/4)")
-	ixQuantize := sub.Bool("quantize", false, "also measure the int8-quantized tier for index-bench")
-	ixRerank := sub.Int("rerank", 0, "quantized shortlist multiplier for index-bench (0 = default)")
-	ixSeed := sub.Int64("seed", 7, "synthetic-corpus seed for index-bench")
-	ixFlat := sub.Bool("flat", false, "skip the ANN modes for index-bench (full-store scans only)")
 	specPath := sub.String("spec", "", "JSON pipeline spec file for pipeline (empty = built-in demo)")
 	plModel := sub.String("model", "sim-gpt-3.5-turbo", "model name for pipeline")
 	plNaive := sub.Bool("naive", false, "run the pipeline unoptimized with isolated per-stage engines")
@@ -75,7 +66,7 @@ func main() {
 	plRecords := sub.Int("records", 24, "base source records for pipeline-study")
 	plDup := sub.Float64("dup", 0.4, "duplicated fraction for pipeline-study")
 	stateDir := sub.String("state-dir", "",
-		"persistent-state directory: index-bench warm-loads its saved index from it (building and saving on the first run); cache-compact rewrites its cache log")
+		"persistent-state directory: cache-compact rewrites its cache log")
 	scName := sub.String("name", "", "scenario ID to run for scenario (see -list)")
 	scList := sub.Bool("list", false, "list the pre-built scenarios for scenario")
 	srvURL := sub.String("server", "http://localhost:8080", "declserver base URL for submit/status/report")
@@ -84,7 +75,7 @@ func main() {
 	srvOptimize := sub.Bool("optimize", false, "ask the server to optimize the spec before running")
 	srvJob := sub.String("job", "", "job ID for status")
 	srvCancel := sub.Bool("cancel", false, "cancel the job named by -job")
-	asJSON := sub.Bool("json", false, "emit the result as JSON on stdout for scenario and index-bench")
+	asJSON := sub.Bool("json", false, "emit the result as JSON on stdout for scenario")
 	sub.Parse(flag.Args()[1:])
 
 	ctx := context.Background()
@@ -223,28 +214,6 @@ func main() {
 		fmt.Print(experiments.FormatAblationFilter(rows))
 		return nil
 	}
-	indexBench := func() error {
-		rows, err := experiments.IndexBench(experiments.IndexBenchConfig{
-			N: *ixN, K: *ixK, Queries: *ixQueries,
-			Partitions: *ixPartitions, Probes: *ixProbes,
-			Quantize: *ixQuantize, RerankFactor: *ixRerank,
-			Seed: *ixSeed, FlatOnly: *ixFlat, StateDir: *stateDir,
-		})
-		if err != nil {
-			return err
-		}
-		if *asJSON {
-			raw, err := json.MarshalIndent(rows, "", "  ")
-			if err != nil {
-				return err
-			}
-			fmt.Println(string(raw))
-			return nil
-		}
-		fmt.Print(experiments.FormatIndexBench(rows))
-		return nil
-	}
-
 	runPipeline := func() error {
 		spec, err := loadSpec(*specPath)
 		if err != nil {
@@ -483,16 +452,6 @@ func main() {
 		run("Ablation A9: template brittleness", ablateTemplates)
 	case "exec-layer":
 		run("Execution layer: shared cache + coalescing + batching", execLayer)
-	case "index-bench":
-		// JSON output stays machine-readable: no header or timing wrapper.
-		if *asJSON {
-			if err := indexBench(); err != nil {
-				fmt.Fprintf(os.Stderr, "declctl: index-bench: %v\n", err)
-				os.Exit(1)
-			}
-		} else {
-			run(fmt.Sprintf("Vector index: exact / ANN / quantized (%d records)", *ixN), indexBench)
-		}
 	case "pipeline":
 		run("Pipeline: optimized operator DAG", runPipeline)
 	case "pipeline-study":
@@ -571,13 +530,6 @@ commands:
   ablate-templates     A9: comparison-template brittleness
   exec-layer      shared cache + coalescing + batching on a repeated
                   workload (-items N -repeats N -batch K)
-  index-bench     vector retrieval: queries/sec, recall, and bytes/record
-                  for exact, ANN, and int8-quantized search over one
-                  shared synthetic corpus (-n N -k K -queries Q
-                  -partitions P -probes R -quantize -rerank F -seed S
-                  -flat skips ANN, -json emits machine-readable rows,
-                  -state-dir D persists the index and warm-loads it on
-                  repeat runs)
   pipeline        run a declarative operator DAG from a JSON spec with the
                   optimizer, record streaming, shared engine, and per-stage
                   attribution (-spec file.json -model M -batch K -naive

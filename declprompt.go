@@ -289,26 +289,21 @@ func CountTokens(s string) int { return token.Count(s) }
 func NewEmbeddingIndex() *embed.Index { return embed.NewIndex(embed.Default()) }
 
 // EmbeddingIndexOptions configures NewEmbeddingIndexWith and
-// WithIndexOptions: ANN mode, partition/probe counts, the k-means seed,
-// and the int8-quantized tier (Quantize/RerankFactor). Only ANN trades
-// recall for speed; without it Quantize and RerankFactor never change a
-// result. See docs/VECTOR.md.
+// WithIndexOptions: the partition count and k-means seed of the structure
+// Within and Blocks read. Nothing in it can change a Nearest answer. See
+// docs/VECTOR.md.
 type EmbeddingIndexOptions = embed.IndexOptions
 
 // WithIndexOptions sets the index configuration the engine's k-NN
 // operators build (or fetch from a registry) their corpus indexes with —
-// enable ANN probing for large corpora, with or without int8 scoring of
-// the probed lists.
+// the partitioning that blocking draws its candidate pairs from.
 func WithIndexOptions(opts EmbeddingIndexOptions) Option { return core.WithIndexOptions(opts) }
 
 // IndexItem is one (id, text) pair for batch insertion via Index.AddAll.
 type IndexItem = embed.Item
 
 // NewEmbeddingIndexWith returns a k-NN index over the default embedder
-// with explicit options — enable ANN for approximate sublinear queries
-// (recall is measured: embed.Recall, `declctl index-bench`), and Quantize
-// to score ANN probe lists in int8, or to start the flat index's
-// certified int8 scan at 64 items instead of 512.
+// with an explicit partition count and k-means seed for Within and Blocks.
 func NewEmbeddingIndexWith(opts EmbeddingIndexOptions) *embed.Index {
 	return embed.NewIndexWith(embed.Default(), opts)
 }

@@ -118,10 +118,10 @@ func WithIndexRegistry(r *embed.Registry) Option {
 }
 
 // WithIndexOptions sets the embed.IndexOptions the engine's k-NN indexes
-// are built with (default: exact search) — enable ANN probing or the
-// int8-quantized tier for large corpora. Options are part of the
-// registry slot key, so engines sharing one registry with different
-// configurations never serve each other's indexes.
+// are built with: the partition count and k-means seed blocking draws its
+// candidate pairs from (k-NN search itself has no options). Options are
+// part of the registry slot key, so engines sharing one registry with
+// different configurations never serve each other's indexes.
 func WithIndexOptions(opts embed.IndexOptions) Option {
 	return func(e *Engine) { e.ixOpts = opts }
 }

@@ -34,7 +34,7 @@ const (
 // it. raw, when present, overwrites the leading store components and then
 // the query bit for bit, which is how the fuzzer reaches NaN payloads,
 // denormals and whatever else it finds.
-func certStore(seed int64, n, dim, shape int, raw []byte, opts IndexOptions) (*Index, []float32) {
+func certStore(seed int64, n, dim, shape int, raw []byte) (*Index, []float32) {
 	rng := rand.New(rand.NewSource(seed))
 	rows := make([][]float64, n)
 	gauss := func() []float64 {
@@ -88,7 +88,7 @@ func certStore(seed int64, n, dim, shape int, raw []byte, opts IndexOptions) (*I
 			}
 		}
 	}
-	ix := NewIndexWith(rawEmbedder(dim), opts)
+	ix := NewIndex(rawEmbedder(dim))
 	for i, v := range rows {
 		ix.insert(fmt.Sprintf("v%d", i), v)
 	}
@@ -165,9 +165,9 @@ func TestCertifiedMatchesExact(t *testing.T) {
 	var fallbacks int64
 	for shape := 0; shape < storeShapes; shape++ {
 		for _, dim := range []int{3, 17, 64, 250} {
-			for trial, n := range []int{quantMinPoints, 200, certMinPoints + 3} {
+			for trial, n := range []int{certMinPoints, certMinPoints + 3} {
 				label := fmt.Sprintf("shape %d dim %d n=%d", shape, dim, n)
-				ix, q := certStore(int64(1000*shape+10*dim+trial), n, dim, shape, nil, IndexOptions{Quantize: true})
+				ix, q := certStore(int64(1000*shape+10*dim+trial), n, dim, shape, nil)
 				far := make([]float32, dim) // every lane clamps
 				for d := range far {
 					far[d] = q[d]*100 + 50
@@ -204,16 +204,16 @@ func TestCertifiedMatchesExact(t *testing.T) {
 // dimensionality, k, the excluded row and — through raw — the exact bits
 // of store and query components; search must equal the exact scan.
 func FuzzCertifiedNearest(f *testing.F) {
-	f.Add(int64(1), uint16(64), uint8(16), uint16(5), uint16(0), uint8(storeGaussian), false, []byte{})
-	f.Add(int64(2), uint16(300), uint8(17), uint16(1), uint16(7), uint8(storeClusters), true, []byte{})
-	f.Add(int64(3), uint16(520), uint8(3), uint16(40), uint16(519), uint8(storeDuplicates), false, []byte{})
-	f.Add(int64(4), uint16(100), uint8(33), uint16(900), uint16(1), uint8(storeConstant), true, []byte{0, 0, 0xc0, 0x7f})
-	f.Add(int64(5), uint16(128), uint8(8), uint16(3), uint16(2), uint8(storeNonFinite), true, []byte{0, 0, 0x80, 0xff, 1, 0, 0, 0})
-	f.Add(int64(6), uint16(90), uint8(5), uint16(2), uint16(0), uint8(storeTiny), false, []byte{0xff, 0xff, 0x7f, 0x7f})
-	f.Add(int64(7), uint16(700), uint8(40), uint16(4), uint16(9), uint8(storeOffset), false, []byte{})
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, dim uint8, k, skip uint16, shape uint8, quantize bool, raw []byte) {
+	f.Add(int64(1), uint16(64), uint8(16), uint16(5), uint16(0), uint8(storeGaussian), []byte{})
+	f.Add(int64(2), uint16(811), uint8(17), uint16(1), uint16(7), uint8(storeClusters), []byte{})
+	f.Add(int64(3), uint16(520), uint8(3), uint16(40), uint16(519), uint8(storeDuplicates), []byte{})
+	f.Add(int64(4), uint16(611), uint8(33), uint16(900), uint16(1), uint8(storeConstant), []byte{0, 0, 0xc0, 0x7f})
+	f.Add(int64(5), uint16(639), uint8(8), uint16(3), uint16(2), uint8(storeNonFinite), []byte{0, 0, 0x80, 0xff, 1, 0, 0, 0})
+	f.Add(int64(6), uint16(590), uint8(5), uint16(2), uint16(0), uint8(storeTiny), []byte{0xff, 0xff, 0x7f, 0x7f})
+	f.Add(int64(7), uint16(700), uint8(40), uint16(4), uint16(9), uint8(storeOffset), []byte{})
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, dim uint8, k, skip uint16, shape uint8, raw []byte) {
 		rows, width := 1+int(n)%1200, 1+int(dim)%80
-		ix, q := certStore(seed, rows, width, int(shape)%storeShapes, raw, IndexOptions{Quantize: quantize})
+		ix, q := certStore(seed, rows, width, int(shape)%storeShapes, raw)
 		assertSearchIsExact(t, "fuzz", ix, q, 1+int(k), -1)
 		assertSearchIsExact(t, "fuzz", ix, q, 1+int(k), int(skip)%rows)
 	})
@@ -270,18 +270,17 @@ func TestCertifiedRateOnSimCorpora(t *testing.T) {
 	}
 }
 
-// TestScanStatsSharedByViewsAndRegistry: a WithOptions view counts into
-// its base index's tally, and a registry's tally is the sum over every
-// index it serves.
+// TestScanStatsSharedByViewsAndRegistry: an index counts its own queries
+// past the crossover, and a registry's tally is the sum over every index it
+// serves.
 func TestScanStatsSharedByViewsAndRegistry(t *testing.T) {
 	items := simTexts(t, certMinPoints+40)
 	base := NewIndex(Default())
 	base.AddAll(items[:certMinPoints])
 	base.Nearest(items[certMinPoints].Text, 3)
-	base.WithOptions(IndexOptions{Quantize: true}).Nearest(items[certMinPoints+1].Text, 3)
-	base.WithOptions(IndexOptions{ANN: true}).Nearest(items[certMinPoints+2].Text, 3) // not a flat query
-	if c, f := base.ScanStats(); c+f != 2 {
-		t.Fatalf("base and its flat view answered two flat queries; ScanStats = %d + %d", c, f)
+	base.Nearest(items[certMinPoints+1].Text, certMinPoints) // k too large for a shortlist
+	if c, f := base.ScanStats(); c+f != 1 {
+		t.Fatalf("one query took the int8 path; ScanStats = %d + %d", c, f)
 	}
 
 	reg := NewRegistry()
@@ -290,6 +289,6 @@ func TestScanStatsSharedByViewsAndRegistry(t *testing.T) {
 	reg.Index(Default(), items[1:certMinPoints+1]).Nearest(items[certMinPoints+2].Text, 3)
 	reg.Index(Default(), items[:certMinPoints-1]).Nearest(items[certMinPoints].Text, 3) // below the crossover
 	if c, f := reg.ScanStats(); c+f != 3 {
-		t.Fatalf("the registry's indexes answered three flat queries past the crossover; ScanStats = %d + %d", c, f)
+		t.Fatalf("the registry's indexes answered three queries past the crossover; ScanStats = %d + %d", c, f)
 	}
 }

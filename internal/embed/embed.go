@@ -11,10 +11,9 @@
 // (quant.go) — an integer kernel shortlists, exact float32 distances
 // re-rank, and a per-query certificate proves the answer byte-identical
 // to the float32 scan's, which runs instead when the proof does not
-// close. An opt-in ANN mode (ann.go) probes a few k-means partitions
-// instead of scanning everything, trading a measured amount of recall
-// (Recall, `declctl index-bench`) for an order-of-magnitude throughput
-// gain, and can score its probe lists through the same int8 kernel.
+// close. That is the only search there is. A k-means partition structure
+// (partitions.go) serves the two non-top-k queries: Within prunes with an
+// exact centroid-radius bound, Blocks draws its candidate pairs from it.
 package embed
 
 import (

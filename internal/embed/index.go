@@ -25,42 +25,16 @@ type Item struct {
 	ID, Text string
 }
 
-// IndexOptions configures an Index beyond the exact-scan defaults.
+// IndexOptions shapes the k-means partition structure (partitions.go) that Within
+// prunes with and Blocks draws candidate pairs from. Nearest, NearestOther
+// and NearestByID never read it: there is one search, and its answer is
+// the exact scan's.
 type IndexOptions struct {
-	// ANN switches Nearest/NearestOther/NearestByID to approximate
-	// search: queries probe the closest k-means partitions instead of
-	// scanning every vector. Recall against exact search is a measured
-	// property (see Recall and `declctl index-bench`); raise Probes to
-	// trade speed back for recall. Within is unaffected — its pruning
-	// bound is exact, so it returns the same result as a full scan in
-	// both modes. Blocks compares partition candidates in both modes
-	// (see its doc comment for the fidelity contract).
-	ANN bool
 	// Partitions is the number of k-means partitions (default √N,
 	// computed when the partition structure is first built).
 	Partitions int
-	// Probes is the number of partitions scanned per ANN query (default
-	// max(2, Partitions/4)). Probing more partitions raises recall and
-	// cost; Probes ≥ Partitions degenerates to an exact scan.
-	Probes int
 	// Seed drives the deterministic k-means initialisation (default 1).
 	Seed int64
-	// Quantize asks for the int8 scalar-quantized distance tier (quant.go)
-	// from quantMinPoints items up. On a flat index it cannot change a
-	// result: the flat int8 path is certified equal to the exact scan
-	// query by query (exact-scan fallback otherwise) and switches itself on
-	// at certMinPoints whether or not Quantize is set — the option only
-	// lowers that size. Combined with ANN, partition probe lists are
-	// scored through the quantized kernel into a RerankFactor·k shortlist
-	// that is re-ranked exactly, which is uncertified: it reproduces plain
-	// ANN's ranking on the sim corpora (TestQuantizedMatchesANNCandidates).
-	// Within and Blocks always use exact distances.
-	Quantize bool
-	// RerankFactor is the quantized shortlist multiplier (default
-	// DefaultRerankFactor). Under ANN+Quantize the shortlist is
-	// RerankFactor·k candidates; on a flat index it is only a floor on the
-	// certified path's fixed shortlist width and cannot change a result.
-	RerankFactor int
 }
 
 // Index is a k-NN index over embedded texts. Vectors live in a single
@@ -85,21 +59,21 @@ type Index struct {
 	partMu  sync.Mutex
 	quant   atomic.Pointer[quantized]
 	quantMu sync.Mutex
-	// scans counts certified-path outcomes; WithOptions views share it, and
-	// a Registry points every index it serves at its own.
+	// scans counts certified-path outcomes; a Registry points every index
+	// it serves at its own.
 	scans *scanCounters
 }
 
-// scanCounters says what share of flat-index queries had the property the
-// certified path is built on: certified answered from the int8 shortlist
-// with the proof closed, fallbacks re-ran as the exact scan. Queries that
-// never enter the path (ANN, small indexes, k too large) count as neither.
+// scanCounters says what share of queries had the property the certified
+// path is built on: certified answered from the int8 shortlist with the
+// proof closed, fallbacks re-ran as the exact scan. Queries that never
+// enter the path (small indexes, k too large) count as neither.
 type scanCounters struct {
 	certified, fallbacks atomic.Int64
 }
 
-// ScanStats returns how many flat queries on this index (and the views
-// sharing its counters) were certified and how many fell back.
+// ScanStats returns how many queries on this index were certified and how
+// many fell back.
 func (ix *Index) ScanStats() (certified, fallbacks int64) {
 	return ix.scans.certified.Load(), ix.scans.fallbacks.Load()
 }
@@ -107,38 +81,11 @@ func (ix *Index) ScanStats() (certified, fallbacks int64) {
 // NewIndex returns an empty exact-search index using the given embedder.
 func NewIndex(e Embedder) *Index { return NewIndexWith(e, IndexOptions{}) }
 
-// NewIndexWith returns an empty index with explicit options (ANN mode,
-// partition/probe counts, k-means seed).
+// NewIndexWith returns an empty index with explicit options (partition
+// count, k-means seed).
 func NewIndexWith(e Embedder, opts IndexOptions) *Index {
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	return &Index{embedder: e, dim: e.Dim(), byID: make(map[string]int), opts: opts, scans: new(scanCounters)}
+	return &Index{embedder: e, dim: e.Dim(), byID: make(map[string]int), opts: opts.normalized(), scans: new(scanCounters)}
 }
-
-// WithOptions returns a queryable view of a fully built index under
-// different search options, sharing the contiguous vector store, id
-// table, and — where the options agree — the lazily built tier
-// structures: the quantized code array always transfers (it depends only
-// on the stored vectors), and the partition structure transfers when
-// Partitions and Seed match (Probes, Quantize, and RerankFactor are
-// query-time knobs). Neither the receiver nor the view may be mutated
-// afterwards; this is the cheap way to compare search modes over one
-// embedded corpus (see `declctl index-bench`).
-func (ix *Index) WithOptions(opts IndexOptions) *Index {
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	view := &Index{embedder: ix.embedder, dim: ix.dim, ids: ix.ids, data: ix.data, byID: ix.byID, opts: opts, scans: ix.scans}
-	view.quant.Store(ix.quant.Load())
-	if opts.Partitions == ix.opts.Partitions && opts.Seed == ix.opts.Seed {
-		view.part.Store(ix.part.Load())
-	}
-	return view
-}
-
-// Options returns the index's resolved search options.
-func (ix *Index) Options() IndexOptions { return ix.opts }
 
 // Len returns the number of indexed items.
 func (ix *Index) Len() int { return len(ix.ids) }
@@ -240,8 +187,7 @@ func (ix *Index) nearestText(text string, k, skip int) []Neighbor {
 
 // Nearest returns the k nearest stored items to the query text by L2
 // distance, closest first. Ties break by insertion order for determinism.
-// If k exceeds the index size, all items are returned. With ANN enabled
-// the result is approximate (see IndexOptions.ANN).
+// If k exceeds the index size, all items are returned.
 func (ix *Index) Nearest(text string, k int) []Neighbor {
 	if k <= 0 || len(ix.ids) == 0 {
 		return nil
@@ -290,14 +236,12 @@ func (ix *Index) DistanceByID(a, b string) (float64, bool) {
 	return math.Sqrt(float64(l2sq32(ix.vec(pa), ix.vec(pb)))), true
 }
 
-// search dispatches a query vector to the ANN, certified int8, or exact
-// path. skip is a position to exclude (-1 for none). k is clamped to the
-// index size first: every path sizes a heap by it.
+// search answers a query vector through the certified int8 path when the
+// index is past its crossover, and through the exact scan below it or when
+// the proof does not close. skip is a position to exclude (-1 for none). k
+// is clamped to the index size first: both paths size a heap by it.
 func (ix *Index) search(sc *searchScratch, q []float32, k, skip int) []Neighbor {
 	k = min(k, len(ix.ids))
-	if ix.opts.ANN && len(ix.ids) >= annMinPoints {
-		return ix.annSearch(q, k, skip)
-	}
 	if width := ix.shortlistWidth(k); width > 0 {
 		if nn, ok := ix.certifiedSearch(sc, q, k, skip, width); ok {
 			return nn
@@ -333,7 +277,7 @@ type bounded[D int64 | float32] struct {
 }
 
 // topK is the float32 squared-distance instantiation used by the exact
-// scan, ANN probing, and the re-rank pass.
+// scan and the re-rank pass.
 type topK struct {
 	bounded[float32]
 }
@@ -407,33 +351,4 @@ func (t *topK) neighbors(ids []string) []Neighbor {
 		out[i] = Neighbor{ID: ids[t.idx[h]], Distance: math.Sqrt(float64(t.d2[h]))}
 	}
 	return out
-}
-
-// Recall measures the fraction of exact k-NN results that approx also
-// returns, averaged over the query texts — the measured-recall knob for
-// tuning IndexOptions.Probes. Both indexes must hold the same items.
-func Recall(exact, approx *Index, queries []string, k int) float64 {
-	if len(queries) == 0 || k <= 0 {
-		return 1
-	}
-	var sum float64
-	for _, q := range queries {
-		truth := exact.Nearest(q, k)
-		if len(truth) == 0 {
-			sum++
-			continue
-		}
-		want := make(map[string]bool, len(truth))
-		for _, nb := range truth {
-			want[nb.ID] = true
-		}
-		hit := 0
-		for _, nb := range approx.Nearest(q, k) {
-			if want[nb.ID] {
-				hit++
-			}
-		}
-		sum += float64(hit) / float64(len(truth))
-	}
-	return sum / float64(len(queries))
 }

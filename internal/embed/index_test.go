@@ -280,19 +280,20 @@ func clusteredCorpus(nFamilies int, seed int64) []Item {
 // TestBlocksMatchSingleLinkage is the property test: on random clustered
 // corpora — the near-duplicate regime blocking thresholds target —
 // partition-candidate union-find Blocks equals full quadratic
-// single-linkage clustering, for exact and ANN-mode indexes alike.
+// single-linkage clustering, under the default partitioning and an
+// explicit one.
 func TestBlocksMatchSingleLinkage(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		items := clusteredCorpus(4+trial*6, int64(100+trial))
-		for _, opts := range []IndexOptions{{}, {ANN: true}} {
+		for _, opts := range []IndexOptions{{}, {Partitions: 3, Seed: 5}} {
 			ix := NewIndexWith(Default(), opts)
 			ix.AddAll(items)
 			for _, threshold := range []float64{0.4, 0.6, 0.8} {
 				got := ix.Blocks(threshold)
 				want := singleLinkage(ix, threshold)
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d threshold %.1f ann=%v: Blocks diverges from single-linkage:\n got %v\nwant %v",
-						trial, threshold, opts.ANN, got, want)
+					t.Fatalf("trial %d threshold %.1f %+v: Blocks diverges from single-linkage:\n got %v\nwant %v",
+						trial, threshold, opts, got, want)
 				}
 			}
 		}
@@ -338,7 +339,7 @@ func simTexts(t testing.TB, n int) []Item {
 }
 
 // syntheticCorpus draws n indexable items plus heldOut query texts from
-// the seeded synthetic generator, the way `declctl index-bench` does.
+// the seeded synthetic generator.
 func syntheticCorpus(n, heldOut int, seed int64) ([]Item, []string) {
 	texts := dataset.GenerateSyntheticTexts(n+heldOut, seed)
 	items := make([]Item, n)
@@ -348,111 +349,24 @@ func syntheticCorpus(n, heldOut int, seed int64) ([]Item, []string) {
 	return items, texts[n:]
 }
 
-// indexBenchCorpus is the corpus of `declctl index-bench -n 2000 -queries
-// 100` at its default seed.
-func indexBenchCorpus() ([]Item, []string) { return syntheticCorpus(2000, 100, 7) }
-
-// recall3 is Recall rounded to the three decimals index-bench prints.
-func recall3(exact, approx *Index, queries []string, k int) float64 {
-	return math.Round(Recall(exact, approx, queries, k)*1000) / 1000
-}
-
-// TestANNRecall pins approximate Nearest at ≥0.95 recall against exact
-// search on 1k sim records at the documented probe setting. Queries are
-// held out of the index — no guaranteed self-hit to flatter the number —
-// so this measures the recall the resolve/join/impute consumers see on
-// novel texts. On the index-bench corpus at the default partition and
-// probe counts (√N, a quarter of them) the figure is lower and pinned
-// exactly: k-means is seeded, so a change in it means partitioning or
-// probing changed.
-func TestANNRecall(t *testing.T) {
-	all := simTexts(t, 1100)
-	items, heldOut := all[:1000], all[1000:]
-	exact := NewIndex(Default())
-	exact.AddAll(items)
-	ann := NewIndexWith(Default(), IndexOptions{ANN: true, Partitions: 32, Probes: 10})
-	ann.AddAll(items)
-	queries := make([]string, 0, len(heldOut))
-	for _, it := range heldOut {
-		queries = append(queries, it.Text)
-	}
-	recall := Recall(exact, ann, queries, 10)
-	if recall < 0.95 {
-		t.Fatalf("ANN recall = %.3f, want >= 0.95", recall)
-	}
-	t.Logf("ANN recall@10 over %d held-out queries: %.3f", len(queries), recall)
-
-	items, queries = indexBenchCorpus()
-	exact = NewIndex(Default())
-	exact.AddAll(items)
-	if got := recall3(exact, exact.WithOptions(IndexOptions{ANN: true}), queries, 10); got != 0.878 {
-		t.Fatalf("index-bench ANN recall = %.3f, pinned 0.878", got)
-	}
-}
-
-// TestANNExclusionKeepsK regresses the candidate-extension gate: when
-// the excluded item sits inside the probed partitions, an exclusion
-// query must still return k results if k other items exist.
-func TestANNExclusionKeepsK(t *testing.T) {
-	items := simTexts(t, annMinPoints)
-	ix := NewIndexWith(Default(), IndexOptions{ANN: true, Partitions: 2, Probes: 1})
-	ix.AddAll(items)
-	pt := ix.ensurePartitions()
-	for _, it := range items {
-		pos := ix.byID[it.ID]
-		// k equal to the item's own partition size is the boundary where
-		// counting the excluded item used to leave the heap one short.
-		k := len(pt.members[pt.primary[pos]])
-		if k > ix.Len()-1 {
-			k = ix.Len() - 1
-		}
-		if got := ix.NearestByID(it.ID, k); len(got) != k {
-			t.Fatalf("NearestByID(%s, %d) returned %d results", it.ID, k, len(got))
-		}
-	}
-}
-
 // TestConcurrentFirstQuery exercises the build-then-query contract under
 // the race detector: many goroutines issue the first queries (triggering
 // the lazy partition build) concurrently.
 func TestConcurrentFirstQuery(t *testing.T) {
 	items := simTexts(t, 200)
-	for _, opts := range []IndexOptions{{}, {ANN: true}} {
-		ix := NewIndexWith(Default(), opts)
-		ix.AddAll(items)
-		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				ix.Nearest(items[g].Text, 5)
-				ix.Within(items[g+8].Text, 0.8)
-				ix.Blocks(0.8)
-			}(g)
-		}
-		wg.Wait()
-	}
-}
-
-// TestANNNearestContracts checks ANN mode keeps the Nearest API contract:
-// k clamped to index size, self found first for stored texts, exclusion
-// honoured.
-func TestANNNearestContracts(t *testing.T) {
-	items := simTexts(t, 300)
-	ix := NewIndexWith(Default(), IndexOptions{ANN: true})
+	ix := NewIndex(Default())
 	ix.AddAll(items)
-	if got := ix.Nearest(items[0].Text, 2*len(items)); len(got) != len(items) {
-		t.Fatalf("k beyond size: got %d results, want %d", len(got), len(items))
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ix.Nearest(items[g].Text, 5)
+			ix.Within(items[g+8].Text, 0.8)
+			ix.Blocks(0.8)
+		}(g)
 	}
-	nn := ix.Nearest(items[42].Text, 3)
-	if len(nn) != 3 || nn[0].ID != items[42].ID || nn[0].Distance > 1e-9 {
-		t.Fatalf("stored text should find itself first: %+v", nn)
-	}
-	for _, nb := range ix.NearestOther(items[42].Text, items[42].ID, 3) {
-		if nb.ID == items[42].ID {
-			t.Fatalf("NearestOther returned the excluded id: %+v", nb)
-		}
-	}
+	wg.Wait()
 }
 
 // TestCertifiedNearestAllocs pins the pooled scratch: a warm certified
@@ -486,22 +400,21 @@ func TestCertifiedNearestAllocs(t *testing.T) {
 
 // TestNearestClampsK regresses the unclamped heap: k far beyond the index
 // size used to size a heap of k entries before a single row was scored
-// (neighbors: 1<<40 took a server down). Every path returns Len() results.
+// (neighbors: 1<<40 took a server down). Below the crossover and past it,
+// every entrance returns Len() results.
 func TestNearestClampsK(t *testing.T) {
 	items := simTexts(t, certMinPoints+10)
-	for _, opts := range []IndexOptions{{}, {Quantize: true}, {ANN: true}, {ANN: true, Quantize: true}} {
-		for _, n := range []int{10, quantMinPoints + 5, len(items)} {
-			ix := NewIndexWith(Default(), opts)
-			ix.AddAll(items[:n])
-			if got := ix.Nearest(items[0].Text, 1<<40); len(got) != n {
-				t.Fatalf("%+v n=%d: Nearest(k=1<<40) returned %d results", opts, n, len(got))
-			}
-			if got := ix.NearestOther(items[0].Text, items[0].ID, 1<<40); len(got) != n-1 {
-				t.Fatalf("%+v n=%d: NearestOther(k=1<<40) returned %d results", opts, n, len(got))
-			}
-			if got := ix.NearestByID(items[1].ID, 1<<40); len(got) != n-1 {
-				t.Fatalf("%+v n=%d: NearestByID(k=1<<40) returned %d results", opts, n, len(got))
-			}
+	for _, n := range []int{10, len(items)} {
+		ix := NewIndex(Default())
+		ix.AddAll(items[:n])
+		if got := ix.Nearest(items[0].Text, 1<<40); len(got) != n {
+			t.Fatalf("n=%d: Nearest(k=1<<40) returned %d results", n, len(got))
+		}
+		if got := ix.NearestOther(items[0].Text, items[0].ID, 1<<40); len(got) != n-1 {
+			t.Fatalf("n=%d: NearestOther(k=1<<40) returned %d results", n, len(got))
+		}
+		if got := ix.NearestByID(items[1].ID, 1<<40); len(got) != n-1 {
+			t.Fatalf("n=%d: NearestByID(k=1<<40) returned %d results", n, len(got))
 		}
 	}
 }

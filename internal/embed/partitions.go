@@ -8,11 +8,6 @@ import (
 	"repro/internal/consistency"
 )
 
-// annMinPoints is the index size below which ANN queries fall back to the
-// exact scan: probing partitions of a tiny index costs more than reading
-// it whole.
-const annMinPoints = 64
-
 // boundSlack pads the centroid-radius pruning bound so float32 rounding
 // at a threshold boundary can never drop a qualifying pair. The bound is
 // mathematically strict (d(q,x) ≥ d(q,c) − r(c)); the slack only admits a
@@ -23,21 +18,19 @@ const boundSlack = 1e-4
 // sample. Partition quality plateaus quickly for hashing embeddings.
 const kmeansIters = 5
 
-// partitions is the IVF-style coarse quantiser: k-means centroids, the
-// member lists of each partition, and each partition's radius (max member
-// distance to its centroid), which powers the exact pruning bound used by
-// Within. secondary additionally lists every vector under its
-// second-closest centroid — the classic redundant-assignment trick that
-// rescues boundary points ANN probing would otherwise miss, roughly
-// doubling recall-per-probe at the cost of two extra int32 per vector
-// (the secondary entry plus the primary map that dedups probe scans).
+// partitions is the coarse k-means structure over the store: centroids,
+// the member lists of each partition, and each partition's radius (max
+// member distance to its centroid), which powers the exact pruning bound
+// used by Within. secondary additionally lists every vector under its
+// second-closest centroid — redundant assignment, so that Blocks sees a
+// near-duplicate pair that straddles a partition boundary in at least one
+// candidate list.
 type partitions struct {
 	dim       int
 	centroids []float32 // p × dim, row-major
 	radius    []float32
 	members   [][]int32 // primary assignment, every point exactly once
 	secondary [][]int32 // second-nearest assignment
-	primary   []int32   // point → its primary partition
 }
 
 func (pt *partitions) count() int { return len(pt.members) }
@@ -171,12 +164,10 @@ func buildPartitions(ix *Index) *partitions {
 	}
 
 	pt.secondary = make([][]int32, p)
-	pt.primary = make([]int32, n)
 	for i := 0; i < n; i++ {
 		v := ix.vec(i)
 		c, second := pt.nearestTwoCentroids(v)
 		pt.members[c] = append(pt.members[c], int32(i))
-		pt.primary[i] = int32(c)
 		if r := float32(math.Sqrt(float64(l2sq32(v, pt.centroid(c))))); r > pt.radius[c] {
 			pt.radius[c] = r
 		}
@@ -187,115 +178,9 @@ func buildPartitions(ix *Index) *partitions {
 	return pt
 }
 
-// probeCount resolves the configured probe budget against the actual
-// partition count.
-func (ix *Index) probeCount(p int) int {
-	probes := ix.opts.Probes
-	if probes <= 0 {
-		// Recall-leaning default: a quarter of the partitions, which with
-		// redundant assignment measures ≥0.95 recall@10 on the sim
-		// corpora (see TestANNRecall and `declctl index-bench`). Lower
-		// Probes explicitly to trade recall for speed.
-		probes = p / 4
-		if probes < 2 {
-			probes = 2
-		}
-	}
-	if probes > p {
-		probes = p
-	}
-	return probes
-}
-
-// partitionOrder returns partition indices sorted by centroid distance to
-// q, closest first (ties by index).
-func (pt *partitions) partitionOrder(q []float32) []int {
-	p := pt.count()
-	order := make([]int, p)
-	d2 := make([]float32, p)
-	for c := 0; c < p; c++ {
-		order[c] = c
-		d2[c] = l2sq32(q, pt.centroid(c))
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if d2[order[a]] != d2[order[b]] {
-			return d2[order[a]] < d2[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	return order
-}
-
-// annSearch answers a top-k query by scanning the probeCount nearest
-// partitions' primary and secondary member lists, extending to further
-// partitions only while the primaries seen number fewer than k (primary
-// lists cover every point, so k ≥ N still returns everything). A
-// secondary entry is skipped when its primary partition is also probed —
-// an O(P) probed-set check, so per-query work stays proportional to the
-// candidates scanned rather than to the index size. With the quantized
-// tier enabled, probe-list scoring runs through the integer kernel into a
-// shortlist that is re-ranked exactly (quant.go), so the probed
-// candidate set is identical in both modes and only the scan arithmetic
-// changes.
-func (ix *Index) annSearch(q []float32, k, skip int) []Neighbor {
-	pt := ix.ensurePartitions()
-	order := pt.partitionOrder(q)
-	probes := ix.probeCount(pt.count())
-	probed := make([]bool, pt.count())
-	chosen := make([]int, 0, probes)
-	// The skipped item may sit in a chosen partition, so demand one
-	// extra candidate before stopping early — otherwise an exclusion
-	// query could come back with k-1 results while k others exist.
-	need := k
-	if skip >= 0 {
-		need = k + 1
-	}
-	seen := 0
-	for pi, c := range order {
-		if pi >= probes && seen >= need {
-			break
-		}
-		chosen = append(chosen, c)
-		probed[c] = true
-		seen += len(pt.members[c])
-	}
-	if ix.opts.Quantize && len(ix.ids) >= quantMinPoints {
-		qz := ix.ensureQuantized()
-		qRow, qNorm := qz.encodeQuery(nil, q)
-		sl := ix.newShortlist(k)
-		for _, c := range chosen {
-			for _, j := range pt.members[c] {
-				if int(j) != skip {
-					sl.push(int(j), qz.codeD2(qNorm, qRow, int(j)))
-				}
-			}
-			for _, j := range pt.secondary[c] {
-				if int(j) != skip && !probed[pt.primary[j]] {
-					sl.push(int(j), qz.codeD2(qNorm, qRow, int(j)))
-				}
-			}
-		}
-		return ix.rerank(q, k, sl.positions())
-	}
-	t := newTopK(k)
-	for _, c := range chosen {
-		for _, j := range pt.members[c] {
-			if int(j) != skip {
-				t.push(int(j), l2sq32(q, ix.vec(int(j))))
-			}
-		}
-		for _, j := range pt.secondary[c] {
-			if int(j) != skip && !probed[pt.primary[j]] {
-				t.push(int(j), l2sq32(q, ix.vec(int(j))))
-			}
-		}
-	}
-	return t.neighbors(ix.ids)
-}
-
 // Within returns every stored item whose L2 distance to the query text is
-// at most radius, closest first (ties by insertion order). It is exact in
-// both index modes: partitions are used only through the pruning bound
+// at most radius, closest first (ties by insertion order). It is exact:
+// partitions are used only through the pruning bound
 // d(q, x) ≥ d(q, centroid) − partitionRadius, which can rule a partition
 // out but never a qualifying member.
 func (ix *Index) Within(text string, radius float64) []Neighbor {
@@ -346,9 +231,9 @@ func (ix *Index) Within(text string, radius float64) []Neighbor {
 // keeping the exactly-one-block-per-item contract. Each item appears in
 // exactly one block; blocks and their members preserve insertion order.
 //
-// Candidate generation is approximate in the same sense as ANN search: a
-// sub-threshold pair links only if the two items share a partition under
-// redundant (two-nearest) assignment. In the tight-threshold regime
+// Candidate generation is approximate: a sub-threshold pair links only if
+// the two items share a partition under redundant (two-nearest)
+// assignment. In the tight-threshold regime
 // blocking runs at (near-duplicates, default cutoffs ≤ 1.0) shared
 // partitions capture essentially all links, and the property test pins
 // Blocks to full single-linkage components on random corpora.

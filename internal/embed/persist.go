@@ -13,7 +13,7 @@ import (
 )
 
 // Index persistence (ISSUE 8): a built index — the contiguous float32
-// store, the k-means partition structure, and the int8 quantized tier —
+// store, the k-means partition structure, and the int8 code array —
 // serializes into one versioned binary file whose sections are raw
 // little-endian arrays at 8-byte-aligned offsets. Loading is one
 // os.ReadFile plus pointer arithmetic: on little-endian hosts every
@@ -31,12 +31,24 @@ const (
 	indexMagic   = "DPIX"
 	indexVersion = 1
 	// indexHeaderLen is the fixed header: magic, version, fingerprint,
-	// corpus hash, dim, n, option flags, partitions/probes/rerank, seed.
+	// corpus hash, dim, n, section flags, partitions, two reserved words,
+	// seed.
 	indexHeaderLen = 64
 	// indexMaxCount bounds every element count decoded from an index file
 	// before it sizes an allocation, so a corrupt length field cannot
 	// demand petabytes.
 	indexMaxCount = 1 << 31
+)
+
+// The header once carried four more options — flag bits for ANN probing and
+// the opt-in int8 tier, the probe count and the rerank factor. Their slots
+// stay, in the header and in the file-name hash, holding what a
+// default-options index always wrote there, so every such file already in
+// a state dir still loads under the same name. Loading ignores them.
+const (
+	reservedFlags  = 0
+	reservedProbes = 0
+	reservedRerank = 4
 )
 
 // ErrNotIndexFile reports that a file is missing or is not a DPIX index
@@ -79,19 +91,11 @@ func (key fileKey) fileName() string {
 	put(uint64(key.n))
 	put(key.fingerprint)
 	h.Write(key.hash[:])
-	o := key.opts
-	flags := uint64(0)
-	if o.ANN {
-		flags |= 1
-	}
-	if o.Quantize {
-		flags |= 2
-	}
-	put(flags)
-	put(uint64(int64(o.Partitions)))
-	put(uint64(int64(o.Probes)))
-	put(uint64(int64(o.RerankFactor)))
-	put(uint64(o.Seed))
+	put(reservedFlags)
+	put(uint64(int64(key.opts.Partitions)))
+	put(reservedProbes)
+	put(reservedRerank)
+	put(uint64(key.opts.Seed))
 	return fmt.Sprintf("index-%016x.dpix", h.Sum64())
 }
 
@@ -190,23 +194,21 @@ func (cw *crcWriter) i8s(v []int8) {
 	cw.bytes(unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)))
 }
 
-// SaveIndex persists a fully built index to path, forcing the tier
-// structures its queries will use (partitions under ANN, the code array
-// under Quantize or when the flat path is past its crossover) so a warm
-// load serves queries without rebuilding either. The write goes through
-// a temp file + rename, so a crash never leaves a half-written file
-// under the final name. The em and items arguments supply the
-// invalidation key and must be the corpus the index was built from.
+// SaveIndex persists a fully built index to path, with the partition
+// structure if Within or Blocks has built it and with the code array
+// whenever the index is past the certified path's crossover — built here
+// if no query has yet — so a warm load serves queries without rebuilding
+// either. The write goes through a temp file + rename, so a crash never
+// leaves a half-written file under the final name. The em and items
+// arguments supply the invalidation key and must be the corpus the index
+// was built from.
 func SaveIndex(path string, ix *Index, em Embedder, items []Item) error {
 	return saveIndex(path, ix, fileKeyOf(em, items, ix.opts))
 }
 
 // saveIndex is SaveIndex under an invalidation key already computed.
 func saveIndex(path string, ix *Index, key fileKey) error {
-	if ix.opts.ANN {
-		ix.ensurePartitions()
-	}
-	if ix.opts.Quantize || (!ix.opts.ANN && ix.shortlistWidth(1) > 0) {
+	if ix.shortlistWidth(1) > 0 {
 		ix.ensureQuantized()
 	}
 
@@ -245,7 +247,6 @@ func saveIndex(path string, ix *Index, key fileKey) error {
 // writeIndexStream emits the header and every section in file order.
 func writeIndexStream(cw *crcWriter, ix *Index, key fileKey, pt *partitions, qz *quantized) {
 	n := len(ix.ids)
-	o := key.opts
 	// Header.
 	cw.bytes([]byte(indexMagic))
 	cw.u32(indexVersion)
@@ -253,24 +254,18 @@ func writeIndexStream(cw *crcWriter, ix *Index, key fileKey, pt *partitions, qz 
 	cw.bytes(key.hash[:])
 	cw.u32(uint32(ix.dim))
 	cw.u32(uint32(n))
-	var flags, hasPart, hasQuant byte
-	if o.ANN {
-		flags |= 1
-	}
-	if o.Quantize {
-		flags |= 2
-	}
+	var hasPart, hasQuant byte
 	if pt != nil {
 		hasPart = 1
 	}
 	if qz != nil {
 		hasQuant = 1
 	}
-	cw.bytes([]byte{flags, hasPart, hasQuant, 0})
-	cw.u32(uint32(int32(o.Partitions)))
-	cw.u32(uint32(int32(o.Probes)))
-	cw.u32(uint32(int32(o.RerankFactor)))
-	cw.u64(uint64(o.Seed))
+	cw.bytes([]byte{reservedFlags, hasPart, hasQuant, 0})
+	cw.u32(uint32(int32(key.opts.Partitions)))
+	cw.u32(reservedProbes)
+	cw.u32(reservedRerank)
+	cw.u64(uint64(key.opts.Seed))
 
 	// Ids: cumulative end offsets, then one concatenated blob. The loader
 	// turns the blob into a single string and every id into a substring.
@@ -299,8 +294,11 @@ func writeIndexStream(cw *crcWriter, ix *Index, key fileKey, pt *partitions, qz 
 		cw.f32s(pt.centroids)
 		cw.align8()
 		cw.f32s(pt.radius)
+		// Row → its partition, once: only ANN probing read the section, and
+		// a file written here is never found under the name of one saved
+		// with ANN on. Zeros keep the layout version 1.
 		cw.align8()
-		cw.i32s(pt.primary)
+		cw.i32s(make([]int32, n))
 		// Member lists flatten to per-partition lengths + one contiguous
 		// array each; the loader re-slices the flat arrays in place.
 		writeLists(cw, pt.members)
@@ -460,8 +458,11 @@ func (r *indexReader) i8s(n int) []int8 {
 	return unsafe.Slice((*int8)(unsafe.Pointer(&p[0])), n)
 }
 
-// readLists reverses writeLists, re-slicing the flat array in place.
-func (r *indexReader) readLists(p int) [][]int32 {
+// readLists reverses writeLists, re-slicing the flat array in place. Every
+// entry must name one of the index's n rows — Within and Blocks slice the
+// store by them — and with cover set the lists must name each row exactly
+// once.
+func (r *indexReader) readLists(p, n int, cover bool) [][]int32 {
 	r.align8()
 	lens := r.u32s(p)
 	r.align8()
@@ -481,9 +482,22 @@ func (r *indexReader) readLists(p int) [][]int32 {
 		lists[i] = flat[off : off+n : off+n]
 		off += n
 	}
-	if off != total {
+	if off != total || (cover && total != n) {
 		r.fail()
 		return nil
+	}
+	var seen []bool
+	if cover {
+		seen = make([]bool, n)
+	}
+	for _, j := range flat {
+		if j < 0 || int(j) >= n || (cover && seen[j]) {
+			r.fail()
+			return nil
+		}
+		if cover {
+			seen[j] = true
+		}
 	}
 	return lists
 }
@@ -491,14 +505,13 @@ func (r *indexReader) readLists(p int) [][]int32 {
 // LoadIndex restores a persisted index from path, verifying that the
 // file was built from exactly this corpus (em + items, hashed the same
 // way the registry keys builds) before any section is decoded. The
-// requested opts govern query behavior of the returned index; saved tier
-// structures transfer under the same rules as Index.WithOptions — the
-// quantized code array always (it depends only on the stored vectors),
-// the partition structure when Partitions and Seed match the saved
-// build. Errors are classified: ErrNotIndexFile (missing/foreign file),
-// ErrStaleIndex (valid file, different corpus or embedder), and
-// ErrCorruptIndex (checksum or structural failure) — all of which a
-// warm-start caller treats as "rebuild".
+// requested opts are the returned index's; the saved code array always
+// transfers (it depends only on the stored vectors), the saved partition
+// structure when Partitions and Seed match the saved build. Errors are
+// classified: ErrNotIndexFile (missing/foreign file), ErrStaleIndex
+// (valid file, different corpus or embedder), and ErrCorruptIndex
+// (checksum or structural failure) — all of which a warm-start caller
+// treats as "rebuild".
 //
 // On little-endian hosts the returned index aliases the file bytes —
 // vectors, codes, and partition arrays point into one buffer with no
@@ -507,8 +520,8 @@ func (r *indexReader) readLists(p int) [][]int32 {
 // proportional to the index, which keeps a warm start fast even when
 // the process heap is already large (a 100MB ReadFile under GC
 // pressure costs several times the raw read). The mapping stays alive
-// for the life of the process — the index and every WithOptions view
-// alias it, so it is never unmapped after a successful load.
+// for the life of the process — the index aliases it, so it is never
+// unmapped after a successful load.
 func LoadIndex(path string, em Embedder, items []Item, opts IndexOptions) (*Index, error) {
 	return loadIndex(path, em, fileKeyOf(em, items, opts))
 }
@@ -557,14 +570,9 @@ func decodeIndex(b []byte, path string, em Embedder, key fileKey) (*Index, error
 		return nil, fmt.Errorf("%w: %s truncated header", ErrCorruptIndex, path)
 	}
 	hasPart, hasQuant := fb[1] == 1, fb[2] == 1
-	savedOpts := IndexOptions{
-		ANN:          fb[0]&1 != 0,
-		Quantize:     fb[0]&2 != 0,
-		Partitions:   int(int32(r.u32())),
-		Probes:       int(int32(r.u32())),
-		RerankFactor: int(int32(r.u32())),
-		Seed:         int64(r.u64()),
-	}
+	savedOpts := IndexOptions{Partitions: int(int32(r.u32()))}
+	r.take(8) // reserved
+	savedOpts.Seed = int64(r.u64())
 	if fingerprint != key.fingerprint || hash != key.hash || dim != key.dim || n != key.n {
 		return nil, fmt.Errorf("%w: %s (rebuild and re-save)", ErrStaleIndex, path)
 	}
@@ -605,14 +613,14 @@ func decodeIndex(b []byte, path string, em Embedder, key fileKey) (*Index, error
 		r.align8()
 		pt.radius = r.f32s(p)
 		r.align8()
-		pt.primary = r.i32s(n)
-		pt.members = r.readLists(p)
-		pt.secondary = r.readLists(p)
+		r.take(n * 4) // the retired row → partition section
+		pt.members = r.readLists(p, n, true)
+		pt.secondary = r.readLists(p, n, false)
 		if r.err != nil {
-			return nil, fmt.Errorf("%w: %s partition section truncated", ErrCorruptIndex, path)
+			return nil, fmt.Errorf("%w: %s partition section inconsistent", ErrCorruptIndex, path)
 		}
 		// Saved partitions transfer only when the requested configuration
-		// would have built them identically (the WithOptions rule).
+		// would have built them identically.
 		if savedOpts.Partitions == key.opts.Partitions && savedOpts.Seed == key.opts.Seed {
 			ix.part.Store(pt)
 		}

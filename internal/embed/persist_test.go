@@ -3,12 +3,16 @@ package embed
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -34,47 +38,72 @@ func assertIdenticalTopK(t *testing.T, label string, a, b *Index, k int) {
 	}
 }
 
-// TestIndexPersistRoundTrip saves and reloads an index under every tier
-// combination and pins the warm-loaded index's top-k byte-identical to
-// the freshly built one — the ISSUE 8 acceptance criterion.
+// assertIdenticalRegionQueries pins two indexes to the same Blocks and
+// Within answers — the two queries that read the partition structure.
+func assertIdenticalRegionQueries(t *testing.T, label string, a, b *Index) {
+	t.Helper()
+	if got, want := b.Blocks(0.8), a.Blocks(0.8); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Blocks diverges:\n got %v\nwant %v", label, got, want)
+	}
+	for qi, q := range queryTexts(4) {
+		if got, want := b.Within(q, 1.1), a.Within(q, 1.1); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: query %d Within diverges:\n got %v\nwant %v", label, qi, got, want)
+		}
+	}
+}
+
+// sealedImage is the file writeIndexStream and the CRC trailer make of an
+// index and the given tier structures, built in memory so a test can hand
+// the writer structures SaveIndex never would.
+func sealedImage(t testing.TB, ix *Index, key fileKey, pt *partitions, qz *quantized) []byte {
+	t.Helper()
+	var image bytes.Buffer
+	cw := &crcWriter{w: bufio.NewWriter(&image)}
+	writeIndexStream(cw, ix, key, pt, qz)
+	cw.u32(cw.crc)
+	if err := cw.w.Flush(); err != nil || cw.err != nil {
+		t.Fatal(err, cw.err)
+	}
+	return image.Bytes()
+}
+
+// TestIndexPersistRoundTrip saves and reloads an index with no tier
+// structure built and with both, and pins the warm-loaded index's answers
+// byte-identical to the freshly built one's — the ISSUE 8 acceptance
+// criterion.
 func TestIndexPersistRoundTrip(t *testing.T) {
 	em := Default()
 	items := randomCorpus(300, 71)
-	cases := []struct {
-		name string
-		opts IndexOptions
-	}{
-		{"exact", IndexOptions{}},
-		{"quant", IndexOptions{Quantize: true}},
-		{"ann", IndexOptions{ANN: true}},
-		{"ann+quant", IndexOptions{ANN: true, Quantize: true}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, name := range []string{"exact", "tiers"} {
+		tiers := name == "tiers"
+		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "ix.dpix")
-			built := NewIndexWith(em, tc.opts)
+			built := NewIndex(em)
 			built.AddAll(items)
-			// Touch every query path once so tiers are built pre-save.
-			built.Nearest("probe", 3)
+			if tiers {
+				built.ensurePartitions()
+				built.ensureQuantized()
+			}
 			if err := SaveIndex(path, built, em, items); err != nil {
 				t.Fatalf("SaveIndex: %v", err)
 			}
-			loaded, err := LoadIndex(path, em, items, tc.opts)
+			loaded, err := LoadIndex(path, em, items, IndexOptions{})
 			if err != nil {
 				t.Fatalf("LoadIndex: %v", err)
 			}
 			if loaded.Len() != built.Len() {
 				t.Fatalf("loaded %d items, want %d", loaded.Len(), built.Len())
 			}
-			// The saved tiers must be present without a rebuild: ANN saves
-			// partitions, Quantize saves the code array.
-			if tc.opts.ANN && loaded.part.Load() == nil {
-				t.Fatal("warm load did not restore partitions")
+			// What was built at save time is present without a rebuild, and
+			// nothing else is.
+			if got := loaded.part.Load() != nil; got != tiers {
+				t.Fatalf("warm load restored partitions: %v, want %v", got, tiers)
 			}
-			if tc.opts.Quantize && loaded.quant.Load() == nil {
-				t.Fatal("warm load did not restore the quantized tier")
+			if got := loaded.quant.Load() != nil; got != tiers {
+				t.Fatalf("warm load restored the code array: %v, want %v", got, tiers)
 			}
-			assertIdenticalTopK(t, tc.name, built, loaded, 10)
+			assertIdenticalTopK(t, name, built, loaded, 10)
+			assertIdenticalRegionQueries(t, name, built, loaded)
 			// Exclusion queries and by-id lookups go through byID.
 			if got, want := loaded.NearestByID(items[5].ID, 5), built.NearestByID(items[5].ID, 5); !reflect.DeepEqual(got, want) {
 				t.Fatalf("NearestByID diverges: %v vs %v", got, want)
@@ -91,16 +120,18 @@ func TestIndexPersistRoundTrip(t *testing.T) {
 }
 
 // TestLoadIndexStaleAndCorrupt classifies every failure mode: a changed
-// corpus, a changed embedder, wrong options file, truncation, and bit
-// flips must surface the right sentinel (all of which mean "rebuild").
+// corpus, a changed embedder, truncation, bit flips, and a checksum-valid
+// file whose partition lists do not name the index's rows must surface the
+// right sentinel (all of which mean "rebuild").
 func TestLoadIndexStaleAndCorrupt(t *testing.T) {
 	em := Default()
 	items := randomCorpus(200, 72)
-	opts := IndexOptions{Quantize: true, ANN: true}
+	opts := IndexOptions{}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ix.dpix")
-	built := NewIndexWith(em, opts)
+	built := NewIndex(em)
 	built.AddAll(items)
+	pt, qz := built.ensurePartitions(), built.ensureQuantized() // every section in the file
 	if err := SaveIndex(path, built, em, items); err != nil {
 		t.Fatal(err)
 	}
@@ -155,32 +186,74 @@ func TestLoadIndexStaleAndCorrupt(t *testing.T) {
 			t.Fatalf("bit-flipped file (trial %d) loaded successfully", trial)
 		}
 	}
+
+	// Member lists are indexes into the store: Within and Blocks slice it by
+	// them, so an entry that names no row — or primary lists that do not
+	// name each row exactly once — must not get past the load.
+	key := fileKeyOf(em, items, opts)
+	if _, err := decodeIndex(sealedImage(t, built, key, pt, qz), "intact", em, key); err != nil {
+		t.Fatalf("intact image: %v", err)
+	}
+	for name, corrupt := range badEntryPartitions(pt, len(items)) {
+		p := filepath.Join(dir, "bad-entry.dpix")
+		if err := os.WriteFile(p, sealedImage(t, built, key, corrupt, qz), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadIndex(p, em, items, opts); !errors.Is(err, ErrCorruptIndex) {
+			t.Fatalf("%s: err = %v, want ErrCorruptIndex", name, err)
+		}
+	}
 }
 
-// TestLoadIndexTierTransferRules mirrors the WithOptions contract: the
-// quantized tier transfers to any requested options; partitions only
-// when Partitions and Seed match the saved build.
+// badEntryPartitions returns copies of pt over n rows, each with one member
+// list entry changed to something the loader has to refuse.
+func badEntryPartitions(pt *partitions, n int) map[string]*partitions {
+	edit := func(secondary bool, mutate func(list []int32)) *partitions {
+		c := *pt
+		lists := &c.members
+		if secondary {
+			lists = &c.secondary
+		}
+		*lists = slices.Clone(*lists)
+		i := slices.IndexFunc(*lists, func(l []int32) bool { return len(l) >= 2 })
+		(*lists)[i] = slices.Clone((*lists)[i])
+		mutate((*lists)[i])
+		return &c
+	}
+	return map[string]*partitions{
+		"member past the last row":    edit(false, func(l []int32) { l[0] = int32(n) }),
+		"negative member":             edit(false, func(l []int32) { l[1] = -1 }),
+		"row listed twice, one never": edit(false, func(l []int32) { l[1] = l[0] }),
+		"secondary past the last row": edit(true, func(l []int32) { l[0] = int32(n) }),
+		"negative secondary":          edit(true, func(l []int32) { l[0] = -7 }),
+	}
+}
+
+// TestLoadIndexTierTransferRules: the saved code array transfers to any
+// requested options; saved partitions only when Partitions and Seed match
+// the saved build.
 func TestLoadIndexTierTransferRules(t *testing.T) {
 	em := Default()
 	items := randomCorpus(200, 73)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ix.dpix")
-	built := NewIndexWith(em, IndexOptions{ANN: true, Quantize: true, Partitions: 8, Seed: 2})
+	built := NewIndexWith(em, IndexOptions{Partitions: 8, Seed: 2})
 	built.AddAll(items)
+	built.ensurePartitions()
+	built.ensureQuantized()
 	if err := SaveIndex(path, built, em, items); err != nil {
 		t.Fatal(err)
 	}
 
-	// Same Partitions/Seed, different query knobs: both tiers transfer.
-	same, err := LoadIndex(path, em, items, IndexOptions{ANN: true, Quantize: true, Partitions: 8, Seed: 2, Probes: 6})
+	same, err := LoadIndex(path, em, items, IndexOptions{Partitions: 8, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if same.part.Load() == nil || same.quant.Load() == nil {
 		t.Fatal("matching partition config did not transfer both tiers")
 	}
-	// Different partition count: quant transfers, partitions rebuilt lazily.
-	diff, err := LoadIndex(path, em, items, IndexOptions{ANN: true, Quantize: true, Partitions: 4, Seed: 2})
+	// Different partition count: codes transfer, partitions rebuilt lazily.
+	diff, err := LoadIndex(path, em, items, IndexOptions{Partitions: 4, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,21 +261,25 @@ func TestLoadIndexTierTransferRules(t *testing.T) {
 		t.Fatal("mismatched Partitions must not adopt saved partitions")
 	}
 	if diff.quant.Load() == nil {
-		t.Fatal("quantized tier must transfer regardless of partition config")
+		t.Fatal("the code array must transfer regardless of partition config")
 	}
 	// And the rebuilt-partition index still answers identically to a
 	// fresh build under the same options.
-	fresh := NewIndexWith(em, IndexOptions{ANN: true, Quantize: true, Partitions: 4, Seed: 2})
+	fresh := NewIndexWith(em, IndexOptions{Partitions: 4, Seed: 2})
 	fresh.AddAll(items)
 	assertIdenticalTopK(t, "repartitioned", fresh, diff, 8)
+	assertIdenticalRegionQueries(t, "repartitioned", fresh, diff)
+	if pt := diff.part.Load(); pt == nil || pt.count() != 4 {
+		t.Fatal("the repartitioned index did not build its own four partitions")
+	}
 }
 
-// TestSaveCarriesCodeArrayPastCrossover: an index the flat path will scan
-// through its code array is saved with it whatever its options say, so a
-// warm load answers its first query from the file's section instead of
-// encoding the store again; below the crossover nothing extra is written.
-// A file without the section — what the previous format writer produced
-// for these options — still loads, and builds the array on first use.
+// TestSaveCarriesCodeArrayPastCrossover: an index that will be scanned
+// through its code array is saved with it, so a warm load answers its first
+// query from the file's section instead of encoding the store again; below
+// the crossover nothing extra is written. A file without the section — what
+// the format's first writer produced at default options — still loads, and
+// builds the array on first use.
 func TestSaveCarriesCodeArrayPastCrossover(t *testing.T) {
 	em := Default()
 	items := randomCorpus(certMinPoints+20, 76)
@@ -244,15 +321,8 @@ func TestSaveCarriesCodeArrayPastCrossover(t *testing.T) {
 	}
 
 	// The same index as a file with no code section.
-	var image bytes.Buffer
-	cw := &crcWriter{w: bufio.NewWriter(&image)}
 	key := fileKeyOf(em, items, IndexOptions{})
-	writeIndexStream(cw, built, key, nil, nil)
-	cw.u32(cw.crc)
-	if err := cw.w.Flush(); err != nil || cw.err != nil {
-		t.Fatal(err, cw.err)
-	}
-	old, err := decodeIndex(image.Bytes(), "no-section", em, key)
+	old, err := decodeIndex(sealedImage(t, built, key, nil, nil), "no-section", em, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +341,7 @@ func TestSaveCarriesCodeArrayPastCrossover(t *testing.T) {
 func TestRegistryWarmLoad(t *testing.T) {
 	em := Default()
 	items := randomCorpus(250, 74)
-	opts := IndexOptions{Quantize: true}
+	opts := IndexOptions{}
 	dir := t.TempDir()
 
 	cold := NewRegistry()
@@ -311,11 +381,11 @@ func TestRegistryWarmLoad(t *testing.T) {
 		t.Fatalf("changed corpus should re-save, saves = %d", saves)
 	}
 
-	// A file written before the registry moved its in-memory key to
-	// SHA-256 (testdata, saved by that commit's Registry over this corpus
-	// and these options) still warm-loads, through either entrance: the
-	// file's name and header stayed on the FNV key.
-	const fixture = "index-2c74558a7621fe0b.dpix"
+	// A file written while IndexOptions still had its ANN and int8 fields
+	// (testdata, saved by that commit's Registry over this corpus with
+	// default options) still warm-loads, through either entrance: the
+	// file's name and header carry what those fields held then.
+	const fixture = "index-ef3c43f5907cc8c9.dpix"
 	old := []Item{
 		{ID: "r0", Text: "golden dragon chinese restaurant"},
 		{ID: "r1", Text: "quantum lattice survey methods"},
@@ -353,39 +423,92 @@ func TestRegistryWarmLoad(t *testing.T) {
 	}
 }
 
+// warmChildDir names the state dir for TestWarmLoadAcrossProcesses' child
+// process; the test binary run with it set is the child.
+const warmChildDir = "EMBED_TEST_WARM_CHILD_DIR"
+
+// TestWarmLoadAcrossProcesses is the state-dir flow between two processes:
+// a child builds an index past the crossover through a Registry and exits;
+// this process's fresh Registry must find the file — one warm load, no
+// build — with the code array in it, and answer like a cold build.
+func TestWarmLoadAcrossProcesses(t *testing.T) {
+	em := Default()
+	items := simTexts(t, certMinPoints+30)
+	if dir := os.Getenv(warmChildDir); dir != "" {
+		reg := NewRegistry()
+		reg.SetStateDir(dir)
+		reg.Index(em, items)
+		if _, saves := reg.PersistStats(); saves != 1 {
+			t.Fatalf("child saved %d index files, want 1", saves)
+		}
+		return
+	}
+	dir := t.TempDir()
+	child := exec.Command(os.Args[0], "-test.run=^TestWarmLoadAcrossProcesses$")
+	child.Env = append(os.Environ(), warmChildDir+"="+dir)
+	if out, err := child.CombinedOutput(); err != nil {
+		t.Fatalf("child process: %v\n%s", err, out)
+	}
+
+	reg := NewRegistry()
+	reg.SetStateDir(dir)
+	warm := reg.Index(em, items)
+	builds, _ := reg.Stats()
+	if loads, saves := reg.PersistStats(); builds != 0 || loads != 1 || saves != 0 {
+		t.Fatalf("over the child's file: %d builds, %d warm loads, %d saves; want one warm load", builds, loads, saves)
+	}
+	qz := warm.quant.Load()
+	if qz == nil {
+		t.Fatal("the child's file carried no code array")
+	}
+	cold := NewIndex(em)
+	cold.AddAll(items)
+	assertIdenticalTopK(t, "across processes", cold, warm, 5)
+	assertIdenticalRegionQueries(t, "across processes", cold, warm)
+	for _, it := range items[:8] {
+		if got, want := warm.NearestOther(it.Text, it.ID, 5), cold.NearestOther(it.Text, it.ID, 5); !reflect.DeepEqual(got, want) {
+			t.Fatalf("NearestOther(%s) diverges:\n got %v\nwant %v", it.ID, got, want)
+		}
+	}
+	if warm.quant.Load() != qz {
+		t.Fatal("the queries rebuilt the loaded code array")
+	}
+	if c, _ := reg.ScanStats(); c == 0 {
+		t.Fatal("no query on the loaded index was certified")
+	}
+}
+
 // FuzzLoadIndex throws arbitrary bytes at the index decoder: it must
-// reject or load without panicking, never fabricating an index that
-// passes the checksum by luck into an out-of-bounds section table.
+// reject or load without panicking, and what it loads must answer every
+// kind of query without panicking. The CRC-32C trailer is re-sealed over
+// each mutated body — a mutation would otherwise die at the checksum and
+// never reach the section decoder.
 func FuzzLoadIndex(f *testing.F) {
 	em := Default()
 	items := randomCorpus(80, 75)
-	dir := f.TempDir()
-	seedPath := filepath.Join(dir, "seed.dpix")
-	ix := NewIndexWith(em, IndexOptions{ANN: true, Quantize: true})
+	ix := NewIndex(em)
 	ix.AddAll(items)
-	if err := SaveIndex(seedPath, ix, em, items); err != nil {
-		f.Fatal(err)
-	}
-	valid, err := os.ReadFile(seedPath)
-	if err != nil {
-		f.Fatal(err)
-	}
+	pt, qz := ix.ensurePartitions(), ix.ensureQuantized()
+	key := fileKeyOf(em, items, IndexOptions{})
+	valid := sealedImage(f, ix, key, pt, qz)
 	f.Add(valid)
 	f.Add(valid[:indexHeaderLen])
 	f.Add([]byte("DPIX\x01\x00\x00\x00"))
 	f.Add([]byte{})
+	f.Add(sealedImage(f, ix, key, badEntryPartitions(pt, len(items))["member past the last row"], qz))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p := filepath.Join(t.TempDir(), "fuzz.dpix")
-		if err := os.WriteFile(p, data, 0o644); err != nil {
-			t.Skip()
+		image := append([]byte(nil), data...)
+		if body := len(image) - 4; body >= 0 {
+			binary.LittleEndian.PutUint32(image[body:], crc32.Checksum(image[:body], indexCRCTable))
 		}
-		loaded, err := LoadIndex(p, em, items, IndexOptions{ANN: true, Quantize: true})
+		loaded, err := decodeIndex(image, "fuzz", em, key)
 		if err != nil {
 			return
 		}
-		// A successful load must be queryable without panicking.
 		loaded.Nearest("golden dragon", 5)
 		loaded.NearestByID(items[0].ID, 3)
+		loaded.Blocks(0.8)
+		loaded.Within("golden dragon", 1.1)
 	})
 }

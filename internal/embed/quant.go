@@ -13,26 +13,12 @@ import "math"
 // the final ranking (ties included) is decided by the same arithmetic as
 // the exact scan.
 //
-// On a flat index the shortlist is then *certified* (certifiedSearch): a
-// triangle-inequality bound over the shared grid proves that no row left
-// out of the shortlist can rank among the top k, and a query whose proof
-// does not close re-runs as the exact scan. The flat path therefore
-// returns the exact scan's answer bit for bit, always — which is why it
-// is on without being asked for once an index is past certMinPoints. In
-// ANN mode (annSearch) probe lists are scored through the same kernel
-// into a RerankFactor·k shortlist; there the quantized ordering only has
-// to place the probed top-k inside the shortlist, a measured property
-// pinned like ANN recall (TestQuantizedMatchesANNCandidates).
-
-// quantMinPoints is the index size below which IndexOptions.Quantize is
-// ignored: encoding and shortlisting a tiny index costs more than reading
-// it whole (same rationale as annMinPoints).
-const quantMinPoints = 64
-
-// DefaultRerankFactor is the shortlist multiplier when
-// IndexOptions.RerankFactor is unset: the int8 shortlist holds at least
-// 4k candidates per top-k query.
-const DefaultRerankFactor = 4
+// The shortlist is then *certified* (certifiedSearch): a triangle-
+// inequality bound over the shared grid proves that no row left out of
+// the shortlist can rank among the top k, and a query whose proof does
+// not close re-runs as the exact scan. The path therefore returns the
+// exact scan's answer bit for bit, always — which is why it is the search
+// once an index is past certMinPoints, with nothing to switch it on or off.
 
 // quantBlock is the code-row alignment: rows are zero-padded to a
 // multiple of 16 bytes so the SIMD kernel consumes whole 16-lane blocks
@@ -198,49 +184,19 @@ func (ix *Index) ensureQuantized() *quantized {
 	return qz
 }
 
-// rerankFactor resolves the configured shortlist multiplier.
-func (ix *Index) rerankFactor() int {
-	if ix.opts.RerankFactor > 0 {
-		return ix.opts.RerankFactor
-	}
-	return DefaultRerankFactor
-}
-
-// newShortlist returns the bounded heap collecting an ANN query's
-// quantized candidate shortlist.
-func (ix *Index) newShortlist(k int) *bounded[int64] {
-	short := ix.rerankFactor() * k
-	return &bounded[int64]{k: short, idx: make([]int, 0, short), d2: make([]int64, 0, short)}
-}
-
-// rerank scores an ANN query's shortlisted candidates with exact float32
-// distances through the same bounded heap as the exact scan, so the
-// returned top-k — distances, ordering, and tie-breaks — is byte-identical
-// to exact scoring of the probed set whenever the shortlist contains its
-// top-k.
-func (ix *Index) rerank(q []float32, k int, cand []int) []Neighbor {
-	t := newTopK(k)
-	for _, i := range cand {
-		t.push(i, l2sq32(q, ix.vec(i)))
-	}
-	return t.neighbors(ix.ids)
-}
-
-// certMinPoints is the flat-index size from which queries take the
-// certified int8 path without being asked to. BenchmarkIndexNearest runs
-// the exact scan and the certified path side by side at N = 64 … 16384
+// certMinPoints is the index size from which queries take the certified
+// int8 path. BenchmarkIndexNearest runs the exact scan and that path (the
+// crossover set aside) side by side at N = 64 … 16384
 // (table in docs/VECTOR.md): at dim 256 the two are level at N = 256, the
 // certified path is 1.4x ahead at 512, 3.4x at 4096 and 5.4x at 16384,
 // and the sim corpora certify every held-out query at each of those
 // sizes. Below 512 the fixed costs — encoding the query, re-ranking the
 // shortlist — eat the saving on a scan that fits in cache anyway.
-// IndexOptions.Quantize lowers the threshold to quantMinPoints and
-// changes nothing else.
 const certMinPoints = 512
 
 // certShortlist is the shortlist width the certified path keeps by code
-// distance (RerankFactor·k when that is larger, never more than half the
-// index — see shortlistWidth). The width sets how far the bound reaches:
+// distance (4k when that is larger, never more than half the index — see
+// shortlistWidth). The width sets how far the bound reaches:
 // the certificate closes when the width-th code distance clears the k-th
 // true distance by the quantization error, so a wider list certifies more
 // queries and re-ranks more rows. Held-out queries, k = 5, five seeds × 256
@@ -275,18 +231,16 @@ const certMaxDim = 1 << 15
 
 // shortlistWidth returns the width of the certified path's shortlist for a
 // top-k query, or 0 when the query takes the exact scan outright: the
-// index is below the crossover, or k is so large that RerankFactor·k rows
-// do not fit in half the index and the code pass would save nothing.
+// index is below the crossover, or k is so large that the 4k rows a
+// shortlist needs to be worth re-ranking do not fit in half the index and
+// the code pass would save nothing.
 func (ix *Index) shortlistWidth(k int) int {
+	const rerankFactor = 4
 	n := len(ix.ids)
-	minPoints := certMinPoints
-	if ix.opts.Quantize {
-		minPoints = quantMinPoints
-	}
-	if n < minPoints || ix.dim > certMaxDim {
+	if n < certMinPoints || ix.dim > certMaxDim {
 		return 0
 	}
-	floor := ix.rerankFactor() * k
+	floor := rerankFactor * k
 	width := min(max(certShortlist, floor), n/2)
 	if width < floor {
 		return 0
@@ -343,22 +297,6 @@ func (ix *Index) certifiedSearch(sc *searchScratch, q []float32, k, skip, width 
 	}
 	ix.scans.fallbacks.Add(1)
 	return nil, false
-}
-
-// ScanBytesPerRecord reports the bytes of vector data a candidate scan
-// touches per record under the given options — the working-set metric
-// `declctl index-bench` reports as bytes/record (dim·4 for float32 scans,
-// the padded code-row stride for the quantized tier). For a flat index
-// without Quantize the figure is the exact scan's, which is what it reads
-// below certMinPoints and on a fallback; past that size it reads code
-// rows like the quantized tier. An index with a code array retains the
-// float32 store for exact re-ranking, so resident memory is 1.25x a
-// float-only index while scan traffic drops 4x.
-func ScanBytesPerRecord(opts IndexOptions, dim int) int {
-	if opts.Quantize {
-		return (dim + quantBlock - 1) / quantBlock * quantBlock
-	}
-	return dim * 4
 }
 
 // codeDotGeneric is the portable integer dot-product kernel: int32

@@ -72,8 +72,7 @@ func (w *KeyWriter) Sum() SourceKey {
 // from — the flag keeps the two from ever naming the same slot. Two calls
 // with the same corpus, an equivalent embedder, and equivalent options —
 // regardless of which operator or pipeline stage makes them — resolve to
-// the same key and therefore the same built index; a quantized and an
-// exact index over the same corpus never share a slot.
+// the same key and therefore the same built index.
 type registryKey struct {
 	dim         int
 	fingerprint uint64
@@ -97,14 +96,10 @@ type fileKey struct {
 // normalized maps an IndexOptions to its canonical form — defaults
 // resolved the way index construction resolves them — so configurations
 // that build identical indexes share one registry slot ({} and {Seed: 1}
-// are the same index; {RerankFactor: 0} and {RerankFactor:
-// DefaultRerankFactor} score identically).
+// are the same index).
 func (o IndexOptions) normalized() IndexOptions {
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.RerankFactor == 0 {
-		o.RerankFactor = DefaultRerankFactor
 	}
 	return o
 }
@@ -122,8 +117,8 @@ type registryEntry struct {
 // so stages of one pipeline (and repeated planner profiling passes) that
 // index the same corpus with equivalent embedders and options embed it
 // exactly once, while engines sharing a registry with *different*
-// embedder or index configurations — exact vs ANN vs quantized — never
-// serve each other's vectors.
+// embedders or partition configurations never serve each other's vectors
+// or partition structures.
 //
 // Returned indexes are shared: treat them as immutable and query-only
 // (Index is safe for concurrent queries once mutation stops, which the
@@ -192,11 +187,9 @@ func (r *Registry) Index(em Embedder, items []Item) *Index {
 	return r.IndexWith(em, items, IndexOptions{})
 }
 
-// IndexWith is Index with explicit IndexOptions (ANN mode, quantized
-// tier, partition/probe/rerank knobs). Options are part of the slot key
-// in normalised form, so a quantized and an exact request over the same
-// corpus build — and keep — separate indexes. It is IndexFrom with the
-// content hash of the items as the key.
+// IndexWith is Index with explicit IndexOptions (partition count, k-means
+// seed). Options are part of the slot key in normalised form. It is
+// IndexFrom with the content hash of the items as the key.
 func (r *Registry) IndexWith(em Embedder, items []Item, opts IndexOptions) *Index {
 	w := NewKeyWriter()
 	for _, it := range items {
@@ -279,8 +272,8 @@ func (r *Registry) Stats() (builds, hits int) {
 }
 
 // ScanStats returns, over every index the registry has served, how many
-// flat queries the certified int8 path answered with its proof closed and
-// how many fell back to the exact scan.
+// queries the certified int8 path answered with its proof closed and how
+// many fell back to the exact scan.
 func (r *Registry) ScanStats() (certified, fallbacks int64) {
 	return r.scans.certified.Load(), r.scans.fallbacks.Load()
 }

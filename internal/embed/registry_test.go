@@ -146,35 +146,30 @@ func TestRegistryConcurrentRequestsBuildOnce(t *testing.T) {
 	}
 }
 
-// TestRegistryOptionsSeparateSlots: index configurations that score
-// differently (exact vs ANN vs quantized) must never share a slot, while
-// spellings that normalise to the same configuration must.
+// TestRegistryOptionsSeparateSlots: index configurations that partition
+// differently must never share a slot, while spellings that normalise to
+// the same configuration must.
 func TestRegistryOptionsSeparateSlots(t *testing.T) {
 	em := Default()
 	r := NewRegistry()
 	corpus := testItems(25, "o")
 
-	exact := r.Index(em, corpus)
-	quant := r.IndexWith(em, corpus, IndexOptions{Quantize: true})
-	ann := r.IndexWith(em, corpus, IndexOptions{ANN: true, Partitions: 8})
-	annq := r.IndexWith(em, corpus, IndexOptions{ANN: true, Partitions: 8, Quantize: true})
-	if exact == quant || exact == ann || quant == ann || ann == annq || quant == annq {
+	def := r.Index(em, corpus)
+	parts := r.IndexWith(em, corpus, IndexOptions{Partitions: 8})
+	seeded := r.IndexWith(em, corpus, IndexOptions{Partitions: 8, Seed: 2})
+	if def == parts || def == seeded || parts == seeded {
 		t.Fatal("distinct index configurations over one corpus must get distinct indexes")
 	}
-	if builds, _ := r.Stats(); builds != 4 {
-		t.Fatalf("builds = %d, want 4 distinct slots", builds)
+	if builds, _ := r.Stats(); builds != 3 {
+		t.Fatalf("builds = %d, want 3 distinct slots", builds)
 	}
 
-	// Normalised-equivalent spellings share: Seed 0 is Seed 1, RerankFactor
-	// 0 is the default.
-	if ix := r.IndexWith(em, corpus, IndexOptions{Seed: 1}); ix != exact {
+	// Normalised-equivalent spellings share: Seed 0 is Seed 1.
+	if ix := r.IndexWith(em, corpus, IndexOptions{Seed: 1}); ix != def {
 		t.Fatal("{Seed: 1} must share the default slot")
 	}
-	if ix := r.IndexWith(em, corpus, IndexOptions{Quantize: true, RerankFactor: DefaultRerankFactor}); ix != quant {
-		t.Fatal("explicit default RerankFactor must share the quantized slot")
-	}
-	if ix := r.IndexWith(em, corpus, IndexOptions{Quantize: true, RerankFactor: 8}); ix == quant {
-		t.Fatal("non-default RerankFactor scores differently and must not share")
+	if ix := r.IndexWith(em, corpus, IndexOptions{Partitions: 8, Seed: 1}); ix != parts {
+		t.Fatal("{Partitions: 8, Seed: 1} must share the {Partitions: 8} slot")
 	}
 }
 
