@@ -57,7 +57,6 @@ func main() {
 	plNaive := sub.Bool("naive", false, "run the pipeline unoptimized with isolated per-stage engines")
 	plProbe := sub.Int("probe", 0, "sample size for measured filter selectivity in pipeline (0 = trust spec hints)")
 	plMaterialized := sub.Bool("materialized", false, "disable record streaming between pipeline stages")
-	plAdaptive := sub.Bool("adaptive", false, "enable the adaptive runtime for pipeline: side-input overlap, mid-run filter re-ordering")
 	plFaults := sub.String("faults", "",
 		"inject deterministic upstream faults for pipeline: key=val,... over seed, transient, timeout, ratelimit, permanent, malformed, wrong-section, burst-every, burst-len (empty = none)")
 	plRetries := sub.Int("retries", 3, "max attempts per upstream call for pipeline when -faults is set (1 = no retries)")
@@ -247,7 +246,6 @@ func main() {
 			Model:         counting,
 			Batch:         *batch,
 			Parallelism:   16,
-			Adaptive:      *plAdaptive,
 			Materialized:  *plMaterialized || *plNaive,
 			Isolated:      *plNaive,
 			OnRecordError: *plOnRecordError,
@@ -534,13 +532,12 @@ commands:
                   optimizer, record streaming, shared engine, and per-stage
                   attribution (-spec file.json -model M -batch K -naive
                   -probe K measures hintless filter selectivity on a sample,
-                  -materialized disables streaming, -adaptive enables
-                  side-input overlap and mid-run filter re-ordering,
+                  -materialized disables streaming,
                   -faults key=val,... injects deterministic upstream faults
                   healed by -retries N attempts, -on-record-error
                   fail|skip|quarantine picks the degraded-mode policy)
   pipeline-study  naive sequential operators vs the optimized pipeline —
-                  materialized, streaming+probed, and adaptive — plus the
+                  materialized and streaming+probed — plus the
                   side-input overlap scenario (-records N -dup F -batch K)
   scenario        run one checkpointed multi-turn scenario against the
                   deterministic sim engine: standing queries with mid-run

@@ -11,7 +11,7 @@
 //	declserver [-addr :8080] [-model sim-gpt-3.5-turbo] [-state-dir DIR]
 //	           [-max-concurrent 4] [-max-queue 16]
 //	           [-tenant-rate 100] [-tenant-burst 32]
-//	           [-batch 0] [-parallelism 0] [-adaptive]
+//	           [-batch 0] [-parallelism 0]
 //	           [-drain-timeout 30s]
 //	           [-retries 3] [-breaker-threshold 5] [-breaker-cooldown 10s]
 //	           [-tenant-retry-budget 0] [-on-record-error quarantine]
@@ -60,7 +60,6 @@ func main() {
 	tenantBurst := flag.Int("tenant-burst", 32, "default per-tenant submission burst")
 	batch := flag.Int("batch", 0, "unit tasks per envelope (0 = no batching; batching blurs per-tenant hit shares)")
 	parallelism := flag.Int("parallelism", 0, "per-job operator parallelism and per-stage in-flight window (0 = default)")
-	adaptive := flag.Bool("adaptive", false, "enable the adaptive pipeline runtime")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain bound on shutdown")
 	faults := flag.String("faults", "",
 		"inject deterministic upstream faults: key=val,... over seed, transient, timeout, ratelimit, permanent, malformed, wrong-section, burst-every, burst-len (empty = none)")
@@ -97,7 +96,6 @@ func main() {
 		StateDir:          *stateDir,
 		Batch:             *batch,
 		Parallelism:       *parallelism,
-		Adaptive:          *adaptive,
 		MaxConcurrent:     *maxConcurrent,
 		MaxQueue:          *maxQueue,
 		TenantRate:        *tenantRate,

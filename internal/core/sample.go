@@ -48,24 +48,6 @@ func (e *Engine) EstimateSelectivity(ctx context.Context, req FilterRequest, sam
 	return est, nil
 }
 
-// RefineSelectivity blends a prior keep-fraction estimate with live
-// observations: the prior counts as priorWeight pseudo-records, and the
-// rule-of-succession +1/+2 keeps the blend strictly inside (0, 1) however
-// lopsided the evidence. The pipeline's adaptive runtime uses it to let
-// observed per-chunk keep rates refine the optimizer's probed (or hinted)
-// estimates as a run progresses: with nothing observed the prior wins;
-// as records flow through, the measurement dominates.
-func RefineSelectivity(prior float64, priorWeight, seen, kept int) float64 {
-	if prior <= 0 || prior > 1 {
-		prior = 0.5
-	}
-	if priorWeight < 0 {
-		priorWeight = 0
-	}
-	return (float64(kept) + prior*float64(priorWeight) + 1) /
-		(float64(seen) + float64(priorWeight) + 2)
-}
-
 // strideSample picks at most k items spread evenly across the slice —
 // deterministic (no RNG), order-preserving, and covering the full range
 // rather than a prefix, so generator artifacts at either end don't skew

@@ -75,11 +75,10 @@ type PipelineStudyRun struct {
 
 // PipelineStudyResult compares naive sequential operator invocation with
 // the optimized pipeline — materialized with the spec's selectivity
-// hints, record-streaming with probed (measured) selectivities, and the
-// adaptive runtime (side-input overlap, mid-run replanning) — on one
-// workload, plus a latency-modelled side-input overlap scenario.
+// hints, and record-streaming with probed (measured) selectivities — on
+// one workload, plus a latency-modelled side-input overlap scenario.
 type PipelineStudyResult struct {
-	Naive, Optimized, Streaming, Adaptive PipelineStudyRun
+	Naive, Optimized, Streaming PipelineStudyRun
 	// Rewrites is the hint-trusting optimizer's log.
 	Rewrites []string
 	// ProbeTrace is the probing optimizer's log: hint-vs-measured lines
@@ -92,31 +91,29 @@ type PipelineStudyResult struct {
 	// StreamingIdentical reports the same equivalence between the
 	// materialized and the streaming+probed configurations.
 	StreamingIdentical bool
-	// AdaptiveIdentical reports the same equivalence between the
-	// streaming+probed and the adaptive configurations.
-	AdaptiveIdentical bool
 	// CallReduction is naive calls divided by optimized calls.
 	CallReduction float64
 	// Overlap is the side-input overlap scenario: the same join-with-
-	// dynamic-side workload timed drain-first versus adaptively
-	// overlapped, under a deterministic per-call latency model.
+	// dynamic-side workload timed drain-first (Materialized) versus
+	// overlapped (the default executor), under a deterministic per-call
+	// latency model.
 	Overlap *OverlapScenarioResult
 }
 
 // OverlapScenarioResult times the side-input overlap scenario.
 type OverlapScenarioResult struct {
-	// DrainFirst is the pre-adaptive executor's wall clock: the join
+	// DrainFirst is the Materialized executor's wall clock: the join
 	// drains its whole main input, then waits for the side stage.
 	DrainFirst time.Duration
-	// Overlap is the adaptive executor's wall clock on the same workload:
+	// Overlap is the default executor's wall clock on the same workload:
 	// the main input buffers while the side stage materializes, and
 	// matching starts the moment the side table lands.
 	Overlap time.Duration
 	// DrainFirstEarly and OverlapEarly count, per run, the join comparisons
 	// issued before the last feed-predicate call returned: the structure
 	// the two clocks are a consequence of. Drain-first issues none — the
-	// join waits for its whole main input — and the adaptive runtime
-	// issues at least one.
+	// join waits for its whole main input — and the overlapped run issues
+	// at least one.
 	DrainFirstEarly, OverlapEarly int
 	// Matches counts the join's output rows (equal in both runs).
 	Matches int
@@ -298,29 +295,6 @@ func PipelineStudy(ctx context.Context, cfg PipelineStudyConfig) (*PipelineStudy
 	}
 	streaming.ProbeCalls = attr.Usage(workflow.StageProbe).Calls
 
-	// Adaptive configuration: the same probed plan under the adaptive
-	// runtime — commutable filter runs may be re-ordered mid-run. Unit
-	// tasks are identical to the streaming configuration.
-	adaModel, err := pipelineStudyModel(cfg.Model)
-	if err != nil {
-		return nil, err
-	}
-	adaAttr := workflow.NewAttribution()
-	adaCfg := pipeline.ExecConfig{
-		Model: adaModel, Parallelism: cfg.Parallelism, Batch: cfg.Batch,
-		Exec: workflow.NewExecLayer(), Attribution: adaAttr, Adaptive: true,
-	}
-	adaSpec, _, err := pipeline.OptimizeProbed(ctx, hintless, adaCfg, tables,
-		pipeline.ProbeOptions{Sample: cfg.ProbeSample})
-	if err != nil {
-		return nil, fmt.Errorf("pipeline study: adaptive probed optimize: %w", err)
-	}
-	adaptive, adaRes, err := runOne("adaptive runtime", adaSpec, adaCfg, adaModel)
-	if err != nil {
-		return nil, err
-	}
-	adaptive.ProbeCalls = adaAttr.Usage(workflow.StageProbe).Calls
-
 	overlap, err := OverlapScenario(ctx, cfg.OverlapLatency)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline study: overlap scenario: %w", err)
@@ -331,19 +305,15 @@ func PipelineStudy(ctx context.Context, cfg PipelineStudyConfig) (*PipelineStudy
 		reflect.DeepEqual(naiveRes.Scalars, optRes.Scalars)
 	streamingIdentical := reflect.DeepEqual(optRes.Tables[last], strRes.Tables[last]) &&
 		reflect.DeepEqual(optRes.Scalars, strRes.Scalars)
-	adaptiveIdentical := reflect.DeepEqual(strRes.Tables[last], adaRes.Tables[last]) &&
-		reflect.DeepEqual(strRes.Scalars, adaRes.Scalars)
 
 	out := &PipelineStudyResult{
 		Naive:              naive,
 		Optimized:          optimized,
 		Streaming:          streaming,
-		Adaptive:           adaptive,
 		Rewrites:           rewrites,
 		ProbeTrace:         probeTrace,
 		Identical:          identical,
 		StreamingIdentical: streamingIdentical,
-		AdaptiveIdentical:  adaptiveIdentical,
 		Overlap:            overlap,
 	}
 	if optimized.UpstreamCalls > 0 {
@@ -354,9 +324,9 @@ func PipelineStudy(ctx context.Context, cfg PipelineStudyConfig) (*PipelineStudy
 
 // OverlapScenario times what side-input overlap buys on a workload built
 // to expose it: a slow filter feeds a nested-loop join whose right side
-// is another stage's output. Drain-first (the pre-adaptive executor)
+// is another stage's output. Drain-first (the Materialized executor)
 // makes the join consume its whole main input before matching anything;
-// the adaptive runtime buffers the main input while the side stage
+// the default executor buffers the main input while the side stage
 // materializes and starts matching the moment the side table lands, so
 // join work pipelines with the slow feed. Latency is deterministic — a
 // fixed per-call delay on the feed predicate and the join comparisons
@@ -438,7 +408,7 @@ func OverlapScenario(ctx context.Context, latency time.Duration) (*OverlapScenar
 			return slow.Complete(ctx, req)
 		}}
 	}
-	run := func(adaptive bool) (time.Duration, int, []dataset.Record, error) {
+	run := func(materialized bool) (time.Duration, int, []dataset.Record, error) {
 		p, err := pipeline.Compile(spec)
 		if err != nil {
 			return 0, 0, nil, err
@@ -446,7 +416,7 @@ func OverlapScenario(ctx context.Context, latency time.Duration) (*OverlapScenar
 		var order callOrder
 		// One record in flight per stage keeps every stage's work serial so
 		// the latency model is legible.
-		cfg := pipeline.ExecConfig{Model: newModel(&order), Parallelism: 1, Adaptive: adaptive}
+		cfg := pipeline.ExecConfig{Model: newModel(&order), Parallelism: 1, Materialized: materialized}
 		start := time.Now()
 		res, err := p.Run(ctx, cfg, tables)
 		if err != nil {
@@ -454,11 +424,11 @@ func OverlapScenario(ctx context.Context, latency time.Duration) (*OverlapScenar
 		}
 		return time.Since(start), order.earlyJoins, res.Tables["match"], nil
 	}
-	drainClock, drainEarly, drainMatches, err := run(false)
+	drainClock, drainEarly, drainMatches, err := run(true)
 	if err != nil {
 		return nil, err
 	}
-	overlapClock, overlapEarly, overlapMatches, err := run(true)
+	overlapClock, overlapEarly, overlapMatches, err := run(false)
 	if err != nil {
 		return nil, err
 	}
@@ -482,7 +452,7 @@ func FormatPipelineStudy(res *PipelineStudyResult) string {
 		fmt.Fprintf(&b, "trace: %s\n", line)
 	}
 	fmt.Fprintf(&b, "%-26s %10s %12s %10s %12s\n", "Configuration", "# Calls", "# Tokens", "Reduction", "Wall clock")
-	for _, run := range []PipelineStudyRun{res.Naive, res.Optimized, res.Streaming, res.Adaptive} {
+	for _, run := range []PipelineStudyRun{res.Naive, res.Optimized, res.Streaming} {
 		red := 1.0
 		if run.UpstreamCalls > 0 {
 			red = float64(res.Naive.UpstreamCalls) / float64(run.UpstreamCalls)
@@ -490,17 +460,17 @@ func FormatPipelineStudy(res *PipelineStudyResult) string {
 		fmt.Fprintf(&b, "%-26s %10d %12d %9.1fx %12s\n",
 			run.Config, run.UpstreamCalls, run.UpstreamTokens, red, run.WallClock.Round(time.Microsecond))
 	}
-	fmt.Fprintf(&b, "identical results: %v (streaming: %v, adaptive: %v), count scalar: %s\n",
-		res.Identical, res.StreamingIdentical, res.AdaptiveIdentical, res.Optimized.Count)
+	fmt.Fprintf(&b, "identical results: %v (streaming: %v), count scalar: %s\n",
+		res.Identical, res.StreamingIdentical, res.Optimized.Count)
 	fmt.Fprintf(&b, "probe calls: %d of the streaming run's %d (hint-trusting optimized run: 0)\n",
 		res.Streaming.ProbeCalls, res.Streaming.UpstreamCalls)
 	if res.Overlap != nil {
-		fmt.Fprintf(&b, "overlap scenario: drain-first %s vs adaptive overlap %s on %d matches (identical: %v); join comparisons issued while the feed was still running: %d vs %d\n",
+		fmt.Fprintf(&b, "overlap scenario: drain-first %s vs overlap %s on %d matches (identical: %v); join comparisons issued while the feed was still running: %d vs %d\n",
 			res.Overlap.DrainFirst.Round(time.Millisecond), res.Overlap.Overlap.Round(time.Millisecond),
 			res.Overlap.Matches, res.Overlap.Identical, res.Overlap.DrainFirstEarly, res.Overlap.OverlapEarly)
 	}
-	b.WriteString("per-stage attribution (adaptive runtime):\n")
-	for _, s := range res.Adaptive.Stages {
+	b.WriteString("per-stage attribution (streaming + probed):\n")
+	for _, s := range res.Streaming.Stages {
 		fmt.Fprintf(&b, "  %-10s %-10s in %3d out %3d  %6d calls %8d tokens  $%.4f  %s\n",
 			s.Name, s.Kind, s.In, s.Out, s.Usage.Calls, s.Usage.Total(), s.Cost, s.Detail)
 	}

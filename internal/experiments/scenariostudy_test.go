@@ -29,7 +29,6 @@ func TestScenarioStudyPinned(t *testing.T) {
 		{ID: "mid-run-ingestion", Calls: 3, Tokens: 85, SharedHits: 17, Rows: 7},
 		{ID: "burst-load", Calls: 3, Tokens: 85, SharedHits: 45, Rows: 4},
 		{ID: "overlap-ingestion", Calls: 12, Tokens: 578, SharedHits: 12, Rows: 3},
-		{ID: "adaptive-replan-drift", Calls: 3, Tokens: 86, SharedHits: 16, Rows: 2},
 		{ID: "declserver-multi-tenant", Calls: 3, Tokens: 85, SharedHits: 93, Rows: 4},
 		{ID: "fault-burst-recovery", Calls: 6, Tokens: 173, SharedHits: 49, Rows: 4},
 		{ID: "breaker-open-recover", Calls: 4, Tokens: 114, SharedHits: 37, Rows: 4},
@@ -57,7 +56,7 @@ func TestScenarioStudyFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := FormatScenarioStudy(res)
-	for _, frag := range []string{"cold-start", "adaptive-replan-drift", "all scenarios passed: true"} {
+	for _, frag := range []string{"cold-start", "breaker-open-recover", "all scenarios passed: true"} {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("formatted study lacks %q:\n%s", frag, out)
 		}

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"runtime"
 	"strings"
@@ -12,109 +13,15 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/llm"
-	"repro/internal/llm/sim"
 )
 
-// TestAdaptiveSegments pins segment detection: adjacent sole-consumer
-// filters group, anything else breaks the chain.
-func TestAdaptiveSegments(t *testing.T) {
-	filter := func(name, input string) StageSpec {
-		return StageSpec{Name: name, Kind: KindFilter, Predicate: "p", Input: input}
-	}
-	chain, err := normalize([]StageSpec{
-		filter("a", "source"), filter("b", "a"), filter("c", "b"),
-		{Name: "cat", Kind: KindCategorize, Categories: []string{"x"}, Input: "c"},
-		filter("d", "cat"), filter("e", "d"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	segs := adaptiveSegments(chain)
-	if len(segs) != 2 || !reflect.DeepEqual(segs[0], []int{0, 1, 2}) || !reflect.DeepEqual(segs[1], []int{4, 5}) {
-		t.Fatalf("segments = %v, want [[0 1 2] [4 5]]", segs)
-	}
-
-	// A second consumer — main input or side table — breaks the chain.
-	branched, err := normalize([]StageSpec{
-		filter("a", "source"), filter("b", "a"),
-		{Name: "match", Kind: KindJoin, Side: "a", Strategy: "nested-loop", Input: "b"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if segs := adaptiveSegments(branched); len(segs) != 0 {
-		t.Fatalf("filter with a side-consumed output joined a segment: %v", segs)
-	}
-
-	single, err := normalize([]StageSpec{filter("a", "source")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if segs := adaptiveSegments(single); len(segs) != 0 {
-		t.Fatalf("lone filter formed a segment: %v", segs)
-	}
-}
-
-// TestAdaptiveMatchesMaterialized pins the adaptive runtime's identity on
-// the sim model: an adaptive run — segment replanning between records —
-// produces byte-identical final tables and scalars to a materialized run
-// and to plain streaming runs, at in-flight windows 1, 3 and 16.
-func TestAdaptiveMatchesMaterialized(t *testing.T) {
-	tables, _ := SourceSpec{Dataset: "restaurants", Records: 14, Train: 30, Seed: 9}.Tables()
-	for i, r := range tables["source"] {
-		tables["source"][i] = r.WithoutField("city")
-	}
-	// Two adjacent hintless filters form a replannable segment; the
-	// surrounding stages exercise barrier (resolve, count) and streaming
-	// (impute) paths.
-	spec := Spec{Stages: []StageSpec{
-		{Name: "entities", Kind: KindResolve, Strategy: "pairwise", InvariantFields: []string{"type"}},
-		{Name: "served", Kind: KindFilter, Field: "type", Predicate: "the restaurant serves food"},
-		{Name: "named", Kind: KindFilter, Field: "name", Predicate: "the name is pronounceable"},
-		{Name: "city", Kind: KindImpute, TargetField: "city", Side: "train", Strategy: "hybrid", Neighbors: 3, Examples: 2},
-		{Name: "n", Kind: KindCount, Field: "city", Predicate: "q", Strategy: "per-item"},
-	}}
-	run := func(cfg ExecConfig) *Result {
-		t.Helper()
-		p, err := Compile(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Model = sim.NewNamed("sim-gpt-3.5-turbo")
-		res, err := p.Run(context.Background(), cfg, tables)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	want := run(ExecConfig{Materialized: true})
-	for _, width := range []int{1, 3, 16} {
-		got := run(ExecConfig{Parallelism: width})
-		if !reflect.DeepEqual(want.Tables, got.Tables) || !reflect.DeepEqual(want.Scalars, got.Scalars) {
-			t.Fatalf("window %d differs from materialized", width)
-		}
-		got = run(ExecConfig{Adaptive: true, Parallelism: width})
-		// Segment-internal tables may legitimately differ when the order
-		// was revised mid-run; everything downstream of the segment — and
-		// the segment's own output — must be byte-identical.
-		for _, stage := range []string{"entities", "named", "city", "n"} {
-			if !reflect.DeepEqual(want.Tables[stage], got.Tables[stage]) {
-				t.Fatalf("adaptive window %d: stage %q table differs from materialized", width, stage)
-			}
-		}
-		if !reflect.DeepEqual(want.Scalars, got.Scalars) {
-			t.Fatalf("adaptive window %d: scalars %v != %v", width, got.Scalars, want.Scalars)
-		}
-	}
-}
-
-// TestAdaptiveSideInputOverlap is the overlap contract: with Adaptive
-// set, a streamable join whose right side is an earlier stage's output
-// starts matching buffered main-input records as soon as the side table
-// lands — while the main-input producer is still working. The model
-// blocks the producer's last record until a join comparison arrives; the
-// drain-first path would deadlock here (guarded by a timeout), exactly
-// like the plain streaming overlap test.
+// TestAdaptiveSideInputOverlap is the overlap contract: a streamable join
+// whose right side is an earlier stage's output starts matching buffered
+// main-input records as soon as the side table lands — while the
+// main-input producer is still working. The model blocks the producer's
+// last record until a join comparison arrives; the drain-first path would
+// deadlock here (guarded by a timeout), exactly like the plain streaming
+// overlap test.
 func TestAdaptiveSideInputOverlap(t *testing.T) {
 	names := dataset.FlavorNames()
 	// splitModel: "poolpred" keeps even-indexed flavors, "feedpred" keeps
@@ -175,7 +82,7 @@ func TestAdaptiveSideInputOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := p.Run(context.Background(), ExecConfig{
-		Model: splitModel("overlap-side", gate, onJoin), Adaptive: true, Parallelism: 1,
+		Model: splitModel("overlap-side", gate, onJoin), Parallelism: 1,
 	}, flavorTables(4))
 	if err != nil {
 		t.Fatal(err)
@@ -186,21 +93,21 @@ func TestAdaptiveSideInputOverlap(t *testing.T) {
 
 	// Equivalence: the overlapped run must match the barrier (drain-first)
 	// run of the same spec record for record.
-	runWith := func(adaptive bool) []dataset.Record {
+	runWith := func(materialized bool) []dataset.Record {
 		t.Helper()
 		p, err := Compile(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := p.Run(context.Background(), ExecConfig{
-			Model: splitModel("calm", nil, nil), Adaptive: adaptive,
+			Model: splitModel("calm", nil, nil), Materialized: materialized,
 		}, flavorTables(4))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Tables["match"]
 	}
-	if want, got := runWith(false), runWith(true); !reflect.DeepEqual(want, got) {
+	if want, got := runWith(true), runWith(false); !reflect.DeepEqual(want, got) {
 		t.Fatalf("overlapped side join differs from drain-first:\nwant %v\ngot  %v", want, got)
 	}
 }
@@ -239,7 +146,7 @@ func TestAdaptiveSideOverlapFailureNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = p.Run(context.Background(), ExecConfig{Model: model, Adaptive: true, Parallelism: 1}, flavorTables(6))
+	_, err = p.Run(context.Background(), ExecConfig{Model: model, Parallelism: 1}, flavorTables(6))
 	if err == nil || !strings.Contains(err.Error(), "join comparison explosion") || !strings.Contains(err.Error(), `"match"`) {
 		t.Fatalf("err = %v, want the join stage's root cause", err)
 	}
@@ -255,82 +162,95 @@ func TestAdaptiveSideOverlapFailureNoLeak(t *testing.T) {
 	}
 }
 
-// TestMidRunReplanReordersFilters is the mid-run re-optimization pin:
-// two hintless filters start in user order (estimates tie at the 0.5
-// prior), the observed keep rates diverge within a few records, and the
-// segment flips the genuinely tighter filter to the front for the
-// not-yet-started remainder of the stream — spending fewer loose-filter
-// evaluations than the static order would, with the final table
-// unchanged.
-func TestMidRunReplanReordersFilters(t *testing.T) {
-	names := dataset.FlavorNames()
-	model := llm.Func{ModelName: "replan", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
-		if strings.Contains(req.Prompt, "tightpred") {
-			if strings.Contains(req.Prompt, names[0]) {
-				return unit("Yes"), nil
+// TestAdaptiveFieldIsInert pins that ExecConfig.Adaptive selects nothing:
+// filter order is fixed before launch, so a loose → tight filter chain
+// run with the field set — serial or four records in flight, under
+// prompt-determined latency — reports exactly the tables, scalars and
+// per-stage record counts of a Materialized run, every time. A poisoned
+// record under OnRecordQuarantine is dropped alone, as in any other run.
+func TestAdaptiveFieldIsInert(t *testing.T) {
+	const n = 24
+	source := make([]dataset.Record, n)
+	for i := range source {
+		source[i] = dataset.Record{ID: fmt.Sprintf("scoop-%02d", i),
+			Fields: []dataset.Field{{Name: "name", Value: fmt.Sprintf("scoop %02d", i)}}}
+	}
+	tight := []string{"scoop 03", "scoop 09", "scoop 15", "scoop 21"}
+	newModel := func(poison string) llm.Model {
+		return jitterModel(llm.Func{ModelName: "inert", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
+			if strings.Contains(req.Prompt, "tightpred") {
+				for _, name := range tight {
+					if strings.Contains(req.Prompt, name) {
+						return unit("Yes"), nil
+					}
+				}
+				return unit("No"), nil
 			}
-			return unit("No"), nil
-		}
-		return unit("Yes"), nil
-	}}
+			if poison != "" && strings.Contains(req.Prompt, poison) {
+				return llm.Response{}, fmt.Errorf("permanent upstream failure")
+			}
+			h := fnv.New32a()
+			h.Write([]byte(req.Prompt))
+			if h.Sum32()%5 == 0 {
+				return unit("No"), nil
+			}
+			return unit("Yes"), nil
+		}})
+	}
 	spec := Spec{Stages: []StageSpec{
 		{Name: "loose", Kind: KindFilter, Field: "name", Predicate: "loosepred"},
 		{Name: "tight", Kind: KindFilter, Field: "name", Predicate: "tightpred"},
 	}}
-	n := 16
-	run := func(adaptive bool) *Result {
+	run := func(cfg ExecConfig, poison string) *Result {
 		t.Helper()
 		p, err := Compile(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := p.Run(context.Background(), ExecConfig{
-			Model: model, Adaptive: adaptive, Parallelism: 1,
-		}, flavorTables(n))
+		cfg.Model = newModel(poison)
+		res, err := p.Run(context.Background(), cfg, map[string][]dataset.Record{"source": source})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	static, adaptive := run(false), run(true)
-	if !reflect.DeepEqual(static.Tables["tight"], adaptive.Tables["tight"]) {
-		t.Fatalf("replanned segment output differs:\nstatic   %v\nadaptive %v",
-			static.Tables["tight"], adaptive.Tables["tight"])
-	}
-	if len(adaptive.Tables["tight"]) != 1 {
-		t.Fatalf("segment kept %d records, want 1", len(adaptive.Tables["tight"]))
-	}
-	tail := stageByName(t, adaptive, "tight")
-	if !strings.Contains(tail.Detail, "order revised") || strings.Contains(tail.Detail, "revised 0 times") {
-		t.Fatalf("segment never replanned: detail = %q", tail.Detail)
-	}
-	// After the flip, the loose filter only sees records the tight filter
-	// kept — strictly fewer evaluations than the static order's full n.
-	loose := stageByName(t, adaptive, "loose")
-	if loose.In >= n {
-		t.Fatalf("loose filter evaluated %d records, want fewer than %d after the replan", loose.In, n)
-	}
-	if st := stageByName(t, static, "loose"); st.In != n {
-		t.Fatalf("static run's loose filter evaluated %d, want all %d", st.In, n)
+	flow := func(res *Result) [][2]int {
+		var io [][2]int
+		for _, s := range res.Stages {
+			io = append(io, [2]int{s.In, s.Out})
+		}
+		return io
 	}
 
-	// Isolated keeps per-stage engines, which a segment would share —
-	// the same adaptive run under Isolated must not form one.
-	p, err := Compile(spec)
-	if err != nil {
-		t.Fatal(err)
+	want := run(ExecConfig{Materialized: true}, "")
+	if l, k := len(want.Tables["loose"]), len(want.Tables["tight"]); k == 0 || l == n || k > len(tight) {
+		t.Fatalf("materialized chain kept %d then %d of %d records: the fixture no longer filters", l, k, n)
 	}
-	iso, err := p.Run(context.Background(), ExecConfig{
-		Model: model, Adaptive: true, Isolated: true, Parallelism: 1,
-	}, flavorTables(n))
-	if err != nil {
-		t.Fatal(err)
+	for _, width := range []int{1, 4} {
+		for i := 0; i < 30; i++ {
+			got := run(ExecConfig{Adaptive: true, Parallelism: width}, "")
+			if !reflect.DeepEqual(want.Tables, got.Tables) || !reflect.DeepEqual(want.Scalars, got.Scalars) {
+				t.Fatalf("window %d run %d: tables differ from materialized:\nwant %v\ngot  %v", width, i, want.Tables, got.Tables)
+			}
+			if !reflect.DeepEqual(flow(want), flow(got)) {
+				t.Fatalf("window %d run %d: stage in/out %v != materialized %v", width, i, flow(got), flow(want))
+			}
+		}
 	}
-	if !reflect.DeepEqual(static.Tables["tight"], iso.Tables["tight"]) {
-		t.Fatalf("isolated adaptive output differs from static: %v", iso.Tables["tight"])
+
+	// Degraded mode: the poisoned record is quarantined by the stage that
+	// failed on it, and the run reports what any other run would.
+	quarantine := ExecConfig{OnRecordError: OnRecordQuarantine, Parallelism: 4}
+	ref := run(quarantine, "scoop 15")
+	quarantine.Adaptive = true
+	got := run(quarantine, "scoop 15")
+	if got.Quarantined != 1 || stageByName(t, got, "loose").Quarantined != 1 {
+		t.Fatalf("quarantined %d (loose %d), want exactly the poisoned record",
+			got.Quarantined, stageByName(t, got, "loose").Quarantined)
 	}
-	if d := stageByName(t, iso, "tight").Detail; strings.Contains(d, "adaptive segment") {
-		t.Fatalf("isolated run formed a segment: detail = %q", d)
+	if !reflect.DeepEqual(ref.Tables, got.Tables) || !reflect.DeepEqual(flow(ref), flow(got)) {
+		t.Fatalf("quarantined run differs from the default executor:\nwant %v %v\ngot  %v %v",
+			ref.Tables, flow(ref), got.Tables, flow(got))
 	}
 }
 
@@ -444,7 +364,7 @@ func TestAdaptiveIdleUpstreamCancellation(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = p.Run(ctx, ExecConfig{Model: model, Adaptive: true, Parallelism: 1}, flavorTables(4))
+	_, err = p.Run(ctx, ExecConfig{Model: model, Parallelism: 1}, flavorTables(4))
 	if err == nil {
 		t.Fatal("cancelled run reported success")
 	}

@@ -80,20 +80,6 @@ func BenchmarkPipelineOptimizedMaterialized(b *testing.B) {
 	})
 }
 
-// BenchmarkPipelineAdaptive runs the optimized plan under the adaptive
-// runtime: self-tuned chunk widths and mid-run filter re-ordering. The
-// delta against BenchmarkPipelineOptimized is the adaptive machinery's
-// overhead (or win) when the static plan was already good.
-func BenchmarkPipelineAdaptive(b *testing.B) {
-	spec, _, err := Optimize(benchSpec())
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchRun(b, spec, ExecConfig{
-		Model: sim.NewNamed("sim-gpt-3.5-turbo"), Parallelism: 16, Batch: 8, Adaptive: true,
-	})
-}
-
 // BenchmarkPipelineOptimize measures the optimizer itself (pure plan
 // rewriting, no LLM work).
 func BenchmarkPipelineOptimize(b *testing.B) {
@@ -140,9 +126,6 @@ func TestBenchCountersPinned(t *testing.T) {
 			cacheSize: 30, free: 3},
 		{name: "optimized-streaming", spec: optimized,
 			cfg:       ExecConfig{Parallelism: 16, Batch: 8},
-			cacheSize: 30, free: 3},
-		{name: "adaptive", spec: optimized,
-			cfg:       ExecConfig{Parallelism: 16, Batch: 8, Adaptive: true},
 			cacheSize: 30, free: 3},
 		{name: "standing-query", spec: optimized,
 			cfg:       ExecConfig{Parallelism: 1},

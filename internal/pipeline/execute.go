@@ -58,8 +58,7 @@ type ExecConfig struct {
 	// order, while the pipeline is already executing — per-record stages
 	// evaluate each record as it arrives, and barrier stages simply see
 	// the longer stream. (A per-record stage with a dynamic side input
-	// holds arrivals until the side stage finishes: buffered under
-	// Adaptive, drained like a barrier otherwise.) Run returns only after
+	// buffers arrivals until the side stage finishes.) Run returns only after
 	// Feed is closed and fully drained, so the caller must feed and close
 	// the channel from another goroutine. Temperature-0 results after full
 	// ingestion are byte-identical to a batch run whose source table
@@ -82,16 +81,7 @@ type ExecConfig struct {
 	// finished record downstream at once, so round trips overlap across
 	// records and across stages. Parallelism 1 is strictly serial per stage.
 	Parallelism int
-	// Adaptive enables the adaptive streaming runtime: a streamable stage
-	// with a dynamic side input overlaps its main path with the side
-	// stage's materialization — buffering arrivals in memory until the
-	// side table lands — instead of draining first, and runs of adjacent
-	// commutable filter stages may be re-ordered between records as
-	// observed selectivities refine the optimizer's estimates.
-	// Temperature-0 results are identical either way. A no-op under
-	// Materialized; Isolated keeps per-stage engines, so it disables the
-	// segment re-ordering (which would share one engine across members)
-	// while side-input overlap still applies.
+	// Deprecated: no effect; kept because benchmark/layers.go assigns it — removed with the pipeline.run_ms.adaptive column.
 	Adaptive bool
 	// Materialized disables record-level streaming: every stage drains its
 	// whole input before running — the pre-streaming executor behaviour.
@@ -118,8 +108,8 @@ type ExecConfig struct {
 	// dropped (skip) or dropped-and-reported (quarantine) instead of
 	// aborting the run; nothing is asked twice. Context
 	// cancellation, budget exhaustion, and an open circuit breaker always
-	// abort — they poison every record, not one. Barrier stages and
-	// adaptive filter segments fail fast regardless.
+	// abort — they poison every record, not one. Barrier stages fail fast
+	// regardless.
 	OnRecordError string
 }
 
@@ -232,6 +222,32 @@ type Env struct {
 	onErr string // resolved OnRecordError mode
 }
 
+// stageStats accumulates one stage's streaming timings; the stage
+// goroutine owns it and flushes the total into the run's Attribution
+// ledger when the stage finishes, where the run report reads it back.
+type stageStats struct {
+	stage string
+	t     workflow.StageTiming
+}
+
+// close settles a stage that consumed records: whatever of the time since
+// start was not spent starved for input (Wait) was Service, under one
+// operator preparation.
+func (s *stageStats) close(start time.Time, records int) {
+	if records == 0 {
+		return
+	}
+	s.t.Service += time.Since(start) - s.t.Wait
+	s.t.Chunks++
+	s.t.Records += records
+}
+
+func (s *stageStats) flush(attr *workflow.Attribution) {
+	if s.t != (workflow.StageTiming{}) {
+		attr.ObserveTiming(s.stage, s.t)
+	}
+}
+
 // maxQuarantineErrors bounds the per-stage error samples kept for the
 // StageReport; the count is always exact.
 const maxQuarantineErrors = 3
@@ -317,13 +333,7 @@ type StageReport struct {
 
 // Result is the outcome of one pipeline run.
 type Result struct {
-	// Tables holds every stage's output table by stage name. One caveat
-	// under ExecConfig.Adaptive: inside a re-orderable filter segment,
-	// a non-tail filter's table (and its In/Out counts) reflects the
-	// records it actually evaluated under the orders used, which can
-	// vary with completion timing when Parallelism > 1; the segment's tail table — what
-	// every downstream consumer sees — and all non-segment tables are
-	// byte-identical to a non-adaptive run at temperature 0.
+	// Tables holds every stage's output table by stage name.
 	Tables map[string][]dataset.Record
 	// Scalars holds the scalar outputs of count/max stages by stage name.
 	Scalars map[string]string
@@ -467,12 +477,13 @@ func drain(ctx context.Context, in <-chan seqRecord, up *streamOut) ([]dataset.R
 // per-record stage (filter, direct categorize, fixed-strategy impute,
 // nested-loop join) runs each record's unit task as the record arrives,
 // up to Parallelism at once, handing finished records downstream
-// immediately. Barrier stages — sort, max, count, resolve, planner-driven
-// impute, any stage with a dynamic side input, or everything when
-// cfg.Materialized is set — drain their input first; results are
-// identical either way at temperature 0. Unless Isolated, all stages
-// stream their unit tasks through one shared engine: one execution
-// layer, one embedding-index registry, one budget. Each stage's context
+// immediately; one with a dynamic side input buffers its input until the
+// side stage finishes, then streams. Barrier stages — sort, max, count,
+// resolve, planner-driven impute, or everything when cfg.Materialized is
+// set — drain their input first; results are identical either way at
+// temperature 0. Unless Isolated, all stages stream their unit tasks
+// through one shared engine: one execution layer, one embedding-index
+// registry, one budget. Each stage's context
 // is tagged with its name, so the returned report attributes the shared
 // budget's spend stage by stage. With cfg.Feed set, the run is a
 // standing query: records arriving on the channel extend the source
@@ -499,34 +510,11 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 		outs[st.Name()] = &streamOut{done: make(chan struct{})}
 	}
 
-	// Adaptive runs collapse runs of adjacent commutable filters into
-	// segments the executor may re-order mid-run; segMember marks every
-	// stage driven by a segment goroutine instead of its own. Isolated
-	// runs keep every stage on its own engine — a segment would share one
-	// across its members — so they never form segments.
-	var segments [][]int
-	segID := make([]int, len(p.stages)) // 0 = no segment; k = member of segments[k-1]
-	if cfg.Adaptive && !cfg.Materialized && !cfg.Isolated {
-		segments = adaptiveSegments(p.specs)
-		for k, seg := range segments {
-			for _, j := range seg {
-				segID[j] = k + 1
-			}
-		}
-	}
-
 	// Wire one bounded channel per main-input edge. Dynamic side-table
 	// consumers are not subscribers: they read the producer's collected
-	// table after its done closes. Stages inside a segment take no edge
-	// of their own — the segment consumes the head's input and emits on
-	// the tail's output, whose downstream subscriptions wire as usual.
+	// table after its done closes.
 	inputs := make(map[string]chan seqRecord, len(p.stages))
-	for i, st := range p.stages {
-		if segID[i] > 0 {
-			if j := indexOf(p.specs, p.specs[i].Input); j >= 0 && segID[j] == segID[i] {
-				continue // intra-segment edge: records flow inside the goroutine
-			}
-		}
+	for _, st := range p.stages {
 		ch := make(chan seqRecord, edgeBuffer)
 		inputs[st.Name()] = ch
 		up := outs[st.Input()]
@@ -572,17 +560,7 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 		}
 	}()
 
-	for _, seg := range segments {
-		wg.Add(1)
-		go func(seg []int) {
-			defer wg.Done()
-			p.runSegment(ctx, cancel, cfg, rt, state, outs, inputs[p.specs[seg[0]].Name], seg)
-		}(seg)
-	}
 	for i, st := range p.stages {
-		if segID[i] > 0 {
-			continue
-		}
 		wg.Add(1)
 		go func(st Stage, spec StageSpec) {
 			defer wg.Done()
@@ -697,16 +675,15 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 	// A dynamic side input (Side naming an earlier stage) needs the side
 	// table whole, and the stage must keep consuming its own input while
 	// the side stage finishes — otherwise a shared ancestor could deadlock
-	// on backpressure. The classic answer is barrier mode: drain the main
-	// input, await the side, run. The adaptive runtime restores overlap
-	// for streamable stages instead: buffer the main input while the side
-	// materializes, then stream the buffer plus the live tail — the main
-	// path never stops consuming, and downstream starts receiving as soon
-	// as the side table lands.
+	// on backpressure. A streamable stage buffers the main input while the
+	// side materializes, then streams the buffer plus the live tail — the
+	// main path never stops consuming, and downstream starts receiving as
+	// soon as the side table lands. A barrier stage drains the main input,
+	// awaits the side, and runs.
 	dynamicSide := sideStage(p.specs, spec) >= 0
 
 	streamer, ok := st.(Streamer)
-	if ok && streamer.CanStream() && !cfg.Materialized && (!dynamicSide || cfg.Adaptive) {
+	if ok && streamer.CanStream() && !cfg.Materialized {
 		start := time.Now()
 		sctx := workflow.TagStage(ctx, st.Name())
 		var err error
@@ -818,7 +795,7 @@ func propagated(err error, outs map[string]*streamOut, spec StageSpec) bool {
 	return false
 }
 
-// runWindowWithSide is the adaptive side-input overlap path: buffer the
+// runWindowWithSide is the side-input overlap path: buffer the
 // main input while the dynamic side stage materializes, then stream the
 // buffered prefix followed by the live channel through the stage's
 // window. Buffering keeps the main path consuming (no backpressure

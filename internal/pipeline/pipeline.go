@@ -21,23 +21,16 @@
 // (sort/max/count, resolve, planner-driven impute) drain their input
 // first. A join's right side or an impute's example pool may name an
 // earlier stage instead of a static table; the executor materializes
-// that stage's stream once and fans it out. Every stage shares one
-// engine (one execution layer, one embedding-index registry, one
-// budget), and each stage's context is tagged so the shared budget
-// breaks down into per-stage usage and dollar attribution.
+// that stage's stream once and fans it out, while a streamable consumer
+// buffers its main input and streams the moment the side table lands.
+// Every stage shares one engine (one execution layer, one embedding-index
+// registry, one budget), and each stage's context is tagged so the shared
+// budget breaks down into per-stage usage and dollar attribution.
 //
 // Optimize rewrites using spec hints alone; OptimizeProbed additionally
 // measures each hintless filter's selectivity on a deterministic record
 // sample before ordering (probe spend attributed under
-// workflow.StageProbe).
-//
-// ExecConfig.Adaptive enables the adaptive streaming runtime: a
-// streamable stage with a dynamic side input overlaps its main path with
-// the side stage's materialization through an in-memory buffer instead
-// of draining first, and runs of adjacent commutable filters execute as
-// segments whose internal order is revised between records as observed
-// keep rates refine the optimizer's estimates — all with byte-identical
-// temperature-0 results.
+// workflow.StageProbe). Filter order is fixed once the run starts.
 //
 // ExecConfig.Feed turns a run into a standing query: records arriving on
 // the channel while the pipeline executes join the stream behind the

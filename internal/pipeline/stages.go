@@ -34,8 +34,8 @@ type Stage interface {
 // Streamer is the optional streaming face of a Stage: a stage whose
 // operator decides each record on its own, so the executor can run
 // records as they arrive and emit each the moment it finishes. The
-// executor streams a stage only when CanStream reports true — never in
-// Materialized mode, and with a dynamic side input only under Adaptive.
+// executor streams a stage only when CanStream reports true, and never in
+// Materialized mode.
 type Streamer interface {
 	// CanStream reports whether the configured strategy keeps each
 	// record's outcome independent of which other records it runs beside —
@@ -249,8 +249,7 @@ func (s filterStage) request() core.FilterRequest {
 }
 
 // filterDetail is the one report string for a filter's work, shared by
-// the table path, the streaming path, and the adaptive segment runner so
-// the three never drift apart.
+// the table path and the streaming path so the two never drift apart.
 func filterDetail(kept, seen, asks int) string {
 	return fmt.Sprintf("kept %d/%d (%d asks)", kept, seen, asks)
 }

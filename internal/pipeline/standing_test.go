@@ -30,8 +30,8 @@ func feedRecords(waves ...[]dataset.Record) <-chan dataset.Record {
 // TestStandingQueryMatchesBatch is the standing-query acceptance pin:
 // records ingested mid-run through ExecConfig.Feed must leave every
 // table, scalar, and detail byte-identical to a batch run whose source
-// table already held the full record set — across streaming, adaptive
-// (filter segments), and materialized execution.
+// table already held the full record set — across windowed, serial, and
+// materialized execution.
 func TestStandingQueryMatchesBatch(t *testing.T) {
 	model := llm.Func{ModelName: "standing", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
 		switch {
@@ -59,23 +59,13 @@ func TestStandingQueryMatchesBatch(t *testing.T) {
 	all := flavorTables(12)["source"]
 	static, fed := all[:5], all[5:]
 
-	// exact compares every table, scalar, and stage report byte for byte.
-	// The adaptive configuration with two records in flight compares final
-	// outputs only: which records had finished when a later one started
-	// (and with it the segment's internal order revisions) depends on
-	// wall-clock timing, so intra-segment tables may legitimately differ
-	// between two runs — the segment tail and everything downstream may
-	// not. One record in flight keeps the adaptive runtime's segments
-	// while making the whole report deterministic.
 	configs := []struct {
-		name  string
-		cfg   ExecConfig
-		exact bool
+		name string
+		cfg  ExecConfig
 	}{
-		{"streaming", ExecConfig{Parallelism: 2}, true},
-		{"adaptive-serial", ExecConfig{Adaptive: true, Parallelism: 1}, true},
-		{"adaptive-windowed", ExecConfig{Adaptive: true, Parallelism: 2}, false},
-		{"materialized", ExecConfig{Materialized: true, Parallelism: 2}, true},
+		{"streaming", ExecConfig{Parallelism: 2}},
+		{"serial", ExecConfig{Parallelism: 1}},
+		{"materialized", ExecConfig{Materialized: true, Parallelism: 2}},
 	}
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -104,24 +94,15 @@ func TestStandingQueryMatchesBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if tc.exact {
-				if !reflect.DeepEqual(batch.Tables, standing.Tables) {
-					t.Fatalf("standing-query tables differ from batch run:\nbatch    %v\nstanding %v",
-						batch.Tables, standing.Tables)
-				}
-				for i, s := range batch.Stages {
-					o := standing.Stages[i]
-					if s.Name != o.Name || s.In != o.In || s.Out != o.Out || s.Detail != o.Detail {
-						t.Fatalf("stage %q report differs: batch {in %d out %d %q} vs standing {in %d out %d %q}",
-							s.Name, s.In, s.Out, s.Detail, o.In, o.Out, o.Detail)
-					}
-				}
-			} else {
-				for _, name := range []string{"tight", "cat", "tally"} {
-					if !reflect.DeepEqual(batch.Tables[name], standing.Tables[name]) {
-						t.Fatalf("standing-query table %q differs from batch run:\nbatch    %v\nstanding %v",
-							name, batch.Tables[name], standing.Tables[name])
-					}
+			if !reflect.DeepEqual(batch.Tables, standing.Tables) {
+				t.Fatalf("standing-query tables differ from batch run:\nbatch    %v\nstanding %v",
+					batch.Tables, standing.Tables)
+			}
+			for i, s := range batch.Stages {
+				o := standing.Stages[i]
+				if s.Name != o.Name || s.In != o.In || s.Out != o.Out || s.Detail != o.Detail {
+					t.Fatalf("stage %q report differs: batch {in %d out %d %q} vs standing {in %d out %d %q}",
+						s.Name, s.In, s.Out, s.Detail, o.In, o.Out, o.Detail)
 				}
 			}
 			if !reflect.DeepEqual(batch.Scalars, standing.Scalars) {

@@ -146,10 +146,10 @@ func jitterModel(m llm.Model) llm.Model {
 
 // randomWindowSpec draws one pipeline over the restaurants tables: an
 // optional leading resolve barrier, one to four per-record stages (filters
-// — adjacent ones form a segment under Adaptive — direct categorize,
-// fixed-strategy impute, at most one nested-loop join against a static or
-// a dynamic side), and an optional trailing count. dynamic reports whether
-// the join's side is the "pool" stage's stream.
+// — adjacent ones form a filter chain — direct categorize, fixed-strategy
+// impute, at most one nested-loop join against a static or a dynamic
+// side), and an optional trailing count. dynamic reports whether the
+// join's side is the "pool" stage's stream.
 func randomWindowSpec(rng *rand.Rand) (spec Spec, dynamic bool) {
 	var stages []StageSpec
 	input := "source"
@@ -206,12 +206,11 @@ func randomWindowSpec(rng *rand.Rand) (spec Spec, dynamic bool) {
 }
 
 // TestWindowMatchesMaterializedProperty is the byte-identity contract as
-// one property: for random specs — filter segments under Adaptive, join
-// fan-out, a dynamic side input buffered under Adaptive, a standing
-// query's Feed — run under prompt-determined latency at in-flight windows
-// 1, 2 and 8, every table (in order), every scalar and every stage's
-// record counts equal the Materialized run's, and per-stage attribution
-// sums to the run total.
+// one property: for random specs — filter chains, join fan-out, a dynamic
+// side input overlapped with its main path, a standing query's Feed — run
+// under prompt-determined latency at in-flight windows 1, 2 and 8, every
+// table (in order), every scalar and every stage's record counts equal
+// the Materialized run's, and per-stage attribution sums to the run total.
 func TestWindowMatchesMaterializedProperty(t *testing.T) {
 	tables, _ := SourceSpec{Dataset: "restaurants", Records: 10, Train: 24, Seed: 4}.Tables()
 	for i, r := range tables["source"] {
@@ -266,52 +265,39 @@ func TestWindowMatchesMaterializedProperty(t *testing.T) {
 		if feed {
 			covered["feed"]++
 		}
-		covered["segment"] += len(adaptiveSegments(p.specs))
+		for _, s := range p.specs {
+			if j := indexOf(p.specs, s.Input); s.Kind == KindFilter && j >= 0 && p.specs[j].Kind == KindFilter {
+				covered["filter chain"]++
+			}
+		}
 		for _, s := range want.Stages {
 			if s.Kind == KindJoin {
 				covered["join rows"] += s.Out
 			}
 		}
-		for _, adaptive := range []bool{false, true} {
-			// Inside a segment, how many records a member saw — and, for a
-			// non-tail member, which it kept — depends on the orders its
-			// records ran under; everything else is pinned.
-			member, inner := map[string]bool{}, map[string]bool{}
-			if adaptive {
-				for _, seg := range adaptiveSegments(p.specs) {
-					for k, j := range seg {
-						member[p.specs[j].Name] = true
-						inner[p.specs[j].Name] = k < len(seg)-1
-					}
+		for _, width := range []int{1, 2, 8} {
+			got := run(ExecConfig{Parallelism: width})
+			label := fmt.Sprintf("seed %d window %d feed %v", seed, width, feed)
+			if !reflect.DeepEqual(want.Scalars, got.Scalars) {
+				t.Fatalf("%s: scalars %v != materialized %v", label, got.Scalars, want.Scalars)
+			}
+			var sum token.Usage
+			for i, s := range got.Stages {
+				sum = sum.Add(s.Usage)
+				if !reflect.DeepEqual(want.Tables[s.Name], got.Tables[s.Name]) {
+					t.Fatalf("%s: stage %q table differs from materialized\nspec %+v\nwant %v\ngot  %v",
+						label, s.Name, spec.Stages, want.Tables[s.Name], got.Tables[s.Name])
+				}
+				if w := want.Stages[i]; w.Name != s.Name || w.In != s.In || w.Out != s.Out {
+					t.Fatalf("%s: stage %q in/out %d/%d != materialized %q %d/%d", label, s.Name, s.In, s.Out, w.Name, w.In, w.Out)
 				}
 			}
-			for _, width := range []int{1, 2, 8} {
-				got := run(ExecConfig{Adaptive: adaptive, Parallelism: width})
-				label := fmt.Sprintf("seed %d adaptive %v window %d feed %v", seed, adaptive, width, feed)
-				if !reflect.DeepEqual(want.Scalars, got.Scalars) {
-					t.Fatalf("%s: scalars %v != materialized %v", label, got.Scalars, want.Scalars)
-				}
-				var sum token.Usage
-				for i, s := range got.Stages {
-					sum = sum.Add(s.Usage)
-					if inner[s.Name] {
-						continue
-					}
-					if !reflect.DeepEqual(want.Tables[s.Name], got.Tables[s.Name]) {
-						t.Fatalf("%s: stage %q table differs from materialized\nspec %+v\nwant %v\ngot  %v",
-							label, s.Name, spec.Stages, want.Tables[s.Name], got.Tables[s.Name])
-					}
-					if w := want.Stages[i]; w.Name != s.Name || (w.In != s.In && !member[s.Name]) || w.Out != s.Out {
-						t.Fatalf("%s: stage %q in/out %d/%d != materialized %q %d/%d", label, s.Name, s.In, s.Out, w.Name, w.In, w.Out)
-					}
-				}
-				if sum != got.Usage {
-					t.Fatalf("%s: stage usage sums to %+v, run total is %+v", label, sum, got.Usage)
-				}
+			if sum != got.Usage {
+				t.Fatalf("%s: stage usage sums to %+v, run total is %+v", label, sum, got.Usage)
 			}
 		}
 	}
-	for _, what := range []string{"dynamic side", "feed", "segment", "join rows"} {
+	for _, what := range []string{"dynamic side", "feed", "filter chain", "join rows"} {
 		if covered[what] == 0 {
 			t.Errorf("the 12 drawn specs never exercised: %s (coverage %v)", what, covered)
 		}

@@ -122,8 +122,8 @@ func (s *session) tables(sc *Scenario) map[string][]dataset.Record {
 func (s *session) execConfig(k ExecKnobs) pipeline.ExecConfig {
 	return pipeline.ExecConfig{
 		Model: s.counting, Exec: s.exec, Registry: s.registry, Attribution: s.attr,
-		Batch: k.Batch, Parallelism: k.Parallelism, Adaptive: k.Adaptive,
-		Materialized: k.Materialized, OnRecordError: k.OnRecordError,
+		Batch: k.Batch, Parallelism: k.Parallelism, Materialized: k.Materialized,
+		OnRecordError: k.OnRecordError,
 	}
 }
 
@@ -455,7 +455,6 @@ func (s *session) sessionServer(sc *Scenario, load *ServerLoad) *server.Server {
 		Tenants:       tenants,
 		Batch:         sc.Exec.Batch,
 		Parallelism:   sc.Exec.Parallelism,
-		Adaptive:      sc.Exec.Adaptive,
 	})
 	return s.srv
 }

@@ -26,7 +26,6 @@ var pinnedTotals = map[string]struct {
 	"mid-run-ingestion":       {3, 85, 17},
 	"burst-load":              {3, 85, 45},
 	"overlap-ingestion":       {12, 578, 12},
-	"adaptive-replan-drift":   {3, 86, 16},
 	"declserver-multi-tenant": {3, 85, 93},
 	"fault-burst-recovery":    {6, 173, 49},
 	"breaker-open-recover":    {4, 114, 37},

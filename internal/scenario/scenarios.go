@@ -205,10 +205,9 @@ func BurstLoad() *Scenario {
 
 // OverlapIngestion exercises the side-input overlap path under
 // ingestion: a nested-loop join whose side table is another stage's
-// stream runs as a standing query, so the adaptive executor spools the
-// live branch while the pool side materializes — with fed records
-// arriving the whole time — and the result must still match a cold
-// batch run.
+// stream runs as a standing query, so the join buffers the live branch
+// while the pool side materializes — with fed records arriving the whole
+// time — and the result must still match a cold batch run.
 func OverlapIngestion() *Scenario {
 	static := []dataset.Record{
 		rec("pool-00", "name", "alphabravo", "slot", "pool"),
@@ -227,9 +226,9 @@ func OverlapIngestion() *Scenario {
 		ID:   "overlap-ingestion",
 		Name: "Side-input overlap under ingestion",
 		Description: "A join whose side table is the pool filter's stream runs " +
-			"as a standing query: the adaptive executor spools the live branch " +
-			"while the side materializes, records keep arriving mid-run, and the " +
-			"matches must equal a cold batch run's.",
+			"as a standing query: the join buffers the live branch while the " +
+			"side materializes, records keep arriving mid-run, and the matches " +
+			"must equal a cold batch run's.",
 		Spec: pipeline.Spec{Stages: []pipeline.StageSpec{
 			{Name: "pool", Kind: pipeline.KindFilter, Field: "slot", Predicate: "the slot is pool", Input: "source"},
 			{Name: "live", Kind: pipeline.KindFilter, Field: "slot", Predicate: "the slot is live", Input: "source"},
@@ -237,7 +236,7 @@ func OverlapIngestion() *Scenario {
 				Strategy: "nested-loop", Input: "live"},
 		}},
 		Source: static,
-		Exec:   ExecKnobs{Parallelism: 1, Adaptive: true},
+		Exec:   ExecKnobs{Parallelism: 1},
 		Predicates: []sim.Predicate{
 			fieldPred("slot-pool", "slot is pool", "pool"),
 			fieldPred("slot-live", "slot is live", "live"),
@@ -249,66 +248,6 @@ func OverlapIngestion() *Scenario {
 			{
 				Name: "overlap-identical", AfterTurn: "stand-join",
 				RequireIdentical: true, WantRows: 3,
-			},
-		},
-	}
-}
-
-// AdaptiveReplanDrift feeds a drifting record stream through an adaptive
-// filter segment: the hintless filters start in user order, the fed
-// records' observed keep rates expose the tighter filter, and the
-// segment must re-order mid-run ("order revised") while staying
-// byte-identical to a batch run.
-func AdaptiveReplanDrift() *Scenario {
-	static := []dataset.Record{
-		rec("st-00", "tier", "gold", "region", "west"),
-		rec("st-01", "tier", "gold", "region", "east"),
-		rec("st-02", "tier", "gold", "region", "west"),
-		rec("st-03", "tier", "silver", "region", "west"),
-		rec("st-04", "tier", "gold", "region", "west"),
-		rec("st-05", "tier", "gold", "region", "west"),
-	}
-	var wave1, wave2 []dataset.Record
-	for i := 0; i < 5; i++ {
-		tier := "gold"
-		if i == 2 {
-			tier = "silver"
-		}
-		wave1 = append(wave1, rec(fmt.Sprintf("dr-a%d", i), "tier", tier, "region", "west"))
-	}
-	for i := 0; i < 5; i++ {
-		region := "west"
-		if i == 3 {
-			region = "east"
-		}
-		wave2 = append(wave2, rec(fmt.Sprintf("dr-b%d", i), "tier", "gold", "region", region))
-	}
-	return &Scenario{
-		ID:   "adaptive-replan-drift",
-		Name: "Adaptive re-plan under drift",
-		Description: "Two hintless filters (loose tier check, tight region " +
-			"check) run as an adaptive segment over a drifting standing-query " +
-			"stream: observed keep rates must flip the tighter filter to the " +
-			"front mid-run (\"order revised\") with results byte-identical to a " +
-			"batch run.",
-		Spec: pipeline.Spec{Stages: []pipeline.StageSpec{
-			{Name: "loose", Kind: pipeline.KindFilter, Field: "tier", Predicate: "the tier is gold"},
-			{Name: "tight", Kind: pipeline.KindFilter, Field: "region", Predicate: "the region is east"},
-		}},
-		Source: static,
-		Exec:   ExecKnobs{Parallelism: 1, Adaptive: true},
-		Predicates: []sim.Predicate{
-			fieldPred("tier-gold", "tier is gold", "gold"),
-			fieldPred("region-east", "region is east", "east"),
-		},
-		Turns: []Turn{
-			{Name: "drift", Kind: TurnQuery, Feed: [][]dataset.Record{wave1, wave2}, CompareBatch: true},
-		},
-		Checkpoints: []Checkpoint{
-			{
-				Name: "replanned", AfterTurn: "drift",
-				RequireDetail: "order revised", RequireIdentical: true,
-				WantRows: 2, MaxCalls: 4,
 			},
 		},
 	}
@@ -502,7 +441,6 @@ func List() []*Scenario {
 		MidRunIngestion(),
 		BurstLoad(),
 		OverlapIngestion(),
-		AdaptiveReplanDrift(),
 		DeclserverMultiTenant(),
 		FaultBurstRecovery(),
 		BreakerOpenRecover(),
