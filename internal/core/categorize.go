@@ -90,7 +90,7 @@ func (e *Engine) Categorize(ctx context.Context, req CategorizeRequest) (Categor
 	if len(categories) == 0 {
 		return CategorizeResult{}, badRequestf("no categories to assign to")
 	}
-	c := &PreparedCategorize{e: e, s: s, categories: categories}
+	c := newPreparedCategorize(e, s, categories)
 	assignments, err := e.mapIdx(ctx, len(req.Items), func(ctx context.Context, i int) (string, error) {
 		return c.Ask(ctx, req.Items[i])
 	})
@@ -112,6 +112,12 @@ type PreparedCategorize struct {
 	e          *Engine
 	s          *session
 	categories []string
+	// list is the category set as every prompt lists it, joined once.
+	list string
+}
+
+func newPreparedCategorize(e *Engine, s *session, categories []string) *PreparedCategorize {
+	return &PreparedCategorize{e: e, s: s, categories: categories, list: prompt.CategoryList(categories)}
 }
 
 // PrepareCategorize returns the per-item form of CategorizeDirect over
@@ -120,12 +126,15 @@ func (e *Engine) PrepareCategorize(categories []string) (*PreparedCategorize, er
 	if len(categories) == 0 {
 		return nil, badRequestf("no categories to assign to")
 	}
-	return &PreparedCategorize{e: e, s: e.newBatchedSession(), categories: categories}, nil
+	return newPreparedCategorize(e, e.newBatchedSession(), categories), nil
 }
 
 // Ask assigns one item to a category.
 func (c *PreparedCategorize) Ask(ctx context.Context, item string) (string, error) {
-	return quality.AskWithRetry(ctx, c.s.model, prompt.Categorize(item, c.categories),
+	buf := getPromptBuf()
+	defer buf.release()
+	buf.prompt = prompt.AppendCategorize(buf.prompt[:0], item, c.list)
+	return quality.AskBytesWithRetry(ctx, c.s.model, buf.prompt,
 		func(text string) (string, error) {
 			v, err := prompt.ParseValue(text)
 			if err != nil {

@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/embed"
 	"repro/internal/llm"
@@ -254,6 +255,20 @@ func (e *Engine) index(items []embed.Item) *embed.Index {
 	ix.AddAll(items)
 	return ix
 }
+
+// promptBuf is the scratch one unit ask renders into: the prompt, and for
+// imputation the query record's serialization. Buffers are pooled and
+// released once the answer is parsed, so a warm ask allocates nothing.
+// Nothing may keep a slice of a buffer past its release: a parsed answer
+// is a substring of the model's response, never of the prompt, and a
+// cache miss copies the prompt before anything keeps it.
+type promptBuf struct{ prompt, record []byte }
+
+var promptBufs = sync.Pool{New: func() any { return new(promptBuf) }}
+
+func getPromptBuf() *promptBuf { return promptBufs.Get().(*promptBuf) }
+
+func (b *promptBuf) release() { promptBufs.Put(b) }
 
 // mapIdx fans fn out over n indices with the engine's parallelism.
 func (e *Engine) mapIdx(ctx context.Context, n int, fn func(ctx context.Context, i int) (string, error)) ([]string, error) {

@@ -108,21 +108,23 @@ func (e *Engine) PrepareFilter(req FilterRequest) (*PreparedFilter, error) {
 
 // Ask tests one item against the predicate.
 func (f *PreparedFilter) Ask(ctx context.Context, item string) (FilterAnswer, error) {
-	p := prompt.FilterItem(item, f.req.Predicate)
+	buf := getPromptBuf()
+	defer buf.release()
+	buf.prompt = prompt.AppendFilterItem(buf.prompt[:0], item, f.req.Predicate)
 	var (
 		ans FilterAnswer
 		err error
 	)
 	switch f.req.Strategy {
 	case FilterPerItem:
-		ans.Keep, err = quality.AskWithRetry(ctx, f.s.model, p, prompt.ParseYesNo, f.e.retries)
+		ans.Keep, err = quality.AskBytesWithRetry(ctx, f.s.model, buf.prompt, prompt.ParseYesNo, f.e.retries)
 		ans.Asks = 1
 	case FilterMajority:
 		var yes, no int
-		ans.Keep, yes, no, err = quality.MajorityYesNo(ctx, f.s.model, p, f.req.Votes, f.req.Temperature)
+		ans.Keep, yes, no, err = quality.MajorityYesNo(ctx, f.s.model, string(buf.prompt), f.req.Votes, f.req.Temperature)
 		ans.Asks = yes + no
 	case FilterSequential:
-		ans.Keep, ans.Asks, err = quality.SequentialYesNo(ctx, f.s.model, p, f.req.MaxAsks, f.req.Margin, f.req.Temperature)
+		ans.Keep, ans.Asks, err = quality.SequentialYesNo(ctx, f.s.model, string(buf.prompt), f.req.MaxAsks, f.req.Margin, f.req.Temperature)
 	}
 	return ans, err
 }
@@ -231,6 +233,8 @@ func (e *Engine) Count(ctx context.Context, req CountRequest) (CountResult, erro
 			if err != nil {
 				return "", err
 			}
+			// The round trip through "%f" is part of the result: it rounds
+			// each batch's fraction to six decimals before the total.
 			return fmt.Sprintf("%f", f), nil
 		})
 		if err != nil {

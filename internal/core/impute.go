@@ -199,11 +199,13 @@ func (p *PreparedImpute) trainRow(nb embed.Neighbor) dataset.Record {
 // Ask imputes the target field of one query record. Any existing target
 // value is ignored (and never shown to the model).
 func (p *PreparedImpute) Ask(ctx context.Context, q dataset.Record) (ImputeAnswer, error) {
+	buf := getPromptBuf()
+	defer buf.release()
 	// The query is serialized and embedded exactly once.
-	serialized := p.serialize(q)
+	buf.record = q.AppendWithout(buf.record[:0], p.req.TargetField)
 	var nn []embed.Neighbor
 	if p.kMax > 0 {
-		nn = p.ix.Nearest(serialized, p.kMax)
+		nn = p.ix.Nearest(string(buf.record), p.kMax)
 	}
 	if p.req.Strategy != ImputeLLM {
 		vote := nn
@@ -243,8 +245,8 @@ func (p *PreparedImpute) Ask(ctx context.Context, q dataset.Record) (ImputeAnswe
 			examples = append(examples, prompt.Example{Input: p.serialize(r), Output: v})
 		}
 	}
-	v, err := quality.AskWithRetry(ctx, p.s.model, prompt.Impute(serialized, p.req.TargetField, examples),
-		prompt.ParseValue, p.e.retries)
+	buf.prompt = prompt.AppendImpute(buf.prompt[:0], buf.record, p.req.TargetField, examples)
+	v, err := quality.AskBytesWithRetry(ctx, p.s.model, buf.prompt, prompt.ParseValue, p.e.retries)
 	return ImputeAnswer{Value: v, ByLLM: true}, err
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/consistency"
-	"repro/internal/prompt"
-	"repro/internal/quality"
 	"repro/internal/token"
 )
 
@@ -70,25 +68,14 @@ func (e *Engine) Max(ctx context.Context, req MaxRequest) (MaxResult, error) {
 		// Coarse phase: rate everything; keep the top non-empty bucket
 		// plus the bucket below it (ratings are noisy; a one-bucket slip
 		// must not eliminate the true max).
-		ratings, err := e.mapIdx(ctx, len(req.Items), func(ctx context.Context, i int) (string, error) {
-			r, err := quality.AskWithRetry(ctx, s.model,
-				prompt.RateItem(req.Items[i], req.Criterion, req.RatingScale),
-				func(text string) (int, error) { return prompt.ParseRating(text, req.RatingScale) },
-				e.retries)
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("%d", r), nil
-		})
+		vals, err := e.rateAll(ctx, s, req.Items, req.Criterion, req.RatingScale)
 		if err != nil {
 			return MaxResult{}, fmt.Errorf("max rating phase: %w", err)
 		}
 		best := 0
-		vals := make([]int, len(req.Items))
-		for i, rs := range ratings {
-			fmt.Sscanf(rs, "%d", &vals[i])
-			if vals[i] > best {
-				best = vals[i]
+		for _, v := range vals {
+			if v > best {
+				best = v
 			}
 		}
 		var finalists []string

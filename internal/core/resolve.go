@@ -146,8 +146,10 @@ func (e *Engine) ResolvePairs(ctx context.Context, req PairsRequest) (PairsResul
 
 // matchOnce asks a single duplicate question.
 func (e *Engine) matchOnce(ctx context.Context, s *session, a, b Entity) (bool, error) {
-	return quality.AskWithRetry(ctx, s.model, prompt.MatchPair(a.Text, b.Text),
-		prompt.ParseYesNo, e.retries)
+	buf := getPromptBuf()
+	defer buf.release()
+	buf.prompt = prompt.AppendMatchPair(buf.prompt[:0], a.Text, b.Text)
+	return quality.AskBytesWithRetry(ctx, s.model, buf.prompt, prompt.ParseYesNo, e.retries)
 }
 
 func (e *Engine) resolveDirect(ctx context.Context, s *session, req PairsRequest) (PairsResult, error) {

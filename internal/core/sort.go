@@ -11,6 +11,7 @@ import (
 	"repro/internal/prompt"
 	"repro/internal/quality"
 	"repro/internal/token"
+	"repro/internal/workflow"
 )
 
 // SortStrategy selects how the Sort operator decomposes the objective.
@@ -170,16 +171,24 @@ func (e *Engine) sortOnePrompt(ctx context.Context, s *session, req SortRequest)
 	return auditList(req.Items, parsed), nil
 }
 
-func (e *Engine) sortRating(ctx context.Context, s *session, req SortRequest) (SortResult, error) {
-	ratings, err := e.mapIdx(ctx, len(req.Items), func(ctx context.Context, i int) (string, error) {
-		r, err := quality.AskWithRetry(ctx, s.model, prompt.RateItem(req.Items[i], req.Criterion, req.RatingScale),
-			func(text string) (int, error) { return prompt.ParseRating(text, req.RatingScale) },
-			e.retries)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%d", r), nil
+// rateOnce asks one rating task.
+func (e *Engine) rateOnce(ctx context.Context, s *session, item, criterion string, scale int) (int, error) {
+	buf := getPromptBuf()
+	defer buf.release()
+	buf.prompt = prompt.AppendRateItem(buf.prompt[:0], item, criterion, scale)
+	return quality.AskBytesWithRetry(ctx, s.model, buf.prompt,
+		func(text string) (int, error) { return prompt.ParseRating(text, scale) }, e.retries)
+}
+
+// rateAll rates every item with the engine's parallelism.
+func (e *Engine) rateAll(ctx context.Context, s *session, items []string, criterion string, scale int) ([]int, error) {
+	return workflow.Map(ctx, len(items), e.parallelism, func(ctx context.Context, i int) (int, error) {
+		return e.rateOnce(ctx, s, items[i], criterion, scale)
 	})
+}
+
+func (e *Engine) sortRating(ctx context.Context, s *session, req SortRequest) (SortResult, error) {
+	ratings, err := e.rateAll(ctx, s, req.Items, req.Criterion, req.RatingScale)
 	if err != nil {
 		return SortResult{}, fmt.Errorf("rating sort: %w", err)
 	}
@@ -190,9 +199,7 @@ func (e *Engine) sortRating(ctx context.Context, s *session, req SortRequest) (S
 	}
 	rs := make([]rated, len(req.Items))
 	for i, it := range req.Items {
-		var v int
-		fmt.Sscanf(ratings[i], "%d", &v)
-		rs[i] = rated{item: it, rating: v, pos: i}
+		rs[i] = rated{item: it, rating: ratings[i], pos: i}
 	}
 	sort.SliceStable(rs, func(a, b int) bool { return rs[a].rating > rs[b].rating })
 	out := make([]string, len(rs))
@@ -394,9 +401,7 @@ func (e *Engine) sortRatingThenPairwise(ctx context.Context, s *session, req Sor
 	// cache hits, so this costs nothing and keeps the code simple.
 	rating := make(map[string]int, len(req.Items))
 	for _, it := range req.Items {
-		r, err := quality.AskWithRetry(ctx, s.model, prompt.RateItem(it, req.Criterion, req.RatingScale),
-			func(text string) (int, error) { return prompt.ParseRating(text, req.RatingScale) },
-			e.retries)
+		r, err := e.rateOnce(ctx, s, it, req.Criterion, req.RatingScale)
 		if err != nil {
 			return SortResult{}, fmt.Errorf("rating-then-pairwise: %w", err)
 		}

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/llm"
 	"repro/internal/resil"
 	"repro/internal/token"
@@ -33,8 +35,15 @@ func (c *serveCounter) ObserveServe(ctx context.Context, free bool) {
 // resilience wrapper — over an upstream that answers a constant. The
 // context carries a tenant and a stage tag, as every job's asks do.
 func unitTaskChain() (llm.Model, context.Context) {
+	e, ctx := unitTaskEngine(func(string) string { return "yes" })
+	return e.newSession().model, ctx
+}
+
+// unitTaskEngine is unitTaskChain's wiring as an engine, over an upstream
+// that answers each prompt with answer(prompt).
+func unitTaskEngine(answer func(prompt string) string) (*Engine, context.Context) {
 	upstream := llm.Func{ModelName: "sim-gpt-3.5-turbo", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
-		return llm.Response{Text: "yes", Model: "sim-gpt-3.5-turbo",
+		return llm.Response{Text: answer(req.Prompt), Model: "sim-gpt-3.5-turbo",
 			Usage: token.Usage{PromptTokens: 12, CompletionTokens: 1, Calls: 1}}, nil
 	}}
 	counting := llm.NewCounting(resil.Wrap(upstream, resil.Policy{MaxAttempts: 4}))
@@ -46,7 +55,7 @@ func unitTaskChain() (llm.Model, context.Context) {
 		WithAttribution(tenants.Child("tenant")),
 		WithExecutionLayer(layer))
 	ctx := workflow.TagStage(workflow.TagTenant(context.Background(), "tenant"), "stage")
-	return e.newSession().model, ctx
+	return e, ctx
 }
 
 // TestUnitTaskAllocs pins the chain's allocations, which need no clock:
@@ -84,6 +93,84 @@ func TestUnitTaskAllocs(t *testing.T) {
 }
 
 var unitTaskSink llm.Response
+
+// TestWarmAskAllocs pins a warm unit task from the record to the parsed
+// answer at zero allocations, for every per-record ask a job makes: the
+// prompt is rendered into a pooled buffer, the cache is probed with those
+// bytes, and the answer is parsed out of the cached response.
+func TestWarmAskAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers")
+	}
+	e, ctx := unitTaskEngine(func(p string) string {
+		switch {
+		case strings.HasPrefix(p, "Assign"):
+			return "cafe"
+		case strings.HasPrefix(p, "On a scale"):
+			return "5"
+		case strings.HasPrefix(p, "Fill in"):
+			return "Berkeley."
+		case strings.HasPrefix(p, "Are Citation"):
+			return "No, they differ."
+		}
+		return "Yes"
+	})
+	filter, err := e.PrepareFilter(FilterRequest{Predicate: "the restaurant sounds casual"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	categorize, err := e.PrepareCategorize([]string{"diner", "cafe", "grill"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	impute, err := e.PrepareImpute(ImputeRequest{TargetField: "city", Strategy: ImputeLLM})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := e.newSession()
+	rec := dataset.Record{ID: "r1", Fields: []dataset.Field{
+		{Name: "name", Value: "Joe's Diner"}, {Name: "addr", Value: "12 3rd Ave"}, {Name: "city", Value: "?"}}}
+	left, right := Entity{ID: "a", Text: "Joe's Diner, 12 3rd Ave"}, Entity{ID: "b", Text: "Joes Diner, 12 Third Avenue"}
+
+	// Each ask reports its answer as a string, which for these answers
+	// costs no allocation of its own (a constant, a substring of the cached
+	// response, a small integer).
+	yesNo := func(b bool) string {
+		if b {
+			return "yes"
+		}
+		return "no"
+	}
+	for _, op := range []struct {
+		name, want string
+		ask        func() (string, error)
+	}{
+		{"filter", "yes", func() (string, error) { a, err := filter.Ask(ctx, "Joe's Diner"); return yesNo(a.Keep), err }},
+		{"categorize", "cafe", func() (string, error) { return categorize.Ask(ctx, "Joe's Diner") }},
+		{"rating", "5", func() (string, error) {
+			r, err := e.rateOnce(ctx, s, "Joe's Diner", "how upscale it is", 7)
+			return strconv.Itoa(r), err
+		}},
+		{"impute", "Berkeley", func() (string, error) { a, err := impute.Ask(ctx, rec); return a.Value, err }},
+		{"match", "no", func() (string, error) { m, err := e.matchOnce(ctx, s, left, right); return yesNo(m), err }},
+	} {
+		got, err := op.ask() // cold: fills the cache
+		if err != nil || got != op.want {
+			t.Fatalf("%s: got %q, %v; want %q", op.name, got, err, op.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { warmAskSink, warmAskErr = op.ask() }); n != 0 {
+			t.Errorf("warm %s ask allocates %v times, want 0", op.name, n)
+		}
+		if warmAskErr != nil || warmAskSink != op.want {
+			t.Fatalf("warm %s: got %q, %v; want %q", op.name, warmAskSink, warmAskErr, op.want)
+		}
+	}
+}
+
+var (
+	warmAskSink string
+	warmAskErr  error
+)
 
 // BenchmarkUnitTaskHit is one warm unit ask through the server's chain:
 // what a job on a warm cache pays per record and stage.

@@ -10,7 +10,6 @@
 package dataset
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 )
@@ -67,14 +66,62 @@ func (r Record) Clone() Record {
 	return out
 }
 
+// With returns a deep copy of r with the named field set: replaced in
+// place if present, appended otherwise. It is Clone followed by Set in one
+// allocation.
+func (r Record) With(name, value string) Record {
+	for i, f := range r.Fields {
+		if f.Name == name {
+			out := r.Clone()
+			out.Fields[i].Value = value
+			return out
+		}
+	}
+	fields := make([]Field, len(r.Fields), len(r.Fields)+1)
+	copy(fields, r.Fields)
+	return Record{ID: r.ID, Fields: append(fields, Field{Name: name, Value: value})}
+}
+
 // String renders the record in the serialized form the paper uses for
 // imputation prompts: "a1 is v1; a2 is v2; ...".
 func (r Record) String() string {
-	parts := make([]string, 0, len(r.Fields))
-	for _, f := range r.Fields {
-		parts = append(parts, fmt.Sprintf("%s is %s", f.Name, f.Value))
+	n := 0
+	for i, f := range r.Fields {
+		if i > 0 {
+			n += len("; ")
+		}
+		n += len(f.Name) + len(" is ") + len(f.Value)
 	}
-	return strings.Join(parts, "; ")
+	var b strings.Builder
+	b.Grow(n)
+	for i, f := range r.Fields {
+		if i > 0 {
+			b.WriteString("; ")
+		}
+		b.WriteString(f.Name)
+		b.WriteString(" is ")
+		b.WriteString(f.Value)
+	}
+	return b.String()
+}
+
+// AppendWithout appends the String form of r without the named field to
+// dst: the bytes of r.WithoutField(name).String(), with no copy of r.
+func (r Record) AppendWithout(dst []byte, name string) []byte {
+	first := true
+	for _, f := range r.Fields {
+		if f.Name == name {
+			continue
+		}
+		if !first {
+			dst = append(dst, "; "...)
+		}
+		first = false
+		dst = append(dst, f.Name...)
+		dst = append(dst, " is "...)
+		dst = append(dst, f.Value...)
+	}
+	return dst
 }
 
 // Pair is a labelled pair of records for entity-resolution benchmarks.

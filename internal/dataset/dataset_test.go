@@ -49,13 +49,41 @@ func TestRecordCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestRecordWith: With is Clone then Set — same fields, no storage shared
+// with the original — in one allocation whether it replaces or appends.
+func TestRecordWith(t *testing.T) {
+	r := Record{ID: "x", Fields: []Field{{"a", "1"}, {"b", "2"}}}
+	for _, tc := range []struct{ name, value string }{{"a", "9"}, {"c", "3"}} {
+		want := r.Clone()
+		want.Set(tc.name, tc.value)
+		got := r.With(tc.name, tc.value)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("With(%q, %q) = %+v, want %+v", tc.name, tc.value, got, want)
+		}
+		got.Fields[0].Value = "changed"
+		if v, _ := r.Get("a"); v != "1" {
+			t.Fatalf("With(%q) shares field storage with the original", tc.name)
+		}
+		if n := testing.AllocsPerRun(100, func() { recordSink = r.With(tc.name, tc.value) }); n != 1 {
+			t.Errorf("With(%q) allocates %v times, want 1", tc.name, n)
+		}
+	}
+}
+
+var recordSink Record
+
 func TestRecordString(t *testing.T) {
 	r := Record{Fields: []Field{{"name", "joe"}, {"city", "nyc"}}}
 	want := "name is joe; city is nyc"
 	if got := r.String(); got != want {
 		t.Fatalf("String = %q, want %q", got, want)
 	}
+	if n := testing.AllocsPerRun(100, func() { stringSink = r.String() }); n != 1 {
+		t.Errorf("String allocates %v times, want 1", n)
+	}
 }
+
+var stringSink string
 
 func TestSplitPartitions(t *testing.T) {
 	items := make([]int, 100)

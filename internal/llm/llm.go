@@ -53,6 +53,16 @@ type Model interface {
 	Complete(ctx context.Context, req Request) (Response, error)
 }
 
+// ByteCompleter is the optional face of a Model that can answer a prompt
+// handed over as bytes, so a caller that renders every prompt into one
+// reused buffer need not make a string of it. The bytes are valid only
+// for the duration of the call: an implementation that keeps the prompt
+// copies it first. req carries every other field of the request; its
+// Prompt is ignored.
+type ByteCompleter interface {
+	CompleteBytes(ctx context.Context, prompt []byte, req Request) (Response, error)
+}
+
 // Registry maps model names to models. It is safe for concurrent use.
 type Registry struct {
 	mu     sync.RWMutex

@@ -317,8 +317,7 @@ func (s categorizeStage) Run(ctx context.Context, env *Env, in []dataset.Record)
 	}
 	out := make([]dataset.Record, len(in))
 	for i, r := range in {
-		out[i] = r.Clone()
-		out[i].Set(s.outField(), res.Assignments[i])
+		out[i] = r.With(s.outField(), res.Assignments[i])
 	}
 	env.detail(s.Name(), fmt.Sprintf("%d categories", len(res.Categories)))
 	return out, nil
@@ -342,9 +341,7 @@ func (s categorizeStage) Prepare(env *Env) (recordOp, error) {
 			if err != nil {
 				return nil, err
 			}
-			out := r.Clone()
-			out.Set(s.outField(), v)
-			return []dataset.Record{out}, nil
+			return []dataset.Record{r.With(s.outField(), v)}, nil
 		},
 		detail: func(int) string { return fmt.Sprintf("%d categories", len(s.spec.Categories)) },
 	}, nil
@@ -464,8 +461,7 @@ func (s imputeStage) Run(ctx context.Context, env *Env, in []dataset.Record) ([]
 	}
 	out := make([]dataset.Record, len(in))
 	for i, r := range in {
-		out[i] = r.Clone()
-		out[i].Set(s.spec.TargetField, res.Values[i])
+		out[i] = r.With(s.spec.TargetField, res.Values[i])
 	}
 	env.detail(s.Name(), imputeDetail(res.LLMCalls, res.KNNDecided)+note)
 	return out, nil
@@ -500,9 +496,7 @@ func (s imputeStage) Prepare(env *Env) (recordOp, error) {
 			if a.ByLLM {
 				llmCalls.Add(1)
 			}
-			out := r.Clone()
-			out.Set(s.spec.TargetField, a.Value)
-			return []dataset.Record{out}, nil
+			return []dataset.Record{r.With(s.spec.TargetField, a.Value)}, nil
 		},
 		detail: func(consumed int) string {
 			llm := int(llmCalls.Load())
@@ -569,9 +563,7 @@ func (s joinStage) Run(ctx context.Context, env *Env, in []dataset.Record) ([]da
 	})
 	var out []dataset.Record // nil when nothing matched, as the streaming path collects it
 	for _, m := range matches {
-		r := byID[m.LeftID].Clone()
-		r.Set(s.outField(), m.RightID)
-		out = append(out, r)
+		out = append(out, byID[m.LeftID].With(s.outField(), m.RightID))
 	}
 	env.detail(s.Name(), joinDetail(len(res.Matches), res.LLMComparisons, res.SkippedByTransitivity, res.SkippedByDistance))
 	return out, nil
@@ -606,8 +598,7 @@ func (s joinStage) Prepare(env *Env) (recordOp, error) {
 			sort.Slice(a.Matches, func(i, k int) bool { return a.Matches[i].RightID < a.Matches[k].RightID })
 			out := make([]dataset.Record, len(a.Matches))
 			for i, m := range a.Matches {
-				out[i] = r.Clone()
-				out[i].Set(s.outField(), m.RightID)
+				out[i] = r.With(s.outField(), m.RightID)
 			}
 			return out, nil
 		},

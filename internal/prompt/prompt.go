@@ -33,19 +33,21 @@ type Example struct {
 	Output string
 }
 
-// renderExamples produces the canonical few-shot block used by every
-// template. An empty slice renders to "".
-func renderExamples(examples []Example) string {
+// appendExamples appends the canonical few-shot block used by every
+// template. An empty slice appends nothing.
+func appendExamples(dst []byte, examples []Example) []byte {
 	if len(examples) == 0 {
-		return ""
+		return dst
 	}
-	var b strings.Builder
-	b.WriteString("Here are some examples:\n")
+	dst = append(dst, "Here are some examples:\n"...)
 	for _, ex := range examples {
-		fmt.Fprintf(&b, "Input: %s\nOutput: %s\n", ex.Input, ex.Output)
+		dst = append(dst, "Input: "...)
+		dst = append(dst, ex.Input...)
+		dst = append(dst, "\nOutput: "...)
+		dst = append(dst, ex.Output...)
+		dst = append(dst, '\n')
 	}
-	b.WriteString("\n")
-	return b.String()
+	return append(dst, '\n')
 }
 
 // SortList renders the one-prompt sorting task: all items in a single
@@ -102,36 +104,72 @@ func ComparePairVariant(variant int, a, b, criterion string, cot bool) string {
 	return body
 }
 
+// The per-record templates below (RateItem, MatchPair, Impute, FilterItem,
+// Categorize) each come in two forms: AppendX appends the prompt to a
+// caller's buffer, so a caller that asks once per record can render into
+// one reused buffer; X returns the same bytes as a string.
+
 // RateItem renders a rating task on a 1..scale scale.
 func RateItem(item, criterion string, scale int) string {
-	return fmt.Sprintf(
-		"On a scale of 1 (least) to %d (most), rate the following item by %s.\nItem: %s\nAnswer with a single number.\n",
-		scale, criterion, item)
+	return string(AppendRateItem(nil, item, criterion, scale))
+}
+
+// AppendRateItem appends RateItem's prompt to dst.
+func AppendRateItem(dst []byte, item, criterion string, scale int) []byte {
+	dst = append(dst, "On a scale of 1 (least) to "...)
+	dst = strconv.AppendInt(dst, int64(scale), 10)
+	dst = append(dst, " (most), rate the following item by "...)
+	dst = append(dst, criterion...)
+	dst = append(dst, ".\nItem: "...)
+	dst = append(dst, item...)
+	return append(dst, "\nAnswer with a single number.\n"...)
 }
 
 // MatchPair renders the entity-resolution unit task, using the exact
 // phrasing reported in the paper's Table 3 case study.
 func MatchPair(a, b string) string {
-	return fmt.Sprintf(
-		"Are Citation A and Citation B the same? Yes or No?\nCitation A is %s\nCitation B is %s\nAre Citation A and Citation B the same? Start your response with Yes or No.\n",
-		a, b)
+	return string(AppendMatchPair(nil, a, b))
+}
+
+// AppendMatchPair appends MatchPair's prompt to dst.
+func AppendMatchPair(dst []byte, a, b string) []byte {
+	dst = append(dst, "Are Citation A and Citation B the same? Yes or No?\nCitation A is "...)
+	dst = append(dst, a...)
+	dst = append(dst, "\nCitation B is "...)
+	dst = append(dst, b...)
+	return append(dst, "\nAre Citation A and Citation B the same? Start your response with Yes or No.\n"...)
 }
 
 // Impute renders the missing-value imputation task over a serialized
 // record ("a1 is v1; a2 is v2; ..."), optionally with few-shot examples.
 func Impute(serialized, field string, examples []Example) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fill in the missing attribute of a record.\n")
-	b.WriteString(renderExamples(examples))
-	fmt.Fprintf(&b, "Record: %s.\nWhat is the value of the missing attribute %q? Answer with only the value.\n", serialized, field)
-	return b.String()
+	return string(AppendImpute(nil, serialized, field, examples))
+}
+
+// AppendImpute appends Impute's prompt to dst. The serialized record may
+// be given as bytes, so a caller can render it into a buffer of its own.
+func AppendImpute[S ~string | ~[]byte](dst []byte, serialized S, field string, examples []Example) []byte {
+	dst = append(dst, "Fill in the missing attribute of a record.\n"...)
+	dst = appendExamples(dst, examples)
+	dst = append(dst, "Record: "...)
+	dst = append(dst, serialized...)
+	dst = append(dst, ".\nWhat is the value of the missing attribute "...)
+	dst = strconv.AppendQuote(dst, field)
+	return append(dst, "? Answer with only the value.\n"...)
 }
 
 // FilterItem renders a boolean predicate check on a single item.
 func FilterItem(item, predicate string) string {
-	return fmt.Sprintf(
-		"Does the following item satisfy the condition: %s?\nItem: %s\nAnswer Yes or No.\n",
-		predicate, item)
+	return string(AppendFilterItem(nil, item, predicate))
+}
+
+// AppendFilterItem appends FilterItem's prompt to dst.
+func AppendFilterItem(dst []byte, item, predicate string) []byte {
+	dst = append(dst, "Does the following item satisfy the condition: "...)
+	dst = append(dst, predicate...)
+	dst = append(dst, "?\nItem: "...)
+	dst = append(dst, item...)
+	return append(dst, "\nAnswer Yes or No.\n"...)
 }
 
 // CountBatch renders the coarse "eyeball" counting task: estimate the
@@ -170,9 +208,24 @@ func Verify(question, answer string) string {
 // Categorize renders a single-item classification task over a closed
 // category set.
 func Categorize(item string, categories []string) string {
-	return fmt.Sprintf(
-		"Assign the following item to exactly one of these categories: %s.\nItem: %s\nAnswer with only the category name.\n",
-		strings.Join(categories, ", "), item)
+	return string(AppendCategorize(nil, item, CategoryList(categories)))
+}
+
+// CategoryList renders a closed category set the way Categorize lists it.
+// A caller that assigns many items to one set joins it once and hands the
+// result to AppendCategorize.
+func CategoryList(categories []string) string {
+	return strings.Join(categories, ", ")
+}
+
+// AppendCategorize appends Categorize's prompt to dst, given the category
+// set already rendered by CategoryList.
+func AppendCategorize(dst []byte, item, categoryList string) []byte {
+	dst = append(dst, "Assign the following item to exactly one of these categories: "...)
+	dst = append(dst, categoryList...)
+	dst = append(dst, ".\nItem: "...)
+	dst = append(dst, item...)
+	return append(dst, "\nAnswer with only the category name.\n"...)
 }
 
 // DiscoverCategories renders the first phase of two-stage clustering
@@ -192,6 +245,7 @@ var (
 	reAnswerMarker = regexp.MustCompile(`(?i)\banswer(?:\s+is)?\s*[:=]?\s*([ab])\b`)
 	reChoiceNoun   = regexp.MustCompile(`(?i)\b(?:item|option|candidate)\s+([ab])\b`)
 	reChoiceUpper  = regexp.MustCompile(`\b([AB])\b`)
+	reChoiceLetter = regexp.MustCompile(`(?i)\b([ab])\b`)
 	numberedLine   = regexp.MustCompile(`^\s*\d+[.)]\s*(.+?)\s*$`)
 	ratingRe       = regexp.MustCompile(`-?\d+`)
 	percentRe      = regexp.MustCompile(`(\d+(?:\.\d+)?)\s*%`)
@@ -253,7 +307,7 @@ func ParseChoice(response string) (string, error) {
 	if ms := reChoiceUpper.FindAllStringSubmatch(clean, -1); len(ms) > 0 {
 		return ms[len(ms)-1][1], nil
 	}
-	if ms := regexp.MustCompile(`(?i)\b([ab])\b`).FindAllStringSubmatch(clean, -1); len(ms) > 0 && len(strings.Fields(clean)) <= 6 {
+	if ms := reChoiceLetter.FindAllStringSubmatch(clean, -1); len(ms) > 0 && len(strings.Fields(clean)) <= 6 {
 		return strings.ToUpper(ms[len(ms)-1][1]), nil
 	}
 	return "", fmt.Errorf("no A/B choice in %q: %w", clean, ErrUnparseable)
@@ -266,26 +320,80 @@ func isLetter(b byte) bool {
 // ParseYesNo extracts a boolean from a Yes/No response. Per the paper's
 // prompt design, the leading token is authoritative; if the response does
 // not start with yes/no, the first occurrence anywhere is used.
+//
+// Matching is case-insensitive. An ASCII response is matched in place,
+// with no lower-cased copy. Any other is lower-cased with strings.ToLower
+// first: Unicode case mapping is not byte for byte, and the error text
+// quotes the lower-cased response.
 func ParseYesNo(response string) (bool, error) {
-	clean := strings.ToLower(strings.TrimSpace(response))
+	clean := strings.TrimSpace(response)
+	ascii := isASCII(clean)
+	if !ascii {
+		clean = strings.ToLower(clean)
+	}
 	if clean == "" {
 		return false, fmt.Errorf("empty response: %w", ErrUnparseable)
 	}
-	if strings.HasPrefix(clean, "yes") {
+	if hasPrefixFold(clean, "yes") {
 		return true, nil
 	}
-	if strings.HasPrefix(clean, "no") {
+	if hasPrefixFold(clean, "no") {
 		return false, nil
 	}
-	yi := strings.Index(clean, "yes")
-	ni := strings.Index(clean, "no")
+	yi := indexFold(clean, "yes")
+	ni := indexFold(clean, "no")
 	switch {
 	case yi >= 0 && (ni < 0 || yi < ni):
 		return true, nil
 	case ni >= 0:
 		return false, nil
 	}
+	if ascii {
+		clean = strings.ToLower(clean)
+	}
 	return false, fmt.Errorf("no yes/no in %q: %w", clean, ErrUnparseable)
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
+}
+
+// lowerASCII lower-cases one ASCII letter and leaves every other byte.
+func lowerASCII(b byte) byte {
+	if b >= 'A' && b <= 'Z' {
+		return b + 'a' - 'A'
+	}
+	return b
+}
+
+// hasPrefixFold reports whether s begins with the lower-case ASCII word,
+// ignoring ASCII case.
+func hasPrefixFold(s, word string) bool {
+	if len(s) < len(word) {
+		return false
+	}
+	for i := 0; i < len(word); i++ {
+		if lowerASCII(s[i]) != word[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// indexFold is strings.Index(strings.ToLower(s), word) for an s whose
+// lower-casing keeps every byte in place (ASCII, or already lower-cased).
+func indexFold(s, word string) int {
+	for i := 0; i+len(word) <= len(s); i++ {
+		if hasPrefixFold(s[i:], word) {
+			return i
+		}
+	}
+	return -1
 }
 
 // ParseRating extracts an integer rating, clamped to [1, scale].
@@ -310,7 +418,9 @@ func ParseRating(response string, scale int) (int, error) {
 // ParseValue extracts a short free-text answer: the first non-empty line,
 // stripped of common courtesy prefixes ("The value is", "Answer:").
 func ParseValue(response string) (string, error) {
-	for _, line := range strings.Split(response, "\n") {
+	for rest, more := response, true; more; {
+		var line string
+		line, rest, more = strings.Cut(rest, "\n")
 		line = strings.TrimSpace(line)
 		if line == "" {
 			continue

@@ -259,18 +259,45 @@ func SequentialYesNo(ctx context.Context, model llm.Model, promptText string, ma
 // the "check the output, then retry the query" loop the paper describes
 // as today's main quality-control practice.
 func AskWithRetry[T any](ctx context.Context, model llm.Model, promptText string, parse func(string) (T, error), attempts int) (T, error) {
+	return askWithRetry(ctx, model, promptText, nil, parse, attempts)
+}
+
+// AskBytesWithRetry is AskWithRetry for a prompt rendered into a caller's
+// buffer, which must stay unchanged until it returns. When the model
+// implements llm.ByteCompleter the first attempt is asked from the bytes,
+// so a cache hit makes no prompt string; otherwise, and before the first
+// retry, the prompt is made a string once.
+func AskBytesWithRetry[T any](ctx context.Context, model llm.Model, prompt []byte, parse func(string) (T, error), attempts int) (T, error) {
+	return askWithRetry(ctx, model, "", prompt, parse, attempts)
+}
+
+// askWithRetry is the one retry loop behind both entrances: the prompt is
+// promptText, or raw when raw is non-nil.
+func askWithRetry[T any](ctx context.Context, model llm.Model, promptText string, raw []byte, parse func(string) (T, error), attempts int) (T, error) {
 	var zero T
 	if attempts <= 0 {
 		attempts = 1
 	}
 	var lastErr error
 	for i := 0; i < attempts; i++ {
-		req := llm.Request{Prompt: promptText}
+		var req llm.Request
 		if i > 0 {
 			req.Temperature = 0.3
 			req.Seed = int64(i)
 		}
-		resp, err := model.Complete(ctx, req)
+		var (
+			resp llm.Response
+			err  error
+		)
+		if bc, ok := model.(llm.ByteCompleter); ok && i == 0 && raw != nil {
+			resp, err = bc.CompleteBytes(ctx, raw, req)
+		} else {
+			if raw != nil {
+				promptText, raw = string(raw), nil
+			}
+			req.Prompt = promptText
+			resp, err = model.Complete(ctx, req)
+		}
 		if err != nil {
 			return zero, err
 		}

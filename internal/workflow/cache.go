@@ -1,7 +1,7 @@
 package workflow
 
 import (
-	"hash/fnv"
+	"hash/maphash"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -74,15 +74,24 @@ func NewCache(shards int) *Cache {
 	return c
 }
 
+// shardSeed seeds the shard hash. Shard placement never leaves the
+// process (the log flush and compaction sort what they write), so one
+// random seed per process serves every cache.
+var shardSeed = maphash.MakeSeed()
+
 // shard picks the lock domain of a key. Only the prompt and model feed the
 // hash: temperature/seed variants of one prompt are rare enough that
 // spreading them further buys nothing.
 func (c *Cache) shard(key cacheKey) *cacheShard {
-	h := fnv.New64a()
-	h.Write([]byte(key.model))
-	h.Write([]byte{0})
-	h.Write([]byte(key.prompt))
-	return &c.shards[h.Sum64()%uint64(len(c.shards))]
+	return c.shardOf(key.model, maphash.String(shardSeed, key.prompt))
+}
+
+// shardOf combines a model with its prompt's hash. maphash.String and
+// maphash.Bytes agree on equal content, so a prompt held as a string and
+// the same prompt held as bytes land in one shard.
+func (c *Cache) shardOf(model string, promptHash uint64) *cacheShard {
+	h := maphash.String(shardSeed, model)*31 + promptHash
+	return &c.shards[h%uint64(len(c.shards))]
 }
 
 // get returns the cached response for key, counting a hit.
@@ -90,6 +99,27 @@ func (c *Cache) get(key cacheKey) (llm.Response, bool) {
 	s := c.shard(key)
 	s.mu.RLock()
 	resp, ok := s.entries[key]
+	s.mu.RUnlock()
+	if ok {
+		s.hits.Add(1)
+	}
+	return resp, ok
+}
+
+// getBytes is get for a key whose prompt is given as bytes; key.prompt is
+// ignored. The key is built inside the index expression, where the
+// compiler converts the bytes to a string without copying them, so a
+// lookup allocates nothing.
+func (c *Cache) getBytes(key cacheKey, prompt []byte) (llm.Response, bool) {
+	s := c.shardOf(key.model, maphash.Bytes(shardSeed, prompt))
+	s.mu.RLock()
+	resp, ok := s.entries[cacheKey{
+		model:       key.model,
+		prompt:      string(prompt),
+		temperature: key.temperature,
+		maxTokens:   key.maxTokens,
+		seed:        key.seed,
+	}]
 	s.mu.RUnlock()
 	if ok {
 		s.hits.Add(1)

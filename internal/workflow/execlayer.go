@@ -127,6 +127,26 @@ func (m *sharedModel) Name() string { return m.inner.Name() }
 func (m *sharedModel) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
 	key := keyFor(m.inner.Name(), req)
 	resp, hit := m.layer.cache.get(key)
+	return m.serve(ctx, key, req, resp, hit)
+}
+
+// CompleteBytes implements llm.ByteCompleter. A hit is looked up from the
+// caller's bytes and no prompt string is made. A miss copies the prompt
+// once, before the flight, the cache, a batcher or the meter can keep it,
+// and then takes Complete's path.
+func (m *sharedModel) CompleteBytes(ctx context.Context, prompt []byte, req llm.Request) (llm.Response, error) {
+	key := keyFor(m.inner.Name(), req)
+	resp, hit := m.layer.cache.getBytes(key, prompt)
+	if !hit {
+		req.Prompt = string(prompt)
+		key.prompt = req.Prompt
+	}
+	return m.serve(ctx, key, req, resp, hit)
+}
+
+// serve finishes an ask after its cache lookup: a hit is free, a miss
+// joins or leads a flight; then the ask is reported to the observer.
+func (m *sharedModel) serve(ctx context.Context, key cacheKey, req llm.Request, resp llm.Response, hit bool) (llm.Response, error) {
 	if hit {
 		resp.Usage = token.Usage{}
 	} else {
