@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/embed"
@@ -47,6 +48,11 @@ type ImputeRequest struct {
 	// Examples is the number of few-shot examples per LLM prompt
 	// (default 0: zero-shot).
 	Examples int
+	// TrainKey, when set, is a collision-resistant key of Train's content
+	// — a server's SHA-256 of the table's bytes. PrepareImpute then files
+	// the training index under it instead of hashing every training row.
+	// Zero, the default, hashes the rows.
+	TrainKey embed.SourceKey
 }
 
 // ImputeResult is the outcome of Impute.
@@ -72,9 +78,10 @@ type ImputeAnswer struct {
 
 // PreparedImpute is the per-record form of Impute under a fixed strategy:
 // the training table is indexed (or its index found) and the session
-// opened once, then Ask imputes one query record at a time. Impute itself
-// is PrepareImpute plus a bounded fan-out over Ask. Safe for concurrent
-// use.
+// opened once, then Ask imputes one query record at a time and AskGroup a
+// group of them with one k-NN pass. Impute itself is PrepareImpute, the
+// grouped k-NN pass, and a bounded fan-out over the asks the vote leaves.
+// Safe for concurrent use.
 type PreparedImpute struct {
 	e   *Engine
 	s   *session
@@ -129,18 +136,29 @@ func (e *Engine) PrepareImpute(req ImputeRequest) (*PreparedImpute, error) {
 	}
 
 	// One pass over the training table checks every record carries the
-	// target and, when a registry may already hold this table's index,
-	// hashes it into the key the index is filed under.
+	// target and, when a registry may already hold this table's index and
+	// the caller named the table by no key of its own, hashes it into the
+	// key the index is filed under.
 	var key *embed.KeyWriter
+	hashRows := false
 	if p.kMax > 0 && e.registry != nil {
 		key = embed.NewKeyWriter()
-		key.String(req.TargetField)
+		if req.TrainKey != (embed.SourceKey{}) {
+			// A leading zero keeps these keys apart from row hashes, which
+			// begin with the length of a non-empty target.
+			key.Int(0)
+			key.String(req.TargetField)
+			key.String(string(req.TrainKey[:]))
+		} else {
+			key.String(req.TargetField)
+			hashRows = true
+		}
 	}
 	for _, r := range req.Train {
 		if _, ok := r.Get(req.TargetField); !ok {
 			return nil, badRequestf("training record %q lacks target %q", r.ID, req.TargetField)
 		}
-		if key != nil {
+		if hashRows {
 			key.String(r.ID)
 			key.Int(len(r.Fields))
 			for _, f := range r.Fields {
@@ -181,6 +199,10 @@ func (e *Engine) PrepareImpute(req ImputeRequest) (*PreparedImpute, error) {
 	return p, nil
 }
 
+// UsesIndex reports whether a query reads its nearest training records —
+// whether AskGroup has a k-NN pass for its group to share.
+func (p *PreparedImpute) UsesIndex() bool { return p.kMax > 0 }
+
 // serialize renders a record the way the model and the index see it:
 // without the target field.
 func (p *PreparedImpute) serialize(r dataset.Record) string {
@@ -199,38 +221,112 @@ func (p *PreparedImpute) trainRow(nb embed.Neighbor) dataset.Record {
 // Ask imputes the target field of one query record. Any existing target
 // value is ignored (and never shown to the model).
 func (p *PreparedImpute) Ask(ctx context.Context, q dataset.Record) (ImputeAnswer, error) {
-	buf := getPromptBuf()
-	defer buf.release()
 	// The query is serialized and embedded exactly once.
-	buf.record = q.AppendWithout(buf.record[:0], p.req.TargetField)
+	buf := p.render(q)
+	defer buf.release()
 	var nn []embed.Neighbor
 	if p.kMax > 0 {
 		nn = p.ix.Nearest(string(buf.record), p.kMax)
 	}
-	if p.req.Strategy != ImputeLLM {
-		vote := nn
-		if len(vote) > p.req.Neighbors {
-			vote = vote[:p.req.Neighbors]
+	if v, ok := p.vote(nn); ok {
+		return ImputeAnswer{Value: v}, nil
+	}
+	return p.askModel(ctx, buf, nn)
+}
+
+// AskGroup imputes a group of query records — what Ask returns for each —
+// with one blocked k-NN pass for the whole group
+// (embed.Index.NearestGroup). Each answer is reported through answer as
+// soon as it is known: every one the vote decides at once, and each one
+// that needs the model when its ask returns. Those asks run concurrently,
+// one goroutine each, as separate Asks would; AskGroup returns once every
+// answer has been reported. answer may be called from several goroutines
+// at once.
+func (p *PreparedImpute) AskGroup(ctx context.Context, qs []dataset.Record, answer func(i int, a ImputeAnswer, err error)) {
+	bufs, nns := p.nearestGroup(qs)
+	ask := func(i int) {
+		a, err := p.askModel(ctx, bufs[i], nns[i])
+		bufs[i].release()
+		answer(i, a, err)
+	}
+	var wg sync.WaitGroup
+	pending := -1 // the latest query the vote left; the last one asks on this goroutine
+	for i := range qs {
+		if v, ok := p.vote(nns[i]); ok {
+			bufs[i].release()
+			answer(i, ImputeAnswer{Value: v}, nil)
+			continue
 		}
-		votes := make(map[string]int)
-		var order []string
-		for _, nb := range vote {
-			v, _ := p.trainRow(nb).Get(p.req.TargetField)
-			if votes[v] == 0 {
-				order = append(order, v)
-			}
-			votes[v]++
+		if pending >= 0 {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				ask(i)
+			}(pending)
 		}
-		best, bestN := "", 0
-		for _, v := range order { // first-seen tie-break: nearest wins
-			if votes[v] > bestN {
-				best, bestN = v, votes[v]
-			}
+		pending = i
+	}
+	if pending >= 0 {
+		ask(pending)
+	}
+	wg.Wait()
+}
+
+// render serializes a query into a pooled buffer the way the model and the
+// index see it: without the target field.
+func (p *PreparedImpute) render(q dataset.Record) *promptBuf {
+	buf := getPromptBuf()
+	buf.record = q.AppendWithout(buf.record[:0], p.req.TargetField)
+	return buf
+}
+
+// nearestGroup renders each query and finds its kMax nearest training
+// records, all in one NearestGroup call. The caller releases the buffers.
+func (p *PreparedImpute) nearestGroup(qs []dataset.Record) ([]*promptBuf, [][]embed.Neighbor) {
+	bufs := make([]*promptBuf, len(qs))
+	texts := make([]string, len(qs))
+	for i, q := range qs {
+		bufs[i] = p.render(q)
+		texts[i] = string(bufs[i].record)
+	}
+	if p.kMax == 0 {
+		return bufs, make([][]embed.Neighbor, len(qs))
+	}
+	return bufs, p.ix.NearestGroup(texts, p.kMax)
+}
+
+// vote returns the k-NN value of a query its neighbours decide: every
+// query under the knn strategy, and under hybrid one whose k nearest all
+// agree. False leaves the query to the model.
+func (p *PreparedImpute) vote(nn []embed.Neighbor) (string, bool) {
+	if p.req.Strategy == ImputeLLM {
+		return "", false
+	}
+	vote := nn
+	if len(vote) > p.req.Neighbors {
+		vote = vote[:p.req.Neighbors]
+	}
+	votes := make(map[string]int)
+	var order []string
+	for _, nb := range vote {
+		v, _ := p.trainRow(nb).Get(p.req.TargetField)
+		if votes[v] == 0 {
+			order = append(order, v)
 		}
-		if p.req.Strategy == ImputeKNN || (len(vote) > 0 && bestN == len(vote)) {
-			return ImputeAnswer{Value: best}, nil
+		votes[v]++
+	}
+	best, bestN := "", 0
+	for _, v := range order { // first-seen tie-break: nearest wins
+		if votes[v] > bestN {
+			best, bestN = v, votes[v]
 		}
 	}
+	return best, p.req.Strategy == ImputeKNN || (len(vote) > 0 && bestN == len(vote))
+}
+
+// askModel asks the model to impute the query serialized in buf.record,
+// with few-shot examples drawn from its neighbours nn.
+func (p *PreparedImpute) askModel(ctx context.Context, buf *promptBuf, nn []embed.Neighbor) (ImputeAnswer, error) {
 	var examples []prompt.Example
 	if p.req.Examples > 0 {
 		// Few-shot examples: the query's nearest training neighbours,
@@ -250,7 +346,9 @@ func (p *PreparedImpute) Ask(ctx context.Context, q dataset.Record) (ImputeAnswe
 	return ImputeAnswer{Value: v, ByLLM: true}, err
 }
 
-// Impute fills the target field of every query record.
+// Impute fills the target field of every query record: the k-NN pass
+// first, embed.GroupWidth queries per blocked pass, then the asks the vote
+// leaves, at most parallelism at a time and in query order, as before.
 func (e *Engine) Impute(ctx context.Context, req ImputeRequest) (ImputeResult, error) {
 	if len(req.Queries) == 0 {
 		return ImputeResult{}, badRequestf("no queries to impute")
@@ -259,8 +357,29 @@ func (e *Engine) Impute(ctx context.Context, req ImputeRequest) (ImputeResult, e
 	if err != nil {
 		return ImputeResult{}, err
 	}
-	answers, err := workflow.Map(ctx, len(req.Queries), e.parallelism, func(ctx context.Context, i int) (ImputeAnswer, error) {
-		return p.Ask(ctx, req.Queries[i])
+	n := len(req.Queries)
+	nns := make([][]embed.Neighbor, n)
+	if p.kMax > 0 {
+		groups := (n + embed.GroupWidth - 1) / embed.GroupWidth
+		if _, err := workflow.Map(ctx, groups, e.parallelism, func(_ context.Context, g int) (struct{}, error) {
+			lo, hi := g*embed.GroupWidth, min((g+1)*embed.GroupWidth, n)
+			bufs, group := p.nearestGroup(req.Queries[lo:hi])
+			for _, b := range bufs {
+				b.release()
+			}
+			copy(nns[lo:hi], group)
+			return struct{}{}, nil
+		}); err != nil {
+			return ImputeResult{}, fmt.Errorf("%s impute: %w", p.req.Strategy, err)
+		}
+	}
+	answers, err := workflow.Map(ctx, n, e.parallelism, func(ctx context.Context, i int) (ImputeAnswer, error) {
+		if v, ok := p.vote(nns[i]); ok {
+			return ImputeAnswer{Value: v}, nil
+		}
+		buf := p.render(req.Queries[i])
+		defer buf.release()
+		return p.askModel(ctx, buf, nns[i])
 	})
 	if err != nil {
 		return ImputeResult{}, fmt.Errorf("%s impute: %w", p.req.Strategy, err)

@@ -130,6 +130,41 @@ func BenchmarkIndexNearest(b *testing.B) {
 	}
 }
 
+// BenchmarkNearestGroup is the blocked pass against one query at a time:
+// k = 5 over the first N records, queries held out, G queries per
+// searchGroup call (G = 1 is search itself). ns/op is per query, so the
+// G = 4 row reads directly against the G = 1 row.
+func BenchmarkNearestGroup(b *testing.B) {
+	all := simTexts(b, 16384+256)
+	heldOut := all[len(all)-256:]
+	for _, n := range []int{512, 4096, 16384} {
+		ix := NewIndex(Default())
+		ix.AddAll(all[:n])
+		ix.ensureQuantized()
+		qvecs := make([][]float32, len(heldOut))
+		for i, it := range heldOut {
+			qvecs[i] = ix.embed32(nil, it.Text)
+		}
+		for _, g := range []int{1, GroupWidth} {
+			b.Run(fmt.Sprintf("n=%d/G=%d", n, g), func(b *testing.B) {
+				scs := make([]*searchScratch, g)
+				for i := range scs {
+					scs[i] = new(searchScratch)
+				}
+				skips := make([]int, g)
+				for i := range skips {
+					skips[i] = -1
+				}
+				out := make([][]Neighbor, g)
+				for i := 0; i < b.N; i += g {
+					lo := i % (len(qvecs) - g)
+					ix.searchGroup(scs, qvecs[lo:lo+g], 5, skips, out)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkBlocks compares the seed quadratic seed-scan blocking against
 // partition-pruned union-find single linkage.
 func BenchmarkBlocks(b *testing.B) {

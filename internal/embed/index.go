@@ -163,7 +163,7 @@ func (ix *Index) AddAll(items []Item) {
 type searchScratch struct {
 	q     []float32
 	qRow  []int8
-	short bounded[int64]
+	short shortlist
 }
 
 var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
@@ -236,6 +236,54 @@ func (ix *Index) DistanceByID(a, b string) (float64, bool) {
 	return math.Sqrt(float64(l2sq32(ix.vec(pa), ix.vec(pb)))), true
 }
 
+// NearestGroup returns Nearest(text, k) for every text, in order and bit
+// for bit, and costs less than asking one at a time: past the crossover,
+// GroupWidth queries at a time share one blocked pass over the int8 codes
+// (certifiedGroup).
+func (ix *Index) NearestGroup(texts []string, k int) [][]Neighbor {
+	out := make([][]Neighbor, len(texts))
+	if k <= 0 || len(ix.ids) == 0 || len(texts) == 0 {
+		return out
+	}
+	var scs [GroupWidth]*searchScratch
+	var qs [GroupWidth][]float32
+	var skips [GroupWidth]int
+	held := scs[:min(len(texts), GroupWidth)]
+	for g := range held {
+		held[g], skips[g] = searchPool.Get().(*searchScratch), -1
+	}
+	defer func() {
+		for _, sc := range held {
+			searchPool.Put(sc)
+		}
+	}()
+	for lo := 0; lo < len(texts); lo += GroupWidth {
+		m := min(len(texts)-lo, GroupWidth)
+		for g := range m {
+			scs[g].q = ix.embed32(scs[g].q, texts[lo+g])
+			qs[g] = scs[g].q
+		}
+		ix.searchGroup(scs[:m], qs[:m], k, skips[:m], out[lo:lo+m])
+	}
+	return out
+}
+
+// searchGroup is search for up to GroupWidth queries that share k, each
+// with its own excluded position: out[g] gets exactly what search returns
+// for query g. Past the crossover, more than one query takes the blocked
+// pass.
+func (ix *Index) searchGroup(scs []*searchScratch, qs [][]float32, k int, skips []int, out [][]Neighbor) {
+	k = min(k, len(ix.ids))
+	width := ix.shortlistWidth(k)
+	if width == 0 || len(qs) == 1 {
+		for g, q := range qs {
+			out[g] = ix.search(scs[g], q, k, skips[g])
+		}
+		return
+	}
+	ix.certifiedGroup(scs, qs, k, skips, width, out)
+}
+
 // search answers a query vector through the certified int8 path when the
 // index is past its crossover, and through the exact scan below it or when
 // the proof does not close. skip is a position to exclude (-1 for none). k
@@ -264,35 +312,28 @@ func (ix *Index) exactScan(q []float32, k, skip int) []Neighbor {
 	return t.neighbors(ix.ids)
 }
 
-// bounded is a k-bounded max-heap over (distance, insertion position):
-// the root is the worst candidate kept, so a closer candidate replaces it
-// in O(log k). Ties order by position, reproducing the stable-sort
-// ranking of the previous full-sort implementation. The distance type is
-// generic so the float32 exact path and the int64 quantized shortlist
-// share one sift implementation.
-type bounded[D int64 | float32] struct {
+// topK is a k-bounded max-heap over (float32 squared distance, insertion
+// position): the root is the worst candidate kept, so a closer candidate
+// replaces it in O(log k). Ties order by position, reproducing the
+// stable-sort ranking of the previous full-sort implementation. The exact
+// scan and the certified path's re-rank both rank through it.
+type topK struct {
 	k   int
 	idx []int
-	d2  []D
-}
-
-// topK is the float32 squared-distance instantiation used by the exact
-// scan and the re-rank pass.
-type topK struct {
-	bounded[float32]
+	d2  []float32
 }
 
 func newTopK(k int) *topK {
-	return &topK{bounded[float32]{k: k, idx: make([]int, 0, k), d2: make([]float32, 0, k)}}
+	return &topK{k: k, idx: make([]int, 0, k), d2: make([]float32, 0, k)}
 }
 
 // after reports whether candidate a ranks strictly after candidate b
 // (farther, or equally far but inserted later).
-func (t *bounded[D]) after(ai int, ad2 D, bi int, bd2 D) bool {
+func (t *topK) after(ai int, ad2 float32, bi int, bd2 float32) bool {
 	return ad2 > bd2 || (ad2 == bd2 && ai > bi)
 }
 
-func (t *bounded[D]) push(i int, d2 D) {
+func (t *topK) push(i int, d2 float32) {
 	if len(t.idx) < t.k {
 		t.idx = append(t.idx, i)
 		t.d2 = append(t.d2, d2)
@@ -332,23 +373,22 @@ func (t *bounded[D]) push(i int, d2 D) {
 	}
 }
 
-// positions returns the kept candidate positions in unspecified order —
-// the quantized shortlist handed to the exact re-rank pass, whose
-// (distance, position) ordering is insensitive to push order.
-func (t *bounded[D]) positions() []int { return t.idx }
-
-// neighbors drains the heap into a closest-first Neighbor slice.
+// neighbors sorts the kept candidates closest first — the heap is spent
+// after — and returns them as Neighbors. Sorting the heap's own arrays
+// takes no allocation beyond the result.
 func (t *topK) neighbors(ids []string) []Neighbor {
-	order := make([]int, len(t.idx))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return t.after(t.idx[order[b]], t.d2[order[b]], t.idx[order[a]], t.d2[order[a]])
-	})
-	out := make([]Neighbor, len(order))
-	for i, h := range order {
-		out[i] = Neighbor{ID: ids[t.idx[h]], Distance: math.Sqrt(float64(t.d2[h]))}
+	sort.Sort(t)
+	out := make([]Neighbor, len(t.idx))
+	for i, pos := range t.idx {
+		out[i] = Neighbor{ID: ids[pos], Distance: math.Sqrt(float64(t.d2[i]))}
 	}
 	return out
+}
+
+// Len, Less and Swap order the kept candidates for neighbors.
+func (t *topK) Len() int           { return len(t.idx) }
+func (t *topK) Less(a, b int) bool { return t.after(t.idx[b], t.d2[b], t.idx[a], t.d2[a]) }
+func (t *topK) Swap(a, b int) {
+	t.idx[a], t.idx[b] = t.idx[b], t.idx[a]
+	t.d2[a], t.d2[b] = t.d2[b], t.d2[a]
 }

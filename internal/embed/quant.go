@@ -1,6 +1,9 @@
 package embed
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // The int8 scalar-quantized distance tier.
 //
@@ -231,13 +234,13 @@ const certMaxDim = 1 << 15
 
 // shortlistWidth returns the width of the certified path's shortlist for a
 // top-k query, or 0 when the query takes the exact scan outright: the
-// index is below the crossover, or k is so large that the 4k rows a
-// shortlist needs to be worth re-ranking do not fit in half the index and
-// the code pass would save nothing.
+// index is below the crossover (or too large for shortKey), or k is so
+// large that the 4k rows a shortlist needs to be worth re-ranking do not
+// fit in half the index and the code pass would save nothing.
 func (ix *Index) shortlistWidth(k int) int {
 	const rerankFactor = 4
 	n := len(ix.ids)
-	if n < certMinPoints || ix.dim > certMaxDim {
+	if n < certMinPoints || uint64(n) > math.MaxUint32 || ix.dim > certMaxDim {
 		return 0
 	}
 	floor := rerankFactor * k
@@ -276,27 +279,216 @@ func (ix *Index) certifiedSearch(sc *searchScratch, q []float32, k, skip, width 
 	qRow, qNorm := qz.encodeQuery(sc.qRow, q)
 	sc.qRow = qRow
 	sl := &sc.short
-	sl.k, sl.idx, sl.d2 = width, sl.idx[:0], sl.d2[:0]
+	sl.reset(width)
 	for i := 0; i < len(ix.ids); i++ {
 		if i == skip {
 			continue
 		}
-		sl.push(i, qz.codeD2(qNorm, qRow, i))
+		sl.push(shortKey(qz.codeD2(qNorm, qRow, i), i))
 	}
+	return ix.certify(qz, sc, q, k, width)
+}
+
+// shortKey packs a shortlist candidate into one integer: its code distance
+// in the high 32 bits, its row position in the low 32. Code distances stay
+// below 2³¹ (at most certMaxDim·255²) and shortlistWidth keeps indexes of
+// 2³² rows or more on the exact scan, so one unsigned comparison orders
+// candidates by (distance, position), the order the exact scan breaks
+// ties in.
+func shortKey(d2 int64, pos int) uint64 { return uint64(d2)<<32 | uint64(pos) }
+
+// shortlist is the certified path's bounded max-heap of shortKeys: the
+// root is the worst candidate kept, so a closer one replaces it in
+// O(log width).
+type shortlist struct {
+	k    int
+	keys []uint64
+}
+
+func (sl *shortlist) reset(width int) { sl.k, sl.keys = width, sl.keys[:0] }
+
+// full reports whether key cannot enter the list: it is full and key is
+// no smaller than the root. Rows are offered in position order, so a row
+// that ties the root's distance ranks after it.
+func (sl *shortlist) full(key uint64) bool { return len(sl.keys) == sl.k && key >= sl.keys[0] }
+
+func (sl *shortlist) push(key uint64) {
+	h := sl.keys
+	if len(h) < sl.k {
+		h = append(h, key)
+		for c := len(h) - 1; c > 0; { // sift up
+			p := (c - 1) / 2
+			if h[p] >= h[c] {
+				break
+			}
+			h[p], h[c] = h[c], h[p]
+			c = p
+		}
+		sl.keys = h
+		return
+	}
+	if key >= h[0] {
+		return
+	}
+	h[0] = key
+	for p := 0; ; { // sift down
+		c := 2*p + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r] > h[c] {
+			c = r
+		}
+		if h[c] <= h[p] {
+			break
+		}
+		h[p], h[c] = h[c], h[p]
+		p = c
+	}
+}
+
+// certify re-ranks a query's finished shortlist with the exact float32
+// kernel and runs the proof of certifiedSearch on it; sc.qRow must be the
+// code row the shortlist was scored with.
+func (ix *Index) certify(qz *quantized, sc *searchScratch, q []float32, k, width int) ([]Neighbor, bool) {
+	sl := &sc.short
 	t := newTopK(k)
-	for _, i := range sl.positions() {
+	for _, key := range sl.keys { // the re-rank's order is insensitive to push order
+		i := int(key & math.MaxUint32)
 		t.push(i, l2sq32(q, ix.vec(i)))
 	}
 
-	reach := float64(qz.scale) * math.Sqrt(float64(sl.d2[0]))
-	lb := reach - qz.residual(q, qRow) - qz.resid
+	reach := float64(qz.scale) * math.Sqrt(float64(sl.keys[0]>>32))
+	lb := reach - qz.residual(q, sc.qRow) - qz.resid
 	tau := float64(t.d2[0]) + float64(ix.dim)*0x1p-126
-	if len(sl.idx) == width && len(t.idx) == k && lb > certSlack*reach && lb*lb*(1-certSlack) > tau {
+	if len(sl.keys) == width && len(t.idx) == k && lb > certSlack*reach && lb*lb*(1-certSlack) > tau {
 		ix.scans.certified.Add(1)
 		return t.neighbors(ix.ids), true
 	}
 	ix.scans.fallbacks.Add(1)
 	return nil, false
+}
+
+// GroupWidth is how many queries one blocked pass scores (NearestGroup
+// takes any number, GroupWidth at a time), so it is how many a caller
+// gathering queries for it should gather. The blocked kernels are unrolled
+// for it, one accumulator register per query.
+const GroupWidth = 4
+
+// groupRows is how many rows one blocked-kernel call scores. Its dot
+// products (1 KB) stay in L1 while the queries' shortlists read them.
+const groupRows = 64
+
+// groupScratch is a blocked pass's working memory: the group's queries
+// widened to int16 (widenGroup) and one call's dot products.
+type groupScratch struct {
+	wide []int16
+	dots [groupRows * GroupWidth]int32
+}
+
+var groupPool = sync.Pool{New: func() any { return new(groupScratch) }}
+
+// certifiedGroup is certifiedSearch for up to GroupWidth queries that share
+// k: one pass of the blocked kernel over the code rows feeds every query's
+// own shortlist, so each row is read and widened once per group instead of
+// once per query. Each query is then re-ranked and certified on its own
+// exactly as certifiedSearch does, and one whose proof does not close runs
+// the exact scan alone. Integer dot products are exact, so every shortlist
+// — and with it every answer — is the one certifiedSearch builds.
+func (ix *Index) certifiedGroup(scs []*searchScratch, qs [][]float32, k int, skips []int, width int, out [][]Neighbor) {
+	qz := ix.ensureQuantized()
+	gs := groupPool.Get().(*groupScratch)
+	defer groupPool.Put(gs)
+	var rows [GroupWidth][]int8
+	var norms [GroupWidth]int64
+	for g, q := range qs {
+		sc := scs[g]
+		var qNorm int32
+		sc.qRow, qNorm = qz.encodeQuery(sc.qRow, q)
+		rows[g], norms[g] = sc.qRow, int64(qNorm)
+		sc.short.reset(width)
+	}
+	gs.wide = widenGroup(gs.wide, rows[:len(qs)], qz.stride)
+	n := len(ix.ids)
+	for lo := 0; lo < n; lo += groupRows {
+		hi := min(lo+groupRows, n)
+		dots := gs.dots[:(hi-lo)*GroupWidth]
+		codeDotGroup(qz.codes[lo*qz.stride:hi*qz.stride], qz.stride, gs.wide, dots)
+		for g := range qs {
+			sl, skip, qNorm := &scs[g].short, skips[g], norms[g]
+			for i := lo; i < hi; i++ {
+				key := shortKey(qNorm+int64(qz.norms[i])-2*int64(dots[(i-lo)*GroupWidth+g]), i)
+				if i != skip && !sl.full(key) {
+					sl.push(key)
+				}
+			}
+		}
+	}
+	for g, q := range qs {
+		nn, ok := ix.certify(qz, scs[g], q, k, width)
+		if !ok {
+			nn = ix.exactScan(q, k, skips[g])
+		}
+		out[g] = nn
+	}
+}
+
+// widenGroup lays a group's code rows out for codeDotGroup in dst (grown
+// when too small): every lane sign-extended to int16 once, and block c of
+// query g at dst[(c·GroupWidth+g)·quantBlock:], so the kernel walks the
+// queries forward in step with the row. Slots past len(qRows) stay zero and
+// score 0 against every row.
+func widenGroup(dst []int16, qRows [][]int8, stride int) []int16 {
+	n := stride * GroupWidth
+	if cap(dst) < n {
+		dst = make([]int16, n)
+	}
+	dst = dst[:n]
+	clear(dst)
+	for g, row := range qRows {
+		for d, c := range row {
+			dst[(d/quantBlock*GroupWidth+g)*quantBlock+d%quantBlock] = int16(c)
+		}
+	}
+	return dst
+}
+
+// groupShape checks the arguments of codeDotGroup — whole rows of stride
+// lanes, stride a positive multiple of quantBlock, qs as widenGroup lays
+// it out, room in out for GroupWidth sums per row — and returns the row
+// count. The assembly kernels read exactly that much; a mismatch is a bug.
+func groupShape(rows []int8, stride int, qs []int16, out []int32) int {
+	if stride <= 0 || stride%quantBlock != 0 || len(rows)%stride != 0 ||
+		len(qs) < stride*GroupWidth || len(out) < len(rows)/stride*GroupWidth {
+		panic("embed: codeDotGroup called with mismatched shapes")
+	}
+	return len(rows) / stride
+}
+
+// codeDotGroupGeneric is the portable blocked kernel: for every row of
+// rows, the dot product with each of the GroupWidth widened queries in qs,
+// written to out row by row. Each code is widened once per group, as in
+// the assembly kernels.
+func codeDotGroupGeneric(rows []int8, stride int, qs []int16, out []int32) {
+	n := groupShape(rows, stride, qs, out)
+	for r := 0; r < n; r++ {
+		row := rows[r*stride : (r+1)*stride]
+		var s0, s1, s2, s3 int32
+		for c := 0; c < stride; c += quantBlock {
+			blk := row[c : c+quantBlock]
+			q := qs[c*GroupWidth : (c+quantBlock)*GroupWidth]
+			q0, q1, q2, q3 := q[:quantBlock], q[quantBlock:2*quantBlock], q[2*quantBlock:3*quantBlock], q[3*quantBlock:]
+			for l, x := range blk {
+				v := int32(x)
+				s0 += v * int32(q0[l])
+				s1 += v * int32(q1[l])
+				s2 += v * int32(q2[l])
+				s3 += v * int32(q3[l])
+			}
+		}
+		o := out[r*GroupWidth : (r+1)*GroupWidth]
+		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+	}
 }
 
 // codeDotGeneric is the portable integer dot-product kernel: int32

@@ -26,6 +26,18 @@ func codeDot(a, b []int8) int32 {
 	return s
 }
 
+// codeDotGroup is the blocked kernel's dispatcher: AVX2 when the host has
+// it, SSE2 otherwise (see groupShape for the arguments).
+func codeDotGroup(rows []int8, stride int, qs []int16, out []int32) {
+	if n := groupShape(rows, stride, qs, out); n > 0 {
+		if useAVX2 {
+			codeDotGroupAVX2(&rows[0], n, stride, &qs[0], &out[0])
+		} else {
+			codeDotGroupSSE2(&rows[0], n, stride, &qs[0], &out[0])
+		}
+	}
+}
+
 // useAVX2 gates the AVX2 kernel: detected once, branch-predicted free
 // thereafter.
 var useAVX2 = detectAVX2()
@@ -64,6 +76,18 @@ func codeDotSSE2(a, b *int8, n int) int32
 //
 //go:noescape
 func codeDotAVX2(a, b *int8, n int) int32
+
+// codeDotGroupSSE2 is implemented in quant_amd64.s; codeDotGroup checks
+// its arguments.
+//
+//go:noescape
+func codeDotGroupSSE2(rows *int8, nrows, stride int, qs *int16, out *int32)
+
+// codeDotGroupAVX2 is implemented in quant_avx2_amd64.s; only call when
+// useAVX2.
+//
+//go:noescape
+func codeDotGroupAVX2(rows *int8, nrows, stride int, qs *int16, out *int32)
 
 // cpuid and xgetbv0 are implemented in quant_avx2_amd64.s.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

@@ -62,6 +62,56 @@ done:
 	MOVL AX, ret+24(FP)
 	RET
 
+// func codeDotGroupAVX2(rows *int8, nrows, stride int, qs *int16, out *int32)
+//
+// AVX2 form of codeDotGroupSSE2: one VPMOVSXBW widens a 16-lane block of
+// the row, and four VPMADDWD take the four queries' pre-widened blocks
+// straight from memory — one shuffle-port widening per block for the whole
+// group, where codeDotAVX2 spends two per block per query. Three VPHADDD
+// and a lane fold reduce the four accumulators to the four sums.
+TEXT ·codeDotGroupAVX2(SB), NOSPLIT, $0-40
+	MOVQ rows+0(FP), SI
+	MOVQ nrows+8(FP), BX
+	MOVQ stride+16(FP), DX
+	MOVQ qs+24(FP), R8
+	MOVQ out+32(FP), DI
+
+row:
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+	MOVQ  R8, R9
+	MOVQ  DX, CX
+
+block:
+	VPMOVSXBW (SI), Y0
+	VPMADDWD  (R9), Y0, Y1
+	VPADDD    Y1, Y4, Y4
+	VPMADDWD  32(R9), Y0, Y2
+	VPADDD    Y2, Y5, Y5
+	VPMADDWD  64(R9), Y0, Y1
+	VPADDD    Y1, Y6, Y6
+	VPMADDWD  96(R9), Y0, Y2
+	VPADDD    Y2, Y7, Y7
+	ADDQ      $16, SI
+	ADDQ      $128, R9
+	SUBQ      $16, CX
+	JG        block
+
+	VPHADDD      Y5, Y4, Y4
+	VPHADDD      Y7, Y6, Y6
+	VPHADDD      Y6, Y4, Y4
+	VEXTRACTI128 $1, Y4, X0
+	VPADDD       X0, X4, X4
+	VMOVDQU      X4, (DI)
+
+	ADDQ $16, DI
+	DECQ BX
+	JG   row
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

@@ -62,6 +62,23 @@ func TestCodeDotKernelsMatchGeneric(t *testing.T) {
 	}
 }
 
+// groupKernels are the blocked assembly kernels this host can run, behind
+// the shape check codeDotGroup makes.
+func groupKernels() []groupKernel {
+	wrap := func(fn func(rows *int8, nrows, stride int, qs *int16, out *int32)) func([]int8, int, []int16, []int32) {
+		return func(rows []int8, stride int, qs []int16, out []int32) {
+			if n := groupShape(rows, stride, qs, out); n > 0 {
+				fn(&rows[0], n, stride, &qs[0], &out[0])
+			}
+		}
+	}
+	kernels := []groupKernel{{"SSE2", wrap(codeDotGroupSSE2)}}
+	if useAVX2 {
+		kernels = append(kernels, groupKernel{"AVX2", wrap(codeDotGroupAVX2)})
+	}
+	return kernels
+}
+
 // TestCodeDotDispatchTails drives the public seam with unpadded lengths,
 // so the SIMD block + generic tail split is covered under whichever
 // kernel the dispatcher selected.

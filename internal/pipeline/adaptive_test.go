@@ -281,6 +281,7 @@ func TestWindowCancellation(t *testing.T) {
 		return struct{}{}, ctx.Err()
 	}
 	done := func(_ seqRecord, _ struct{}, err error) error { return err }
+	noGroup := func() (groupTask[struct{}], error) { return nil, nil }
 	env := func() *Env { return &Env{width: 2, stats: &stageStats{stage: "s"}} }
 
 	// Idle upstream: block on an open, empty channel; cancel mid-wait.
@@ -292,7 +293,7 @@ func TestWindowCancellation(t *testing.T) {
 	}()
 	finished := make(chan error, 1)
 	go func() {
-		_, err := window(ctx, env(), idle, func() error { return nil }, task, done)
+		_, err := window(ctx, env(), idle, noGroup, task, done)
 		finished <- err
 	}()
 	select {
@@ -313,7 +314,7 @@ func TestWindowCancellation(t *testing.T) {
 	}
 	cctx, ccancel := context.WithCancel(context.Background())
 	ccancel()
-	if n, err := window(cctx, env(), busy, func() error { return nil }, task, done); err == nil || n != 0 {
+	if n, err := window(cctx, env(), busy, noGroup, task, done); err == nil || n != 0 {
 		t.Fatalf("window started %d records under a cancelled context (err = %v)", n, err)
 	}
 
@@ -326,7 +327,7 @@ func TestWindowCancellation(t *testing.T) {
 		}
 		mcancel()
 	}()
-	if _, err := window(mctx, env(), busy, func() error { return nil }, task, done); err == nil {
+	if _, err := window(mctx, env(), busy, noGroup, task, done); err == nil {
 		t.Fatal("window returned nil after a mid-flight cancellation")
 	}
 	if n := running.Load(); n != 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -76,10 +77,13 @@ type ExecConfig struct {
 	Batch int
 	// Parallelism bounds concurrent LLM calls per operator (default
 	// core.DefaultParallelism). It is also each streaming stage's in-flight
-	// window: a stage starts a record's unit task the moment the record
-	// arrives and fewer than Parallelism are in flight, and hands every
-	// finished record downstream at once, so round trips overlap across
-	// records and across stages. Parallelism 1 is strictly serial per stage.
+	// window: a stage starts the records waiting on its input the moment
+	// fewer than Parallelism are in flight, and hands every finished record
+	// downstream at once, so round trips overlap across records and across
+	// stages. An impute stage runs records admitted together in groups of
+	// up to embed.GroupWidth that share one k-NN pass; each record still
+	// counts against the window and still asks the model on its own.
+	// Parallelism 1 is strictly serial per stage.
 	Parallelism int
 	// Deprecated: no effect; kept because benchmark/layers.go assigns it — removed with the pipeline.run_ms.adaptive column.
 	Adaptive bool
@@ -102,6 +106,13 @@ type ExecConfig struct {
 	// the Attribution's resilience counters and the Result. With no faults
 	// firing the wrapper is a no-op and results are byte-identical.
 	Resilience *resil.Policy
+	// TableKeys optionally names tables passed to Run by a
+	// collision-resistant hash of their content, such as the SHA-256 a
+	// server interns a table's bytes under. An impute stage whose static
+	// side table has a key files its k-NN index under it instead of
+	// hashing the table row by row; a table without one, and every dynamic
+	// side table, is hashed as before. Leaving it nil changes nothing else.
+	TableKeys map[string]embed.SourceKey
 	// OnRecordError selects degraded-mode execution for streaming
 	// per-record stages: OnRecordFail (default), OnRecordSkip, or
 	// OnRecordQuarantine. Exactly the records whose unit task failed are
@@ -216,7 +227,8 @@ type Env struct {
 	// materialized from an earlier stage's stream.
 	Tables map[string][]dataset.Record
 
-	width int // in-flight window of a streaming stage
+	keys  map[string]embed.SourceKey // ExecConfig.TableKeys, less any table a dynamic side replaced
+	width int                        // in-flight window of a streaming stage
 	stats *stageStats
 	run   *runState
 	onErr string // resolved OnRecordError mode
@@ -667,7 +679,7 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 		}
 	}
 
-	env := &Env{Engine: rt.engineFor(), Budget: rt.budget, Tables: tables,
+	env := &Env{Engine: rt.engineFor(), Budget: rt.budget, Tables: tables, keys: cfg.TableKeys,
 		width: cfg.window(), stats: &stageStats{stage: st.Name()}, run: state,
 		onErr: cfg.OnRecordError}
 	defer env.stats.flush(rt.attr)
@@ -733,7 +745,7 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 			fail(side.err)
 			return
 		}
-		env.Tables = overlaySide(tables, spec.Side, side.table)
+		env.overlaySide(spec.Side, side.table)
 	}
 	env.stats.t.Wait = time.Since(start)
 	if len(recs) == 0 {
@@ -754,15 +766,18 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 	env.stats.close(start, len(recs))
 }
 
-// overlaySide copies the static-table map with one dynamic side table
-// overlaid, so the shared map is never mutated.
-func overlaySide(tables map[string][]dataset.Record, name string, side []dataset.Record) map[string][]dataset.Record {
-	overlay := make(map[string][]dataset.Record, len(tables)+1)
-	for k, v := range tables {
-		overlay[k] = v
+// overlaySide overlays one dynamic side table on the stage's copy of the
+// static-table map, so the shared map is never mutated. A static table of
+// the same name loses its key with it.
+func (e *Env) overlaySide(name string, side []dataset.Record) {
+	tables := make(map[string][]dataset.Record, len(e.Tables)+1)
+	maps.Copy(tables, e.Tables)
+	tables[name] = side
+	e.Tables = tables
+	if _, ok := e.keys[name]; ok {
+		e.keys = maps.Clone(e.keys)
+		delete(e.keys, name)
 	}
-	overlay[name] = side
-	return overlay
 }
 
 // cancellation reports whether err is a context ending rather than a
@@ -835,7 +850,7 @@ buffering:
 	if side.err != nil {
 		return len(buffered), side.err
 	}
-	env.Tables = overlaySide(env.Tables, sideName, side.table)
+	env.overlaySide(sideName, side.table)
 	env.stats.t.Wait += time.Since(start)
 
 	// Replay the buffer, then pipe the live channel, on one merged stream

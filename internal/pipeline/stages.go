@@ -1,10 +1,12 @@
 package pipeline
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -12,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/embed"
 	"repro/internal/resil"
 	"repro/internal/workflow"
 )
@@ -53,6 +56,11 @@ type recordOp struct {
 	// ask runs one record's unit task and returns its output records, in
 	// output order. It is called from up to Env.width goroutines at once.
 	ask func(ctx context.Context, r dataset.Record) ([]dataset.Record, error)
+	// group, when set, is the operator's group form: the window hands it
+	// the records it admits together, up to embed.GroupWidth at a time, so
+	// work they share (impute's k-NN pass) is done once. A record admitted
+	// alone still takes ask.
+	group groupTask[[]dataset.Record]
 	// detail summarises the finished stream for the stage report.
 	detail func(consumed int) string
 	// fanout is the most outputs one record can produce (0 means 1). A
@@ -62,19 +70,32 @@ type recordOp struct {
 	fanout int64
 }
 
-// window is the executor's one streaming loop: it starts task for each
-// record the moment the record arrives and fewer than env.width are in
-// flight (one goroutine per record), and calls done on the stage
-// goroutine as each finishes, in completion order. prepare runs once, on
-// the stage goroutine, before the first task. A non-nil error from
-// prepare or done ends the loop, which cancels and waits out the tasks
-// still in flight before returning. Time blocked with an empty window is
-// the stage's Wait.
+// groupTask runs a group of records at once. It reports each record's
+// outcome through emit — exactly once per record, from any goroutine, as
+// soon as that record's outcome is known — and returns once every one has
+// been reported. Whatever the group's records wait on one by one (an LLM
+// ask) it waits on concurrently, so a group holds no record back behind
+// another.
+type groupTask[T any] func(ctx context.Context, recs []dataset.Record, emit func(i int, out T, err error))
+
+// window is the executor's one streaming loop. Each turn it admits every
+// record already waiting on in, up to env.width in flight, or takes a
+// finished record's result — and then every other result already there,
+// so that slots freed together are filled together. prepare runs once, on
+// the stage goroutine, at the first record, and returns the operator's
+// group form if it has one. Admitted records then run in groups of at most
+// embed.GroupWidth, cut in sequence-key order, one goroutine per group; a
+// record admitted alone, or by an operator without a group form, runs task
+// on a goroutine of its own. Either way done is called on the stage
+// goroutine for each record the moment its result arrives, in completion
+// order. A non-nil error from prepare or done ends the loop, which cancels
+// and waits out the records still in flight before returning. Time
+// blocked with an empty window is the stage's Wait.
 //
 // Cancellation is also polled at the top of every turn: Go's select picks
 // among ready cases at random, so a flooding upstream could otherwise keep
 // a cancelled stage starting records.
-func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare func() error,
+func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare func() (groupTask[T], error),
 	task func(context.Context, dataset.Record) (T, error), done func(seqRecord, T, error) error) (int, error) {
 	type result struct {
 		in  seqRecord
@@ -85,12 +106,34 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 	defer cancel()
 	results := make(chan result, env.width) // a slot per in-flight record: tasks never block
 	consumed, inflight := 0, 0
+	var group groupTask[T]
+	var admitted []seqRecord
 	stop := func(err error) (int, error) {
 		cancel()
 		for ; inflight > 0; inflight-- {
 			<-results
 		}
 		return consumed, err
+	}
+	run := func(r seqRecord) {
+		go func() {
+			out, err := task(tctx, r.rec)
+			results <- result{r, out, err}
+		}()
+	}
+	runGroup := func(rs []seqRecord) {
+		if len(rs) == 1 {
+			run(rs[0])
+			return
+		}
+		rs = slices.Clone(rs) // admitted is reused next turn
+		go func() {
+			recs := make([]dataset.Record, len(rs))
+			for i, r := range rs {
+				recs[i] = r.rec
+			}
+			group(tctx, recs, func(i int, out T, err error) { results <- result{rs[i], out, err} })
+		}()
 	}
 	for in != nil || inflight > 0 {
 		if err := ctx.Err(); err != nil {
@@ -114,20 +157,48 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 				continue
 			}
 			if consumed == 0 {
-				if err := prepare(); err != nil {
+				var err error
+				if group, err = prepare(); err != nil {
 					return stop(err)
 				}
 			}
-			consumed++
-			inflight++
-			go func() {
-				out, err := task(tctx, r.rec)
-				results <- result{r, out, err}
-			}()
+			admitted = append(admitted[:0], r)
+		waiting:
+			for inflight+len(admitted) < env.width {
+				select {
+				case r, ok := <-in:
+					if !ok {
+						in = nil
+						break waiting
+					}
+					admitted = append(admitted, r)
+				default:
+					break waiting
+				}
+			}
+			consumed += len(admitted)
+			inflight += len(admitted)
+			if group == nil {
+				for _, r := range admitted {
+					run(r)
+				}
+				continue
+			}
+			slices.SortFunc(admitted, func(a, b seqRecord) int { return cmp.Compare(a.seq, b.seq) })
+			for lo := 0; lo < len(admitted); lo += embed.GroupWidth {
+				runGroup(admitted[lo:min(lo+embed.GroupWidth, len(admitted))])
+			}
 		case res := <-results:
-			inflight--
-			if err := done(res.in, res.out, res.err); err != nil {
-				return stop(err)
+			for more := true; more; {
+				inflight--
+				if err := done(res.in, res.out, res.err); err != nil {
+					return stop(err)
+				}
+				select {
+				case res = <-results:
+				default:
+					more = false
+				}
 			}
 		case <-ctx.Done():
 			return stop(ctx.Err())
@@ -137,17 +208,19 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 }
 
 // runWindow streams one stage through window: prepare the operator at the
-// first record, ask per record, emit each record's outputs as it finishes
-// and — in degraded mode — drop exactly the record whose ask failed.
+// first record, ask per record or per group, emit each record's outputs as
+// it finishes and — in degraded mode — drop exactly the record whose ask
+// failed.
 func runWindow(ctx context.Context, env *Env, in <-chan seqRecord, st Streamer, out *streamOut) (int, error) {
 	var op recordOp
 	consumed, err := window(ctx, env, in,
-		func() (err error) {
+		func() (groupTask[[]dataset.Record], error) {
+			var err error
 			op, err = st.Prepare(env)
 			if op.fanout == 0 {
 				op.fanout = 1
 			}
-			return err
+			return op.group, err
 		},
 		func(ctx context.Context, r dataset.Record) ([]dataset.Record, error) { return op.ask(ctx, r) },
 		func(r seqRecord, recs []dataset.Record, err error) error {
@@ -408,6 +481,7 @@ func (s imputeStage) request(env *Env) (core.ImputeRequest, error) {
 		Strategy:    core.ImputeStrategy(s.spec.Strategy),
 		Neighbors:   s.spec.Neighbors,
 		Examples:    s.spec.Examples,
+		TrainKey:    env.keys[side],
 	}, nil
 }
 
@@ -487,22 +561,39 @@ func (s imputeStage) Prepare(env *Env) (recordOp, error) {
 		return recordOp{}, err
 	}
 	var llmCalls atomic.Int64
-	return recordOp{
+	output := func(r dataset.Record, a core.ImputeAnswer) []dataset.Record {
+		if a.ByLLM {
+			llmCalls.Add(1)
+		}
+		return []dataset.Record{r.With(s.spec.TargetField, a.Value)}
+	}
+	op := recordOp{
 		ask: func(ctx context.Context, r dataset.Record) ([]dataset.Record, error) {
 			a, err := p.Ask(ctx, r)
 			if err != nil {
 				return nil, err
 			}
-			if a.ByLLM {
-				llmCalls.Add(1)
-			}
-			return []dataset.Record{r.With(s.spec.TargetField, a.Value)}, nil
+			return output(r, a), nil
 		},
 		detail: func(consumed int) string {
 			llm := int(llmCalls.Load())
 			return imputeDetail(llm, consumed-llm)
 		},
-	}, nil
+	}
+	if p.UsesIndex() {
+		// A group shares one blocked k-NN pass; each record that needs the
+		// model still asks on its own goroutine.
+		op.group = func(ctx context.Context, rs []dataset.Record, emit func(int, []dataset.Record, error)) {
+			p.AskGroup(ctx, rs, func(i int, a core.ImputeAnswer, err error) {
+				if err != nil {
+					emit(i, nil, err)
+					return
+				}
+				emit(i, output(rs[i], a), nil)
+			})
+		}
+	}
+	return op, nil
 }
 
 // joinStage fuzzy-joins the input table (left) against a static side

@@ -242,7 +242,7 @@ func TestInternedTablesSharedReadOnly(t *testing.T) {
 			if err := json.Unmarshal(m.value, &fresh); err != nil {
 				t.Fatal(err)
 			}
-			held, err := srv.tables.table(m.value)
+			held, _, err := srv.tables.table(m.value)
 			if err != nil || !reflect.DeepEqual(held, fresh) {
 				t.Errorf("interned table %q changed under its readers (err %v)", m.name, err)
 			}

@@ -140,7 +140,7 @@ func FuzzDecodeSubmit(f *testing.F) {
 		var want SubmitRequest
 		wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
 		for name, s := range map[string]*Server{"cold": {tables: newTableInterner()}, "warm": warm} {
-			got, err := s.decodeSubmit(body)
+			got, _, err := s.decodeSubmit(body)
 			if (err == nil) != (wantErr == nil) {
 				t.Fatalf("%s interner: decodeSubmit error %v, json.Decoder error %v, on %q", name, err, wantErr, body)
 			}

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/embed"
 	"repro/internal/resil"
 	"repro/internal/workflow"
 )
@@ -104,7 +105,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 // readSubmit reads and decodes a submission body through a pooled buffer.
-func (s *Server) readSubmit(w http.ResponseWriter, r *http.Request) (SubmitRequest, error) {
+func (s *Server) readSubmit(w http.ResponseWriter, r *http.Request) (SubmitRequest, map[string]embed.SourceKey, error) {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	defer func() {
 		buf.Reset()
@@ -114,13 +115,13 @@ func (s *Server) readSubmit(w http.ResponseWriter, r *http.Request) (SubmitReque
 		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF without growing
 	}
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
-		return SubmitRequest{}, err
+		return SubmitRequest{}, nil, err
 	}
 	return s.decodeSubmit(buf.Bytes())
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, err := s.readSubmit(w, r)
+	req, keys, err := s.readSubmit(w, r)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -131,7 +132,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid_request_error", "malformed request body: "+err.Error())
 		return
 	}
-	st, err := s.Submit(r.Context(), req)
+	st, err := s.submit(r.Context(), req, keys)
 	if err != nil {
 		fail(w, err)
 		return

@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"repro/internal/dataset"
+	"repro/internal/embed"
 )
 
 // Request decoding with table interning. A tenant that imputes against a
@@ -64,8 +65,8 @@ func newTableInterner() *tableInterner {
 }
 
 // table returns the decoded form of one table's JSON, decoding on first
-// sight. raw is not retained.
-func (in *tableInterner) table(raw []byte) ([]dataset.Record, error) {
+// sight, and the key it is interned under. raw is not retained.
+func (in *tableInterner) table(raw []byte) ([]dataset.Record, tableKey, error) {
 	key := tableKey(sha256.Sum256(raw))
 	n := int64(len(raw))
 	in.mu.Lock()
@@ -74,21 +75,21 @@ func (in *tableInterner) table(raw []byte) ([]dataset.Record, error) {
 		in.shared += n
 		in.recency.MoveToFront(el)
 		in.mu.Unlock()
-		return el.Value.(*internedTable).records, nil
+		return el.Value.(*internedTable).records, key, nil
 	}
 	in.mu.Unlock()
 
 	var records []dataset.Record
 	if err := json.Unmarshal(raw, &records); err != nil {
-		return nil, err
+		return nil, key, err
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if el, ok := in.byKey[key]; ok { // a concurrent first sight won
-		return el.Value.(*internedTable).records, nil
+		return el.Value.(*internedTable).records, key, nil
 	}
 	if n > in.bound {
-		return records, nil
+		return records, key, nil
 	}
 	in.byKey[key] = in.recency.PushFront(&internedTable{key: key, records: records, bytes: n})
 	in.held += n
@@ -97,7 +98,7 @@ func (in *tableInterner) table(raw []byte) ([]dataset.Record, error) {
 		delete(in.byKey, oldest.key)
 		in.held -= oldest.bytes
 	}
-	return records, nil
+	return records, key, nil
 }
 
 func (in *tableInterner) counts() (seen, shared int64) {
@@ -110,14 +111,16 @@ func (in *tableInterner) counts() (seen, shared int64) {
 // take the interning path; every other body, and every body that path
 // stumbles on, goes through one json.Decoder exactly as before, so the
 // accepted set, the decoded values and the error texts are that
-// decoder's.
-func (s *Server) decodeSubmit(body []byte) (SubmitRequest, error) {
-	if req, ok := s.decodeInterned(body); ok {
-		return req, nil
+// decoder's. The interning path also returns each table's interner key,
+// which the job's impute stages file their k-NN indexes under
+// (pipeline.ExecConfig.TableKeys); the other path returns none.
+func (s *Server) decodeSubmit(body []byte) (SubmitRequest, map[string]embed.SourceKey, error) {
+	if req, keys, ok := s.decodeInterned(body); ok {
+		return req, keys, nil
 	}
 	var req SubmitRequest
 	err := json.NewDecoder(bytes.NewReader(body)).Decode(&req)
-	return req, err
+	return req, nil, err
 }
 
 // decodeInterned is the interning path: the envelope (everything but the
@@ -126,29 +129,30 @@ func (s *Server) decodeSubmit(body []byte) (SubmitRequest, error) {
 // the body is not one JSON object with exactly one plainly spelt "tables"
 // member holding an object of uniquely, plainly named arrays and nothing
 // but whitespace after it — or when any piece fails to decode.
-func (s *Server) decodeInterned(body []byte) (SubmitRequest, bool) {
+func (s *Server) decodeInterned(body []byte) (SubmitRequest, map[string]embed.SourceKey, bool) {
 	var req SubmitRequest
 	start, end, members, ok := scanSubmit(body)
 	if !ok {
-		return req, false
+		return req, nil, false
 	}
 	envelope := io.MultiReader(bytes.NewReader(body[:start]), strings.NewReader("null"), bytes.NewReader(body[end:]))
 	if err := json.NewDecoder(envelope).Decode(&req); err != nil {
-		return req, false
+		return req, nil, false
 	}
 	req.Tables = make(map[string][]dataset.Record, len(members))
+	keys := make(map[string]embed.SourceKey, len(members))
 	for _, m := range members {
 		name := string(m.name)
 		if _, dup := req.Tables[name]; dup {
-			return req, false
+			return req, nil, false
 		}
-		records, err := s.tables.table(m.value)
+		records, key, err := s.tables.table(m.value)
 		if err != nil {
-			return req, false
+			return req, nil, false
 		}
-		req.Tables[name] = records
+		req.Tables[name], keys[name] = records, embed.SourceKey(key)
 	}
-	return req, true
+	return req, keys, true
 }
 
 // jsonScanner walks JSON text far enough to delimit values: it knows

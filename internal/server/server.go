@@ -617,6 +617,12 @@ func (s *Server) tenantFor(id string) *tenant {
 // ErrBadSpec, ErrRateLimited, ErrBusy, ErrDraining, or the tenant budget's
 // workflow.ErrBudgetExhausted.
 func (s *Server) Submit(ctx context.Context, req SubmitRequest) (*JobStatus, error) {
+	return s.submit(ctx, req, nil)
+}
+
+// submit is Submit with the interner's keys of req.Tables (decodeSubmit),
+// nil when the tables were not interned.
+func (s *Server) submit(ctx context.Context, req SubmitRequest, keys map[string]embed.SourceKey) (*JobStatus, error) {
 	if !tenantIDPattern.MatchString(req.Tenant) {
 		return nil, fmt.Errorf("%w: tenant must match %s", ErrBadSpec, tenantIDPattern)
 	}
@@ -696,17 +702,18 @@ func (s *Server) Submit(ctx context.Context, req SubmitRequest) (*JobStatus, err
 	s.mu.Unlock()
 
 	if req.Async {
-		go s.runJob(jctx, j, t, tk, p, tables)
+		go s.runJob(jctx, j, t, tk, p, tables, keys)
 		return j.status(), nil
 	}
-	s.runJob(jctx, j, t, tk, p, tables)
+	s.runJob(jctx, j, t, tk, p, tables, keys)
 	return j.status(), nil
 }
 
 // runJob waits out the queue, runs the pipeline via a cancellable handle,
 // and records the outcome. It owns the job's gate ticket and WaitGroup
 // slot.
-func (s *Server) runJob(ctx context.Context, j *job, t *tenant, tk *ticket, p *pipeline.Pipeline, tables map[string][]dataset.Record) {
+func (s *Server) runJob(ctx context.Context, j *job, t *tenant, tk *ticket, p *pipeline.Pipeline,
+	tables map[string][]dataset.Record, keys map[string]embed.SourceKey) {
 	defer s.wg.Done()
 	defer j.cancel()
 	if err := s.gate.wait(ctx, tk); err != nil {
@@ -725,6 +732,7 @@ func (s *Server) runJob(ctx context.Context, j *job, t *tenant, tk *ticket, p *p
 		Batch:         s.cfg.Batch,
 		Parallelism:   s.cfg.Parallelism,
 		OnRecordError: s.cfg.OnRecordError,
+		TableKeys:     keys,
 	}
 	h := p.Start(ctx, cfg, tables)
 	// The handle's context is this job's: cancellation reaches the run
