@@ -237,24 +237,38 @@ func (p *PreparedImpute) Ask(ctx context.Context, q dataset.Record) (ImputeAnswe
 // AskGroup imputes a group of query records — what Ask returns for each —
 // with one blocked k-NN pass for the whole group
 // (embed.Index.NearestGroup). Each answer is reported through answer as
-// soon as it is known: every one the vote decides at once, and each one
-// that needs the model when its ask returns. Those asks run concurrently,
-// one goroutine each, as separate Asks would; AskGroup returns once every
-// answer has been reported. answer may be called from several goroutines
-// at once.
+// soon as it is known: every one the vote decides, and every one the model
+// has already answered (a cache hit, workflow.HitsOnly), at once, on the
+// calling goroutine; each other one when its ask returns. Those asks run
+// concurrently, one goroutine each, as separate Asks would; AskGroup
+// returns once every answer has been reported. answer may be called from
+// several goroutines at once.
 func (p *PreparedImpute) AskGroup(ctx context.Context, qs []dataset.Record, answer func(i int, a ImputeAnswer, err error)) {
 	bufs, nns := p.nearestGroup(qs)
 	ask := func(i int) {
-		a, err := p.askModel(ctx, bufs[i], nns[i])
+		a, err := p.askRendered(ctx, bufs[i])
 		bufs[i].release()
 		answer(i, a, err)
 	}
-	var wg sync.WaitGroup
-	pending := -1 // the latest query the vote left; the last one asks on this goroutine
+	var (
+		wg    sync.WaitGroup
+		pctx  context.Context
+		probe *workflow.HitProbe
+	)
+	pending := -1 // the latest query the cache left; the last one asks on this goroutine
 	for i := range qs {
 		if v, ok := p.vote(nns[i]); ok {
 			bufs[i].release()
 			answer(i, ImputeAnswer{Value: v}, nil)
+			continue
+		}
+		if probe == nil {
+			pctx, probe = workflow.HitsOnly(ctx)
+		}
+		p.renderAsk(bufs[i], nns[i])
+		if a, err := p.askRendered(pctx, bufs[i]); probe.Settle(ctx, err) {
+			bufs[i].release()
+			answer(i, a, err)
 			continue
 		}
 		if pending >= 0 {
@@ -327,6 +341,14 @@ func (p *PreparedImpute) vote(nn []embed.Neighbor) (string, bool) {
 // askModel asks the model to impute the query serialized in buf.record,
 // with few-shot examples drawn from its neighbours nn.
 func (p *PreparedImpute) askModel(ctx context.Context, buf *promptBuf, nn []embed.Neighbor) (ImputeAnswer, error) {
+	p.renderAsk(buf, nn)
+	return p.askRendered(ctx, buf)
+}
+
+// renderAsk renders into buf.prompt the imputation prompt for the query
+// serialized in buf.record, with few-shot examples drawn from its
+// neighbours nn.
+func (p *PreparedImpute) renderAsk(buf *promptBuf, nn []embed.Neighbor) {
 	var examples []prompt.Example
 	if p.req.Examples > 0 {
 		// Few-shot examples: the query's nearest training neighbours,
@@ -342,6 +364,10 @@ func (p *PreparedImpute) askModel(ctx context.Context, buf *promptBuf, nn []embe
 		}
 	}
 	buf.prompt = prompt.AppendImpute(buf.prompt[:0], buf.record, p.req.TargetField, examples)
+}
+
+// askRendered asks the model the prompt renderAsk left in buf.prompt.
+func (p *PreparedImpute) askRendered(ctx context.Context, buf *promptBuf) (ImputeAnswer, error) {
 	v, err := quality.AskBytesWithRetry(ctx, p.s.model, buf.prompt, prompt.ParseValue, p.e.retries)
 	return ImputeAnswer{Value: v, ByLLM: true}, err
 }

@@ -2,17 +2,20 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/llm"
+	"repro/internal/workflow"
 )
 
 // TestAdaptiveSideInputOverlap is the overlap contract: a streamable join
@@ -267,19 +270,39 @@ func stageByName(t *testing.T, res *Result, name string) StageReport {
 
 // TestWindowCancellation is the regression pin on the streaming loop: a
 // cancelled context must end it promptly whether the upstream is idle
-// (nothing buffered, the stage is blocked waiting for its first record) or
+// (nothing buffered, the stage is blocked waiting for its first record),
 // flooding (records always ready, so the select could keep choosing the
-// receive case without the explicit poll at the top of each turn) — and
-// in both cases every record goroutine it started has exited by the time
-// it returns.
+// receive case without the explicit poll at the top of each turn) or warm
+// (the stage answers cached records inline, so it never blocks at all) —
+// and in every case each record goroutine it started has exited by the
+// time it returns.
 func TestWindowCancellation(t *testing.T) {
 	var running atomic.Int32
-	task := func(ctx context.Context, _ dataset.Record) (struct{}, error) {
-		running.Add(1)
-		defer running.Add(-1)
-		<-ctx.Done()
-		return struct{}{}, ctx.Err()
+	// uncached returns a task for records the cache cannot answer: the
+	// window's probe of a record misses, and the record's real ask waits
+	// upstream until the context ends. A record named in hits is answered
+	// by its probe instead.
+	uncached := func(hits map[string]bool) func(context.Context, dataset.Record) (struct{}, error) {
+		var mu sync.Mutex
+		probed := map[string]bool{}
+		return func(ctx context.Context, r dataset.Record) (struct{}, error) {
+			mu.Lock()
+			probe := !probed[r.ID]
+			probed[r.ID] = true
+			mu.Unlock()
+			switch {
+			case probe && hits[r.ID]:
+				return struct{}{}, nil
+			case probe:
+				return struct{}{}, workflow.ErrNotCached
+			}
+			running.Add(1)
+			defer running.Add(-1)
+			<-ctx.Done()
+			return struct{}{}, ctx.Err()
+		}
 	}
+	task := uncached(nil)
 	done := func(_ seqRecord, _ struct{}, err error) error { return err }
 	noGroup := func() (groupTask[struct{}], error) { return nil, nil }
 	env := func() *Env { return &Env{width: 2, stats: &stageStats{stage: "s"}} }
@@ -332,6 +355,48 @@ func TestWindowCancellation(t *testing.T) {
 	}
 	if n := running.Load(); n != 0 {
 		t.Fatalf("window returned with %d record goroutines still running", n)
+	}
+
+	// Warm upstream: 64 records ready, every eighth one a miss that runs on
+	// a goroutine and the rest hits answered inline. The cancel lands inside
+	// done while the stage is answering hits; the window must stop at the
+	// next record with the context's error and wait out the misses.
+	before := runtime.NumGoroutine()
+	const n, cancelAt = 64, 10
+	warm := make(chan seqRecord, n)
+	hits := map[string]bool{}
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("w%d", i)
+		hits[id] = i%8 != 1
+		warm <- seqRecord{int64(i), dataset.Record{ID: id}}
+	}
+	wctx, wcancel := context.WithCancel(context.Background())
+	answered := 0
+	cancelling := func(r seqRecord, out struct{}, err error) error {
+		if err == nil {
+			if answered++; answered == cancelAt {
+				wcancel()
+			}
+		}
+		return done(r, out, err)
+	}
+	consumed, err := window(wctx, &Env{width: 4, stats: &stageStats{stage: "s"}}, warm, noGroup, uncached(hits), cancelling)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("window cancelled mid-stream of inline hits returned %v, want the context's error", err)
+	}
+	if answered != cancelAt || consumed >= n {
+		t.Fatalf("window answered %d records inline and consumed %d of %d after the cancel at %d", answered, consumed, n, cancelAt)
+	}
+	if n := running.Load(); n != 0 {
+		t.Fatalf("window returned with %d record goroutines still running", n)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines leaked: %d before, %d after\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -80,9 +80,12 @@ type ExecConfig struct {
 	// window: a stage starts the records waiting on its input the moment
 	// fewer than Parallelism are in flight, and hands every finished record
 	// downstream at once, so round trips overlap across records and across
-	// stages. An impute stage runs records admitted together in groups of
-	// up to embed.GroupWidth that share one k-NN pass; each record still
-	// counts against the window and still asks the model on its own.
+	// stages. A record whose every ask is a cache hit is answered on the
+	// stage goroutine as it is admitted and never takes a slot: the window
+	// bounds what is in flight upstream. An impute stage runs records
+	// admitted together in groups of up to embed.GroupWidth that share one
+	// k-NN pass; each record still counts against the window, and each one
+	// the cache cannot answer still asks the model on its own.
 	// Parallelism 1 is strictly serial per stage.
 	Parallelism int
 	// Deprecated: no effect; kept because benchmark/layers.go assigns it — removed with the pipeline.run_ms.adaptive column.
@@ -387,6 +390,14 @@ type ordered struct {
 	unsorted bool
 }
 
+// presize makes room for n records up front, when the count is known.
+func (o *ordered) presize(n int) {
+	if n > 0 {
+		o.recs = make([]dataset.Record, 0, n)
+		o.seqs = make([]int64, 0, n)
+	}
+}
+
 func (o *ordered) add(r seqRecord) {
 	if n := len(o.seqs); n > 0 && r.seq < o.seqs[n-1] {
 		o.unsorted = true
@@ -395,8 +406,12 @@ func (o *ordered) add(r seqRecord) {
 	o.seqs = append(o.seqs, r.seq)
 }
 
-// table returns the records in sequence order.
+// table returns the records in sequence order: nil when there are none,
+// presized or not.
 func (o *ordered) table() []dataset.Record {
+	if len(o.recs) == 0 {
+		return nil
+	}
 	if o.unsorted {
 		sort.Sort(o)
 		o.unsorted = false
@@ -463,9 +478,11 @@ func (o *streamOut) finish() {
 
 // drain collects the whole input stream in sequence order — the barrier
 // path — and then surfaces the upstream error if the stream ended because
-// its producer failed.
-func drain(ctx context.Context, in <-chan seqRecord, up *streamOut) ([]dataset.Record, error) {
+// its producer failed. size is the stream's length when it is known up
+// front, 0 otherwise.
+func drain(ctx context.Context, in <-chan seqRecord, up *streamOut, size int) ([]dataset.Record, error) {
 	var got ordered
+	got.presize(size)
 	for {
 		select {
 		case r, ok := <-in:
@@ -694,8 +711,18 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 	// awaits the side, and runs.
 	dynamicSide := sideStage(p.specs, spec) >= 0
 
+	// A stage fed by the static source table alone knows its input count
+	// before the first record arrives.
+	size := 0
+	if spec.Input == "source" && cfg.Feed == nil {
+		size = len(tables["source"])
+	}
+
 	streamer, ok := st.(Streamer)
 	if ok && streamer.CanStream() && !cfg.Materialized {
+		if spec.Kind != KindJoin { // one output at most per record
+			out.got.presize(size)
+		}
 		start := time.Now()
 		sctx := workflow.TagStage(ctx, st.Name())
 		var err error
@@ -727,7 +754,7 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 	}
 
 	start := time.Now()
-	recs, err := drain(ctx, in, up)
+	recs, err := drain(ctx, in, up, size)
 	if err != nil {
 		fail(err)
 		return

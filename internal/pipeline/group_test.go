@@ -13,6 +13,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/embed"
 	"repro/internal/llm"
+	"repro/internal/workflow"
 )
 
 // TestWindowGroupsEmitPerRecord runs one impute group through the window:
@@ -21,8 +22,10 @@ import (
 // and two are decided by the vote. While both asks are held upstream the
 // two decided records must already be downstream — a group holds no
 // record back behind another — and the asked ones follow when released.
-// Cancelled mid-group instead, the window must return an error and leave
-// no goroutine behind.
+// With one contested record's answer already cached, that record is
+// answered on the group goroutine and goes downstream while its uncached
+// group-mate's ask is still held. Cancelled mid-group instead, the window
+// must return an error and leave no goroutine behind.
 func TestWindowGroupsEmitPerRecord(t *testing.T) {
 	ds := dataset.GenerateRestaurants(600, 60, 3)
 	spec := StageSpec{Name: "fill", Kind: KindImpute, TargetField: ds.TargetField, Side: "train", Strategy: "hybrid", Neighbors: 3}
@@ -53,11 +56,10 @@ func TestWindowGroupsEmitPerRecord(t *testing.T) {
 	}
 	group := []dataset.Record{contested[0], decided[0], contested[1], decided[1]}
 
-	// run starts the stage's window over the group, all four records
-	// waiting before it starts, with asks held until release closes.
-	run := func(ctx context.Context, release <-chan struct{}) (asked chan struct{}, emitted chan seqRecord, finished chan error) {
-		asked = make(chan struct{}, len(group))
-		model := llm.Func{ModelName: "held", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
+	// held is the model every run asks: each ask is announced on asked and
+	// held until release closes.
+	held := func(asked chan<- struct{}, release <-chan struct{}) llm.Model {
+		return llm.Func{ModelName: "held", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
 			asked <- struct{}{}
 			select {
 			case <-release:
@@ -66,8 +68,18 @@ func TestWindowGroupsEmitPerRecord(t *testing.T) {
 				return llm.Response{}, ctx.Err()
 			}
 		}}
+	}
+	// run starts the stage's window over the group, all four records
+	// waiting before it starts, with asks held until release closes, on
+	// layer's cache (a private one when layer is nil).
+	run := func(ctx context.Context, release <-chan struct{}, layer *workflow.ExecLayer) (asked chan struct{}, emitted chan seqRecord, finished chan error) {
+		asked = make(chan struct{}, len(group))
 		reg := embed.NewRegistry()
-		env := &Env{Engine: core.New(model, core.WithIndexRegistry(reg)), Tables: tables, width: len(group),
+		opts := []core.Option{core.WithIndexRegistry(reg)}
+		if layer != nil {
+			opts = append(opts, core.WithExecutionLayer(layer))
+		}
+		env := &Env{Engine: core.New(held(asked, release), opts...), Tables: tables, width: len(group),
 			stats: &stageStats{stage: spec.Name}, run: &runState{details: make(map[string]string)}}
 		in := make(chan seqRecord, len(group))
 		for i, r := range group {
@@ -95,8 +107,8 @@ func TestWindowGroupsEmitPerRecord(t *testing.T) {
 		return asked, emitted, finished
 	}
 	within := func() <-chan time.Time { return time.After(10 * time.Second) }
-	awaitAsks := func(asked chan struct{}) {
-		for i := 0; i < 2; i++ {
+	awaitAsks := func(asked chan struct{}, n int) {
+		for i := 0; i < n; i++ {
 			select {
 			case <-asked:
 			case <-within():
@@ -107,8 +119,8 @@ func TestWindowGroupsEmitPerRecord(t *testing.T) {
 
 	t.Run("decided records are not held back", func(t *testing.T) {
 		release := make(chan struct{})
-		asked, emitted, finished := run(context.Background(), release)
-		awaitAsks(asked)
+		asked, emitted, finished := run(context.Background(), release, nil)
+		awaitAsks(asked, 2)
 		for i := 0; i < 2; i++ {
 			select {
 			case r := <-emitted:
@@ -135,11 +147,58 @@ func TestWindowGroupsEmitPerRecord(t *testing.T) {
 		}
 	})
 
+	t.Run("a cached contested record is not held back", func(t *testing.T) {
+		layer := workflow.NewExecLayer()
+		open := make(chan struct{})
+		close(open)
+		warm, err := core.New(held(make(chan struct{}, 1), open), core.WithExecutionLayer(layer)).PrepareImpute(
+			core.ImputeRequest{Train: ds.Train, TargetField: spec.TargetField, Strategy: core.ImputeHybrid, Neighbors: spec.Neighbors})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := warm.Ask(context.Background(), contested[0]); err != nil {
+			t.Fatal(err)
+		}
+		release := make(chan struct{})
+		asked, emitted, finished := run(context.Background(), release, layer)
+		awaitAsks(asked, 1)
+		for i := 0; i < 3; i++ {
+			select {
+			case r := <-emitted:
+				if r.seq == 2 {
+					t.Fatal("the uncached contested record was emitted while its ask was held")
+				}
+				if got, _ := r.rec.Get(spec.TargetField); r.seq == 0 && got != "somewhere" {
+					t.Fatalf("the cached contested record came back with %q, not the cached answer", got)
+				}
+			case <-within():
+				t.Fatal("a cached or decided record waited on its group-mate's ask")
+			}
+		}
+		select {
+		case <-asked:
+			t.Fatal("the cached contested record asked the model")
+		default:
+		}
+		close(release)
+		select {
+		case r := <-emitted:
+			if r.seq != 2 {
+				t.Fatalf("record %d emitted last, want the held record 2", r.seq)
+			}
+		case <-within():
+			t.Fatal("the released ask never reached downstream")
+		}
+		if err := <-finished; err != nil {
+			t.Fatal(err)
+		}
+	})
+
 	t.Run("cancelled mid-group", func(t *testing.T) {
 		before := runtime.NumGoroutine()
 		ctx, cancel := context.WithCancel(context.Background())
-		asked, _, finished := run(ctx, make(chan struct{}))
-		awaitAsks(asked)
+		asked, _, finished := run(ctx, make(chan struct{}), nil)
+		awaitAsks(asked, 2)
 		cancel()
 		select {
 		case err := <-finished:

@@ -54,7 +54,12 @@ type Streamer interface {
 // recordOp is a streaming stage's prepared operator.
 type recordOp struct {
 	// ask runs one record's unit task and returns its output records, in
-	// output order. It is called from up to Env.width goroutines at once.
+	// output order. It is called from up to Env.width goroutines at once,
+	// and first, for an operator without a group form, on the stage
+	// goroutine under workflow.HitsOnly. An ask that ends in
+	// workflow.ErrNotCached there must have had no effect, because the
+	// window then runs it again for real: whatever it counts, it counts
+	// only on another outcome.
 	ask func(ctx context.Context, r dataset.Record) ([]dataset.Record, error)
 	// group, when set, is the operator's group form: the window hands it
 	// the records it admits together, up to embed.GroupWidth at a time, so
@@ -75,7 +80,10 @@ type recordOp struct {
 // soon as that record's outcome is known — and returns once every one has
 // been reported. Whatever the group's records wait on one by one (an LLM
 // ask) it waits on concurrently, so a group holds no record back behind
-// another.
+// another. The window does not probe a group's records; a group task that
+// probes its own (core.PreparedImpute.AskGroup does, on the group
+// goroutine) reports a probe's miss to no one: the miss has had no effect,
+// and the record is reported once its real ask returns.
 type groupTask[T any] func(ctx context.Context, recs []dataset.Record, emit func(i int, out T, err error))
 
 // window is the executor's one streaming loop. Each turn it admits every
@@ -83,18 +91,25 @@ type groupTask[T any] func(ctx context.Context, recs []dataset.Record, emit func
 // finished record's result — and then every other result already there,
 // so that slots freed together are filled together. prepare runs once, on
 // the stage goroutine, at the first record, and returns the operator's
-// group form if it has one. Admitted records then run in groups of at most
-// embed.GroupWidth, cut in sequence-key order, one goroutine per group; a
-// record admitted alone, or by an operator without a group form, runs task
-// on a goroutine of its own. Either way done is called on the stage
-// goroutine for each record the moment its result arrives, in completion
-// order. A non-nil error from prepare or done ends the loop, which cancels
-// and waits out the records still in flight before returning. Time
-// blocked with an empty window is the stage's Wait.
+// group form if it has one.
 //
-// Cancellation is also polled at the top of every turn: Go's select picks
-// among ready cases at random, so a flooding upstream could otherwise keep
-// a cancelled stage starting records.
+// Without a group form, an admitted record is probed first: task runs on
+// the stage goroutine under workflow.HitsOnly, and if every ask it makes
+// is a cache hit, the record is done right there, without taking a slot.
+// Only a record that misses runs task again on a goroutine of its own.
+// With a group form, admitted records run in groups of at most
+// embed.GroupWidth, cut in sequence-key order, one goroutine per group
+// (which probes its own records); a record admitted alone runs task on a
+// goroutine of its own. Either way done is called on the stage goroutine
+// for each record the moment its result is known, in completion order. A
+// non-nil error from prepare or done ends the loop, which cancels and
+// waits out the records still in flight before returning. Time blocked
+// with an empty window is the stage's Wait.
+//
+// Cancellation is also polled at the top of every turn and before each
+// further record a turn admits: Go's select picks among ready cases at
+// random, so a flooding upstream could otherwise keep a cancelled stage
+// starting records, or answering them inline.
 func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare func() (groupTask[T], error),
 	task func(context.Context, dataset.Record) (T, error), done func(seqRecord, T, error) error) (int, error) {
 	type result struct {
@@ -104,6 +119,7 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 	}
 	tctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	pctx, probe := workflow.HitsOnly(tctx)
 	results := make(chan result, env.width) // a slot per in-flight record: tasks never block
 	consumed, inflight := 0, 0
 	var group groupTask[T]
@@ -116,16 +132,33 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 		return consumed, err
 	}
 	run := func(r seqRecord) {
+		inflight++
 		go func() {
 			out, err := task(tctx, r.rec)
 			results <- result{r, out, err}
 		}()
+	}
+	// admit takes one record. Without a group form it is done inline when
+	// its probe hits and started at once when it misses; with one it waits
+	// in admitted for the turn's groups to be cut.
+	admit := func(r seqRecord) error {
+		consumed++
+		if group != nil {
+			admitted = append(admitted, r)
+			return nil
+		}
+		if out, err := task(pctx, r.rec); probe.Settle(tctx, err) {
+			return done(r, out, err)
+		}
+		run(r)
+		return nil
 	}
 	runGroup := func(rs []seqRecord) {
 		if len(rs) == 1 {
 			run(rs[0])
 			return
 		}
+		inflight += len(rs)
 		rs = slices.Clone(rs) // admitted is reused next turn
 		go func() {
 			recs := make([]dataset.Record, len(rs))
@@ -162,26 +195,29 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 					return stop(err)
 				}
 			}
-			admitted = append(admitted[:0], r)
+			admitted = admitted[:0]
+			if err := admit(r); err != nil {
+				return stop(err)
+			}
 		waiting:
 			for inflight+len(admitted) < env.width {
+				if err := ctx.Err(); err != nil {
+					return stop(err)
+				}
 				select {
 				case r, ok := <-in:
 					if !ok {
 						in = nil
 						break waiting
 					}
-					admitted = append(admitted, r)
+					if err := admit(r); err != nil {
+						return stop(err)
+					}
 				default:
 					break waiting
 				}
 			}
-			consumed += len(admitted)
-			inflight += len(admitted)
-			if group == nil {
-				for _, r := range admitted {
-					run(r)
-				}
+			if len(admitted) == 0 {
 				continue
 			}
 			slices.SortFunc(admitted, func(a, b seqRecord) int { return cmp.Compare(a.seq, b.seq) })
@@ -359,6 +395,9 @@ func (s filterStage) Prepare(env *Env) (recordOp, error) {
 	return recordOp{
 		ask: func(ctx context.Context, r dataset.Record) ([]dataset.Record, error) {
 			a, err := f.Ask(ctx, render(r, s.spec.Field))
+			if errors.Is(err, workflow.ErrNotCached) {
+				return nil, err // a probe's miss: the real ask counts its asks
+			}
 			asks.Add(int64(a.Asks))
 			if err != nil || !a.Keep {
 				return nil, err
@@ -560,6 +599,8 @@ func (s imputeStage) Prepare(env *Env) (recordOp, error) {
 	if err != nil {
 		return recordOp{}, err
 	}
+	// llmCalls is counted only once an answer is in, so a probe's miss
+	// counts nothing.
 	var llmCalls atomic.Int64
 	output := func(r dataset.Record, a core.ImputeAnswer) []dataset.Record {
 		if a.ByLLM {
@@ -582,7 +623,8 @@ func (s imputeStage) Prepare(env *Env) (recordOp, error) {
 	}
 	if p.UsesIndex() {
 		// A group shares one blocked k-NN pass; each record that needs the
-		// model still asks on its own goroutine.
+		// model is answered on the group goroutine when its answer is
+		// cached, and asks on a goroutine of its own when it is not.
 		op.group = func(ctx context.Context, rs []dataset.Record, emit func(int, []dataset.Record, error)) {
 			p.AskGroup(ctx, rs, func(i int, a core.ImputeAnswer, err error) {
 				if err != nil {
@@ -677,6 +719,8 @@ func (s joinStage) Prepare(env *Env) (recordOp, error) {
 	if err != nil {
 		return recordOp{}, err
 	}
+	// matches and comparisons are counted only once a record is answered,
+	// so a probe's miss counts nothing.
 	var matches, comparisons atomic.Int64
 	return recordOp{
 		ask: func(ctx context.Context, r dataset.Record) ([]dataset.Record, error) {

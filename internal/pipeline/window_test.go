@@ -208,9 +208,11 @@ func randomWindowSpec(rng *rand.Rand) (spec Spec, dynamic bool) {
 // TestWindowMatchesMaterializedProperty is the byte-identity contract as
 // one property: for random specs — filter chains, join fan-out, a dynamic
 // side input overlapped with its main path, a standing query's Feed — run
-// under prompt-determined latency at in-flight windows 1, 2 and 8, every
-// table (in order), every scalar and every stage's record counts equal
-// the Materialized run's, and per-stage attribution sums to the run total.
+// under prompt-determined latency at in-flight windows 1, 2 and 8, cold
+// and half-warm, every table (in order), every scalar and every stage's
+// record counts equal the Materialized run's, and per-stage attribution
+// sums to the run total, which half-warm equals the Materialized run's on
+// the same pre-warm.
 func TestWindowMatchesMaterializedProperty(t *testing.T) {
 	tables, _ := SourceSpec{Dataset: "restaurants", Records: 10, Train: 24, Seed: 4}.Tables()
 	for i, r := range tables["source"] {
@@ -275,9 +277,8 @@ func TestWindowMatchesMaterializedProperty(t *testing.T) {
 				covered["join rows"] += s.Out
 			}
 		}
-		for _, width := range []int{1, 2, 8} {
-			got := run(ExecConfig{Parallelism: width})
-			label := fmt.Sprintf("seed %d window %d feed %v", seed, width, feed)
+		check := func(label string, got *Result) {
+			t.Helper()
 			if !reflect.DeepEqual(want.Scalars, got.Scalars) {
 				t.Fatalf("%s: scalars %v != materialized %v", label, got.Scalars, want.Scalars)
 			}
@@ -294,6 +295,41 @@ func TestWindowMatchesMaterializedProperty(t *testing.T) {
 			}
 			if sum != got.Usage {
 				t.Fatalf("%s: stage usage sums to %+v, run total is %+v", label, sum, got.Usage)
+			}
+		}
+		// Half-warm: both sides run on a layer pre-warmed by the same random
+		// subset of the source, so within one stage the records of the subset
+		// are answered inline from the cache while the rest miss and run on
+		// goroutines of their own. A dynamic join's side must not come out
+		// empty, so the subset holds at least one record the pool keeps.
+		var subset []dataset.Record
+		pooled := false
+		for _, r := range tables["source"] {
+			typ, _ := r.Get("type")
+			pool := typ == "seafood" || typ == "pizza"
+			if rng.Intn(2) == 0 || (dynamic && pool && !pooled) {
+				subset = append(subset, r)
+				pooled = pooled || pool
+			}
+		}
+		prewarmed := func() *workflow.ExecLayer {
+			t.Helper()
+			layer := workflow.NewExecLayer()
+			warm := map[string][]dataset.Record{"source": subset, "train": tables["train"], "right": tables["right"]}
+			if _, err := p.Run(context.Background(), ExecConfig{Model: newModel(), Exec: layer, Materialized: true}, warm); err != nil {
+				t.Fatalf("seed %d: pre-warm: %v", seed, err)
+			}
+			return layer
+		}
+		wantWarm := run(ExecConfig{Materialized: true, Exec: prewarmed()})
+		check(fmt.Sprintf("seed %d half-warm materialized", seed), wantWarm)
+		for _, width := range []int{1, 2, 8} {
+			check(fmt.Sprintf("seed %d window %d feed %v", seed, width, feed), run(ExecConfig{Parallelism: width}))
+			label := fmt.Sprintf("seed %d half-warm window %d feed %v", seed, width, feed)
+			got := run(ExecConfig{Parallelism: width, Exec: prewarmed()})
+			check(label, got)
+			if got.Usage != wantWarm.Usage {
+				t.Fatalf("%s: usage %+v != materialized on the same pre-warm %+v", label, got.Usage, wantWarm.Usage)
 			}
 		}
 	}

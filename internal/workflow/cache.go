@@ -96,21 +96,28 @@ func (c *Cache) shardOf(model string, promptHash uint64) *cacheShard {
 
 // get returns the cached response for key, counting a hit.
 func (c *Cache) get(key cacheKey) (llm.Response, bool) {
-	s := c.shard(key)
-	s.mu.RLock()
-	resp, ok := s.entries[key]
-	s.mu.RUnlock()
+	resp, s, ok := c.lookup(key)
 	if ok {
 		s.hits.Add(1)
 	}
 	return resp, ok
 }
 
-// getBytes is get for a key whose prompt is given as bytes; key.prompt is
-// ignored. The key is built inside the index expression, where the
-// compiler converts the bytes to a string without copying them, so a
-// lookup allocates nothing.
-func (c *Cache) getBytes(key cacheKey, prompt []byte) (llm.Response, bool) {
+// lookup is get without counting the hit: it also returns the key's shard,
+// so the caller counts the hit there once the ask is served.
+func (c *Cache) lookup(key cacheKey) (llm.Response, *cacheShard, bool) {
+	s := c.shard(key)
+	s.mu.RLock()
+	resp, ok := s.entries[key]
+	s.mu.RUnlock()
+	return resp, s, ok
+}
+
+// lookupBytes is lookup for a key whose prompt is given as bytes;
+// key.prompt is ignored. The key is built inside the index expression,
+// where the compiler converts the bytes to a string without copying them,
+// so a lookup allocates nothing.
+func (c *Cache) lookupBytes(key cacheKey, prompt []byte) (llm.Response, *cacheShard, bool) {
 	s := c.shardOf(key.model, maphash.Bytes(shardSeed, prompt))
 	s.mu.RLock()
 	resp, ok := s.entries[cacheKey{
@@ -121,10 +128,13 @@ func (c *Cache) getBytes(key cacheKey, prompt []byte) (llm.Response, bool) {
 		seed:        key.seed,
 	}]
 	s.mu.RUnlock()
-	if ok {
-		s.hits.Add(1)
-	}
-	return resp, ok
+	return resp, s, ok
+}
+
+// countHits adds n hits at once. Hits are only ever read as a sum over the
+// shards, so which shard carries them does not matter.
+func (c *Cache) countHits(n int) {
+	c.shards[0].hits.Add(int64(n))
 }
 
 // put stores a response under key, marking it dirty for the next log

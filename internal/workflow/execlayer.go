@@ -2,6 +2,7 @@ package workflow
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -98,7 +99,8 @@ func (l *ExecLayer) Cache() *Cache { return l.cache }
 // first; misses coalesce with identical in-flight requests; only flight
 // leaders reach m, and a leader publishes its response to the cache before
 // its flight retires. When a ServeObserver is attached, every successful
-// ask is additionally reported to it with the ask's context.
+// ask is additionally reported to it with the ask's context. Under a
+// HitsOnly context an ask is answered from the cache or not at all.
 func (l *ExecLayer) Wrap(m llm.Model) llm.Model {
 	return &sharedModel{inner: m, layer: l}
 }
@@ -123,11 +125,14 @@ func (m *sharedModel) Name() string { return m.inner.Name() }
 // Complete implements llm.Model. The hit path is one cache lookup; every
 // successful ask is reported to the layer's ServeObserver, classified free
 // when the response carries zero usage (served without a fresh billed
-// upstream call).
+// upstream call). Under a HitsOnly context the lookup is all there is.
 func (m *sharedModel) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
 	key := keyFor(m.inner.Name(), req)
-	resp, hit := m.layer.cache.get(key)
-	return m.serve(ctx, key, req, resp, hit)
+	resp, shard, hit := m.layer.cache.lookup(key)
+	if p := hitProbeOf(ctx); p != nil {
+		return p.serve(m.layer, resp, hit)
+	}
+	return m.serve(ctx, key, req, resp, shard, hit)
 }
 
 // CompleteBytes implements llm.ByteCompleter. A hit is looked up from the
@@ -136,18 +141,23 @@ func (m *sharedModel) Complete(ctx context.Context, req llm.Request) (llm.Respon
 // and then takes Complete's path.
 func (m *sharedModel) CompleteBytes(ctx context.Context, prompt []byte, req llm.Request) (llm.Response, error) {
 	key := keyFor(m.inner.Name(), req)
-	resp, hit := m.layer.cache.getBytes(key, prompt)
+	resp, shard, hit := m.layer.cache.lookupBytes(key, prompt)
+	if p := hitProbeOf(ctx); p != nil {
+		return p.serve(m.layer, resp, hit)
+	}
 	if !hit {
 		req.Prompt = string(prompt)
 		key.prompt = req.Prompt
 	}
-	return m.serve(ctx, key, req, resp, hit)
+	return m.serve(ctx, key, req, resp, shard, hit)
 }
 
-// serve finishes an ask after its cache lookup: a hit is free, a miss
-// joins or leads a flight; then the ask is reported to the observer.
-func (m *sharedModel) serve(ctx context.Context, key cacheKey, req llm.Request, resp llm.Response, hit bool) (llm.Response, error) {
+// serve finishes an ask after its cache lookup: a hit is counted and free,
+// a miss joins or leads a flight; then the ask is reported to the
+// observer.
+func (m *sharedModel) serve(ctx context.Context, key cacheKey, req llm.Request, resp llm.Response, shard *cacheShard, hit bool) (llm.Response, error) {
 	if hit {
+		shard.hits.Add(1)
 		resp.Usage = token.Usage{}
 	} else {
 		var err error
@@ -175,6 +185,78 @@ func (m *sharedModel) afterMiss(ctx context.Context, key cacheKey, req llm.Reque
 		}
 		return resp, err
 	})
+}
+
+// ErrNotCached is how an ask under a HitsOnly context ends when its answer
+// is not in the layer's cache. Nothing below the cache lookup saw the ask:
+// no flight, batcher, Meter, budget or ServeObserver.
+var ErrNotCached = errors.New("workflow: answer not cached")
+
+// HitProbe is the hits-only mode of the asks that go through an
+// ExecLayer: under the context HitsOnly returns, an ask is answered from
+// the cache or not at all. A caller probes a unit of work — one record's
+// asks, however many — on the caller's goroutine, and gives the work a
+// goroutine of its own only when the probe misses.
+//
+// Accounting is exact whichever path serves the work. Hits under the probe
+// are tallied, not counted; Settle counts them, or forgets them when the
+// work missed, so work that hit k times and then missed leaves no trace
+// and is counted once, by the real ask that follows. The asks under one
+// probe must run one at a time.
+type HitProbe struct {
+	layer *ExecLayer // whose cache served the hits so far
+	hits  int
+}
+
+type hitProbeKey struct{}
+
+// HitsOnly returns a context that puts every ask through an ExecLayer
+// into hits-only mode, and the probe that tallies its hits. Make it once
+// for a run of probes, not once per unit of work.
+func HitsOnly(ctx context.Context) (context.Context, *HitProbe) {
+	p := new(HitProbe)
+	return context.WithValue(ctx, hitProbeKey{}, p), p
+}
+
+func hitProbeOf(ctx context.Context) *HitProbe {
+	p, _ := ctx.Value(hitProbeKey{}).(*HitProbe)
+	return p
+}
+
+// serve answers an ask under the probe from its cache lookup: a hit is
+// tallied and free. A miss, or a hit from a second layer's cache (the
+// probe settles with one), is ErrNotCached.
+func (p *HitProbe) serve(l *ExecLayer, resp llm.Response, hit bool) (llm.Response, error) {
+	if !hit || (p.layer != nil && p.layer != l) {
+		return llm.Response{}, ErrNotCached
+	}
+	p.layer = l
+	p.hits++
+	resp.Usage = token.Usage{}
+	return resp, nil
+}
+
+// Settle ends one unit of probed work, given how it ended, and reports
+// whether it was served. err wrapping ErrNotCached means it was not: its
+// hits are forgotten, and the caller must do the work for real. Any other
+// outcome, an error included, is what the real asks would have returned,
+// so the hits are counted as served: in the layer's cache hits, and one
+// free serve each to its ServeObserver with ctx, the work's own context.
+func (p *HitProbe) Settle(ctx context.Context, err error) bool {
+	l, hits := p.layer, p.hits
+	p.layer, p.hits = nil, 0
+	if errors.Is(err, ErrNotCached) {
+		return false
+	}
+	if hits > 0 {
+		l.cache.countHits(hits)
+		if box, ok := l.serveObs.Load().(serveObsBox); ok && box.obs != nil {
+			for range hits {
+				box.obs.ObserveServe(ctx, true)
+			}
+		}
+	}
+	return true
 }
 
 // SetServeObserver attaches (or, with nil, detaches) the per-ask observer.
