@@ -182,7 +182,7 @@ func TestInternedTablesSharedReadOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, _, members, ok := scanSubmit(bodies[0])
+	_, _, members, ok := scanSubmit(bodies[0], newTableInterner())
 	if !ok || len(members) != len(tables) {
 		t.Fatalf("scanSubmit(%s) = %d tables, ok %v; the body should take the interning path", bodies[0], len(members), ok)
 	}

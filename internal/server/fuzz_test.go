@@ -121,6 +121,19 @@ var decodeSeeds = func() []string {
 		`null`,
 		``,
 	}
+	// The warm interner knows source and train by their bytes; each
+	// continuation of a known table must still decode as json.Decoder does.
+	for _, known := range []struct{ head, table string }{
+		{`{"tenant":"t",` + spec + `,"tables":{"source":`, source},
+		{`{"tenant":"t",` + spec + `,"tables":{"source":` + source + `,"train":`, train},
+	} {
+		seeds = append(seeds,
+			known.head+known.table[:len(known.table)-1]+`}}}`,
+			known.head+known.table+`]}}`,
+			known.head+known.table,
+			known.head+known.table+known.table+`}}`,
+		)
+	}
 	return seeds
 }()
 

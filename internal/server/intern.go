@@ -24,13 +24,24 @@ import (
 // pipeline stage writes a record of its input — each clones first — and
 // a tenant only ever gets back content it sent itself: the key is a
 // collision-resistant hash of the exact bytes.
+//
+// Delimiting and hashing a repeated 1 MB table still took ~4 ms a job, so
+// the interner also keeps each table's JSON and indexes it by its first
+// tablePrefixLen bytes. Where a table member's value starts with an
+// indexed prefix and the body then holds exactly that JSON, the scanner
+// jumps past it and the job takes the interned records: one memcmp
+// instead of a scan and a hash. The skip is exact because where a JSON
+// value ends is decided by its own bytes — the scanner stopped at the end
+// of those very bytes when it first delimited them — and byte equality is
+// stronger than the hash match it replaces.
 
 // tableInternBytes bounds the interner by the bytes of table JSON whose
 // decoded form it keeps — bytes rather than entries, because tables range
 // from a 10 KB source to a multi-megabyte train table. Four maximal
 // bodies: what the default four running jobs may pin anyway, and room for
 // hundreds of ordinary tables. Decoded records take about six times their
-// JSON, so the interner's heap stays under ~200 MB at worst.
+// JSON, and the JSON itself is kept beside them, so the interner's heap
+// stays under ~230 MB at worst.
 const tableInternBytes = 4 * maxBodyBytes
 
 // maxTableDepth is the nesting the fast path follows inside one table;
@@ -38,12 +49,20 @@ const tableInternBytes = 4 * maxBodyBytes
 // which keeps encoding/json's own depth limit the only one that decides.
 const maxTableDepth = 32
 
+// tablePrefixLen is how much of a table's JSON indexes it for
+// recognition. Shorter tables are not indexed: they are cheap to scan.
+const tablePrefixLen = 64
+
 type tableKey [sha256.Size]byte
 
+type tablePrefix [tablePrefixLen]byte
+
+// internedTable is immutable once interned: readers use it without the
+// interner's lock.
 type internedTable struct {
 	key     tableKey
 	records []dataset.Record
-	bytes   int64
+	raw     []byte // the table's JSON, a copy
 }
 
 // tableInterner is a byte-bounded LRU of decoded tables, safe for
@@ -51,9 +70,12 @@ type internedTable struct {
 type tableInterner struct {
 	mu      sync.Mutex
 	bound   int64
-	held    int64
+	held    int64                      // bytes of the raw JSON kept
 	byKey   map[tableKey]*list.Element // of *internedTable
 	recency *list.List                 // front = most recently used
+	// byPrefix maps a table's first tablePrefixLen bytes to the most
+	// recently interned table that starts with them.
+	byPrefix map[tablePrefix]*list.Element
 
 	// seen and shared count the table JSON delimited and the part of it
 	// answered from the interner (Stats.TableBytes, TableBytesShared).
@@ -61,11 +83,17 @@ type tableInterner struct {
 }
 
 func newTableInterner() *tableInterner {
-	return &tableInterner{bound: tableInternBytes, byKey: make(map[tableKey]*list.Element), recency: list.New()}
+	return &tableInterner{
+		bound:    tableInternBytes,
+		byKey:    make(map[tableKey]*list.Element),
+		recency:  list.New(),
+		byPrefix: make(map[tablePrefix]*list.Element),
+	}
 }
 
 // table returns the decoded form of one table's JSON, decoding on first
-// sight, and the key it is interned under. raw is not retained.
+// sight, and the key it is interned under. raw is a value the scanner
+// delimited (an array within maxTableDepth); it is copied, not retained.
 func (in *tableInterner) table(raw []byte) ([]dataset.Record, tableKey, error) {
 	key := tableKey(sha256.Sum256(raw))
 	n := int64(len(raw))
@@ -74,6 +102,11 @@ func (in *tableInterner) table(raw []byte) ([]dataset.Record, tableKey, error) {
 	if el, ok := in.byKey[key]; ok {
 		in.shared += n
 		in.recency.MoveToFront(el)
+		// Re-index a table whose prefix entry went with another table's
+		// eviction.
+		if p, ok := prefixOf(raw); ok && in.byPrefix[p] == nil {
+			in.byPrefix[p] = el
+		}
 		in.mu.Unlock()
 		return el.Value.(*internedTable).records, key, nil
 	}
@@ -91,14 +124,60 @@ func (in *tableInterner) table(raw []byte) ([]dataset.Record, tableKey, error) {
 	if n > in.bound {
 		return records, key, nil
 	}
-	in.byKey[key] = in.recency.PushFront(&internedTable{key: key, records: records, bytes: n})
+	el := in.recency.PushFront(&internedTable{key: key, records: records, raw: bytes.Clone(raw)})
+	in.byKey[key] = el
+	if p, ok := prefixOf(raw); ok {
+		in.byPrefix[p] = el
+	}
 	in.held += n
 	for in.held > in.bound {
-		oldest := in.recency.Remove(in.recency.Back()).(*internedTable)
-		delete(in.byKey, oldest.key)
-		in.held -= oldest.bytes
+		oldest := in.recency.Back()
+		t := in.recency.Remove(oldest).(*internedTable)
+		delete(in.byKey, t.key)
+		if p, ok := prefixOf(t.raw); ok && in.byPrefix[p] == oldest {
+			delete(in.byPrefix, p)
+		}
+		in.held -= int64(len(t.raw))
 	}
 	return records, key, nil
+}
+
+// known returns the interned table whose JSON b starts with, or nil. The
+// comparison runs outside the lock: an interned table's JSON never
+// changes.
+func (in *tableInterner) known(b []byte) *list.Element {
+	p, ok := prefixOf(b)
+	if !ok {
+		return nil
+	}
+	in.mu.Lock()
+	el := in.byPrefix[p]
+	in.mu.Unlock()
+	if el == nil || !bytes.HasPrefix(b, el.Value.(*internedTable).raw) {
+		return nil
+	}
+	return el
+}
+
+// prefixOf is the first tablePrefixLen bytes of b; ok is false when b is
+// shorter.
+func prefixOf(b []byte) (p tablePrefix, ok bool) {
+	if len(b) < tablePrefixLen {
+		return p, false
+	}
+	return tablePrefix(b), true
+}
+
+// hit counts a table known() recognised as answered from the interner.
+func (in *tableInterner) hit(el *list.Element) ([]dataset.Record, tableKey) {
+	t := el.Value.(*internedTable)
+	n := int64(len(t.raw))
+	in.mu.Lock()
+	in.seen += n
+	in.shared += n
+	in.recency.MoveToFront(el) // a no-op if evicted since
+	in.mu.Unlock()
+	return t.records, t.key
 }
 
 func (in *tableInterner) counts() (seen, shared int64) {
@@ -131,7 +210,7 @@ func (s *Server) decodeSubmit(body []byte) (SubmitRequest, map[string]embed.Sour
 // but whitespace after it — or when any piece fails to decode.
 func (s *Server) decodeInterned(body []byte) (SubmitRequest, map[string]embed.SourceKey, bool) {
 	var req SubmitRequest
-	start, end, members, ok := scanSubmit(body)
+	start, end, members, ok := scanSubmit(body, s.tables)
 	if !ok {
 		return req, nil, false
 	}
@@ -146,9 +225,15 @@ func (s *Server) decodeInterned(body []byte) (SubmitRequest, map[string]embed.So
 		if _, dup := req.Tables[name]; dup {
 			return req, nil, false
 		}
-		records, key, err := s.tables.table(m.value)
-		if err != nil {
-			return req, nil, false
+		var records []dataset.Record
+		var key tableKey
+		if m.known != nil {
+			records, key = s.tables.hit(m.known)
+		} else {
+			var err error
+			if records, key, err = s.tables.table(m.value); err != nil {
+				return req, nil, false
+			}
 		}
 		req.Tables[name], keys[name] = records, embed.SourceKey(key)
 	}
@@ -273,7 +358,12 @@ func (sc *jsonScanner) members(fn func(name []byte, plain bool) bool) bool {
 	}
 }
 
-type tableMember struct{ name, value []byte }
+// tableMember is one member of "tables"; known is the interned table
+// whose JSON its value is, when the interner recognised it.
+type tableMember struct {
+	name, value []byte
+	known       *list.Element
+}
 
 // scanSubmit delimits a submission body: body[start:end] is the value of
 // its "tables" member and tables are that value's members. It refuses (ok
@@ -282,8 +372,9 @@ type tableMember struct{ name, value []byte }
 // not an object of plainly named arrays, and any member name
 // encoding/json could also match to the Tables field — it matches
 // case-insensitively, folding a few non-ASCII letters too, so every name
-// that is not plain ASCII is refused.
-func scanSubmit(body []byte) (start, end int, tables []tableMember, ok bool) {
+// that is not plain ASCII is refused. A table value in recognises is
+// skipped, not scanned.
+func scanSubmit(body []byte, in *tableInterner) (start, end int, tables []tableMember, ok bool) {
 	sc := jsonScanner{b: body}
 	found := false
 	ok = sc.members(func(name []byte, plain bool) bool {
@@ -303,11 +394,21 @@ func scanSubmit(body []byte) (start, end int, tables []tableMember, ok bool) {
 		sc.space()
 		start = sc.i
 		ok := sc.members(func(name []byte, plain bool) bool {
-			value, ok := sc.value(maxTableDepth)
-			if !ok || !plain || value[0] != '[' {
+			if !plain {
 				return false
 			}
-			tables = append(tables, tableMember{name, value})
+			sc.space()
+			if el := in.known(body[sc.i:]); el != nil {
+				n := len(el.Value.(*internedTable).raw)
+				tables = append(tables, tableMember{name, body[sc.i : sc.i+n], el})
+				sc.i += n
+				return true
+			}
+			value, ok := sc.value(maxTableDepth)
+			if !ok || value[0] != '[' {
+				return false
+			}
+			tables = append(tables, tableMember{name: name, value: value})
 			return true
 		})
 		end = sc.i

@@ -57,7 +57,7 @@ func TestInternedTrainKeysIndex(t *testing.T) {
 	second := submitHTTP(t, ts, body(ds.TargetField))
 	slots(1, 1, "after a second job with the same train bytes")
 
-	_, _, members, ok := scanSubmit(body(ds.TargetField))
+	_, _, members, ok := scanSubmit(body(ds.TargetField), newTableInterner())
 	if !ok {
 		t.Fatal("the submission does not take the interning path")
 	}
