@@ -64,7 +64,8 @@ func (ix *seedIndex) blocks(threshold float64) [][]string {
 // certShortlist come from: the exact scan against the certified int8
 // path (called directly, so that it runs below the crossover too) over
 // the first N records, k = 5, with the share of queries whose proof
-// closed; a query whose proof does not close pays for both, as in search.
+// closed and the shortlist rows a query re-ranked before it did; a query
+// whose proof does not close pays for both, as in search.
 func BenchmarkIndexNearest(b *testing.B) {
 	const n, k = 10000, 10
 	all := simTexts(b, 16384+256)
@@ -118,14 +119,17 @@ func BenchmarkIndexNearest(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("n=%d/certified", n), func(b *testing.B) {
 			c0, f0 := ix.ScanStats()
+			reranked := 0
 			for i := 0; i < b.N; i++ {
 				q := qvecs[i%len(queries)]
 				if _, ok := ix.certifiedSearch(sc, q, 5, -1, min(certShortlist, n/2)); !ok {
 					ix.exactScan(q, 5, -1)
 				}
+				reranked += sc.reranked
 			}
 			c1, f1 := ix.ScanStats()
 			b.ReportMetric(float64(c1-c0)/float64(c1-c0+f1-f0), "certified")
+			b.ReportMetric(float64(reranked)/float64(b.N), "reranked/query")
 		})
 	}
 }
@@ -133,7 +137,8 @@ func BenchmarkIndexNearest(b *testing.B) {
 // BenchmarkNearestGroup is the blocked pass against one query at a time:
 // k = 5 over the first N records, queries held out, G queries per
 // searchGroup call (G = 1 is search itself). ns/op is per query, so the
-// G = 4 row reads directly against the G = 1 row.
+// G = 4 row reads directly against the G = 1 row; reranked/query is how
+// many shortlist rows a query scored in float32 before its proof closed.
 func BenchmarkNearestGroup(b *testing.B) {
 	all := simTexts(b, 16384+256)
 	heldOut := all[len(all)-256:]
@@ -156,10 +161,16 @@ func BenchmarkNearestGroup(b *testing.B) {
 					skips[i] = -1
 				}
 				out := make([][]Neighbor, g)
+				reranked, queries := 0, 0
 				for i := 0; i < b.N; i += g {
 					lo := i % (len(qvecs) - g)
 					ix.searchGroup(scs, qvecs[lo:lo+g], 5, skips, out)
+					for _, sc := range scs {
+						reranked += sc.reranked
+					}
+					queries += g
 				}
+				b.ReportMetric(float64(reranked)/float64(queries), "reranked/query")
 			})
 		}
 	}

@@ -157,13 +157,16 @@ func (ix *Index) AddAll(items []Item) {
 }
 
 // searchScratch is the working memory of one top-k query that does not
-// leave with the result: the float32 query vector, its int8 code row and
-// the certified path's shortlist heap. Pooled so a query allocates only
-// what it returns and the small re-rank heap.
+// leave with the result: the float32 query vector, its int8 code row, the
+// certified path's shortlist and the top-k heap the re-rank and the exact
+// scan rank through. Pooled so a query allocates only what it returns.
+// reranked is how many shortlist rows the last certify scored in float32.
 type searchScratch struct {
-	q     []float32
-	qRow  []int8
-	short shortlist
+	q        []float32
+	qRow     []int8
+	short    shortlist
+	top      topK
+	reranked int
 }
 
 var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
@@ -295,14 +298,19 @@ func (ix *Index) search(sc *searchScratch, q []float32, k, skip int) []Neighbor 
 			return nn
 		}
 	}
-	return ix.exactScan(q, k, skip)
+	return ix.exactScanWith(&sc.top, q, k, skip)
 }
 
 // exactScan is the exact search: every stored vector scored with the
 // float32 kernel through the k-bounded heap. It is what every other path
 // is measured or proved against.
 func (ix *Index) exactScan(q []float32, k, skip int) []Neighbor {
-	t := newTopK(k)
+	return ix.exactScanWith(new(topK), q, k, skip)
+}
+
+// exactScanWith is exactScan ranking through t, which it resets.
+func (ix *Index) exactScanWith(t *topK, q []float32, k, skip int) []Neighbor {
+	t.reset(k)
 	for i := 0; i < len(ix.ids); i++ {
 		if i == skip {
 			continue
@@ -323,9 +331,8 @@ type topK struct {
 	d2  []float32
 }
 
-func newTopK(k int) *topK {
-	return &topK{k: k, idx: make([]int, 0, k), d2: make([]float32, 0, k)}
-}
+// reset empties t for a top-k query, keeping its arrays.
+func (t *topK) reset(k int) { t.k, t.idx, t.d2 = k, t.idx[:0], t.d2[:0] }
 
 // after reports whether candidate a ranks strictly after candidate b
 // (farther, or equally far but inserted later).

@@ -370,10 +370,10 @@ func TestConcurrentFirstQuery(t *testing.T) {
 }
 
 // TestCertifiedNearestAllocs pins the pooled scratch: a warm certified
-// Nearest allocates no more than the exact scan does — the embedding, the
-// re-rank heap and the result: 7 allocations, one fewer than before the
-// int8 path became the flat scan — because the query vector, its code row
-// and the shortlist heap come from searchPool.
+// Nearest allocates no more than the exact scan does — the embedding and
+// the result: 2 allocations — because the query vector, its code row, the
+// shortlist and the top-k heap both paths rank through come from
+// searchPool.
 func TestCertifiedNearestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -393,8 +393,8 @@ func TestCertifiedNearestAllocs(t *testing.T) {
 	if c, f := small.ScanStats(); c+f != 0 {
 		t.Fatalf("an index of %d rows is below the crossover, yet %d queries took the int8 path", small.Len(), c+f)
 	}
-	if certified > exact || exact > 7 {
-		t.Fatalf("Nearest allocates %v times certified, %v exact; want certified ≤ exact ≤ 7", certified, exact)
+	if certified > exact || exact > 2 {
+		t.Fatalf("Nearest allocates %v times certified, %v exact; want certified ≤ exact ≤ 2", certified, exact)
 	}
 }
 

@@ -2,6 +2,7 @@ package embed
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -12,14 +13,15 @@ import (
 // the store into a blocked []int8 code array — 4x less scan traffic —
 // scores candidates with an integer dot-product kernel (SIMD assembly on
 // amd64, a pure-Go loop elsewhere), keeps a shortlist by quantized
-// distance, and re-ranks the shortlist with exact float32 distances so
-// the final ranking (ties included) is decided by the same arithmetic as
-// the exact scan.
+// distance, and re-ranks the shortlist nearest-first with exact float32
+// distances so the final ranking (ties included) is decided by the same
+// arithmetic as the exact scan.
 //
-// The shortlist is then *certified* (certifiedSearch): a triangle-
-// inequality bound over the shared grid proves that no row left out of
-// the shortlist can rank among the top k, and a query whose proof does
-// not close re-runs as the exact scan. The path therefore returns the
+// The re-rank is *certified* as it goes (certifiedSearch): a triangle-
+// inequality bound over the shared grid proves that no row not yet
+// re-ranked can rank among the top k, the re-rank stops as soon as it
+// does, and a query whose proof does not close by the end of the list
+// re-runs as the exact scan. The path therefore returns the
 // exact scan's answer bit for bit, always — which is why it is the search
 // once an index is past certMinPoints, with nothing to switch it on or off.
 
@@ -207,8 +209,10 @@ const certMinPoints = 512
 // width 128 fell back on 0 of 11520, width 64 on 1, width 32 on 29; on
 // 100k synthetic texts, where distances concentrate, width 128 fell back
 // on 0 of 384 and width 64 on 6. At N = 4096 a fallback costs what four
-// certified queries do and re-ranking 128 rows a sixth of one, so the
-// wider list is the cheaper way to keep the share at zero.
+// certified queries do, while a certified query pays for the width only
+// in keeping the list: its re-rank stops where the proof closes, after
+// about eleven rows on the sim corpora whatever the width. So the wider
+// list is the cheap way to keep the share at zero.
 const certShortlist = 128
 
 // certSlack is the relative margin the certificate keeps for rounding. It
@@ -252,39 +256,45 @@ func (ix *Index) shortlistWidth(k int) int {
 }
 
 // certifiedSearch is the flat-index int8 path. One integer-kernel pass
-// over every code row keeps the width closest rows by code distance, the
-// exact float32 kernel re-ranks those into the top k, and one scalar test
-// then proves the answer equal to the exact scan's — or reports false,
-// and the caller runs the exact scan.
+// over every code row keeps the width closest rows by code distance
+// (shortlist), the exact float32 kernel re-ranks them nearest-first into
+// the top k, and one scalar test after each re-ranked row tries to prove
+// the answer equal to the exact scan's — or, the list spent, reports
+// false, and the caller runs the exact scan.
 //
 // The proof. Write x̂ for the grid point a vector's codes name. Grid
-// points are exactly scale·√D apart, D the integer code distance. Every
-// row v left out of the shortlist has D(q, v) ≥ D_root, the shortlist
-// heap's root, so by the triangle inequality
+// points are exactly scale·√D apart, D the integer code distance. Rows are
+// re-ranked in ascending code distance, so every row v not yet re-ranked —
+// later in the shortlist or left out of it — has D(q, v) ≥ D_next, the
+// code distance of the first row not yet re-ranked (once the whole list
+// is re-ranked, of its last row), and by the triangle inequality
 //
-//	‖q − v‖ ≥ ‖q̂ − v̂‖ − ‖q − q̂‖ − ‖v − v̂‖ ≥ scale·√D_root − ‖q − q̂‖ − resid = LB
+//	‖q − v‖ ≥ ‖q̂ − v̂‖ − ‖q − q̂‖ − ‖v − v̂‖ ≥ scale·√D_next − ‖q − q̂‖ − resid = LB
 //
 // with ‖q − q̂‖ measured for this query against the codes it was actually
 // given (so clamping a far-away query costs reach, never correctness) and
 // resid the largest ‖v − v̂‖ in the store. If LB², less the rounding
 // margin of certSlack, exceeds τ — the k-th smallest float32 d² among the
-// re-ranked rows — then every left-out row's float32 d² is strictly
-// greater than τ, the exact scan would have ranked it after all k kept
-// rows whatever its position, and the two answers are the same k rows
-// with distances from the same arithmetic. A NaN or ±Inf anywhere — in
-// q, in the store, in the grid — makes LB NaN or −Inf or τ +Inf, and
-// every comparison below is written to be false then.
+// rows re-ranked so far — then every row not yet re-ranked has a float32
+// d² strictly greater than τ, the exact scan would have ranked it after
+// all k kept rows whatever its position, and the two answers are the same
+// k rows with distances from the same arithmetic. reach = scale·√D_next
+// only grows and τ only shrinks as rows are added, so the test closes on
+// some prefix iff it closes on the whole list: stopping early changes
+// neither an answer nor which queries certify. A NaN or ±Inf anywhere — in
+// q, in the store, in the grid — makes LB NaN or −Inf or τ +Inf, and every
+// comparison below is written to be false then.
 func (ix *Index) certifiedSearch(sc *searchScratch, q []float32, k, skip, width int) ([]Neighbor, bool) {
 	qz := ix.ensureQuantized()
 	qRow, qNorm := qz.encodeQuery(sc.qRow, q)
 	sc.qRow = qRow
 	sl := &sc.short
 	sl.reset(width)
+	thr := sl.thr
 	for i := 0; i < len(ix.ids); i++ {
-		if i == skip {
-			continue
+		if key := shortKey(qz.codeD2(qNorm, qRow, i), i); key < thr && i != skip {
+			thr = sl.add(key)
 		}
-		sl.push(shortKey(qz.codeD2(qNorm, qRow, i), i))
 	}
 	return ix.certify(qz, sc, q, k, width)
 }
@@ -294,79 +304,168 @@ func (ix *Index) certifiedSearch(sc *searchScratch, q []float32, k, skip, width 
 // below 2³¹ (at most certMaxDim·255²) and shortlistWidth keeps indexes of
 // 2³² rows or more on the exact scan, so one unsigned comparison orders
 // candidates by (distance, position), the order the exact scan breaks
-// ties in.
+// ties in. Keys of distinct rows are distinct.
 func shortKey(d2 int64, pos int) uint64 { return uint64(d2)<<32 | uint64(pos) }
 
-// shortlist is the certified path's bounded max-heap of shortKeys: the
-// root is the worst candidate kept, so a closer one replaces it in
-// O(log width).
+// shortlist is the certified path's candidate buffer. It holds every key
+// offered below its threshold thr; when the buffer reaches twice the
+// width, cut keeps the width smallest and lowers thr to the largest of
+// them. A key dropped or refused is then larger than width keys already
+// seen, so it cannot be among the width smallest, and the buffer always
+// holds exactly the keys offered that are no larger than thr — all of
+// them until the first cut — and with them the width smallest. The caller
+// hoists thr into its scan loop and offers only keys below it.
 type shortlist struct {
-	k    int
-	keys []uint64
+	width int
+	thr   uint64
+	keys  []uint64
 }
 
-func (sl *shortlist) reset(width int) { sl.k, sl.keys = width, sl.keys[:0] }
-
-// full reports whether key cannot enter the list: it is full and key is
-// no smaller than the root. Rows are offered in position order, so a row
-// that ties the root's distance ranks after it.
-func (sl *shortlist) full(key uint64) bool { return len(sl.keys) == sl.k && key >= sl.keys[0] }
-
-func (sl *shortlist) push(key uint64) {
-	h := sl.keys
-	if len(h) < sl.k {
-		h = append(h, key)
-		for c := len(h) - 1; c > 0; { // sift up
-			p := (c - 1) / 2
-			if h[p] >= h[c] {
-				break
-			}
-			h[p], h[c] = h[c], h[p]
-			c = p
-		}
-		sl.keys = h
-		return
+func (sl *shortlist) reset(width int) {
+	sl.width, sl.thr = width, math.MaxUint64
+	if cap(sl.keys) < 2*width {
+		sl.keys = make([]uint64, 0, 2*width)
 	}
-	if key >= h[0] {
-		return
+	sl.keys = sl.keys[:0]
+}
+
+// add buffers key, which must be below thr, and returns the threshold the
+// next key must be below.
+func (sl *shortlist) add(key uint64) uint64 {
+	sl.keys = append(sl.keys, key)
+	if len(sl.keys) == 2*sl.width {
+		sl.cut()
 	}
-	h[0] = key
-	for p := 0; ; { // sift down
-		c := 2*p + 1
-		if c >= len(h) {
-			break
+	return sl.thr
+}
+
+// offerBlock offers the rows of one blocked-kernel call to query g of the
+// group: row lo+r has code norm rowNorms[r] and dot product
+// dots[r·GroupWidth+g] with the query, whose own norm is qNorm. The row at
+// skip is left out. Its own method so that the loop's few live values
+// stay in registers.
+func (sl *shortlist) offerBlock(qNorm int64, rowNorms, dots []int32, g, lo, skip int) {
+	thr := sl.thr
+	for r, rowNorm := range rowNorms {
+		if key := shortKey(qNorm+int64(rowNorm)-2*int64(dots[r*GroupWidth+g]), lo+r); key < thr && lo+r != skip {
+			thr = sl.add(key)
 		}
-		if r := c + 1; r < len(h) && h[r] > h[c] {
-			c = r
-		}
-		if h[c] <= h[p] {
-			break
-		}
-		h[p], h[c] = h[c], h[p]
-		p = c
 	}
 }
 
-// certify re-ranks a query's finished shortlist with the exact float32
-// kernel and runs the proof of certifiedSearch on it; sc.qRow must be the
-// code row the shortlist was scored with.
+// cut keeps the width smallest buffered keys and makes the largest of
+// them the threshold.
+func (sl *shortlist) cut() {
+	selectSmallest(sl.keys, sl.width)
+	sl.keys = sl.keys[:sl.width]
+	sl.thr = sl.keys[sl.width-1]
+}
+
+// selectSmallest rearranges distinct keys so that keys[:m] hold the m
+// smallest, keys[m-1] the largest of those (0 < m ≤ len(keys)). It is
+// quickselect with a median-of-three pivot and a branch-free partition —
+// the comparisons of a cut are coin flips, and a mispredicted branch each
+// made it three times slower — finished by insertion sort on short ranges.
+func selectSmallest(keys []uint64, m int) {
+	nth, lo, hi := m-1, 0, len(keys)
+	for hi-lo > 12 {
+		mid := lo + (hi-lo)/2
+		if keys[lo] > keys[mid] {
+			keys[lo], keys[mid] = keys[mid], keys[lo]
+		}
+		if keys[mid] > keys[hi-1] {
+			keys[mid], keys[hi-1] = keys[hi-1], keys[mid]
+		}
+		if keys[lo] > keys[mid] {
+			keys[lo], keys[mid] = keys[mid], keys[lo]
+		}
+		pivot := keys[mid] // the median of three, parked at the end
+		keys[mid], keys[hi-1] = keys[hi-1], pivot
+		s := lo
+		rest := keys[lo : hi-1]
+		for i, x := range rest { // keys[lo:s] < pivot ≤ keys[s:lo+i]
+			rest[i], keys[s] = keys[s], x
+			_, below := bits.Sub64(x, pivot, 0)
+			s += int(below)
+		}
+		keys[s], keys[hi-1] = pivot, keys[s]
+		switch {
+		case nth < s:
+			hi = s
+		case nth > s:
+			lo = s + 1
+		default:
+			return
+		}
+	}
+	insertionSort(keys[lo:hi])
+}
+
+// insertionSort sorts a short run of keys in place.
+func insertionSort(keys []uint64) {
+	for i := 1; i < len(keys); i++ {
+		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
+			keys[j], keys[j-1] = keys[j-1], keys[j]
+		}
+	}
+}
+
+// rerankChunk is how many shortlist rows certify puts in order at a time.
+// The proof closes after about eleven re-ranked rows on the sim corpora
+// (k = 5), so most queries order one chunk of the list and no more.
+const rerankChunk = 16
+
+// certify re-ranks a query's finished shortlist nearest-first with the
+// exact float32 kernel and runs the proof of certifiedSearch after each
+// row, stopping at the first that closes it; sc.qRow must be the code row
+// the shortlist was scored with. It orders the list a chunk at a time:
+// keys[:sorted] are the smallest, in order.
 func (ix *Index) certify(qz *quantized, sc *searchScratch, q []float32, k, width int) ([]Neighbor, bool) {
-	sl := &sc.short
-	t := newTopK(k)
-	for _, key := range sl.keys { // the re-rank's order is insensitive to push order
-		i := int(key & math.MaxUint32)
+	keys := sc.short.keys
+	t := &sc.top
+	t.reset(k)
+	sc.reranked = 0
+	if len(keys) < width { // not the width smallest of the index: nothing to prove with
+		ix.scans.fallbacks.Add(1)
+		return nil, false
+	}
+	rq := qz.residual(q, sc.qRow)
+	floor := float64(ix.dim) * 0x1p-126
+	sorted := 0
+	for j := 0; j < width; j++ {
+		if j == sorted {
+			sorted = orderNext(keys, sorted, width)
+		}
+		i := int(keys[j] & math.MaxUint32)
 		t.push(i, l2sq32(q, ix.vec(i)))
+		if len(t.idx) < k {
+			continue
+		}
+		next := min(j+1, width-1)
+		if next == sorted {
+			sorted = orderNext(keys, sorted, width)
+		}
+		reach := float64(qz.scale) * math.Sqrt(float64(keys[next]>>32))
+		lb := reach - rq - qz.resid
+		if lb > certSlack*reach && lb*lb*(1-certSlack) > float64(t.d2[0])+floor {
+			sc.reranked = j + 1
+			ix.scans.certified.Add(1)
+			return t.neighbors(ix.ids), true
+		}
 	}
-
-	reach := float64(qz.scale) * math.Sqrt(float64(sl.keys[0]>>32))
-	lb := reach - qz.residual(q, sc.qRow) - qz.resid
-	tau := float64(t.d2[0]) + float64(ix.dim)*0x1p-126
-	if len(sl.keys) == width && len(t.idx) == k && lb > certSlack*reach && lb*lb*(1-certSlack) > tau {
-		ix.scans.certified.Add(1)
-		return t.neighbors(ix.ids), true
-	}
+	sc.reranked = width
 	ix.scans.fallbacks.Add(1)
 	return nil, false
+}
+
+// orderNext puts the smallest keys of keys[from:] in ascending order at
+// keys[from:end], end being rerankChunk past from but no further than
+// width, and returns end.
+func orderNext(keys []uint64, from, width int) int {
+	end := min(from+rerankChunk, width)
+	selectSmallest(keys[from:], end-from)
+	insertionSort(keys[from : end-1])
+	return end
 }
 
 // GroupWidth is how many queries one blocked pass scores (NearestGroup
@@ -415,19 +514,13 @@ func (ix *Index) certifiedGroup(scs []*searchScratch, qs [][]float32, k int, ski
 		dots := gs.dots[:(hi-lo)*GroupWidth]
 		codeDotGroup(qz.codes[lo*qz.stride:hi*qz.stride], qz.stride, gs.wide, dots)
 		for g := range qs {
-			sl, skip, qNorm := &scs[g].short, skips[g], norms[g]
-			for i := lo; i < hi; i++ {
-				key := shortKey(qNorm+int64(qz.norms[i])-2*int64(dots[(i-lo)*GroupWidth+g]), i)
-				if i != skip && !sl.full(key) {
-					sl.push(key)
-				}
-			}
+			scs[g].short.offerBlock(norms[g], qz.norms[lo:hi], dots, g, lo, skips[g])
 		}
 	}
 	for g, q := range qs {
 		nn, ok := ix.certify(qz, scs[g], q, k, width)
 		if !ok {
-			nn = ix.exactScan(q, k, skips[g])
+			nn = ix.exactScanWith(&scs[g].top, q, k, skips[g])
 		}
 		out[g] = nn
 	}
