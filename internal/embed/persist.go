@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"unsafe"
+
+	"repro/internal/workflow"
 )
 
 // Index persistence (ISSUE 8): a built index — the contiguous float32
@@ -239,6 +241,9 @@ func saveIndex(path string, ix *Index, key fileKey) error {
 		return fmt.Errorf("embed: save index: %w", cw.err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
+		return fmt.Errorf("embed: save index: %w", err)
+	}
+	if err := workflow.SyncDir(filepath.Dir(path)); err != nil {
 		return fmt.Errorf("embed: save index: %w", err)
 	}
 	return nil

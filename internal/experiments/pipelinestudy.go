@@ -414,8 +414,8 @@ func OverlapScenario(ctx context.Context, latency time.Duration) (*OverlapScenar
 			return 0, 0, nil, err
 		}
 		var order callOrder
-		// One record in flight per stage keeps every stage's work serial so
-		// the latency model is legible.
+		// One window slot per streaming stage keeps the work close to
+		// serial so the latency model is legible.
 		cfg := pipeline.ExecConfig{Model: newModel(&order), Parallelism: 1, Materialized: materialized}
 		start := time.Now()
 		res, err := p.Run(ctx, cfg, tables)

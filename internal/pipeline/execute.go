@@ -76,17 +76,26 @@ type ExecConfig struct {
 	// disables batching).
 	Batch int
 	// Parallelism bounds concurrent LLM calls per operator (default
-	// core.DefaultParallelism). It is also each streaming stage's in-flight
-	// window: a stage starts the records waiting on its input the moment
-	// fewer than Parallelism are in flight, and hands every finished record
+	// core.DefaultParallelism). It is also the number of window slots each
+	// streaming stage owns: a stage starts a record waiting on its input
+	// the moment it can take a slot, and hands every finished record
 	// downstream at once, so round trips overlap across records and across
-	// stages. A record whose every ask is a cache hit is answered on the
-	// stage goroutine as it is admitted and never takes a slot: the window
-	// bounds what is in flight upstream. An impute stage runs records
-	// admitted together in groups of up to embed.GroupWidth that share one
-	// k-NN pass; each record still counts against the window, and each one
-	// the cache cannot answer still asks the model on its own.
-	// Parallelism 1 is strictly serial per stage.
+	// stages. A stage may also take the free slots of streaming stages
+	// downstream of it (over main-input or side edges, through streaming
+	// stages only) while those have no backlog; a slot goes back to its
+	// owner the moment the ask holding it returns. So one stage may have up
+	// to Parallelism × (1 + its streaming descendants) asks in flight, a
+	// stage with no streaming descendant — the last of a chain, or one of
+	// siblings reading one input — at most Parallelism, and the run at most
+	// Parallelism × its streaming stages. A record whose every ask is a
+	// cache hit is answered on the stage goroutine as it is admitted and
+	// never takes a slot: slots bound what is in flight upstream. An impute
+	// stage runs records admitted together in groups of up to
+	// embed.GroupWidth that share one k-NN pass; each record still holds a
+	// slot until its own result is in, and each one the cache cannot answer
+	// still asks the model on its own. Parallelism 1 is strictly serial in
+	// a stage with no streaming descendant, and so in a pipeline with one
+	// streaming stage.
 	Parallelism int
 	// Deprecated: no effect; kept because benchmark/layers.go assigns it — removed with the pipeline.run_ms.adaptive column.
 	Adaptive bool
@@ -127,12 +136,19 @@ type ExecConfig struct {
 	OnRecordError string
 }
 
-// window resolves the per-stage in-flight bound.
+// window resolves the window slots each streaming stage owns.
 func (cfg ExecConfig) window() int {
 	if cfg.Parallelism > 0 {
 		return cfg.Parallelism
 	}
 	return core.DefaultParallelism
+}
+
+// streamer returns the stage's streaming face when the run streams it:
+// every stage that can stream does, unless Materialized.
+func (cfg ExecConfig) streamer(st Stage) (Streamer, bool) {
+	s, ok := st.(Streamer)
+	return s, ok && s.CanStream() && !cfg.Materialized
 }
 
 // edgeBuffer is the capacity of every inter-stage channel. It is wider
@@ -231,7 +247,8 @@ type Env struct {
 	Tables map[string][]dataset.Record
 
 	keys  map[string]embed.SourceKey // ExecConfig.TableKeys, less any table a dynamic side replaced
-	width int                        // in-flight window of a streaming stage
+	slots *stageSlots                // a streaming stage's account in the run's slot ledger
+	width int                        // the slots of a window run on an Env built outside Run, which has no ledger
 	stats *stageStats
 	run   *runState
 	onErr string // resolved OnRecordError mode
@@ -589,12 +606,13 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 		}
 	}()
 
+	slots := p.slotLedger(cfg)
 	for i, st := range p.stages {
 		wg.Add(1)
-		go func(st Stage, spec StageSpec) {
+		go func(st Stage, spec StageSpec, slots *stageSlots) {
 			defer wg.Done()
-			p.runStage(ctx, cancel, cfg, rt, state, outs, inputs[st.Name()], tables, st, spec)
-		}(st, p.specs[i])
+			p.runStage(ctx, cancel, cfg, rt, state, outs, inputs[st.Name()], tables, st, spec, slots)
+		}(st, p.specs[i], slots[i])
 	}
 	wg.Wait()
 	// Fold resilience activity into the ledger even when the run failed:
@@ -670,7 +688,7 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 // the input (streamed or drained), run the operator, and emit outputs.
 func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg ExecConfig, rt *execRuntime,
 	state *runState, outs map[string]*streamOut, in <-chan seqRecord, tables map[string][]dataset.Record,
-	st Stage, spec StageSpec) {
+	st Stage, spec StageSpec, slots *stageSlots) {
 	out := outs[st.Name()]
 	defer out.finish()
 	up := outs[st.Input()]
@@ -697,7 +715,7 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 	}
 
 	env := &Env{Engine: rt.engineFor(), Budget: rt.budget, Tables: tables, keys: cfg.TableKeys,
-		width: cfg.window(), stats: &stageStats{stage: st.Name()}, run: state,
+		slots: slots, stats: &stageStats{stage: st.Name()}, run: state,
 		onErr: cfg.OnRecordError}
 	defer env.stats.flush(rt.attr)
 
@@ -718,8 +736,7 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 		size = len(tables["source"])
 	}
 
-	streamer, ok := st.(Streamer)
-	if ok && streamer.CanStream() && !cfg.Materialized {
+	if streamer, ok := cfg.streamer(st); ok {
 		if spec.Kind != KindJoin { // one output at most per record
 			out.got.presize(size)
 		}

@@ -14,8 +14,9 @@
 //
 // Run executes the DAG as a streaming dataflow: stages exchange records
 // over bounded channels, and a per-record stage (filter, direct
-// categorize, fixed-strategy impute, nested-loop join) keeps up to
-// Parallelism records in flight, handing each downstream the moment it
+// categorize, fixed-strategy impute, nested-loop join) owns Parallelism
+// in-flight slots and runs a backlog on the idle slots of the streaming
+// stages downstream of it, handing each record downstream the moment it
 // finishes — upstream round trips overlap across records and stages, and
 // sequence keys restore table order at collection — while barrier stages
 // (sort/max/count, resolve, planner-driven impute) drain their input

@@ -54,12 +54,12 @@ type Streamer interface {
 // recordOp is a streaming stage's prepared operator.
 type recordOp struct {
 	// ask runs one record's unit task and returns its output records, in
-	// output order. It is called from up to Env.width goroutines at once,
-	// and first, for an operator without a group form, on the stage
-	// goroutine under workflow.HitsOnly. An ask that ends in
-	// workflow.ErrNotCached there must have had no effect, because the
-	// window then runs it again for real: whatever it counts, it counts
-	// only on another outcome.
+	// output order. It is called from as many goroutines at once as the
+	// stage's window holds slots, and first, for an operator without a
+	// group form, on the stage goroutine under workflow.HitsOnly. An ask
+	// that ends in workflow.ErrNotCached there must have had no effect,
+	// because the window then runs it again for real: whatever it counts,
+	// it counts only on another outcome.
 	ask func(ctx context.Context, r dataset.Record) ([]dataset.Record, error)
 	// group, when set, is the operator's group form: the window hands it
 	// the records it admits together, up to embed.GroupWidth at a time, so
@@ -86,25 +86,31 @@ type recordOp struct {
 // and the record is reported once its real ask returns.
 type groupTask[T any] func(ctx context.Context, recs []dataset.Record, emit func(i int, out T, err error))
 
-// window is the executor's one streaming loop. Each turn it admits every
-// record already waiting on in, up to env.width in flight, or takes a
-// finished record's result — and then every other result already there,
-// so that slots freed together are filled together. prepare runs once, on
-// the stage goroutine, at the first record, and returns the operator's
-// group form if it has one.
+// window is the executor's one streaming loop. Each turn it hands on the
+// results already finished, then admits every record already waiting on
+// in while the stage's ledger has a slot to give — one of its own, or one
+// a stage downstream of it is not using (see slotLedger) — or takes a
+// finished record's result and every other result already there. prepare
+// runs once, on the stage goroutine, at the first record, and returns the
+// operator's group form if it has one.
 //
 // Without a group form, an admitted record is probed first: task runs on
 // the stage goroutine under workflow.HitsOnly, and if every ask it makes
 // is a cache hit, the record is done right there, without taking a slot.
-// Only a record that misses runs task again on a goroutine of its own.
-// With a group form, admitted records run in groups of at most
-// embed.GroupWidth, cut in sequence-key order, one goroutine per group
-// (which probes its own records); a record admitted alone runs task on a
-// goroutine of its own. Either way done is called on the stage goroutine
-// for each record the moment its result is known, in completion order. A
-// non-nil error from prepare or done ends the loop, which cancels and
-// waits out the records still in flight before returning. Time blocked
-// with an empty window is the stage's Wait.
+// Only a record that misses takes a slot and runs task again on a
+// goroutine of its own. With a group form, admitted records take a slot
+// each and run in groups of at most embed.GroupWidth, cut in sequence-key
+// order, one goroutine per group (which probes its own records); a record
+// admitted alone runs task on a goroutine of its own. A record that finds
+// no slot is held on the stage goroutine, and the stage admits nothing
+// more, until one comes free. Each slot goes back to the ledger from the
+// goroutine whose ask returned, before its result is handed back, so a
+// stage blocked handing records downstream holds none. done is called on
+// the stage goroutine for each record the moment its result is known, in
+// completion order. A non-nil error from prepare or done ends the loop,
+// which cancels and waits out the records still in flight before
+// returning. Time blocked for input with nothing in flight is the stage's
+// Wait; time holding a record for a slot is not.
 //
 // Cancellation is also polled at the top of every turn and before each
 // further record a turn admits: Go's select picks among ready cases at
@@ -117,13 +123,21 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 		out T
 		err error
 	}
+	slots := env.slots
+	if slots == nil {
+		slots = soloSlots(env.width)
+	}
+	slots.join(in)
 	tctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	pctx, probe := workflow.HitsOnly(tctx)
-	results := make(chan result, env.width) // a slot per in-flight record: tasks never block
-	consumed, inflight := 0, 0
+	// Room for every record the stage can have in flight: a task gives its
+	// slot back before it sends, so it waits here only while the stage has
+	// started records ahead of taking earlier results.
+	results := make(chan result, slots.reach())
+	consumed, inflight, room := 0, 0, 0
 	var group groupTask[T]
-	var admitted []seqRecord
+	var held []seqRecord // admitted records waiting for a slot
 	stop := func(err error) (int, error) {
 		cancel()
 		for ; inflight > 0; inflight-- {
@@ -135,23 +149,9 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 		inflight++
 		go func() {
 			out, err := task(tctx, r.rec)
+			slots.release()
 			results <- result{r, out, err}
 		}()
-	}
-	// admit takes one record. Without a group form it is done inline when
-	// its probe hits and started at once when it misses; with one it waits
-	// in admitted for the turn's groups to be cut.
-	admit := func(r seqRecord) error {
-		consumed++
-		if group != nil {
-			admitted = append(admitted, r)
-			return nil
-		}
-		if out, err := task(pctx, r.rec); probe.Settle(tctx, err) {
-			return done(r, out, err)
-		}
-		run(r)
-		return nil
 	}
 	runGroup := func(rs []seqRecord) {
 		if len(rs) == 1 {
@@ -159,30 +159,102 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 			return
 		}
 		inflight += len(rs)
-		rs = slices.Clone(rs) // admitted is reused next turn
+		rs = slices.Clone(rs) // held is reused
 		go func() {
 			recs := make([]dataset.Record, len(rs))
 			for i, r := range rs {
 				recs[i] = r.rec
 			}
-			group(tctx, recs, func(i int, out T, err error) { results <- result{rs[i], out, err} })
+			group(tctx, recs, func(i int, out T, err error) {
+				slots.release()
+				results <- result{rs[i], out, err}
+			})
 		}()
 	}
-	for in != nil || inflight > 0 {
+	// start runs the held records on the slots the ledger grants: one by
+	// one in arrival order without a group form, cut into groups in
+	// sequence-key order with one. Records left without a slot stay held,
+	// and the turn's room is spent.
+	start := func() {
+		if group != nil {
+			slices.SortFunc(held, func(a, b seqRecord) int { return cmp.Compare(a.seq, b.seq) })
+		}
+		n := slots.take(len(held))
+		if group == nil {
+			for _, r := range held[:n] {
+				run(r)
+			}
+		} else {
+			for lo := 0; lo < n; lo += embed.GroupWidth {
+				runGroup(held[lo:min(lo+embed.GroupWidth, n)])
+			}
+		}
+		if room -= n; n < len(held) {
+			room = 0
+		}
+		held = held[:copy(held, held[n:])]
+	}
+	// admit takes one record. Without a group form it is done inline when
+	// its probe hits and started at once when it misses; with one it is
+	// held until the turn's groups are cut.
+	admit := func(r seqRecord) error {
+		consumed++
+		if group == nil {
+			if out, err := task(pctx, r.rec); probe.Settle(tctx, err) {
+				return done(r, out, err)
+			}
+		}
+		held = append(held, r)
+		if group == nil {
+			start()
+		}
+		return nil
+	}
+	collect := func(res result) error {
+		for {
+			inflight--
+			if err := done(res.in, res.out, res.err); err != nil {
+				return err
+			}
+			select {
+			case res = <-results:
+			default:
+				return nil
+			}
+		}
+	}
+	for in != nil || inflight > 0 || len(held) > 0 {
 		if err := ctx.Err(); err != nil {
 			return stop(err)
 		}
-		next := in
-		if inflight == env.width {
-			next = nil
+		if len(held) > 0 {
+			start()
+		}
+		if inflight > 0 && len(results) > 0 {
+			if err := collect(<-results); err != nil {
+				return stop(err)
+			}
+			continue
+		}
+		// Read on while a slot is free, or while nothing is in flight: a
+		// stage whose own slots are all lent still takes its next record
+		// and holds it, so its backlog keeps borrowers off the slots as
+		// they come back, and the wait for that record counts as Wait.
+		room = 0
+		if len(held) == 0 {
+			room = slots.avail()
+		}
+		next, wake := in, (<-chan struct{})(nil)
+		if len(held) > 0 || (room == 0 && inflight > 0) {
+			next, wake = nil, slots.wake
 		}
 		var idle time.Time
-		if inflight == 0 {
+		if inflight == 0 && next != nil {
 			idle = time.Now()
 		}
 		select {
 		case r, ok := <-next:
-			if inflight == 0 {
+			if !idle.IsZero() {
 				env.stats.t.Wait += time.Since(idle)
 			}
 			if !ok {
@@ -195,12 +267,11 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 					return stop(err)
 				}
 			}
-			admitted = admitted[:0]
 			if err := admit(r); err != nil {
 				return stop(err)
 			}
 		waiting:
-			for inflight+len(admitted) < env.width {
+			for room > len(held) {
 				if err := ctx.Err(); err != nil {
 					return stop(err)
 				}
@@ -217,25 +288,14 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 					break waiting
 				}
 			}
-			if len(admitted) == 0 {
-				continue
-			}
-			slices.SortFunc(admitted, func(a, b seqRecord) int { return cmp.Compare(a.seq, b.seq) })
-			for lo := 0; lo < len(admitted); lo += embed.GroupWidth {
-				runGroup(admitted[lo:min(lo+embed.GroupWidth, len(admitted))])
+			if group != nil {
+				start()
 			}
 		case res := <-results:
-			for more := true; more; {
-				inflight--
-				if err := done(res.in, res.out, res.err); err != nil {
-					return stop(err)
-				}
-				select {
-				case res = <-results:
-				default:
-					more = false
-				}
+			if err := collect(res); err != nil {
+				return stop(err)
 			}
+		case <-wake:
 		case <-ctx.Done():
 			return stop(ctx.Err())
 		}

@@ -2,12 +2,15 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -72,61 +75,160 @@ func TestWindowOverlapsRecordsAcrossStages(t *testing.T) {
 	}
 }
 
-// TestWindowBoundsInFlightPerStage: a stage never has more than
-// Parallelism asks upstream at once — the window admits records, not
-// asks, and every per-record operator (the nested-loop join's whole right
-// side included) asks one question at a time — and a stage with enough
-// input does fill its window.
-func TestWindowBoundsInFlightPerStage(t *testing.T) {
-	const width = 3
-	var mu sync.Mutex
-	inflight, peak := map[string]int{}, map[string]int{}
-	model := llm.Func{ModelName: "counting", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
-		stage := workflow.StageTag(ctx)
-		mu.Lock()
-		inflight[stage]++
-		if inflight[stage] > peak[stage] {
-			peak[stage] = inflight[stage]
-		}
-		mu.Unlock()
-		time.Sleep(2 * time.Millisecond)
-		mu.Lock()
-		inflight[stage]--
-		mu.Unlock()
-		if strings.Contains(req.Prompt, "Assign the following item") {
-			return unit("a"), nil
-		}
-		return unit("Yes"), nil
-	}}
+// TestWindowLendsIdleSlotsDownstream pins the window's slot ledger: each
+// streaming stage owns Parallelism slots, and a stage with a backlog also
+// runs on the slots of its streaming descendants that they are not using.
+// So the head of a chain with 16 records ready and idle descendants goes
+// above Parallelism; a stage with no streaming descendant — the chain's
+// last stage, and a sibling reading the same source — never does and does
+// fill its window; every stage stays within its own slots plus its
+// descendants'; and the run never has more asks in flight than its
+// streaming stages own. The window admits records, not asks, and every
+// per-record operator (the nested-loop join's whole right side included)
+// asks one question at a time, so the asks a stage has in flight are its
+// slots in use.
+func TestWindowLendsIdleSlotsDownstream(t *testing.T) {
 	right := []dataset.Record{
 		{ID: "r1", Fields: []dataset.Field{{Name: "name", Value: "side one"}}},
 		{ID: "r2", Fields: []dataset.Field{{Name: "name", Value: "side two"}}},
 		{ID: "r3", Fields: []dataset.Field{{Name: "name", Value: "side three"}}},
 	}
-	tables := flavorTables(16)
-	tables["right"] = right
 	p, err := Compile(Spec{Stages: []StageSpec{
 		{Name: "keep", Kind: KindFilter, Field: "name", Predicate: "p"},
 		{Name: "cat", Kind: KindCategorize, Field: "name", Categories: []string{"a"}},
 		{Name: "match", Kind: KindJoin, Field: "name", Side: "right", Strategy: "nested-loop"},
+		{Name: "twin", Kind: KindFilter, Field: "name", Predicate: "q", Input: "source"},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Run(context.Background(), ExecConfig{Model: model, Parallelism: width}, tables)
+	descendants := map[string]int{"keep": 2, "cat": 1, "match": 0, "twin": 0}
+	for _, width := range []int{1, 2, 3} {
+		var mu sync.Mutex
+		inflight, peak := map[string]int{}, map[string]int{}
+		total, totalPeak := 0, 0
+		model := llm.Func{ModelName: "counting", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
+			stage := workflow.StageTag(ctx)
+			mu.Lock()
+			inflight[stage]++
+			peak[stage] = max(peak[stage], inflight[stage])
+			total++
+			totalPeak = max(totalPeak, total)
+			mu.Unlock()
+			time.Sleep(2 * time.Millisecond)
+			mu.Lock()
+			inflight[stage]--
+			total--
+			mu.Unlock()
+			if strings.Contains(req.Prompt, "Assign the following item") {
+				return unit("a"), nil
+			}
+			return unit("Yes"), nil
+		}}
+		tables := flavorTables(16)
+		tables["right"] = right
+		res, err := p.Run(context.Background(), ExecConfig{Model: model, Parallelism: width}, tables)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(res.Tables["match"]); got != 16*len(right) {
+			t.Fatalf("width %d: match table has %d rows, want %d", width, got, 16*len(right))
+		}
+		for stage, d := range descendants {
+			if bound := width * (1 + d); peak[stage] > bound {
+				t.Errorf("width %d: stage %q had %d asks in flight, want at most %d (its own %d slots and %d descendants')",
+					width, stage, peak[stage], bound, width, d)
+			}
+		}
+		for _, stage := range []string{"match", "twin"} {
+			if peak[stage] != width {
+				t.Errorf("width %d: stage %q with no streaming descendant peaked at %d asks in flight, want its full window %d",
+					width, stage, peak[stage], width)
+			}
+		}
+		if peak["keep"] <= width {
+			t.Errorf("width %d: stage %q peaked at %d asks in flight with 16 records ready and idle descendants, want more than %d",
+				width, "keep", peak["keep"], width)
+		}
+		if bound := width * len(descendants); totalPeak > bound {
+			t.Errorf("width %d: the run had %d asks in flight, want at most %d (%d streaming stages' own slots)",
+				width, totalPeak, bound, len(descendants))
+		}
+	}
+}
+
+// TestWindowLendingLiveness: a downstream stage whose asks never return
+// on their own holds its own slots for good, and its upstream must still
+// run on its own slots to the end of its input, which trickles in. The upstream reaches its
+// poisoned record, the run fails with that stage's error, and the
+// cancellation it causes unblocks the downstream asks, leaving no
+// goroutine behind.
+func TestWindowLendingLiveness(t *testing.T) {
+	const n = 8
+	names := dataset.FlavorNames()
+	poison := errors.New("poisoned record")
+	p, err := Compile(Spec{Stages: []StageSpec{
+		{Name: "up", Kind: KindFilter, Field: "name", Predicate: "p"},
+		{Name: "down", Kind: KindCategorize, Field: "name", Categories: []string{"a"}},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(res.Tables["match"]); got != 16*len(right) {
-		t.Fatalf("match table has %d rows, want %d", got, 16*len(right))
-	}
-	for _, stage := range []string{"keep", "cat", "match"} {
-		if peak[stage] > width {
-			t.Errorf("stage %q had %d asks in flight, want at most %d", stage, peak[stage], width)
+	for _, width := range []int{1, 2} {
+		before := runtime.NumGoroutine()
+		var blocked atomic.Int32
+		model := llm.Func{ModelName: "stuck", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
+			if workflow.StageTag(ctx) == "down" {
+				blocked.Add(1)
+				<-ctx.Done()
+				return llm.Response{}, ctx.Err()
+			}
+			if strings.Contains(req.Prompt, names[n-1]) {
+				// Poison only once the downstream holds its whole window.
+				for deadline := time.Now().Add(10 * time.Second); blocked.Load() < int32(width); time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						return llm.Response{}, errors.New("the downstream stage never filled its window")
+					}
+				}
+				return llm.Response{}, poison
+			}
+			return unit("Yes"), nil
+		}}
+		// The records trickle in, so the upstream often idles with slots
+		// free while the downstream has a backlog: the downstream must not
+		// take them.
+		source := flavorTables(n)["source"]
+		feed := make(chan dataset.Record)
+		go func() {
+			defer close(feed)
+			for _, r := range source[1:] {
+				time.Sleep(2 * time.Millisecond)
+				feed <- r
+			}
+		}()
+		finished := make(chan error, 1)
+		go func() {
+			tables := map[string][]dataset.Record{"source": source[:1]}
+			_, err := p.Run(context.Background(), ExecConfig{Model: model, Parallelism: width, Feed: feed}, tables)
+			finished <- err
+		}()
+		select {
+		case err := <-finished:
+			if !errors.Is(err, poison) || !strings.Contains(err.Error(), `stage "up"`) {
+				t.Fatalf("width %d: run failed with %v, want the upstream stage's poisoned record", width, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("width %d: the upstream starved behind a downstream stage whose asks never return", width)
 		}
-	}
-	if peak["keep"] != width {
-		t.Errorf("stage %q peaked at %d asks in flight with 16 records ready, want the full window %d", "keep", peak["keep"], width)
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("width %d: goroutines leaked: %d before, %d after\n%s",
+					width, before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
 	}
 }
 

@@ -340,12 +340,16 @@ func (m *Model) Complete(ctx context.Context, req llm.Request) (llm.Response, er
 
 // attemptHedged runs one attempt, optionally racing a hedged duplicate
 // launched HedgeAfter into the wait. The first completion wins; the
-// loser's result is drained and dropped. Hedges spend the same
+// loser's attempt is cancelled and its result dropped. Hedges spend the same
 // AllowRetry budget as retries.
 func (m *Model) attemptHedged(ctx context.Context, req llm.Request) (llm.Response, error) {
 	if m.policy.HedgeAfter <= 0 {
 		return m.attempt(ctx, req)
 	}
+	// The loser is cancelled the moment a winner returns: nothing above
+	// settles it, so it must not run on.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	type result struct {
 		resp   llm.Response
 		err    error

@@ -311,9 +311,12 @@ func DeclserverMultiTenant() *Scenario {
 // story: a deterministic fault burst flickers mid-run and retries heal
 // every fault invisibly; then a total outage window forces one record
 // into quarantine while the run still completes; then the storm clears
-// and the next run repairs the gap. Serial execution (Parallelism 1: one
-// record in flight per stage) keeps the burst window's call-order
-// arithmetic exact, so the retry and quarantine counts pin.
+// and the next run repairs the gap. Serial execution keeps the burst
+// window's call-order arithmetic exact, so the retry and quarantine
+// counts pin: at Parallelism 1 a stage has one record in flight unless
+// it borrows the idle slots of streaming stages downstream of it, and
+// kindSpec has one streaming stage — its count is a barrier — so the
+// filter has nothing to borrow.
 func FaultBurstRecovery() *Scenario {
 	arrivals := []dataset.Record{
 		rec("late-w0", "kind", "widget"),

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/token"
+	"repro/internal/workflow"
 )
 
 // TenantsFileName is the per-tenant spend ledger persisted under
@@ -56,10 +57,24 @@ func (s *Server) saveTenants() error {
 	}
 	path := filepath.Join(s.cfg.StateDir, TenantsFileName)
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	_, err = f.Write(append(data, '\n'))
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return workflow.SyncDir(s.cfg.StateDir)
 }
 
 // loadTenants restores tenant spend from StateDir/tenants.json: each

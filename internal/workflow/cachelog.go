@@ -398,6 +398,9 @@ func (lg *CacheLog) rewrite(entries []cacheEntry) error {
 	if err := os.Rename(tmp.Name(), lg.path); err != nil {
 		return fmt.Errorf("workflow: compact cache log: %w", err)
 	}
+	if err := SyncDir(filepath.Dir(lg.path)); err != nil {
+		return fmt.Errorf("workflow: compact cache log: %w", err)
+	}
 	f, err := os.OpenFile(lg.path, os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("workflow: reopen compacted cache log: %w", err)
@@ -412,4 +415,19 @@ func (lg *CacheLog) rewrite(entries []cacheEntry) error {
 	lg.size = size
 	lg.replayed = true // the rewritten file is fully known
 	return nil
+}
+
+// SyncDir flushes a directory's entries to stable storage, so a file
+// renamed into it survives a crash under its new name; fsyncing the file
+// alone makes its bytes durable, not the rename.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }

@@ -7,8 +7,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/llm"
+	"repro/internal/resil"
 	"repro/internal/token"
 )
 
@@ -91,6 +93,54 @@ func TestMeterSettlesOnce(t *testing.T) {
 			}
 		})
 	}
+
+	// A hedged call below the meter: the first attempt stalls, the hedge
+	// answers at once. The winner is settled once everywhere; the loser is
+	// cancelled and settled nowhere, though it bills.
+	t.Run("hedge loser", func(t *testing.T) {
+		var upstream atomic.Int64
+		loserCancelled := make(chan struct{})
+		inner := llm.Func{ModelName: "m", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
+			if upstream.Add(1) == 1 {
+				select {
+				case <-ctx.Done():
+					close(loserCancelled)
+					return llm.Response{Usage: big}, ctx.Err()
+				case <-time.After(10 * time.Second):
+					return llm.Response{Text: "late", Model: "m", Usage: big}, nil
+				}
+			}
+			return llm.Response{Text: "ok", Model: "m", Usage: small}, nil
+		}}
+		budget := Unlimited()
+		tenants := NewAttribution()
+		run := tenants.Child("tenant")
+		m := NewMeter(resil.Wrap(inner, resil.Policy{HedgeAfter: time.Millisecond}), budget, run)
+		resp, err := m.Complete(TagStage(context.Background(), "stage"), llm.Request{Prompt: "p"})
+		if err != nil || resp.Text != "ok" {
+			t.Fatalf("hedged call = %q, %v; want the hedge's answer", resp.Text, err)
+		}
+		select {
+		case <-loserCancelled:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the losing attempt's context was never cancelled")
+		}
+		if n := upstream.Load(); n != 2 {
+			t.Fatalf("upstream calls = %d, want 2 (the stalled attempt and its hedge)", n)
+		}
+		if spent, _ := budget.Spent(); spent != small {
+			t.Fatalf("budget = %+v, want the winner's %+v once", spent, small)
+		}
+		if got := m.Usage(); got != small {
+			t.Fatalf("invocation usage = %+v, want the winner's %+v once", got, small)
+		}
+		if got := run.Usage("stage"); got != small {
+			t.Fatalf("run ledger = %+v, want the winner's %+v once", got, small)
+		}
+		if got := tenants.Usage("tenant"); got != small {
+			t.Fatalf("tenant ledger = %+v, want the winner's %+v once", got, small)
+		}
+	})
 }
 
 // TestMeterConcurrentHammer drives many invocations' meters against one
