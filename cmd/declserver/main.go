@@ -59,7 +59,7 @@ func main() {
 	tenantRate := flag.Float64("tenant-rate", 100, "default per-tenant submissions/second")
 	tenantBurst := flag.Int("tenant-burst", 32, "default per-tenant submission burst")
 	batch := flag.Int("batch", 0, "unit tasks per envelope (0 = no batching; batching blurs per-tenant hit shares)")
-	parallelism := flag.Int("parallelism", 0, "per-job operator parallelism and in-flight window slots owned by each streaming stage; a stage with a backlog also runs on idle downstream stages' slots (0 = default)")
+	parallelism := flag.Int("parallelism", 0, "per-job operator parallelism and in-flight window width of each streaming stage; a stage with a backlog also runs on the width idle downstream stages leave (0 = default)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain bound on shutdown")
 	faults := flag.String("faults", "",
 		"inject deterministic upstream faults: key=val,... over seed, transient, timeout, ratelimit, permanent, malformed, wrong-section, burst-every, burst-len (empty = none)")

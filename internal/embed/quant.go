@@ -190,13 +190,15 @@ func (ix *Index) ensureQuantized() *quantized {
 }
 
 // certMinPoints is the index size from which queries take the certified
-// int8 path. BenchmarkIndexNearest runs the exact scan and that path (the
-// crossover set aside) side by side at N = 64 … 16384
-// (table in docs/VECTOR.md): at dim 256 the two are level at N = 256, the
-// certified path is 1.4x ahead at 512, 3.4x at 4096 and 5.4x at 16384,
-// and the sim corpora certify every held-out query at each of those
-// sizes. Below 512 the fixed costs — encoding the query, re-ranking the
-// shortlist — eat the saving on a scan that fits in cache anyway.
+// int8 path. It is not where the two paths meet: with the code array
+// already built, the certified path is ahead from the smallest index the
+// 4k ≤ n/2 rule of shortlistWidth admits (held-out queries, k = 3, one
+// core of a 2-core Xeon: 5.9–9.3 µs against 13.2–17.8 µs exact at N = 64,
+// 20.9–21.9 µs against 85.7–87.8 µs at N = 300; docs/VECTOR.md). The gate
+// is there for the build: buildQuantized takes 0.23–0.25 ms at N = 64 and
+// 0.99–1.14 ms at N = 300, about 40 and 16 queries' saving, which a small
+// index queried only a few times — such as the one core.NearestTrainValues
+// builds per call — never gets back.
 const certMinPoints = 512
 
 // certShortlist is the shortlist width the certified path keeps by code

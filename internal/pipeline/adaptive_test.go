@@ -305,7 +305,7 @@ func TestWindowCancellation(t *testing.T) {
 	task := uncached(nil)
 	done := func(_ seqRecord, _ struct{}, err error) error { return err }
 	noGroup := func() (groupTask[struct{}], error) { return nil, nil }
-	env := func() *Env { return &Env{width: 2, stats: &stageStats{stage: "s"}} }
+	env := func() *Env { return &Env{slots: soloSlots(2), stats: &stageStats{stage: "s"}} }
 
 	// Idle upstream: block on an open, empty channel; cancel mid-wait.
 	idle := make(chan seqRecord)
@@ -380,7 +380,7 @@ func TestWindowCancellation(t *testing.T) {
 		}
 		return done(r, out, err)
 	}
-	consumed, err := window(wctx, &Env{width: 4, stats: &stageStats{stage: "s"}}, warm, noGroup, uncached(hits), cancelling)
+	consumed, err := window(wctx, &Env{slots: soloSlots(4), stats: &stageStats{stage: "s"}}, warm, noGroup, uncached(hits), cancelling)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("window cancelled mid-stream of inline hits returned %v, want the context's error", err)
 	}

@@ -76,26 +76,29 @@ type ExecConfig struct {
 	// disables batching).
 	Batch int
 	// Parallelism bounds concurrent LLM calls per operator (default
-	// core.DefaultParallelism). It is also the number of window slots each
-	// streaming stage owns: a stage starts a record waiting on its input
-	// the moment it can take a slot, and hands every finished record
-	// downstream at once, so round trips overlap across records and across
-	// stages. A stage may also take the free slots of streaming stages
-	// downstream of it (over main-input or side edges, through streaming
-	// stages only) while those have no backlog; a slot goes back to its
-	// owner the moment the ask holding it returns. So one stage may have up
-	// to Parallelism × (1 + its streaming descendants) asks in flight, a
+	// core.DefaultParallelism). It is also the window width each streaming
+	// stage brings to its run's slot count: a stage starts a record
+	// waiting on its input the moment it can take a slot, and hands every
+	// finished record downstream at once, so round trips overlap across
+	// records and across stages. A stage may take what is left of its own
+	// width and of the width of each streaming stage downstream of it
+	// (over main-input or side edges, through streaming stages only) that
+	// has no backlog; slots are counted, not owned, and an ask gives its
+	// slot back the moment it returns. So one stage may have up to
+	// Parallelism × (1 + its streaming descendants) asks in flight, a
 	// stage with no streaming descendant — the last of a chain, or one of
-	// siblings reading one input — at most Parallelism, and the run at most
-	// Parallelism × its streaming stages. A record whose every ask is a
-	// cache hit is answered on the stage goroutine as it is admitted and
-	// never takes a slot: slots bound what is in flight upstream. An impute
-	// stage runs records admitted together in groups of up to
-	// embed.GroupWidth that share one k-NN pass; each record still holds a
-	// slot until its own result is in, and each one the cache cannot answer
-	// still asks the model on its own. Parallelism 1 is strictly serial in
-	// a stage with no streaming descendant, and so in a pipeline with one
-	// streaming stage.
+	// siblings reading one input — at most Parallelism, and the run at
+	// most Parallelism × its streaming stages. Every record starts through
+	// a group form: an impute stage's runs the records admitted together
+	// in groups of up to embed.GroupWidth that share one k-NN pass, and
+	// every other operator's is its per-record ask, one record at a time.
+	// A record of the latter whose every ask is a cache hit is answered on
+	// the stage goroutine as it is admitted and never takes a slot: slots
+	// bound what is in flight upstream. Each record of a group still holds
+	// a slot until its own result is in, and each one the cache cannot
+	// answer still asks the model on its own. Parallelism 1 is strictly
+	// serial in a stage with no streaming descendant, and so in a pipeline
+	// with one streaming stage.
 	Parallelism int
 	// Deprecated: no effect; kept because benchmark/layers.go assigns it — removed with the pipeline.run_ms.adaptive column.
 	Adaptive bool
@@ -136,7 +139,7 @@ type ExecConfig struct {
 	OnRecordError string
 }
 
-// window resolves the window slots each streaming stage owns.
+// window resolves the window width each streaming stage brings to its ledger.
 func (cfg ExecConfig) window() int {
 	if cfg.Parallelism > 0 {
 		return cfg.Parallelism
@@ -248,7 +251,6 @@ type Env struct {
 
 	keys  map[string]embed.SourceKey // ExecConfig.TableKeys, less any table a dynamic side replaced
 	slots *stageSlots                // a streaming stage's account in the run's slot ledger
-	width int                        // the slots of a window run on an Env built outside Run, which has no ledger
 	stats *stageStats
 	run   *runState
 	onErr string // resolved OnRecordError mode

@@ -79,7 +79,7 @@ func TestWindowGroupsEmitPerRecord(t *testing.T) {
 		if layer != nil {
 			opts = append(opts, core.WithExecutionLayer(layer))
 		}
-		env := &Env{Engine: core.New(held(asked, release), opts...), Tables: tables, width: len(group),
+		env := &Env{Engine: core.New(held(asked, release), opts...), Tables: tables, slots: soloSlots(len(group)),
 			stats: &stageStats{stage: spec.Name}, run: &runState{details: make(map[string]string)}}
 		in := make(chan seqRecord, len(group))
 		for i, r := range group {

@@ -14,16 +14,17 @@
 //
 // Run executes the DAG as a streaming dataflow: stages exchange records
 // over bounded channels, and a per-record stage (filter, direct
-// categorize, fixed-strategy impute, nested-loop join) owns Parallelism
-// in-flight slots and runs a backlog on the idle slots of the streaming
-// stages downstream of it, handing each record downstream the moment it
-// finishes — upstream round trips overlap across records and stages, and
-// sequence keys restore table order at collection — while barrier stages
-// (sort/max/count, resolve, planner-driven impute) drain their input
-// first. A join's right side or an impute's example pool may name an
-// earlier stage instead of a static table; the executor materializes
-// that stage's stream once and fans it out, while a streamable consumer
-// buffers its main input and streams the moment the side table lands.
+// categorize, fixed-strategy impute, nested-loop join) brings Parallelism
+// in-flight slots to a shared count and runs a backlog on the width the
+// idle streaming stages downstream of it leave, handing each record
+// downstream the moment it finishes — upstream round trips overlap
+// across records and stages, and sequence keys restore table order at
+// collection — while barrier stages (sort/max/count, resolve,
+// planner-driven impute) drain their input first. A join's right side or
+// an impute's example pool may name an earlier stage instead of a static
+// table; the executor materializes that stage's stream once and fans it
+// out, while a streamable consumer buffers its main input and streams the
+// moment the side table lands.
 // Every stage shares one engine (one execution layer, one embedding-index
 // registry, one budget), and each stage's context is tagged so the shared
 // budget breaks down into per-stage usage and dollar attribution.

@@ -54,9 +54,9 @@ type Streamer interface {
 // recordOp is a streaming stage's prepared operator.
 type recordOp struct {
 	// ask runs one record's unit task and returns its output records, in
-	// output order. It is called from as many goroutines at once as the
-	// stage's window holds slots, and first, for an operator without a
-	// group form, on the stage goroutine under workflow.HitsOnly. An ask
+	// output order. For an operator without a group form it is called
+	// first on the stage goroutine under workflow.HitsOnly, then from as
+	// many goroutines at once as the stage's window holds slots. An ask
 	// that ends in workflow.ErrNotCached there must have had no effect,
 	// because the window then runs it again for real: whatever it counts,
 	// it counts only on another outcome.
@@ -64,7 +64,8 @@ type recordOp struct {
 	// group, when set, is the operator's group form: the window hands it
 	// the records it admits together, up to embed.GroupWidth at a time, so
 	// work they share (impute's k-NN pass) is done once. A record admitted
-	// alone still takes ask.
+	// alone is a group of one. Without it the window runs ask as a group
+	// form of width 1.
 	group groupTask[[]dataset.Record]
 	// detail summarises the finished stream for the stage report.
 	detail func(consumed int) string
@@ -80,30 +81,38 @@ type recordOp struct {
 // soon as that record's outcome is known — and returns once every one has
 // been reported. Whatever the group's records wait on one by one (an LLM
 // ask) it waits on concurrently, so a group holds no record back behind
-// another. The window does not probe a group's records; a group task that
-// probes its own (core.PreparedImpute.AskGroup does, on the group
-// goroutine) reports a probe's miss to no one: the miss has had no effect,
-// and the record is reported once its real ask returns.
+// another. The window probes only the records of a width-1 form; a group
+// task that probes its own (core.PreparedImpute.AskGroup does, on the
+// group goroutine) reports a probe's miss to no one: the miss has had no
+// effect, and the record is reported once its real ask returns.
 type groupTask[T any] func(ctx context.Context, recs []dataset.Record, emit func(i int, out T, err error))
+
+// solo is the width-1 group form around a per-record task.
+func solo[T any](task func(context.Context, dataset.Record) (T, error)) groupTask[T] {
+	return func(ctx context.Context, recs []dataset.Record, emit func(int, T, error)) {
+		out, err := task(ctx, recs[0])
+		emit(0, out, err)
+	}
+}
 
 // window is the executor's one streaming loop. Each turn it hands on the
 // results already finished, then admits every record already waiting on
-// in while the stage's ledger has a slot to give — one of its own, or one
-// a stage downstream of it is not using (see slotLedger) — or takes a
-// finished record's result and every other result already there. prepare
-// runs once, on the stage goroutine, at the first record, and returns the
-// operator's group form if it has one.
+// in while the stage's ledger has a slot to give — within its own width,
+// or the width of a stage downstream of it that has no backlog (see
+// slotLedger) — or takes a finished record's result and every other
+// result already there. prepare runs once, on the stage goroutine, at the
+// first record, and returns the operator's group form; an operator
+// without one runs solo(task), a form of width 1.
 //
-// Without a group form, an admitted record is probed first: task runs on
-// the stage goroutine under workflow.HitsOnly, and if every ask it makes
-// is a cache hit, the record is done right there, without taking a slot.
-// Only a record that misses takes a slot and runs task again on a
-// goroutine of its own. With a group form, admitted records take a slot
-// each and run in groups of at most embed.GroupWidth, cut in sequence-key
-// order, one goroutine per group (which probes its own records); a record
-// admitted alone runs task on a goroutine of its own. A record that finds
-// no slot is held on the stage goroutine, and the stage admits nothing
-// more, until one comes free. Each slot goes back to the ledger from the
+// Every record starts one way. A record of a width-1 form is probed as it
+// is admitted: task runs on the stage goroutine under workflow.HitsOnly,
+// and if every ask it makes is a cache hit, the record is done right
+// there, without taking a slot. At the end of the turn the records
+// admitted and not done take a slot each and run in groups of at most the
+// form's width (embed.GroupWidth for an operator's own form), cut in
+// sequence-key order, one goroutine per group. A record that finds no
+// slot is held on the stage goroutine, and the stage admits nothing more,
+// until one comes free. Each slot goes back to the ledger from the
 // goroutine whose ask returned, before its result is handed back, so a
 // stage blocked handing records downstream holds none. done is called on
 // the stage goroutine for each record the moment its result is known, in
@@ -124,9 +133,6 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 		err error
 	}
 	slots := env.slots
-	if slots == nil {
-		slots = soloSlots(env.width)
-	}
 	slots.join(in)
 	tctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -137,6 +143,7 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 	results := make(chan result, slots.reach())
 	consumed, inflight, room := 0, 0, 0
 	var group groupTask[T]
+	width := 0           // the most records group takes at once
 	var held []seqRecord // admitted records waiting for a slot
 	stop := func(err error) (int, error) {
 		cancel()
@@ -145,69 +152,44 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 		}
 		return consumed, err
 	}
-	run := func(r seqRecord) {
-		inflight++
-		go func() {
-			out, err := task(tctx, r.rec)
-			slots.release()
-			results <- result{r, out, err}
-		}()
-	}
-	runGroup := func(rs []seqRecord) {
-		if len(rs) == 1 {
-			run(rs[0])
-			return
-		}
+	// spawn runs one group on a goroutine of its own; each record's slot
+	// goes back as its outcome is reported.
+	spawn := func(rs []seqRecord) {
 		inflight += len(rs)
-		rs = slices.Clone(rs) // held is reused
-		go func() {
-			recs := make([]dataset.Record, len(rs))
-			for i, r := range rs {
-				recs[i] = r.rec
-			}
-			group(tctx, recs, func(i int, out T, err error) {
-				slots.release()
-				results <- result{rs[i], out, err}
-			})
-		}()
-	}
-	// start runs the held records on the slots the ledger grants: one by
-	// one in arrival order without a group form, cut into groups in
-	// sequence-key order with one. Records left without a slot stay held,
-	// and the turn's room is spent.
-	start := func() {
-		if group != nil {
-			slices.SortFunc(held, func(a, b seqRecord) int { return cmp.Compare(a.seq, b.seq) })
+		var seqs [embed.GroupWidth]int64
+		recs := make([]dataset.Record, len(rs))
+		for i, r := range rs {
+			seqs[i], recs[i] = r.seq, r.rec
 		}
+		go group(tctx, recs, func(i int, out T, err error) {
+			slots.release()
+			results <- result{seqRecord{seqs[i], recs[i]}, out, err}
+		})
+	}
+	// start runs the held records, in sequence-key order, on the slots the
+	// ledger grants. Records left without a slot stay held, and the turn's
+	// room is spent.
+	start := func() {
+		slices.SortFunc(held, func(a, b seqRecord) int { return cmp.Compare(a.seq, b.seq) })
 		n := slots.take(len(held))
-		if group == nil {
-			for _, r := range held[:n] {
-				run(r)
-			}
-		} else {
-			for lo := 0; lo < n; lo += embed.GroupWidth {
-				runGroup(held[lo:min(lo+embed.GroupWidth, n)])
-			}
+		for lo := 0; lo < n; lo += width {
+			spawn(held[lo:min(lo+width, n)])
 		}
 		if room -= n; n < len(held) {
 			room = 0
 		}
 		held = held[:copy(held, held[n:])]
 	}
-	// admit takes one record. Without a group form it is done inline when
-	// its probe hits and started at once when it misses; with one it is
-	// held until the turn's groups are cut.
+	// admit takes one record: a width-1 form's record is done inline when
+	// its probe hits; every other is held until the turn's groups are cut.
 	admit := func(r seqRecord) error {
 		consumed++
-		if group == nil {
+		if width == 1 {
 			if out, err := task(pctx, r.rec); probe.Settle(tctx, err) {
 				return done(r, out, err)
 			}
 		}
 		held = append(held, r)
-		if group == nil {
-			start()
-		}
 		return nil
 	}
 	collect := func(res result) error {
@@ -237,9 +219,9 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 			continue
 		}
 		// Read on while a slot is free, or while nothing is in flight: a
-		// stage whose own slots are all lent still takes its next record
-		// and holds it, so its backlog keeps borrowers off the slots as
-		// they come back, and the wait for that record counts as Wait.
+		// stage that can take no slot still takes its next record and
+		// holds it, so its backlog keeps borrowers from counting its width
+		// as slots come back, and the wait for that record counts as Wait.
 		room = 0
 		if len(held) == 0 {
 			room = slots.avail()
@@ -266,6 +248,9 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 				if group, err = prepare(); err != nil {
 					return stop(err)
 				}
+				if width = embed.GroupWidth; group == nil {
+					group, width = solo(task), 1
+				}
 			}
 			if err := admit(r); err != nil {
 				return stop(err)
@@ -288,7 +273,7 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 					break waiting
 				}
 			}
-			if group != nil {
+			if len(held) > 0 {
 				start()
 			}
 		case res := <-results:

@@ -72,19 +72,6 @@ type Policy struct {
 	// call. Servers use it to charge per-tenant retry budgets so one
 	// tenant's flaky traffic cannot consume everyone's headroom.
 	AllowRetry func(ctx context.Context) bool
-	// OnEvent, when non-nil, observes resilience events as they happen
-	// (see Event). Must be safe for concurrent use.
-	OnEvent func(Event)
-}
-
-// Event is one resilience occurrence, delivered to Policy.OnEvent and
-// folded into attribution ledgers.
-type Event struct {
-	Retries      int // retry attempts launched
-	Hedges       int // hedged requests launched
-	HedgeWins    int // hedged requests that answered first
-	BreakerOpens int // closed->open transitions
-	RetryDenials int // retries refused by AllowRetry
 }
 
 // Stats accumulates the wrapper's lifetime counters.
@@ -159,13 +146,6 @@ func (m *Model) BreakerState() (open bool, retryAfter time.Duration) {
 	return false, 0
 }
 
-// emit delivers an event to the observer outside the lock.
-func (m *Model) emit(ev Event) {
-	if m.policy.OnEvent != nil {
-		m.policy.OnEvent(ev)
-	}
-}
-
 // admit checks the breaker before a call. It returns an error to refuse
 // the call, or probe=true when this call is the half-open probe.
 func (m *Model) admit() (probe bool, err error) {
@@ -204,7 +184,7 @@ func (m *Model) settle(probe bool, callErr error) {
 		return
 	}
 	m.mu.Lock()
-	opened := false
+	defer m.mu.Unlock()
 	if probe {
 		m.probing = false
 	}
@@ -218,16 +198,11 @@ func (m *Model) settle(probe bool, callErr error) {
 		if m.state == breakerHalfOpen || m.failures >= m.policy.BreakerThreshold {
 			if m.state != breakerOpen {
 				m.stats.BreakerOpens++
-				opened = true
 			}
 			m.state = breakerOpen
 			m.openUntil = time.Now().Add(m.policy.BreakerCooldown)
 			m.failures = 0
 		}
-	}
-	m.mu.Unlock()
-	if opened {
-		m.emit(Event{BreakerOpens: 1})
 	}
 }
 
@@ -315,7 +290,6 @@ func (m *Model) Complete(ctx context.Context, req llm.Request) (llm.Response, er
 			m.mu.Lock()
 			m.stats.RetryDenials++
 			m.mu.Unlock()
-			m.emit(Event{RetryDenials: 1})
 			break
 		}
 		if d := m.backoff(req.Prompt, k+1); d > 0 {
@@ -332,7 +306,6 @@ func (m *Model) Complete(ctx context.Context, req llm.Request) (llm.Response, er
 		m.mu.Lock()
 		m.stats.Retries++
 		m.mu.Unlock()
-		m.emit(Event{Retries: 1})
 	}
 	m.settle(probe, err)
 	return resp, err
@@ -376,7 +349,6 @@ func (m *Model) attemptHedged(ctx context.Context, req llm.Request) (llm.Respons
 				m.mu.Lock()
 				m.stats.HedgeWins++
 				m.mu.Unlock()
-				m.emit(Event{HedgeWins: 1})
 			}
 			return r.resp, r.err
 		case <-timer.C:
@@ -387,14 +359,12 @@ func (m *Model) attemptHedged(ctx context.Context, req llm.Request) (llm.Respons
 				m.mu.Lock()
 				m.stats.RetryDenials++
 				m.mu.Unlock()
-				m.emit(Event{RetryDenials: 1})
 				continue
 			}
 			launched = true
 			m.mu.Lock()
 			m.stats.Hedges++
 			m.mu.Unlock()
-			m.emit(Event{Hedges: 1})
 			go func() {
 				resp, err := m.attempt(ctx, req)
 				ch <- result{resp, err, true}
