@@ -246,32 +246,6 @@ func BenchmarkAblationCompareBatch(b *testing.B) {
 	b.ReportMetric(float64(rows[len(rows)-1].PromptTokens)/float64(rows[0].PromptTokens), "token-ratio/batch19-vs-1")
 }
 
-// BenchmarkExecutionLayer measures the shared execution layer on the
-// repeated-workload scenario: the same operator mix (per-item filter,
-// categorize, LLM imputation) runs three times, as when a service answers
-// the same declarative queries again and again. Reported metrics are the
-// upstream simulator calls per configuration and the reduction factors —
-// the shared cache + coalescer alone must clear 2x, batching stacks on
-// top.
-func BenchmarkExecutionLayer(b *testing.B) {
-	ctx := context.Background()
-	cfg := experiments.DefaultExecLayerConfig()
-	var rows []experiments.ExecLayerRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.ExecLayerStudy(ctx, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(rows[0].UpstreamCalls), "calls/isolated")
-	b.ReportMetric(float64(rows[1].UpstreamCalls), "calls/shared")
-	b.ReportMetric(float64(rows[2].UpstreamCalls), "calls/shared-batched")
-	b.ReportMetric(rows[1].Reduction, "reduction/shared")
-	b.ReportMetric(rows[2].Reduction, "reduction/shared-batched")
-	b.ReportMetric(float64(rows[1].CacheHits), "hits/shared")
-}
-
 // BenchmarkBatchedFilter measures unit-task batching on one per-item
 // filter fan-out and verifies the batched decisions stay identical to the
 // unbatched ones at temperature 0 (the batching contract).

@@ -49,12 +49,10 @@ func main() {
 	pairs := sub.Int("pairs", 5742, "labelled pair count for table3")
 	trials := sub.Int("trials", 3, "trial count for table2")
 	words := sub.Int("words", 100, "words per trial for table2")
-	items := sub.Int("items", 60, "workload width for exec-layer")
-	repeats := sub.Int("repeats", 3, "workload repeats for exec-layer")
-	batch := sub.Int("batch", 8, "unit tasks per envelope for exec-layer")
+	batch := sub.Int("batch", 8, "unit tasks per envelope for pipeline and pipeline-study")
 	specPath := sub.String("spec", "", "JSON pipeline spec file for pipeline (empty = built-in demo)")
 	plModel := sub.String("model", "sim-gpt-3.5-turbo", "model name for pipeline")
-	plNaive := sub.Bool("naive", false, "run the pipeline unoptimized with isolated per-stage engines")
+	plNaive := sub.Bool("naive", false, "run the pipeline unoptimized as a chain of one-stage pipelines")
 	plProbe := sub.Int("probe", 0, "sample size for measured filter selectivity in pipeline (0 = trust spec hints)")
 	plMaterialized := sub.Bool("materialized", false, "disable record streaming between pipeline stages")
 	plFaults := sub.String("faults", "",
@@ -193,18 +191,6 @@ func main() {
 		fmt.Print(experiments.FormatAblationTemplates(rows))
 		return nil
 	}
-	execLayer := func() error {
-		cfg := experiments.DefaultExecLayerConfig()
-		cfg.Items = *items
-		cfg.Repeats = *repeats
-		cfg.Batch = *batch
-		rows, err := experiments.ExecLayerStudy(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatExecLayerStudy(rows))
-		return nil
-	}
 	ablateFilter := func() error {
 		rows, err := experiments.AblationFilter(ctx, "sim-cheap", 7)
 		if err != nil {
@@ -246,15 +232,17 @@ func main() {
 			Model:         counting,
 			Batch:         *batch,
 			Parallelism:   16,
-			Materialized:  *plMaterialized || *plNaive,
-			Isolated:      *plNaive,
+			Materialized:  *plMaterialized,
 			OnRecordError: *plOnRecordError,
 			// Persistent layer and ledger so probe work is re-served from
 			// cache by the run and reported as the __probe row.
 			Exec:        workflow.NewExecLayer(),
 			Attribution: workflow.NewAttribution(),
 		}
-		if !*plNaive {
+		var res *pipeline.Result
+		if *plNaive {
+			res, err = experiments.RunNaive(ctx, spec, execCfg, tables)
+		} else {
 			var (
 				optimized pipeline.Spec
 				rewrites  []string
@@ -271,13 +259,11 @@ func main() {
 			for _, rw := range rewrites {
 				fmt.Printf("rewrite: %s\n", rw)
 			}
-			spec = optimized
+			var p *pipeline.Pipeline
+			if p, err = pipeline.Compile(optimized); err == nil {
+				res, err = p.Run(ctx, execCfg, tables)
+			}
 		}
-		p, err := pipeline.Compile(spec)
-		if err != nil {
-			return err
-		}
-		res, err := p.Run(ctx, execCfg, tables)
 		if err != nil {
 			return err
 		}
@@ -448,8 +434,6 @@ func main() {
 		run("Ablation A8: model cascade", ablateCascade)
 	case "ablate-templates":
 		run("Ablation A9: template brittleness", ablateTemplates)
-	case "exec-layer":
-		run("Execution layer: shared cache + coalescing + batching", execLayer)
 	case "pipeline":
 		run("Pipeline: optimized operator DAG", runPipeline)
 	case "pipeline-study":
@@ -498,7 +482,6 @@ func main() {
 		run("Ablation A7: evidence-based flipping", ablateEvidence)
 		run("Ablation A8: model cascade", ablateCascade)
 		run("Ablation A9: template brittleness", ablateTemplates)
-		run("Execution layer: shared cache + coalescing + batching", execLayer)
 		run("Pipeline study: naive sequential vs optimized DAG", pipelineStudy)
 		run("Scenario study: all pre-built scenarios on the sim engine", scenarioStudy)
 	default:
@@ -526,8 +509,6 @@ commands:
   ablate-evidence      A7: evidence-based edge flipping
   ablate-cascade       A8: cheap->strong model cascade
   ablate-templates     A9: comparison-template brittleness
-  exec-layer      shared cache + coalescing + batching on a repeated
-                  workload (-items N -repeats N -batch K)
   pipeline        run a declarative operator DAG from a JSON spec with the
                   optimizer, record streaming, shared engine, and per-stage
                   attribution (-spec file.json -model M -batch K -naive

@@ -6,31 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/experiments"
 )
-
-// TestSharedExecutionLayerReducesCalls is the PR's headline acceptance
-// criterion: on a repeated workload, the shared layer (sharded cache +
-// in-flight coalescing) cuts upstream simulator calls at least 2x versus
-// the seed's isolated per-operator caches, and batching cuts them
-// further.
-func TestSharedExecutionLayerReducesCalls(t *testing.T) {
-	rows, err := experiments.ExecLayerStudy(context.Background(), experiments.DefaultExecLayerConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	isolated, shared, batched := rows[0], rows[1], rows[2]
-	if shared.Reduction < 2.0 {
-		t.Fatalf("shared layer reduction = %.2fx (isolated %d calls, shared %d), want >= 2x",
-			shared.Reduction, isolated.UpstreamCalls, shared.UpstreamCalls)
-	}
-	if batched.UpstreamCalls > shared.UpstreamCalls {
-		t.Fatalf("batching increased upstream calls: %d > %d", batched.UpstreamCalls, shared.UpstreamCalls)
-	}
-	if shared.CacheHits == 0 {
-		t.Fatal("shared layer reported zero cache hits on a repeated workload")
-	}
-}
 
 // TestBatchedStrategiesMatchUnbatched: at temperature 0, enabling unit
 // task batching must not change any operator result — the envelope is

@@ -197,8 +197,8 @@ func pipelineStudyModel(name string) (*llm.CountingModel, error) {
 // workload. Three configurations run the same spec:
 //
 //   - naive: the user's stage order, each operator invoked in sequence
-//     with a fresh isolated engine on whole tables — the cost a user pays
-//     today calling operators one by one;
+//     as its own one-stage pipeline on whole tables (RunNaive) — the cost
+//     a user pays calling operators one by one;
 //   - optimized: the hint-trusting optimizer's rewritten order (filter
 //     pushed ahead of the quadratic dedupe) on one shared engine — one
 //     execution layer, one index registry, one budget, unit-task
@@ -223,13 +223,9 @@ func PipelineStudy(ctx context.Context, cfg PipelineStudyConfig) (*PipelineStudy
 		return nil, fmt.Errorf("pipeline study: optimize: %w", err)
 	}
 
-	runOne := func(label string, s pipeline.Spec, execCfg pipeline.ExecConfig, counting *llm.CountingModel) (PipelineStudyRun, *pipeline.Result, error) {
-		p, err := pipeline.Compile(s)
-		if err != nil {
-			return PipelineStudyRun{}, nil, fmt.Errorf("compile %s: %w", label, err)
-		}
+	runOne := func(label string, run runner, s pipeline.Spec, execCfg pipeline.ExecConfig, counting *llm.CountingModel) (PipelineStudyRun, *pipeline.Result, error) {
 		start := time.Now()
-		res, err := p.Run(ctx, execCfg, tables)
+		res, err := run(ctx, s, execCfg, tables)
 		if err != nil {
 			return PipelineStudyRun{}, nil, fmt.Errorf("run %s: %w", label, err)
 		}
@@ -249,9 +245,8 @@ func PipelineStudy(ctx context.Context, cfg PipelineStudyConfig) (*PipelineStudy
 	if err != nil {
 		return nil, err
 	}
-	naive, naiveRes, err := runOne("naive sequential (seed)", spec, pipeline.ExecConfig{
-		Model: naiveModel, Parallelism: cfg.Parallelism, Isolated: true, Materialized: true,
-	}, naiveModel)
+	naive, naiveRes, err := runOne("naive sequential (seed)", RunNaive, spec,
+		pipeline.ExecConfig{Model: naiveModel, Parallelism: cfg.Parallelism}, naiveModel)
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +255,7 @@ func PipelineStudy(ctx context.Context, cfg PipelineStudyConfig) (*PipelineStudy
 	if err != nil {
 		return nil, err
 	}
-	optimized, optRes, err := runOne("optimized pipeline", optSpec, pipeline.ExecConfig{
+	optimized, optRes, err := runOne("optimized pipeline", runPlan, optSpec, pipeline.ExecConfig{
 		Model: optModel, Parallelism: cfg.Parallelism, Batch: cfg.Batch, Materialized: true,
 	}, optModel)
 	if err != nil {
@@ -289,7 +284,7 @@ func PipelineStudy(ctx context.Context, cfg PipelineStudyConfig) (*PipelineStudy
 	if err != nil {
 		return nil, fmt.Errorf("pipeline study: probed optimize: %w", err)
 	}
-	streaming, strRes, err := runOne("streaming + probed", probedSpec, strCfg, strModel)
+	streaming, strRes, err := runOne("streaming + probed", runPlan, probedSpec, strCfg, strModel)
 	if err != nil {
 		return nil, err
 	}
@@ -320,6 +315,19 @@ func PipelineStudy(ctx context.Context, cfg PipelineStudyConfig) (*PipelineStudy
 		out.CallReduction = float64(naive.UpstreamCalls) / float64(optimized.UpstreamCalls)
 	}
 	return out, nil
+}
+
+// runner runs a spec over tables: runPlan as one pipeline, RunNaive as a
+// chain of one-stage pipelines.
+type runner func(context.Context, pipeline.Spec, pipeline.ExecConfig, map[string][]dataset.Record) (*pipeline.Result, error)
+
+// runPlan compiles spec and runs it as one pipeline.
+func runPlan(ctx context.Context, spec pipeline.Spec, cfg pipeline.ExecConfig, tables map[string][]dataset.Record) (*pipeline.Result, error) {
+	p, err := pipeline.Compile(spec)
+	if err != nil {
+		return nil, err
+	}
+	return p.Run(ctx, cfg, tables)
 }
 
 // OverlapScenario times what side-input overlap buys on a workload built

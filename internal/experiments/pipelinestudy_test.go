@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/pipeline"
 	"repro/internal/token"
+	"repro/internal/workflow"
 )
 
 func sumStageUsage(stages []pipeline.StageReport) token.Usage {
@@ -14,6 +15,45 @@ func sumStageUsage(stages []pipeline.StageReport) token.Usage {
 		u = u.Add(s.Usage)
 	}
 	return u
+}
+
+// TestSharedExecutionLayerReducesCalls runs the study's spec three times,
+// as a service answering the same declarative query again: through the
+// naive chain (a fresh layer per stage and run), through one shared
+// ExecLayer, and through one shared layer with batching. The shared layer
+// must cut upstream calls at least 2x against the naive chain, batching
+// must never add calls, and the repeats must be answered from the cache.
+func TestSharedExecutionLayerReducesCalls(t *testing.T) {
+	cfg := DefaultPipelineStudyConfig()
+	spec, tables := pipelineStudySpec(), pipelineStudyTables(cfg)
+	calls := func(run runner, execCfg pipeline.ExecConfig) int {
+		t.Helper()
+		counting, err := pipelineStudyModel(cfg.Model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		execCfg.Model, execCfg.Parallelism = counting, cfg.Parallelism
+		for r := 0; r < 3; r++ {
+			if _, err := run(ctx(), spec, execCfg, tables); err != nil {
+				t.Fatalf("repeat %d: %v", r, err)
+			}
+		}
+		return counting.Total().Calls
+	}
+	layer := workflow.NewExecLayer()
+	naive := calls(RunNaive, pipeline.ExecConfig{})
+	shared := calls(runPlan, pipeline.ExecConfig{Exec: layer})
+	batched := calls(runPlan, pipeline.ExecConfig{Exec: workflow.NewExecLayer(), Batch: cfg.Batch})
+	t.Logf("upstream calls over three repeats: naive %d, shared %d, shared+batch %d", naive, shared, batched)
+	if naive < 2*shared {
+		t.Fatalf("shared layer made %d upstream calls against the naive chain's %d, want at least 2x fewer", shared, naive)
+	}
+	if batched > shared {
+		t.Fatalf("batching increased upstream calls: %d > %d", batched, shared)
+	}
+	if layer.Stats().CacheHits == 0 {
+		t.Fatal("shared layer reported zero cache hits on a repeated workload")
+	}
 }
 
 // TestPipelineStudyPinned pins the acceptance contract of the pipeline

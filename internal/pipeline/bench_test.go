@@ -47,14 +47,6 @@ func benchRun(b *testing.B, spec Spec, cfg ExecConfig) {
 	}
 }
 
-// BenchmarkPipelineNaive is the seed behaviour: user stage order, one
-// isolated engine per stage, whole-table handoff.
-func BenchmarkPipelineNaive(b *testing.B) {
-	benchRun(b, benchSpec(), ExecConfig{
-		Model: sim.NewNamed("sim-gpt-3.5-turbo"), Parallelism: 16, Isolated: true, Materialized: true,
-	})
-}
-
 // BenchmarkPipelineOptimized runs the optimizer's rewritten plan on one
 // shared engine with batching and record streaming (the default).
 func BenchmarkPipelineOptimized(b *testing.B) {
@@ -117,10 +109,6 @@ func TestBenchCountersPinned(t *testing.T) {
 		free      int
 		serial    *counters // the full row, where execution is serial
 	}{
-		// An isolated run builds a private engine per stage and must leave
-		// the shared layer it was handed untouched.
-		{name: "naive", spec: benchSpec(),
-			cfg: ExecConfig{Parallelism: 16, Isolated: true, Materialized: true}},
 		{name: "optimized-materialized", spec: optimized,
 			cfg:       ExecConfig{Parallelism: 16, Batch: 8, Materialized: true},
 			cacheSize: 30, free: 3},

@@ -108,11 +108,6 @@ type ExecConfig struct {
 	// the streaming-vs-materialized wall-clock comparison in the
 	// experiments.
 	Materialized bool
-	// Isolated reproduces naive sequential operator invocation: a fresh
-	// engine per stage, each with the default private per-invocation
-	// cache and no shared layer, registry, or batching. The experiments
-	// use it as the baseline the optimized pipeline is measured against.
-	Isolated bool
 	// Resilience, when non-nil, wraps the model with a retry / backoff /
 	// hedging / circuit-breaker policy for the run. The wrapper sits below
 	// the budget, attribution, batcher, and cache, so callers above see
@@ -162,14 +157,14 @@ func (cfg ExecConfig) streamer(st Stage) (Streamer, bool) {
 const edgeBuffer = 64
 
 // runtime binds one run's shared machinery: the budget, the attribution
-// ledger, and the engine factory (one shared engine unless Isolated).
-// OptimizeProbed builds the same runtime from the same config so probes
-// run through the very cache and ledger the run will use.
+// ledger, and the one engine every stage runs on. OptimizeProbed builds
+// the same runtime from the same config so probes run through the very
+// cache and ledger the run will use.
 type execRuntime struct {
-	budget    *workflow.Budget
-	attr      *workflow.Attribution
-	resil     *resil.Model // non-nil when cfg.Resilience wrapped the model
-	engineFor func() *core.Engine
+	budget *workflow.Budget
+	attr   *workflow.Attribution
+	resil  *resil.Model // non-nil when cfg.Resilience wrapped the model
+	engine *core.Engine
 }
 
 // flushResil folds the run's resilience activity into the ledger and
@@ -202,12 +197,24 @@ func (cfg ExecConfig) runtime() *execRuntime {
 	if attr == nil {
 		attr = workflow.NewAttribution()
 	}
-	baseOpts := []core.Option{core.WithBudget(budget), core.WithAttribution(attr)}
+	layer := cfg.Exec
+	if layer == nil {
+		layer = workflow.NewExecLayer()
+	}
+	registry := cfg.Registry
+	if registry == nil {
+		registry = embed.NewRegistry()
+	}
+	opts := []core.Option{core.WithBudget(budget), core.WithAttribution(attr)}
 	if cfg.Parallelism > 0 {
-		baseOpts = append(baseOpts, core.WithParallelism(cfg.Parallelism))
+		opts = append(opts, core.WithParallelism(cfg.Parallelism))
 	}
 	if cfg.Embedder != nil {
-		baseOpts = append(baseOpts, core.WithEmbedder(cfg.Embedder))
+		opts = append(opts, core.WithEmbedder(cfg.Embedder))
+	}
+	opts = append(opts, core.WithExecutionLayer(layer), core.WithIndexRegistry(registry))
+	if cfg.Batch > 1 {
+		opts = append(opts, core.WithBatching(cfg.Batch))
 	}
 	rt := &execRuntime{budget: budget, attr: attr}
 	model := cfg.Model
@@ -217,24 +224,7 @@ func (cfg ExecConfig) runtime() *execRuntime {
 		rt.resil = resil.Wrap(model, *cfg.Resilience)
 		model = rt.resil
 	}
-	rt.engineFor = func() *core.Engine { return core.New(model, baseOpts...) }
-	if !cfg.Isolated {
-		layer := cfg.Exec
-		if layer == nil {
-			layer = workflow.NewExecLayer()
-		}
-		registry := cfg.Registry
-		if registry == nil {
-			registry = embed.NewRegistry()
-		}
-		opts := append(append([]core.Option(nil), baseOpts...),
-			core.WithExecutionLayer(layer), core.WithIndexRegistry(registry))
-		if cfg.Batch > 1 {
-			opts = append(opts, core.WithBatching(cfg.Batch))
-		}
-		shared := core.New(model, opts...)
-		rt.engineFor = func() *core.Engine { return shared }
-	}
+	rt.engine = core.New(model, opts...)
 	return rt
 }
 
@@ -529,9 +519,9 @@ func drain(ctx context.Context, in <-chan seqRecord, up *streamOut, size int) ([
 // side stage finishes, then streams. Barrier stages — sort, max, count,
 // resolve, planner-driven impute, or everything when cfg.Materialized is
 // set — drain their input first; results are identical either way at
-// temperature 0. Unless Isolated, all stages stream their unit tasks
-// through one shared engine: one execution layer, one embedding-index
-// registry, one budget. Each stage's context
+// temperature 0. All stages stream their unit tasks through one shared
+// engine: one execution layer, one embedding-index registry, one budget.
+// Each stage's context
 // is tagged with its name, so the returned report attributes the shared
 // budget's spend stage by stage. With cfg.Feed set, the run is a
 // standing query: records arriving on the channel extend the source
@@ -716,7 +706,7 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 		}
 	}
 
-	env := &Env{Engine: rt.engineFor(), Budget: rt.budget, Tables: tables, keys: cfg.TableKeys,
+	env := &Env{Engine: rt.engine, Budget: rt.budget, Tables: tables, keys: cfg.TableKeys,
 		slots: slots, stats: &stageStats{stage: st.Name()}, run: state,
 		onErr: cfg.OnRecordError}
 	defer env.stats.flush(rt.attr)

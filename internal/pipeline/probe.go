@@ -45,7 +45,7 @@ func OptimizeProbed(ctx context.Context, spec Spec, cfg ExecConfig, tables map[s
 	if sample <= 0 {
 		sample = 8
 	}
-	engine := cfg.runtime().engineFor()
+	engine := cfg.runtime().engine
 	pctx := workflow.TagStage(ctx, workflow.StageProbe)
 	var log []string
 	for i := range specs {

@@ -493,9 +493,14 @@ func New(cfg Config) *Server {
 		s.ledger = workflow.NewAttribution()
 	}
 	if cfg.StateDir != "" {
-		s.registry.SetStateDir(cfg.StateDir)
 		if _, err := s.exec.OpenState(cfg.StateDir); err != nil {
+			// Stateless from here on: no index, cache or tenant file is
+			// read or written in a directory whose log this server could
+			// not attach — another writer may own it (workflow.ErrStateLocked).
 			s.stateErr = fmt.Errorf("server: attaching state under %s: %w", cfg.StateDir, err)
+			s.cfg.StateDir = ""
+		} else {
+			s.registry.SetStateDir(cfg.StateDir)
 		}
 	}
 	// The model every job shares, bottom-up: the raw model, the optional
@@ -522,7 +527,7 @@ func New(cfg Config) *Server {
 	s.counting = llm.NewCounting(base)
 	s.exec.SetServeObserver(s)
 	s.baseCtx, s.baseStop = context.WithCancel(context.Background())
-	if cfg.StateDir != "" {
+	if s.cfg.StateDir != "" {
 		if err := s.loadTenants(); err != nil && s.stateErr == nil {
 			s.stateErr = fmt.Errorf("server: restoring tenant spend: %w", err)
 		}

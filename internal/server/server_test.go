@@ -414,9 +414,10 @@ func TestWarmSecondSubmission(t *testing.T) {
 	}
 }
 
-// TestDrainFlushesState covers graceful shutdown end to end: drain
-// refuses new work, persists the cache log, and a successor server over
-// the same state directory answers the same workload upstream-free.
+// TestDrainFlushesState covers graceful shutdown end to end: a rival
+// server cannot take the live state directory, drain refuses new work,
+// persists the cache log and releases the directory, and a successor
+// server over it answers the same workload upstream-free.
 func TestDrainFlushesState(t *testing.T) {
 	dir := t.TempDir()
 	tables := kindTable("st", 6, "tool", "toy", "gadget")
@@ -427,6 +428,15 @@ func TestDrainFlushesState(t *testing.T) {
 	}
 	if st, err := srv.Submit(context.Background(), SubmitRequest{Tenant: "t", Spec: toolSpec(), Tables: tables}); err != nil || st.State != JobDone {
 		t.Fatalf("cold run: err %v, state %+v", err, st)
+	}
+	// One writer per state directory: a second server on the live
+	// directory is refused its state and runs stateless.
+	rival := New(Config{Model: testOracle(), StateDir: dir})
+	if err := rival.StateError(); !errors.Is(err, workflow.ErrStateLocked) {
+		t.Fatalf("second server on a live state dir: StateError %v, want workflow.ErrStateLocked", err)
+	}
+	if err := rival.Drain(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatal(err)

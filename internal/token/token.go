@@ -11,6 +11,7 @@ package token
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Count returns the approximate number of tokens in s.
@@ -22,33 +23,41 @@ import (
 // into the following token by real BPE vocabularies).
 func Count(s string) int {
 	n := 0
-	i := 0
-	runes := []rune(s)
-	for i < len(runes) {
-		r := runes[i]
+	for i := 0; i < len(s); {
+		r, w := utf8.DecodeRuneInString(s[i:])
 		switch {
 		case unicode.IsSpace(r):
-			i++
+			i += w
 		case unicode.IsLetter(r):
-			j := i
-			for j < len(runes) && unicode.IsLetter(runes[j]) {
-				j++
-			}
-			n += wordTokens(j - i)
-			i = j
+			var chars int
+			i, chars = span(s, i, unicode.IsLetter)
+			n += wordTokens(chars)
 		case unicode.IsDigit(r):
-			j := i
-			for j < len(runes) && unicode.IsDigit(runes[j]) {
-				j++
-			}
-			n += (j - i + 2) / 3
-			i = j
+			var digits int
+			i, digits = span(s, i, unicode.IsDigit)
+			n += (digits + 2) / 3
 		default:
+			// An invalid byte decodes to RuneError of width 1, so it counts
+			// as one token per byte.
 			n++
-			i++
+			i += w
 		}
 	}
 	return n
+}
+
+// span walks the run of runes matching class that starts at byte i and
+// returns the byte offset just past it and its length in runes.
+func span(s string, i int, class func(rune) bool) (end, runes int) {
+	for i < len(s) {
+		r, w := utf8.DecodeRuneInString(s[i:])
+		if !class(r) {
+			break
+		}
+		i += w
+		runes++
+	}
+	return i, runes
 }
 
 // wordTokens approximates BPE sub-word splitting: short words are single

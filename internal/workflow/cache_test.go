@@ -141,9 +141,11 @@ func TestCacheSaveDeterministicAcrossModels(t *testing.T) {
 			c.put(entries[i], llm.Response{Text: fmt.Sprintf("t%d", i)})
 		}
 		path := filepath.Join(dir, name)
-		if _, err := openLog(t, path).Flush(c); err != nil {
+		lg := openLog(t, path)
+		if _, err := lg.Flush(c); err != nil {
 			t.Fatal(err)
 		}
+		lg.Close() // release the writer lock for the replay below
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)

@@ -34,13 +34,14 @@ import (
 // re-inserted key simply appends a superseding record; Compact reclaims
 // the dead ones. All integers are little-endian. See docs/PERSISTENCE.md.
 //
-// A CacheLog is safe for concurrent use, but file-level: two processes
-// must not append to one log concurrently (last to replay wins nothing —
-// their records interleave and both prefixes survive, but there is no
-// cross-process locking).
+// A CacheLog is safe for concurrent use, and it is the log's only writer:
+// while it is open it holds an exclusive lock on a file beside the log
+// (cache.log.lock for cache.log), so a second opener — another process, or another
+// OpenCacheLog in this one — fails with ErrStateLocked until Close.
 type CacheLog struct {
 	mu      sync.Mutex
 	f       *os.File
+	lock    *os.File // holds the writer lock; nil where flock is unavailable
 	path    string
 	records int   // records currently in the file, superseded included
 	size    int64 // bytes of valid log (header + records)
@@ -86,16 +87,42 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // refuses to append to.
 var ErrNotCacheLog = errors.New("workflow: file is not a cache log")
 
+// ErrStateLocked reports that another writer holds the cache log: a live
+// declserver, core.WithStateDir engine or cache compaction on the same
+// state directory, in this process or another.
+var ErrStateLocked = errors.New("workflow: state directory is locked by another writer")
+
+// cacheLogLockSuffix names the writer-lock file beside a cache log. The
+// lock cannot sit on the log itself: compaction replaces the log by
+// rename, and a lock on the old file would not guard the new one.
+const cacheLogLockSuffix = ".lock"
+
 // OpenCacheLog opens the log at path, creating it (and its parent
-// directory) with a fresh header when absent or empty. The returned log
-// is positioned for appends; call Replay to load its contents into a
-// Cache first.
+// directory) with a fresh header when absent or empty, and takes the
+// log's writer lock (ErrStateLocked when another writer has it). The
+// returned log is positioned for appends; call Replay to load its contents
+// into a Cache first.
 func OpenCacheLog(path string) (*CacheLog, error) {
 	if dir := filepath.Dir(path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("workflow: open cache log: %w", err)
 		}
 	}
+	lock, err := lockState(path + cacheLogLockSuffix)
+	if err != nil {
+		return nil, err
+	}
+	lg, err := openLocked(path)
+	if err != nil {
+		lock.Close() // a nil lock (no flock) closes as a no-op
+		return nil, err
+	}
+	lg.lock = lock
+	return lg, nil
+}
+
+// openLocked opens the log at path once its writer lock is held.
+func openLocked(path string) (*CacheLog, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("workflow: open cache log: %w", err)
@@ -153,10 +180,11 @@ func (lg *CacheLog) Stats() CacheLogStats {
 	return CacheLogStats{Records: lg.records, Bytes: lg.size}
 }
 
-// Close syncs and closes the log file.
+// Close syncs and closes the log file, then releases the writer lock.
 func (lg *CacheLog) Close() error {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
+	defer lg.lock.Close()
 	if err := lg.f.Sync(); err != nil {
 		lg.f.Close()
 		return err

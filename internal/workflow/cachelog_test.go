@@ -64,6 +64,7 @@ func TestCacheLogRoundTrip(t *testing.T) {
 	if n, err := lg.Flush(c); err != nil || n != 50 {
 		t.Fatalf("Flush = (%d, %v), want (50, nil)", n, err)
 	}
+	lg.Close() // one writer at a time: release the lock for the reopen
 
 	restored := NewCache(4)
 	lg2 := openLog(t, path)
@@ -150,6 +151,7 @@ func TestCacheLogReplayCompactEquivalence(t *testing.T) {
 			t.Fatalf("trial %d: final Flush: %v", trial, err)
 		}
 		want := saveBytes(t, c)
+		lg.Close()
 
 		replayed := NewCache(4)
 		lgr := openLog(t, path)
@@ -169,6 +171,7 @@ func TestCacheLogReplayCompactEquivalence(t *testing.T) {
 		if st := lgr.Stats(); st.Records != size {
 			t.Fatalf("trial %d: compacted log has %d records, live size %d", trial, st.Records, size)
 		}
+		lgr.Close()
 		compacted := NewCache(4)
 		lgc := openLog(t, path)
 		if _, err := lgc.Replay(compacted); err != nil {
@@ -261,6 +264,7 @@ func TestCacheLogTornTailRecovery(t *testing.T) {
 		if n, err := lgt.Flush(restored); err != nil || n != 1 {
 			t.Fatalf("cut %d: post-recovery Flush = (%d, %v)", cut, n, err)
 		}
+		lgt.Close()
 		again := NewCache(2)
 		lga := openLog(t, torn)
 		if st, err := lga.Replay(again); err != nil || st.Records != 10 || st.Recovered {
@@ -368,6 +372,7 @@ func TestCacheLogConcurrentAppendsDuringQueries(t *testing.T) {
 	if _, err := lg.Flush(c); err != nil {
 		t.Fatalf("final Flush: %v", err)
 	}
+	lg.Close()
 
 	restored := NewCache(0)
 	lgr := openLog(t, path)
@@ -566,6 +571,7 @@ func FuzzCacheLogReplay(f *testing.F) {
 		if _, err := lg.Flush(cache); err != nil {
 			t.Fatalf("post-recovery Flush: %v", err)
 		}
+		lg.Close()
 		again := NewCache(2)
 		lg2, err := OpenCacheLog(p)
 		if err != nil {
