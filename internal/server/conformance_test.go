@@ -243,7 +243,7 @@ func TestInternedTablesSharedReadOnly(t *testing.T) {
 				t.Fatal(err)
 			}
 			held, _, err := srv.tables.table(m.value)
-			if err != nil || !reflect.DeepEqual(held, fresh) {
+			if err != nil || !reflect.DeepEqual(held.records, fresh) {
 				t.Errorf("interned table %q changed under its readers (err %v)", m.name, err)
 			}
 		}

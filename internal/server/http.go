@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/embed"
 	"repro/internal/resil"
 	"repro/internal/workflow"
 )
@@ -32,12 +31,18 @@ type apiError struct {
 	} `json:"error"`
 }
 
+// writeJSON renders v, then sends it; a value encoding/json refuses is a
+// 500, never a status already sent over a truncated body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
+	buf := replyPool.Get().(*replyBuf)
+	defer putReplyBuf(buf)
+	enc := json.NewEncoder(buf)
 	enc.SetEscapeHTML(false)
-	enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		writeError(w, http.StatusInternalServerError, "server_error", "server: encoding reply: "+err.Error())
+		return
+	}
+	send(w, code, buf.b)
 }
 
 func writeError(w http.ResponseWriter, code int, typ, msg string) {
@@ -105,7 +110,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 // readSubmit reads and decodes a submission body through a pooled buffer.
-func (s *Server) readSubmit(w http.ResponseWriter, r *http.Request) (SubmitRequest, map[string]embed.SourceKey, error) {
+func (s *Server) readSubmit(w http.ResponseWriter, r *http.Request) (SubmitRequest, jobTables, error) {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	defer func() {
 		buf.Reset()
@@ -115,13 +120,13 @@ func (s *Server) readSubmit(w http.ResponseWriter, r *http.Request) (SubmitReque
 		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF without growing
 	}
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
-		return SubmitRequest{}, nil, err
+		return SubmitRequest{}, jobTables{}, err
 	}
 	return s.decodeSubmit(buf.Bytes())
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, keys, err := s.readSubmit(w, r)
+	req, tables, err := s.readSubmit(w, r)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -132,7 +137,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid_request_error", "malformed request body: "+err.Error())
 		return
 	}
-	st, err := s.submit(r.Context(), req, keys)
+	j, err := s.submit(r.Context(), req, tables)
 	if err != nil {
 		fail(w, err)
 		return
@@ -141,25 +146,25 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if req.Async {
 		code = http.StatusAccepted
 	}
-	writeJSON(w, code, st)
+	s.writeReply(w, code, j)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	st, err := s.Job(r.PathValue("id"))
+	j, err := s.lookup(r.PathValue("id"))
 	if err != nil {
 		fail(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	s.writeReply(w, http.StatusOK, j)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	st, err := s.Cancel(r.PathValue("id"))
+	j, err := s.cancel(r.PathValue("id"))
 	if err != nil {
 		fail(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	s.writeReply(w, http.StatusOK, j)
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {

@@ -5,10 +5,9 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/json"
-	"io"
 	"math"
-	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/embed"
@@ -35,13 +34,16 @@ import (
 // of those very bytes when it first delimited them — and byte equality is
 // stronger than the hash match it replaces.
 
-// tableInternBytes bounds the interner by the bytes of table JSON whose
-// decoded form it keeps — bytes rather than entries, because tables range
-// from a 10 KB source to a multi-megabyte train table. Four maximal
-// bodies: what the default four running jobs may pin anyway, and room for
-// hundreds of ordinary tables. Decoded records take about six times their
-// JSON, and the JSON itself is kept beside them, so the interner's heap
-// stays under ~230 MB at worst.
+// tableInternBytes bounds the interner by the bytes it keeps beside each
+// decoded table: the table's JSON, and its records as a reply renders
+// them once a reply has reused one (reply.go) — bytes rather than
+// entries, because tables range from a 10 KB source to a multi-megabyte
+// train table. Four maximal bodies: what the default four running jobs
+// may pin anyway, and room for hundreds of ordinary tables. Decoded
+// records take about six times their JSON. A rendering takes about as
+// many bytes as the JSON and displaces JSON of other tables under the
+// bound, so the worst case is a bound of JSON with nothing rendered: the
+// interner's heap stays under ~230 MB (32 MB of JSON, ~192 MB decoded).
 const tableInternBytes = 4 * maxBodyBytes
 
 // maxTableDepth is the nesting the fast path follows inside one table;
@@ -57,12 +59,45 @@ type tableKey [sha256.Size]byte
 
 type tablePrefix [tablePrefixLen]byte
 
-// internedTable is immutable once interned: readers use it without the
-// interner's lock.
+// internedTable is immutable once interned, but for out and held: readers
+// use it without the interner's lock.
 type internedTable struct {
 	key     tableKey
 	records []dataset.Record
 	raw     []byte // the table's JSON, a copy
+	// fields backs every record's Fields: record i's are
+	// fields[starts[i]:starts[i+1]], capacity clipped. A reply recognises
+	// a record passed through unchanged by where its Fields starts
+	// (reply.go). Both are empty for a table too large to keep.
+	fields []dataset.Field
+	starts []int32
+	// out is the records as a reply writes them, set the first time a
+	// reply reuses one of them (tableInterner.rendered).
+	out atomic.Pointer[renderedTable]
+	// held is what the table counts against the bound while interned:
+	// len(raw), plus out's size once out is counted. Guarded by the
+	// interner's mu.
+	held int64
+}
+
+// newInternedTable keeps a copy of raw and moves the records' fields into
+// one backing array.
+func newInternedTable(key tableKey, raw []byte, records []dataset.Record) *internedTable {
+	n := 0
+	for _, r := range records {
+		n += len(r.Fields)
+	}
+	t := &internedTable{key: key, records: records, raw: bytes.Clone(raw),
+		fields: make([]dataset.Field, 0, n), starts: make([]int32, 1, len(records)+1), held: int64(len(raw))}
+	for i := range records {
+		start := len(t.fields)
+		t.fields = append(t.fields, records[i].Fields...)
+		if records[i].Fields != nil {
+			records[i].Fields = t.fields[start:len(t.fields):len(t.fields)]
+		}
+		t.starts = append(t.starts, int32(len(t.fields)))
+	}
+	return t
 }
 
 // tableInterner is a byte-bounded LRU of decoded tables, safe for
@@ -91,10 +126,11 @@ func newTableInterner() *tableInterner {
 	}
 }
 
-// table returns the decoded form of one table's JSON, decoding on first
-// sight, and the key it is interned under. raw is a value the scanner
-// delimited (an array within maxTableDepth); it is copied, not retained.
-func (in *tableInterner) table(raw []byte) ([]dataset.Record, tableKey, error) {
+// table returns the interned form of one table's JSON, decoding on first
+// sight; warm reports that the interner already held it. raw is a value
+// the scanner delimited (an array within maxTableDepth); it is copied,
+// not retained. A table larger than the bound is decoded and not kept.
+func (in *tableInterner) table(raw []byte) (t *internedTable, warm bool, err error) {
 	key := tableKey(sha256.Sum256(raw))
 	n := int64(len(raw))
 	in.mu.Lock()
@@ -108,28 +144,36 @@ func (in *tableInterner) table(raw []byte) ([]dataset.Record, tableKey, error) {
 			in.byPrefix[p] = el
 		}
 		in.mu.Unlock()
-		return el.Value.(*internedTable).records, key, nil
+		return el.Value.(*internedTable), true, nil
 	}
 	in.mu.Unlock()
 
 	var records []dataset.Record
 	if err := json.Unmarshal(raw, &records); err != nil {
-		return nil, key, err
+		return nil, false, err
 	}
+	if n > in.bound {
+		return &internedTable{key: key, records: records}, false, nil
+	}
+	t = newInternedTable(key, raw, records)
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if el, ok := in.byKey[key]; ok { // a concurrent first sight won
-		return el.Value.(*internedTable).records, key, nil
+		return el.Value.(*internedTable), false, nil
 	}
-	if n > in.bound {
-		return records, key, nil
-	}
-	el := in.recency.PushFront(&internedTable{key: key, records: records, raw: bytes.Clone(raw)})
+	el := in.recency.PushFront(t)
 	in.byKey[key] = el
 	if p, ok := prefixOf(raw); ok {
 		in.byPrefix[p] = el
 	}
 	in.held += n
+	in.evict()
+	return t, false, nil
+}
+
+// evict drops least recently used tables until the bound holds. Callers
+// hold in.mu.
+func (in *tableInterner) evict() {
 	for in.held > in.bound {
 		oldest := in.recency.Back()
 		t := in.recency.Remove(oldest).(*internedTable)
@@ -137,9 +181,30 @@ func (in *tableInterner) table(raw []byte) ([]dataset.Record, tableKey, error) {
 		if p, ok := prefixOf(t.raw); ok && in.byPrefix[p] == oldest {
 			delete(in.byPrefix, p)
 		}
-		in.held -= int64(len(t.raw))
+		in.held -= t.held
 	}
-	return records, key, nil
+}
+
+// rendered returns t's records as a reply writes them, rendering them on
+// first use. The first rendering published is the one every reply copies;
+// it counts against the bound from then on if t is still interned, and
+// one published after t's eviction is only the jobs'.
+func (in *tableInterner) rendered(t *internedTable) *renderedTable {
+	if out := t.out.Load(); out != nil {
+		return out
+	}
+	out := renderTable(t)
+	if !t.out.CompareAndSwap(nil, out) {
+		return t.out.Load()
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if el, ok := in.byKey[t.key]; ok && el.Value.(*internedTable) == t {
+		t.held += out.size()
+		in.held += out.size()
+		in.evict()
+	}
+	return out
 }
 
 // known returns the interned table whose JSON b starts with, or nil. The
@@ -169,7 +234,7 @@ func prefixOf(b []byte) (p tablePrefix, ok bool) {
 }
 
 // hit counts a table known() recognised as answered from the interner.
-func (in *tableInterner) hit(el *list.Element) ([]dataset.Record, tableKey) {
+func (in *tableInterner) hit(el *list.Element) *internedTable {
 	t := el.Value.(*internedTable)
 	n := int64(len(t.raw))
 	in.mu.Lock()
@@ -177,7 +242,7 @@ func (in *tableInterner) hit(el *list.Element) ([]dataset.Record, tableKey) {
 	in.shared += n
 	in.recency.MoveToFront(el) // a no-op if evicted since
 	in.mu.Unlock()
-	return t.records, t.key
+	return t
 }
 
 func (in *tableInterner) counts() (seen, shared int64) {
@@ -186,20 +251,28 @@ func (in *tableInterner) counts() (seen, shared int64) {
 	return in.seen, in.shared
 }
 
+// jobTables is what the interning path knows of a submission's tables.
+type jobTables struct {
+	// keys are each table's interner key, which the job's impute stages
+	// file their k-NN indexes under (pipeline.ExecConfig.TableKeys).
+	keys map[string]embed.SourceKey
+	// warm are the tables the interner already held, whose records the
+	// job's reply copies pre-rendered (reply.go).
+	warm []*internedTable
+}
+
 // decodeSubmit decodes a submission body. Bodies of the canonical shape
 // take the interning path; every other body, and every body that path
 // stumbles on, goes through one json.Decoder exactly as before, so the
 // accepted set, the decoded values and the error texts are that
-// decoder's. The interning path also returns each table's interner key,
-// which the job's impute stages file their k-NN indexes under
-// (pipeline.ExecConfig.TableKeys); the other path returns none.
-func (s *Server) decodeSubmit(body []byte) (SubmitRequest, map[string]embed.SourceKey, error) {
-	if req, keys, ok := s.decodeInterned(body); ok {
-		return req, keys, nil
+// decoder's. Only the interning path knows the tables as jobTables.
+func (s *Server) decodeSubmit(body []byte) (SubmitRequest, jobTables, error) {
+	if req, tables, ok := s.decodeInterned(body); ok {
+		return req, tables, nil
 	}
 	var req SubmitRequest
 	err := json.NewDecoder(bytes.NewReader(body)).Decode(&req)
-	return req, nil, err
+	return req, jobTables{}, err
 }
 
 // decodeInterned is the interning path: the envelope (everything but the
@@ -208,36 +281,40 @@ func (s *Server) decodeSubmit(body []byte) (SubmitRequest, map[string]embed.Sour
 // the body is not one JSON object with exactly one plainly spelt "tables"
 // member holding an object of uniquely, plainly named arrays and nothing
 // but whitespace after it — or when any piece fails to decode.
-func (s *Server) decodeInterned(body []byte) (SubmitRequest, map[string]embed.SourceKey, bool) {
+func (s *Server) decodeInterned(body []byte) (SubmitRequest, jobTables, bool) {
 	var req SubmitRequest
 	start, end, members, ok := scanSubmit(body, s.tables)
 	if !ok {
-		return req, nil, false
+		return req, jobTables{}, false
 	}
-	envelope := io.MultiReader(bytes.NewReader(body[:start]), strings.NewReader("null"), bytes.NewReader(body[end:]))
-	if err := json.NewDecoder(envelope).Decode(&req); err != nil {
-		return req, nil, false
+	envelope := make([]byte, 0, start+len("null")+len(body)-end)
+	envelope = append(append(append(envelope, body[:start]...), "null"...), body[end:]...)
+	if err := json.Unmarshal(envelope, &req); err != nil {
+		return req, jobTables{}, false
 	}
 	req.Tables = make(map[string][]dataset.Record, len(members))
-	keys := make(map[string]embed.SourceKey, len(members))
+	tables := jobTables{keys: make(map[string]embed.SourceKey, len(members)), warm: make([]*internedTable, 0, len(members))}
 	for _, m := range members {
 		name := string(m.name)
 		if _, dup := req.Tables[name]; dup {
-			return req, nil, false
+			return req, jobTables{}, false
 		}
-		var records []dataset.Record
-		var key tableKey
-		if m.known != nil {
-			records, key = s.tables.hit(m.known)
+		var t *internedTable
+		warm := m.known != nil
+		if warm {
+			t = s.tables.hit(m.known)
 		} else {
 			var err error
-			if records, key, err = s.tables.table(m.value); err != nil {
-				return req, nil, false
+			if t, warm, err = s.tables.table(m.value); err != nil {
+				return req, jobTables{}, false
 			}
 		}
-		req.Tables[name], keys[name] = records, embed.SourceKey(key)
+		if warm {
+			tables.warm = append(tables.warm, t)
+		}
+		req.Tables[name], tables.keys[name] = t.records, embed.SourceKey(t.key)
 	}
-	return req, keys, true
+	return req, tables, true
 }
 
 // jsonScanner walks JSON text far enough to delimit values: it knows

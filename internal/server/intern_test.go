@@ -104,17 +104,19 @@ func TestKnownTableRecognisedByBytes(t *testing.T) {
 	source := tableValue(t, body, "source")
 	s := &Server{tables: newTableInterner()}
 	first := decodeLikeDecoder(t, s, body, "first sight")
-	_, firstKeys, _ := s.decodeInterned(body)
+	_, firstTables, _ := s.decodeInterned(body)
+	firstKeys := firstTables.keys
 
 	t.Run("repeat", func(t *testing.T) {
 		if known := recognised(s, body); !known["train"] || !known["source"] {
 			t.Fatalf("recognised %v, want both tables", known)
 		}
 		_, sharedBefore := s.tables.counts()
-		got, keys, err := s.decodeSubmit(body)
+		got, tables, err := s.decodeSubmit(body)
 		if err != nil {
 			t.Fatal(err)
 		}
+		keys := tables.keys
 		if &got.Tables["train"][0] != &first.Tables["train"][0] {
 			t.Error("a repeated train table was decoded again, not taken from the interner")
 		}
@@ -327,7 +329,7 @@ func TestWarmDecodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pins skip under the race detector")
 	}
-	const maxAllocs = 33
+	const maxAllocs = 25
 	allocs := func(trainN int) float64 {
 		body := imputeBody(t, trainN)
 		s := &Server{tables: newTableInterner()}

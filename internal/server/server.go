@@ -291,6 +291,10 @@ type Stats struct {
 	// the table interner without decoding.
 	TableBytes       int64 `json:"table_bytes"`
 	TableBytesShared int64 `json:"table_bytes_shared"`
+	// ReplyBytes is the job replies sent over HTTP; ReplyBytesReused the
+	// part copied from interned tables' rendered records (reply.go).
+	ReplyBytes       int64 `json:"reply_bytes"`
+	ReplyBytesReused int64 `json:"reply_bytes_reused"`
 	// Resilience counters, present when Config.Resilience is set.
 	Retries      int  `json:"retries,omitempty"`
 	Hedges       int  `json:"hedges,omitempty"`
@@ -343,6 +347,9 @@ type job struct {
 	id, tenant string
 
 	cancel context.CancelFunc
+	// inputs are the job's warm input tables, whose records its replies
+	// copy pre-rendered (reply.go).
+	inputs []*internedTable
 
 	mu     sync.Mutex
 	state  JobState
@@ -372,21 +379,31 @@ func (j *job) finish(s JobState, res *pipeline.Result, err error, wall time.Dura
 	j.done = time.Now()
 }
 
-// status renders the job's wire view.
-func (j *job) status() *JobStatus {
+// view reads the job's wire view: its status without a Result, and the
+// result the Result is rendered from once State is done.
+func (j *job) view() (JobStatus, *pipeline.Result) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := &JobStatus{ID: j.id, Tenant: j.tenant, State: j.state}
+	st := JobStatus{ID: j.id, Tenant: j.tenant, State: j.state}
 	if j.err != nil {
 		st.Error = j.err.Error()
 	}
 	if j.state.terminal() {
 		st.WallMS = float64(j.wall) / float64(time.Millisecond)
 	}
-	if j.state == JobDone && j.result != nil {
-		st.Result = JobResultOf(j.result)
+	if j.state == JobDone {
+		return st, j.result
 	}
-	return st
+	return st, nil
+}
+
+// status renders the job's wire view for in-process callers.
+func (j *job) status() *JobStatus {
+	st, res := j.view()
+	if res != nil {
+		st.Result = JobResultOf(res)
+	}
+	return &st
 }
 
 // Server is the multi-tenant pipeline service core. Construct with New;
@@ -403,6 +420,9 @@ type Server struct {
 	// tables shares the decoded form of tables that arrive byte-identical
 	// in many submissions (intern.go).
 	tables *tableInterner
+	// replyBytes and replyBytesReused are Stats.ReplyBytes and
+	// ReplyBytesReused.
+	replyBytes, replyBytesReused atomic.Int64
 
 	// Job GC: effective retention (negative = disabled) and terminal-job
 	// cap (0 = none), plus the sweeper goroutine's lifecycle.
@@ -622,12 +642,16 @@ func (s *Server) tenantFor(id string) *tenant {
 // ErrBadSpec, ErrRateLimited, ErrBusy, ErrDraining, or the tenant budget's
 // workflow.ErrBudgetExhausted.
 func (s *Server) Submit(ctx context.Context, req SubmitRequest) (*JobStatus, error) {
-	return s.submit(ctx, req, nil)
+	j, err := s.submit(ctx, req, jobTables{})
+	if err != nil {
+		return nil, err
+	}
+	return j.status(), nil
 }
 
-// submit is Submit with the interner's keys of req.Tables (decodeSubmit),
-// nil when the tables were not interned.
-func (s *Server) submit(ctx context.Context, req SubmitRequest, keys map[string]embed.SourceKey) (*JobStatus, error) {
+// submit is Submit with what the interner knows of req.Tables
+// (decodeSubmit; zero when they were not interned), returning the job.
+func (s *Server) submit(ctx context.Context, req SubmitRequest, in jobTables) (*job, error) {
 	if !tenantIDPattern.MatchString(req.Tenant) {
 		return nil, fmt.Errorf("%w: tenant must match %s", ErrBadSpec, tenantIDPattern)
 	}
@@ -698,7 +722,7 @@ func (s *Server) submit(ctx context.Context, req SubmitRequest, keys map[string]
 	}
 	jctx, jcancel := context.WithCancel(workflow.TagTenant(parent, req.Tenant))
 	s.seq++
-	j := &job{id: fmt.Sprintf("job-%06d", s.seq), tenant: req.Tenant, state: JobQueued, cancel: jcancel}
+	j := &job{id: fmt.Sprintf("job-%06d", s.seq), tenant: req.Tenant, state: JobQueued, cancel: jcancel, inputs: in.warm}
 	s.jobs[j.id] = j
 	t.mu.Lock()
 	t.submitted++
@@ -707,11 +731,11 @@ func (s *Server) submit(ctx context.Context, req SubmitRequest, keys map[string]
 	s.mu.Unlock()
 
 	if req.Async {
-		go s.runJob(jctx, j, t, tk, p, tables, keys)
-		return j.status(), nil
+		go s.runJob(jctx, j, t, tk, p, tables, in.keys)
+		return j, nil
 	}
-	s.runJob(jctx, j, t, tk, p, tables, keys)
-	return j.status(), nil
+	s.runJob(jctx, j, t, tk, p, tables, in.keys)
+	return j, nil
 }
 
 // runJob waits out the queue, runs the pipeline via a cancellable handle,
@@ -768,26 +792,40 @@ func (s *Server) runJob(ctx context.Context, j *job, t *tenant, tk *ticket, p *p
 
 // Job returns a job's current status.
 func (s *Server) Job(id string) (*JobStatus, error) {
+	j, err := s.lookup(id)
+	if err != nil {
+		return nil, err
+	}
+	return j.status(), nil
+}
+
+func (s *Server) lookup(id string) (*job, error) {
 	s.mu.RLock()
 	j := s.jobs[id]
 	s.mu.RUnlock()
 	if j == nil {
 		return nil, fmt.Errorf("%w: job %q", ErrNotFound, id)
 	}
-	return j.status(), nil
+	return j, nil
 }
 
 // Cancel aborts a job. Cancelling a finished job is a no-op; the returned
 // status tells the caller which happened.
 func (s *Server) Cancel(id string) (*JobStatus, error) {
-	s.mu.RLock()
-	j := s.jobs[id]
-	s.mu.RUnlock()
-	if j == nil {
-		return nil, fmt.Errorf("%w: job %q", ErrNotFound, id)
+	j, err := s.cancel(id)
+	if err != nil {
+		return nil, err
+	}
+	return j.status(), nil
+}
+
+func (s *Server) cancel(id string) (*job, error) {
+	j, err := s.lookup(id)
+	if err != nil {
+		return nil, err
 	}
 	j.cancel()
-	return j.status(), nil
+	return j, nil
 }
 
 // Report renders one tenant's accounting.
@@ -856,6 +894,7 @@ func (s *Server) Stats() *Stats {
 		Running: running, Waiting: waiting, Draining: draining,
 	}
 	st.TableBytes, st.TableBytesShared = s.tables.counts()
+	st.ReplyBytes, st.ReplyBytesReused = s.replyBytes.Load(), s.replyBytesReused.Load()
 	if s.resil != nil {
 		rs := s.resil.Stats()
 		st.Retries, st.Hedges, st.BreakerOpens = rs.Retries, rs.Hedges, rs.BreakerOpens
