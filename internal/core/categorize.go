@@ -79,7 +79,7 @@ func (e *Engine) Categorize(ctx context.Context, req CategorizeRequest) (Categor
 					return nil, prompt.ErrUnparseable
 				}
 				return cats, nil
-			}, e.retries)
+			}, parseRetries)
 		if err != nil {
 			return CategorizeResult{}, fmt.Errorf("category discovery: %w", err)
 		}
@@ -148,5 +148,5 @@ func (c *PreparedCategorize) Ask(ctx context.Context, item string) (string, erro
 				}
 			}
 			return "", fmt.Errorf("%q not in category set: %w", v, prompt.ErrUnparseable)
-		}, c.e.retries)
+		}, parseRetries)
 }

@@ -34,7 +34,6 @@ type Engine struct {
 	budget      *workflow.Budget
 	embedder    embed.Embedder
 	parallelism int
-	retries     int
 	cache       bool
 	exec        *workflow.ExecLayer
 	batch       int
@@ -60,6 +59,10 @@ func WithEmbedder(em embed.Embedder) Option {
 	return func(e *Engine) { e.embedder = em }
 }
 
+// parseRetries is how many times a unit task is asked before an
+// unparseable reply fails it.
+const parseRetries = 3
+
 // DefaultParallelism is the concurrent-call bound of an engine built
 // without WithParallelism.
 const DefaultParallelism = 8
@@ -68,11 +71,6 @@ const DefaultParallelism = 8
 // DefaultParallelism).
 func WithParallelism(p int) Option {
 	return func(e *Engine) { e.parallelism = p }
-}
-
-// WithRetries sets the parse-retry attempts per unit task (default 3).
-func WithRetries(r int) Option {
-	return func(e *Engine) { e.retries = r }
 }
 
 // WithoutCache disables response caching (enabled by default; identical
@@ -148,7 +146,6 @@ func New(model llm.Model, opts ...Option) *Engine {
 		budget:      workflow.Unlimited(),
 		embedder:    embed.Default(),
 		parallelism: DefaultParallelism,
-		retries:     3,
 		cache:       true,
 	}
 	for _, opt := range opts {

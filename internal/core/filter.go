@@ -117,7 +117,7 @@ func (f *PreparedFilter) Ask(ctx context.Context, item string) (FilterAnswer, er
 	)
 	switch f.req.Strategy {
 	case FilterPerItem:
-		ans.Keep, err = quality.AskBytesWithRetry(ctx, f.s.model, buf.prompt, prompt.ParseYesNo, f.e.retries)
+		ans.Keep, err = quality.AskBytesWithRetry(ctx, f.s.model, buf.prompt, prompt.ParseYesNo, parseRetries)
 		ans.Asks = 1
 	case FilterMajority:
 		var yes, no int
@@ -229,7 +229,7 @@ func (e *Engine) Count(ctx context.Context, req CountRequest) (CountResult, erro
 		}
 		fracs, err := e.mapIdx(ctx, len(batches), func(ctx context.Context, i int) (string, error) {
 			f, err := quality.AskWithRetry(ctx, s.model, prompt.CountBatch(batches[i], req.Predicate),
-				prompt.ParsePercent, e.retries)
+				prompt.ParsePercent, parseRetries)
 			if err != nil {
 				return "", err
 			}

@@ -76,7 +76,7 @@ func (e *Engine) Find(ctx context.Context, req FindRequest) (FindResult, error) 
 	s := e.newSession()
 	check := func(ctx context.Context, item string) (bool, error) {
 		return quality.AskWithRetry(ctx, s.model, prompt.FilterItem(item, req.Description),
-			prompt.ParseYesNo, e.retries)
+			prompt.ParseYesNo, parseRetries)
 	}
 	var res FindResult
 	switch req.Strategy {

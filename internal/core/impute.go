@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/dataset"
@@ -368,7 +367,7 @@ func (p *PreparedImpute) renderAsk(buf *promptBuf, nn []embed.Neighbor) {
 
 // askRendered asks the model the prompt renderAsk left in buf.prompt.
 func (p *PreparedImpute) askRendered(ctx context.Context, buf *promptBuf) (ImputeAnswer, error) {
-	v, err := quality.AskBytesWithRetry(ctx, p.s.model, buf.prompt, prompt.ParseValue, p.e.retries)
+	v, err := quality.AskBytesWithRetry(ctx, p.s.model, buf.prompt, prompt.ParseValue, parseRetries)
 	return ImputeAnswer{Value: v, ByLLM: true}, err
 }
 
@@ -421,25 +420,4 @@ func (e *Engine) Impute(ctx context.Context, req ImputeRequest) (ImputeResult, e
 	}
 	res.Usage = p.s.usage()
 	return res, nil
-}
-
-// NearestTrainValues returns the k nearest training target values for a
-// query — exposed for diagnostics and the planner's feature probes.
-func NearestTrainValues(em embed.Embedder, train []dataset.Record, query dataset.Record, targetField string, k int) []string {
-	ix := embed.NewIndex(em)
-	targets := make(map[string]string, len(train))
-	items := make([]embed.Item, 0, len(train))
-	for _, r := range train {
-		v, _ := r.Get(targetField)
-		items = append(items, embed.Item{ID: r.ID, Text: r.WithoutField(targetField).String()})
-		targets[r.ID] = v
-	}
-	ix.AddAll(items)
-	nn := ix.Nearest(query.WithoutField(targetField).String(), k)
-	out := make([]string, 0, len(nn))
-	for _, nb := range nn {
-		out = append(out, targets[nb.ID])
-	}
-	sort.Strings(out)
-	return out
 }

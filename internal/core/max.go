@@ -102,7 +102,7 @@ func (e *Engine) tournamentWinner(ctx context.Context, s *session, items []strin
 	pairs := allPairs(len(items))
 	outcomes, err := e.mapIdx(ctx, len(pairs), func(ctx context.Context, k int) (string, error) {
 		p := pairs[k]
-		aWins, err := compareOnce(ctx, s.model, e.retries, items[p[0]], items[p[1]], criterion, 0, false)
+		aWins, err := compareOnce(ctx, s.model, items[p[0]], items[p[1]], criterion, 0, false)
 		if err != nil {
 			return "", err
 		}

@@ -268,7 +268,7 @@ func (e *Engine) PlanCompareTemplate(ctx context.Context, gold []string, criteri
 						a, b = b, a
 						wantA = false
 					}
-					aWins, err := compareOnce(ctx, s.model, e.retries, a, b, criterion, variant, cot)
+					aWins, err := compareOnce(ctx, s.model, a, b, criterion, variant, cot)
 					if err != nil {
 						return 0, s.usage(), err
 					}

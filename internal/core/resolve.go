@@ -149,7 +149,7 @@ func (e *Engine) matchOnce(ctx context.Context, s *session, a, b Entity) (bool, 
 	buf := getPromptBuf()
 	defer buf.release()
 	buf.prompt = prompt.AppendMatchPair(buf.prompt[:0], a.Text, b.Text)
-	return quality.AskBytesWithRetry(ctx, s.model, buf.prompt, prompt.ParseYesNo, e.retries)
+	return quality.AskBytesWithRetry(ctx, s.model, buf.prompt, prompt.ParseYesNo, parseRetries)
 }
 
 func (e *Engine) resolveDirect(ctx context.Context, s *session, req PairsRequest) (PairsResult, error) {
@@ -403,7 +403,7 @@ func (e *Engine) dedupeGroupBatch(ctx context.Context, s *session, req DedupeReq
 					return nil, prompt.ErrUnparseable
 				}
 				return g, nil
-			}, e.retries)
+			}, parseRetries)
 		if err != nil {
 			return fmt.Errorf("group batch at %d: %w", start, err)
 		}

@@ -164,7 +164,7 @@ func (e *Engine) sortOnePrompt(ctx context.Context, s *session, req SortRequest)
 				return nil, prompt.ErrUnparseable
 			}
 			return items, nil
-		}, e.retries)
+		}, parseRetries)
 	if err != nil {
 		return SortResult{}, fmt.Errorf("one-prompt sort: %w", err)
 	}
@@ -177,7 +177,7 @@ func (e *Engine) rateOnce(ctx context.Context, s *session, item, criterion strin
 	defer buf.release()
 	buf.prompt = prompt.AppendRateItem(buf.prompt[:0], item, criterion, scale)
 	return quality.AskBytesWithRetry(ctx, s.model, buf.prompt,
-		func(text string) (int, error) { return prompt.ParseRating(text, scale) }, e.retries)
+		func(text string) (int, error) { return prompt.ParseRating(text, scale) }, parseRetries)
 }
 
 // rateAll rates every item with the engine's parallelism.
@@ -212,9 +212,9 @@ func (e *Engine) sortRating(ctx context.Context, s *session, req SortRequest) (S
 // compareOnce asks one pairwise comparison and reports whether a ranks
 // higher than b, under the given template variant and chain-of-thought
 // setting.
-func compareOnce(ctx context.Context, model llm.Model, retries int, a, b, criterion string, variant int, cot bool) (bool, error) {
+func compareOnce(ctx context.Context, model llm.Model, a, b, criterion string, variant int, cot bool) (bool, error) {
 	choice, err := quality.AskWithRetry(ctx, model, prompt.ComparePairVariant(variant, a, b, criterion, cot),
-		prompt.ParseChoice, retries)
+		prompt.ParseChoice, parseRetries)
 	if err != nil {
 		return false, err
 	}
@@ -238,7 +238,7 @@ func (e *Engine) sortPairwise(ctx context.Context, s *session, req SortRequest, 
 	if batch == 1 {
 		got, err := e.mapIdx(ctx, len(pairs), func(ctx context.Context, k int) (string, error) {
 			p := pairs[k]
-			aWins, err := compareOnce(ctx, s.model, e.retries, req.Items[p.i], req.Items[p.j], req.Criterion, req.TemplateVariant, req.ChainOfThought)
+			aWins, err := compareOnce(ctx, s.model, req.Items[p.i], req.Items[p.j], req.Criterion, req.TemplateVariant, req.ChainOfThought)
 			if err != nil {
 				return "", err
 			}
@@ -270,7 +270,7 @@ func (e *Engine) sortPairwise(ctx context.Context, s *session, req SortRequest, 
 			}
 			answers, err := quality.AskWithRetry(ctx, s.model, prompt.CompareBatch(items, req.Criterion),
 				func(text string) (map[int]string, error) { return prompt.ParseChoices(text, len(chunk)) },
-				e.retries)
+				parseRetries)
 			if err != nil {
 				return "", err
 			}
@@ -302,7 +302,7 @@ func (e *Engine) sortPairwise(ctx context.Context, s *session, req SortRequest, 
 				continue
 			}
 			p := pairs[k]
-			aWins, err := compareOnce(ctx, s.model, e.retries, req.Items[p.i], req.Items[p.j], req.Criterion, req.TemplateVariant, req.ChainOfThought)
+			aWins, err := compareOnce(ctx, s.model, req.Items[p.i], req.Items[p.j], req.Criterion, req.TemplateVariant, req.ChainOfThought)
 			if err != nil {
 				return SortResult{}, fmt.Errorf("batched pairwise fallback: %w", err)
 			}
@@ -355,9 +355,9 @@ func (e *Engine) sortHybridInsert(ctx context.Context, s *session, req SortReque
 			var itemHigher bool
 			var cerr error
 			if k%2 == 0 {
-				itemHigher, cerr = compareOnce(ctx, s.model, e.retries, item, ranked[idx], req.Criterion, req.TemplateVariant, req.ChainOfThought)
+				itemHigher, cerr = compareOnce(ctx, s.model, item, ranked[idx], req.Criterion, req.TemplateVariant, req.ChainOfThought)
 			} else {
-				other, oerr := compareOnce(ctx, s.model, e.retries, ranked[idx], item, req.Criterion, req.TemplateVariant, req.ChainOfThought)
+				other, oerr := compareOnce(ctx, s.model, ranked[idx], item, req.Criterion, req.TemplateVariant, req.ChainOfThought)
 				itemHigher, cerr = !other, oerr
 			}
 			if cerr != nil {

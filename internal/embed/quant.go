@@ -197,8 +197,7 @@ func (ix *Index) ensureQuantized() *quantized {
 // 20.9–21.9 µs against 85.7–87.8 µs at N = 300; docs/VECTOR.md). The gate
 // is there for the build: buildQuantized takes 0.23–0.25 ms at N = 64 and
 // 0.99–1.14 ms at N = 300, about 40 and 16 queries' saving, which a small
-// index queried only a few times — such as the one core.NearestTrainValues
-// builds per call — never gets back.
+// index built for only a few queries never gets back.
 const certMinPoints = 512
 
 // certShortlist is the shortlist width the certified path keeps by code

@@ -14,14 +14,13 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/embed"
 	"repro/internal/llm"
-	"repro/internal/resil"
 	"repro/internal/token"
 	"repro/internal/workflow"
 )
 
 // OnRecordError values: what a streaming per-record stage does when one
-// record's unit task fails (after the resilience policy, if any, has
-// already done its retrying). Barrier stages always fail fast —
+// record's unit task fails (after the caller's resilience wrapper, if
+// any, has already done its retrying). Barrier stages always fail fast —
 // their output depends on the whole table, so dropping records would
 // silently change the answer rather than narrow it.
 const (
@@ -39,10 +38,13 @@ const (
 
 // ExecConfig parameterises one pipeline run.
 type ExecConfig struct {
-	// Model answers every unit task.
+	// Model answers every unit task. The caller owns the model stack: a
+	// retry / hedging / breaker policy is attached by passing
+	// resil.Wrap(model, policy) here, where it sits below the budget,
+	// attribution, batcher and cache, so every layer above sees one
+	// logical call per ask however many attempts the policy spent. The
+	// physical activity is read from that wrapper's Stats.
 	Model llm.Model
-	// Embedder overrides the k-NN embedder (default embed.Default()).
-	Embedder embed.Embedder
 	// Budget caps the whole pipeline; nil runs unlimited (with full
 	// accounting either way).
 	Budget *workflow.Budget
@@ -108,14 +110,6 @@ type ExecConfig struct {
 	// the streaming-vs-materialized wall-clock comparison in the
 	// experiments.
 	Materialized bool
-	// Resilience, when non-nil, wraps the model with a retry / backoff /
-	// hedging / circuit-breaker policy for the run. The wrapper sits below
-	// the budget, attribution, batcher, and cache, so callers above see
-	// one logical call per ask (counted and cached once) however many
-	// physical attempts the policy spent; the physical activity lands in
-	// the Attribution's resilience counters and the Result. With no faults
-	// firing the wrapper is a no-op and results are byte-identical.
-	Resilience *resil.Policy
 	// TableKeys optionally names tables passed to Run by a
 	// collision-resistant hash of their content, such as the SHA-256 a
 	// server interns a table's bytes under. An impute stage whose static
@@ -163,29 +157,7 @@ const edgeBuffer = 64
 type execRuntime struct {
 	budget *workflow.Budget
 	attr   *workflow.Attribution
-	resil  *resil.Model // non-nil when cfg.Resilience wrapped the model
 	engine *core.Engine
-}
-
-// flushResil folds the run's resilience activity into the ledger and
-// returns it. The wrapper is private to this runtime, so its lifetime
-// counters are exactly this run's delta.
-func (rt *execRuntime) flushResil() workflow.ResilienceStats {
-	if rt.resil == nil {
-		return workflow.ResilienceStats{}
-	}
-	s := rt.resil.Stats()
-	delta := workflow.ResilienceStats{
-		Retries:      s.Retries,
-		Hedges:       s.Hedges,
-		HedgeWins:    s.HedgeWins,
-		BreakerOpens: s.BreakerOpens,
-		RetryDenials: s.RetryDenials,
-	}
-	if !delta.Zero() {
-		rt.attr.AddResilience(delta)
-	}
-	return delta
 }
 
 func (cfg ExecConfig) runtime() *execRuntime {
@@ -209,23 +181,11 @@ func (cfg ExecConfig) runtime() *execRuntime {
 	if cfg.Parallelism > 0 {
 		opts = append(opts, core.WithParallelism(cfg.Parallelism))
 	}
-	if cfg.Embedder != nil {
-		opts = append(opts, core.WithEmbedder(cfg.Embedder))
-	}
 	opts = append(opts, core.WithExecutionLayer(layer), core.WithIndexRegistry(registry))
 	if cfg.Batch > 1 {
 		opts = append(opts, core.WithBatching(cfg.Batch))
 	}
-	rt := &execRuntime{budget: budget, attr: attr}
-	model := cfg.Model
-	if cfg.Resilience != nil {
-		// Below everything: retries and hedges are invisible to the budget,
-		// ledger, batcher, and cache above — one logical call per ask.
-		rt.resil = resil.Wrap(model, *cfg.Resilience)
-		model = rt.resil
-	}
-	rt.engine = core.New(model, opts...)
-	return rt
+	return &execRuntime{budget: budget, attr: attr, engine: core.New(cfg.Model, opts...)}
 }
 
 // Env is the execution environment handed to each stage.
@@ -372,11 +332,6 @@ type Result struct {
 	// execution across stages (see ExecConfig.OnRecordError).
 	Skipped     int
 	Quarantined int
-	// Resilience reports the run's physical retry/hedge/breaker activity
-	// when ExecConfig.Resilience was set (zero otherwise). These count
-	// events below the logical-call accounting: Usage is unaffected by
-	// how many attempts a call took.
-	Resilience workflow.ResilienceStats
 }
 
 // seqRecord is one record on an inter-stage edge. seq is its position in
@@ -607,9 +562,6 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 		}(st, p.specs[i], slots[i])
 	}
 	wg.Wait()
-	// Fold resilience activity into the ledger even when the run failed:
-	// the retries were spent either way and the ledger must say so.
-	resilStats := rt.flushResil()
 
 	// Surface the root cause: a failing stage cancels the run, so sibling
 	// branches die with context errors that would otherwise mask the stage
@@ -672,7 +624,6 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 		res.Stages = append(res.Stages, report)
 	}
 	res.Usage, res.Cost = rt.attr.Total()
-	res.Resilience = resilStats
 	return res, nil
 }
 
@@ -952,9 +903,5 @@ func FormatResult(res *Result) string {
 	}
 	out += fmt.Sprintf("total: %d calls, %d tokens, $%.4f\n",
 		res.Usage.Calls, res.Usage.Total(), res.Cost)
-	if r := res.Resilience; !r.Zero() || res.Skipped > 0 || res.Quarantined > 0 {
-		out += fmt.Sprintf("resilience: %d retries, %d hedges (%d won), %d breaker opens, %d skipped, %d quarantined\n",
-			r.Retries, r.Hedges, r.HedgeWins, r.BreakerOpens, res.Skipped, res.Quarantined)
-	}
 	return out
 }

@@ -149,10 +149,10 @@ func TestBudgetExhaustionNotQuarantined(t *testing.T) {
 	}
 }
 
-// TestResilienceHealsTransientFaults: a policy below the cache retries
-// transient faults away; the run succeeds, attribution counts each
-// logical call once, and the physical retries surface in the ledger's
-// resilience counters.
+// TestResilienceHealsTransientFaults: a caller-wrapped policy below the
+// cache retries transient faults away; the run succeeds, attribution
+// counts each logical call once, and the physical retries surface in the
+// wrapper's Stats.
 func TestResilienceHealsTransientFaults(t *testing.T) {
 	var mu sync.Mutex
 	attempts := map[string]int{}
@@ -167,21 +167,13 @@ func TestResilienceHealsTransientFaults(t *testing.T) {
 		return unit("Yes"), nil
 	}}
 	p := filterSpec(t)
-	attr := workflow.NewAttribution()
-	res, err := p.Run(context.Background(), ExecConfig{
-		Model:       inner,
-		Attribution: attr,
-		Parallelism: 1,
-		Resilience:  &resil.Policy{MaxAttempts: 3, BaseBackoff: time.Microsecond},
-	}, flavorTables(4))
+	rm := resil.Wrap(inner, resil.Policy{MaxAttempts: 3, BaseBackoff: time.Microsecond})
+	res, err := p.Run(context.Background(), ExecConfig{Model: rm, Parallelism: 1}, flavorTables(4))
 	if err != nil {
 		t.Fatalf("resilient run failed: %v", err)
 	}
-	if res.Resilience.Retries == 0 {
+	if rm.Stats().Retries == 0 {
 		t.Fatal("no retries recorded despite transient faults")
-	}
-	if got := attr.Resilience(); got != res.Resilience {
-		t.Fatalf("ledger resilience %+v != result %+v", got, res.Resilience)
 	}
 	// Attribution still sums exactly: per-stage usage == run total, and
 	// the logical call count is one per distinct ask (4 records), not one
@@ -205,6 +197,7 @@ func TestResilienceHealsTransientFaults(t *testing.T) {
 // resilience policy, results are byte-identical to a bare run — the
 // wrappers are no-ops when nothing fires.
 func TestFaultlessRunByteIdentical(t *testing.T) {
+	var rm *resil.Model
 	run := func(wrap bool) *Result {
 		p := filterSpec(t)
 		model := llm.Model(llm.Func{ModelName: "plain", Fn: func(_ context.Context, req llm.Request) (llm.Response, error) {
@@ -212,8 +205,9 @@ func TestFaultlessRunByteIdentical(t *testing.T) {
 		}})
 		cfg := ExecConfig{Model: model, Parallelism: 1}
 		if wrap {
-			cfg.Model = llm.WithFaults(model, llm.FaultPlan{})
-			cfg.Resilience = &resil.Policy{MaxAttempts: 3, BreakerThreshold: 5, HedgeAfter: time.Hour}
+			rm = resil.Wrap(llm.WithFaults(model, llm.FaultPlan{}),
+				resil.Policy{MaxAttempts: 3, BreakerThreshold: 5, HedgeAfter: time.Hour})
+			cfg.Model = rm
 			cfg.OnRecordError = OnRecordQuarantine
 		}
 		res, err := p.Run(context.Background(), cfg, flavorTables(6))
@@ -223,9 +217,11 @@ func TestFaultlessRunByteIdentical(t *testing.T) {
 		return res
 	}
 	plain, wrapped := run(false), run(true)
-	if !wrapped.Resilience.Zero() || wrapped.Quarantined != 0 || wrapped.Skipped != 0 {
+	rs := rm.Stats()
+	if rs.Attempts != rs.Calls || rs.Retries != 0 || rs.Hedges != 0 || rs.BreakerOpens != 0 ||
+		wrapped.Quarantined != 0 || wrapped.Skipped != 0 {
 		t.Fatalf("faultless wrapped run reported activity: %+v q=%d s=%d",
-			wrapped.Resilience, wrapped.Quarantined, wrapped.Skipped)
+			rs, wrapped.Quarantined, wrapped.Skipped)
 	}
 	if fmt.Sprint(plain.Tables["keep"]) != fmt.Sprint(wrapped.Tables["keep"]) {
 		t.Fatal("faultless wrapped tables differ from bare run")
@@ -244,8 +240,8 @@ func TestBreakerOpenAbortsNotQuarantines(t *testing.T) {
 	}}
 	p := filterSpec(t)
 	res, err := p.Run(context.Background(), ExecConfig{
-		Model: inner, Parallelism: 1,
-		Resilience:    &resil.Policy{MaxAttempts: 1, BreakerThreshold: 1, BreakerCooldown: time.Minute},
+		Model:         resil.Wrap(inner, resil.Policy{MaxAttempts: 1, BreakerThreshold: 1, BreakerCooldown: time.Minute}),
+		Parallelism:   1,
 		OnRecordError: OnRecordQuarantine,
 	}, flavorTables(6))
 	if err == nil {

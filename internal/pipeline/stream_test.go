@@ -2,10 +2,12 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -161,6 +163,56 @@ func TestStreamingCancellationNoLeak(t *testing.T) {
 		} else if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
 			t.Fatalf("goroutines leaked: %d before run, %d after\n%s", before, n, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRunCancelNoLeak cancels a run mid-call from outside: Run must
+// return the context error, and every stage goroutine must exit. Run with
+// -race in CI.
+func TestRunCancelNoLeak(t *testing.T) {
+	before := runtime.NumGoroutine()
+	started := make(chan struct{})
+	var once sync.Once
+	model := llm.Func{ModelName: "hang", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
+		once.Do(func() { close(started) })
+		<-ctx.Done()
+		return llm.Response{}, ctx.Err()
+	}}
+	spec := Spec{Stages: []StageSpec{
+		{Name: "keep", Kind: KindFilter, Predicate: "p"},
+		{Name: "cat", Kind: KindCategorize, Categories: []string{"a"}},
+	}}
+	p, err := Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.Run(ctx, ExecConfig{Model: model, Parallelism: 2}, flavorTables(6))
+		done <- err
+	}()
+	<-started
+	cancel()
+
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled run's error = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run never returned after cancel")
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if n := runtime.NumGoroutine(); n <= before {
+			break
+		} else if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines leaked after cancel: %d before, %d after\n%s", before, n, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

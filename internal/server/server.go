@@ -738,56 +738,53 @@ func (s *Server) submit(ctx context.Context, req SubmitRequest, in jobTables) (*
 	return j, nil
 }
 
-// runJob waits out the queue, runs the pipeline via a cancellable handle,
+// runJob waits out the queue, runs the pipeline under the job's context,
 // and records the outcome. It owns the job's gate ticket and WaitGroup
 // slot.
 func (s *Server) runJob(ctx context.Context, j *job, t *tenant, tk *ticket, p *pipeline.Pipeline,
 	tables map[string][]dataset.Record, keys map[string]embed.SourceKey) {
 	defer s.wg.Done()
 	defer j.cancel()
-	if err := s.gate.wait(ctx, tk); err != nil {
-		j.finish(JobCancelled, nil, err, 0)
-		return
+	var (
+		res  *pipeline.Result
+		wall time.Duration
+	)
+	err := s.gate.wait(ctx, tk)
+	if err == nil {
+		defer s.gate.release(tk)
+		j.setState(JobRunning)
+		start := time.Now()
+		res, err = p.Run(ctx, pipeline.ExecConfig{
+			Model:         s.counting,
+			Exec:          s.exec,
+			Registry:      s.registry,
+			Budget:        t.budget,
+			Attribution:   s.ledger.Child(t.id),
+			Batch:         s.cfg.Batch,
+			Parallelism:   s.cfg.Parallelism,
+			OnRecordError: s.cfg.OnRecordError,
+			TableKeys:     keys,
+		}, tables)
+		wall = time.Since(start)
 	}
-	defer s.gate.release(tk)
-	j.setState(JobRunning)
-	start := time.Now()
-	cfg := pipeline.ExecConfig{
-		Model:         s.counting,
-		Exec:          s.exec,
-		Registry:      s.registry,
-		Budget:        t.budget,
-		Attribution:   s.ledger.Child(t.id),
-		Batch:         s.cfg.Batch,
-		Parallelism:   s.cfg.Parallelism,
-		OnRecordError: s.cfg.OnRecordError,
-		TableKeys:     keys,
-	}
-	h := p.Start(ctx, cfg, tables)
-	// The handle's context is this job's: cancellation reaches the run
-	// directly, so waiting on Background never blocks past the run's end.
-	res, err := h.Wait(context.Background())
-	wall := time.Since(start)
 
+	// One classification drives both the tenant's counters and the job's
+	// state, so a job cancelled while still queued counts as cancelled too.
+	state := JobFailed
 	t.mu.Lock()
 	switch {
 	case err == nil:
+		state = JobDone
 		t.completed++
 		t.latencies = append(t.latencies, wall)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		state = JobCancelled
 		t.cancelled++
 	default:
 		t.failed++
 	}
 	t.mu.Unlock()
-	switch {
-	case err == nil:
-		j.finish(JobDone, res, nil, wall)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		j.finish(JobCancelled, nil, err, wall)
-	default:
-		j.finish(JobFailed, nil, err, wall)
-	}
+	j.finish(state, res, err, wall)
 }
 
 // Job returns a job's current status.

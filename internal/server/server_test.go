@@ -348,6 +348,55 @@ func TestCancelledJobNoLeak(t *testing.T) {
 	}
 }
 
+// TestQueuedJobCancelCounted pins the tenant report for a job cancelled
+// before it ever left the gate queue: it counts as cancelled exactly like
+// one cancelled while running, so the report's outcomes sum to what was
+// submitted.
+func TestQueuedJobCancelCounted(t *testing.T) {
+	before := runtime.NumGoroutine()
+	started := make(chan struct{})
+	var once sync.Once
+	model := llm.Func{ModelName: "hang", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
+		once.Do(func() { close(started) })
+		<-ctx.Done()
+		return llm.Response{}, ctx.Err()
+	}}
+	srv := New(Config{Model: model, MaxConcurrent: 1, MaxQueue: 1})
+	submit := func() *JobStatus {
+		st, err := srv.Submit(context.Background(), SubmitRequest{
+			Tenant: "t", Spec: toolSpec(), Tables: kindTable("q", 1, "tool"), Async: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	running := submit()
+	<-started
+	queued := submit()
+	if s := srv.Stats(); s.Running != 1 || s.Waiting != 1 {
+		t.Fatalf("gate running %d waiting %d, want 1/1", s.Running, s.Waiting)
+	}
+	for _, id := range []string{queued.ID, running.ID} {
+		if _, err := srv.Cancel(id); err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, srv, id, JobCancelled)
+	}
+	waitLeak(t, before)
+	rep, err := srv.Report("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Submitted != 2 || rep.Cancelled != 2 || rep.Completed != 0 || rep.Failed != 0 {
+		t.Fatalf("report submitted %d completed %d failed %d cancelled %d, want 2/0/0/2",
+			rep.Submitted, rep.Completed, rep.Failed, rep.Cancelled)
+	}
+	if s := srv.Stats(); s.Running != 0 || s.Waiting != 0 {
+		t.Fatalf("cancelled jobs wedged the gate: running %d waiting %d", s.Running, s.Waiting)
+	}
+}
+
 // TestFailedJobNoLeak is the same pin for a job that dies of a model
 // error: failed state, error surfaced, no goroutines left, slot free.
 func TestFailedJobNoLeak(t *testing.T) {

@@ -104,7 +104,6 @@ type Attribution struct {
 	usage  map[string]token.Usage
 	cost   map[string]float64
 	timing map[string]StageTiming
-	resil  ResilienceStats
 }
 
 // NewAttribution returns an empty attribution ledger.
@@ -135,7 +134,7 @@ func (a *Attribution) Timing(stage string) StageTiming {
 // a child of its service-wide ledger labelled with the job's tenant: the
 // job's report breaks spend down per stage while the parent accumulates
 // the same calls per tenant, live — one record, two rollups, no second
-// wrapper on the call path. Timings and resilience counters stay local.
+// wrapper on the call path. Timings stay local.
 func (a *Attribution) Child(label string) *Attribution {
 	c := NewAttribution()
 	c.parent, c.label = a, label
@@ -194,45 +193,4 @@ func (a *Attribution) Total() (token.Usage, float64) {
 		c += v
 	}
 	return u, c
-}
-
-// ResilienceStats counts the resilience machinery's activity — retried
-// and hedged attempts, breaker transitions — alongside the ledger's
-// usage maps. These are *physical* events below the logical-call
-// accounting: a call that needed two retries still records its usage
-// once, and the retry count explains what the healing cost.
-type ResilienceStats struct {
-	Retries      int
-	Hedges       int
-	HedgeWins    int
-	BreakerOpens int
-	RetryDenials int
-}
-
-// Add returns the element-wise sum.
-func (s ResilienceStats) Add(o ResilienceStats) ResilienceStats {
-	return ResilienceStats{
-		Retries:      s.Retries + o.Retries,
-		Hedges:       s.Hedges + o.Hedges,
-		HedgeWins:    s.HedgeWins + o.HedgeWins,
-		BreakerOpens: s.BreakerOpens + o.BreakerOpens,
-		RetryDenials: s.RetryDenials + o.RetryDenials,
-	}
-}
-
-// Zero reports whether nothing happened.
-func (s ResilienceStats) Zero() bool { return s == ResilienceStats{} }
-
-// AddResilience folds resilience events into the ledger.
-func (a *Attribution) AddResilience(s ResilienceStats) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.resil = a.resil.Add(s)
-}
-
-// Resilience returns the resilience counters accumulated so far.
-func (a *Attribution) Resilience() ResilienceStats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.resil
 }
