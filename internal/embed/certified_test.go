@@ -292,3 +292,34 @@ func TestScanStatsSharedByViewsAndRegistry(t *testing.T) {
 		t.Fatalf("the registry's indexes answered three queries past the crossover; ScanStats = %d + %d", c, f)
 	}
 }
+
+// TestReusedCountedByIndexAndRegistry: a query repeated on a registry
+// index counts once in ScanStats, for its one scan, and once in Reused;
+// the registry's Reused is the sum over its indexes, and a direct index
+// never reuses.
+func TestReusedCountedByIndexAndRegistry(t *testing.T) {
+	items := simTexts(t, certMinPoints+40)
+	base := NewIndex(Default())
+	base.AddAll(items[:certMinPoints])
+	base.Nearest(items[certMinPoints].Text, 3)
+	base.Nearest(items[certMinPoints].Text, 3)
+	if c, f := base.ScanStats(); c+f != 2 || base.Reused() != 0 {
+		t.Fatalf("a direct index scans every query; ScanStats = %d + %d, Reused = %d", c, f, base.Reused())
+	}
+
+	reg := NewRegistry()
+	ix := reg.Index(Default(), items[:certMinPoints])
+	ix.Nearest(items[certMinPoints].Text, 3)
+	ix.Nearest(items[certMinPoints].Text, 3)
+	if c, f := ix.ScanStats(); c+f != 1 || ix.Reused() != 1 {
+		t.Fatalf("a repeated query; ScanStats = %d + %d, Reused = %d; want 1 and 1", c, f, ix.Reused())
+	}
+	reg.Index(Default(), items[:certMinPoints]).NearestGroup([]string{items[certMinPoints].Text, items[certMinPoints+1].Text}, 3) // the same slot
+	reg.Index(Default(), items[:certMinPoints]).Nearest(items[certMinPoints].Text, 4)                                             // another k is another query
+	other := reg.Index(Default(), items[1:certMinPoints+1])
+	other.Nearest(items[certMinPoints+2].Text, 3)
+	other.NearestGroup([]string{items[certMinPoints+2].Text}, 3)
+	if c, f := reg.ScanStats(); c+f != 4 || reg.Reused() != 3 {
+		t.Fatalf("the registry's indexes scanned four queries and reused three; ScanStats = %d + %d, Reused = %d", c, f, reg.Reused())
+	}
+}

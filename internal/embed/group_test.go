@@ -253,3 +253,21 @@ func TestNearestGroupAllocs(t *testing.T) {
 		t.Fatalf("a grouped query allocates %.2f times; want at most 2.25, a single Nearest's 2 and a share of the result slice", perQuery)
 	}
 }
+
+// TestNearestGroupReusedAllocs pins the memo's hit path: a group of four
+// that a registry index has answered before allocates the result slice and
+// one copy of each remembered list — 5 — and neither embeds nor scans.
+func TestNearestGroupReusedAllocs(t *testing.T) {
+	items := simTexts(t, certMinPoints+100)
+	ix := NewRegistry().Index(Default(), items[:certMinPoints+50])
+	texts := []string{items[certMinPoints+70].Text, items[certMinPoints+71].Text, items[certMinPoints+72].Text, items[certMinPoints+73].Text}
+	ix.NearestGroup(texts, 5) // the only scan
+	c0, f0 := ix.ScanStats()
+	allocs := testing.AllocsPerRun(100, func() { ix.NearestGroup(texts, 5) })
+	if c, f := ix.ScanStats(); c != c0 || f != f0 {
+		t.Fatalf("a reused group scanned: ScanStats moved by %d + %d", c-c0, f-f0)
+	}
+	if allocs != float64(1+len(texts)) {
+		t.Fatalf("a reused group of %d allocates %v times; want %d, the result slice and one copy per query", len(texts), allocs, 1+len(texts))
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -62,20 +63,79 @@ type Index struct {
 	// scans counts certified-path outcomes; a Registry points every index
 	// it serves at its own.
 	scans *scanCounters
+	// memo answers a repeated Nearest or NearestGroup query without a
+	// scan. Only a Registry attaches one; insert drops it.
+	memo *answerMemo
 }
 
 // scanCounters says what share of queries had the property the certified
 // path is built on: certified answered from the int8 shortlist with the
 // proof closed, fallbacks re-ran as the exact scan. Queries that never
-// enter the path (small indexes, k too large) count as neither.
+// enter the path (small indexes, k too large) count as neither. reused
+// counts queries the answer memo answered, which never reach a scan.
 type scanCounters struct {
-	certified, fallbacks atomic.Int64
+	certified, fallbacks, reused atomic.Int64
 }
 
 // ScanStats returns how many queries on this index were certified and how
 // many fell back.
 func (ix *Index) ScanStats() (certified, fallbacks int64) {
 	return ix.scans.certified.Load(), ix.scans.fallbacks.Load()
+}
+
+// Reused returns how many queries on this index its answer memo answered.
+func (ix *Index) Reused() int64 { return ix.scans.reused.Load() }
+
+// memoKey is one query as the memo files it: its text and the k asked.
+type memoKey struct {
+	text string
+	k    int
+}
+
+// answerMemo maps a query to the neighbour list the scan gave it, in two
+// generations of at most limit entries: when the current one fills it
+// becomes the previous and the older one is dropped, and a hit in the
+// previous one is copied back into the current. So it holds at most
+// 2 × limit lists. A nil memo remembers nothing. Safe for concurrent use.
+type answerMemo struct {
+	mu        sync.Mutex
+	limit     int
+	cur, prev map[memoKey][]Neighbor
+}
+
+// get returns a copy of the list remembered for (text, k).
+func (m *answerMemo) get(text string, k int) ([]Neighbor, bool) {
+	if m == nil {
+		return nil, false
+	}
+	key := memoKey{text, k}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	nn, ok := m.cur[key]
+	if !ok {
+		if nn, ok = m.prev[key]; ok {
+			m.store(key, nn)
+		}
+	}
+	return slices.Clone(nn), ok
+}
+
+// put remembers a copy of nn as the answer to (text, k).
+func (m *answerMemo) put(text string, k int, nn []Neighbor) {
+	if m != nil {
+		m.mu.Lock()
+		m.store(memoKey{text, k}, slices.Clone(nn))
+		m.mu.Unlock()
+	}
+}
+
+// store files nn under key in the current generation, turning it over
+// first if it is full.
+func (m *answerMemo) store(key memoKey, nn []Neighbor) {
+	if m.cur == nil || len(m.cur) >= m.limit {
+		m.prev, m.cur = m.cur, make(map[memoKey][]Neighbor)
+	}
+	m.cur[key] = nn
 }
 
 // NewIndex returns an empty exact-search index using the given embedder.
@@ -113,6 +173,7 @@ func (ix *Index) insert(id string, v []float64) {
 	}
 	ix.part.Store(nil)
 	ix.quant.Store(nil)
+	ix.memo = nil
 	if pos, ok := ix.byID[id]; ok {
 		dst := ix.vec(pos)
 		for i, x := range v {
@@ -190,12 +251,19 @@ func (ix *Index) nearestText(text string, k, skip int) []Neighbor {
 
 // Nearest returns the k nearest stored items to the query text by L2
 // distance, closest first. Ties break by insertion order for determinism.
-// If k exceeds the index size, all items are returned.
+// If k exceeds the index size, all items are returned. A repeated query on
+// an index with an answer memo skips the embedding and the scan.
 func (ix *Index) Nearest(text string, k int) []Neighbor {
 	if k <= 0 || len(ix.ids) == 0 {
 		return nil
 	}
-	return ix.nearestText(text, k, -1)
+	if nn, ok := ix.memo.get(text, k); ok {
+		ix.scans.reused.Add(1)
+		return nn
+	}
+	nn := ix.nearestText(text, k, -1)
+	ix.memo.put(text, k, nn)
+	return nn
 }
 
 // NearestOther behaves like Nearest but excludes the item stored under
@@ -242,16 +310,28 @@ func (ix *Index) DistanceByID(a, b string) (float64, bool) {
 // NearestGroup returns Nearest(text, k) for every text, in order and bit
 // for bit, and costs less than asking one at a time: past the crossover,
 // GroupWidth queries at a time share one blocked pass over the int8 codes
-// (certifiedGroup).
+// (certifiedGroup). Texts the answer memo holds skip the pass; the rest
+// share it.
 func (ix *Index) NearestGroup(texts []string, k int) [][]Neighbor {
 	out := make([][]Neighbor, len(texts))
 	if k <= 0 || len(ix.ids) == 0 || len(texts) == 0 {
 		return out
 	}
+	var missBuf [64]int
+	miss := missBuf[:0]
+	for i, text := range texts {
+		if nn, ok := ix.memo.get(text, k); ok {
+			ix.scans.reused.Add(1)
+			out[i] = nn
+			continue
+		}
+		miss = append(miss, i)
+	}
 	var scs [GroupWidth]*searchScratch
 	var qs [GroupWidth][]float32
 	var skips [GroupWidth]int
-	held := scs[:min(len(texts), GroupWidth)]
+	var got [GroupWidth][]Neighbor
+	held := scs[:min(len(miss), GroupWidth)]
 	for g := range held {
 		held[g], skips[g] = searchPool.Get().(*searchScratch), -1
 	}
@@ -260,13 +340,17 @@ func (ix *Index) NearestGroup(texts []string, k int) [][]Neighbor {
 			searchPool.Put(sc)
 		}
 	}()
-	for lo := 0; lo < len(texts); lo += GroupWidth {
-		m := min(len(texts)-lo, GroupWidth)
+	for lo := 0; lo < len(miss); lo += GroupWidth {
+		m := min(len(miss)-lo, GroupWidth)
 		for g := range m {
-			scs[g].q = ix.embed32(scs[g].q, texts[lo+g])
+			scs[g].q = ix.embed32(scs[g].q, texts[miss[lo+g]])
 			qs[g] = scs[g].q
 		}
-		ix.searchGroup(scs[:m], qs[:m], k, skips[:m], out[lo:lo+m])
+		ix.searchGroup(scs[:m], qs[:m], k, skips[:m], got[:m])
+		for g, nn := range got[:m] {
+			out[miss[lo+g]] = nn
+			ix.memo.put(texts[miss[lo+g]], k, nn)
+		}
 	}
 	return out
 }

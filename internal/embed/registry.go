@@ -120,6 +120,9 @@ type registryEntry struct {
 // embedders or partition configurations never serve each other's vectors
 // or partition structures.
 //
+// The registry never evicts an index: each slot holds its index, answer
+// memo included, for the registry's lifetime.
+//
 // Returned indexes are shared: treat them as immutable and query-only
 // (Index is safe for concurrent queries once mutation stops, which the
 // registry guarantees by building fully before publishing). Safe for
@@ -232,19 +235,17 @@ func (r *Registry) index(em Embedder, key registryKey, opts IndexOptions, render
 			fk = fileKeyOf(em, items, opts)
 			path = filepath.Join(stateDir, fk.fileName())
 			if ix, err := loadIndex(path, em, fk); err == nil {
-				ix.scans = &r.scans
-				e.ix = ix
+				e.ix = r.publish(ix)
 				warmed = true
 				return
 			}
 		}
 		ix := NewIndexWith(em, opts)
-		ix.scans = &r.scans
 		ix.AddAll(items)
 		if path != "" && saveIndex(path, ix, fk) == nil {
 			saved = true
 		}
-		e.ix = ix
+		e.ix = r.publish(ix)
 		built = true
 	})
 	r.mu.Lock()
@@ -263,6 +264,15 @@ func (r *Registry) index(em Embedder, key registryKey, opts IndexOptions, render
 	return e.ix
 }
 
+// publish readies an index for sharing: it counts its scans in the
+// registry's tally and gets an answer memo, so a query any job has already
+// asked is answered without a scan. The memo is never saved with the index.
+func (r *Registry) publish(ix *Index) *Index {
+	ix.scans = &r.scans
+	ix.memo = &answerMemo{limit: ix.Len()}
+	return ix
+}
+
 // Stats returns how many indexes were built and how many requests were
 // served from an already-built index.
 func (r *Registry) Stats() (builds, hits int) {
@@ -277,3 +287,7 @@ func (r *Registry) Stats() (builds, hits int) {
 func (r *Registry) ScanStats() (certified, fallbacks int64) {
 	return r.scans.certified.Load(), r.scans.fallbacks.Load()
 }
+
+// Reused returns, over every index the registry has served, how many
+// queries an answer memo answered without a scan.
+func (r *Registry) Reused() int64 { return r.scans.reused.Load() }
