@@ -58,7 +58,7 @@ func main() {
 	maxQueue := flag.Int("max-queue", 16, "jobs waiting for a slot before 503 (negative = no queue)")
 	tenantRate := flag.Float64("tenant-rate", 100, "default per-tenant submissions/second")
 	tenantBurst := flag.Int("tenant-burst", 32, "default per-tenant submission burst")
-	batch := flag.Int("batch", 0, "unit tasks per envelope (0 = no batching; batching blurs per-tenant hit shares)")
+	batch := flag.Int("batch", 0, "unit tasks per envelope, cut by sequence block (0 = no batching)")
 	parallelism := flag.Int("parallelism", 0, "per-job operator parallelism and in-flight window width of each streaming stage; a stage with a backlog also runs on the width idle downstream stages leave (0 = default)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain bound on shutdown")
 	faults := flag.String("faults", "",

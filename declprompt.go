@@ -222,8 +222,10 @@ func WithParallelism(p int) Option { return core.WithParallelism(p) }
 // WithExecutionLayer attaches a shared execution layer (see NewExecLayer).
 func WithExecutionLayer(l *ExecLayer) Option { return core.WithExecutionLayer(l) }
 
-// WithBatching packs up to k compatible unit tasks into one prompt for
-// the strategies that issue homogeneous per-item tasks.
+// WithBatching packs up to k unit tasks into one prompt for the
+// strategies that issue homogeneous per-item tasks: the items are cut into
+// aligned blocks of k, and each block's cache misses ride one envelope.
+// The blocks, and so the calls and tokens, are the same on every run.
 func WithBatching(k int) Option { return core.WithBatching(k) }
 
 // WithAttribution records every upstream call's usage under the stage

@@ -67,7 +67,8 @@ func TestBatchedStrategiesMatchUnbatched(t *testing.T) {
 }
 
 // TestBatchedFilterMatchesUnbatchedWithSharedLayer exercises the full
-// stack together: shared cache + coalescer above, batcher below.
+// stack together: shared cache + coalescer, and the envelopes its group
+// form sends below.
 func TestBatchedFilterMatchesUnbatchedWithSharedLayer(t *testing.T) {
 	ctx := context.Background()
 	items := dataset.FlavorNames()

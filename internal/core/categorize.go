@@ -64,10 +64,7 @@ func (e *Engine) Categorize(ctx context.Context, req CategorizeRequest) (Categor
 	if req.MaxCategories == 0 {
 		req.MaxCategories = 5
 	}
-	// The assignment fan-out issues one homogeneous unit task per item;
-	// the lone discovery call of the two-phase strategy just rides through
-	// as a batch of one.
-	s := e.newBatchedSession()
+	s := e.newSession()
 	categories := req.Categories
 	if req.Strategy == CategorizeTwoPhase {
 		sample := dataset.Sample(req.Items, req.SampleSize, req.Seed)
@@ -91,9 +88,7 @@ func (e *Engine) Categorize(ctx context.Context, req CategorizeRequest) (Categor
 		return CategorizeResult{}, badRequestf("no categories to assign to")
 	}
 	c := newPreparedCategorize(e, s, categories)
-	assignments, err := e.mapIdx(ctx, len(req.Items), func(ctx context.Context, i int) (string, error) {
-		return c.Ask(ctx, req.Items[i])
-	})
+	assignments, err := mapAsks(ctx, e, req.Items, c.Batched(), c.Ask, c.AskGroup)
 	if err != nil {
 		return CategorizeResult{}, fmt.Errorf("categorize: %w", err)
 	}
@@ -126,7 +121,7 @@ func (e *Engine) PrepareCategorize(categories []string) (*PreparedCategorize, er
 	if len(categories) == 0 {
 		return nil, badRequestf("no categories to assign to")
 	}
-	return newPreparedCategorize(e, e.newBatchedSession(), categories), nil
+	return newPreparedCategorize(e, e.newSession(), categories), nil
 }
 
 // Ask assigns one item to a category.
@@ -134,19 +129,36 @@ func (c *PreparedCategorize) Ask(ctx context.Context, item string) (string, erro
 	buf := getPromptBuf()
 	defer buf.release()
 	buf.prompt = prompt.AppendCategorize(buf.prompt[:0], item, c.list)
-	return quality.AskBytesWithRetry(ctx, c.s.model, buf.prompt,
-		func(text string) (string, error) {
-			v, err := prompt.ParseValue(text)
-			if err != nil {
-				return "", err
-			}
-			// Snap to the closest legal category; reject junk so the
-			// retry loop re-asks.
-			for _, cat := range c.categories {
-				if v == cat {
-					return cat, nil
-				}
-			}
-			return "", fmt.Errorf("%q not in category set: %w", v, prompt.ErrUnparseable)
-		}, parseRetries)
+	return quality.AskBytesWithRetry(ctx, c.s.model, buf.prompt, c.parse, parseRetries)
+}
+
+// Batched reports whether AskGroup packs its items' asks: under
+// WithBatching.
+func (c *PreparedCategorize) Batched() bool { return c.e.batch > 1 }
+
+// AskGroup assigns a group of items — what Ask returns for each — with the
+// group's cache misses in one envelope, and reports each assignment
+// through answer, from any goroutine; it returns once every one has been
+// reported. Use it when Batched.
+func (c *PreparedCategorize) AskGroup(ctx context.Context, items []string, answer func(i int, v string, err error)) {
+	prompts := make([]string, len(items))
+	for i, item := range items {
+		prompts[i] = string(prompt.AppendCategorize(nil, item, c.list))
+	}
+	askGroup(ctx, c.s.model, prompts, c.parse, answer)
+}
+
+// parse reads an assignment, snapped to the closest legal category; junk
+// is rejected so the retry loop re-asks.
+func (c *PreparedCategorize) parse(text string) (string, error) {
+	v, err := prompt.ParseValue(text)
+	if err != nil {
+		return "", err
+	}
+	for _, cat := range c.categories {
+		if v == cat {
+			return cat, nil
+		}
+	}
+	return "", fmt.Errorf("%q not in category set: %w", v, prompt.ErrUnparseable)
 }

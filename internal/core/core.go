@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/embed"
 	"repro/internal/llm"
+	"repro/internal/quality"
 	"repro/internal/token"
 	"repro/internal/workflow"
 )
@@ -89,11 +90,14 @@ func WithExecutionLayer(l *workflow.ExecLayer) Option {
 	return func(e *Engine) { e.exec = l }
 }
 
-// WithBatching packs up to k compatible unit tasks into one multi-task
-// prompt for the strategies that issue homogeneous per-item tasks
-// (per-item filter, categorize assignment, LLM imputation). k <= 1
-// disables batching (the default). See workflow.BatchingModel for the
-// splitting and retry semantics.
+// WithBatching packs up to k unit tasks into one multi-task prompt for
+// the strategies that issue homogeneous per-item tasks (per-item filter,
+// categorize assignment, LLM imputation). k <= 1 disables batching (the
+// default). The items are cut into aligned blocks of k, in item order; a
+// block's cache misses ride one envelope, and at most the engine's
+// parallelism blocks are in flight. Batching packs what the cache misses,
+// so it needs the cache: under WithoutCache every task is asked alone. See
+// workflow.CompleteGroup for the splitting and retry semantics.
 func WithBatching(k int) Option {
 	return func(e *Engine) { e.batch = k }
 }
@@ -195,38 +199,19 @@ func (e *Engine) Model() llm.Model { return e.model }
 
 // session wraps the engine's model for one operator invocation: one
 // workflow.Meter (budget admission, usage scoped to the operation, and
-// per-stage attribution under the call context's tag), optional unit-task
-// batching, and a cache-and-coalescer — the engine's shared execution
-// layer when one is attached, a private per-invocation layer otherwise.
+// per-stage attribution under the call context's tag) below a
+// cache-and-coalescer — the engine's shared execution layer when one is
+// attached, a private per-invocation layer otherwise.
 type session struct {
 	model llm.Model
 	meter *workflow.Meter
 }
 
-func (e *Engine) newSession() *session { return e.sessionWith(false) }
-
-// newBatchedSession is the opt-in entry for strategies whose fan-out
-// issues homogeneous unit tasks: when the engine has batching enabled,
-// concurrent tasks are packed into multi-task prompts. The meter sits
-// below the batcher, so s.usage() reports the real (reduced) envelope
-// spend.
-func (e *Engine) newBatchedSession() *session { return e.sessionWith(true) }
-
-func (e *Engine) sessionWith(batchable bool) *session {
-	// Below the batcher and the cache, so the meter settles exactly the
-	// billed upstream calls — envelopes once, cache hits never.
+func (e *Engine) newSession() *session {
+	// Below the cache, so the meter settles exactly the billed upstream
+	// calls — envelopes once, cache hits never.
 	meter := workflow.NewMeter(e.model, e.budget, e.attr)
 	var m llm.Model = meter
-	if batchable && e.batch > 1 {
-		opts := workflow.BatchOptions{MaxBatch: e.batch}
-		if e.exec != nil {
-			// The shared layer aggregates envelope and solo-retry counts
-			// across every per-session batcher, so ExecLayer.Stats reports
-			// batching alongside cache hits and coalescing.
-			opts.Observer = e.exec
-		}
-		m = workflow.NewBatching(m, opts)
-	}
 	switch {
 	case e.exec != nil:
 		m = e.exec.Wrap(m)
@@ -266,6 +251,75 @@ var promptBufs = sync.Pool{New: func() any { return new(promptBuf) }}
 func getPromptBuf() *promptBuf { return promptBufs.Get().(*promptBuf) }
 
 func (b *promptBuf) release() { promptBufs.Put(b) }
+
+// askGroup asks one prompt per item as one group (workflow.CompleteGroup)
+// and reports each parsed answer through answer. An answer that does not
+// parse is asked again, on a goroutine of its own, as
+// quality.AskWithRetry asks: its first attempt is the cached answer.
+func askGroup[T any](ctx context.Context, model llm.Model, prompts []string, parse func(string) (T, error), answer func(i int, v T, err error)) {
+	reqs := make([]llm.Request, len(prompts))
+	for i, p := range prompts {
+		reqs[i].Prompt = p
+	}
+	resps, errs := workflow.CompleteGroup(ctx, model, reqs)
+	var wg sync.WaitGroup
+	for i, resp := range resps {
+		v, err := parse(resp.Text)
+		if errs[i] != nil || err == nil {
+			answer(i, v, errs[i])
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, err := quality.AskWithRetry(ctx, model, prompts[i], parse, parseRetries)
+			answer(i, v, err)
+		}()
+	}
+	wg.Wait()
+}
+
+// mapAsks answers every item, index-aligned, and returns the first error:
+// one ask per item, at most the engine's parallelism at once, or — when
+// grouped — one group per aligned block of the engine's batch width, at
+// most parallelism blocks at once, each under a workflow.Turn in block
+// order, so a key two blocks share is led by the earlier one.
+func mapAsks[I, T any](ctx context.Context, e *Engine, items []I, grouped bool,
+	ask func(context.Context, I) (T, error), group func(context.Context, []I, func(int, T, error))) ([]T, error) {
+	if !grouped {
+		return workflow.Map(ctx, len(items), e.parallelism, func(ctx context.Context, i int) (T, error) {
+			return ask(ctx, items[i])
+		})
+	}
+	out := make([]T, len(items))
+	turns := make([]*workflow.Turn, (len(items)+e.batch-1)/e.batch)
+	var prev *workflow.Turn
+	for b := range turns {
+		prev = workflow.NextTurn(prev)
+		turns[b] = prev
+	}
+	_, err := workflow.Map(ctx, len(turns), e.parallelism, func(ctx context.Context, b int) (struct{}, error) {
+		defer turns[b].End()
+		lo := b * e.batch
+		var (
+			mu    sync.Mutex
+			first error
+		)
+		group(turns[b].Context(ctx), items[lo:min(lo+e.batch, len(items))], func(i int, v T, err error) {
+			if err == nil {
+				out[lo+i] = v
+				return
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if first == nil {
+				first = err
+			}
+		})
+		return struct{}{}, first
+	})
+	return out, err
+}
 
 // mapIdx fans fn out over n indices with the engine's parallelism.
 func (e *Engine) mapIdx(ctx context.Context, n int, fn func(ctx context.Context, i int) (string, error)) ([]string, error) {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/prompt"
 	"repro/internal/quality"
 	"repro/internal/token"
-	"repro/internal/workflow"
 )
 
 // FilterStrategy selects how per-item predicate checks are answered.
@@ -100,10 +99,28 @@ func (e *Engine) PrepareFilter(req FilterRequest) (*PreparedFilter, error) {
 	default:
 		return nil, badRequestf("unknown filter strategy %q", req.Strategy)
 	}
-	// Per-item checks are homogeneous temperature-0 unit tasks — the
-	// batchable shape. The sampling strategies re-roll with per-ask seeds,
-	// which would never share an envelope, so they skip the batcher.
-	return &PreparedFilter{e: e, s: e.sessionWith(req.Strategy == FilterPerItem), req: req}, nil
+	return &PreparedFilter{e: e, s: e.newSession(), req: req}, nil
+}
+
+// Batched reports whether AskGroup packs its items' asks: under
+// WithBatching, for the per-item strategy. The sampling strategies re-roll
+// with per-ask seeds, which would never share an envelope.
+func (f *PreparedFilter) Batched() bool {
+	return f.e.batch > 1 && f.req.Strategy == FilterPerItem
+}
+
+// AskGroup decides a group of items — what Ask returns for each — with
+// the group's cache misses in one envelope, and reports each decision
+// through answer, from any goroutine; it returns once every one has been
+// reported. Use it when Batched.
+func (f *PreparedFilter) AskGroup(ctx context.Context, items []string, answer func(i int, a FilterAnswer, err error)) {
+	prompts := make([]string, len(items))
+	for i, item := range items {
+		prompts[i] = prompt.FilterItem(item, f.req.Predicate)
+	}
+	askGroup(ctx, f.s.model, prompts, prompt.ParseYesNo, func(i int, keep bool, err error) {
+		answer(i, FilterAnswer{Keep: keep, Asks: 1}, err)
+	})
 }
 
 // Ask tests one item against the predicate.
@@ -138,9 +155,7 @@ func (e *Engine) Filter(ctx context.Context, req FilterRequest) (FilterResult, e
 	if err != nil {
 		return FilterResult{}, err
 	}
-	answers, err := workflow.Map(ctx, len(req.Items), e.parallelism, func(ctx context.Context, i int) (FilterAnswer, error) {
-		return f.Ask(ctx, req.Items[i])
-	})
+	answers, err := mapAsks(ctx, e, req.Items, f.Batched(), f.Ask, f.AskGroup)
 	if err != nil {
 		return FilterResult{}, fmt.Errorf("filter: %w", err)
 	}

@@ -192,9 +192,7 @@ func (e *Engine) PrepareImpute(req ImputeRequest) (*PreparedImpute, error) {
 			}
 		}
 	}
-	// Imputation prompts are homogeneous per-record unit tasks (the knn
-	// strategy issues none, so the wrapper is inert there).
-	p.s = e.newBatchedSession()
+	p.s = e.newSession()
 	return p, nil
 }
 
@@ -236,12 +234,14 @@ func (p *PreparedImpute) Ask(ctx context.Context, q dataset.Record) (ImputeAnswe
 // AskGroup imputes a group of query records — what Ask returns for each —
 // with one blocked k-NN pass for the whole group
 // (embed.Index.NearestGroup). Each answer is reported through answer as
-// soon as it is known: every one the vote decides, and every one the model
-// has already answered (a cache hit, workflow.HitsOnly), at once, on the
-// calling goroutine; each other one when its ask returns. Those asks run
-// concurrently, one goroutine each, as separate Asks would; AskGroup
-// returns once every answer has been reported. answer may be called from
-// several goroutines at once.
+// soon as it is known: every one the vote decides at once, on the calling
+// goroutine. Under WithBatching the records the vote leaves ask the model
+// as one group, whose cache misses ride one envelope. Otherwise every one
+// the model has already answered (a cache hit, workflow.HitsOnly) is
+// reported at once too, and each other one when its ask returns; those
+// asks run concurrently, one goroutine each, as separate Asks would.
+// AskGroup returns once every answer has been reported. answer may be
+// called from several goroutines at once.
 func (p *PreparedImpute) AskGroup(ctx context.Context, qs []dataset.Record, answer func(i int, a ImputeAnswer, err error)) {
 	bufs, nns := p.nearestGroup(qs)
 	ask := func(i int) {
@@ -250,15 +250,23 @@ func (p *PreparedImpute) AskGroup(ctx context.Context, qs []dataset.Record, answ
 		answer(i, a, err)
 	}
 	var (
-		wg    sync.WaitGroup
-		pctx  context.Context
-		probe *workflow.HitProbe
+		wg      sync.WaitGroup
+		pctx    context.Context
+		probe   *workflow.HitProbe
+		asked   []int // batched: the queries the group asks
+		prompts []string
 	)
 	pending := -1 // the latest query the cache left; the last one asks on this goroutine
 	for i := range qs {
 		if v, ok := p.vote(nns[i]); ok {
 			bufs[i].release()
 			answer(i, ImputeAnswer{Value: v}, nil)
+			continue
+		}
+		if p.e.batch > 1 {
+			p.renderAsk(bufs[i], nns[i])
+			asked, prompts = append(asked, i), append(prompts, string(bufs[i].prompt))
+			bufs[i].release()
 			continue
 		}
 		if probe == nil {
@@ -278,6 +286,11 @@ func (p *PreparedImpute) AskGroup(ctx context.Context, qs []dataset.Record, answ
 			}(pending)
 		}
 		pending = i
+	}
+	if len(asked) > 0 {
+		askGroup(ctx, p.s.model, prompts, prompt.ParseValue, func(k int, v string, err error) {
+			answer(asked[k], ImputeAnswer{Value: v, ByLLM: true}, err)
+		})
 	}
 	if pending >= 0 {
 		ask(pending)
@@ -374,6 +387,7 @@ func (p *PreparedImpute) askRendered(ctx context.Context, buf *promptBuf) (Imput
 // Impute fills the target field of every query record: the k-NN pass
 // first, embed.GroupWidth queries per blocked pass, then the asks the vote
 // leaves, at most parallelism at a time and in query order, as before.
+// Under WithBatching each aligned block of queries is one AskGroup.
 func (e *Engine) Impute(ctx context.Context, req ImputeRequest) (ImputeResult, error) {
 	if len(req.Queries) == 0 {
 		return ImputeResult{}, badRequestf("no queries to impute")
@@ -383,6 +397,9 @@ func (e *Engine) Impute(ctx context.Context, req ImputeRequest) (ImputeResult, e
 		return ImputeResult{}, err
 	}
 	n := len(req.Queries)
+	if e.batch > 1 {
+		return p.result(mapAsks(ctx, e, req.Queries, true, nil, p.AskGroup))
+	}
 	nns := make([][]embed.Neighbor, n)
 	if p.kMax > 0 {
 		groups := (n + embed.GroupWidth - 1) / embed.GroupWidth
@@ -398,14 +415,18 @@ func (e *Engine) Impute(ctx context.Context, req ImputeRequest) (ImputeResult, e
 			return ImputeResult{}, fmt.Errorf("%s impute: %w", p.req.Strategy, err)
 		}
 	}
-	answers, err := workflow.Map(ctx, n, e.parallelism, func(ctx context.Context, i int) (ImputeAnswer, error) {
+	return p.result(workflow.Map(ctx, n, e.parallelism, func(ctx context.Context, i int) (ImputeAnswer, error) {
 		if v, ok := p.vote(nns[i]); ok {
 			return ImputeAnswer{Value: v}, nil
 		}
 		buf := p.render(req.Queries[i])
 		defer buf.release()
 		return p.askModel(ctx, buf, nns[i])
-	})
+	}))
+}
+
+// result folds the answers of Impute's fan-out into its result.
+func (p *PreparedImpute) result(answers []ImputeAnswer, err error) (ImputeResult, error) {
 	if err != nil {
 		return ImputeResult{}, fmt.Errorf("%s impute: %w", p.req.Strategy, err)
 	}

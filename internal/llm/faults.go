@@ -143,7 +143,7 @@ func (s FaultStats) Injected() int {
 }
 
 // FaultyModel injects deterministic faults below a resilience policy (and
-// therefore below the cache and batcher, which only ever see healed
+// therefore below the cache and its envelopes, which only ever see healed
 // answers). It composes with WithLatency in either order.
 type FaultyModel struct {
 	inner Model
@@ -263,7 +263,7 @@ func corruptText(s string) string {
 var sectionHeaderRe = regexp.MustCompile(`(?m)^### Task (\d+)[ \t]*$`)
 
 // corruptSections renumbers TaskBatch section headers far out of range,
-// so every waiter's section goes missing and the batcher must retry each
+// so every task's section goes missing and the envelope's group must retry each
 // task solo. Replies without section headers are truncated instead.
 func corruptSections(s string) string {
 	if !sectionHeaderRe.MatchString(s) {

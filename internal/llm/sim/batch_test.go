@@ -56,7 +56,7 @@ func TestEnvelopeAnswersMatchStandalone(t *testing.T) {
 }
 
 // TestEnvelopeSkipsExerciseRetryPath: with an aggressive skip rate the
-// oracle drops sections, which is exactly what the batcher's solo-retry
+// oracle drops sections, which is exactly what the envelope's solo-retry
 // path exists for.
 func TestEnvelopeSkipsSections(t *testing.T) {
 	cfg := DefaultConfig()

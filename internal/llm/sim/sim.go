@@ -247,7 +247,7 @@ func (o *Oracle) rng(req llm.Request) *rand.Rand {
 // batching contract assumes. The envelope-level rng drives only the skip
 // noise: like real models on long batches, the oracle occasionally drops
 // a section (BatchSkipPerPair per additional task), which exercises the
-// batcher's solo-retry path without perturbing the surviving answers.
+// envelope's solo-retry path without perturbing the surviving answers.
 func (o *Oracle) answerEnvelope(req llm.Request, subs []string) string {
 	envRng := o.rng(req)
 	skipP := o.cfg.BatchSkipPerPair * float64(len(subs)-1)

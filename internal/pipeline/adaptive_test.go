@@ -316,7 +316,7 @@ func TestWindowCancellation(t *testing.T) {
 	}()
 	finished := make(chan error, 1)
 	go func() {
-		_, err := window(ctx, env(), idle, noGroup, task, done)
+		_, err := window(ctx, env(), idle, noGroup, task, done, nil)
 		finished <- err
 	}()
 	select {
@@ -333,11 +333,11 @@ func TestWindowCancellation(t *testing.T) {
 	// poll must surface the cancellation before a single record starts.
 	busy := make(chan seqRecord, 4)
 	for i := 0; i < 4; i++ {
-		busy <- seqRecord{int64(i), dataset.Record{ID: fmt.Sprintf("r%d", i)}}
+		busy <- seqRecord{seq: int64(i), rec: dataset.Record{ID: fmt.Sprintf("r%d", i)}}
 	}
 	cctx, ccancel := context.WithCancel(context.Background())
 	ccancel()
-	if n, err := window(cctx, env(), busy, noGroup, task, done); err == nil || n != 0 {
+	if n, err := window(cctx, env(), busy, noGroup, task, done, nil); err == nil || n != 0 {
 		t.Fatalf("window started %d records under a cancelled context (err = %v)", n, err)
 	}
 
@@ -350,7 +350,7 @@ func TestWindowCancellation(t *testing.T) {
 		}
 		mcancel()
 	}()
-	if _, err := window(mctx, env(), busy, noGroup, task, done); err == nil {
+	if _, err := window(mctx, env(), busy, noGroup, task, done, nil); err == nil {
 		t.Fatal("window returned nil after a mid-flight cancellation")
 	}
 	if n := running.Load(); n != 0 {
@@ -368,7 +368,7 @@ func TestWindowCancellation(t *testing.T) {
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("w%d", i)
 		hits[id] = i%8 != 1
-		warm <- seqRecord{int64(i), dataset.Record{ID: id}}
+		warm <- seqRecord{seq: int64(i), rec: dataset.Record{ID: id}}
 	}
 	wctx, wcancel := context.WithCancel(context.Background())
 	answered := 0
@@ -380,7 +380,7 @@ func TestWindowCancellation(t *testing.T) {
 		}
 		return done(r, out, err)
 	}
-	consumed, err := window(wctx, &Env{slots: soloSlots(4), stats: &stageStats{stage: "s"}}, warm, noGroup, uncached(hits), cancelling)
+	consumed, err := window(wctx, &Env{slots: soloSlots(4), stats: &stageStats{stage: "s"}}, warm, noGroup, uncached(hits), cancelling, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("window cancelled mid-stream of inline hits returned %v, want the context's error", err)
 	}

@@ -41,7 +41,7 @@ type ExecConfig struct {
 	// Model answers every unit task. The caller owns the model stack: a
 	// retry / hedging / breaker policy is attached by passing
 	// resil.Wrap(model, policy) here, where it sits below the budget,
-	// attribution, batcher and cache, so every layer above sees one
+	// attribution and cache, so every layer above sees one
 	// logical call per ask however many attempts the policy spent. The
 	// physical activity is read from that wrapper's Stats.
 	Model llm.Model
@@ -75,7 +75,10 @@ type ExecConfig struct {
 	// Use one Attribution per logical run — it accumulates.
 	Attribution *workflow.Attribution
 	// Batch packs up to this many unit tasks per envelope prompt (<= 1
-	// disables batching).
+	// disables batching). A streaming stage then cuts its records into
+	// aligned blocks of Batch sequence keys, and a table stage its rows
+	// into blocks of Batch rows; each block's cache misses ride one
+	// envelope, and each block holds one window slot (see window).
 	Batch int
 	// Parallelism bounds concurrent LLM calls per operator (default
 	// core.DefaultParallelism). It is also the window width each streaming
@@ -204,6 +207,7 @@ type Env struct {
 	stats *stageStats
 	run   *runState
 	onErr string // resolved OnRecordError mode
+	batch int    // ExecConfig.Batch: > 1 cuts a streaming stage's records by sequence block
 }
 
 // stageStats accumulates one stage's streaming timings; the stage
@@ -295,8 +299,9 @@ type StageReport struct {
 	In, Out int
 	// Usage is the real upstream spend attributed to this stage; summed
 	// across stages (including the probe row) it equals the pipeline
-	// total (cache hits, coalesced followers, and batch co-riders are
-	// free and attributed nowhere).
+	// total (cache hits and coalesced followers are free and attributed
+	// nowhere; an envelope is attributed once, for all the tasks it
+	// answered).
 	Usage token.Usage
 	// Cost prices Usage at the model's rate.
 	Cost float64
@@ -341,9 +346,16 @@ type Result struct {
 // overtake each other on an edge; everything that needs a table — a
 // stage's collected output, a barrier's drained input — restores sequence
 // order once, at collection, never per hop.
+//
+// In a batched run (Batch > 1) an edge also carries marks: a mark's seq
+// is a watermark, below which every key has been sent on the edge or
+// never will be — dropped upstream, or sealed by the source feeder — so a
+// streaming stage knows a sequence block is whole before its last key
+// could arrive (see window). A barrier skips marks.
 type seqRecord struct {
-	seq int64
-	rec dataset.Record
+	seq  int64
+	rec  dataset.Record
+	mark bool
 }
 
 // ordered accumulates records with their sequence keys and sorts them
@@ -411,6 +423,11 @@ func (o *streamOut) emit(ctx context.Context, r seqRecord) error {
 	return o.send(ctx, r)
 }
 
+// mark sends the watermark w to every subscriber.
+func (o *streamOut) mark(ctx context.Context, w int64) error {
+	return o.send(ctx, seqRecord{seq: w, mark: true})
+}
+
 // send delivers one record to every subscriber, honouring backpressure;
 // it fails when the run's context is cancelled.
 func (o *streamOut) send(ctx context.Context, r seqRecord) error {
@@ -457,7 +474,9 @@ func drain(ctx context.Context, in <-chan seqRecord, up *streamOut, size int) ([
 				}
 				return got.table(), nil
 			}
-			got.add(r)
+			if !r.mark {
+				got.add(r)
+			}
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -522,14 +541,18 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 	// standing query — the ingest channel until it closes, numbering the
 	// records in arrival order. Fed records are not appended to root.table:
 	// the slice aliases the caller's "source" table, and consumers see
-	// every record through the stream either way.
+	// every record through the stream either way. In a batched run, each
+	// time the feed has nothing ready the feeder seals the sequence block
+	// its last record opened: it moves the next key to the next block and
+	// marks the keys it skipped as never arriving, so the block launches
+	// now instead of waiting for records that may never come.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		defer root.closeSubs()
 		var seq int64
 		for _, r := range root.table {
-			if root.send(ctx, seqRecord{seq, r}) != nil {
+			if root.send(ctx, seqRecord{seq: seq, rec: r}) != nil {
 				return
 			}
 			seq++
@@ -537,19 +560,29 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 		if cfg.Feed == nil {
 			return
 		}
+		block := int64(cfg.Batch)
 		for {
+			var r dataset.Record
+			var ok bool
 			select {
-			case r, ok := <-cfg.Feed:
-				if !ok {
+			case r, ok = <-cfg.Feed:
+			default:
+				if block > 1 && seq%block != 0 {
+					seq += block - seq%block
+					if root.mark(ctx, seq) != nil {
+						return
+					}
+				}
+				select {
+				case r, ok = <-cfg.Feed:
+				case <-ctx.Done():
 					return
 				}
-				if root.send(ctx, seqRecord{seq, r}) != nil {
-					return
-				}
-				seq++
-			case <-ctx.Done():
+			}
+			if !ok || root.send(ctx, seqRecord{seq: seq, rec: r}) != nil {
 				return
 			}
+			seq++
 		}
 	}()
 
@@ -659,7 +692,7 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 
 	env := &Env{Engine: rt.engine, Budget: rt.budget, Tables: tables, keys: cfg.TableKeys,
 		slots: slots, stats: &stageStats{stage: st.Name()}, run: state,
-		onErr: cfg.OnRecordError}
+		onErr: cfg.OnRecordError, batch: cfg.Batch}
 	defer env.stats.flush(rt.attr)
 
 	// A dynamic side input (Side naming an earlier stage) needs the side
@@ -746,7 +779,7 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 	}
 	out.table = table
 	for i, r := range table {
-		if out.send(ctx, seqRecord{int64(i), r}) != nil {
+		if out.send(ctx, seqRecord{seq: int64(i), rec: r}) != nil {
 			return
 		}
 	}

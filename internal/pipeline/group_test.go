@@ -83,7 +83,7 @@ func TestWindowGroupsEmitPerRecord(t *testing.T) {
 			stats: &stageStats{stage: spec.Name}, run: &runState{details: make(map[string]string)}}
 		in := make(chan seqRecord, len(group))
 		for i, r := range group {
-			in <- seqRecord{int64(i), r}
+			in <- seqRecord{seq: int64(i), rec: r}
 		}
 		close(in)
 		emitted = make(chan seqRecord, len(group))

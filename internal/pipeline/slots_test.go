@@ -189,7 +189,7 @@ func driveLedger(t *testing.T, label string, p *Pipeline, width int, descendants
 		switch op := rng.Intn(10); {
 		case op < 3:
 			if len(ls.in) < cap(ls.in) {
-				ls.in <- seqRecord{int64(step), dataset.Record{}}
+				ls.in <- seqRecord{seq: int64(step), rec: dataset.Record{}}
 			}
 		case op < 6:
 			turn(ls)

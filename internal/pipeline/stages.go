@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -87,11 +88,28 @@ type recordOp struct {
 // effect, and the record is reported once its real ask returns.
 type groupTask[T any] func(ctx context.Context, recs []dataset.Record, emit func(i int, out T, err error))
 
-// solo is the width-1 group form around a per-record task.
+// solo is the group form around a per-record task: each record asks on a
+// goroutine of its own, the last on the group's. The window runs it at
+// width 1, but in a batched run over a whole sequence block.
 func solo[T any](task func(context.Context, dataset.Record) (T, error)) groupTask[T] {
 	return func(ctx context.Context, recs []dataset.Record, emit func(int, T, error)) {
-		out, err := task(ctx, recs[0])
-		emit(0, out, err)
+		if len(recs) == 1 {
+			out, err := task(ctx, recs[0])
+			emit(0, out, err)
+			return
+		}
+		var wg sync.WaitGroup
+		for i, r := range recs[:len(recs)-1] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				out, err := task(ctx, r)
+				emit(i, out, err)
+			}()
+		}
+		out, err := task(ctx, recs[len(recs)-1])
+		emit(len(recs)-1, out, err)
+		wg.Wait()
 	}
 }
 
@@ -116,17 +134,29 @@ func solo[T any](task func(context.Context, dataset.Record) (T, error)) groupTas
 // goroutine whose ask returned, before its result is handed back, so a
 // stage blocked handing records downstream holds none. done is called on
 // the stage goroutine for each record the moment its result is known, in
-// completion order. A non-nil error from prepare or done ends the loop,
-// which cancels and waits out the records still in flight before
+// completion order. A non-nil error from prepare, done or mark ends the
+// loop, which cancels and waits out the records still in flight before
 // returning. Time blocked for input with nothing in flight is the stage's
 // Wait; time holding a record for a slot is not.
+//
+// In a batched run (Env.batch > 1) records are cut by sequence block
+// instead: a block is the records whose keys fall in one aligned range of
+// batch keys, run as one group on one slot, given back with its last
+// result. Nothing is probed. A block starts once every key in it has
+// arrived or lies below the input's watermark (a mark on the edge, or the
+// edge's end), so which records share a block never depends on timing;
+// blocks start in block order, each under a workflow.Turn, so of two
+// blocks asking one key the earlier leads it. An operator without a group
+// form runs its block's records concurrently. After each turn the stage's
+// own watermark — its input's, held back to the first key of its lowest
+// block not done — goes downstream through mark when it has moved.
 //
 // Cancellation is also polled at the top of every turn and before each
 // further record a turn admits: Go's select picks among ready cases at
 // random, so a flooding upstream could otherwise keep a cancelled stage
 // starting records, or answering them inline.
 func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare func() (groupTask[T], error),
-	task func(context.Context, dataset.Record) (T, error), done func(seqRecord, T, error) error) (int, error) {
+	task func(context.Context, dataset.Record) (T, error), done func(seqRecord, T, error) error, mark func(int64) error) (int, error) {
 	type result struct {
 		in  seqRecord
 		out T
@@ -137,14 +167,21 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 	tctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	pctx, probe := workflow.HitsOnly(tctx)
-	// Room for every record the stage can have in flight: a task gives its
-	// slot back before it sends, so it waits here only while the stage has
+	// Room for every record the stage can have in flight — a slot per
+	// record, or per block of up to batch records: a task gives its slot
+	// back before it sends, so it waits here only while the stage has
 	// started records ahead of taking earlier results.
-	results := make(chan result, slots.reach())
+	results := make(chan result, slots.reach()*max(env.batch, 1))
 	consumed, inflight, room := 0, 0, 0
 	var group groupTask[T]
 	width := 0           // the most records group takes at once
-	var held []seqRecord // admitted records waiting for a slot
+	var held []seqRecord // admitted records waiting for a slot, or for their block
+	// Sequence blocks: their size, the input's watermark, the last mark
+	// sent, the started blocks' records not done, and the latest turn.
+	size, wm, sent := int64(env.batch), int64(0), int64(0)
+	var running map[int64]int
+	var turn *workflow.Turn
+	stalled := false // a whole block waits for a slot
 	stop := func(err error) (int, error) {
 		cancel()
 		for ; inflight > 0; inflight-- {
@@ -152,39 +189,91 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 		}
 		return consumed, err
 	}
-	// spawn runs one group on a goroutine of its own; each record's slot
-	// goes back as its outcome is reported.
-	spawn := func(rs []seqRecord) {
+	// spawn runs one group on a goroutine of its own. Each record's slot
+	// goes back as its outcome is reported; a block's, with its last one.
+	spawn := func(rs []seqRecord, turn *workflow.Turn) {
 		inflight += len(rs)
-		var seqs [embed.GroupWidth]int64
+		seqs := make([]int64, len(rs))
 		recs := make([]dataset.Record, len(rs))
 		for i, r := range rs {
 			seqs[i], recs[i] = r.seq, r.rec
 		}
-		go group(tctx, recs, func(i int, out T, err error) {
-			slots.release()
-			results <- result{seqRecord{seqs[i], recs[i]}, out, err}
-		})
+		if turn == nil {
+			go group(tctx, recs, func(i int, out T, err error) {
+				slots.release()
+				results <- result{seqRecord{seq: seqs[i], rec: recs[i]}, out, err}
+			})
+			return
+		}
+		left := new(atomic.Int32)
+		left.Store(int32(len(rs)))
+		go func() {
+			defer turn.End()
+			group(turn.Context(tctx), recs, func(i int, out T, err error) {
+				if left.Add(-1) == 0 {
+					slots.release()
+				}
+				results <- result{seqRecord{seq: seqs[i], rec: recs[i]}, out, err}
+			})
+		}()
 	}
 	// start runs the held records, in sequence-key order, on the slots the
 	// ledger grants. Records left without a slot stay held, and the turn's
-	// room is spent.
+	// room is spent. In a batched run it starts every whole block at the
+	// head of held instead.
 	start := func() {
 		slices.SortFunc(held, func(a, b seqRecord) int { return cmp.Compare(a.seq, b.seq) })
+		for stalled = false; size > 1 && len(held) > 0; {
+			b, n := held[0].seq/size, 1
+			for n < len(held) && held[n].seq/size == b {
+				n++
+			}
+			if int64(n) < size && b >= wm/size {
+				return // not whole yet
+			}
+			if stalled = slots.take(1) == 0; stalled {
+				return
+			}
+			if running == nil {
+				running = map[int64]int{}
+			}
+			running[b] = n
+			turn = workflow.NextTurn(turn)
+			spawn(held[:n], turn)
+			held = held[n:]
+		}
+		if size > 1 {
+			return
+		}
 		n := slots.take(len(held))
 		for lo := 0; lo < n; lo += width {
-			spawn(held[lo:min(lo+width, n)])
+			spawn(held[lo:min(lo+width, n)], nil)
 		}
 		if room -= n; n < len(held) {
 			room = 0
 		}
 		held = held[:copy(held, held[n:])]
 	}
+	// settle sends the stage's watermark downstream when it has moved.
+	settle := func() error {
+		low := wm
+		for _, r := range held {
+			low = min(low, r.seq/size*size)
+		}
+		for b := range running {
+			low = min(low, b*size)
+		}
+		if low <= sent || low == math.MaxInt64 {
+			return nil
+		}
+		sent = low
+		return mark(low)
+	}
 	// admit takes one record: a width-1 form's record is done inline when
 	// its probe hits; every other is held until the turn's groups are cut.
 	admit := func(r seqRecord) error {
 		consumed++
-		if width == 1 {
+		if width == 1 && size <= 1 {
 			if out, err := task(pctx, r.rec); probe.Settle(tctx, err) {
 				return done(r, out, err)
 			}
@@ -195,6 +284,11 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 	collect := func(res result) error {
 		for {
 			inflight--
+			if b := res.in.seq / max(size, 1); running[b] > 1 {
+				running[b]--
+			} else if size > 1 {
+				delete(running, b)
+			}
 			if err := done(res.in, res.out, res.err); err != nil {
 				return err
 			}
@@ -212,6 +306,11 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 		if len(held) > 0 {
 			start()
 		}
+		if size > 1 {
+			if err := settle(); err != nil {
+				return stop(err)
+			}
+		}
 		if inflight > 0 && len(results) > 0 {
 			if err := collect(<-results); err != nil {
 				return stop(err)
@@ -222,12 +321,13 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 		// stage that can take no slot still takes its next record and
 		// holds it, so its backlog keeps borrowers from counting its width
 		// as slots come back, and the wait for that record counts as Wait.
+		// A batched stage reads on unless a whole block waits for a slot.
 		room = 0
-		if len(held) == 0 {
+		if len(held) == 0 && size <= 1 {
 			room = slots.avail()
 		}
 		next, wake := in, (<-chan struct{})(nil)
-		if len(held) > 0 || (room == 0 && inflight > 0) {
+		if stalled || size <= 1 && (len(held) > 0 || (room == 0 && inflight > 0)) {
 			next, wake = nil, slots.wake
 		}
 		var idle time.Time
@@ -239,8 +339,12 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 			if !idle.IsZero() {
 				env.stats.t.Wait += time.Since(idle)
 			}
-			if !ok {
-				in = nil
+			switch {
+			case !ok:
+				in, wm = nil, math.MaxInt64
+				continue
+			case r.mark:
+				wm = max(wm, r.seq)
 				continue
 			}
 			if consumed == 0 {
@@ -291,9 +395,9 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 // runWindow streams one stage through window: prepare the operator at the
 // first record, ask per record or per group, emit each record's outputs as
 // it finishes and — in degraded mode — drop exactly the record whose ask
-// failed.
+// failed. A watermark goes downstream widened by the stage's fan-out.
 func runWindow(ctx context.Context, env *Env, in <-chan seqRecord, st Streamer, out *streamOut) (int, error) {
-	var op recordOp
+	op := recordOp{fanout: 1}
 	consumed, err := window(ctx, env, in,
 		func() (groupTask[[]dataset.Record], error) {
 			var err error
@@ -316,12 +420,13 @@ func runWindow(ctx context.Context, env *Env, in <-chan seqRecord, st Streamer, 
 				return fmt.Errorf("sequence key overflow at record %q (fan-out %d)", r.rec.ID, op.fanout)
 			}
 			for j, rec := range recs {
-				if err := out.emit(ctx, seqRecord{r.seq*op.fanout + int64(j), rec}); err != nil {
+				if err := out.emit(ctx, seqRecord{seq: r.seq*op.fanout + int64(j), rec: rec}); err != nil {
 					return err
 				}
 			}
 			return nil
-		})
+		},
+		func(w int64) error { return out.mark(ctx, min(w, math.MaxInt64/op.fanout)*op.fanout) })
 	if err == nil && consumed > 0 {
 		env.detail(env.stats.stage, op.detail(consumed))
 	}
@@ -437,21 +542,33 @@ func (s filterStage) Prepare(env *Env) (recordOp, error) {
 		return recordOp{}, err
 	}
 	var kept, asks atomic.Int64
-	return recordOp{
+	output := func(r dataset.Record, a core.FilterAnswer, err error) ([]dataset.Record, error) {
+		asks.Add(int64(a.Asks))
+		if err != nil || !a.Keep {
+			return nil, err
+		}
+		kept.Add(1)
+		return []dataset.Record{r}, nil
+	}
+	op := recordOp{
 		ask: func(ctx context.Context, r dataset.Record) ([]dataset.Record, error) {
 			a, err := f.Ask(ctx, render(r, s.spec.Field))
 			if errors.Is(err, workflow.ErrNotCached) {
 				return nil, err // a probe's miss: the real ask counts its asks
 			}
-			asks.Add(int64(a.Asks))
-			if err != nil || !a.Keep {
-				return nil, err
-			}
-			kept.Add(1)
-			return []dataset.Record{r}, nil
+			return output(r, a, err)
 		},
 		detail: func(consumed int) string { return filterDetail(int(kept.Load()), consumed, int(asks.Load())) },
-	}, nil
+	}
+	if f.Batched() {
+		op.group = func(ctx context.Context, rs []dataset.Record, emit func(int, []dataset.Record, error)) {
+			f.AskGroup(ctx, renderAll(rs, s.spec.Field), func(i int, a core.FilterAnswer, err error) {
+				out, err := output(rs[i], a, err)
+				emit(i, out, err)
+			})
+		}
+	}
+	return op, nil
 }
 
 type categorizeStage struct{ baseStage }
@@ -492,16 +609,28 @@ func (s categorizeStage) Prepare(env *Env) (recordOp, error) {
 	if err != nil {
 		return recordOp{}, err
 	}
-	return recordOp{
+	output := func(r dataset.Record, v string, err error) ([]dataset.Record, error) {
+		if err != nil {
+			return nil, err
+		}
+		return []dataset.Record{r.With(s.outField(), v)}, nil
+	}
+	op := recordOp{
 		ask: func(ctx context.Context, r dataset.Record) ([]dataset.Record, error) {
 			v, err := c.Ask(ctx, render(r, s.spec.Field))
-			if err != nil {
-				return nil, err
-			}
-			return []dataset.Record{r.With(s.outField(), v)}, nil
+			return output(r, v, err)
 		},
 		detail: func(int) string { return fmt.Sprintf("%d categories", len(s.spec.Categories)) },
-	}, nil
+	}
+	if c.Batched() {
+		op.group = func(ctx context.Context, rs []dataset.Record, emit func(int, []dataset.Record, error)) {
+			c.AskGroup(ctx, renderAll(rs, s.spec.Field), func(i int, v string, err error) {
+				out, err := output(rs[i], v, err)
+				emit(i, out, err)
+			})
+		}
+	}
+	return op, nil
 }
 
 // resolveStage deduplicates the table: records the engine judges to refer
@@ -666,10 +795,11 @@ func (s imputeStage) Prepare(env *Env) (recordOp, error) {
 			return imputeDetail(llm, consumed-llm)
 		},
 	}
-	if p.UsesIndex() {
-		// A group shares one blocked k-NN pass; each record that needs the
-		// model is answered on the group goroutine when its answer is
-		// cached, and asks on a goroutine of its own when it is not.
+	if p.UsesIndex() || env.batch > 1 {
+		// A group shares one blocked k-NN pass, and in a batched run one
+		// envelope; otherwise each record that needs the model is answered
+		// on the group goroutine when its answer is cached, and asks on a
+		// goroutine of its own when it is not.
 		op.group = func(ctx context.Context, rs []dataset.Record, emit func(int, []dataset.Record, error)) {
 			p.AskGroup(ctx, rs, func(i int, a core.ImputeAnswer, err error) {
 				if err != nil {

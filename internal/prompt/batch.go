@@ -12,7 +12,7 @@ import (
 // the LLM to process a small number of ... tasks in a single prompt,
 // reducing cost and latency"). Unlike CompareBatch, the envelope is
 // task-agnostic: any homogeneous unit prompts can ride in it, and the
-// response carries one "### Task i" section per task so the batcher can
+// response carries one "### Task i" section per task so the caller can
 // split it back into per-task answers.
 //
 // Every prompt must satisfy CanEmbed (all templates in this package do),
@@ -50,7 +50,7 @@ func CanEmbed(p string) bool {
 // a map from 0-based task index to answer text (trailing newlines
 // stripped). Tasks the model skipped are absent; out-of-range indices are
 // dropped; on duplicate headers the first wins. An empty result is an
-// ErrUnparseable, so the batcher can route the whole completion through
+// ErrUnparseable, so the caller can route the whole completion through
 // the retry path.
 func ParseTaskBatch(response string, total int) (map[int]string, error) {
 	out := make(map[int]string)

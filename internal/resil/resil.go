@@ -3,7 +3,7 @@
 // with capped exponential backoff and deterministic jitter, per-attempt
 // deadlines, an optional hedged second request after a fixed latency
 // trigger, and a circuit breaker with half-open probing. The wrapper
-// sits *below* the cache and batcher (see docs/RESILIENCE.md): retried
+// sits *below* the cache and its envelopes (see docs/RESILIENCE.md): retried
 // answers are cached once, batched envelopes retry
 // whole-envelope-then-solo, and callers above see one logical call per
 // ask however many physical attempts it took.
@@ -24,6 +24,13 @@ import (
 // because the circuit breaker is open. Match with errors.Is; unwrap to
 // *BreakerOpenError for the retry hint.
 var ErrBreakerOpen = errors.New("resil: circuit breaker open")
+
+// ErrRetryDenied marks a call that ended on a failed attempt because the
+// policy's AllowRetry refused the retry, or the hedge, that could have
+// saved it. It wraps the last attempt's error. Whether a call may retry is
+// the caller's budget, not the call's outcome, so a caller sharing the
+// call's answer (workflow's coalescer) asks again under its own budget.
+var ErrRetryDenied = errors.New("resil: retry denied")
 
 // BreakerOpenError carries the remaining cooldown so servers can emit
 // Retry-After.
@@ -290,6 +297,7 @@ func (m *Model) Complete(ctx context.Context, req llm.Request) (llm.Response, er
 			m.mu.Lock()
 			m.stats.RetryDenials++
 			m.mu.Unlock()
+			err = fmt.Errorf("%w: %w", ErrRetryDenied, err)
 			break
 		}
 		if d := m.backoff(req.Prompt, k+1); d > 0 {
@@ -335,7 +343,7 @@ func (m *Model) attemptHedged(ctx context.Context, req llm.Request) (llm.Respons
 	}()
 	timer := time.NewTimer(m.policy.HedgeAfter)
 	defer timer.Stop()
-	launched := false
+	launched, denied := false, false
 	for {
 		select {
 		case r := <-ch:
@@ -350,6 +358,9 @@ func (m *Model) attemptHedged(ctx context.Context, req llm.Request) (llm.Respons
 				m.stats.HedgeWins++
 				m.mu.Unlock()
 			}
+			if r.err != nil && denied {
+				return r.resp, fmt.Errorf("%w: %w", ErrRetryDenied, r.err)
+			}
 			return r.resp, r.err
 		case <-timer.C:
 			if launched {
@@ -359,6 +370,7 @@ func (m *Model) attemptHedged(ctx context.Context, req llm.Request) (llm.Respons
 				m.mu.Lock()
 				m.stats.RetryDenials++
 				m.mu.Unlock()
+				denied = true
 				continue
 			}
 			launched = true

@@ -77,8 +77,9 @@ func TestAllowRetryBudget(t *testing.T) {
 			return atomic.AddInt32(&budget, -1) >= 0
 		},
 	})
-	if _, err := m.Complete(context.Background(), llm.Request{Prompt: "a"}); err == nil {
-		t.Fatal("expected failure")
+	_, err := m.Complete(context.Background(), llm.Request{Prompt: "a"})
+	if !errors.Is(err, ErrRetryDenied) || !errors.Is(err, llm.ErrTransient) {
+		t.Fatalf("err = %v, want ErrRetryDenied wrapping the last attempt's error", err)
 	}
 	if attempts.Load() != 2 {
 		t.Fatalf("attempts = %d, want 2 (1 retry allowed)", attempts.Load())
@@ -184,6 +185,21 @@ func TestHedgeSurvivesPrimaryFailure(t *testing.T) {
 	resp, err := m.Complete(context.Background(), llm.Request{Prompt: "x"})
 	if err != nil || resp.Text != "hedge" {
 		t.Fatalf("got %q, %v (hedge result dropped after primary failure)", resp.Text, err)
+	}
+}
+
+// TestHedgeDeniedMarksFailure: a primary that fails after its hedge was
+// denied ends in ErrRetryDenied, wrapping the primary's error.
+func TestHedgeDeniedMarksFailure(t *testing.T) {
+	inner := llm.Func{ModelName: "m", Fn: func(context.Context, llm.Request) (llm.Response, error) {
+		time.Sleep(10 * time.Millisecond)
+		return llm.Response{}, llm.ErrTransient
+	}}
+	m := Wrap(inner, Policy{MaxAttempts: 1, HedgeAfter: time.Millisecond,
+		AllowRetry: func(context.Context) bool { return false }})
+	_, err := m.Complete(context.Background(), llm.Request{Prompt: "x"})
+	if !errors.Is(err, ErrRetryDenied) || !errors.Is(err, llm.ErrTransient) {
+		t.Fatalf("err = %v, want ErrRetryDenied wrapping the primary's error", err)
 	}
 }
 

@@ -65,9 +65,10 @@ func (p *depthProbe) deepest(t *testing.T) []string {
 
 // TestUnitTaskCallDepth pins how many llm.Model wrappers a unit task
 // descends: a declserver cache miss passes the shared cache-and-coalescer,
-// one meter, the server's upstream counter and the resilience wrapper (plus
-// the batcher when batching is on); a bare engine's miss passes its
-// private layer and its meter; a warm ask stops at the cache.
+// one meter, the server's upstream counter and the resilience wrapper,
+// batched or not (an envelope leaves from the layer's group form, below
+// the wrapper); a bare engine's miss passes its private layer and its
+// meter; a warm ask stops at the cache.
 func TestUnitTaskCallDepth(t *testing.T) {
 	policy := &resil.Policy{MaxAttempts: 2}
 	for _, tc := range []struct {
@@ -76,7 +77,7 @@ func TestUnitTaskCallDepth(t *testing.T) {
 		max   int
 	}{
 		{"server miss", 0, 4},
-		{"server miss batched", 8, 5},
+		{"server miss batched", 8, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			probe := &depthProbe{inner: testOracle()}

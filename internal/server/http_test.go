@@ -211,8 +211,9 @@ func TestHTTPStatusMapping(t *testing.T) {
 
 // TestStatusForMapping pins the error→wire translation table, including
 // the budget (402) and drain (503) arms the lifecycle tests cannot reach
-// deterministically (a call cap never overshoots: the meter refuses
-// before issuing, so admission sees spend at — not past — the cap).
+// deterministically (whether a job's spend reaches its cap, and by how
+// much it passes it, depends on how many asks were in flight when it did:
+// the meter's admission reserves nothing, so each of them may pass it).
 func TestStatusForMapping(t *testing.T) {
 	cases := []struct {
 		err  error

@@ -92,9 +92,7 @@ type Config struct {
 	// flushes and closes it.
 	StateDir string
 	// Batch and Parallelism pin the ExecConfig of every job (zero values
-	// take the pipeline defaults). Note the tenant reports' free-serve
-	// split is exact only with batching off: a batch co-rider is also a
-	// zero-usage serve.
+	// take the pipeline defaults).
 	Batch, Parallelism int
 	// MaxConcurrent caps jobs running at once (default 4); MaxQueue bounds
 	// jobs waiting for a slot (default 16; negative means no queue).

@@ -225,6 +225,73 @@ func TestNoCrossTenantBudgetBleed(t *testing.T) {
 	}
 }
 
+// TestFlightsTenantNeutral runs two tenants' identical jobs at once over
+// a 20 ms upstream: "capped" may make one call, "free" is unlimited. Both
+// jobs ask the same eight prompts, so one tenant leads each flight and the
+// other follows it. In either submission order "free" must finish: a
+// leader's budget refusal is retried by its followers under their own
+// budget, and a reply that crossed the leader's cap is cached and served
+// to them free — only the leader is told its budget ran out.
+func TestFlightsTenantNeutral(t *testing.T) {
+	tables := kindTable("n", 8, "tool", "toy", "tin", "tap", "top", "tub", "tag", "tan")
+	for _, first := range []string{"capped", "free"} {
+		t.Run(first+"-first", func(t *testing.T) {
+			srv := New(Config{Model: llm.WithLatency(testOracle(), 20*time.Millisecond),
+				Tenants: map[string]TenantLimits{"capped": {Caps: TenantCaps{Calls: 1}}}})
+			order := []string{first, map[string]string{"capped": "free", "free": "capped"}[first]}
+			states := make(map[string]JobStatus, 2)
+			var mu sync.Mutex
+			var wg sync.WaitGroup
+			for _, tenant := range order {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					st, err := srv.Submit(context.Background(), SubmitRequest{Tenant: tenant, Spec: toolSpec(), Tables: tables})
+					if err != nil {
+						st = &JobStatus{State: JobFailed, Error: err.Error()}
+					}
+					mu.Lock()
+					states[tenant] = *st
+					mu.Unlock()
+				}()
+				time.Sleep(time.Millisecond)
+			}
+			wg.Wait()
+			if st := states["free"]; st.State != JobDone {
+				t.Fatalf("free tenant's job failed on the capped tenant's budget: %+v", st)
+			}
+		})
+	}
+}
+
+// TestFreeServesExactWithBatching pins the per-tenant free-serve split at
+// Batch 4: an answer split out of an envelope the tenant's own group paid
+// for is a paid serve, so a lone tenant's free serves are exactly the
+// layer's cache hits plus coalesced followers.
+func TestFreeServesExactWithBatching(t *testing.T) {
+	layer := workflow.NewExecLayer()
+	srv := New(Config{Model: testOracle(), Exec: layer, Batch: 4})
+	for i := 0; i < 2; i++ {
+		if st, err := srv.Submit(context.Background(), SubmitRequest{
+			Tenant: "acme", Spec: toolSpec(), Tables: kindTable("f", 10, "tool", "toy", "tin", "tap", "top"),
+		}); err != nil || st.State != JobDone {
+			t.Fatalf("job %d: err %v, state %+v", i, err, st)
+		}
+	}
+	rep, err := srv.Report("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := layer.Stats()
+	if st.Batches == 0 {
+		t.Fatalf("no envelope was sent: %+v", st)
+	}
+	if rep.FreeServed != st.CacheHits+st.Coalesced || rep.Served-rep.FreeServed != st.CacheSize {
+		t.Fatalf("report served %d, free %d; layer %+v: want free = hits + coalesced and paid = cache size",
+			rep.Served, rep.FreeServed, st)
+	}
+}
+
 // TestThrottleExactness pins the 429 semantics: a burst-2 bucket with a
 // negligible refill admits exactly 2 of 6 submissions and refuses 4 with
 // ErrRateLimited, without touching another tenant's bucket.

@@ -3,290 +3,195 @@ package workflow
 import (
 	"context"
 	"sync"
-	"time"
 
 	"repro/internal/llm"
 	"repro/internal/prompt"
+	"repro/internal/token"
 )
 
-// BatchOptions configures a BatchingModel.
-type BatchOptions struct {
-	// MaxBatch is the most unit tasks packed into one envelope prompt
-	// (default 8). Values <= 1 disable packing.
-	MaxBatch int
-	// Linger is how long the first request of a forming batch waits for
-	// company before the batch is flushed anyway (default 2ms). The
-	// trade-off is latency on straggler tasks versus packing density.
-	Linger time.Duration
-	// Observer, when set, additionally receives every envelope and
-	// solo-retry count — typically the shared ExecLayer, so per-session
-	// batchers aggregate into one ExecStats snapshot.
-	Observer BatchObserver
-}
-
-func (o BatchOptions) withDefaults() BatchOptions {
-	if o.MaxBatch == 0 {
-		o.MaxBatch = 8
-	}
-	if o.Linger == 0 {
-		o.Linger = 2 * time.Millisecond
-	}
-	return o
-}
-
-// batchGroup is the compatibility key of a forming batch: only requests
-// that agree on sampling parameters may share an envelope, because the
-// envelope is issued as a single request carrying those parameters. The
-// attribution stage tag participates too: the envelope call runs on one
-// leader's context, so mixing stages would bill one stage for another's
-// tasks. (Each operator invocation builds its own BatchingModel today, so
-// batches never span stages anyway; the key makes that invariant
-// structural rather than incidental. Requests with a MaxTokens cap never
-// enter a group — see Complete.)
-type batchGroup struct {
-	temperature float64
-	seed        int64
-	stage       string
-}
-
-// batchResult is delivered to one waiting caller.
-type batchResult struct {
-	resp llm.Response
-	err  error
-}
-
-// batchItem is one enqueued unit task.
-type batchItem struct {
-	ctx context.Context
-	req llm.Request
-	ch  chan batchResult
-}
-
-// batchQueue is the forming batch of one compatibility group.
-type batchQueue struct {
-	items []*batchItem
-	timer *time.Timer
-}
-
-// BatchingModel packs concurrently issued unit tasks into multi-task
-// envelope prompts (prompt.TaskBatch) and splits the completion back into
-// per-task responses. Under workflow.Map's fan-out, K compatible unit
-// tasks cost one upstream round-trip instead of K.
-//
-// Requests accumulate per compatibility group (temperature, seed); a
-// group flushes when it reaches MaxBatch or when the oldest
-// request has lingered for Linger. A batch of one is issued verbatim, so
-// stragglers pay only latency, never a changed prompt. Tasks whose answer
-// section is missing or unsplittable are re-issued individually with their
-// original prompt — the retry path — so a malformed batched completion
-// degrades to per-task cost, never to a wrong or lost answer. A failed
-// envelope call takes the same path: each waiter solo-retries under its
-// own context with its original request (concurrently, bounded by
-// soloRetryParallelism), so one co-batched caller's cancellation or a
-// transient upstream fault never poisons the whole batch. At
-// temperature 0 this makes batched results identical to unbatched ones
-// whenever the upstream model answers each embedded task as it would
-// standalone (the simulator guarantees this; see docs/EXECUTION.md).
-//
-// Split responses carry zero usage: the envelope call's real usage is
-// observed by whatever accounting wraps the inner model (counting, budget,
-// trace), exactly once.
-type BatchingModel struct {
-	inner llm.Model
-	opts  BatchOptions
-
-	mu      sync.Mutex
-	queues  map[batchGroup]*batchQueue
-	batches int // envelope calls issued upstream, failed ones included
-	packed  int // unit tasks answered from inside an envelope
-	retried int // unit tasks re-issued solo after a failed envelope or bad split
-}
-
 // soloRetryParallelism bounds the concurrent solo retries issued after a
-// failed envelope call or a bad split, so a large batch degrades to a
-// bounded fan-out rather than a serialized tail or an unbounded burst.
+// failed envelope call or a bad split.
 const soloRetryParallelism = 8
 
-// NewBatching wraps m with batching under the given options.
-func NewBatching(m llm.Model, opts BatchOptions) *BatchingModel {
-	return &BatchingModel{
-		inner:  m,
-		opts:   opts.withDefaults(),
-		queues: make(map[batchGroup]*batchQueue),
-	}
-}
-
-// Name implements llm.Model.
-func (b *BatchingModel) Name() string { return b.inner.Name() }
-
-// Stats returns how many envelopes were issued upstream (including ones
-// that failed), how many unit tasks rode in a successful envelope, and
-// how many fell back to a solo retry.
-func (b *BatchingModel) Stats() (batches, packed, retried int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.batches, b.packed, b.retried
-}
-
-// Complete implements llm.Model. Two kinds of request are passed through
-// verbatim rather than batched: prompts that cannot be embedded in an
-// envelope losslessly (prompt.CanEmbed — unterminated, or containing a
-// section-header-shaped line of their own), and requests with a MaxTokens
-// cap — a pooled envelope cap cannot reproduce standalone per-call
-// truncation, so a capped section could come back silently shortened
-// instead of taking the retry path.
-func (b *BatchingModel) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
-	if b.opts.MaxBatch <= 1 || req.MaxTokens > 0 || !prompt.CanEmbed(req.Prompt) {
-		return b.inner.Complete(ctx, req)
-	}
-	item := &batchItem{ctx: ctx, req: req, ch: make(chan batchResult, 1)}
-	group := batchGroup{temperature: req.Temperature, stage: StageTag(ctx)}
-	if req.Temperature > 0 {
-		group.seed = req.Seed
-	}
-
-	b.mu.Lock()
-	q := b.queues[group]
-	if q == nil {
-		q = &batchQueue{}
-		b.queues[group] = q
-		q.timer = time.AfterFunc(b.opts.Linger, func() { b.flushGroup(group, q) })
-	}
-	q.items = append(q.items, item)
-	if len(q.items) >= b.opts.MaxBatch {
-		items := b.detachLocked(group, q)
-		b.mu.Unlock()
-		b.flush(items)
-	} else {
-		b.mu.Unlock()
-	}
-
-	select {
-	case r := <-item.ch:
-		return r.resp, r.err
-	case <-ctx.Done():
-		// The flush will still deliver into the buffered channel; nothing
-		// leaks. The upstream call (if any) runs on the batch leader's
-		// context.
-		return llm.Response{}, ctx.Err()
-	}
-}
-
-// observe forwards batching outcomes to the configured observer, if any.
-func (b *BatchingModel) observe(envelopes, packed, soloRetries int) {
-	if b.opts.Observer != nil {
-		b.opts.Observer.ObserveBatch(envelopes, packed, soloRetries)
-	}
-}
-
-// detachLocked removes q from the forming set and stops its timer. Callers
-// hold b.mu.
-func (b *BatchingModel) detachLocked(group batchGroup, q *batchQueue) []*batchItem {
-	if b.queues[group] == q {
-		delete(b.queues, group)
-	}
-	q.timer.Stop()
-	return q.items
-}
-
-// flushGroup is the linger-timer path: detach whatever has accumulated and
-// flush it. A size-triggered flush may have emptied the group already.
-func (b *BatchingModel) flushGroup(group batchGroup, q *batchQueue) {
-	b.mu.Lock()
-	if b.queues[group] != q {
-		b.mu.Unlock()
-		return
-	}
-	items := b.detachLocked(group, q)
-	b.mu.Unlock()
-	b.flush(items)
-}
-
-// flush issues one envelope for the items (or a verbatim call for a batch
-// of one), splits the completion, and delivers per-item results. The first
-// item's context drives the upstream call — in practice every item of a
-// batch comes from one operator fan-out sharing a context.
-func (b *BatchingModel) flush(items []*batchItem) {
-	if len(items) == 0 {
-		return
-	}
-	if len(items) == 1 {
-		it := items[0]
-		resp, err := b.inner.Complete(it.ctx, it.req)
-		it.ch <- batchResult{resp: resp, err: err}
-		return
-	}
-
-	ctx := items[0].ctx
-	prompts := make([]string, len(items))
-	for i, it := range items {
-		prompts[i] = it.req.Prompt
-	}
-	breq := llm.Request{
-		Prompt:      prompt.TaskBatch(prompts),
-		Temperature: items[0].req.Temperature,
-		Seed:        items[0].req.Seed,
-	}
-	resp, err := b.inner.Complete(ctx, breq)
-	if err != nil {
-		// A failed envelope is not a failed unit task: the error may be the
-		// leader's cancellation or a transient upstream fault that has
-		// nothing to do with most of the co-batched waiters. Solo-retry
-		// every waiter with its own ctx and original request instead of
-		// propagating the envelope error; FlightGroup already defends
-		// against duplicated in-flight work one layer up. The envelope
-		// still counts as issued — it was a real upstream call.
-		b.mu.Lock()
-		b.batches++
-		b.mu.Unlock()
-		b.observe(1, 0, 0)
-		b.retrySolo(items)
-		return
-	}
-	b.mu.Lock()
-	b.batches++
-	b.packed += len(items)
-	b.mu.Unlock()
-	b.observe(1, len(items), 0)
-
-	answers, perr := prompt.ParseTaskBatch(resp.Text, len(items))
-	var retry []*batchItem
-	for i, it := range items {
-		answer, ok := answers[i]
-		if perr != nil || !ok {
-			// Retry path: the model skipped or garbled this task's section;
-			// re-issue it alone with its original prompt.
-			retry = append(retry, it)
-			continue
+// CompleteGroup asks reqs as one group and returns each request's response
+// and error, index-aligned. Through a model an ExecLayer wrapped, it is the
+// group form of Complete: each request is served from the cache, joins
+// another caller's flight, or is led by the group, and the keys the group
+// leads go upstream through the model below the layer as one multi-task
+// envelope (prompt.TaskBatch; a lone key verbatim), billed once. The reply
+// is split into the cache and to each flight's followers; a split answer
+// carries no usage. A key whose section is missing or garbled, and every
+// key of a failed envelope, is asked again alone with its own prompt, so a
+// bad reply costs calls, never an answer. Only requests at temperature 0
+// with no MaxTokens cap whose prompt embeds losslessly (prompt.CanEmbed)
+// ride an envelope; any other, and every request through a model no layer
+// wrapped, is asked through Complete, concurrently. Under a Turn's context
+// the group takes its flights only once the turn before it has.
+func CompleteGroup(ctx context.Context, m llm.Model, reqs []llm.Request) ([]llm.Response, []error) {
+	resps, errs := make([]llm.Response, len(reqs)), make([]error, len(reqs))
+	var leads []lead
+	var alone []int
+	sm, _ := m.(*sharedModel)
+	turnOf(ctx).wait(ctx)
+	for i, req := range reqs {
+		switch resp, served, l := sm.claim(ctx, req); {
+		case served:
+			resps[i] = resp
+		case l.f != nil:
+			l.i = i
+			leads = append(leads, l)
+		default:
+			alone = append(alone, i)
 		}
-		it.ch <- batchResult{resp: llm.Response{Text: answer, Model: resp.Model}}
 	}
-	b.retrySolo(retry)
+	turnOf(ctx).End()
+	sm.lead(ctx, reqs, leads, resps, errs)
+	each(len(alone), len(alone), func(k int) {
+		resps[alone[k]], errs[alone[k]] = m.Complete(ctx, reqs[alone[k]])
+	})
+	return resps, errs
 }
 
-// retrySolo re-issues each item's original request individually — at most
-// soloRetryParallelism in flight at once — and delivers every waiter its
-// own result (or its own error). Used after a failed envelope call and for
-// tasks whose answer section was missing from a batched completion.
-func (b *BatchingModel) retrySolo(items []*batchItem) {
-	if len(items) == 0 {
+// lead is one key a group leads: request i's, and its flight.
+type lead struct {
+	i   int
+	key cacheKey
+	f   *flight
+}
+
+// claim takes one request of a group: the cache serves it, or it opens the
+// request's flight (l.f) for the group to lead, or it is left to Complete.
+func (m *sharedModel) claim(ctx context.Context, req llm.Request) (resp llm.Response, served bool, l lead) {
+	if m == nil || req.Temperature != 0 || req.MaxTokens > 0 || !prompt.CanEmbed(req.Prompt) {
+		return resp, false, l
+	}
+	l.key = keyFor(m.inner.Name(), req)
+	if hit, shard, ok := m.layer.cache.lookup(l.key); ok {
+		resp, _ = m.serve(ctx, l.key, req, hit, shard, true)
+		return resp, true, l
+	}
+	f, leader := m.layer.flights.claim(l.key)
+	if !leader {
+		return resp, false, l
+	}
+	if hit, ok := m.layer.cache.get(l.key); ok { // published since the lookup
+		m.layer.flights.finish(l.key, f, hit, nil)
+		hit.Usage = token.Usage{}
+		m.layer.observe(ctx, true)
+		return hit, true, l
+	}
+	l.f = f
+	return resp, false, l
+}
+
+// lead asks the led keys upstream and finishes their flights. Each answer
+// is a paid serve to the ServeObserver: the group's envelope paid for it.
+func (m *sharedModel) lead(ctx context.Context, reqs []llm.Request, leads []lead, resps []llm.Response, errs []error) {
+	settle := func(l lead, resp llm.Response, err error) {
+		if answered(resp, err) {
+			m.layer.cache.put(l.key, resp)
+		}
+		m.layer.flights.finish(l.key, l.f, resp, err)
+		if resps[l.i], errs[l.i] = resp, err; err == nil {
+			m.layer.observe(ctx, false)
+		}
+	}
+	switch len(leads) {
+	case 0:
+		return
+	case 1:
+		resp, err := m.inner.Complete(ctx, reqs[leads[0].i])
+		settle(leads[0], resp, err)
 		return
 	}
-	b.mu.Lock()
-	b.retried += len(items)
-	b.mu.Unlock()
-	b.observe(0, 0, len(items))
-	sem := make(chan struct{}, soloRetryParallelism)
+	prompts := make([]string, len(leads))
+	for k, l := range leads {
+		prompts[k] = reqs[l.i].Prompt
+	}
+	m.layer.batches.Add(1)
+	env, err := m.inner.Complete(ctx, llm.Request{Prompt: prompt.TaskBatch(prompts)})
+	var answers map[int]string
+	if answered(env, err) {
+		answers, _ = prompt.ParseTaskBatch(env.Text, len(leads)) // garbled: no sections
+	}
+	var retry []lead
+	for k, l := range leads {
+		if a, ok := answers[k]; ok {
+			settle(l, llm.Response{Text: a, Model: env.Model}, nil)
+			errs[l.i] = err // a cap the envelope crossed is the group's own
+		} else {
+			retry = append(retry, l)
+		}
+	}
+	m.layer.soloRetries.Add(int64(len(retry)))
+	each(len(retry), soloRetryParallelism, func(k int) {
+		resp, err := m.inner.Complete(ctx, reqs[retry[k].i])
+		settle(retry[k], resp, err)
+	})
+}
+
+// each runs fn(k) for every k < n, at most limit at once, and returns once
+// every call has.
+func each(n, limit int, fn func(k int)) {
+	sem := make(chan struct{}, max(limit, 1))
 	var wg sync.WaitGroup
-	for _, it := range items {
+	for k := range n {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(it *batchItem) {
+		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			solo, serr := b.inner.Complete(it.ctx, it.req)
-			it.ch <- batchResult{resp: solo, err: serr}
-		}(it)
+			fn(k)
+		}()
 	}
 	wg.Wait()
+}
+
+// A Turn orders the groups one caller launches: the group asked under a
+// turn's Context takes its flights in CompleteGroup only once the group of
+// the turn before has taken theirs, so of two groups asking one key the
+// earlier leads it, whatever the scheduler does.
+type Turn struct {
+	prev <-chan struct{}
+	done chan struct{}
+	once sync.Once
+}
+
+// NextTurn returns the turn after prev; a nil prev starts a sequence.
+func NextTurn(prev *Turn) *Turn {
+	t := &Turn{done: make(chan struct{})}
+	if prev != nil {
+		t.prev = prev.done
+	}
+	return t
+}
+
+type turnKey struct{}
+
+// Context returns ctx under the turn.
+func (t *Turn) Context(ctx context.Context) context.Context {
+	return context.WithValue(ctx, turnKey{}, t)
+}
+
+// End lets the next turn take its flights; the caller ends each turn once
+// its group has returned. Ending twice, or a nil turn, does nothing.
+func (t *Turn) End() {
+	if t != nil {
+		t.once.Do(func() { close(t.done) })
+	}
+}
+
+func turnOf(ctx context.Context) *Turn {
+	t, _ := ctx.Value(turnKey{}).(*Turn)
+	return t
+}
+
+// wait blocks until the turn before t has ended, or ctx has.
+func (t *Turn) wait(ctx context.Context) {
+	if t != nil && t.prev != nil {
+		select {
+		case <-t.prev:
+		case <-ctx.Done():
+		}
+	}
 }

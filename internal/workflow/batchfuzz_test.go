@@ -2,9 +2,8 @@ package workflow
 
 import (
 	"context"
-	"sort"
+	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -12,17 +11,16 @@ import (
 	"repro/internal/prompt"
 )
 
-// FuzzFaultyBatchReplies throws arbitrary envelope completions at the
-// batcher — truncated mid-answer, renumbered or duplicated section
-// headers, NUL-ridden garbage, empty strings — and asserts the
-// degradation contract: no panic, no wedged waiter, and every unit task
-// gets either a parsed section or a solo-retry answer computed from its
-// original prompt. All four tasks share one prompt, so even though
-// goroutine arrival order permutes which envelope slot each task lands
-// in, the multiset of delivered answers is exactly determined by
-// ParseTaskBatch on the fuzzed reply. This is the parse-and-retry path
-// a llm.FaultPlan's malformed/wrong-section faults exercise, fuzzed
-// directly at the reply boundary.
+// FuzzFaultyBatchReplies throws arbitrary envelope completions at a
+// group's envelope — truncated mid-answer, renumbered or duplicated
+// section headers, NUL-ridden garbage, empty strings — and asserts the
+// degradation contract: no panic, no wedged group, and every unit task
+// gets either its parsed section or a solo-retry answer computed from its
+// original prompt. The group's keys ride the envelope in request order,
+// so the expected split is exactly ParseTaskBatch on the fuzzed reply.
+// This is the parse-and-retry path a llm.FaultPlan's
+// malformed/wrong-section faults exercise, fuzzed directly at the reply
+// boundary.
 func FuzzFaultyBatchReplies(f *testing.F) {
 	f.Add("### Task 1\nYes\n### Task 2\nNo\n### Task 3\nYes\n### Task 4\nNo\n")
 	f.Add("### Task 1\nYes\n### Task 2\nNo, defi\x00<<truncated>>")
@@ -40,51 +38,36 @@ func FuzzFaultyBatchReplies(f *testing.F) {
 			}
 			return llm.Response{Text: "solo:" + req.Prompt, Model: "fuzz-upstream"}, nil
 		}}
-		// An hour's linger means only the size trigger flushes: all n
-		// tasks always ride one envelope, so the expected split is exactly
-		// ParseTaskBatch(reply, n).
-		b := NewBatching(inner, BatchOptions{MaxBatch: n, Linger: time.Hour})
-
-		const taskPrompt = "classify the fuzz probe record\n"
-		texts := make([]string, n)
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				resp, err := b.Complete(context.Background(), llm.Request{Prompt: taskPrompt})
-				texts[i], errs[i] = resp.Text, err
-			}(i)
+		reqs := make([]llm.Request, n)
+		for i := range reqs {
+			reqs[i].Prompt = fmt.Sprintf("classify fuzz probe record %d\n", i)
 		}
+		var (
+			resps []llm.Response
+			errs  []error
+		)
 		done := make(chan struct{})
-		go func() { wg.Wait(); close(done) }()
+		go func() {
+			defer close(done)
+			resps, errs = CompleteGroup(context.Background(), NewExecLayer().Wrap(inner), reqs)
+		}()
 		select {
 		case <-done:
 		case <-time.After(30 * time.Second):
-			t.Fatal("batcher wedged: waiters still blocked after 30s")
+			t.Fatal("group wedged: still blocked after 30s")
 		}
 
 		answers, _ := prompt.ParseTaskBatch(reply, n)
-		want := make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			if a, ok := answers[i]; ok {
-				want = append(want, a)
-			} else {
-				want = append(want, "solo:"+taskPrompt)
-			}
-		}
-		sort.Strings(want)
-		for i := 0; i < n; i++ {
+		for i := range reqs {
 			if errs[i] != nil {
 				t.Fatalf("task %d failed: %v (a garbled reply must degrade to a solo retry, not an error)", i, errs[i])
 			}
-		}
-		got := append([]string(nil), texts...)
-		sort.Strings(got)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("delivered answers %q, want %q (reply %q)", got, want, reply)
+			want, ok := answers[i]
+			if !ok {
+				want = "solo:" + reqs[i].Prompt
+			}
+			if resps[i].Text != want {
+				t.Fatalf("task %d answer = %q, want %q (reply %q)", i, resps[i].Text, want, reply)
 			}
 		}
 	})

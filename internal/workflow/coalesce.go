@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/llm"
+	"repro/internal/resil"
 	"repro/internal/token"
 )
 
@@ -13,7 +15,7 @@ import (
 type flight struct {
 	done chan struct{}
 	resp llm.Response
-	err  error
+	err  error // what the followers get; nil means resp
 }
 
 // FlightGroup tracks in-flight completions so concurrent identical
@@ -23,7 +25,7 @@ type flight struct {
 type FlightGroup struct {
 	mu        sync.Mutex
 	inflight  map[cacheKey]*flight
-	coalesced int
+	coalesced atomic.Int64
 }
 
 // NewFlightGroup returns an empty group.
@@ -33,10 +35,48 @@ func NewFlightGroup() *FlightGroup {
 
 // Coalesced returns how many requests were answered by joining another
 // caller's in-flight upstream call.
-func (g *FlightGroup) Coalesced() int {
+func (g *FlightGroup) Coalesced() int { return int(g.coalesced.Load()) }
+
+// claim returns key's flight, and whether the caller opened it and so
+// must finish it.
+func (g *FlightGroup) claim(key cacheKey) (*flight, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.coalesced
+	if f, ok := g.inflight[key]; ok {
+		return f, false
+	}
+	f := &flight{done: make(chan struct{})}
+	g.inflight[key] = f
+	return f, true
+}
+
+// finish retires a flight its leader opened: the followers get resp if the
+// upstream answered, and err otherwise.
+func (g *FlightGroup) finish(key cacheKey, f *flight, resp llm.Response, err error) {
+	if answered(resp, err) {
+		f.resp = resp
+	} else {
+		f.err = err
+	}
+	g.mu.Lock()
+	delete(g.inflight, key)
+	g.mu.Unlock()
+	close(f.done)
+}
+
+// answered reports whether an upstream call gave an answer: it succeeded,
+// or its billed reply crossed the caller's budget cap, which only that
+// caller is told.
+func answered(resp llm.Response, err error) bool {
+	return err == nil || (errors.Is(err, ErrBudgetExhausted) && !resp.Usage.IsZero())
+}
+
+// leaderScoped reports whether a flight's error is its leader's, not the
+// call's: its cancellation, its budget's refusal, or a retry its retry
+// budget denied.
+func leaderScoped(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
+		errors.Is(err, ErrBudgetExhausted) || errors.Is(err, resil.ErrRetryDenied)
 }
 
 // do runs fn once per key among concurrent callers. The leader executes
@@ -44,49 +84,35 @@ func (g *FlightGroup) Coalesced() int {
 // zero usage (no upstream call was made on their behalf). A follower whose
 // own context is cancelled returns early with the context error.
 //
-// Upstream errors are shared with every follower of the flight — they
-// were promised that call's outcome. The exception is the leader's own
-// cancellation: a layer can be shared across sessions, and one session
-// timing out must not poison identical requests from live sessions, so a
-// follower whose leader was cancelled retries (and typically becomes the
-// new leader under its own context).
+// A flight's outcome is the same for every tenant that shares it: an
+// answer, also one that crossed the leader's cap, and an upstream error
+// are shared with every follower, but an error that is the leader's own
+// (leaderScoped) is not — the follower retries, and typically leads the
+// next flight under its own context and budget.
 func (g *FlightGroup) do(ctx context.Context, key cacheKey, fn func() (llm.Response, error)) (llm.Response, error) {
 	for {
-		g.mu.Lock()
-		f, ok := g.inflight[key]
-		if !ok {
-			f = &flight{done: make(chan struct{})}
-			g.inflight[key] = f
-			g.mu.Unlock()
-
-			f.resp, f.err = fn()
-			g.mu.Lock()
-			delete(g.inflight, key)
-			g.mu.Unlock()
-			close(f.done)
-			if f.err != nil {
-				return llm.Response{}, f.err
-			}
-			return f.resp, nil
+		f, leader := g.claim(key)
+		if leader {
+			resp, err := fn()
+			g.finish(key, f, resp, err)
+			return resp, err
 		}
-		g.coalesced++
-		g.mu.Unlock()
+		g.coalesced.Add(1)
 		select {
 		case <-f.done:
-			if f.err != nil {
-				if ctx.Err() != nil {
-					return llm.Response{}, ctx.Err()
-				}
-				if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
-					continue // the leader died, not the call; retry fresh
-				}
-				return llm.Response{}, f.err
-			}
-			resp := f.resp
-			resp.Usage = token.Usage{}
-			return resp, nil
 		case <-ctx.Done():
 			return llm.Response{}, ctx.Err()
 		}
+		switch {
+		case f.err == nil:
+			resp := f.resp
+			resp.Usage = token.Usage{}
+			return resp, nil
+		case ctx.Err() != nil:
+			return llm.Response{}, ctx.Err()
+		case leaderScoped(f.err):
+			continue // the leader could not ask, not the call; retry fresh
+		}
+		return llm.Response{}, f.err
 	}
 }

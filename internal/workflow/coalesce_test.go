@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/llm"
+	"repro/internal/resil"
 	"repro/internal/token"
 )
 
@@ -286,5 +287,75 @@ func TestLateCallerDoesNotLeadSecondFlight(t *testing.T) {
 	}
 	if resp.Text != "echo:same ask" || !resp.Usage.IsZero() {
 		t.Fatalf("late caller got %+v, want the cached answer at zero usage", resp)
+	}
+}
+
+// TestFlightOutcomeTenantNeutral: a flight's leader ends on something that
+// is its own, not the call's — its budget refused the call, its retry
+// budget denied a retry, or the reply crossed its budget cap. Its follower,
+// another tenant, is not failed by it: it asks again under its own context,
+// or takes the billed reply free, which the cache keeps.
+func TestFlightOutcomeTenantNeutral(t *testing.T) {
+	billed := llm.Response{Text: "ok", Model: "m", Usage: token.Usage{PromptTokens: 1, CompletionTokens: 1, Calls: 1}}
+	for _, tc := range []struct {
+		name       string
+		leader     func() (llm.Response, error)
+		retried    bool // the follower led a second call
+		leaderText string
+	}{
+		{"budget refusal", func() (llm.Response, error) {
+			return llm.Response{}, fmt.Errorf("refusing call: %w", ErrBudgetExhausted)
+		}, true, ""},
+		{"retry denied", func() (llm.Response, error) {
+			return llm.Response{}, fmt.Errorf("%w: %w", resil.ErrRetryDenied, llm.ErrTransient)
+		}, true, ""},
+		{"cap crossed", func() (llm.Response, error) {
+			return billed, fmt.Errorf("after charging: %w", ErrBudgetExhausted)
+		}, false, "ok"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls atomic.Int64
+			layer := NewExecLayer()
+			type leaderKey struct{}
+			inner := llm.Func{ModelName: "m", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
+				calls.Add(1)
+				if ctx.Value(leaderKey{}) == nil {
+					return billed, nil
+				}
+				for layer.Stats().Coalesced == 0 {
+					time.Sleep(time.Millisecond)
+				}
+				return tc.leader()
+			}}
+			m := layer.Wrap(inner)
+			type result struct {
+				resp llm.Response
+				err  error
+			}
+			lead := make(chan result, 1)
+			go func() {
+				resp, err := m.Complete(context.WithValue(context.Background(), leaderKey{}, true), llm.Request{Prompt: "p"})
+				lead <- result{resp, err}
+			}()
+			for calls.Load() == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			resp, err := m.Complete(context.Background(), llm.Request{Prompt: "p"})
+			if err != nil || resp.Text != "ok" {
+				t.Fatalf("follower got (%q, %v), want the answer", resp.Text, err)
+			}
+			if l := <-lead; l.err == nil || l.resp.Text != tc.leaderText {
+				t.Fatalf("leader got (%q, %v), want its own error with reply %q", l.resp.Text, l.err, tc.leaderText)
+			}
+			if want := map[bool]int64{true: 2, false: 1}[tc.retried]; calls.Load() != want {
+				t.Fatalf("upstream calls = %d, want %d", calls.Load(), want)
+			}
+			if tc.retried != !resp.Usage.IsZero() {
+				t.Fatalf("follower's usage %+v: it paid for its own call exactly when it led one", resp.Usage)
+			}
+			if size, _ := layer.Cache().Stats(); size != 1 {
+				t.Fatalf("cache holds %d answers, want the one answer", size)
+			}
+		})
 	}
 }

@@ -19,31 +19,23 @@ type ExecStats struct {
 	// Coalesced counts requests answered by joining another caller's
 	// in-flight upstream call.
 	Coalesced int
-	// Batches counts multi-task envelope calls issued upstream by
-	// batchers observing this layer (failed envelopes included — they
-	// were real upstream calls).
+	// Batches counts the multi-task envelope calls CompleteGroup issued
+	// upstream through this layer (failed envelopes included — they were
+	// real upstream calls).
 	Batches int
 	// SoloRetries counts unit tasks re-issued individually after a failed
 	// envelope call or a missing/garbled answer section.
 	SoloRetries int
 }
 
-// BatchObserver receives batching outcomes from a BatchingModel so a
-// shared layer can aggregate them across every per-session batcher.
-type BatchObserver interface {
-	// ObserveBatch records one envelope call issued upstream (packed unit
-	// tasks inside it) and any unit tasks that fell back to a solo retry.
-	ObserveBatch(envelopes, packed, soloRetries int)
-}
-
 // ServeObserver receives every unit ask that passes through an ExecLayer's
-// Wrap, with the ask's own context — which a multi-tenant service has
-// tagged per tenant (TagTenant) — and whether the layer served it free.
-// "Free" means the response carried zero usage: a cache hit or a coalesced
-// follower (and, when an engine batches below the layer, a batch co-rider
-// whose envelope was billed to its leader). The layer's global Stats can
-// only report aggregate hit counts; this per-ask callback is what lets a
-// service split them by tenant exactly, even under concurrent jobs.
+// Wrap or CompleteGroup, with the ask's own context — which a
+// multi-tenant service has tagged per tenant (TagTenant) — and whether the
+// layer served it free: a cache hit or a coalesced follower. An answer a
+// group split out of the envelope it paid for is a paid serve. The layer's
+// global Stats can only report aggregate hit counts; this per-ask callback
+// is what lets a service split them by tenant exactly, even under
+// concurrent jobs.
 type ServeObserver interface {
 	ObserveServe(ctx context.Context, free bool)
 }
@@ -56,9 +48,9 @@ type ServeObserver interface {
 // is answered upstream exactly once per process — first by coalescing
 // while in flight, then by the cache forever after.
 //
-// The layer also implements BatchObserver: engines that batch below it
-// (core.WithBatching) report envelope and solo-retry counts here, so
-// Stats unifies cache, coalescing, and batching effects in one snapshot.
+// Its group form, CompleteGroup, packs a group's cache misses into one
+// envelope and counts envelopes and solo retries here, so Stats unifies
+// cache, coalescing, and batching effects in one snapshot.
 //
 // Construct one layer per logical session or service and pass it to every
 // engine via core.WithExecutionLayer. Safe for concurrent use.
@@ -137,7 +129,7 @@ func (m *sharedModel) Complete(ctx context.Context, req llm.Request) (llm.Respon
 
 // CompleteBytes implements llm.ByteCompleter. A hit is looked up from the
 // caller's bytes and no prompt string is made. A miss copies the prompt
-// once, before the flight, the cache, a batcher or the meter can keep it,
+// once, before the flight, the cache or the meter can keep it,
 // and then takes Complete's path.
 func (m *sharedModel) CompleteBytes(ctx context.Context, prompt []byte, req llm.Request) (llm.Response, error) {
 	key := keyFor(m.inner.Name(), req)
@@ -165,9 +157,7 @@ func (m *sharedModel) serve(ctx context.Context, key cacheKey, req llm.Request, 
 			return resp, err
 		}
 	}
-	if box, ok := m.layer.serveObs.Load().(serveObsBox); ok && box.obs != nil {
-		box.obs.ObserveServe(ctx, resp.Usage.IsZero())
-	}
+	m.layer.observe(ctx, resp.Usage.IsZero())
 	return resp, nil
 }
 
@@ -180,7 +170,7 @@ func (m *sharedModel) afterMiss(ctx context.Context, key cacheKey, req llm.Reque
 			return resp, nil
 		}
 		resp, err := m.inner.Complete(ctx, req)
-		if err == nil {
+		if answered(resp, err) {
 			m.layer.cache.put(key, resp)
 		}
 		return resp, err
@@ -189,7 +179,7 @@ func (m *sharedModel) afterMiss(ctx context.Context, key cacheKey, req llm.Reque
 
 // ErrNotCached is how an ask under a HitsOnly context ends when its answer
 // is not in the layer's cache. Nothing below the cache lookup saw the ask:
-// no flight, batcher, Meter, budget or ServeObserver.
+// no flight, Meter, budget or ServeObserver.
 var ErrNotCached = errors.New("workflow: answer not cached")
 
 // HitProbe is the hits-only mode of the asks that go through an
@@ -250,10 +240,8 @@ func (p *HitProbe) Settle(ctx context.Context, err error) bool {
 	}
 	if hits > 0 {
 		l.cache.countHits(hits)
-		if box, ok := l.serveObs.Load().(serveObsBox); ok && box.obs != nil {
-			for range hits {
-				box.obs.ObserveServe(ctx, true)
-			}
+		for range hits {
+			l.observe(ctx, true)
 		}
 	}
 	return true
@@ -266,10 +254,11 @@ func (l *ExecLayer) SetServeObserver(o ServeObserver) {
 	l.serveObs.Store(serveObsBox{obs: o})
 }
 
-// ObserveBatch implements BatchObserver.
-func (l *ExecLayer) ObserveBatch(envelopes, packed, soloRetries int) {
-	l.batches.Add(int64(envelopes))
-	l.soloRetries.Add(int64(soloRetries))
+// observe reports one served ask to the ServeObserver, if one is attached.
+func (l *ExecLayer) observe(ctx context.Context, free bool) {
+	if box, ok := l.serveObs.Load().(serveObsBox); ok && box.obs != nil {
+		box.obs.ObserveServe(ctx, free)
+	}
 }
 
 // Stats snapshots the layer's counters. It is safe to call concurrently

@@ -12,13 +12,12 @@ import (
 
 // TestExecStatsDuringBatchedRun hammers ExecLayer.Stats while a batched
 // workload is in flight: Stats is documented as safe under concurrent
-// use, and every counter (cache, coalescer, batch observer) must be
+// use, and every counter (cache, coalescer, envelopes) must be
 // independently synchronized. Run with -race in CI.
 func TestExecStatsDuringBatchedRun(t *testing.T) {
 	var calls atomic.Int64
 	layer := NewExecLayer()
-	batcher := NewBatching(envelopeModel(&calls, nil), BatchOptions{MaxBatch: 4, Observer: layer})
-	m := layer.Wrap(batcher)
+	m := layer.Wrap(envelopeModel(&calls, nil))
 
 	stop := make(chan struct{})
 	var pollers sync.WaitGroup
@@ -42,31 +41,33 @@ func TestExecStatsDuringBatchedRun(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	for i := 0; i < 64; i++ {
+	for g := 0; g < 16; g++ {
 		wg.Add(1)
-		go func(i int) {
+		go func(g int) {
 			defer wg.Done()
-			// Half the prompts repeat, so the cache-hit and coalescing
-			// counters move too, not just the batch observer.
-			prompt := fmt.Sprintf("task %d\nbody\n", i%32)
-			if _, err := m.Complete(context.Background(), llm.Request{Prompt: prompt}); err != nil {
-				t.Errorf("complete: %v", err)
+			// Half the prompts repeat across groups, so the cache-hit and
+			// coalescing counters move too, not just the envelopes.
+			reqs := make([]llm.Request, 4)
+			for i := range reqs {
+				reqs[i].Prompt = fmt.Sprintf("task %d\nbody\n", (4*g+i)%32)
 			}
-		}(i)
+			_, errs := CompleteGroup(context.Background(), m, reqs)
+			for _, err := range errs {
+				if err != nil {
+					t.Errorf("complete: %v", err)
+				}
+			}
+		}(g)
 	}
 	wg.Wait()
 	close(stop)
 	pollers.Wait()
 
 	s := layer.Stats()
-	if s.Batches == 0 {
-		t.Fatalf("batched run reported no envelopes through the observer: %+v", s)
+	if s.Batches == 0 || s.Batches > 16 {
+		t.Fatalf("batched run reported %d envelopes, want 1..16: %+v", s.Batches, s)
 	}
-	batches, packed, _ := batcher.Stats()
-	if s.Batches != batches {
-		t.Fatalf("layer batches %d != batcher batches %d", s.Batches, batches)
-	}
-	if packed == 0 {
-		t.Fatalf("no unit tasks rode in an envelope: %+v", s)
+	if s.CacheSize != 32 {
+		t.Fatalf("cache holds %d answers, want the 32 distinct tasks: %+v", s.CacheSize, s)
 	}
 }

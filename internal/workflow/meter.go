@@ -14,7 +14,7 @@ import (
 const EstimateCompletion = 64
 
 // Meter is the one accounting layer of an operator invocation. It sits
-// below the cache and the batcher, so it sees exactly the calls a vendor
+// below the cache and its envelopes, so it sees exactly the calls a vendor
 // would bill — one per envelope, none for cache hits — and settles each
 // of them once: the call is refused with ErrBudgetExhausted when the
 // budget no longer allows its estimated spend, and a completed call is

@@ -3,7 +3,7 @@
 // specified monetary budget") and per-call accounting (Budget, Meter),
 // the shared execution layer (sharded response cache plus in-flight
 // request coalescing, see ExecLayer), unit-task batching into envelope
-// prompts (BatchingModel), bounded-concurrency fan-out (Map), client-side
+// prompts (CompleteGroup), bounded-concurrency fan-out (Map), client-side
 // rate limiting, and per-stage usage attribution (Attribution, TagStage)
 // that lets one shared budget be broken down by pipeline stage —
 // including the optimizer's selectivity probes under the reserved
