@@ -102,12 +102,12 @@ type PipelineStudyResult struct {
 
 // OverlapScenarioResult times the side-input overlap scenario.
 type OverlapScenarioResult struct {
-	// DrainFirst is the Materialized executor's wall clock: the join
-	// drains its whole main input, then waits for the side stage.
+	// DrainFirst is the Materialized executor's wall clock: the join's
+	// start gate waits for its whole main input and for the side stage.
 	DrainFirst time.Duration
 	// Overlap is the default executor's wall clock on the same workload:
-	// the main input buffers while the side stage materializes, and
-	// matching starts the moment the side table lands.
+	// the join holds its main input while the side stage materializes,
+	// and matching starts the moment the side table lands.
 	Overlap time.Duration
 	// DrainFirstEarly and OverlapEarly count, per run, the join comparisons
 	// issued before the last feed-predicate call returned: the structure
@@ -334,7 +334,7 @@ func runPlan(ctx context.Context, spec pipeline.Spec, cfg pipeline.ExecConfig, t
 // to expose it: a slow filter feeds a nested-loop join whose right side
 // is another stage's output. Drain-first (the Materialized executor)
 // makes the join consume its whole main input before matching anything;
-// the default executor buffers the main input while the side stage
+// the default executor holds the main input while the side stage
 // materializes and starts matching the moment the side table lands, so
 // join work pipelines with the slow feed. Latency is deterministic — a
 // fixed per-call delay on the feed predicate and the join comparisons

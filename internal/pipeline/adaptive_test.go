@@ -19,12 +19,13 @@ import (
 )
 
 // TestAdaptiveSideInputOverlap is the overlap contract: a streamable join
-// whose right side is an earlier stage's output starts matching buffered
-// main-input records as soon as the side table lands — while the
-// main-input producer is still working. The model blocks the producer's
-// last record until a join comparison arrives; the drain-first path would
-// deadlock here (guarded by a timeout), exactly like the plain streaming
-// overlap test.
+// whose right side is an earlier stage's output starts matching the
+// main-input records its start gate held as soon as the side table lands
+// — while the main-input producer is still working. The model blocks the
+// producer's last record until a join comparison arrives; the drain-first
+// (Materialized) schedule would deadlock here (guarded by a timeout),
+// exactly like the plain streaming overlap test. Both schedules match the
+// reference run (runReference) record for record.
 func TestAdaptiveSideInputOverlap(t *testing.T) {
 	names := dataset.FlavorNames()
 	// splitModel: "poolpred" keeps even-indexed flavors, "feedpred" keeps
@@ -94,32 +95,30 @@ func TestAdaptiveSideInputOverlap(t *testing.T) {
 		t.Fatalf("match table has %d rows, want 2x2", len(res.Tables["match"]))
 	}
 
-	// Equivalence: the overlapped run must match the barrier (drain-first)
-	// run of the same spec record for record.
-	runWith := func(materialized bool) []dataset.Record {
-		t.Helper()
-		p, err := Compile(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
+	// Equivalence: the overlapped run and the drain-first (Materialized)
+	// run must match the reference run of the same spec record for record.
+	ref, err := runReference(context.Background(), p, ExecConfig{Model: splitModel("calm", nil, nil)}, flavorTables(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, materialized := range []bool{false, true} {
 		res, err := p.Run(context.Background(), ExecConfig{
 			Model: splitModel("calm", nil, nil), Materialized: materialized,
 		}, flavorTables(4))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Tables["match"]
-	}
-	if want, got := runWith(true), runWith(false); !reflect.DeepEqual(want, got) {
-		t.Fatalf("overlapped side join differs from drain-first:\nwant %v\ngot  %v", want, got)
+		if want, got := ref.Tables["match"], res.Tables["match"]; !reflect.DeepEqual(want, got) {
+			t.Fatalf("materialized %v: side join differs from the reference:\nwant %v\ngot  %v", materialized, want, got)
+		}
 	}
 }
 
-// TestAdaptiveSideOverlapFailureNoLeak covers the buffering path's
+// TestAdaptiveSideOverlapFailureNoLeak covers the side-gated window's
 // failure contract, mirroring TestStreamingCancellationNoLeak: a join
 // erroring while overlapped with its producers must cancel the run,
-// surface its own stage as the root cause, and leave no goroutine behind
-// (replay feeder included). Run with -race in CI.
+// surface its own stage as the root cause, and leave no goroutine behind.
+// Run with -race in CI.
 func TestAdaptiveSideOverlapFailureNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	names := dataset.FlavorNames()

@@ -59,9 +59,9 @@ func BenchmarkPipelineOptimized(b *testing.B) {
 	})
 }
 
-// BenchmarkPipelineOptimizedMaterialized is the same plan with streaming
-// disabled — the wall-clock delta against BenchmarkPipelineOptimized is
-// what record-level streaming buys (or costs) on this workload.
+// BenchmarkPipelineOptimizedMaterialized is the same plan with every edge
+// a barrier — the wall-clock delta against BenchmarkPipelineOptimized is
+// what overlapping stages buys (or costs) on this workload.
 func BenchmarkPipelineOptimizedMaterialized(b *testing.B) {
 	spec, _, err := Optimize(benchSpec())
 	if err != nil {

@@ -18,11 +18,11 @@ import (
 	"repro/internal/workflow"
 )
 
-// OnRecordError values: what a streaming per-record stage does when one
+// OnRecordError values: what a streamable per-record stage does when one
 // record's unit task fails (after the caller's resilience wrapper, if
-// any, has already done its retrying). Barrier stages always fail fast —
-// their output depends on the whole table, so dropping records would
-// silently change the answer rather than narrow it.
+// any, has already done its retrying), in every mode. Barrier strategies
+// always fail fast — their output depends on the whole table, so dropping
+// records would silently change the answer rather than narrow it.
 const (
 	// OnRecordFail aborts the run on the first record error (the default,
 	// and the only pre-existing behaviour).
@@ -61,12 +61,13 @@ type ExecConfig struct {
 	// order, while the pipeline is already executing — per-record stages
 	// evaluate each record as it arrives, and barrier stages simply see
 	// the longer stream. (A per-record stage with a dynamic side input
-	// buffers arrivals until the side stage finishes.) Run returns only after
-	// Feed is closed and fully drained, so the caller must feed and close
-	// the channel from another goroutine. Temperature-0 results after full
-	// ingestion are byte-identical to a batch run whose source table
-	// already contained the fed records (pinned by
-	// TestStandingQueryMatchesBatch). Nil runs the static table alone.
+	// holds arrivals behind its start gate until the side stage finishes.)
+	// Run returns only after Feed is closed and fully drained, so the
+	// caller must feed and close the channel from another goroutine.
+	// Temperature-0 results after full ingestion are byte-identical to a
+	// batch run whose source table already contained the fed records
+	// (pinned by TestStandingQueryMatchesBatch). Nil runs the static table
+	// alone.
 	Feed <-chan dataset.Record
 	// Attribution is the per-stage ledger the run records into; nil builds
 	// a fresh one. Pass the same ledger (and Exec) to OptimizeProbed and
@@ -107,10 +108,12 @@ type ExecConfig struct {
 	Parallelism int
 	// Deprecated: no effect; kept because benchmark/layers.go assigns it — removed with the pipeline.run_ms.adaptive column.
 	Adaptive bool
-	// Materialized disables record-level streaming: every stage drains its
-	// whole input before running — the pre-streaming executor behaviour.
-	// Temperature-0 results are identical either way; the flag exists for
-	// the streaming-vs-materialized wall-clock comparison in the
+	// Materialized makes every edge a barrier: each stage drains its whole
+	// input before it starts a record. A streamable stage runs the same
+	// window as ever, behind a start gate that opens when its input has
+	// ended, and lends no slot to or from another stage. Temperature-0
+	// results, degraded mode included, are identical either way; the flag
+	// exists for the drain-first-vs-streaming wall-clock comparison in the
 	// experiments.
 	Materialized bool
 	// TableKeys optionally names tables passed to Run by a
@@ -120,14 +123,14 @@ type ExecConfig struct {
 	// hashing the table row by row; a table without one, and every dynamic
 	// side table, is hashed as before. Leaving it nil changes nothing else.
 	TableKeys map[string]embed.SourceKey
-	// OnRecordError selects degraded-mode execution for streaming
-	// per-record stages: OnRecordFail (default), OnRecordSkip, or
-	// OnRecordQuarantine. Exactly the records whose unit task failed are
-	// dropped (skip) or dropped-and-reported (quarantine) instead of
-	// aborting the run; nothing is asked twice. Context
+	// OnRecordError selects degraded-mode execution for streamable
+	// per-record stages, streaming or Materialized: OnRecordFail (default),
+	// OnRecordSkip, or OnRecordQuarantine. Exactly the records whose unit
+	// task failed are dropped (skip) or dropped-and-reported (quarantine)
+	// instead of aborting the run; nothing is asked twice. Context
 	// cancellation, budget exhaustion, and an open circuit breaker always
-	// abort — they poison every record, not one. Barrier stages fail fast
-	// regardless.
+	// abort — they poison every record, not one. Barrier strategies fail
+	// fast regardless.
 	OnRecordError string
 }
 
@@ -139,11 +142,11 @@ func (cfg ExecConfig) window() int {
 	return core.DefaultParallelism
 }
 
-// streamer returns the stage's streaming face when the run streams it:
-// every stage that can stream does, unless Materialized.
-func (cfg ExecConfig) streamer(st Stage) (Streamer, bool) {
+// streamer returns the stage's streaming face when its configured
+// strategy can stream: the stage then runs in a window in every mode.
+func streamer(st Stage) (Streamer, bool) {
 	s, ok := st.(Streamer)
-	return s, ok && s.CanStream() && !cfg.Materialized
+	return s, ok && s.CanStream()
 }
 
 // edgeBuffer is the capacity of every inter-stage channel. It is wider
@@ -204,6 +207,7 @@ type Env struct {
 
 	keys  map[string]embed.SourceKey // ExecConfig.TableKeys, less any table a dynamic side replaced
 	slots *stageSlots                // a streaming stage's account in the run's slot ledger
+	gate  *gate                      // a streaming stage's start gate; nil starts at once
 	stats *stageStats
 	run   *runState
 	onErr string // resolved OnRecordError mode
@@ -254,6 +258,20 @@ type runState struct {
 	details map[string]string
 	skipped map[string]int
 	quar    map[string]*quarantineInfo
+}
+
+// skipEmpty reports a stage that saw no input records.
+func (s *runState) skipEmpty(st Stage) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if st.Kind() == KindCount {
+		// A count over nothing still has an answer — 0 — and must report
+		// it regardless of where the optimizer placed the emptying filter.
+		s.scalars[st.Name()] = "0"
+		s.details[st.Name()] = "0 of 0 (empty input)"
+	} else {
+		s.details[st.Name()] = detailSkippedEmpty
+	}
 }
 
 // dropRecord records one record dropped under skip or quarantine mode.
@@ -342,10 +360,11 @@ type Result struct {
 // seqRecord is one record on an inter-stage edge. seq is its position in
 // the stage's output table: the source feeder numbers records as they
 // enter, per-record stages keep the key (a fan-out stage widens it, see
-// runWindow), and barrier stages renumber their output. Records may
-// overtake each other on an edge; everything that needs a table — a
-// stage's collected output, a barrier's drained input — restores sequence
-// order once, at collection, never per hop.
+// runWindow), and barrier stages renumber their output by position, as a
+// streamable stage's start gate renumbers its input under Materialized
+// (see gate). Records may overtake each other on an edge; everything that
+// needs a table — a stage's collected output, a barrier's drained input —
+// restores sequence order once, at collection, never per hop.
 //
 // In a batched run (Batch > 1) an edge also carries marks: a mark's seq
 // is a watermark, below which every key has been sent on the edge or
@@ -489,10 +508,11 @@ func drain(ctx context.Context, in <-chan seqRecord, up *streamOut, size int) ([
 // per-record stage (filter, direct categorize, fixed-strategy impute,
 // nested-loop join) runs each record's unit task as the record arrives,
 // up to Parallelism at once, handing finished records downstream
-// immediately; one with a dynamic side input buffers its input until the
-// side stage finishes, then streams. Barrier stages — sort, max, count,
-// resolve, planner-driven impute, or everything when cfg.Materialized is
-// set — drain their input first; results are identical either way at
+// immediately; one with a dynamic side input holds its input behind a
+// start gate until the side stage finishes, then streams. Barrier stages —
+// sort, max, count, resolve, two-phase categorize, planner-driven impute,
+// transitive join — drain their input first, and with cfg.Materialized
+// set every stage does; results are identical either way at
 // temperature 0. All stages stream their unit tasks through one shared
 // engine: one execution layer, one embedding-index registry, one budget.
 // Each stage's context
@@ -676,20 +696,6 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 		out.err = fmt.Errorf("stage %q: %w", st.Name(), err)
 		cancel()
 	}
-	skipEmpty := func() {
-		state.mu.Lock()
-		defer state.mu.Unlock()
-		if st.Kind() == KindCount {
-			// A count over nothing still has an answer — 0 — and must
-			// report it regardless of where the optimizer placed the
-			// emptying filter.
-			state.scalars[st.Name()] = "0"
-			state.details[st.Name()] = "0 of 0 (empty input)"
-		} else {
-			state.details[st.Name()] = detailSkippedEmpty
-		}
-	}
-
 	env := &Env{Engine: rt.engine, Budget: rt.budget, Tables: tables, keys: cfg.TableKeys,
 		slots: slots, stats: &stageStats{stage: st.Name()}, run: state,
 		onErr: cfg.OnRecordError, batch: cfg.Batch}
@@ -698,12 +704,15 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 	// A dynamic side input (Side naming an earlier stage) needs the side
 	// table whole, and the stage must keep consuming its own input while
 	// the side stage finishes — otherwise a shared ancestor could deadlock
-	// on backpressure. A streamable stage buffers the main input while the
-	// side materializes, then streams the buffer plus the live tail — the
-	// main path never stops consuming, and downstream starts receiving as
-	// soon as the side table lands. A barrier stage drains the main input,
+	// on backpressure. A streamable stage reads its input behind its
+	// window's start gate, which opens when the side table lands (and,
+	// under Materialized, when the input has ended), so downstream starts
+	// receiving as soon as it can. A barrier stage drains the main input,
 	// awaits the side, and runs.
-	dynamicSide := sideStage(p.specs, spec) >= 0
+	var side *streamOut
+	if sideStage(p.specs, spec) >= 0 {
+		side = outs[spec.Side]
+	}
 
 	// A stage fed by the static source table alone knows its input count
 	// before the first record arrives.
@@ -712,21 +721,22 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 		size = len(tables["source"])
 	}
 
-	if streamer, ok := cfg.streamer(st); ok {
+	if s, ok := streamer(st); ok {
 		if spec.Kind != KindJoin { // one output at most per record
 			out.got.presize(size)
 		}
-		start := time.Now()
-		sctx := workflow.TagStage(ctx, st.Name())
-		var err error
-		if dynamicSide {
-			out.consumed, err = runWindowWithSide(sctx, env, outs[spec.Side], in, spec.Side, streamer, out)
-		} else {
-			out.consumed, err = runWindow(sctx, env, in, streamer, out)
+		if side != nil || cfg.Materialized {
+			env.gate = &gate{side: side, name: spec.Side, drain: cfg.Materialized}
 		}
+		start := time.Now()
+		var err error
+		out.consumed, err = runWindow(workflow.TagStage(ctx, st.Name()), env, in, s, out)
 		env.stats.close(start, out.consumed)
 		if err != nil {
-			if propagated(err, outs, spec) {
+			// Unless the run was cancelled, a window with a side stage fails
+			// only after its gate saw that stage finish, so side.err is safe
+			// to read, and an error that is not the side's is the stage's own.
+			if cancellation(err) || side != nil && side.err != nil && errors.Is(err, side.err) {
 				fail(err)
 			} else {
 				abort(err)
@@ -741,7 +751,7 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 			return
 		}
 		if out.consumed == 0 {
-			skipEmpty()
+			state.skipEmpty(st)
 		}
 		return
 	}
@@ -753,8 +763,7 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 		return
 	}
 	out.consumed = len(recs)
-	if dynamicSide {
-		side := outs[spec.Side]
+	if side != nil {
 		select {
 		case <-side.done:
 		case <-ctx.Done():
@@ -769,10 +778,10 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 	}
 	env.stats.t.Wait = time.Since(start)
 	if len(recs) == 0 {
-		skipEmpty()
+		state.skipEmpty(st)
 		return
 	}
-	table, err := st.Run(workflow.TagStage(ctx, st.Name()), env, recs)
+	table, err := st.(Barrier).Run(workflow.TagStage(ctx, st.Name()), env, recs)
 	if err != nil {
 		abort(err)
 		return
@@ -804,115 +813,6 @@ func (e *Env) overlaySide(name string, side []dataset.Record) {
 // failure of the work itself.
 func cancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// propagated reports whether err came from upstream (the side stage's
-// failure or a cancellation) rather than this stage's own operator, so
-// runStage records it without re-wrapping and without cancelling the run
-// a second time.
-func propagated(err error, outs map[string]*streamOut, spec StageSpec) bool {
-	if cancellation(err) {
-		return true
-	}
-	if side := outs[spec.Side]; side != nil {
-		// side.err is published by close(side.done); reading it before
-		// that close is a data race with the side stage's goroutine, and
-		// an error raised while the side is still running cannot have come
-		// from it anyway.
-		select {
-		case <-side.done:
-			if side.err != nil && errors.Is(err, side.err) {
-				return true
-			}
-		default:
-		}
-	}
-	return false
-}
-
-// runWindowWithSide is the side-input overlap path: buffer the
-// main input while the dynamic side stage materializes, then stream the
-// buffered prefix followed by the live channel through the stage's
-// window. Buffering keeps the main path consuming (no backpressure
-// deadlock through a shared ancestor) without the full drain the barrier
-// path pays, so downstream receives records as soon as the side table is
-// ready. The buffer is a plain slice: every record in it is already held
-// by its producer (the stage's output table or the caller's source), so
-// it adds references, not copies. Buffered records keep their sequence
-// keys, so replay order is immaterial to the result.
-func runWindowWithSide(ctx context.Context, env *Env, side *streamOut, in <-chan seqRecord, sideName string,
-	streamer Streamer, out *streamOut) (int, error) {
-	var buffered []seqRecord
-	start := time.Now()
-	inOpen := true
-buffering:
-	for {
-		select {
-		case r, ok := <-in:
-			if !ok {
-				inOpen = false
-				break buffering
-			}
-			buffered = append(buffered, r)
-		case <-side.done:
-			break buffering
-		case <-ctx.Done():
-			return len(buffered), ctx.Err()
-		}
-	}
-	// The main input may have closed first; the side table is still the
-	// gate for processing.
-	select {
-	case <-side.done:
-	case <-ctx.Done():
-		return len(buffered), ctx.Err()
-	}
-	if side.err != nil {
-		return len(buffered), side.err
-	}
-	env.overlaySide(sideName, side.table)
-	env.stats.t.Wait += time.Since(start)
-
-	// Replay the buffer, then pipe the live channel, on one merged stream
-	// the stage's window consumes. This function does not return until the
-	// feeder has exited: fcancel unblocks it even when the run's context
-	// is still live (e.g. the window failed mid-replay), and the deferred
-	// receive waits for it. No goroutine can leak.
-	merged := make(chan seqRecord, edgeBuffer)
-	feedDone := make(chan struct{})
-	fctx, fcancel := context.WithCancel(ctx)
-	defer func() {
-		fcancel()
-		<-feedDone
-	}()
-	go func() {
-		defer close(feedDone)
-		defer close(merged)
-		for _, r := range buffered {
-			select {
-			case merged <- r:
-			case <-fctx.Done():
-				return
-			}
-		}
-		for inOpen {
-			select {
-			case r, ok := <-in:
-				if !ok {
-					return
-				}
-				select {
-				case merged <- r:
-				case <-fctx.Done():
-					return
-				}
-			case <-fctx.Done():
-				return
-			}
-		}
-	}()
-
-	return runWindow(ctx, env, merged, streamer, out)
 }
 
 // FormatResult renders a run report as a text table: one row per stage

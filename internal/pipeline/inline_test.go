@@ -38,10 +38,11 @@ func (o *stageServes) ObserveServe(ctx context.Context, free bool) {
 // shared layer that is cold, fully warm, or warm on every other record;
 // and once more where each record's first three majority votes are cached
 // and the fourth is not, so every probe in that stage hits three times and
-// then misses. Each streaming run must count what the Materialized run, which
-// does not probe, counts on an identically pre-warmed layer: free serves
-// (cache hits plus coalesced followers), the ServeObserver's served and
-// free serves per stage, the run's usage, and every stage's detail.
+// then misses. Each streaming run, and a Materialized run, must count what
+// the reference run (runReference, which does not probe) counts on an
+// identically pre-warmed layer: free serves (cache hits plus coalesced
+// followers), the ServeObserver's served and free serves per stage, the
+// run's usage, and every stage's detail.
 func TestInlineHitsCountOnce(t *testing.T) {
 	tables, _ := SourceSpec{Dataset: "restaurants", Records: 24, Seed: 4}.Tables()
 	source := tables["source"]
@@ -77,8 +78,9 @@ func TestInlineHitsCountOnce(t *testing.T) {
 	}
 	// run pre-warms a fresh layer (a skip-mode streaming run of the spec
 	// over warmSource through wrap's model; no pre-warm when warmSource is
-	// nil), then runs the whole table on it and counts the run alone.
-	run := func(materialized bool, warmSource []dataset.Record, wrap func(llm.Model) llm.Model) counts {
+	// nil), then runs the whole table on it — through runReference when
+	// reference is set — and counts the run alone.
+	run := func(reference, materialized bool, warmSource []dataset.Record, wrap func(llm.Model) llm.Model) counts {
 		t.Helper()
 		layer := workflow.NewExecLayer()
 		model := sim.NewNamed("sim-gpt-3.5-turbo")
@@ -92,8 +94,13 @@ func TestInlineHitsCountOnce(t *testing.T) {
 		obs := &stageServes{served: map[string]int{}, free: map[string]int{}}
 		layer.SetServeObserver(obs)
 		before := layer.Stats()
-		res, err := p.Run(context.Background(), ExecConfig{Model: model, Exec: layer, Parallelism: 4,
-			Materialized: materialized}, tables)
+		cfg := ExecConfig{Model: model, Exec: layer, Parallelism: 4, Materialized: materialized}
+		var res *Result
+		if reference {
+			res, err = runReference(context.Background(), p, cfg, tables)
+		} else {
+			res, err = p.Run(context.Background(), cfg, tables)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,25 +127,26 @@ func TestInlineHitsCountOnce(t *testing.T) {
 		{"half-warm", everyOther, identity},
 		{"early votes warm", source, lateVotesFail},
 	} {
-		want := run(true, arm.warmSource, arm.wrap)
-		for i := 0; i < 3; i++ {
-			got := run(false, arm.warmSource, arm.wrap)
-			label := fmt.Sprintf("%s, run %d", arm.name, i)
+		want := run(true, false, arm.warmSource, arm.wrap)
+		for i := 0; i < 4; i++ {
+			materialized := i == 3
+			got := run(false, materialized, arm.warmSource, arm.wrap)
+			label := fmt.Sprintf("%s, run %d (materialized %v)", arm.name, i, materialized)
 			if !reflect.DeepEqual(got.tables, want.tables) {
-				t.Fatalf("%s: tables differ from the materialized run", label)
+				t.Fatalf("%s: tables differ from the reference run", label)
 			}
 			if got.free != want.free {
-				t.Errorf("%s: %d asks served free (cache hits + coalesced), materialized %d", label, got.free, want.free)
+				t.Errorf("%s: %d asks served free (cache hits + coalesced), reference %d", label, got.free, want.free)
 			}
 			if !reflect.DeepEqual(got.served, want.served) || !reflect.DeepEqual(got.frees, want.frees) {
-				t.Errorf("%s: observer saw served %v free %v per stage, materialized served %v free %v",
+				t.Errorf("%s: observer saw served %v free %v per stage, reference served %v free %v",
 					label, got.served, got.frees, want.served, want.frees)
 			}
 			if got.usage != want.usage {
-				t.Errorf("%s: usage %+v, materialized %+v", label, got.usage, want.usage)
+				t.Errorf("%s: usage %+v, reference %+v", label, got.usage, want.usage)
 			}
 			if !reflect.DeepEqual(got.details, want.details) {
-				t.Errorf("%s: stage details %q, materialized %q", label, got.details, want.details)
+				t.Errorf("%s: stage details %q, reference %q", label, got.details, want.details)
 			}
 		}
 		switch arm.name {

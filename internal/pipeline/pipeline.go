@@ -23,8 +23,8 @@
 // planner-driven impute) drain their input first. A join's right side or
 // an impute's example pool may name an earlier stage instead of a static
 // table; the executor materializes that stage's stream once and fans it
-// out, while a streamable consumer buffers its main input and streams the
-// moment the side table lands.
+// out, while a streamable consumer holds its main input behind its
+// window's start gate and streams the moment the side table lands.
 // Every stage shares one engine (one execution layer, one embedding-index
 // registry, one budget), and each stage's context is tagged so the shared
 // budget breaks down into per-stage usage and dollar attribution.

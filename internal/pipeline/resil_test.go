@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -249,5 +250,58 @@ func TestBreakerOpenAbortsNotQuarantines(t *testing.T) {
 	}
 	if !errors.Is(err, resil.ErrBreakerOpen) && !errors.Is(err, llm.ErrTransient) {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// TestMaterializedQuarantinesLikeStreaming: degraded mode is one rule in
+// every mode. A filter → direct categorize chain over 8 flavours, with one
+// record poisoned by a permanent fault, under OnRecordQuarantine at
+// Parallelism 2: the Materialized run drops exactly the record the
+// streaming run drops, and reports the same tables, Quarantined counts
+// and stage In/Out.
+func TestMaterializedQuarantinesLikeStreaming(t *testing.T) {
+	poisoned := dataset.FlavorNames()[5]
+	model := llm.Func{ModelName: "poison", Fn: func(_ context.Context, req llm.Request) (llm.Response, error) {
+		switch {
+		case strings.Contains(req.Prompt, poisoned):
+			return llm.Response{}, fmt.Errorf("%w: bad record", llm.ErrPermanent)
+		case strings.Contains(req.Prompt, "Assign the following item"):
+			return unit("a"), nil
+		}
+		return unit("Yes"), nil
+	}}
+	p, err := Compile(Spec{Stages: []StageSpec{
+		{Name: "keep", Kind: KindFilter, Field: "name", Predicate: "p"},
+		{Name: "cat", Kind: KindCategorize, Field: "name", Categories: []string{"a", "b"}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(materialized bool) *Result {
+		t.Helper()
+		res, err := p.Run(context.Background(), ExecConfig{Model: model, Parallelism: 2,
+			OnRecordError: OnRecordQuarantine, Materialized: materialized}, flavorTables(8))
+		if err != nil {
+			t.Fatalf("materialized %v: %v", materialized, err)
+		}
+		return res
+	}
+	want, got := run(false), run(true)
+	if want.Quarantined != 1 || stageByName(t, want, "keep").Quarantined != 1 || len(want.Tables["cat"]) != 7 {
+		t.Fatalf("streaming run quarantined %d (keep %d) and kept %d of 8, want exactly the poisoned record dropped",
+			want.Quarantined, stageByName(t, want, "keep").Quarantined, len(want.Tables["cat"]))
+	}
+	if !reflect.DeepEqual(want.Tables, got.Tables) {
+		t.Fatalf("materialized tables differ from streaming:\nwant %v\ngot  %v", want.Tables, got.Tables)
+	}
+	if got.Quarantined != want.Quarantined {
+		t.Fatalf("materialized run quarantined %d, streaming %d", got.Quarantined, want.Quarantined)
+	}
+	for i, w := range want.Stages {
+		g := got.Stages[i]
+		if g.Name != w.Name || g.In != w.In || g.Out != w.Out || g.Quarantined != w.Quarantined {
+			t.Fatalf("materialized stage %q in/out/quarantined %d/%d/%d != streaming %q %d/%d/%d",
+				g.Name, g.In, g.Out, g.Quarantined, w.Name, w.In, w.Out, w.Quarantined)
+		}
 	}
 }

@@ -67,17 +67,19 @@ func (l *slotLedger) add(s *stageSlots) {
 // lending to its streaming ancestors. Lending follows streams only: a
 // barrier stage ends one, so a stage below it lends nothing up past it,
 // and a pipeline whose streaming stages barriers separate keeps the
-// schedule each would have alone. Stages are in topological order, so
-// one forward pass per stage finds its descendants.
+// schedule each would have alone. Under Materialized every edge is a
+// barrier, so nothing lends and each stage keeps its own width. Stages are
+// in topological order, so one forward pass per stage finds its
+// descendants.
 func (p *Pipeline) slotLedger(cfg ExecConfig) []*stageSlots {
 	accounts := make([]*stageSlots, len(p.stages))
 	for i, st := range p.stages {
-		if _, ok := cfg.streamer(st); ok {
+		if _, ok := streamer(st); ok {
 			accounts[i] = &stageSlots{wake: make(chan struct{}, 1)}
 		}
 	}
 	for i, s := range accounts {
-		if s == nil {
+		if s == nil || cfg.Materialized {
 			continue
 		}
 		down := map[string]bool{p.specs[i].Name: true}

@@ -22,7 +22,8 @@ import (
 
 // Stage is one operator node of a compiled pipeline: a thin typed wrapper
 // that renders records into the operator's item shape, invokes the engine,
-// and folds the result back into a record table.
+// and folds the result back into a record table. Every stage is a
+// Streamer, a Barrier, or both, chosen by its configured strategy.
 type Stage interface {
 	// Name is the stage's unique identifier from the spec.
 	Name() string
@@ -30,16 +31,23 @@ type Stage interface {
 	Kind() string
 	// Input names the upstream stage ("source" for the root table).
 	Input() string
+}
+
+// Barrier is the whole-table face of a Stage with a strategy that needs
+// its whole input at once (sort, max, count, resolve, two-phase
+// categorize, "auto" impute, transitive join): the executor drains the
+// stage's input and runs it when the stage cannot stream.
+type Barrier interface {
 	// Run executes the operator over the input table within env and
 	// returns the stage's output table.
 	Run(ctx context.Context, env *Env, in []dataset.Record) ([]dataset.Record, error)
 }
 
-// Streamer is the optional streaming face of a Stage: a stage whose
-// operator decides each record on its own, so the executor can run
-// records as they arrive and emit each the moment it finishes. The
-// executor streams a stage only when CanStream reports true, and never in
-// Materialized mode.
+// Streamer is the streaming face of a Stage: a stage whose operator
+// decides each record on its own, so the executor can run records as they
+// arrive and emit each the moment it finishes. The executor runs a stage
+// in a window whenever CanStream reports true, in every mode; under
+// Materialized the window's start gate holds it until its input has ended.
 type Streamer interface {
 	// CanStream reports whether the configured strategy keeps each
 	// record's outcome independent of which other records it runs beside —
@@ -113,14 +121,118 @@ func solo[T any](task func(context.Context, dataset.Record) (T, error)) groupTas
 	}
 }
 
+// gate is a window's start gate. It opens once the stage's dynamic side
+// stage, if any, has finished and, when it drains (Materialized, where
+// every edge is a barrier), once the stage's input has ended.
+type gate struct {
+	side  *streamOut // the dynamic side stage, or nil
+	name  string     // the side table's name
+	drain bool       // wait for the input's end, then number the held records by position
+}
+
+// open readies the records the window held behind the gate: it puts them
+// in sequence-key order and, when the gate drains, renumbers them by
+// position, the way a barrier numbers its output, so a batched stage cuts
+// the blocks a whole-table run cuts. It overlays the side table on the
+// stage's tables, or returns the side stage's error.
+func (g *gate) open(env *Env, held []seqRecord) error {
+	if g.side != nil {
+		if g.side.err != nil {
+			return g.side.err
+		}
+		env.overlaySide(g.name, g.side.table)
+	}
+	slices.SortFunc(held, func(a, b seqRecord) int { return cmp.Compare(a.seq, b.seq) })
+	if g.drain {
+		for i := range held {
+			held[i].seq = int64(i)
+		}
+	}
+	return nil
+}
+
+// blocks is a batched window's sequence-block state (Env.batch > 1). A
+// block is the records whose keys fall in one aligned range of size keys,
+// run as one group on one slot, given back with its last result. A block
+// starts once every key in it has arrived or lies below the input's
+// watermark (a mark on the edge, or the edge's end), so which records
+// share a block never depends on timing; blocks start in block order, each
+// under a workflow.Turn, so of two blocks asking one key the earlier leads
+// it. An operator without a group form runs its block's records
+// concurrently. After each turn the stage's own watermark — its input's,
+// held back to the first key of its lowest block not done — goes
+// downstream when it has moved.
+type blocks struct {
+	size    int64          // keys per block
+	wm      int64          // the input's watermark
+	sent    int64          // the last watermark sent downstream
+	running map[int64]int  // each started block's records not done
+	turn    *workflow.Turn // the latest block's turn
+	stalled bool           // a whole block waits for a slot
+}
+
+// start starts every whole block at the head of held, which is in
+// sequence-key order, while the ledger grants a slot, and returns the
+// records left held.
+func (b *blocks) start(held []seqRecord, slots *stageSlots, spawn func([]seqRecord, *workflow.Turn)) []seqRecord {
+	for b.stalled = false; len(held) > 0; {
+		k, n := held[0].seq/b.size, 1
+		for n < len(held) && held[n].seq/b.size == k {
+			n++
+		}
+		if int64(n) < b.size && k >= b.wm/b.size {
+			break // not whole yet
+		}
+		if b.stalled = slots.take(1) == 0; b.stalled {
+			break
+		}
+		b.running[k] = n
+		b.turn = workflow.NextTurn(b.turn)
+		spawn(held[:n], b.turn)
+		held = held[n:]
+	}
+	return held
+}
+
+// settle sends the stage's watermark downstream through mark when it has
+// moved.
+func (b *blocks) settle(held []seqRecord, mark func(int64) error) error {
+	low := b.wm
+	for _, r := range held {
+		low = min(low, r.seq/b.size*b.size)
+	}
+	for k := range b.running {
+		low = min(low, k*b.size)
+	}
+	if low <= b.sent || low == math.MaxInt64 {
+		return nil
+	}
+	b.sent = low
+	return mark(low)
+}
+
+// done counts one record of a started block as done.
+func (b *blocks) done(seq int64) {
+	if k := seq / b.size; b.running[k] > 1 {
+		b.running[k]--
+	} else {
+		delete(b.running, k)
+	}
+}
+
 // window is the executor's one streaming loop. Each turn it hands on the
 // results already finished, then admits every record already waiting on
 // in while the stage's ledger has a slot to give — within its own width,
 // or the width of a stage downstream of it that has no backlog (see
 // slotLedger) — or takes a finished record's result and every other
 // result already there. prepare runs once, on the stage goroutine, at the
-// first record, and returns the operator's group form; an operator
-// without one runs solo(task), a form of width 1.
+// first record admitted, and returns the operator's group form; an
+// operator without one runs solo(task), a form of width 1.
+//
+// A window with a start gate (Env.gate) reads and holds its input from
+// the first record, but it prepares, probes and starts nothing, and holds
+// no slot, until the gate opens: then it admits every record it held at
+// once. The time it spends gated is its Wait.
 //
 // Every record starts one way. A record of a width-1 form is probed as it
 // is admitted: task runs on the stage goroutine under workflow.HitsOnly,
@@ -140,16 +252,7 @@ func solo[T any](task func(context.Context, dataset.Record) (T, error)) groupTas
 // Wait; time holding a record for a slot is not.
 //
 // In a batched run (Env.batch > 1) records are cut by sequence block
-// instead: a block is the records whose keys fall in one aligned range of
-// batch keys, run as one group on one slot, given back with its last
-// result. Nothing is probed. A block starts once every key in it has
-// arrived or lies below the input's watermark (a mark on the edge, or the
-// edge's end), so which records share a block never depends on timing;
-// blocks start in block order, each under a workflow.Turn, so of two
-// blocks asking one key the earlier leads it. An operator without a group
-// form runs its block's records concurrently. After each turn the stage's
-// own watermark — its input's, held back to the first key of its lowest
-// block not done — goes downstream through mark when it has moved.
+// instead (see blocks). Nothing is probed.
 //
 // Cancellation is also polled at the top of every turn and before each
 // further record a turn admits: Go's select picks among ready cases at
@@ -162,8 +265,13 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 		out T
 		err error
 	}
-	slots := env.slots
-	slots.join(in)
+	slots, g, gated := env.slots, env.gate, time.Now()
+	var side <-chan struct{} // the side stage's end, until it comes
+	if g == nil {
+		slots.join(in)
+	} else if g.side != nil {
+		side = g.side.done
+	}
 	tctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	pctx, probe := workflow.HitsOnly(tctx)
@@ -175,13 +283,11 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 	consumed, inflight, room := 0, 0, 0
 	var group groupTask[T]
 	width := 0           // the most records group takes at once
-	var held []seqRecord // admitted records waiting for a slot, or for their block
-	// Sequence blocks: their size, the input's watermark, the last mark
-	// sent, the started blocks' records not done, and the latest turn.
-	size, wm, sent := int64(env.batch), int64(0), int64(0)
-	var running map[int64]int
-	var turn *workflow.Turn
-	stalled := false // a whole block waits for a slot
+	var held []seqRecord // records read behind the gate, or admitted and waiting for a slot or their block
+	var bl *blocks
+	if env.batch > 1 {
+		bl = &blocks{size: int64(env.batch), running: map[int64]int{}}
+	}
 	stop := func(err error) (int, error) {
 		cancel()
 		for ; inflight > 0; inflight-- {
@@ -219,30 +325,11 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 	}
 	// start runs the held records, in sequence-key order, on the slots the
 	// ledger grants. Records left without a slot stay held, and the turn's
-	// room is spent. In a batched run it starts every whole block at the
-	// head of held instead.
+	// room is spent. In a batched run the blocks start instead.
 	start := func() {
 		slices.SortFunc(held, func(a, b seqRecord) int { return cmp.Compare(a.seq, b.seq) })
-		for stalled = false; size > 1 && len(held) > 0; {
-			b, n := held[0].seq/size, 1
-			for n < len(held) && held[n].seq/size == b {
-				n++
-			}
-			if int64(n) < size && b >= wm/size {
-				return // not whole yet
-			}
-			if stalled = slots.take(1) == 0; stalled {
-				return
-			}
-			if running == nil {
-				running = map[int64]int{}
-			}
-			running[b] = n
-			turn = workflow.NextTurn(turn)
-			spawn(held[:n], turn)
-			held = held[n:]
-		}
-		if size > 1 {
+		if bl != nil {
+			held = bl.start(held, slots, spawn)
 			return
 		}
 		n := slots.take(len(held))
@@ -254,26 +341,21 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 		}
 		held = held[:copy(held, held[n:])]
 	}
-	// settle sends the stage's watermark downstream when it has moved.
-	settle := func() error {
-		low := wm
-		for _, r := range held {
-			low = min(low, r.seq/size*size)
-		}
-		for b := range running {
-			low = min(low, b*size)
-		}
-		if low <= sent || low == math.MaxInt64 {
-			return nil
-		}
-		sent = low
-		return mark(low)
-	}
-	// admit takes one record: a width-1 form's record is done inline when
-	// its probe hits; every other is held until the turn's groups are cut.
+	// admit takes one record, preparing the operator at the first: a
+	// width-1 form's record is done inline when its probe hits; every other
+	// is held until the turn's groups are cut.
 	admit := func(r seqRecord) error {
+		if consumed == 0 {
+			var err error
+			if group, err = prepare(); err != nil {
+				return err
+			}
+			if width = embed.GroupWidth; group == nil {
+				group, width = solo(task), 1
+			}
+		}
 		consumed++
-		if width == 1 && size <= 1 {
+		if width == 1 && bl == nil {
 			if out, err := task(pctx, r.rec); probe.Settle(tctx, err) {
 				return done(r, out, err)
 			}
@@ -284,10 +366,8 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 	collect := func(res result) error {
 		for {
 			inflight--
-			if b := res.in.seq / max(size, 1); running[b] > 1 {
-				running[b]--
-			} else if size > 1 {
-				delete(running, b)
+			if bl != nil {
+				bl.done(res.in.seq)
 			}
 			if err := done(res.in, res.out, res.err); err != nil {
 				return err
@@ -299,15 +379,32 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 			}
 		}
 	}
-	for in != nil || inflight > 0 || len(held) > 0 {
+	for g != nil || in != nil || inflight > 0 || len(held) > 0 {
 		if err := ctx.Err(); err != nil {
 			return stop(err)
 		}
-		if len(held) > 0 {
+		if g != nil && side == nil && (in == nil || !g.drain) {
+			// The gate opens: admit every record it held.
+			if err := g.open(env, held); err != nil {
+				return stop(err)
+			}
+			g = nil
+			env.stats.t.Wait += time.Since(gated)
+			slots.join(in)
+			waiting := held
+			held = held[:0]
+			for _, r := range waiting {
+				if err := admit(r); err != nil {
+					return stop(err)
+				}
+			}
+			continue
+		}
+		if g == nil && len(held) > 0 {
 			start()
 		}
-		if size > 1 {
-			if err := settle(); err != nil {
+		if g == nil && bl != nil {
+			if err := bl.settle(held, mark); err != nil {
 				return stop(err)
 			}
 		}
@@ -321,17 +418,26 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 		// stage that can take no slot still takes its next record and
 		// holds it, so its backlog keeps borrowers from counting its width
 		// as slots come back, and the wait for that record counts as Wait.
-		// A batched stage reads on unless a whole block waits for a slot.
+		// A batched stage reads on unless a whole block waits for a slot,
+		// and a gated one reads on until its gate opens.
 		room = 0
-		if len(held) == 0 && size <= 1 {
-			room = slots.avail()
-		}
 		next, wake := in, (<-chan struct{})(nil)
-		if stalled || size <= 1 && (len(held) > 0 || (room == 0 && inflight > 0)) {
-			next, wake = nil, slots.wake
+		switch {
+		case g != nil: // holds what it reads until the gate opens
+		case bl != nil:
+			if bl.stalled {
+				next, wake = nil, slots.wake
+			}
+		default:
+			if len(held) == 0 {
+				room = slots.avail()
+			}
+			if len(held) > 0 || (room == 0 && inflight > 0) {
+				next, wake = nil, slots.wake
+			}
 		}
 		var idle time.Time
-		if inflight == 0 && next != nil {
+		if g == nil && inflight == 0 && next != nil {
 			idle = time.Now()
 		}
 		select {
@@ -341,20 +447,19 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 			}
 			switch {
 			case !ok:
-				in, wm = nil, math.MaxInt64
+				in = nil
+				if bl != nil {
+					bl.wm = math.MaxInt64
+				}
 				continue
 			case r.mark:
-				wm = max(wm, r.seq)
+				if bl != nil {
+					bl.wm = max(bl.wm, r.seq)
+				}
 				continue
-			}
-			if consumed == 0 {
-				var err error
-				if group, err = prepare(); err != nil {
-					return stop(err)
-				}
-				if width = embed.GroupWidth; group == nil {
-					group, width = solo(task), 1
-				}
+			case g != nil:
+				held = append(held, r)
+				continue
 			}
 			if err := admit(r); err != nil {
 				return stop(err)
@@ -384,6 +489,8 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 			if err := collect(res); err != nil {
 				return stop(err)
 			}
+		case <-side:
+			side = nil
 		case <-wake:
 		case <-ctx.Done():
 			return stop(ctx.Err())
@@ -507,31 +614,13 @@ func (s filterStage) request() core.FilterRequest {
 	return core.FilterRequest{Predicate: s.spec.Predicate, Strategy: core.FilterStrategy(s.spec.Strategy)}
 }
 
-// filterDetail is the one report string for a filter's work, shared by
-// the table path and the streaming path so the two never drift apart.
+// filterDetail is the one report string for a filter's work.
 func filterDetail(kept, seen, asks int) string {
 	return fmt.Sprintf("kept %d/%d (%d asks)", kept, seen, asks)
 }
 
 // detailSkippedEmpty marks a stage that saw no input records.
 const detailSkippedEmpty = "skipped: empty input"
-
-func (s filterStage) Run(ctx context.Context, env *Env, in []dataset.Record) ([]dataset.Record, error) {
-	req := s.request()
-	req.Items = renderAll(in, s.spec.Field)
-	res, err := env.Engine.Filter(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	var out []dataset.Record
-	for i, keep := range res.Keep {
-		if keep {
-			out = append(out, in[i])
-		}
-	}
-	env.detail(s.Name(), filterDetail(len(out), len(in), res.Asks))
-	return out, nil
-}
 
 // CanStream implements Streamer: every filter policy decides per item.
 func (s filterStage) CanStream() bool { return true }

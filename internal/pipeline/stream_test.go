@@ -72,8 +72,9 @@ func TestStreamingOverlapsStages(t *testing.T) {
 }
 
 // TestStreamingMatchesMaterialized pins the tentpole equivalence: a
-// streaming run returns byte-identical tables, scalars, and details to a
-// materialized run of the same spec at temperature 0, across streaming
+// streaming run and a Materialized run return byte-identical tables,
+// scalars, details and stage record counts to the reference run
+// (runReference) of the same spec at temperature 0, across streaming
 // (filter, categorize, impute) and barrier (resolve, count) stages.
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	tables, _ := SourceSpec{Dataset: "restaurants", Records: 12, Train: 30, Seed: 3}.Tables()
@@ -86,36 +87,35 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 		{Name: "city", Kind: KindImpute, TargetField: "city", Side: "train", Strategy: "hybrid", Neighbors: 3, Examples: 2},
 		{Name: "n", Kind: KindCount, Field: "city", Predicate: "q", Strategy: "per-item"},
 	}}
-	runWith := func(materialized bool, width int) *Result {
-		t.Helper()
-		p, err := Compile(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := p.Run(context.Background(), ExecConfig{
-			Model: sim.NewNamed("sim-gpt-3.5-turbo"), Materialized: materialized, Parallelism: width,
-		}, tables)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	p, err := Compile(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := runWith(true, 0)
-	for _, width := range []int{1, 3, 64} {
-		got := runWith(false, width)
+	model := func() llm.Model { return sim.NewNamed("sim-gpt-3.5-turbo") }
+	want, err := runReference(context.Background(), p, ExecConfig{Model: model()}, tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []ExecConfig{{Parallelism: 1}, {Parallelism: 3}, {Parallelism: 64}, {Materialized: true}} {
+		mode := fmt.Sprintf("window %d materialized %v", cfg.Parallelism, cfg.Materialized)
+		cfg.Model = model()
+		got, err := p.Run(context.Background(), cfg, tables)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(want.Tables, got.Tables) {
-			t.Fatalf("window %d: streaming tables differ from materialized", width)
+			t.Fatalf("%s: tables differ from the reference", mode)
 		}
 		if !reflect.DeepEqual(want.Scalars, got.Scalars) {
-			t.Fatalf("window %d: streaming scalars %v != materialized %v", width, got.Scalars, want.Scalars)
+			t.Fatalf("%s: scalars %v != reference %v", mode, got.Scalars, want.Scalars)
 		}
 		for i := range want.Stages {
 			if want.Stages[i].Detail != got.Stages[i].Detail {
-				t.Fatalf("window %d: stage %q detail %q != %q",
-					width, want.Stages[i].Name, got.Stages[i].Detail, want.Stages[i].Detail)
+				t.Fatalf("%s: stage %q detail %q != %q",
+					mode, want.Stages[i].Name, got.Stages[i].Detail, want.Stages[i].Detail)
 			}
 			if want.Stages[i].In != got.Stages[i].In || want.Stages[i].Out != got.Stages[i].Out {
-				t.Fatalf("window %d: stage %q in/out %d/%d != %d/%d", width, want.Stages[i].Name,
+				t.Fatalf("%s: stage %q in/out %d/%d != %d/%d", mode, want.Stages[i].Name,
 					got.Stages[i].In, got.Stages[i].Out, want.Stages[i].In, want.Stages[i].Out)
 			}
 		}
@@ -221,8 +221,9 @@ func TestRunCancelNoLeak(t *testing.T) {
 // TestStreamingJoinOrderMatchesMaterialized: the engine's Join sorts
 // matches by LeftID globally, which a per-record run cannot reproduce —
 // so the join stage orders its output by input position instead, and a
-// streamed nested-loop join over non-ID-ordered input must collect to
-// exactly the materialized table, whatever order its records finish in.
+// nested-loop join over non-ID-ordered input, streamed or Materialized,
+// must collect to exactly the reference run's table (runReference: the
+// engine's whole-table Join), whatever order its records finish in.
 func TestStreamingJoinOrderMatchesMaterialized(t *testing.T) {
 	model := llm.Func{ModelName: "match-all", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
 		return unit("Yes"), nil
@@ -240,24 +241,26 @@ func TestStreamingJoinOrderMatchesMaterialized(t *testing.T) {
 	spec := Spec{Stages: []StageSpec{
 		{Name: "match", Kind: KindJoin, Field: "name", Side: "right", Strategy: "nested-loop"},
 	}}
-	run := func(materialized bool) []dataset.Record {
-		t.Helper()
-		p, err := Compile(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
+	p, err := Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := runReference(context.Background(), p, ExecConfig{Model: model}, tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Tables["match"]
+	if len(want) != 6 {
+		t.Fatalf("reference join has %d rows, want 3x2", len(want))
+	}
+	for _, materialized := range []bool{false, true} {
 		res, err := p.Run(context.Background(), ExecConfig{Model: model, Materialized: materialized}, tables)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Tables["match"]
-	}
-	want, got := run(true), run(false)
-	if len(want) != 6 {
-		t.Fatalf("materialized join has %d rows, want 3x2", len(want))
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("streaming join order differs:\nmaterialized %v\nstreaming    %v", want, got)
+		if got := res.Tables["match"]; !reflect.DeepEqual(want, got) {
+			t.Fatalf("materialized %v: join order differs:\nreference %v\ngot       %v", materialized, want, got)
+		}
 	}
 	// Input position, not ID order, dictates the output.
 	if id := want[0].ID; id != "z9" {

@@ -310,11 +310,12 @@ func randomWindowSpec(rng *rand.Rand) (spec Spec, dynamic bool) {
 // TestWindowMatchesMaterializedProperty is the byte-identity contract as
 // one property: for random specs — filter chains, join fan-out, a dynamic
 // side input overlapped with its main path, a standing query's Feed — run
-// under prompt-determined latency at in-flight windows 1, 2 and 8, cold
-// and half-warm, every table (in order), every scalar and every stage's
-// record counts equal the Materialized run's, and per-stage attribution
-// sums to the run total, which half-warm equals the Materialized run's on
-// the same pre-warm.
+// under prompt-determined latency at in-flight windows 1, 2 and 8 and
+// under Materialized, cold and half-warm, every table (in order), every
+// scalar and every stage's record counts equal the reference run's
+// (runReference: core's table operators over each stage's whole input),
+// and per-stage attribution sums to the run total, which half-warm equals
+// the reference run's on the same pre-warm.
 func TestWindowMatchesMaterializedProperty(t *testing.T) {
 	tables, _ := SourceSpec{Dataset: "restaurants", Records: 10, Train: 24, Seed: 4}.Tables()
 	for i, r := range tables["source"] {
@@ -351,7 +352,7 @@ func TestWindowMatchesMaterializedProperty(t *testing.T) {
 			t.Helper()
 			cfg.Model = newModel()
 			runTables := tables
-			if feed && !cfg.Materialized {
+			if feed {
 				source := tables["source"]
 				runTables = map[string][]dataset.Record{"source": source[:4], "train": tables["train"], "right": tables["right"]}
 				cfg.Feed = feedRecords(source[4:7], source[7:])
@@ -362,7 +363,16 @@ func TestWindowMatchesMaterializedProperty(t *testing.T) {
 			}
 			return res
 		}
-		want := run(ExecConfig{Materialized: true})
+		reference := func(cfg ExecConfig, tables map[string][]dataset.Record) *Result {
+			t.Helper()
+			cfg.Model = newModel()
+			res, err := runReference(context.Background(), p, cfg, tables)
+			if err != nil {
+				t.Fatalf("seed %d %+v: reference: %v", seed, spec.Stages, err)
+			}
+			return res
+		}
+		want := reference(ExecConfig{}, tables)
 		if dynamic {
 			covered["dynamic side"]++
 		}
@@ -382,17 +392,17 @@ func TestWindowMatchesMaterializedProperty(t *testing.T) {
 		check := func(label string, got *Result) {
 			t.Helper()
 			if !reflect.DeepEqual(want.Scalars, got.Scalars) {
-				t.Fatalf("%s: scalars %v != materialized %v", label, got.Scalars, want.Scalars)
+				t.Fatalf("%s: scalars %v != reference %v", label, got.Scalars, want.Scalars)
 			}
 			var sum token.Usage
 			for i, s := range got.Stages {
 				sum = sum.Add(s.Usage)
 				if !reflect.DeepEqual(want.Tables[s.Name], got.Tables[s.Name]) {
-					t.Fatalf("%s: stage %q table differs from materialized\nspec %+v\nwant %v\ngot  %v",
+					t.Fatalf("%s: stage %q table differs from the reference\nspec %+v\nwant %v\ngot  %v",
 						label, s.Name, spec.Stages, want.Tables[s.Name], got.Tables[s.Name])
 				}
 				if w := want.Stages[i]; w.Name != s.Name || w.In != s.In || w.Out != s.Out {
-					t.Fatalf("%s: stage %q in/out %d/%d != materialized %q %d/%d", label, s.Name, s.In, s.Out, w.Name, w.In, w.Out)
+					t.Fatalf("%s: stage %q in/out %d/%d != reference %q %d/%d", label, s.Name, s.In, s.Out, w.Name, w.In, w.Out)
 				}
 			}
 			if sum != got.Usage {
@@ -418,21 +428,32 @@ func TestWindowMatchesMaterializedProperty(t *testing.T) {
 			t.Helper()
 			layer := workflow.NewExecLayer()
 			warm := map[string][]dataset.Record{"source": subset, "train": tables["train"], "right": tables["right"]}
-			if _, err := p.Run(context.Background(), ExecConfig{Model: newModel(), Exec: layer, Materialized: true}, warm); err != nil {
-				t.Fatalf("seed %d: pre-warm: %v", seed, err)
-			}
+			reference(ExecConfig{Exec: layer}, warm)
 			return layer
 		}
-		wantWarm := run(ExecConfig{Materialized: true, Exec: prewarmed()})
-		check(fmt.Sprintf("seed %d half-warm materialized", seed), wantWarm)
-		for _, width := range []int{1, 2, 8} {
-			check(fmt.Sprintf("seed %d window %d feed %v", seed, width, feed), run(ExecConfig{Parallelism: width}))
-			label := fmt.Sprintf("seed %d half-warm window %d feed %v", seed, width, feed)
-			got := run(ExecConfig{Parallelism: width, Exec: prewarmed()})
+		wantWarm := reference(ExecConfig{Exec: prewarmed()}, tables)
+		check(fmt.Sprintf("seed %d half-warm reference", seed), wantWarm)
+		for _, cfg := range []ExecConfig{{Parallelism: 1}, {Parallelism: 2}, {Parallelism: 8}, {Parallelism: 2, Materialized: true}} {
+			mode := fmt.Sprintf("window %d materialized %v feed %v", cfg.Parallelism, cfg.Materialized, feed)
+			check(fmt.Sprintf("seed %d %s", seed, mode), run(cfg))
+			label := fmt.Sprintf("seed %d half-warm %s", seed, mode)
+			cfg.Exec = prewarmed()
+			got := run(cfg)
 			check(label, got)
 			if got.Usage != wantWarm.Usage {
-				t.Fatalf("%s: usage %+v != materialized on the same pre-warm %+v", label, got.Usage, wantWarm.Usage)
+				t.Fatalf("%s: usage %+v != the reference on the same pre-warm %+v", label, got.Usage, wantWarm.Usage)
 			}
+		}
+		// Batched, Materialized numbers each stage's records by position
+		// before cutting blocks, so it packs the envelopes the reference's
+		// table operators pack and spends exactly what they spend.
+		batched := ExecConfig{Parallelism: 2, Batch: 3}
+		wantBatched := reference(batched, tables)
+		batched.Materialized = true
+		got := run(batched)
+		check(fmt.Sprintf("seed %d batched materialized feed %v", seed, feed), got)
+		if got.Usage != wantBatched.Usage {
+			t.Fatalf("seed %d batched materialized: usage %+v != the batched reference %+v", seed, got.Usage, wantBatched.Usage)
 		}
 	}
 	for _, what := range []string{"dynamic side", "feed", "filter chain", "join rows"} {
@@ -441,4 +462,83 @@ func TestWindowMatchesMaterializedProperty(t *testing.T) {
 		}
 	}
 	t.Logf("coverage: %v", covered)
+}
+
+// TestMaterializedDrainsEachEdge pins Materialized's drain-first schedule.
+// Every edge is a barrier there, so in a filter → categorize → llm impute
+// chain at Parallelism 2 no stage borrows an idle downstream stage's
+// width — no more than 2 asks are ever in flight — and no stage asks
+// before its upstream's last ask has returned.
+func TestMaterializedDrainsEachEdge(t *testing.T) {
+	tables, _ := SourceSpec{Dataset: "restaurants", Records: 12, Train: 16, Seed: 6}.Tables()
+	for i, r := range tables["source"] {
+		tables["source"][i] = r.WithoutField("city")
+	}
+	spec := Spec{Stages: []StageSpec{
+		{Name: "keep", Kind: KindFilter, Field: "name", Predicate: "keeppred"},
+		{Name: "kind", Kind: KindCategorize, Field: "name", Categories: []string{"diner", "bistro", "grill"}},
+		{Name: "city", Kind: KindImpute, TargetField: "city", Side: "train", Strategy: "llm"},
+	}}
+	p, err := Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stageOf := func(prompt string) string {
+		switch {
+		case strings.Contains(prompt, "satisfy the condition"):
+			return "keep"
+		case strings.Contains(prompt, "Assign the following item"):
+			return "kind"
+		}
+		return "city"
+	}
+	// Each ask ticks the clock as it enters and as it returns; first and
+	// last record a stage's first entry and last return.
+	var mu sync.Mutex
+	inflight, peak, clock := 0, 0, 0
+	first, last := map[string]int{}, map[string]int{}
+	oracle := sim.NewNamed("sim-gpt-3.5-turbo")
+	oracle.RegisterPredicate(sim.Predicate{
+		Name:  "keeppred",
+		Match: func(s string) bool { return strings.Contains(s, "keeppred") },
+		Truth: func(string) (bool, float64) { return true, 1 },
+	})
+	model := llm.Func{ModelName: oracle.Name(), Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
+		stage := stageOf(req.Prompt)
+		mu.Lock()
+		clock++
+		inflight++
+		peak = max(peak, inflight)
+		if _, ok := first[stage]; !ok {
+			first[stage] = clock
+		}
+		mu.Unlock()
+		time.Sleep(time.Millisecond)
+		resp, err := oracle.Complete(ctx, req)
+		mu.Lock()
+		clock++
+		inflight--
+		last[stage] = clock
+		mu.Unlock()
+		return resp, err
+	}}
+	res, err := p.Run(context.Background(), ExecConfig{Model: model, Parallelism: 2, Materialized: true}, tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(res.Tables["city"]); n < 4 {
+		t.Fatalf("the chain imputed %d records: the fixture no longer flows", n)
+	}
+	if peak != 2 {
+		t.Fatalf("%d asks were in flight at once, want at most 2 (and the fixture to reach 2)", peak)
+	}
+	for i := 1; i < len(spec.Stages); i++ {
+		up, down := spec.Stages[i-1].Name, spec.Stages[i].Name
+		if first[down] == 0 || last[up] == 0 {
+			t.Fatalf("stage %q or %q never asked (first %v, last %v)", up, down, first, last)
+		}
+		if first[down] < last[up] {
+			t.Fatalf("stage %q asked at tick %d, before %q's last ask returned at tick %d", down, first[down], up, last[up])
+		}
+	}
 }

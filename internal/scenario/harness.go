@@ -122,8 +122,7 @@ func (s *session) tables(sc *Scenario) map[string][]dataset.Record {
 func (s *session) execConfig(k ExecKnobs) pipeline.ExecConfig {
 	return pipeline.ExecConfig{
 		Model: s.counting, Exec: s.exec, Registry: s.registry, Attribution: s.attr,
-		Batch: k.Batch, Parallelism: k.Parallelism, Materialized: k.Materialized,
-		OnRecordError: k.OnRecordError,
+		Batch: k.Batch, Parallelism: k.Parallelism, OnRecordError: k.OnRecordError,
 	}
 }
 

@@ -144,7 +144,6 @@ type Turn struct {
 // session's.
 type ExecKnobs struct {
 	Batch, Parallelism int
-	Materialized       bool
 	// OnRecordError selects the degraded-mode record policy
 	// (pipeline.OnRecordFail / OnRecordSkip / OnRecordQuarantine; empty
 	// means fail — today's semantics).
