@@ -17,6 +17,7 @@
 //	           [-tenant-retry-budget 0] [-on-record-error quarantine]
 //	           [-job-retention 1h] [-max-jobs 4096]
 //	           [-faults transient=0.05,burst-every=100,burst-len=5]
+//	           [-pprof]
 //
 // The resilience flags wrap the upstream model in a retry/backoff policy
 // with a circuit breaker (resil.Policy): while the breaker is open,
@@ -26,7 +27,8 @@
 // how long finished jobs stay pollable. See docs/RESILIENCE.md.
 //
 // Endpoints: POST /v1/pipelines, GET|DELETE /v1/jobs/{id},
-// GET /v1/tenants/{id}/report, GET /v1/stats, GET /healthz. Submit jobs
+// GET /v1/tenants/{id}/report, GET /v1/stats, GET /healthz, and with
+// -pprof the Go runtime profiles under /debug/pprof/. Submit jobs
 // from the command line with declctl submit/status/report. On SIGINT or
 // SIGTERM the server stops accepting work, waits (bounded by
 // -drain-timeout) for running jobs, and flushes the cache log and index
@@ -39,6 +41,7 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -70,6 +73,7 @@ func main() {
 	onRecordError := flag.String("on-record-error", "", "degraded-mode record policy: fail (default), skip, or quarantine")
 	jobRetention := flag.Duration("job-retention", 0, "how long finished jobs stay pollable (0 = keep forever unless -max-jobs is set)")
 	maxJobs := flag.Int("max-jobs", 0, "finished jobs retained before the oldest are dropped (0 = uncapped unless -job-retention is set)")
+	pprofOn := flag.Bool("pprof", false, "serve the Go runtime profiles (net/http/pprof) under /debug/pprof/")
 	flag.Parse()
 
 	var policy *resil.Policy
@@ -110,7 +114,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "declserver: %v (continuing stateless)\n", err)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := &http.Server{Addr: *addr, Handler: handler(srv.Handler(), *pprofOn)}
 	errc := make(chan error, 1)
 	go func() {
 		fmt.Printf("declserver: listening on %s (model %s", *addr, *model)
@@ -143,4 +147,20 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("declserver: drained, state flushed")
+}
+
+// handler is the service's HTTP surface: api alone, or with withPprof the
+// runtime profiles mounted under /debug/pprof/ in front of it.
+func handler(api http.Handler, withPprof bool) http.Handler {
+	if !withPprof {
+		return api
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/", api)
+	return mux
 }

@@ -106,18 +106,19 @@ func splitEnvelope(prompt string) (subs []string, ok bool) {
 }
 
 // recognise reads the prompt and extracts the structured task. Prompts
-// produced by foreign templates fall through to taskUnknown.
+// produced by foreign templates fall through to taskUnknown. The heads are
+// tried in a fixed order and the first that matches decides the task, so a
+// prompt that embeds another (a verify question quoting a rate prompt) is
+// read as whichever head comes first.
 func recognise(prompt string) task {
-	switch {
-	case reSortHead.MatchString(prompt):
-		m := reSortHead.FindStringSubmatch(prompt)
+	if m := reSortHead.FindStringSubmatch(prompt); m != nil {
 		return task{
 			kind:      taskSortList,
 			criterion: m[1],
 			items:     extractNumbered(prompt),
 		}
-	case reBatchHead.MatchString(prompt):
-		m := reBatchHead.FindStringSubmatch(prompt)
+	}
+	if m := reBatchHead.FindStringSubmatch(prompt); m != nil {
 		t := task{kind: taskCompareBatch, criterion: m[1]}
 		for _, pm := range reBatchPair.FindAllStringSubmatch(prompt, -1) {
 			t.items = append(t.items, pm[1], pm[2])
@@ -126,7 +127,8 @@ func recognise(prompt string) task {
 			return task{}
 		}
 		return t
-	case strings.HasPrefix(prompt, "Consider the following two items."):
+	}
+	if strings.HasPrefix(prompt, "Consider the following two items.") {
 		a := reCompareA.FindStringSubmatch(prompt)
 		b := reCompareB.FindStringSubmatch(prompt)
 		c := reCompareCrit.FindStringSubmatch(prompt)
@@ -134,28 +136,30 @@ func recognise(prompt string) task {
 			return task{}
 		}
 		return task{kind: taskCompare, a: a[1], b: b[1], criterion: c[1], cot: hasCoT(prompt)}
-	case reCompareV1.MatchString(prompt):
-		m := reCompareV1.FindStringSubmatch(prompt)
+	}
+	if m := reCompareV1.FindStringSubmatch(prompt); m != nil {
 		return task{kind: taskCompare, criterion: m[1], a: m[2], b: m[3], variant: 1, cot: hasCoT(prompt)}
-	case reCompareV2.MatchString(prompt):
-		m := reCompareV2.FindStringSubmatch(prompt)
+	}
+	if m := reCompareV2.FindStringSubmatch(prompt); m != nil {
 		return task{kind: taskCompare, criterion: m[1], a: m[2], b: m[3], variant: 2, cot: hasCoT(prompt)}
-	case reRateHead.MatchString(prompt):
-		m := reRateHead.FindStringSubmatch(prompt)
+	}
+	if m := reRateHead.FindStringSubmatch(prompt); m != nil {
 		it := reRateItem.FindStringSubmatch(prompt)
 		if it == nil {
 			return task{}
 		}
 		scale, _ := strconv.Atoi(m[1])
 		return task{kind: taskRate, scale: scale, criterion: m[2], a: it[1]}
-	case strings.HasPrefix(prompt, "Are Citation A and Citation B the same?"):
+	}
+	if strings.HasPrefix(prompt, "Are Citation A and Citation B the same?") {
 		a := reMatchA.FindStringSubmatch(prompt)
 		b := reMatchB.FindStringSubmatch(prompt)
 		if a == nil || b == nil {
 			return task{}
 		}
 		return task{kind: taskMatch, a: a[1], b: b[1]}
-	case strings.HasPrefix(prompt, "Fill in the missing attribute"):
+	}
+	if strings.HasPrefix(prompt, "Fill in the missing attribute") {
 		rec := reImputeRec.FindStringSubmatch(prompt)
 		field := reImputeField.FindStringSubmatch(prompt)
 		if rec == nil || field == nil {
@@ -166,27 +170,28 @@ func recognise(prompt string) task {
 			t.examples = append(t.examples, exampleIO{input: ex[1], output: ex[2]})
 		}
 		return t
-	case reFilterHead.MatchString(prompt):
-		m := reFilterHead.FindStringSubmatch(prompt)
+	}
+	if m := reFilterHead.FindStringSubmatch(prompt); m != nil {
 		it := reRateItem.FindStringSubmatch(prompt) // same "Item: " line
 		if it == nil {
 			return task{}
 		}
 		return task{kind: taskFilter, predicate: m[1], a: it[1]}
-	case reCountHead.MatchString(prompt):
-		m := reCountHead.FindStringSubmatch(prompt)
+	}
+	if m := reCountHead.FindStringSubmatch(prompt); m != nil {
 		return task{kind: taskCount, predicate: m[1], items: extractNumbered(prompt)}
-	case reGroupHead.MatchString(prompt):
+	}
+	if reGroupHead.MatchString(prompt) { // no capture to read
 		var items []string
 		for _, rm := range reGroupRec.FindAllStringSubmatch(prompt, -1) {
 			items = append(items, rm[2])
 		}
 		return task{kind: taskGroup, items: items}
-	case reVerifyHead.MatchString(prompt):
-		m := reVerifyHead.FindStringSubmatch(prompt)
+	}
+	if m := reVerifyHead.FindStringSubmatch(prompt); m != nil {
 		return task{kind: taskVerify, question: m[1], answer: strings.TrimSpace(m[2])}
-	case reCatHead.MatchString(prompt):
-		m := reCatHead.FindStringSubmatch(prompt)
+	}
+	if m := reCatHead.FindStringSubmatch(prompt); m != nil {
 		it := reRateItem.FindStringSubmatch(prompt)
 		if it == nil {
 			return task{}
@@ -196,13 +201,12 @@ func recognise(prompt string) task {
 			items: splitCategories(m[1]),
 			a:     it[1],
 		}
-	case reDiscover.MatchString(prompt):
-		m := reDiscover.FindStringSubmatch(prompt)
+	}
+	if m := reDiscover.FindStringSubmatch(prompt); m != nil {
 		max, _ := strconv.Atoi(m[1])
 		return task{kind: taskDiscover, max: max, items: extractNumbered(prompt)}
-	default:
-		return task{}
 	}
+	return task{}
 }
 
 func hasCoT(prompt string) bool {

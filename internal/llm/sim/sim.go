@@ -25,14 +25,22 @@
 // seed), so temperature-0 calls are bit-reproducible, repeated identical
 // prompts return identical answers, and distinct prompts decorrelate —
 // exactly the behaviour of a deterministic vendor endpoint.
+//
+// A call allocates little beyond its answer. Its noise source is a
+// math/rand source taken from a pool and re-seeded with that hash; Seed
+// re-initialises the whole generator state, so the stream is the one
+// rand.NewSource(hash) gives and every answer is what a fresh source would
+// produce (TestOracleAnswersPinned pins them). Similarity perception builds
+// trigram sets as sorted packed keys in pooled scratch rather than maps.
 package sim
 
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
+	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/llm"
 	"repro/internal/token"
@@ -210,7 +218,9 @@ func (o *Oracle) Complete(ctx context.Context, req llm.Request) (llm.Response, e
 	if subs, ok := splitEnvelope(req.Prompt); ok {
 		text = o.answerEnvelope(req, subs)
 	} else {
-		text = o.answer(req.Prompt, o.rng(req), req.Temperature)
+		rng := o.rng(req)
+		text = o.answer(req.Prompt, rng, req.Temperature)
+		rngPool.Put(rng)
 	}
 	if req.MaxTokens > 0 {
 		text = token.TruncateToTokens(text, req.MaxTokens)
@@ -226,18 +236,49 @@ func (o *Oracle) Complete(ctx context.Context, req llm.Request) (llm.Response, e
 	}, nil
 }
 
+// rngPool holds the noise sources of finished calls. A source is re-seeded
+// on every reuse, and Seed re-initialises its whole state, so a pooled
+// source yields exactly the stream a fresh rand.NewSource(seed) would.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+
 // rng derives the deterministic noise source for one request. At
 // temperature 0 the request seed is ignored, so identical prompts always
-// produce identical answers (vendor temperature-0 behaviour).
+// produce identical answers (vendor temperature-0 behaviour). The seed is
+// the FNV-1a hash of name, NUL, prompt and, above temperature 0,
+// "|seed=N". The caller returns the source to rngPool when done with it.
 func (o *Oracle) rng(req llm.Request) *rand.Rand {
-	h := fnv.New64a()
-	h.Write([]byte(o.name))
-	h.Write([]byte{0})
-	h.Write([]byte(req.Prompt))
+	h := fnvString(fnvOffset64, o.name)
+	h = fnvString(h, "\x00")
+	h = fnvString(h, req.Prompt)
 	if req.Temperature > 0 {
-		fmt.Fprintf(h, "|seed=%d", req.Seed)
+		var buf [32]byte
+		h = fnvBytes(h, strconv.AppendInt(append(buf[:0], "|seed="...), req.Seed, 10))
 	}
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	r := rngPool.Get().(*rand.Rand)
+	r.Seed(int64(h))
+	return r
+}
+
+// FNV-1a, as hash/fnv computes it, over strings without copying them.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
+}
+
+func fnvBytes(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= fnvPrime64
+	}
+	return h
 }
 
 // answerEnvelope answers a multi-task batch envelope section by section.
@@ -250,6 +291,7 @@ func (o *Oracle) rng(req llm.Request) *rand.Rand {
 // envelope's solo-retry path without perturbing the surviving answers.
 func (o *Oracle) answerEnvelope(req llm.Request, subs []string) string {
 	envRng := o.rng(req)
+	defer rngPool.Put(envRng)
 	skipP := o.cfg.BatchSkipPerPair * float64(len(subs)-1)
 	var b strings.Builder
 	for i, sub := range subs {
@@ -258,7 +300,9 @@ func (o *Oracle) answerEnvelope(req llm.Request, subs []string) string {
 		}
 		subReq := req
 		subReq.Prompt = sub
-		fmt.Fprintf(&b, "### Task %d\n%s\n", i+1, o.answer(sub, o.rng(subReq), req.Temperature))
+		rng := o.rng(subReq)
+		fmt.Fprintf(&b, "### Task %d\n%s\n", i+1, o.answer(sub, rng, req.Temperature))
+		rngPool.Put(rng)
 	}
 	return b.String()
 }

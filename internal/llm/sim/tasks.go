@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/consistency"
@@ -350,16 +351,22 @@ func (o *Oracle) answerCount(t task, rng *rand.Rand, scale float64) string {
 // batch tasks carry extra noise.
 func (o *Oracle) answerGroup(t task, rng *rand.Rand, scale float64) string {
 	n := len(t.items)
+	sc := trigramPool.Get().(*trigramScratch)
+	defer trigramPool.Put(sc)
+	sc.reset()
 	uf := consistency.NewUnionFind()
-	for i := 0; i < n; i++ {
-		uf.Add(fmt.Sprintf("%d", i))
+	keys := make([]string, n)
+	for i, it := range t.items {
+		keys[i] = strconv.Itoa(i)
+		uf.Add(keys[i])
+		sc.add(it)
 	}
 	sigma := (o.cfg.MatchSigma + o.cfg.GroupExtraSigma) * scale
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			margin := similarity(t.items[i], t.items[j]) - o.cfg.MatchThreshold + rng.NormFloat64()*sigma
+			margin := sc.jaccard(i, j, t.items[i], t.items[j]) - o.cfg.MatchThreshold + rng.NormFloat64()*sigma
 			if margin > 0 {
-				uf.Union(fmt.Sprintf("%d", i), fmt.Sprintf("%d", j))
+				uf.Union(keys[i], keys[j])
 			}
 		}
 	}
@@ -375,9 +382,8 @@ func (o *Oracle) answerGroup(t task, rng *rand.Rand, scale float64) string {
 		sort.Strings(members)
 		refs := make([]string, len(members))
 		for i, m := range members {
-			var idx int
-			fmt.Sscanf(m, "%d", &idx)
-			refs[i] = fmt.Sprintf("R%d", idx+1)
+			idx, _ := strconv.Atoi(m)
+			refs[i] = "R" + strconv.Itoa(idx+1)
 		}
 		fmt.Fprintf(&b, "group: %s\n", strings.Join(refs, ", "))
 	}
@@ -423,9 +429,14 @@ func leadingYesNo(s string) (bool, bool) {
 
 // answerCategorize assigns the item to the perceived-closest category.
 func (o *Oracle) answerCategorize(t task, rng *rand.Rand, scale float64) string {
+	sc := trigramPool.Get().(*trigramScratch)
+	defer trigramPool.Put(sc)
+	sc.reset()
+	sc.add(t.a)
 	best, bestScore := "", math.Inf(-1)
-	for _, cat := range t.items {
-		s := similarity(t.a, cat) + rng.NormFloat64()*0.05*scale
+	for i, cat := range t.items {
+		sc.add(cat)
+		s := sc.jaccard(0, i+1, t.a, cat) + rng.NormFloat64()*0.05*scale
 		if s > bestScore {
 			best, bestScore = cat, s
 		}

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"unicode"
 
 	"repro/internal/dataset"
 )
@@ -147,12 +150,64 @@ func builtinPredicates() []Predicate {
 }
 
 // similarity is the oracle's perception of how alike two record texts are:
-// Jaccard overlap of character trigrams on normalised text. It drives the
-// entity-match and grouping answers. Exported via package-level function
-// for tests and calibration.
+// Jaccard overlap of character trigrams on normalised text (normText). It
+// drives the entity-match, grouping and categorisation answers.
 func similarity(a, b string) float64 {
-	ta := trigrams(normText(a))
-	tb := trigrams(normText(b))
+	sc := trigramPool.Get().(*trigramScratch)
+	defer trigramPool.Put(sc)
+	sc.reset()
+	sc.add(a)
+	sc.add(b)
+	return sc.jaccard(0, 1, a, b)
+}
+
+// trigramScratch holds trigram sets back to back in one reused slice, so a
+// call that compares many texts builds each text's set once and allocates
+// nothing once the pool is warm. A set is the sorted, deduplicated
+// trigrams of a text's normText form, each trigram three runes packed into
+// a uint64 at 21 bits a rune (every rune fits in 21 bits, so distinct
+// trigrams get distinct keys).
+type trigramScratch struct {
+	keys []uint64
+	ends []int // ends[i] is where set i stops in keys
+}
+
+var trigramPool = sync.Pool{New: func() any { return new(trigramScratch) }}
+
+func (sc *trigramScratch) reset() {
+	sc.keys, sc.ends = sc.keys[:0], sc.ends[:0]
+}
+
+// add appends the trigram set of text as the next set.
+func (sc *trigramScratch) add(text string) {
+	start := len(sc.keys)
+	var win [3]rune
+	n := 0
+	normRunes(text, func(r rune) {
+		win[0], win[1], win[2] = win[1], win[2], r
+		if n++; n >= 3 {
+			sc.keys = append(sc.keys, uint64(win[0])<<42|uint64(win[1])<<21|uint64(win[2]))
+		}
+	})
+	set := sc.keys[start:]
+	slices.Sort(set)
+	sc.keys = sc.keys[:start+len(slices.Compact(set))]
+	sc.ends = append(sc.ends, len(sc.keys))
+}
+
+func (sc *trigramScratch) set(i int) []uint64 {
+	start := 0
+	if i > 0 {
+		start = sc.ends[i-1]
+	}
+	return sc.keys[start:sc.ends[i]]
+}
+
+// jaccard is the trigram overlap of sets i and j, built from texts a and b.
+// When either text is too short to have a trigram, the texts are alike
+// only if they normalise to the same string.
+func (sc *trigramScratch) jaccard(i, j int, a, b string) float64 {
+	ta, tb := sc.set(i), sc.set(j)
 	if len(ta) == 0 || len(tb) == 0 {
 		if normText(a) == normText(b) {
 			return 1
@@ -160,22 +215,41 @@ func similarity(a, b string) float64 {
 		return 0
 	}
 	inter := 0
-	for g := range ta {
-		if tb[g] {
+	for x, y := 0, 0; x < len(ta) && y < len(tb); {
+		switch {
+		case ta[x] < tb[y]:
+			x++
+		case ta[x] > tb[y]:
+			y++
+		default:
 			inter++
+			x++
+			y++
 		}
 	}
 	union := len(ta) + len(tb) - inter
 	return float64(inter) / float64(union)
 }
 
-func trigrams(s string) map[string]bool {
-	out := make(map[string]bool)
-	r := []rune(s)
-	for i := 0; i+3 <= len(r); i++ {
-		out[string(r[i:i+3])] = true
+// normRunes calls emit with each rune of normText(s) in order, without
+// building the string: runes are lowered, runs of white space fold to one
+// space, and leading and trailing space is dropped. An invalid byte reads
+// as utf8.RuneError, as strings.ToLower renders it.
+func normRunes(s string, emit func(rune)) {
+	word, space := false, false
+	for _, r := range s {
+		r = unicode.ToLower(r)
+		if unicode.IsSpace(r) {
+			space = word
+			continue
+		}
+		if space {
+			emit(' ')
+			space = false
+		}
+		word = true
+		emit(r)
 	}
-	return out
 }
 
 // restaurantKnowledge answers a city imputation from a serialized
