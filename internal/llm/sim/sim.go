@@ -247,25 +247,21 @@ var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
 // the FNV-1a hash of name, NUL, prompt and, above temperature 0,
 // "|seed=N". The caller returns the source to rngPool when done with it.
 func (o *Oracle) rng(req llm.Request) *rand.Rand {
-	h := fnvString(fnvOffset64, o.name)
-	h = fnvString(h, "\x00")
-	h = fnvString(h, req.Prompt)
+	h := fnv1a(fnvOffset64, o.name)
+	h = fnv1a(h, "\x00")
+	h = fnv1a(h, req.Prompt)
 	if req.Temperature > 0 {
 		var buf [32]byte
-		h = fnvBytes(h, strconv.AppendInt(append(buf[:0], "|seed="...), req.Seed, 10))
+		h = fnv1a(h, strconv.AppendInt(append(buf[:0], "|seed="...), req.Seed, 10))
 	}
 	r := rngPool.Get().(*rand.Rand)
 	r.Seed(int64(h))
 	return r
 }
 
-// FNV-1a, as hash/fnv computes it, over strings without copying them.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnvString(h uint64, s string) uint64 {
+// fnv1a continues the 64-bit FNV-1a hash h (as hash/fnv computes it) over
+// s, without copying a string into a byte slice first.
+func fnv1a[S ~string | ~[]byte](h uint64, s S) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= fnvPrime64
@@ -273,13 +269,10 @@ func fnvString(h uint64, s string) uint64 {
 	return h
 }
 
-func fnvBytes(h uint64, b []byte) uint64 {
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime64
-	}
-	return h
-}
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
 // answerEnvelope answers a multi-task batch envelope section by section.
 // Each embedded task gets the noise source its standalone prompt would

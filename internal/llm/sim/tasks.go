@@ -351,9 +351,8 @@ func (o *Oracle) answerCount(t task, rng *rand.Rand, scale float64) string {
 // batch tasks carry extra noise.
 func (o *Oracle) answerGroup(t task, rng *rand.Rand, scale float64) string {
 	n := len(t.items)
-	sc := trigramPool.Get().(*trigramScratch)
+	sc := getTrigramScratch()
 	defer trigramPool.Put(sc)
-	sc.reset()
 	uf := consistency.NewUnionFind()
 	keys := make([]string, n)
 	for i, it := range t.items {
@@ -429,9 +428,8 @@ func leadingYesNo(s string) (bool, bool) {
 
 // answerCategorize assigns the item to the perceived-closest category.
 func (o *Oracle) answerCategorize(t task, rng *rand.Rand, scale float64) string {
-	sc := trigramPool.Get().(*trigramScratch)
+	sc := getTrigramScratch()
 	defer trigramPool.Put(sc)
-	sc.reset()
 	sc.add(t.a)
 	best, bestScore := "", math.Inf(-1)
 	for i, cat := range t.items {

@@ -153,9 +153,8 @@ func builtinPredicates() []Predicate {
 // Jaccard overlap of character trigrams on normalised text (normText). It
 // drives the entity-match, grouping and categorisation answers.
 func similarity(a, b string) float64 {
-	sc := trigramPool.Get().(*trigramScratch)
+	sc := getTrigramScratch()
 	defer trigramPool.Put(sc)
-	sc.reset()
 	sc.add(a)
 	sc.add(b)
 	return sc.jaccard(0, 1, a, b)
@@ -174,8 +173,12 @@ type trigramScratch struct {
 
 var trigramPool = sync.Pool{New: func() any { return new(trigramScratch) }}
 
-func (sc *trigramScratch) reset() {
+// getTrigramScratch takes an emptied scratch from the pool; the caller
+// puts it back when done.
+func getTrigramScratch() *trigramScratch {
+	sc := trigramPool.Get().(*trigramScratch)
 	sc.keys, sc.ends = sc.keys[:0], sc.ends[:0]
+	return sc
 }
 
 // add appends the trigram set of text as the next set.
