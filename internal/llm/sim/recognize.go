@@ -56,7 +56,7 @@ var (
 	reCompareV2   = regexp.MustCompile(`(?s)^Here are two candidates to judge by (.+?)\.\nCandidate A is: (.*?)\nCandidate B is: (.*?)\nName the stronger candidate`)
 	reBatchHead   = regexp.MustCompile(`^For each of the following \d+ pairs, decide which item ranks higher by (.+?)\.`)
 	reBatchPair   = regexp.MustCompile(`(?m)^Pair \d+\. Item A: (.*) \| Item B: (.*)$`)
-	reRateHead    = regexp.MustCompile(`On a scale of 1 \(least\) to (\d+) \(most\), rate the following item by (.+?)\.`)
+	reRateHead    = regexp.MustCompile(`^On a scale of 1 \(least\) to (\d+) \(most\), rate the following item by (.+?)\.`)
 	reRateItem    = regexp.MustCompile(`(?m)^Item: (.*)$`)
 	reMatchA      = regexp.MustCompile(`(?m)^Citation A is (.*)$`)
 	reMatchB      = regexp.MustCompile(`(?m)^Citation B is (.*)$`)

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
+	"repro/internal/llm"
 	"repro/internal/prompt"
 )
 
@@ -94,6 +96,28 @@ func TestRecogniseVerify(t *testing.T) {
 	task := recognise(prompt.Verify("inner question?", "42"))
 	if task.kind != taskVerify || task.question != "inner question?" || task.answer != "42" {
 		t.Fatalf("task = %+v", task)
+	}
+}
+
+// TestRecogniseVerifyOfRate pins that a verify prompt quoting a rate
+// question is a verify task, not a rate task of the quoted item, and that
+// the oracle answers it in a form ParseYesNo reads, at every temperature.
+func TestRecogniseVerifyOfRate(t *testing.T) {
+	question := prompt.RateItem("Mint chip", "how chocolatey they are", 5)
+	p := prompt.Verify(question, "3")
+	task := recognise(p)
+	if task.kind != taskVerify || task.answer != "3" {
+		t.Fatalf("task = %+v", task)
+	}
+	o := NewNamed("sim-gpt-3.5-turbo")
+	for _, temp := range []float64{0, 1} {
+		resp, err := o.Complete(context.Background(), llm.Request{Prompt: p, Temperature: temp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := prompt.ParseYesNo(resp.Text); err != nil {
+			t.Fatalf("temperature %g: %v", temp, err)
+		}
 	}
 }
 

@@ -337,10 +337,16 @@ func (o *Oracle) answer(prompt string, rng *rand.Rand, temp float64) string {
 // verbose optionally wraps a terse answer in prose, so response parsers
 // are exercised the way real model output exercises them.
 func (o *Oracle) verbose(rng *rand.Rand, terse, wordy string) string {
-	if rng.Float64() < o.cfg.Verbosity {
+	if o.wordy(rng) {
 		return wordy
 	}
 	return terse
+}
+
+// wordy draws whether this answer takes its wordy form, for an answer
+// whose wordy form costs something to build.
+func (o *Oracle) wordy(rng *rand.Rand) bool {
+	return rng.Float64() < o.cfg.Verbosity
 }
 
 func normText(s string) string {

@@ -206,7 +206,10 @@ func (o *Oracle) answerRate(t task, rng *rand.Rand, scale float64) string {
 			}
 		}
 	}
-	return o.verbose(rng, fmt.Sprintf("%d", r), fmt.Sprintf("I would rate this item %d out of %d.", r, t.scale))
+	if o.wordy(rng) {
+		return fmt.Sprintf("I would rate this item %d out of %d.", r, t.scale)
+	}
+	return strconv.Itoa(r)
 }
 
 // answerMatch thresholds surface similarity with logistic noise: obvious
@@ -269,7 +272,10 @@ func (o *Oracle) answerImpute(t task, rng *rand.Rand, scale float64) string {
 	} else {
 		value = displayForm(t.field, gold)
 	}
-	return o.verbose(rng, value, fmt.Sprintf("The value is %s", value))
+	if o.wordy(rng) {
+		return "The value is " + value
+	}
+	return value
 }
 
 // wrongImputeGuess picks a plausible but wrong value, never the supplied

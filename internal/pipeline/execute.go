@@ -149,12 +149,46 @@ func streamer(st Stage) (Streamer, bool) {
 	return s, ok && s.CanStream()
 }
 
-// edgeBuffer is the capacity of every inter-stage channel. It is wider
-// than a window so a fast branch is not paced by a slow sibling reading
-// the same producer (a side stage must finish while the main path is
-// still working for side-input overlap to buy anything), and bounded so a
-// standing query's backlog stays proportional to the number of stages.
+// edgeBuffer is the capacity of an inter-stage channel. It is wider than
+// a window so a fast branch is not paced by a slow sibling reading the
+// same producer (a side stage must finish while the main path is still
+// working for side-input overlap to buy anything), and bounded so a
+// standing query's backlog stays proportional to the number of stages. An
+// edge that can never carry that many records is sized by what it can
+// carry (see bounds).
 const edgeBuffer = 64
+
+// bounds returns, for each stage, the most records its input can ever
+// carry when the run knows that up front, and 0 when it cannot. A run with
+// no Feed and no batching (whose marks are sends too) streams at most
+// len(source) records down every edge no join feeds from above: only a
+// join emits more records than it consumes. Neither the stage's edge nor
+// its window's results ever hold more, so sizing them by the bound takes
+// no room a send could wait on, and the schedule is the same.
+func (p *Pipeline) bounds(cfg ExecConfig, source int) []int {
+	most := make([]int, len(p.specs))
+	if cfg.Feed != nil || cfg.Batch > 1 {
+		return most
+	}
+	widened := make(map[string]bool)
+	for i, spec := range p.specs {
+		if widened[spec.Input] || spec.Kind == KindJoin {
+			widened[spec.Name] = true
+		}
+		if !widened[spec.Input] {
+			most[i] = source
+		}
+	}
+	return most
+}
+
+// capped is room, or most when that is known (> 0) and smaller.
+func capped(room, most int) int {
+	if most > 0 {
+		return min(room, most)
+	}
+	return room
+}
 
 // runtime binds one run's shared machinery: the budget, the attribution
 // ledger, and the one engine every stage runs on. OptimizeProbed builds
@@ -212,6 +246,14 @@ type Env struct {
 	run   *runState
 	onErr string // resolved OnRecordError mode
 	batch int    // ExecConfig.Batch: > 1 cuts a streaming stage's records by sequence block
+	most  int    // the most records the stage's input can carry, 0 when unknown (see bounds)
+}
+
+// resultRoom is the capacity of a streaming stage's result buffer: a slot
+// per record, or per block of up to batch records, it can have in flight,
+// and never more than the records its input can carry.
+func (e *Env) resultRoom() int {
+	return capped(e.slots.reach()*max(e.batch, 1), e.most)
 }
 
 // stageStats accumulates one stage's streaming timings; the stage
@@ -534,24 +576,9 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 	state := &runState{scalars: make(map[string]string), details: make(map[string]string),
 		skipped: make(map[string]int), quar: make(map[string]*quarantineInfo)}
 
-	outs := make(map[string]*streamOut, len(p.stages)+1)
-	root := &streamOut{table: source, done: make(chan struct{})}
-	close(root.done)
-	outs["source"] = root
-	for _, st := range p.stages {
-		outs[st.Name()] = &streamOut{done: make(chan struct{})}
-	}
-
-	// Wire one bounded channel per main-input edge. Dynamic side-table
-	// consumers are not subscribers: they read the producer's collected
-	// table after its done closes.
-	inputs := make(map[string]chan seqRecord, len(p.stages))
-	for _, st := range p.stages {
-		ch := make(chan seqRecord, edgeBuffer)
-		inputs[st.Name()] = ch
-		up := outs[st.Input()]
-		up.subs = append(up.subs, ch)
-	}
+	most := p.bounds(cfg, len(source))
+	outs, inputs := p.wire(source, most)
+	root := outs["source"]
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -609,10 +636,10 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 	slots := p.slotLedger(cfg)
 	for i, st := range p.stages {
 		wg.Add(1)
-		go func(st Stage, spec StageSpec, slots *stageSlots) {
+		go func(st Stage, spec StageSpec, slots *stageSlots, most int) {
 			defer wg.Done()
-			p.runStage(ctx, cancel, cfg, rt, state, outs, inputs[st.Name()], tables, st, spec, slots)
-		}(st, p.specs[i], slots[i])
+			p.runStage(ctx, cancel, cfg, rt, state, outs, inputs[st.Name()], tables, st, spec, slots, most)
+		}(st, p.specs[i], slots[i], most[i])
 	}
 	wg.Wait()
 
@@ -680,11 +707,33 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 	return res, nil
 }
 
+// wire builds the run's streams, the source's already done, and one
+// channel per main-input edge, sized by the stage's bound (see bounds).
+// Dynamic side-table consumers are not subscribers: they read the
+// producer's collected table after its done closes.
+func (p *Pipeline) wire(source []dataset.Record, most []int) (map[string]*streamOut, map[string]chan seqRecord) {
+	outs := make(map[string]*streamOut, len(p.stages)+1)
+	root := &streamOut{table: source, done: make(chan struct{})}
+	close(root.done)
+	outs["source"] = root
+	for _, st := range p.stages {
+		outs[st.Name()] = &streamOut{done: make(chan struct{})}
+	}
+	inputs := make(map[string]chan seqRecord, len(p.stages))
+	for i, st := range p.stages {
+		ch := make(chan seqRecord, capped(edgeBuffer, most[i]))
+		inputs[st.Name()] = ch
+		up := outs[st.Input()]
+		up.subs = append(up.subs, ch)
+	}
+	return outs, inputs
+}
+
 // runStage drives one stage goroutine: resolve the side table, consume
 // the input (streamed or drained), run the operator, and emit outputs.
 func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg ExecConfig, rt *execRuntime,
 	state *runState, outs map[string]*streamOut, in <-chan seqRecord, tables map[string][]dataset.Record,
-	st Stage, spec StageSpec, slots *stageSlots) {
+	st Stage, spec StageSpec, slots *stageSlots, most int) {
 	out := outs[st.Name()]
 	defer out.finish()
 	up := outs[st.Input()]
@@ -698,7 +747,7 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 	}
 	env := &Env{Engine: rt.engine, Budget: rt.budget, Tables: tables, keys: cfg.TableKeys,
 		slots: slots, stats: &stageStats{stage: st.Name()}, run: state,
-		onErr: cfg.OnRecordError, batch: cfg.Batch}
+		onErr: cfg.OnRecordError, batch: cfg.Batch, most: most}
 	defer env.stats.flush(rt.attr)
 
 	// A dynamic side input (Side naming an earlier stage) needs the side

@@ -275,11 +275,10 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 	tctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	pctx, probe := workflow.HitsOnly(tctx)
-	// Room for every record the stage can have in flight — a slot per
-	// record, or per block of up to batch records: a task gives its slot
-	// back before it sends, so it waits here only while the stage has
-	// started records ahead of taking earlier results.
-	results := make(chan result, slots.reach()*max(env.batch, 1))
+	// Room for every record the stage can have in flight (see resultRoom):
+	// a task gives its slot back before it sends, so it waits here only
+	// while the stage has started records ahead of taking earlier results.
+	results := make(chan result, env.resultRoom())
 	consumed, inflight, room := 0, 0, 0
 	var group groupTask[T]
 	width := 0           // the most records group takes at once
@@ -299,6 +298,17 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 	// goes back as its outcome is reported; a block's, with its last one.
 	spawn := func(rs []seqRecord, turn *workflow.Turn) {
 		inflight += len(rs)
+		if width == 1 && turn == nil {
+			// solo's group of one: the record's own task, with nothing to
+			// copy out of held.
+			r := rs[0]
+			go func() {
+				out, err := task(tctx, r.rec)
+				slots.release()
+				results <- result{r, out, err}
+			}()
+			return
+		}
 		seqs := make([]int64, len(rs))
 		recs := make([]dataset.Record, len(rs))
 		for i, r := range rs {

@@ -542,3 +542,54 @@ func TestMaterializedDrainsEachEdge(t *testing.T) {
 		}
 	}
 }
+
+// TestRunBufferAllocs pins how a run sizes its buffers, in both
+// directions. An unfed, unbatched run gives every edge that no join feeds
+// from above, and the result buffer of every window on such an edge, no
+// more room than the source has records. A fed or batched run, and every
+// edge below a join, keeps edgeBuffer, and its windows a result slot for
+// every record, or block, they can have in flight.
+func TestRunBufferAllocs(t *testing.T) {
+	p, err := Compile(Spec{Stages: []StageSpec{
+		{Name: "casual", Kind: KindFilter, Predicate: "p"},
+		{Name: "kind", Kind: KindCategorize, Categories: []string{"x"}},
+		{Name: "rank", Kind: KindSort, Criterion: "c"},
+		{Name: "match", Kind: KindJoin, Side: "right", Strategy: "nested-loop"},
+		{Name: "after", Kind: KindFilter, Predicate: "q"},
+		{Name: "beside", Kind: KindFilter, Input: "source", Predicate: "r"},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	widened := map[string]bool{"after": true}
+	source := make([]dataset.Record, 5)
+	feed := make(chan dataset.Record)
+	for _, tc := range []struct {
+		name    string
+		cfg     ExecConfig
+		bounded bool
+	}{
+		{"unfed", ExecConfig{}, true},
+		{"fed", ExecConfig{Feed: feed}, false},
+		{"batched", ExecConfig{Batch: 4}, false},
+	} {
+		most := p.bounds(tc.cfg, len(source))
+		_, inputs := p.wire(source, most)
+		slots := p.slotLedger(tc.cfg)
+		for i, st := range p.stages {
+			bounded := tc.bounded && !widened[st.Name()]
+			edge := cap(inputs[st.Name()])
+			if bounded && edge > len(source) || !bounded && edge != edgeBuffer {
+				t.Errorf("%s run: the edge into %q holds %d records (bounded %v, %d source records)", tc.name, st.Name(), edge, bounded, len(source))
+			}
+			if slots[i] == nil {
+				continue
+			}
+			env := &Env{slots: slots[i], batch: tc.cfg.Batch, most: most[i]}
+			room, full := env.resultRoom(), slots[i].reach()*max(tc.cfg.Batch, 1)
+			if bounded && room != min(full, len(source)) || !bounded && room != full {
+				t.Errorf("%s run: %q's window buffers %d results (bounded %v, %d source records, reach × batch %d)", tc.name, st.Name(), room, bounded, len(source), full)
+			}
+		}
+	}
+}

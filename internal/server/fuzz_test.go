@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/workflow"
 )
 
@@ -165,6 +166,59 @@ func FuzzDecodeSubmit(f *testing.F) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s interner: decoded %+v, json.Decoder decoded %+v, on %q", name, got, want, body)
+			}
+		}
+	})
+}
+
+// FuzzDecodeTable is the differential test of the one-pass table
+// decoder: on any bytes it either declines or decodes exactly what
+// json.Unmarshal into []dataset.Record does, nil and empty Fields told
+// apart, into the interned layout — every record's Fields a
+// capacity-clipped window of the one fields array at its start — and
+// from a copy of the bytes it was given.
+func FuzzDecodeTable(f *testing.F) {
+	for _, seed := range []string{
+		`[{"ID":"r1","Fields":[{"Name":"name","Value":"Cafe"},{"Name":"city","Value":"Rome"}]},{"ID":"r2","Fields":[]}]`,
+		` [ { "Fields" : [ { "Value" : "v" , "Name" : "n" } ] , "ID" : "x" } , {} ] `,
+		`[]`, `[{}]`, `[{"Fields":[{}]}]`, `[{"ID":"a","Fields":null}]`, `[{"ID":null}]`, `null`, `[null]`, `{}`, ``,
+		`[{"ID":"say \"hi\"","Fields":[{"Name":"a\\b\/c","Value":"\b\f\n\r\t\u0000é😀"}]}]`,
+		`[{"ID":"\ud800","Fields":[{"Name":"\udc00A","Value":"\ud800\ud800"}]}]`,
+		`[{"ID":"😀😀","Fields":[{"Name":"\ud800A","Value":"\ud800\uZZZZ"}]}]`,
+		`[{"ID":"\u12","Fields":[]}]`, `[{"ID":"\x"}]`,
+		`[{"ID":"café café","Fields":[{"Name":"名前","Value":"😀"}]}]`,
+		"[{\"ID\":\"\xff\xfe\",\"Fields\":[]}]",
+		"[{\"ID\":\"tab\there\"}]",
+		`[{"ID":"a","ID":"b"}]`, `[{"Fields":[],"Fields":[]}]`, `[{"Fields":[{"Name":"a","Name":"b"}]}]`,
+		`[{"id":"a","fields":[{"name":"n","value":"v"}]}]`, `[{"ID":"a","Extra":1}]`, `[{"ID":"a"}]`,
+		`[{"ID":1}]`, `[{"ID":"a"},]`, `[{"ID":"a"}] x`, `[{"ID":"a"}`, `[{"Fields":[[]]}]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		in := bytes.Clone(raw)
+		got, ok := decodeTable(tableKey{}, in)
+		if !ok {
+			return
+		}
+		var want []dataset.Record
+		if err := json.Unmarshal(raw, &want); err != nil {
+			t.Fatalf("decoded what json.Unmarshal refuses (%v): %q", err, raw)
+		}
+		for i := range in {
+			in[i] = 0
+		}
+		if !reflect.DeepEqual(got.records, want) {
+			t.Fatalf("decoded %#v, json.Unmarshal decodes %#v, from %q", got.records, want, raw)
+		}
+		if !bytes.Equal(got.raw, raw) || len(got.starts) != len(got.records)+1 || int(got.starts[len(got.records)]) != len(got.fields) {
+			t.Fatalf("layout: raw %q, %d starts for %d records and %d fields, from %q", got.raw, len(got.starts), len(got.records), len(got.fields), raw)
+		}
+		for k, r := range got.records {
+			lo, hi := got.starts[k], got.starts[k+1]
+			if r.Fields == nil && lo != hi || r.Fields != nil && (len(r.Fields) != int(hi-lo) || cap(r.Fields) != len(r.Fields) ||
+				len(r.Fields) > 0 && &r.Fields[0] != &got.fields[lo]) {
+				t.Fatalf("record %d's fields are not fields[%d:%d], capacity clipped, from %q", k, lo, hi, raw)
 			}
 		}
 	})

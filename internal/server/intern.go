@@ -8,6 +8,10 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"unicode"
+	"unicode/utf16"
+	"unicode/utf8"
+	"unsafe"
 
 	"repro/internal/dataset"
 	"repro/internal/embed"
@@ -17,9 +21,10 @@ import (
 // 4000-record train table re-sends the same ~1 MB of JSON with every job;
 // reflecting it into []dataset.Record again each time was a third of such
 // a job's CPU. decodeSubmit delimits each member of "tables" in the body,
-// keys its bytes by SHA-256, and decodes it (with encoding/json, as
-// always) only when the interner holds no table with those bytes; every
-// later job gets the same decoded slice. Sharing is sound because no
+// keys its bytes by SHA-256, and decodes it only when the interner holds
+// no table with those bytes — in one pass straight into the interned
+// layout when the table has the canonical shape, with encoding/json when
+// it has not; every later job gets the same decoded slice. Sharing is sound because no
 // pipeline stage writes a record of its input — each clones first — and
 // a tenant only ever gets back content it sent itself: the key is a
 // collision-resistant hash of the exact bytes.
@@ -100,6 +105,221 @@ func newInternedTable(key tableKey, raw []byte, records []dataset.Record) *inter
 	return t
 }
 
+// decodeTable decodes a table of the canonical shape,
+// [{"ID":…,"Fields":[{"Name":…,"Value":…},…]},…], straight into the
+// interned layout, without reflection: one copy of raw is the table's JSON
+// and backs every string that needs no unescaping, and one array each
+// holds the fields and the records. It declines (ok false) anything else
+// — a key spelt otherwise or twice, a value that is not a string (null
+// included), invalid UTF-8, a control character — and its caller falls
+// back to encoding/json. Where it accepts, it decodes what
+// json.Unmarshal into []dataset.Record does (FuzzDecodeTable).
+func decodeTable(key tableKey, raw []byte) (*internedTable, bool) {
+	records, fields := countTable(raw)
+	sc := jsonScanner{b: bytes.Clone(raw)}
+	t := &internedTable{key: key, records: make([]dataset.Record, 0, records), raw: sc.b,
+		fields: make([]dataset.Field, 0, fields), starts: make([]int32, 1, records+1), held: int64(len(raw))}
+	ok := sc.elements(func() bool { return len(t.records) < cap(t.records) && sc.record(t) })
+	sc.space()
+	if !ok || sc.i != len(sc.b) {
+		return nil, false
+	}
+	return t, true
+}
+
+// countTable counts the objects one and three levels deep in b, outside
+// strings: a canonical table's records and fields.
+func countTable(b []byte) (records, fields int) {
+	depth := 0
+	for i := 0; i < len(b); i++ {
+		switch b[i] {
+		case '"':
+			for i++; i < len(b) && b[i] != '"'; i++ {
+				if b[i] == '\\' {
+					i++
+				}
+			}
+		case '{':
+			switch depth {
+			case 1:
+				records++
+			case 3:
+				fields++
+			}
+			depth++
+		case '[':
+			depth++
+		case '}', ']':
+			depth--
+		}
+	}
+	return records, fields
+}
+
+// record decodes one record object onto the end of t.
+func (sc *jsonScanner) record(t *internedTable) bool {
+	var r dataset.Record
+	var id, fields bool
+	ok := sc.members(func(name []byte, plain bool) bool {
+		var ok bool
+		switch {
+		case !plain:
+		case string(name) == "ID" && !id:
+			id = true
+			r.ID, ok = sc.text()
+		case string(name) == "Fields" && !fields:
+			fields = true
+			r.Fields, ok = sc.fieldList(t)
+		}
+		return ok
+	})
+	t.records = append(t.records, r)
+	t.starts = append(t.starts, int32(len(t.fields)))
+	return ok
+}
+
+// fieldList decodes one record's array of fields onto the end of t.fields
+// and returns them, capacity clipped.
+func (sc *jsonScanner) fieldList(t *internedTable) ([]dataset.Field, bool) {
+	start := len(t.fields)
+	ok := sc.elements(func() bool {
+		var f dataset.Field
+		var name, value bool
+		if len(t.fields) == cap(t.fields) || !sc.members(func(key []byte, plain bool) bool {
+			var ok bool
+			switch {
+			case !plain:
+			case string(key) == "Name" && !name:
+				name = true
+				f.Name, ok = sc.text()
+			case string(key) == "Value" && !value:
+				value = true
+				f.Value, ok = sc.text()
+			}
+			return ok
+		}) {
+			return false
+		}
+		t.fields = append(t.fields, f)
+		return true
+	})
+	if !ok {
+		return nil, false
+	}
+	return t.fields[start:len(t.fields):len(t.fields)], true
+}
+
+// text consumes a string after optional whitespace and returns its value.
+// A string without escapes is the bytes between its quotes, aliased, so
+// the scanner's bytes must never change; an escaped one is unescaped by
+// encoding/json's rules into bytes of its own. It fails on a control
+// character, invalid UTF-8 or an escape encoding/json would refuse.
+func (sc *jsonScanner) text() (string, bool) {
+	inner, plain, ok := sc.str()
+	switch {
+	case !ok:
+		return "", false
+	case plain:
+		return aliased(inner), true
+	case bytes.IndexByte(inner, '\\') < 0:
+		return aliased(inner), validText(inner)
+	}
+	out := make([]byte, 0, len(inner))
+	for len(inner) > 0 {
+		i := bytes.IndexByte(inner, '\\')
+		if i < 0 {
+			i = len(inner)
+		}
+		if !validText(inner[:i]) {
+			return "", false
+		}
+		out, inner = append(out, inner[:i]...), inner[i:]
+		if len(inner) == 0 {
+			break
+		}
+		if len(inner) < 2 {
+			return "", false
+		}
+		c := inner[1]
+		inner = inner[2:]
+		switch c {
+		case '"', '\\', '/':
+			out = append(out, c)
+		case 'b':
+			out = append(out, '\b')
+		case 'f':
+			out = append(out, '\f')
+		case 'n':
+			out = append(out, '\n')
+		case 'r':
+			out = append(out, '\r')
+		case 't':
+			out = append(out, '\t')
+		case 'u':
+			r := hex4(inner)
+			if r < 0 {
+				return "", false
+			}
+			inner = inner[4:]
+			if utf16.IsSurrogate(r) {
+				// A pair decodes to one rune; a lone half, to U+FFFD.
+				r2 := rune(-1)
+				if len(inner) >= 2 && inner[0] == '\\' && inner[1] == 'u' {
+					r2 = hex4(inner[2:])
+				}
+				if r = utf16.DecodeRune(r, r2); r != unicode.ReplacementChar {
+					inner = inner[6:]
+				}
+			}
+			out = utf8.AppendRune(out, r)
+		default:
+			return "", false
+		}
+	}
+	return aliased(out), true
+}
+
+// hex4 reads the four hex digits of a \u escape, or returns -1.
+func hex4(b []byte) rune {
+	if len(b) < 4 {
+		return -1
+	}
+	var r rune
+	for _, c := range b[:4] {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return -1
+		}
+		r = r*16 + rune(c)
+	}
+	return r
+}
+
+// validText reports whether b may stand in a JSON string as it is: valid
+// UTF-8 with no control character.
+func validText(b []byte) bool {
+	for _, c := range b {
+		if c < 0x20 {
+			return false
+		}
+	}
+	return utf8.Valid(b)
+}
+
+// aliased is b as a string without a copy; b must never change again.
+func aliased(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
 // tableInterner is a byte-bounded LRU of decoded tables, safe for
 // concurrent use.
 type tableInterner struct {
@@ -148,14 +368,17 @@ func (in *tableInterner) table(raw []byte) (t *internedTable, warm bool, err err
 	}
 	in.mu.Unlock()
 
-	var records []dataset.Record
-	if err := json.Unmarshal(raw, &records); err != nil {
-		return nil, false, err
+	t, ok := decodeTable(key, raw)
+	if !ok {
+		var records []dataset.Record
+		if err := json.Unmarshal(raw, &records); err != nil {
+			return nil, false, err
+		}
+		t = newInternedTable(key, raw, records)
 	}
 	if n > in.bound {
-		return &internedTable{key: key, records: records}, false, nil
+		return &internedTable{key: key, records: t.records}, false, nil
 	}
-	t = newInternedTable(key, raw, records)
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if el, ok := in.byKey[key]; ok { // a concurrent first sight won
@@ -427,6 +650,28 @@ func (sc *jsonScanner) members(fn func(name []byte, plain bool) bool) bool {
 			return false
 		}
 		if sc.eat('}') {
+			return true
+		}
+		if !sc.eat(',') {
+			return false
+		}
+	}
+}
+
+// elements walks the array at the scanner and consumes its closing
+// bracket. fn must consume each element.
+func (sc *jsonScanner) elements(fn func() bool) bool {
+	if !sc.eat('[') {
+		return false
+	}
+	if sc.eat(']') {
+		return true
+	}
+	for {
+		if !fn() {
+			return false
+		}
+		if sc.eat(']') {
 			return true
 		}
 		if !sc.eat(',') {

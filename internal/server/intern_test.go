@@ -348,6 +348,41 @@ func TestWarmDecodeAllocs(t *testing.T) {
 	}
 }
 
+// TestColdDecodeAllocs pins the cold decode of a canonical table: the
+// one-pass decoder takes it, the same allocations decode 16 records and
+// 64, and the records are what encoding/json decodes.
+func TestColdDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins skip under the race detector")
+	}
+	// The JSON copy, the fields, the records, the record starts and the
+	// table itself.
+	const maxAllocs = 5
+	allocs := func(n int) float64 {
+		ds := dataset.GenerateRestaurants(0, n, 1)
+		raw, err := json.Marshal(ds.Test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, ok := decodeTable(tableKey{}, raw)
+		if !ok {
+			t.Fatalf("the decoder declined a canonical %d-record table", n)
+		}
+		var want []dataset.Record
+		if err := json.Unmarshal(raw, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tab.records, want) {
+			t.Fatalf("the %d-record table decoded to %+v, encoding/json decodes %+v", n, tab.records, want)
+		}
+		return testing.AllocsPerRun(20, func() { decodeTable(tableKey{}, raw) })
+	}
+	small, large := allocs(16), allocs(64)
+	if small != large || large > maxAllocs {
+		t.Fatalf("a cold decode allocates %.0f times for 16 records and %.0f for 64; want the same, at most %d", small, large, maxAllocs)
+	}
+}
+
 // BenchmarkDecodeSubmit decodes a knn-corpus-shaped body (4000 train and
 // 32 source restaurants) with a fresh interner each time (cold: scan,
 // hash and decode every table) and with one that holds its tables (warm).

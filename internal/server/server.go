@@ -263,7 +263,8 @@ type TenantReport struct {
 	// policy spent on this tenant's behalf (charged against the tenant's
 	// RetryBudget when one is set).
 	RetriesUsed int `json:"retries_used,omitempty"`
-	// Latency percentiles over the tenant's completed jobs' wall clocks.
+	// Latency percentiles over the wall clocks of the tenant's last 1024
+	// completed jobs.
 	LatencyP50MS float64 `json:"latency_p50_ms"`
 	LatencyP95MS float64 `json:"latency_p95_ms"`
 	LatencyMaxMS float64 `json:"latency_max_ms"`
@@ -323,7 +324,26 @@ type tenant struct {
 	throttled    int
 	rejectedBusy int
 	retriesUsed  int
-	latencies    []time.Duration
+	// latencies is a ring of the wall clocks of the tenant's last
+	// latencyWindow completed jobs: the k-th completed lies at index
+	// (k-1) % latencyWindow.
+	latencies []time.Duration
+}
+
+// latencyWindow is how many of a tenant's most recent completed jobs its
+// report's latency percentiles cover, so a long-lived tenant's history
+// stays bounded and a report sorts no more than this.
+const latencyWindow = 1024
+
+// complete counts one completed job and files its wall clock in the
+// latency ring. Call with t.mu held.
+func (t *tenant) complete(wall time.Duration) {
+	t.completed++
+	if len(t.latencies) < latencyWindow {
+		t.latencies = append(t.latencies, wall)
+	} else {
+		t.latencies[(t.completed-1)%latencyWindow] = wall
+	}
 }
 
 // spendRetry charges one retry or hedge against the tenant's allowance.
@@ -773,8 +793,7 @@ func (s *Server) runJob(ctx context.Context, j *job, t *tenant, tk *ticket, p *p
 	switch {
 	case err == nil:
 		state = JobDone
-		t.completed++
-		t.latencies = append(t.latencies, wall)
+		t.complete(wall)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		state = JobCancelled
 		t.cancelled++

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -603,5 +604,49 @@ func TestSubmitRejectsBadInput(t *testing.T) {
 	// no job, no tenant record — may exist after only refused input.
 	if s := srv.Stats(); s.Jobs != 0 || s.Tenants != 0 {
 		t.Fatalf("bad input left state behind: %+v", s)
+	}
+}
+
+// TestTenantLatencyWindow pins the bound on a tenant's latency history:
+// after latencyWindow + k completed jobs the tenant keeps latencyWindow
+// wall clocks, and its report's percentiles are those of the last
+// latencyWindow jobs.
+func TestTenantLatencyWindow(t *testing.T) {
+	srv := New(Config{Model: testOracle()})
+	if st, err := srv.Submit(context.Background(), SubmitRequest{
+		Tenant: "acme", Spec: toolSpec(), Tables: kindTable("f", 2, "tool", "toy"),
+	}); err != nil || st.State != JobDone {
+		t.Fatalf("err %v, state %+v", err, st)
+	}
+	srv.mu.RLock()
+	tn := srv.tenants["acme"]
+	srv.mu.RUnlock()
+	const k = 300
+	tn.mu.Lock()
+	walls := slices.Clone(tn.latencies)
+	for i := range latencyWindow + k {
+		// Scrambled, so the oldest jobs hold the extremes the window drops.
+		wall := time.Duration((i*7919)%5003+1) * time.Microsecond
+		if i < k {
+			wall = time.Hour + time.Duration(i)
+		}
+		tn.complete(wall)
+		walls = append(walls, wall)
+	}
+	held := len(tn.latencies)
+	tn.mu.Unlock()
+	if held != latencyWindow {
+		t.Fatalf("the tenant holds %d latencies after %d completed jobs, want %d", held, len(walls), latencyWindow)
+	}
+	rep, err := srv.Report("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := slices.Clone(walls[len(walls)-latencyWindow:])
+	slices.Sort(last)
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	want := [3]float64{ms(last[(latencyWindow-1)*50/100]), ms(last[(latencyWindow-1)*95/100]), ms(last[latencyWindow-1])}
+	if got := [3]float64{rep.LatencyP50MS, rep.LatencyP95MS, rep.LatencyMaxMS}; got != want || rep.Completed != len(walls) {
+		t.Fatalf("report p50/p95/max %v ms over %d completed jobs, want %v over %d", got, rep.Completed, want, len(walls))
 	}
 }
