@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/dataset"
@@ -171,11 +172,14 @@ func (e *Engine) PrepareImpute(req ImputeRequest) (*PreparedImpute, error) {
 		// target — the same view the model gets, so neighbours reflect
 		// queryable evidence only. The corpus is embedded in parallel, or
 		// not rendered at all when an index registry already holds it (an
-		// earlier job over the same table, planner profiling runs).
+		// earlier job over the same table, planner profiling runs). A
+		// registry keeps an index as long as it lives, so the IDs are
+		// copies: a record's strings may share one buffer with its whole
+		// table (a server's decoded request does).
 		render := func() []embed.Item {
 			items := make([]embed.Item, len(req.Train))
 			for i, r := range req.Train {
-				items[i] = embed.Item{ID: r.ID, Text: p.serialize(r)}
+				items[i] = embed.Item{ID: strings.Clone(r.ID), Text: p.serialize(r)}
 			}
 			return items
 		}

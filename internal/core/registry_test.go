@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dataset"
 	"repro/internal/embed"
@@ -93,5 +95,41 @@ func TestIndexRegistryPlannerProfilingReuse(t *testing.T) {
 	}
 	if hits < 2 {
 		t.Fatalf("later candidates should reuse the index: hits = %d", hits)
+	}
+}
+
+// TestRegistryIndexCopiesIDs: a registry keeps an index as long as it
+// lives, so the IDs an impute index keeps must not share memory with the
+// request's records. A server's decoded table backs all of its strings
+// with one buffer, and one ID kept from it would keep all of it.
+func TestRegistryIndexCopiesIDs(t *testing.T) {
+	ds := dataset.GenerateRestaurants(12, 1, 3)
+	var all strings.Builder
+	for i := range ds.Train {
+		all.WriteString(ds.Train[i].ID)
+	}
+	backing := all.String()
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(backing)))
+	hi := lo + uintptr(len(backing))
+	train, at := make([]dataset.Record, len(ds.Train)), 0
+	for i, r := range ds.Train {
+		train[i] = r
+		train[i].ID = backing[at : at+len(r.ID)]
+		at += len(r.ID)
+	}
+
+	engine := New(sim.NewNamed("sim-claude"), WithIndexRegistry(embed.NewRegistry()))
+	p, err := engine.PrepareImpute(ImputeRequest{Train: train, TargetField: ds.TargetField, Strategy: ImputeKNN})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nn := p.ix.Nearest("any text", len(train))
+	if len(nn) != len(train) {
+		t.Fatalf("index holds %d of %d training records", len(nn), len(train))
+	}
+	for _, nb := range nn {
+		if at := uintptr(unsafe.Pointer(unsafe.StringData(nb.ID))); lo <= at && at < hi {
+			t.Fatalf("index keeps ID %q inside the request's buffer", nb.ID)
+		}
 	}
 }

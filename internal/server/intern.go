@@ -8,8 +8,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"unicode"
-	"unicode/utf16"
 	"unicode/utf8"
 	"unsafe"
 
@@ -108,12 +106,17 @@ func newInternedTable(key tableKey, raw []byte, records []dataset.Record) *inter
 // decodeTable decodes a table of the canonical shape,
 // [{"ID":…,"Fields":[{"Name":…,"Value":…},…]},…], straight into the
 // interned layout, without reflection: one copy of raw is the table's JSON
-// and backs every string that needs no unescaping, and one array each
-// holds the fields and the records. It declines (ok false) anything else
-// — a key spelt otherwise or twice, a value that is not a string (null
-// included), invalid UTF-8, a control character — and its caller falls
-// back to encoding/json. Where it accepts, it decodes what
-// json.Unmarshal into []dataset.Record does (FuzzDecodeTable).
+// and backs every ID, Name and Value, and one array each holds the fields
+// and the records. It declines (ok false) anything else — a key spelt
+// otherwise or twice, a value that is not a string (null included), an
+// escape, invalid UTF-8, a control character — and its caller falls back
+// to encoding/json. Where it accepts, it decodes what json.Unmarshal into
+// []dataset.Record does (FuzzDecodeTable).
+//
+// Because the strings alias raw, any one of them kept keeps all of raw,
+// interned or not, outside the interner's bound. What holds a record's
+// string past its job copies it (core's impute index copies the IDs it
+// keeps).
 func decodeTable(key tableKey, raw []byte) (*internedTable, bool) {
 	records, fields := countTable(raw)
 	sc := jsonScanner{b: bytes.Clone(raw)}
@@ -209,11 +212,9 @@ func (sc *jsonScanner) fieldList(t *internedTable) ([]dataset.Field, bool) {
 	return t.fields[start:len(t.fields):len(t.fields)], true
 }
 
-// text consumes a string after optional whitespace and returns its value.
-// A string without escapes is the bytes between its quotes, aliased, so
-// the scanner's bytes must never change; an escaped one is unescaped by
-// encoding/json's rules into bytes of its own. It fails on a control
-// character, invalid UTF-8 or an escape encoding/json would refuse.
+// text consumes a string after optional whitespace and returns its value:
+// the bytes between its quotes, aliased, so the scanner's bytes must never
+// change. It fails on an escape, a control character or invalid UTF-8.
 func (sc *jsonScanner) text() (string, bool) {
 	inner, plain, ok := sc.str()
 	switch {
@@ -221,84 +222,10 @@ func (sc *jsonScanner) text() (string, bool) {
 		return "", false
 	case plain:
 		return aliased(inner), true
-	case bytes.IndexByte(inner, '\\') < 0:
-		return aliased(inner), validText(inner)
+	case bytes.IndexByte(inner, '\\') >= 0:
+		return "", false
 	}
-	out := make([]byte, 0, len(inner))
-	for len(inner) > 0 {
-		i := bytes.IndexByte(inner, '\\')
-		if i < 0 {
-			i = len(inner)
-		}
-		if !validText(inner[:i]) {
-			return "", false
-		}
-		out, inner = append(out, inner[:i]...), inner[i:]
-		if len(inner) == 0 {
-			break
-		}
-		if len(inner) < 2 {
-			return "", false
-		}
-		c := inner[1]
-		inner = inner[2:]
-		switch c {
-		case '"', '\\', '/':
-			out = append(out, c)
-		case 'b':
-			out = append(out, '\b')
-		case 'f':
-			out = append(out, '\f')
-		case 'n':
-			out = append(out, '\n')
-		case 'r':
-			out = append(out, '\r')
-		case 't':
-			out = append(out, '\t')
-		case 'u':
-			r := hex4(inner)
-			if r < 0 {
-				return "", false
-			}
-			inner = inner[4:]
-			if utf16.IsSurrogate(r) {
-				// A pair decodes to one rune; a lone half, to U+FFFD.
-				r2 := rune(-1)
-				if len(inner) >= 2 && inner[0] == '\\' && inner[1] == 'u' {
-					r2 = hex4(inner[2:])
-				}
-				if r = utf16.DecodeRune(r, r2); r != unicode.ReplacementChar {
-					inner = inner[6:]
-				}
-			}
-			out = utf8.AppendRune(out, r)
-		default:
-			return "", false
-		}
-	}
-	return aliased(out), true
-}
-
-// hex4 reads the four hex digits of a \u escape, or returns -1.
-func hex4(b []byte) rune {
-	if len(b) < 4 {
-		return -1
-	}
-	var r rune
-	for _, c := range b[:4] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
-			return -1
-		}
-		r = r*16 + rune(c)
-	}
-	return r
+	return aliased(inner), validText(inner)
 }
 
 // validText reports whether b may stand in a JSON string as it is: valid
