@@ -247,7 +247,6 @@ var (
 	reChoiceUpper  = regexp.MustCompile(`\b([AB])\b`)
 	reChoiceLetter = regexp.MustCompile(`(?i)\b([ab])\b`)
 	numberedLine   = regexp.MustCompile(`^\s*\d+[.)]\s*(.+?)\s*$`)
-	ratingRe       = regexp.MustCompile(`-?\d+`)
 	percentRe      = regexp.MustCompile(`(\d+(?:\.\d+)?)\s*%`)
 	groupLineRe    = regexp.MustCompile(`(?i)^\s*group[^:]*:\s*(.+)$`)
 	recordRefRe    = regexp.MustCompile(`(?i)\bR(\d+)\b`)
@@ -396,9 +395,29 @@ func indexFold(s, word string) int {
 	return -1
 }
 
+// firstInt returns the leftmost run of ASCII digits in s, with the '-'
+// right before it if there is one: what the regexp -?\d+ finds, without
+// the regexp machine.
+func firstInt(s string) string {
+	for i := range len(s) {
+		j := i
+		if s[j] == '-' {
+			j++
+		}
+		k := j
+		for k < len(s) && '0' <= s[k] && s[k] <= '9' {
+			k++
+		}
+		if k > j {
+			return s[i:k]
+		}
+	}
+	return ""
+}
+
 // ParseRating extracts an integer rating, clamped to [1, scale].
 func ParseRating(response string, scale int) (int, error) {
-	m := ratingRe.FindString(response)
+	m := firstInt(response)
 	if m == "" {
 		return 0, fmt.Errorf("no rating in %q: %w", response, ErrUnparseable)
 	}
@@ -453,7 +472,7 @@ func ParsePercent(response string) (float64, error) {
 		}
 	}
 	// Bare number fallback ("about 40").
-	if m := ratingRe.FindString(response); m != "" {
+	if m := firstInt(response); m != "" {
 		v, err := strconv.ParseFloat(m, 64)
 		if err == nil && v >= 0 && v <= 100 {
 			return v / 100, nil

@@ -3,8 +3,10 @@ package prompt
 import (
 	"errors"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
+	"testing/quick"
 )
 
 func TestSortListTemplate(t *testing.T) {
@@ -166,6 +168,45 @@ func TestParseRating(t *testing.T) {
 	}
 	if _, err := ParseRating("no number here", 7); !errors.Is(err, ErrUnparseable) {
 		t.Errorf("want ErrUnparseable, got %v", err)
+	}
+}
+
+// TestFirstIntMatchesRegexp checks the byte scan behind ParseRating and
+// ParsePercent against the regexp it replaced, -?\d+, on strings built
+// from pieces that sit at its edges: lone and doubled '-', digits at
+// either end, non-ASCII digits (which \d does not match) and digit runs
+// too long for strconv.Atoi.
+func TestFirstIntMatchesRegexp(t *testing.T) {
+	re := regexp.MustCompile(`-?\d+`)
+	pieces := []string{"-", "--", "0", "7", "42", " ", "a", "٣", "３", "x-", "-３",
+		"99999999999999999999", "\n", "\xff", "."}
+	build := func(picks []uint8) string {
+		var b strings.Builder
+		for _, p := range picks {
+			b.WriteString(pieces[int(p)%len(pieces)])
+		}
+		return b.String()
+	}
+	f := func(picks []uint8) bool {
+		s := build(picks)
+		if got, want := firstInt(s), re.FindString(s); got != want {
+			t.Logf("firstInt(%q) = %q, regexp finds %q", s, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []string{"", "-", "--", "--5", "5-", "-5", "a-b-7c", "٣", "３ 2", "rate: -0012 now", "x9"} {
+		if got, want := firstInt(s), re.FindString(s); got != want {
+			t.Errorf("firstInt(%q) = %q, regexp finds %q", s, got, want)
+		}
+	}
+	for _, s := range []string{"99999999999999999999", "say -99999999999999999999 then 3"} {
+		if _, err := ParseRating(s, 7); !errors.Is(err, ErrUnparseable) || !strings.Contains(err.Error(), "bad rating") {
+			t.Errorf("ParseRating(%q): want a bad rating error, got %v", s, err)
+		}
 	}
 }
 

@@ -130,6 +130,47 @@ func TestTenantRetryBudget(t *testing.T) {
 	}
 }
 
+// TestTaggedAskOutsideJobNotCounted: a tenant's serves and retries are
+// what its jobs made. An ask tagged with workflow.TagTenant for a known
+// tenant, but made outside any job — through the injected execution layer
+// and the server's retrying model — is neither counted as a serve nor
+// charged as a retry.
+func TestTaggedAskOutsideJobNotCounted(t *testing.T) {
+	layer := workflow.NewExecLayer()
+	srv := New(Config{
+		Model:      flakyFunc(1),
+		Exec:       layer,
+		Resilience: &resil.Policy{MaxAttempts: 3, BaseBackoff: time.Microsecond},
+	})
+	if st, err := srv.Submit(context.Background(), SubmitRequest{
+		Tenant: "acme", Spec: toolSpec(), Tables: kindTable("in", 2, "in-a", "in-b"),
+	}); err != nil || st.State != JobDone {
+		t.Fatalf("job: err %v, state %+v", err, st)
+	}
+	before, _ := srv.Report("acme")
+	if before.Served == 0 || before.RetriesUsed == 0 {
+		t.Fatalf("the job's own asks went uncounted: %+v", before)
+	}
+
+	tagged := workflow.TagTenant(context.Background(), "acme")
+	if _, err := srv.counting.Complete(tagged, llm.Request{Prompt: "outside, retried"}); err != nil {
+		t.Fatal(err)
+	}
+	m := layer.Wrap(srv.counting)
+	for i := 0; i < 2; i++ { // a miss, then a hit
+		if _, err := m.Complete(tagged, llm.Request{Prompt: "outside, served"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := srv.Stats(); s.Retries <= before.RetriesUsed {
+		t.Fatalf("the outside asks made no retry (service retries %d): the test exercises nothing", s.Retries)
+	}
+	after, _ := srv.Report("acme")
+	if after.Served != before.Served || after.FreeServed != before.FreeServed || after.RetriesUsed != before.RetriesUsed {
+		t.Fatalf("asks outside any job were counted: before %+v, after %+v", before, after)
+	}
+}
+
 // TestTenantSpendSurvivesRestart pins the persistence satellite: a
 // drained server writes tenants.json, and a successor over the same state
 // dir resumes each tenant's lifetime spend — reports agree and budget

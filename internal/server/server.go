@@ -578,38 +578,25 @@ func New(cfg Config) *Server {
 }
 
 // allowRetry is the resilience policy's per-tenant retry-budget hook: a
-// retry or hedge on behalf of a known tenant spends that tenant's
-// allowance; untenanted calls (none, in practice — every job's context is
-// tagged) are not charged.
+// retry or hedge made under one of this server's jobs spends that job's
+// tenant's allowance; any other call is not charged.
 func (s *Server) allowRetry(ctx context.Context) bool {
-	id := workflow.TenantTag(ctx)
-	if id == "" {
-		return true
+	if t := s.jobTenant(ctx); t != nil {
+		return t.spendRetry()
 	}
-	s.mu.RLock()
-	t := s.tenants[id]
-	s.mu.RUnlock()
-	if t == nil {
-		return true
-	}
-	return t.spendRetry()
+	return true
 }
 
 // StateError reports what went wrong attaching Config.StateDir, or nil.
 func (s *Server) StateError() error { return s.stateErr }
 
 // ObserveServe implements workflow.ServeObserver: it splits the shared
-// layer's serves per tenant. Asks from contexts without a tenant tag (or
-// from tenants this server never admitted — possible when the exec layer
-// is injected and shared with non-server traffic) are not counted.
+// layer's serves per tenant. Only asks made under this server's jobs are
+// counted; an ask from any other context — one merely tagged with
+// workflow.TagTenant included, possible when the exec layer is injected
+// and shared with non-server traffic — is not.
 func (s *Server) ObserveServe(ctx context.Context, free bool) {
-	id := workflow.TenantTag(ctx)
-	if id == "" {
-		return
-	}
-	s.mu.RLock()
-	t := s.tenants[id]
-	s.mu.RUnlock()
+	t := s.jobTenant(ctx)
 	if t == nil {
 		return
 	}
@@ -617,6 +604,19 @@ func (s *Server) ObserveServe(ctx context.Context, free bool) {
 	if free {
 		t.free.Add(1)
 	}
+}
+
+// jobTenantKey is the context key under which submit stores a job's
+// tenant record. It holds the server, so one server never reads a
+// tenant another put on the context.
+type jobTenantKey struct{ s *Server }
+
+// jobTenant returns the tenant of the job whose context ctx descends
+// from, or nil outside this server's jobs. It takes no lock: the record
+// was looked up once, when the job was submitted.
+func (s *Server) jobTenant(ctx context.Context) *tenant {
+	t, _ := ctx.Value(jobTenantKey{s}).(*tenant)
+	return t
 }
 
 // limitsFor resolves one tenant's effective limits.
@@ -738,7 +738,7 @@ func (s *Server) submit(ctx context.Context, req SubmitRequest, in jobTables) (*
 	if req.Async {
 		parent = s.baseCtx
 	}
-	jctx, jcancel := context.WithCancel(workflow.TagTenant(parent, req.Tenant))
+	jctx, jcancel := context.WithCancel(context.WithValue(workflow.TagTenant(parent, req.Tenant), jobTenantKey{s}, t))
 	s.seq++
 	j := &job{id: fmt.Sprintf("job-%06d", s.seq), tenant: req.Tenant, state: JobQueued, cancel: jcancel, inputs: in.warm}
 	s.jobs[j.id] = j

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/token"
 )
@@ -138,49 +139,64 @@ func (b *Budget) Reset() {
 	b.spentDollars = 0
 }
 
-// Map runs fn over indices 0..n-1 with at most parallelism concurrent
-// invocations and collects the results in index order. The first error
-// cancels outstanding work and is returned alongside the partial results
-// (entries for failed or cancelled indices are the zero value).
+// Map runs fn over indices 0..n-1 on min(n, parallelism) workers and
+// collects the results in index order. Each worker takes the next index
+// until none is left or the run has stopped, so indices start in order,
+// at most parallelism calls run at once, and no index gets a goroutine of
+// its own. The caller runs one worker itself; a panic in fn on that
+// worker surfaces on the caller. The first error cancels outstanding work
+// and is returned alongside the partial results (entries for failed or
+// cancelled indices are the zero value).
 func Map[T any](ctx context.Context, n, parallelism int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	if parallelism <= 0 {
-		parallelism = 1
-	}
 	results := make([]T, n)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	var (
+		next     atomic.Int64
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 	)
-	sem := make(chan struct{}, parallelism)
-	for i := 0; i < n; i++ {
-		mu.Lock()
-		stop := firstErr != nil
-		mu.Unlock()
-		if stop || ctx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
+	done := ctx.Done()
+	work := func() {
+		for {
+			// The first error cancels ctx, so one check covers it and
+			// the caller's cancellation. An index is taken only after
+			// the check, so every taken index runs: a block waiting on
+			// an earlier block's Turn waits on one that has started.
+			select {
+			case <-done:
+				return
+			default:
+			}
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
 			v, err := fn(ctx, i)
-			mu.Lock()
-			defer mu.Unlock()
 			if err != nil {
+				mu.Lock()
 				if firstErr == nil {
 					firstErr = fmt.Errorf("workflow: task %d: %w", i, err)
 					cancel()
 				}
+				mu.Unlock()
 				return
 			}
 			results[i] = v
-		}(i)
+		}
 	}
+	spawned := func() {
+		defer wg.Done()
+		work()
+	}
+	workers := max(1, min(n, parallelism))
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go spawned()
+	}
+	work()
 	wg.Wait()
 	if firstErr == nil && ctx.Err() != nil {
 		firstErr = fmt.Errorf("workflow: %w", ctx.Err())

@@ -227,6 +227,77 @@ func TestMapZeroTasks(t *testing.T) {
 	}
 }
 
+// TestMapAllocs pins Map's own allocations at a constant: the workers
+// share one closure and one index counter, so no item gets a goroutine,
+// closure or semaphore send of its own, and 4,096 items cost what 8 do.
+func TestMapAllocs(t *testing.T) {
+	fn := func(ctx context.Context, i int) (int, error) { return i, nil }
+	for _, n := range []int{8, 256, 4096} {
+		Map(context.Background(), n, 8, fn) // warm the goroutine free list
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := Map(context.Background(), n, 8, fn); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > 16 {
+			t.Errorf("n=%d: Map allocates %v times, want at most 16", n, got)
+		}
+	}
+}
+
+// TestMapStartsInIndexOrder holds every call open until the test releases
+// it, so the order calls start in is the test's to read: the first
+// parallelism calls are indices 0..parallelism-1, and each later call,
+// started when one slot frees, gets the next index whichever call freed it.
+func TestMapStartsInIndexOrder(t *testing.T) {
+	const n = 12
+	for _, par := range []int{1, 3} {
+		started := make(chan int, n)
+		release := make([]chan struct{}, n)
+		for i := range release {
+			release[i] = make(chan struct{})
+		}
+		errc := make(chan error, 1)
+		go func() {
+			_, err := Map(context.Background(), n, par, func(ctx context.Context, i int) (int, error) {
+				started <- i
+				<-release[i]
+				return i, nil
+			})
+			errc <- err
+		}()
+		open := map[int]bool{}
+		for k := 0; k < par; k++ {
+			open[<-started] = true
+		}
+		for i := 0; i < par; i++ {
+			if !open[i] {
+				t.Fatalf("P=%d: first %d calls started %v, want indices 0..%d", par, par, open, par-1)
+			}
+		}
+		for k := par; k < n; k++ {
+			// Free the latest open call, so a worker that took indices in
+			// strides rather than in order shows as a wrong next index.
+			last := -1
+			for i := range open {
+				last = max(last, i)
+			}
+			delete(open, last)
+			close(release[last])
+			if got := <-started; got != k {
+				t.Fatalf("P=%d: call %d started index %d", par, k, got)
+			}
+			open[k] = true
+		}
+		for i := range open {
+			close(release[i])
+		}
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestBudgetChargeAccumulatesProperty(t *testing.T) {
 	f := func(charges []uint8) bool {
 		b := Unlimited()
