@@ -303,11 +303,12 @@ func TestWindowCancellation(t *testing.T) {
 	}
 	task := uncached(nil)
 	done := func(_ seqRecord, _ struct{}, err error) error { return err }
+	flush := func() error { return nil } // nothing downstream
 	noGroup := func() (groupTask[struct{}], error) { return nil, nil }
 	env := func() *Env { return &Env{slots: soloSlots(2), stats: &stageStats{stage: "s"}} }
 
 	// Idle upstream: block on an open, empty channel; cancel mid-wait.
-	idle := make(chan seqRecord)
+	idle := newEdge(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(20 * time.Millisecond)
@@ -315,7 +316,7 @@ func TestWindowCancellation(t *testing.T) {
 	}()
 	finished := make(chan error, 1)
 	go func() {
-		_, err := window(ctx, env(), idle, noGroup, task, done, nil)
+		_, err := window(ctx, env(), idle, noGroup, task, done, nil, flush)
 		finished <- err
 	}()
 	select {
@@ -330,13 +331,14 @@ func TestWindowCancellation(t *testing.T) {
 	// Flooding upstream: the channel always has a record ready and the
 	// window has free slots, and the context is already cancelled — the
 	// poll must surface the cancellation before a single record starts.
-	busy := make(chan seqRecord, 4)
-	for i := 0; i < 4; i++ {
-		busy <- seqRecord{seq: int64(i), rec: dataset.Record{ID: fmt.Sprintf("r%d", i)}}
+	flood := make([]seqRecord, 4)
+	for i := range flood {
+		flood[i] = seqRecord{seq: int64(i), rec: dataset.Record{ID: fmt.Sprintf("r%d", i)}}
 	}
+	busy := runEdge(1, flood)
 	cctx, ccancel := context.WithCancel(context.Background())
 	ccancel()
-	if n, err := window(cctx, env(), busy, noGroup, task, done, nil); err == nil || n != 0 {
+	if n, err := window(cctx, env(), busy, noGroup, task, done, nil, flush); err == nil || n != 0 {
 		t.Fatalf("window started %d records under a cancelled context (err = %v)", n, err)
 	}
 
@@ -349,26 +351,32 @@ func TestWindowCancellation(t *testing.T) {
 		}
 		mcancel()
 	}()
-	if _, err := window(mctx, env(), busy, noGroup, task, done, nil); err == nil {
+	if _, err := window(mctx, env(), busy, noGroup, task, done, nil, flush); err == nil {
 		t.Fatal("window returned nil after a mid-flight cancellation")
 	}
 	if n := running.Load(); n != 0 {
 		t.Fatalf("window returned with %d record goroutines still running", n)
 	}
 
-	// Warm upstream: 64 records ready, every eighth one a miss that runs on
-	// a goroutine and the rest hits answered inline. The cancel lands inside
-	// done while the stage is answering hits; the window must stop at the
-	// next record with the context's error and wait out the misses.
+	// Warm upstream: 64 records ready in runs of 8, every eighth one a miss
+	// that runs on a goroutine and the rest hits answered inline. The cancel
+	// lands inside done while the stage is answering hits, in the middle of
+	// the second run; the window must stop at the next record with the
+	// context's error and wait out the misses.
 	before := runtime.NumGoroutine()
 	const n, cancelAt = 64, 10
-	warm := make(chan seqRecord, n)
+	ready := make([]seqRecord, n)
 	hits := map[string]bool{}
-	for i := 0; i < n; i++ {
+	for i := range ready {
 		id := fmt.Sprintf("w%d", i)
 		hits[id] = i%8 != 1
-		warm <- seqRecord{seq: int64(i), rec: dataset.Record{ID: id}}
+		ready[i] = seqRecord{seq: int64(i), rec: dataset.Record{ID: id}}
 	}
+	var runs [][]seqRecord
+	for lo := 0; lo < n; lo += 8 {
+		runs = append(runs, ready[lo:lo+8])
+	}
+	warm := runEdge(len(runs), runs...)
 	wctx, wcancel := context.WithCancel(context.Background())
 	answered := 0
 	cancelling := func(r seqRecord, out struct{}, err error) error {
@@ -379,7 +387,7 @@ func TestWindowCancellation(t *testing.T) {
 		}
 		return done(r, out, err)
 	}
-	consumed, err := window(wctx, &Env{slots: soloSlots(4), stats: &stageStats{stage: "s"}}, warm, noGroup, uncached(hits), cancelling, nil)
+	consumed, err := window(wctx, &Env{slots: soloSlots(4), stats: &stageStats{stage: "s"}}, warm, noGroup, uncached(hits), cancelling, nil, flush)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("window cancelled mid-stream of inline hits returned %v, want the context's error", err)
 	}

@@ -72,6 +72,51 @@ func BenchmarkPipelineOptimizedMaterialized(b *testing.B) {
 	})
 }
 
+// BenchmarkFanOutWarm runs warm-replay's job without the server: six
+// stages that each read the same 256 restaurants (three filters, a
+// categorize, a rating sort and a per-item count) on an execution layer a
+// first run has warmed, so an op is the pipeline over cache hits alone —
+// the feeder's hand-off to every stage, the windows answering inline and
+// the barriers draining. It fails if a warm run asks upstream.
+//
+//	go test -run '^$' -bench FanOutWarm -benchmem -cpuprofile cpu.out ./internal/pipeline/
+func BenchmarkFanOutWarm(b *testing.B) {
+	casual := "the restaurant sounds like a casual neighbourhood place"
+	p, err := Compile(Spec{Stages: []StageSpec{
+		{Name: "casual", Kind: KindFilter, Input: "source", Field: "name", Predicate: casual},
+		{Name: "seafood", Kind: KindFilter, Input: "source", Field: "type", Predicate: "the restaurant serves seafood, steak, or pizza"},
+		{Name: "street", Kind: KindFilter, Input: "source", Field: "addr", Predicate: "the address is on a numbered street or avenue"},
+		{Name: "kind", Kind: KindCategorize, Input: "source", Field: "name", Categories: []string{"diner", "cafe", "grill", "bistro", "kitchen", "house"}},
+		{Name: "fancy", Kind: KindSort, Input: "source", Criterion: "how upscale the restaurant is", Strategy: "rating"},
+		{Name: "share", Kind: KindCount, Input: "source", Field: "name", Predicate: casual},
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds := dataset.GenerateRestaurants(0, 256, 1)
+	source := make([]dataset.Record, len(ds.Test))
+	for i, r := range ds.Test {
+		source[i] = r.WithoutField(ds.TargetField)
+	}
+	tables := map[string][]dataset.Record{"source": source}
+	counting := llm.NewCounting(sim.NewNamed("sim-gpt-3.5-turbo"))
+	cfg := ExecConfig{Model: counting, Exec: workflow.NewExecLayer()}
+	run := func() {
+		if _, err := p.Run(context.Background(), cfg, tables); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run() // the warm-up: every unit task's answer lands in the cache
+	calls := counting.Total().Calls
+	b.ReportAllocs()
+	for b.Loop() {
+		run()
+	}
+	if got := counting.Total().Calls; got != calls {
+		b.Fatalf("warm runs made %d upstream calls", got-calls)
+	}
+}
+
 // BenchmarkPipelineOptimize measures the optimizer itself (pure plan
 // rewriting, no LLM work).
 func BenchmarkPipelineOptimize(b *testing.B) {

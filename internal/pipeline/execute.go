@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -149,13 +150,18 @@ func streamer(st Stage) (Streamer, bool) {
 	return s, ok && s.CanStream()
 }
 
-// edgeBuffer is the capacity of an inter-stage channel. It is wider than
-// a window so a fast branch is not paced by a slow sibling reading the
-// same producer (a side stage must finish while the main path is still
+// edgeBuffer is the capacity of an inter-stage edge, in runs. It is wider
+// than a window so a fast branch is not paced by a slow sibling reading
+// the same producer (a side stage must finish while the main path is still
 // working for side-input overlap to buy anything), and bounded so a
-// standing query's backlog stays proportional to the number of stages. An
-// edge that can never carry that many records is sized by what it can
-// carry (see bounds).
+// standing query's backlog stays proportional to the number of stages: a
+// fed record is a run of one, so a feed's edges hold at most edgeBuffer
+// fed records, and a window's run is what it finished in one turn — the
+// inline answers to at most one input run, or the results it collected at
+// once — times its fan-out. A table already in memory (the source, a
+// barrier's output) goes in at most edgeBuffer runs, so its sender never
+// waits on an edge. An edge that can never carry that many records is
+// sized by what it can carry (see bounds).
 const edgeBuffer = 64
 
 // bounds returns, for each stage, the most records its input can ever
@@ -463,48 +469,170 @@ func (o *ordered) Swap(i, j int) {
 	o.recs[i], o.recs[j] = o.recs[j], o.recs[i]
 }
 
+// edge is one main-input edge. It carries runs: slices of records, in
+// the order sent, that no one writes once they are sent, so every
+// subscriber of a producer reads the same run. pending counts the records
+// (and marks) sent on it that its consumer has not yet taken, one at a
+// time, from the run it holds: the consumer's backlog (see
+// stageSlots.idle). Sends and receives try the channel first and select on
+// the run's context only when the edge is full or empty.
+type edge struct {
+	runs    chan []seqRecord
+	pending atomic.Int64
+}
+
+// send hands run, which must not be empty, to the consumer, waiting while
+// the edge is full; it fails when ctx ends.
+func (e *edge) send(ctx context.Context, run []seqRecord) error {
+	e.pending.Add(int64(len(run)))
+	select {
+	case e.runs <- run:
+		return nil
+	default:
+	}
+	select {
+	case e.runs <- run:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// recv takes the next run whole, waiting while the edge is empty, and
+// returns nil once the edge has closed; it fails when ctx ends.
+func (e *edge) recv(ctx context.Context) ([]seqRecord, error) {
+	var run []seqRecord
+	select {
+	case run = <-e.runs:
+	default:
+		select {
+		case run = <-e.runs:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	e.pending.Add(-int64(len(run)))
+	return run, nil
+}
+
+// inbox is a window's end of its input edge: the rest of the run it holds,
+// taken one record at a time.
+type inbox struct {
+	*edge
+	run []seqRecord
+}
+
+// poll takes the next record without waiting: the next of the run held,
+// or the first of the next run when one is already on the edge. ok reports
+// a record taken; ended, that the edge has closed and every run is taken.
+func (b *inbox) poll() (r seqRecord, ok, ended bool) {
+	for len(b.run) == 0 {
+		select {
+		case run, open := <-b.runs:
+			if !open {
+				return r, false, true
+			}
+			b.run = run
+		default:
+			return r, false, false
+		}
+	}
+	return b.take(), true, false
+}
+
+// take takes the next record of the run held, which must not be spent.
+func (b *inbox) take() seqRecord {
+	r := b.run[0]
+	b.run = b.run[1:]
+	b.pending.Add(-1)
+	return r
+}
+
 // streamOut is one stage's output viewed both as a stream and as a
-// table: the owning goroutine sends each record to every subscribed
-// consumer channel while collecting the full table for the Result (and
-// for dynamic side-table consumers, who need it whole). done closes when
-// the stage finishes, after table is set in sequence order; err is set
-// before done closes on failure.
+// table: the owning goroutine sends its records to every subscribed edge,
+// in runs, while collecting the full table for the Result (and for dynamic
+// side-table consumers, who need it whole). done closes when the stage
+// finishes, after table is set in sequence order; err is set before done
+// closes on failure.
 type streamOut struct {
 	table    []dataset.Record
 	got      ordered
 	err      error
 	consumed int
 	done     chan struct{}
-	subs     []chan seqRecord
+	subs     []*edge
+	run      []seqRecord // emitted since the last flush; kept only when there are subscribers
+	last     int         // the length of the last run flushed
 }
 
-// emit collects one output record and sends it downstream.
-func (o *streamOut) emit(ctx context.Context, r seqRecord) error {
+// emit collects one output record for the next run flush sends. A run
+// starts with room for as many records as the last one held.
+func (o *streamOut) emit(r seqRecord) {
 	o.got.add(r)
-	return o.send(ctx, r)
+	if len(o.subs) > 0 {
+		if o.run == nil {
+			o.run = make([]seqRecord, 0, o.last)
+		}
+		o.run = append(o.run, r)
+	}
 }
 
-// mark sends the watermark w to every subscriber.
+// mark ends the pending run with the watermark w and sends it.
 func (o *streamOut) mark(ctx context.Context, w int64) error {
-	return o.send(ctx, seqRecord{seq: w, mark: true})
+	if len(o.subs) == 0 {
+		return nil
+	}
+	o.run = append(o.run, seqRecord{seq: w, mark: true})
+	return o.flush(ctx)
 }
 
-// send delivers one record to every subscriber, honouring backpressure;
-// it fails when the run's context is cancelled.
-func (o *streamOut) send(ctx context.Context, r seqRecord) error {
-	for _, ch := range o.subs {
-		select {
-		case ch <- r:
-		case <-ctx.Done():
-			return ctx.Err()
+// flush sends what was emitted since the last flush, if anything, as one
+// run; the next emit starts a new one.
+func (o *streamOut) flush(ctx context.Context) error {
+	if len(o.run) == 0 {
+		return nil
+	}
+	run := o.run
+	o.run, o.last = nil, len(run)
+	return o.send(ctx, run)
+}
+
+// send delivers one run to every subscriber, honouring backpressure; it
+// fails when the run's context is cancelled.
+func (o *streamOut) send(ctx context.Context, run []seqRecord) error {
+	for _, e := range o.subs {
+		if err := e.send(ctx, run); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sendTable sends a table already in memory, numbered by position, as
+// slices of one []seqRecord built for it: at most edgeBuffer runs, of at
+// least edgeBuffer records each, so an edge, which holds capped(edgeBuffer,
+// the most records it can carry) runs, never makes it wait.
+func (o *streamOut) sendTable(ctx context.Context, table []dataset.Record) error {
+	if len(o.subs) == 0 || len(table) == 0 {
+		return nil
+	}
+	recs := make([]seqRecord, len(table))
+	for i, r := range table {
+		recs[i] = seqRecord{seq: int64(i), rec: r}
+	}
+	span := max(edgeBuffer, (len(recs)+edgeBuffer-1)/edgeBuffer)
+	for lo := 0; lo < len(recs); lo += span {
+		hi := min(lo+span, len(recs))
+		if err := o.send(ctx, recs[lo:hi]); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 func (o *streamOut) closeSubs() {
-	for _, ch := range o.subs {
-		close(ch)
+	for _, e := range o.subs {
+		close(e.runs)
 	}
 }
 
@@ -522,24 +650,25 @@ func (o *streamOut) finish() {
 // path — and then surfaces the upstream error if the stream ended because
 // its producer failed. size is the stream's length when it is known up
 // front, 0 otherwise.
-func drain(ctx context.Context, in <-chan seqRecord, up *streamOut, size int) ([]dataset.Record, error) {
+func drain(ctx context.Context, in *edge, up *streamOut, size int) ([]dataset.Record, error) {
 	var got ordered
 	got.presize(size)
 	for {
-		select {
-		case r, ok := <-in:
-			if !ok {
-				<-up.done
-				if up.err != nil {
-					return nil, up.err
-				}
-				return got.table(), nil
+		run, err := in.recv(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if run == nil {
+			<-up.done
+			if up.err != nil {
+				return nil, up.err
 			}
+			return got.table(), nil
+		}
+		for _, r := range run {
 			if !r.mark {
 				got.add(r)
 			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
 		}
 	}
 }
@@ -586,28 +715,22 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 
 	// Feed the materialized source table to its subscribers, then — for a
 	// standing query — the ingest channel until it closes, numbering the
-	// records in arrival order. Fed records are not appended to root.table:
-	// the slice aliases the caller's "source" table, and consumers see
-	// every record through the stream either way. In a batched run, each
-	// time the feed has nothing ready the feeder seals the sequence block
-	// its last record opened: it moves the next key to the next block and
-	// marks the keys it skipped as never arriving, so the block launches
-	// now instead of waiting for records that may never come.
+	// records in arrival order, each fed record a run of its own. Fed
+	// records are not appended to root.table: the slice aliases the
+	// caller's "source" table, and consumers see every record through the
+	// stream either way. In a batched run, each time the feed has nothing
+	// ready the feeder seals the sequence block its last record opened: it
+	// moves the next key to the next block and marks the keys it skipped as
+	// never arriving, so the block launches now instead of waiting for
+	// records that may never come.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		defer root.closeSubs()
-		var seq int64
-		for _, r := range root.table {
-			if root.send(ctx, seqRecord{seq: seq, rec: r}) != nil {
-				return
-			}
-			seq++
-		}
-		if cfg.Feed == nil {
+		if root.sendTable(ctx, root.table) != nil || cfg.Feed == nil {
 			return
 		}
-		block := int64(cfg.Batch)
+		seq, block := int64(len(root.table)), int64(cfg.Batch)
 		for {
 			var r dataset.Record
 			var ok bool
@@ -626,7 +749,7 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 					return
 				}
 			}
-			if !ok || root.send(ctx, seqRecord{seq: seq, rec: r}) != nil {
+			if !ok || root.send(ctx, []seqRecord{{seq: seq, rec: r}}) != nil {
 				return
 			}
 			seq++
@@ -707,11 +830,11 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 	return res, nil
 }
 
-// wire builds the run's streams, the source's already done, and one
-// channel per main-input edge, sized by the stage's bound (see bounds).
+// wire builds the run's streams, the source's already done, and the edge
+// into each stage, sized by the stage's bound (see bounds).
 // Dynamic side-table consumers are not subscribers: they read the
 // producer's collected table after its done closes.
-func (p *Pipeline) wire(source []dataset.Record, most []int) (map[string]*streamOut, map[string]chan seqRecord) {
+func (p *Pipeline) wire(source []dataset.Record, most []int) (map[string]*streamOut, map[string]*edge) {
 	outs := make(map[string]*streamOut, len(p.stages)+1)
 	root := &streamOut{table: source, done: make(chan struct{})}
 	close(root.done)
@@ -719,12 +842,14 @@ func (p *Pipeline) wire(source []dataset.Record, most []int) (map[string]*stream
 	for _, st := range p.stages {
 		outs[st.Name()] = &streamOut{done: make(chan struct{})}
 	}
-	inputs := make(map[string]chan seqRecord, len(p.stages))
+	inputs := make(map[string]*edge, len(p.stages))
+	edges := make([]edge, len(p.stages))
 	for i, st := range p.stages {
-		ch := make(chan seqRecord, capped(edgeBuffer, most[i]))
-		inputs[st.Name()] = ch
+		e := &edges[i]
+		e.runs = make(chan []seqRecord, capped(edgeBuffer, most[i]))
+		inputs[st.Name()] = e
 		up := outs[st.Input()]
-		up.subs = append(up.subs, ch)
+		up.subs = append(up.subs, e)
 	}
 	return outs, inputs
 }
@@ -732,7 +857,7 @@ func (p *Pipeline) wire(source []dataset.Record, most []int) (map[string]*stream
 // runStage drives one stage goroutine: resolve the side table, consume
 // the input (streamed or drained), run the operator, and emit outputs.
 func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg ExecConfig, rt *execRuntime,
-	state *runState, outs map[string]*streamOut, in <-chan seqRecord, tables map[string][]dataset.Record,
+	state *runState, outs map[string]*streamOut, in *edge, tables map[string][]dataset.Record,
 	st Stage, spec StageSpec, slots *stageSlots, most int) {
 	out := outs[st.Name()]
 	defer out.finish()
@@ -836,10 +961,8 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 		return
 	}
 	out.table = table
-	for i, r := range table {
-		if out.send(ctx, seqRecord{seq: int64(i), rec: r}) != nil {
-			return
-		}
+	if out.sendTable(ctx, table) != nil {
+		return
 	}
 	env.stats.close(start, len(recs))
 }

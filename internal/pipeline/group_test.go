@@ -72,7 +72,7 @@ func TestWindowGroupsEmitPerRecord(t *testing.T) {
 	// run starts the stage's window over the group, all four records
 	// waiting before it starts, with asks held until release closes, on
 	// layer's cache (a private one when layer is nil).
-	run := func(ctx context.Context, release <-chan struct{}, layer *workflow.ExecLayer) (asked chan struct{}, emitted chan seqRecord, finished chan error) {
+	run := func(ctx context.Context, release <-chan struct{}, layer *workflow.ExecLayer) (asked chan struct{}, emitted <-chan seqRecord, finished chan error) {
 		asked = make(chan struct{}, len(group))
 		reg := embed.NewRegistry()
 		opts := []core.Option{core.WithIndexRegistry(reg)}
@@ -81,17 +81,20 @@ func TestWindowGroupsEmitPerRecord(t *testing.T) {
 		}
 		env := &Env{Engine: core.New(held(asked, release), opts...), Tables: tables, slots: soloSlots(len(group)),
 			stats: &stageStats{stage: spec.Name}, run: &runState{details: make(map[string]string)}}
-		in := make(chan seqRecord, len(group))
+		waiting := make([]seqRecord, len(group))
 		for i, r := range group {
-			in <- seqRecord{seq: int64(i), rec: r}
+			waiting[i] = seqRecord{seq: int64(i), rec: r}
 		}
-		close(in)
-		emitted = make(chan seqRecord, len(group))
-		out := &streamOut{done: make(chan struct{}), subs: []chan seqRecord{emitted}}
+		in := runEdge(1, waiting)
+		close(in.runs)
+		downstream := newEdge(len(group))
+		emitted = records(downstream, len(group))
+		out := &streamOut{done: make(chan struct{}), subs: []*edge{downstream}}
 		finished = make(chan error, 1)
 		go func() {
 			st := &groupCounter{imputeStage: imputeStage{baseStage{spec}}}
 			n, err := runWindow(ctx, env, in, st, out)
+			out.closeSubs()
 			switch {
 			case err != nil:
 			case n != len(group):

@@ -169,11 +169,11 @@ func TestInlineHitsCountOnce(t *testing.T) {
 // TestWarmWindowAllocs pins what a fully warm streaming run allocates per
 // record: 256 records through a filter and a categorize on a warm layer,
 // where every record of both stages is answered inline on its stage
-// goroutine. Measured at 1.25 objects per record on amd64 (go1.24), where
+// goroutine. Measured at 1.34 objects per record on amd64 (go1.24), where
 // a goroutine per record made it 2.56: the run's fixed set-up spread over
 // 256 records, and each kept record's output slice and its copy with the
 // new field. A goroutine, closure or channel hop per record added back
-// fails here.
+// fails here, and so does a run sent per record (1.55).
 func TestWarmWindowAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop buffers")

@@ -38,13 +38,13 @@ type slotLedger struct {
 // fields below l are guarded by l.mu.
 type stageSlots struct {
 	l         *slotLedger
-	inflight  int              // slots the stage's asks hold
-	held      int              // records its window holds, waiting for a slot
-	in        <-chan seqRecord // the window's input once it runs: its length is the backlog
-	lenders   []*stageSlots    // streaming descendants: whose idle width the stage counts
-	borrowers []*stageSlots    // streaming ancestors: the stages that count this one's
-	wanting   bool             // the window found no slot to take and waits on wake
-	wake      chan struct{}    // capacity 1: a slot the stage may take came free
+	inflight  int           // slots the stage's asks hold
+	held      int           // records its window holds, waiting for a slot
+	in        *edge         // the window's input once it runs: its records not yet taken are the backlog
+	lenders   []*stageSlots // streaming descendants: whose idle width the stage counts
+	borrowers []*stageSlots // streaming ancestors: the stages that count this one's
+	wanting   bool          // the window found no slot to take and waits on wake
+	wake      chan struct{} // capacity 1: a slot the stage may take came free
 }
 
 // soloSlots is the ledger of a window that runs outside Run, alone: width
@@ -121,15 +121,17 @@ func (s *stageSlots) reach() int { return s.l.width * (1 + len(s.lenders)) }
 
 // join registers the window's input, whose backlog keeps borrowers from
 // counting the stage's width.
-func (s *stageSlots) join(in <-chan seqRecord) {
+func (s *stageSlots) join(in *edge) {
 	s.l.mu.Lock()
 	s.in = in
 	s.l.mu.Unlock()
 }
 
 // idle reports whether the stage has no backlog, so its borrowers may
-// count what is left of its width. Call with l.mu held.
-func (s *stageSlots) idle() bool { return s.held == 0 && len(s.in) == 0 }
+// count what is left of its width: no record held for a slot, and none
+// sent on its input and not yet taken, whether it waits on the edge or in
+// the run its window holds. Call with l.mu held.
+func (s *stageSlots) idle() bool { return s.held == 0 && (s.in == nil || s.in.pending.Load() == 0) }
 
 // share is how many slots the stage may take now. Call with l.mu held.
 func (s *stageSlots) share() int {

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -31,20 +32,29 @@ func TestSlotLedgerInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The lender's backlog is a record waiting on its input, or one its
-	// window read and holds for a slot.
+	// The lender's backlog is a record waiting on its input, one its window
+	// read and holds for a slot, or the rest of a run its window read one
+	// record of: it keeps the lender from being counted idle until its last
+	// record is taken.
+	idle := func(s *stageSlots) bool {
+		s.l.mu.Lock()
+		defer s.l.mu.Unlock()
+		return s.idle()
+	}
 	for _, width := range []int{1, 2, 3} {
-		for _, read := range []bool{false, true} {
+		for _, arm := range []struct{ run, read int }{{1, 0}, {1, 1}, {3, 1}} {
 			accounts := chain.slotLedger(ExecConfig{Parallelism: width})
 			a, b := accounts[0], accounts[1]
-			backlog := make(chan seqRecord, 1)
-			b.join(backlog)
+			backlog := inbox{edge: newEdge(1)}
+			b.join(backlog.edge)
 			if got := a.take(3 * width); got != 3*width {
 				t.Fatalf("width %d: the head of an idle chain was granted %d slots, want all %d", width, got, 3*width)
 			}
-			backlog <- seqRecord{}
-			if read {
-				<-backlog
+			if err := backlog.send(context.Background(), make([]seqRecord, arm.run)); err != nil {
+				t.Fatal(err)
+			}
+			if arm.read > 0 {
+				backlog.poll()
 				if got := b.take(1); got != 0 {
 					t.Fatalf("width %d: a lender was granted %d slots while the head holds every one", width, got)
 				}
@@ -53,13 +63,22 @@ func TestSlotLedgerInvariants(t *testing.T) {
 			}
 			a.release()
 			if n := a.avail(); n != 0 {
-				t.Fatalf("width %d, read %v: the head may take back %d slots its lender with a backlog waits for", width, read, n)
+				t.Fatalf("width %d, %+v: the head may take back %d slots its lender with a backlog waits for", width, arm, n)
 			}
-			if !read {
-				<-backlog
+			if arm.read == 0 {
+				backlog.poll()
 			}
 			if got := b.take(1); got != 1 {
-				t.Fatalf("width %d, read %v: the lender with a backlog was granted %d slots after the head gave one back, want 1", width, read, got)
+				t.Fatalf("width %d, %+v: the lender with a backlog was granted %d slots after the head gave one back, want 1", width, arm, got)
+			}
+			for left := arm.run - 1; left > 0; left-- {
+				if idle(b) {
+					t.Fatalf("width %d, %+v: the lender counts as idle with %d records of its run not taken", width, arm, left)
+				}
+				backlog.poll()
+			}
+			if !idle(b) {
+				t.Fatalf("width %d, %+v: the lender has a backlog after its last record was taken", width, arm)
 			}
 		}
 	}
@@ -106,10 +125,17 @@ func TestSlotLedgerInvariants(t *testing.T) {
 type ledgerStage struct {
 	name     string
 	s        *stageSlots
-	in       chan seqRecord
+	in       inbox
 	held     int // records read from in and waiting for a slot
 	inflight int // slots taken and not yet given back
 }
+
+// queued is the stand-in window's backlog on its input: the records sent
+// and not yet taken.
+func (ls *ledgerStage) queued() int { return int(ls.in.pending.Load()) }
+
+// ledgerQueue is the most records the ledger test queues on one input.
+const ledgerQueue = 8
 
 func driveLedger(t *testing.T, label string, p *Pipeline, width int, descendants map[string]int, rng *rand.Rand) {
 	t.Helper()
@@ -126,8 +152,8 @@ func driveLedger(t *testing.T, label string, p *Pipeline, width int, descendants
 		if got, want := s.reach(), width*(1+d); got != want {
 			t.Fatalf("%s: stage %q reaches %d slots, want %d (%d streaming descendants)", label, name, got, want, d)
 		}
-		ls := &ledgerStage{name: name, s: s, in: make(chan seqRecord, 8)}
-		s.join(ls.in)
+		ls := &ledgerStage{name: name, s: s, in: inbox{edge: newEdge(ledgerQueue)}}
+		s.join(ls.in.edge)
 		stages = append(stages, ls)
 	}
 	check := func(step string) {
@@ -155,8 +181,8 @@ func driveLedger(t *testing.T, label string, p *Pipeline, width int, descendants
 			if room == 0 && ls.inflight == 0 {
 				room = 1
 			}
-			for ; ls.held < room && len(ls.in) > 0; ls.held++ {
-				<-ls.in
+			for ; ls.held < room && ls.queued() > 0; ls.held++ {
+				ls.in.poll()
 			}
 			if ls.held == 0 {
 				return
@@ -188,8 +214,16 @@ func driveLedger(t *testing.T, label string, p *Pipeline, width int, descendants
 		ls := stages[rng.Intn(len(stages))]
 		switch op := rng.Intn(10); {
 		case op < 3:
-			if len(ls.in) < cap(ls.in) {
-				ls.in <- seqRecord{seq: int64(step), rec: dataset.Record{}}
+			// A run of one to three records, as long as the input stays
+			// within ledgerQueue.
+			if n := min(1+rng.Intn(3), ledgerQueue-ls.queued()); n > 0 {
+				run := make([]seqRecord, n)
+				for i := range run {
+					run[i] = seqRecord{seq: int64(step), rec: dataset.Record{}}
+				}
+				if err := ls.in.send(context.Background(), run); err != nil {
+					t.Fatal(err)
+				}
 			}
 		case op < 6:
 			turn(ls)
@@ -201,7 +235,7 @@ func driveLedger(t *testing.T, label string, p *Pipeline, width int, descendants
 		default:
 			// Every other stage gives back all it holds: a stage with a
 			// backlog must then be able to fill its own width.
-			if ls.held == 0 && len(ls.in) == 0 {
+			if ls.held == 0 && ls.queued() == 0 {
 				break
 			}
 			releaseAll(ls)
@@ -218,7 +252,7 @@ func driveLedger(t *testing.T, label string, p *Pipeline, width int, descendants
 		releaseAll(nil)
 		busy = false
 		for _, ls := range stages {
-			if ls.held > 0 || len(ls.in) > 0 {
+			if ls.held > 0 || ls.queued() > 0 {
 				busy = true
 				turn(ls)
 			}

@@ -221,13 +221,15 @@ func (b *blocks) done(seq int64) {
 }
 
 // window is the executor's one streaming loop. Each turn it hands on the
-// results already finished, then admits every record already waiting on
-// in while the stage's ledger has a slot to give — within its own width,
-// or the width of a stage downstream of it that has no backlog (see
-// slotLedger) — or takes a finished record's result and every other
-// result already there. prepare runs once, on the stage goroutine, at the
-// first record admitted, and returns the operator's group form; an
-// operator without one runs solo(task), a form of width 1.
+// results already finished, then admits records waiting on in while the
+// stage's ledger has a slot to give — within its own width, or the width
+// of a stage downstream of it that has no backlog (see slotLedger) — or
+// takes a finished record's result and every other result already there.
+// Input comes in runs (see edge); a turn admits from at most one of them,
+// and the records it does not reach stay in the run the window holds,
+// counted as the stage's backlog. prepare runs once, on the stage
+// goroutine, at the first record admitted, and returns the operator's
+// group form; an operator without one runs solo(task), a form of width 1.
 //
 // A window with a start gate (Env.gate) reads and holds its input from
 // the first record, but it prepares, probes and starts nothing, and holds
@@ -246,20 +248,25 @@ func (b *blocks) done(seq int64) {
 // goroutine whose ask returned, before its result is handed back, so a
 // stage blocked handing records downstream holds none. done is called on
 // the stage goroutine for each record the moment its result is known, in
-// completion order. A non-nil error from prepare, done or mark ends the
-// loop, which cancels and waits out the records still in flight before
-// returning. Time blocked for input with nothing in flight is the stage's
-// Wait; time holding a record for a slot is not.
+// completion order; flush, at the start of every turn and before the
+// window returns, hands on as one run what done emitted in the turn
+// before, so the window never waits for input or a slot holding output.
+// A non-nil error from prepare, done, mark or flush ends the loop, which
+// cancels and waits out the records still in flight before returning.
+// Time blocked for input with nothing in flight is the stage's Wait; time
+// holding a record for a slot is not.
 //
 // In a batched run (Env.batch > 1) records are cut by sequence block
 // instead (see blocks). Nothing is probed.
 //
-// Cancellation is also polled at the top of every turn and before each
-// further record a turn admits: Go's select picks among ready cases at
-// random, so a flooding upstream could otherwise keep a cancelled stage
+// Cancellation is also polled, without a lock, at the top of every turn
+// and before each further record a turn admits: Go's select picks among
+// ready cases at random, and the input is read without one when a record
+// is ready, so a flooding upstream could otherwise keep a cancelled stage
 // starting records, or answering them inline.
-func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare func() (groupTask[T], error),
-	task func(context.Context, dataset.Record) (T, error), done func(seqRecord, T, error) error, mark func(int64) error) (int, error) {
+func window[T any](ctx context.Context, env *Env, in *edge, prepare func() (groupTask[T], error),
+	task func(context.Context, dataset.Record) (T, error), done func(seqRecord, T, error) error,
+	mark func(int64) error, flush func() error) (int, error) {
 	type result struct {
 		in  seqRecord
 		out T
@@ -272,6 +279,15 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 	} else if g.side != nil {
 		side = g.side.done
 	}
+	halt := ctx.Done()
+	halted := func() bool {
+		select {
+		case <-halt:
+			return true
+		default:
+			return false
+		}
+	}
 	tctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	pctx, probe := workflow.HitsOnly(tctx)
@@ -280,6 +296,7 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 	// while the stage has started records ahead of taking earlier results.
 	results := make(chan result, env.resultRoom())
 	consumed, inflight, room := 0, 0, 0
+	box, reading := inbox{edge: in}, true
 	var group groupTask[T]
 	width := 0           // the most records group takes at once
 	var held []seqRecord // records read behind the gate, or admitted and waiting for a slot or their block
@@ -373,6 +390,44 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 		held = append(held, r)
 		return nil
 	}
+	// read handles one record taken from the input: a mark moves the
+	// watermark and a gated window holds the record; otherwise the record
+	// is admitted, and so are the rest of the run held while the turn has
+	// room, and the turn's records start.
+	read := func(r seqRecord) error {
+		switch {
+		case r.mark:
+			if bl != nil {
+				bl.wm = max(bl.wm, r.seq)
+			}
+			return nil
+		case g != nil:
+			held = append(held, r)
+			return nil
+		}
+		if err := admit(r); err != nil {
+			return err
+		}
+		for room > len(held) && len(box.run) > 0 {
+			if halted() {
+				return ctx.Err()
+			}
+			if err := admit(box.take()); err != nil {
+				return err
+			}
+		}
+		if len(held) > 0 {
+			start()
+		}
+		return nil
+	}
+	// ended notes the input's end.
+	ended := func() {
+		reading = false
+		if bl != nil {
+			bl.wm = math.MaxInt64
+		}
+	}
 	collect := func(res result) error {
 		for {
 			inflight--
@@ -389,11 +444,14 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 			}
 		}
 	}
-	for g != nil || in != nil || inflight > 0 || len(held) > 0 {
-		if err := ctx.Err(); err != nil {
+	for g != nil || reading || inflight > 0 || len(held) > 0 {
+		if err := flush(); err != nil {
 			return stop(err)
 		}
-		if g != nil && side == nil && (in == nil || !g.drain) {
+		if halted() {
+			return stop(ctx.Err())
+		}
+		if g != nil && side == nil && (!reading || !g.drain) {
 			// The gate opens: admit every record it held.
 			if err := g.open(env, held); err != nil {
 				return stop(err)
@@ -431,69 +489,52 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 		// A batched stage reads on unless a whole block waits for a slot,
 		// and a gated one reads on until its gate opens.
 		room = 0
-		next, wake := in, (<-chan struct{})(nil)
+		next, wake := reading, (<-chan struct{})(nil)
 		switch {
 		case g != nil: // holds what it reads until the gate opens
 		case bl != nil:
 			if bl.stalled {
-				next, wake = nil, slots.wake
+				next, wake = false, slots.wake
 			}
 		default:
 			if len(held) == 0 {
 				room = slots.avail()
 			}
 			if len(held) > 0 || (room == 0 && inflight > 0) {
-				next, wake = nil, slots.wake
+				next, wake = false, slots.wake
 			}
 		}
+		var runs chan []seqRecord
+		if next {
+			r, ok, end := box.poll()
+			if end {
+				ended()
+				continue
+			}
+			if ok {
+				if err := read(r); err != nil {
+					return stop(err)
+				}
+				continue
+			}
+			runs = box.runs
+		}
 		var idle time.Time
-		if g == nil && inflight == 0 && next != nil {
+		if g == nil && inflight == 0 && next {
 			idle = time.Now()
 		}
 		select {
-		case r, ok := <-next:
+		case run, ok := <-runs:
 			if !idle.IsZero() {
 				env.stats.t.Wait += time.Since(idle)
 			}
-			switch {
-			case !ok:
-				in = nil
-				if bl != nil {
-					bl.wm = math.MaxInt64
-				}
-				continue
-			case r.mark:
-				if bl != nil {
-					bl.wm = max(bl.wm, r.seq)
-				}
-				continue
-			case g != nil:
-				held = append(held, r)
+			if !ok {
+				ended()
 				continue
 			}
-			if err := admit(r); err != nil {
+			box.run = run
+			if err := read(box.take()); err != nil {
 				return stop(err)
-			}
-		waiting:
-			for room > len(held) {
-				if err := ctx.Err(); err != nil {
-					return stop(err)
-				}
-				select {
-				case r, ok := <-in:
-					if !ok {
-						in = nil
-						break waiting
-					}
-					if err := admit(r); err != nil {
-						return stop(err)
-					}
-				default:
-					break waiting
-				}
-			}
-			if len(held) > 0 {
-				start()
 			}
 		case res := <-results:
 			if err := collect(res); err != nil {
@@ -502,9 +543,12 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 		case <-side:
 			side = nil
 		case <-wake:
-		case <-ctx.Done():
+		case <-halt:
 			return stop(ctx.Err())
 		}
+	}
+	if err := flush(); err != nil {
+		return stop(err)
 	}
 	return consumed, nil
 }
@@ -513,7 +557,7 @@ func window[T any](ctx context.Context, env *Env, in <-chan seqRecord, prepare f
 // first record, ask per record or per group, emit each record's outputs as
 // it finishes and — in degraded mode — drop exactly the record whose ask
 // failed. A watermark goes downstream widened by the stage's fan-out.
-func runWindow(ctx context.Context, env *Env, in <-chan seqRecord, st Streamer, out *streamOut) (int, error) {
+func runWindow(ctx context.Context, env *Env, in *edge, st Streamer, out *streamOut) (int, error) {
 	op := recordOp{fanout: 1}
 	consumed, err := window(ctx, env, in,
 		func() (groupTask[[]dataset.Record], error) {
@@ -537,13 +581,12 @@ func runWindow(ctx context.Context, env *Env, in <-chan seqRecord, st Streamer, 
 				return fmt.Errorf("sequence key overflow at record %q (fan-out %d)", r.rec.ID, op.fanout)
 			}
 			for j, rec := range recs {
-				if err := out.emit(ctx, seqRecord{seq: r.seq*op.fanout + int64(j), rec: rec}); err != nil {
-					return err
-				}
+				out.emit(seqRecord{seq: r.seq*op.fanout + int64(j), rec: rec})
 			}
 			return nil
 		},
-		func(w int64) error { return out.mark(ctx, min(w, math.MaxInt64/op.fanout)*op.fanout) })
+		func(w int64) error { return out.mark(ctx, min(w, math.MaxInt64/op.fanout)*op.fanout) },
+		func() error { return out.flush(ctx) })
 	if err == nil && consumed > 0 {
 		env.detail(env.stats.stage, op.detail(consumed))
 	}

@@ -2,8 +2,10 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -176,5 +178,75 @@ func TestStandingQueryCancellation(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled standing query never returned")
+	}
+}
+
+// TestStandingQueryBackpressure feeds a standing query whose feed never
+// closes into a filter whose asks are all held upstream. Once the stage
+// has Parallelism asks in flight it reads no further, and the feeder must
+// stop taking fed records when the stage's edge is full: a fed record is
+// a run of one, so beyond the records in flight the feeder takes at most
+// edgeBuffer, queued on the edge, and the one its send waits with.
+func TestStandingQueryBackpressure(t *testing.T) {
+	const parallelism = 2
+	var asks atomic.Int64
+	model := llm.Func{ModelName: "held", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
+		asks.Add(1)
+		<-ctx.Done()
+		return llm.Response{}, ctx.Err()
+	}}
+	p, err := Compile(Spec{Stages: []StageSpec{{Name: "keep", Kind: KindFilter, Field: "name", Predicate: "p"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	feed := make(chan dataset.Record)
+	var taken atomic.Int64
+	go func() {
+		for i := 0; ; i++ {
+			r := dataset.Record{ID: fmt.Sprintf("f%d", i), Fields: []dataset.Field{{Name: "name", Value: fmt.Sprintf("flavor %d", i)}}}
+			select {
+			case feed <- r:
+				taken.Add(1)
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	finished := make(chan error, 1)
+	go func() {
+		_, err := p.Run(ctx, ExecConfig{Model: model, Parallelism: parallelism, Feed: feed},
+			map[string][]dataset.Record{"source": nil})
+		finished <- err
+	}()
+	// Wait for the feeder to stop: no record taken for 200 ms.
+	deadline := time.Now().Add(10 * time.Second)
+	for last, still := int64(-1), 0; still < 10; {
+		if time.Now().After(deadline) {
+			t.Fatalf("the feeder never stopped taking fed records: %d taken", taken.Load())
+		}
+		time.Sleep(20 * time.Millisecond)
+		if n := taken.Load(); n != last {
+			last, still = n, 0
+		} else {
+			still++
+		}
+	}
+	if n := asks.Load(); n != parallelism {
+		t.Fatalf("%d asks started, want the stage's %d", n, parallelism)
+	}
+	if n, most := taken.Load(), int64(parallelism+edgeBuffer+1); n > most || n < edgeBuffer {
+		t.Fatalf("the feeder took %d fed records before it stopped, want at most %d (%d in flight, edgeBuffer %d on the edge, one waiting to be sent) and the edge full",
+			n, most, parallelism, edgeBuffer)
+	}
+	cancel()
+	select {
+	case err := <-finished:
+		if err == nil {
+			t.Fatal("a cancelled standing query reported success")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the cancelled standing query never returned")
 	}
 }

@@ -545,10 +545,11 @@ func TestMaterializedDrainsEachEdge(t *testing.T) {
 
 // TestRunBufferAllocs pins how a run sizes its buffers, in both
 // directions. An unfed, unbatched run gives every edge that no join feeds
-// from above, and the result buffer of every window on such an edge, no
-// more room than the source has records. A fed or batched run, and every
-// edge below a join, keeps edgeBuffer, and its windows a result slot for
-// every record, or block, they can have in flight.
+// from above no more runs than the source has records, and the result
+// buffer of every window on such an edge no more room than that. A fed or
+// batched run, and every edge below a join, keeps edgeBuffer runs, and its
+// windows a result slot for every record, or block, they can have in
+// flight.
 func TestRunBufferAllocs(t *testing.T) {
 	p, err := Compile(Spec{Stages: []StageSpec{
 		{Name: "casual", Kind: KindFilter, Predicate: "p"},
@@ -578,9 +579,9 @@ func TestRunBufferAllocs(t *testing.T) {
 		slots := p.slotLedger(tc.cfg)
 		for i, st := range p.stages {
 			bounded := tc.bounded && !widened[st.Name()]
-			edge := cap(inputs[st.Name()])
+			edge := cap(inputs[st.Name()].runs)
 			if bounded && edge > len(source) || !bounded && edge != edgeBuffer {
-				t.Errorf("%s run: the edge into %q holds %d records (bounded %v, %d source records)", tc.name, st.Name(), edge, bounded, len(source))
+				t.Errorf("%s run: the edge into %q holds %d runs (bounded %v, %d source records)", tc.name, st.Name(), edge, bounded, len(source))
 			}
 			if slots[i] == nil {
 				continue
@@ -592,4 +593,33 @@ func TestRunBufferAllocs(t *testing.T) {
 			}
 		}
 	}
+}
+
+func newEdge(capacity int) *edge { return &edge{runs: make(chan []seqRecord, capacity)} }
+
+// runEdge returns an edge of the given capacity with each of runs already
+// sent on it, left open.
+func runEdge(capacity int, runs ...[]seqRecord) *edge {
+	e := newEdge(capacity)
+	for _, run := range runs {
+		if err := e.send(context.Background(), run); err != nil {
+			panic(err)
+		}
+	}
+	return e
+}
+
+// records hands on every record sent on e, run by run, through a channel
+// with room for capacity of them, which it closes once e has closed.
+func records(e *edge, capacity int) <-chan seqRecord {
+	out := make(chan seqRecord, capacity)
+	go func() {
+		defer close(out)
+		for run := range e.runs {
+			for _, r := range run {
+				out <- r
+			}
+		}
+	}()
+	return out
 }
