@@ -135,15 +135,18 @@ func (e *Engine) PrepareImpute(req ImputeRequest) (*PreparedImpute, error) {
 		p.kMax = 0
 	}
 
-	// One pass over the training table checks every record carries the
-	// target and, when a registry may already hold this table's index and
-	// the caller named the table by no key of its own, hashes it into the
-	// key the index is filed under.
+	// Every training record must carry the target. One pass checks that
+	// and, when a registry may already hold this table's index and the
+	// caller named the table by no key of its own, hashes it into the key
+	// the index is filed under. A table the caller named is checked only
+	// when its index is rendered: the registry keeps a source-keyed slot
+	// only for a render that passed, and the name is a hash of the table's
+	// exact bytes, so a table whose slot exists has passed already.
 	var key *embed.KeyWriter
-	hashRows := false
+	named := false
 	if p.kMax > 0 && e.registry != nil {
 		key = embed.NewKeyWriter()
-		if req.TrainKey != (embed.SourceKey{}) {
+		if named = req.TrainKey != (embed.SourceKey{}); named {
 			// A leading zero keeps these keys apart from row hashes, which
 			// begin with the length of a non-empty target.
 			key.Int(0)
@@ -151,19 +154,20 @@ func (e *Engine) PrepareImpute(req ImputeRequest) (*PreparedImpute, error) {
 			key.String(string(req.TrainKey[:]))
 		} else {
 			key.String(req.TargetField)
-			hashRows = true
 		}
 	}
-	for _, r := range req.Train {
-		if _, ok := r.Get(req.TargetField); !ok {
-			return nil, badRequestf("training record %q lacks target %q", r.ID, req.TargetField)
-		}
-		if hashRows {
-			key.String(r.ID)
-			key.Int(len(r.Fields))
-			for _, f := range r.Fields {
-				key.String(f.Name)
-				key.String(f.Value)
+	if !named {
+		for _, r := range req.Train {
+			if err := p.checkTarget(r); err != nil {
+				return nil, err
+			}
+			if key != nil {
+				key.String(r.ID)
+				key.Int(len(r.Fields))
+				for _, f := range r.Fields {
+					key.String(f.Name)
+					key.String(f.Value)
+				}
 			}
 		}
 	}
@@ -176,17 +180,27 @@ func (e *Engine) PrepareImpute(req ImputeRequest) (*PreparedImpute, error) {
 		// registry keeps an index as long as it lives, so the IDs are
 		// copies: a record's strings may share one buffer with its whole
 		// table (a server's decoded request does).
-		render := func() []embed.Item {
+		render := func() ([]embed.Item, error) {
 			items := make([]embed.Item, len(req.Train))
 			for i, r := range req.Train {
+				if named {
+					if err := p.checkTarget(r); err != nil {
+						return nil, err
+					}
+				}
 				items[i] = embed.Item{ID: strings.Clone(r.ID), Text: p.serialize(r)}
 			}
-			return items
+			return items, nil
 		}
 		if key != nil {
-			p.ix = e.registry.IndexFrom(e.embedder, key.Sum(), e.ixOpts, render)
+			ix, err := e.registry.IndexFrom(e.embedder, key.Sum(), e.ixOpts, render)
+			if err != nil {
+				return nil, err
+			}
+			p.ix = ix
 		} else {
-			p.ix = e.index(render())
+			items, _ := render() // unnamed: checked above
+			p.ix = e.index(items)
 		}
 		if p.ix.Len() != len(req.Train) { // duplicate ids: the last row wins
 			p.rows = make([]int32, p.ix.Len())
@@ -198,6 +212,14 @@ func (e *Engine) PrepareImpute(req ImputeRequest) (*PreparedImpute, error) {
 	}
 	p.s = e.newSession()
 	return p, nil
+}
+
+// checkTarget reports a training record that lacks the target.
+func (p *PreparedImpute) checkTarget(r dataset.Record) error {
+	if _, ok := r.Get(p.req.TargetField); !ok {
+		return badRequestf("training record %q lacks target %q", r.ID, p.req.TargetField)
+	}
+	return nil
 }
 
 // UsesIndex reports whether a query reads its nearest training records —

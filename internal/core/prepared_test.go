@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -238,4 +239,64 @@ func TestPrepareImputeWarmAllocsIndependentOfTrainSize(t *testing.T) {
 	if large > small+4 {
 		t.Fatalf("warm PrepareImpute allocates %.0f times over 1000 train records and %.0f over 4000; it should not depend on the table", small, large)
 	}
+}
+
+// TestPrepareImputeNamedTableValidation: a train table named by a key is
+// checked for the target when its index is rendered, and only then. A
+// record lacking the target fails PrepareImpute under a fresh key with the
+// error an unnamed table gets, files no slot, and fails again on the next
+// try. A slot filed for one target does not vouch for another over the
+// same table. Once a slot exists, its key stands for a table that passed:
+// the rows are not read again.
+func TestPrepareImputeNamedTableValidation(t *testing.T) {
+	ds := dataset.GenerateRestaurants(200, 1, 3)
+	reg := embed.NewRegistry()
+	engine := New(sim.NewNamed("sim-gpt-3.5-turbo"), WithIndexRegistry(reg))
+	plain := New(sim.NewNamed("sim-gpt-3.5-turbo"))
+	slots := func(wantBuilds, wantHits int, when string) {
+		t.Helper()
+		if b, h := reg.Stats(); b != wantBuilds || h != wantHits {
+			t.Fatalf("%s: %d builds and %d hits, want %d and %d", when, b, h, wantBuilds, wantHits)
+		}
+	}
+	sameFailure := func(req ImputeRequest, when string) {
+		t.Helper()
+		unnamed := req
+		unnamed.TrainKey = embed.SourceKey{}
+		_, want := plain.PrepareImpute(unnamed)
+		if !errors.Is(want, ErrBadRequest) {
+			t.Fatalf("%s: an unnamed table without a registry gives %v, want a bad request", when, want)
+		}
+		if _, err := engine.PrepareImpute(req); err == nil || err.Error() != want.Error() || !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("%s: PrepareImpute under a key gives %v, want %v", when, err, want)
+		}
+	}
+
+	lacking := slices.Clone(ds.Train)
+	lacking[137] = lacking[137].WithoutField(ds.TargetField)
+	req := ImputeRequest{Train: lacking, TargetField: ds.TargetField, Strategy: ImputeHybrid, Neighbors: 5, TrainKey: embed.SourceKey{1}}
+	sameFailure(req, "a fresh key")
+	sameFailure(req, "the same key again")
+	slots(0, 0, "after two failed checks")
+
+	typeless := slices.Clone(ds.Train)
+	typeless[50] = typeless[50].WithoutField("type")
+	req = ImputeRequest{Train: typeless, TargetField: ds.TargetField, Strategy: ImputeHybrid, Neighbors: 5, TrainKey: embed.SourceKey{2}}
+	if _, err := engine.PrepareImpute(req); err != nil {
+		t.Fatal(err)
+	}
+	slots(1, 0, "after the table passed for its target")
+	req.TargetField = "type"
+	sameFailure(req, "another target over the same key")
+	slots(1, 0, "after the other target failed")
+
+	// A key must determine its table (ImputeRequest.TrainKey): the rows of a
+	// named table whose slot exists are not checked again, so a table
+	// passed off under that key is not either.
+	req.TargetField = ds.TargetField
+	req.Train = lacking
+	if _, err := engine.PrepareImpute(req); err != nil {
+		t.Fatalf("a named table with a filled slot was checked again: %v", err)
+	}
+	slots(1, 1, "after the warm prepare")
 }

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/consistency"
@@ -192,21 +193,32 @@ func (e *Engine) sortRating(ctx context.Context, s *session, req SortRequest) (S
 	if err != nil {
 		return SortResult{}, fmt.Errorf("rating sort: %w", err)
 	}
+	return SortResult{Ranked: rankByRating(req.Items, ratings)}, nil
+}
+
+// rankByRating orders items by rating, highest first, equal ratings in
+// input order.
+func rankByRating(items []string, ratings []int) []string {
 	type rated struct {
 		item   string
 		rating int
 		pos    int
 	}
-	rs := make([]rated, len(req.Items))
-	for i, it := range req.Items {
+	rs := make([]rated, len(items))
+	for i, it := range items {
 		rs[i] = rated{item: it, rating: ratings[i], pos: i}
 	}
-	sort.SliceStable(rs, func(a, b int) bool { return rs[a].rating > rs[b].rating })
+	slices.SortFunc(rs, func(a, b rated) int {
+		if c := cmp.Compare(b.rating, a.rating); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
 	out := make([]string, len(rs))
 	for i, r := range rs {
 		out[i] = r.item
 	}
-	return SortResult{Ranked: out}, nil
+	return out
 }
 
 // compareOnce asks one pairwise comparison and reports whether a ranks

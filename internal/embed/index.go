@@ -64,7 +64,8 @@ type Index struct {
 	// it serves at its own.
 	scans *scanCounters
 	// memo answers a repeated Nearest or NearestGroup query without a
-	// scan. Only a Registry attaches one; insert drops it.
+	// scan, and a repeated Blocks threshold without clustering. Only a
+	// Registry attaches one; insert drops it.
 	memo *answerMemo
 }
 
@@ -96,11 +97,38 @@ type memoKey struct {
 // generations of at most limit entries: when the current one fills it
 // becomes the previous and the older one is dropped, and a hit in the
 // previous one is copied back into the current. So it holds at most
-// 2 × limit lists. A nil memo remembers nothing. Safe for concurrent use.
+// 2 × limit lists. Beside them it keeps the last Blocks answer. A nil memo
+// remembers nothing. Safe for concurrent use.
 type answerMemo struct {
 	mu        sync.Mutex
 	limit     int
 	cur, prev map[memoKey][]Neighbor
+	blocks    atomic.Pointer[blocksAnswer]
+}
+
+// blocksAnswer is one Blocks answer and the threshold it is for.
+type blocksAnswer struct {
+	threshold float64
+	blocks    [][]string
+}
+
+// blocksFor returns the remembered Blocks answer for threshold.
+func (m *answerMemo) blocksFor(threshold float64) ([][]string, bool) {
+	if m == nil {
+		return nil, false
+	}
+	if b := m.blocks.Load(); b != nil && b.threshold == threshold {
+		return b.blocks, true
+	}
+	return nil, false
+}
+
+// putBlocks remembers blocks as the answer for threshold, in place of any
+// answer for another one.
+func (m *answerMemo) putBlocks(threshold float64, blocks [][]string) {
+	if m != nil {
+		m.blocks.Store(&blocksAnswer{threshold, blocks})
+	}
 }
 
 // get returns a copy of the list remembered for (text, k).

@@ -245,3 +245,85 @@ func TestMemoPromotesPreviousHits(t *testing.T) {
 		}
 	}
 }
+
+// TestBlocksMemoMatchesDirectIndex: on random corpora, clustered and not,
+// a registry index asked a random sequence of thresholds — repeats, a new
+// threshold, an old one again — answers each exactly as a memo-free index
+// does. A repeat is the remembered answer itself, not a recomputation.
+func TestBlocksMemoMatchesDirectIndex(t *testing.T) {
+	thresholds := []float64{0.4, 0.6, 0.8, 0.9, 1.2}
+	for trial := 0; trial < 12; trial++ {
+		items := clusteredCorpus(3+trial*5, int64(300+trial))
+		if trial%3 == 2 {
+			items = randomCorpus(20+trial*7, int64(300+trial))
+		}
+		memo, direct := memoPair(items)
+		rng := rand.New(rand.NewSource(int64(trial)))
+		last := -1.0
+		for op := 0; op < 12; op++ {
+			threshold := thresholds[rng.Intn(len(thresholds))]
+			if op%3 == 1 {
+				threshold = last // asked again right away
+			}
+			got := memo.Blocks(threshold)
+			if want := direct.Blocks(threshold); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d op %d threshold %.1f: the registry index blocks %v, a memo-free one %v", trial, op, threshold, got, want)
+			}
+			if threshold == last {
+				if again := memo.Blocks(threshold); &again[0] != &got[0] {
+					t.Fatalf("trial %d op %d: a repeated threshold %.1f was recomputed", trial, op, threshold)
+				}
+			}
+			last = threshold
+		}
+	}
+}
+
+// TestBlocksMemoDroppedOnAdd: an AddAll after publishing drops the
+// remembered blocks, so the same threshold asked again blocks the new
+// contents, as a memo-free index over all the items does.
+func TestBlocksMemoDroppedOnAdd(t *testing.T) {
+	items := clusteredCorpus(12, 77)
+	half := len(items) / 2
+	memo := NewRegistry().Index(Default(), items[:half])
+	before := memo.Blocks(0.8)
+	memo.AddAll(items[half:])
+	direct := NewIndex(Default())
+	direct.AddAll(items)
+	got, want := memo.Blocks(0.8), direct.Blocks(0.8)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("after AddAll the registry index blocks %v, a memo-free index over every item %v", got, want)
+	}
+	if reflect.DeepEqual(got, before) {
+		t.Fatal("the corpus grew but the blocks did not: the test's corpus does not show a dropped memo")
+	}
+}
+
+// TestBlocksMemoConcurrent: eight goroutines ask Blocks of one fresh
+// registry index at once, at two thresholds, so first computations and
+// replacements race each other. Every answer is the memo-free index's.
+func TestBlocksMemoConcurrent(t *testing.T) {
+	items := clusteredCorpus(30, 91)
+	memo, direct := memoPair(items)
+	thresholds := []float64{0.6, 0.9}
+	want := map[float64][][]string{}
+	for _, threshold := range thresholds {
+		want[threshold] = direct.Blocks(threshold)
+	}
+	const workers = 8
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for op := 0; op < 40; op++ {
+				threshold := thresholds[(w+op/10)%len(thresholds)]
+				if got := memo.Blocks(threshold); !reflect.DeepEqual(got, want[threshold]) {
+					t.Errorf("worker %d op %d threshold %.1f: blocks %v, want %v", w, op, threshold, got, want[threshold])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}

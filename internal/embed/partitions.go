@@ -237,11 +237,25 @@ func (ix *Index) Within(text string, radius float64) []Neighbor {
 // blocking runs at (near-duplicates, default cutoffs ≤ 1.0) shared
 // partitions capture essentially all links, and the property test pins
 // Blocks to full single-linkage components on random corpora.
+//
+// An index a Registry publishes remembers its last answer, so asking the
+// same threshold again costs nothing; that answer is shared between
+// callers, who must treat it as read-only.
 func (ix *Index) Blocks(threshold float64) [][]string {
-	n := len(ix.ids)
-	if n == 0 {
+	if len(ix.ids) == 0 {
 		return nil
 	}
+	if blocks, ok := ix.memo.blocksFor(threshold); ok {
+		return blocks
+	}
+	blocks := ix.blocks(threshold)
+	ix.memo.putBlocks(threshold, blocks)
+	return blocks
+}
+
+// blocks computes Blocks(threshold) over a non-empty index.
+func (ix *Index) blocks(threshold float64) [][]string {
+	n := len(ix.ids)
 	pt := ix.ensurePartitions()
 	uf := consistency.NewUnionFind()
 	for _, id := range ix.ids {

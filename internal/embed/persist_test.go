@@ -407,7 +407,11 @@ func TestRegistryWarmLoad(t *testing.T) {
 	for name, index := range map[string]func(*Registry) *Index{
 		"IndexWith": func(r *Registry) *Index { return r.IndexWith(em, old, opts) },
 		"IndexFrom": func(r *Registry) *Index {
-			return r.IndexFrom(em, SourceKey{1}, opts, func() []Item { return old })
+			ix, err := r.IndexFrom(em, SourceKey{1}, opts, func() ([]Item, error) { return old, nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ix
 		},
 	} {
 		reg := NewRegistry()

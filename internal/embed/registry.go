@@ -106,9 +106,11 @@ func (o IndexOptions) normalized() IndexOptions {
 
 // registryEntry guards one index build: the first requester builds inside
 // the once, later requesters (including concurrent ones) share the result.
+// err is a render's failure; the slot is dropped with it.
 type registryEntry struct {
 	once sync.Once
 	ix   *Index
+	err  error
 }
 
 // Registry caches built indexes keyed by corpus (the SHA-256 of its
@@ -120,8 +122,9 @@ type registryEntry struct {
 // embedders or partition configurations never serve each other's vectors
 // or partition structures.
 //
-// The registry never evicts an index: each slot holds its index, answer
-// memo included, for the registry's lifetime.
+// A slot exists only for a render that succeeded. The registry never
+// evicts one: each slot holds its index, with the index's answer memo and
+// its last Blocks answer, for the registry's lifetime.
 //
 // Returned indexes are shared: treat them as immutable and query-only
 // (Index is safe for concurrent queries once mutation stops, which the
@@ -199,18 +202,22 @@ func (r *Registry) IndexWith(em Embedder, items []Item, opts IndexOptions) *Inde
 		w.String(it.ID)
 		w.String(it.Text)
 	}
-	return r.index(em, registryKey{hash: w.Sum()}, opts, func() []Item { return items })
+	ix, _ := r.index(em, registryKey{hash: w.Sum()}, opts, func() ([]Item, error) { return items, nil })
+	return ix
 }
 
 // IndexFrom returns the shared index filed under a key the caller
 // computed over whatever the corpus is rendered from — cheaper than
 // rendering it only to hash it. render produces the items and runs only
-// when the slot is empty; a key must determine what render returns.
-func (r *Registry) IndexFrom(em Embedder, source SourceKey, opts IndexOptions, render func() []Item) *Index {
+// when the slot is empty; a key must determine what render returns. A
+// render that fails files nothing: its error is returned, to every caller
+// that waited on it, and the next call renders again. So whatever render
+// checks, the corpus of a filled slot has passed.
+func (r *Registry) IndexFrom(em Embedder, source SourceKey, opts IndexOptions, render func() ([]Item, error)) (*Index, error) {
 	return r.index(em, registryKey{source: true, hash: source}, opts, render)
 }
 
-func (r *Registry) index(em Embedder, key registryKey, opts IndexOptions, render func() []Item) *Index {
+func (r *Registry) index(em Embedder, key registryKey, opts IndexOptions, render func() ([]Item, error)) (*Index, error) {
 	key.dim, key.fingerprint, key.opts = em.Dim(), fingerprint(em), opts.normalized()
 	r.mu.Lock()
 	e, ok := r.entries[key]
@@ -223,7 +230,11 @@ func (r *Registry) index(em Embedder, key registryKey, opts IndexOptions, render
 
 	built, warmed, saved := false, false, false
 	e.once.Do(func() {
-		items := render()
+		items, err := render()
+		if err != nil {
+			e.err = err
+			return
+		}
 		// With a state dir set, try the persisted file first: a hit skips
 		// embedding and clustering entirely; any load failure (missing,
 		// stale corpus, corrupt) falls through to a build that re-saves.
@@ -250,6 +261,10 @@ func (r *Registry) index(em Embedder, key registryKey, opts IndexOptions, render
 	})
 	r.mu.Lock()
 	switch {
+	case e.err != nil:
+		if r.entries[key] == e {
+			delete(r.entries, key)
+		}
 	case warmed:
 		r.warmLoads++
 	case built:
@@ -261,12 +276,13 @@ func (r *Registry) index(em Embedder, key registryKey, opts IndexOptions, render
 		r.saves++
 	}
 	r.mu.Unlock()
-	return e.ix
+	return e.ix, e.err
 }
 
 // publish readies an index for sharing: it counts its scans in the
 // registry's tally and gets an answer memo, so a query any job has already
-// asked is answered without a scan. The memo is never saved with the index.
+// asked is answered without a scan and a Blocks threshold asked before
+// without clustering. The memo is never saved with the index.
 func (r *Registry) publish(ix *Index) *Index {
 	ix.scans = &r.scans
 	ix.memo = &answerMemo{limit: ix.Len()}

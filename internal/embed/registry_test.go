@@ -1,6 +1,7 @@
 package embed
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -84,9 +85,9 @@ func TestRegistryIndexFromRendersOnMissOnly(t *testing.T) {
 	key := w.Sum()
 
 	renders := 0
-	render := func() []Item { renders++; return corpus }
-	ix := r.IndexFrom(em, key, IndexOptions{}, render)
-	if again := r.IndexFrom(em, key, IndexOptions{}, render); again != ix {
+	render := func() ([]Item, error) { renders++; return corpus, nil }
+	ix, _ := r.IndexFrom(em, key, IndexOptions{}, render)
+	if again, _ := r.IndexFrom(em, key, IndexOptions{}, render); again != ix {
 		t.Fatal("same source key must return the same index")
 	}
 	if builds, hits := r.Stats(); renders != 1 || builds != 1 || hits != 1 {
@@ -107,11 +108,70 @@ func TestRegistryIndexFromRendersOnMissOnly(t *testing.T) {
 	if byItems == ix {
 		t.Fatal("an item-keyed request must not be served from a source-keyed slot")
 	}
-	if forged := r.IndexFrom(em, w.Sum(), IndexOptions{}, func() []Item { return testItems(3, "b") }); forged == byItems {
+	if forged, _ := r.IndexFrom(em, w.Sum(), IndexOptions{}, func() ([]Item, error) { return testItems(3, "b"), nil }); forged == byItems {
 		t.Fatal("a source key equal to an item hash reached the item-keyed slot")
 	}
 	if builds, _ := r.Stats(); builds != 3 {
 		t.Fatalf("builds = %d, want 3", builds)
+	}
+}
+
+// TestRegistryIndexFromFailedRenderFilesNothing: a render that fails
+// returns its error — to every request waiting on it — and leaves the key
+// without a slot, counted as neither a build nor a hit, so the next
+// request renders again; once one passes, the slot serves every later
+// request without rendering.
+func TestRegistryIndexFromFailedRenderFilesNothing(t *testing.T) {
+	em := Default()
+	r := NewRegistry()
+	corpus := testItems(12, "a")
+	failing := errors.New("a record lacks the target")
+	renders, fail := 0, true
+	render := func() ([]Item, error) {
+		renders++
+		if fail {
+			return nil, failing
+		}
+		return corpus, nil
+	}
+	for range 2 {
+		if ix, err := r.IndexFrom(em, SourceKey{7}, IndexOptions{}, render); ix != nil || err != failing {
+			t.Fatalf("a failing render returned (%v, %v), want (nil, its error)", ix, err)
+		}
+	}
+	if builds, hits := r.Stats(); renders != 2 || builds != 0 || hits != 0 {
+		t.Fatalf("after two failed renders: %d renders, %d builds, %d hits; want 2, 0, 0", renders, builds, hits)
+	}
+	fail = false
+	ix, err := r.IndexFrom(em, SourceKey{7}, IndexOptions{}, render)
+	if err != nil || ix.Len() != len(corpus) {
+		t.Fatalf("a passing render returned (%v, %v)", ix, err)
+	}
+	fail = true
+	if again, err := r.IndexFrom(em, SourceKey{7}, IndexOptions{}, render); again != ix || err != nil {
+		t.Fatalf("a filled slot answered (%v, %v), want its index", again, err)
+	}
+	if builds, hits := r.Stats(); renders != 3 || builds != 1 || hits != 1 {
+		t.Fatalf("%d renders, %d builds, %d hits; want 3, 1, 1", renders, builds, hits)
+	}
+
+	// Eight requests at once for a key whose render fails: each gets the
+	// error — whether it rendered or waited on another's render — and none
+	// an index.
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ix, err := r.IndexFrom(em, SourceKey{8}, IndexOptions{}, func() ([]Item, error) { return nil, failing })
+			if ix != nil || err != failing {
+				t.Errorf("a concurrent failing render returned (%v, %v), want (nil, its error)", ix, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if builds, hits := r.Stats(); builds != 1 || hits != 1 {
+		t.Fatalf("failed concurrent renders were counted: %d builds, %d hits; want 1, 1", builds, hits)
 	}
 }
 

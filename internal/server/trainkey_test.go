@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"testing"
 
@@ -101,5 +102,48 @@ func TestInternedTrainKeysIndex(t *testing.T) {
 	if first.Result.Calls != want.Calls || first.Result.Tokens != want.Tokens {
 		t.Fatalf("the first job spent %d calls and %d tokens, a direct pipeline.Run %d and %d",
 			first.Result.Calls, first.Result.Tokens, want.Calls, want.Tokens)
+	}
+}
+
+// TestKNNJobWarmMatchesCold runs BenchmarkKNNJob's eight jobs cold, then
+// warm. A warm job builds no index and serves both of its own from the
+// registry — the train table's and its source's — calls no upstream, and
+// returns its cold result byte for byte. Blocking keeps every pair but in
+// one source, and the entities details pin it.
+func TestKNNJobWarmMatchesCold(t *testing.T) {
+	bodies := knnJobs(t)
+	want := make([]string, len(bodies))
+	for k := range want {
+		pairs := 496
+		if k == 5 {
+			pairs = 436
+		}
+		want[k] = fmt.Sprintf("32 records -> 32 entities (%d comparisons)", pairs)
+	}
+	reg := embed.NewRegistry()
+	srv := New(Config{Model: testOracle(), Registry: reg})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	cold := make([]*JobResult, len(bodies))
+	for k, body := range bodies {
+		cold[k] = submitHTTP(t, ts, body).Result
+	}
+	builds, hits := reg.Stats()
+	calls := srv.Stats().UpstreamCalls
+	for k, body := range bodies {
+		warm := submitHTTP(t, ts, body).Result
+		if g, w := contentBytes(t, warm), contentBytes(t, cold[k]); !bytes.Equal(g, w) {
+			t.Fatalf("job %d warm and cold diverge:\nwarm: %s\ncold: %s", k, g, w)
+		}
+		if got := warm.Stages[1].Detail; got != want[k] {
+			t.Fatalf("job %d: entities detail %q, want %q", k, got, want[k])
+		}
+		b, h := reg.Stats()
+		if b != builds || h != hits+2*(k+1) {
+			t.Fatalf("warm job %d: %d builds and %d hits so far, want %d and %d", k, b, h, builds, hits+2*(k+1))
+		}
+	}
+	if got := srv.Stats().UpstreamCalls; got != calls {
+		t.Fatalf("warm jobs made %d upstream calls", got-calls)
 	}
 }

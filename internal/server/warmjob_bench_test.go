@@ -39,25 +39,87 @@ func BenchmarkWarmJob(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Finished jobs are capped so a long run does not grow the heap.
-	srv := New(Config{Model: sim.NewNamed("sim-gpt-3.5-turbo"), TenantRate: 1e9, TenantBurst: 1 << 20, MaxJobs: 64})
+	srv := benchServer()
 	defer srv.Drain(context.Background())
 	h := srv.Handler()
-	post := func() {
-		w := &discardWriter{header: http.Header{}}
-		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/pipelines", bytes.NewReader(body)))
-		if w.code != http.StatusOK {
-			b.Fatalf("status %d: %s", w.code, w.failure)
-		}
-	}
-	post() // the pre-warm: every unit task's answer lands in the cache
+	postJob(b, h, body) // the pre-warm: every unit task's answer lands in the cache
 	calls := srv.Stats().UpstreamCalls
 	b.ReportAllocs()
 	for b.Loop() {
-		post()
+		postJob(b, h, body)
 	}
 	if got := srv.Stats().UpstreamCalls; got != calls {
 		b.Fatalf("warm jobs made %d upstream calls", got-calls)
+	}
+}
+
+// knnJobs returns the knn-corpus job of the benchmark module: a hybrid
+// impute at k = 5 against one 4,000-row train table, then a blocked
+// pairwise resolve, as one request body for each of eight 32-record
+// sources the jobs rotate over.
+func knnJobs(tb testing.TB) [][]byte {
+	spec := pipeline.Spec{Stages: []pipeline.StageSpec{
+		{Name: "city", Kind: pipeline.KindImpute, TargetField: "city", Side: "train", Strategy: "hybrid", Neighbors: 5},
+		{Name: "entities", Kind: pipeline.KindResolve, Strategy: "blocked-pairwise"},
+	}}
+	const jobs, records = 8, 32
+	ds := dataset.GenerateRestaurants(4000, jobs*records, 1)
+	bodies := make([][]byte, jobs)
+	for k := range bodies {
+		source := make([]dataset.Record, records)
+		for i, r := range ds.Test[k*records : (k+1)*records] {
+			source[i] = r.WithoutField(ds.TargetField)
+		}
+		body, err := json.Marshal(SubmitRequest{Tenant: "knn", Spec: spec, Tables: map[string][]dataset.Record{"source": source, "train": ds.Train}})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		bodies[k] = body
+	}
+	return bodies
+}
+
+// BenchmarkKNNJob sends the benchmark module's knn-corpus job through
+// Handler, rotating over its eight sources, each of which the pre-warm
+// has run once: an op decodes the request (its train table recognised by
+// its bytes), imputes through the registry's index of that table and
+// blocks the source through the registry's index of it, and every ask is
+// a cache hit. For profiling the k-NN path in-tree:
+//
+//	go test -run '^$' -bench KNNJob -benchmem -cpuprofile cpu.out ./internal/server/
+func BenchmarkKNNJob(b *testing.B) {
+	bodies := knnJobs(b)
+	srv := benchServer()
+	defer srv.Drain(context.Background())
+	h := srv.Handler()
+	for _, body := range bodies {
+		postJob(b, h, body) // the pre-warm: each source's index, blocks and answers
+	}
+	calls := srv.Stats().UpstreamCalls
+	b.ReportAllocs()
+	k := 0
+	for b.Loop() {
+		postJob(b, h, bodies[k%len(bodies)])
+		k++
+	}
+	if got := srv.Stats().UpstreamCalls; got != calls {
+		b.Fatalf("warm jobs made %d upstream calls", got-calls)
+	}
+}
+
+// benchServer returns the server the job benchmarks send to, with no
+// tenant throttling and finished jobs capped so a long run does not grow
+// the heap.
+func benchServer() *Server {
+	return New(Config{Model: sim.NewNamed("sim-gpt-3.5-turbo"), TenantRate: 1e9, TenantBurst: 1 << 20, MaxJobs: 64})
+}
+
+// postJob sends one job through h and fails b unless it succeeded.
+func postJob(b *testing.B, h http.Handler, body []byte) {
+	w := &discardWriter{header: http.Header{}}
+	h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/pipelines", bytes.NewReader(body)))
+	if w.code != http.StatusOK {
+		b.Fatalf("status %d: %s", w.code, w.failure)
 	}
 }
 
