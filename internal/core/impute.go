@@ -234,7 +234,7 @@ func (p *PreparedImpute) serialize(r dataset.Record) string {
 
 // trainRow returns the training record a neighbour stands for.
 func (p *PreparedImpute) trainRow(nb embed.Neighbor) dataset.Record {
-	pos, _ := p.ix.Position(nb.ID)
+	pos := nb.Pos
 	if p.rows != nil {
 		pos = int(p.rows[pos])
 	}
@@ -358,19 +358,29 @@ func (p *PreparedImpute) vote(nn []embed.Neighbor) (string, bool) {
 	if len(vote) > p.req.Neighbors {
 		vote = vote[:p.req.Neighbors]
 	}
-	votes := make(map[string]int)
-	var order []string
+	// Each value's count in the order first seen, on the stack for k up to
+	// its size: k is small, so a scan of the values so far beats a map.
+	type tally struct {
+		v string
+		n int
+	}
+	var stack [16]tally
+	tallies := stack[:0]
 	for _, nb := range vote {
 		v, _ := p.trainRow(nb).Get(p.req.TargetField)
-		if votes[v] == 0 {
-			order = append(order, v)
+		i := 0
+		for i < len(tallies) && tallies[i].v != v {
+			i++
 		}
-		votes[v]++
+		if i == len(tallies) {
+			tallies = append(tallies, tally{v: v})
+		}
+		tallies[i].n++
 	}
 	best, bestN := "", 0
-	for _, v := range order { // first-seen tie-break: nearest wins
-		if votes[v] > bestN {
-			best, bestN = v, votes[v]
+	for _, t := range tallies { // first-seen tie-break: nearest wins
+		if t.n > bestN {
+			best, bestN = t.v, t.n
 		}
 	}
 	return best, p.req.Strategy == ImputeKNN || (len(vote) > 0 && bestN == len(vote))

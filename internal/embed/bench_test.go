@@ -23,7 +23,7 @@ func (ix *seedIndex) add(id, text string) {
 func (ix *seedIndex) nearest(q []float64, k int) []Neighbor {
 	out := make([]Neighbor, 0, len(ix.ids))
 	for i, v := range ix.vecs {
-		out = append(out, Neighbor{ID: ix.ids[i], Distance: L2(q, v)})
+		out = append(out, Neighbor{ID: ix.ids[i], Pos: i, Distance: L2(q, v)})
 	}
 	sort.SliceStable(out, func(a, b int) bool { return out[a].Distance < out[b].Distance })
 	if k < len(out) {

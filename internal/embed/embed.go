@@ -96,8 +96,12 @@ func NewNGramEmbedder(dim, n int) *NGramEmbedder {
 }
 
 // Default returns the embedder configuration used by the benchmarks:
-// 3-grams into DefaultDim buckets.
-func Default() *NGramEmbedder { return NewNGramEmbedder(DefaultDim, 3) }
+// 3-grams into DefaultDim buckets. It is one shared instance, immutable
+// and safe for concurrent use, so a Registry fingerprints it once however
+// many engines take it.
+func Default() *NGramEmbedder { return defaultEmbedder }
+
+var defaultEmbedder = NewNGramEmbedder(DefaultDim, 3)
 
 // Dim implements Embedder.
 func (e *NGramEmbedder) Dim() int { return e.dim }

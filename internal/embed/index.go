@@ -17,6 +17,9 @@ import (
 type Neighbor struct {
 	// ID is the identifier supplied at Add time.
 	ID string
+	// Pos is the item's position in the index, Position(ID): what a caller
+	// keeping its rows in insertion order reads the neighbour's row by.
+	Pos int
 	// Distance is the L2 distance from the query.
 	Distance float64
 }
@@ -499,7 +502,7 @@ func (t *topK) neighbors(ids []string) []Neighbor {
 	sort.Sort(t)
 	out := make([]Neighbor, len(t.idx))
 	for i, pos := range t.idx {
-		out[i] = Neighbor{ID: ids[pos], Distance: math.Sqrt(float64(t.d2[i]))}
+		out[i] = Neighbor{ID: ids[pos], Pos: pos, Distance: math.Sqrt(float64(t.d2[i]))}
 	}
 	return out
 }

@@ -129,7 +129,7 @@ func bruteNearest(ix *Index, q []float32, k, skip int) []Neighbor {
 	}
 	out := make([]Neighbor, len(all))
 	for i, s := range all {
-		out[i] = Neighbor{ID: ix.ids[s.pos], Distance: math.Sqrt(float64(s.d2))}
+		out[i] = Neighbor{ID: ix.ids[s.pos], Pos: s.pos, Distance: math.Sqrt(float64(s.d2))}
 	}
 	return out
 }

@@ -217,7 +217,7 @@ func (ix *Index) Within(text string, radius float64) []Neighbor {
 	})
 	out := make([]Neighbor, len(order))
 	for i, h := range order {
-		out[i] = Neighbor{ID: ix.ids[idxs[h]], Distance: math.Sqrt(float64(d2s[h]))}
+		out[i] = Neighbor{ID: ix.ids[idxs[h]], Pos: idxs[h], Distance: math.Sqrt(float64(d2s[h]))}
 	}
 	return out
 }

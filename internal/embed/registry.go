@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math"
 	"path/filepath"
+	"reflect"
 	"sync"
 )
 
@@ -143,6 +144,10 @@ type Registry struct {
 	// scans is the certified-path tally of every index this registry
 	// serves (each is pointed at it before it is published).
 	scans scanCounters
+	// lastEm and lastFP are the pointer embedder fingerprinted last and its
+	// fingerprint, so a stream of calls with one embedder probes it once.
+	lastEm Embedder
+	lastFP uint64
 }
 
 // NewRegistry returns an empty registry.
@@ -186,6 +191,28 @@ func fingerprint(em Embedder) uint64 {
 	return h.Sum64()
 }
 
+// fingerprintOf is fingerprint(em), computed once for the embedder the
+// registry saw last. Only a pointer is remembered: comparing two is
+// identity, where == on other dynamic types may panic (a struct holding a
+// slice) or name two embedders one.
+func (r *Registry) fingerprintOf(em Embedder) uint64 {
+	if reflect.TypeOf(em).Kind() != reflect.Pointer {
+		return fingerprint(em)
+	}
+	r.mu.Lock()
+	if r.lastEm == em {
+		fp := r.lastFP
+		r.mu.Unlock()
+		return fp
+	}
+	r.mu.Unlock()
+	fp := fingerprint(em)
+	r.mu.Lock()
+	r.lastEm, r.lastFP = em, fp
+	r.mu.Unlock()
+	return fp
+}
+
 // Index returns a shared exact-search index over exactly these items,
 // building it on first request (embedding parallelised via AddAll) and
 // serving every later request for the same corpus from cache.
@@ -218,7 +245,7 @@ func (r *Registry) IndexFrom(em Embedder, source SourceKey, opts IndexOptions, r
 }
 
 func (r *Registry) index(em Embedder, key registryKey, opts IndexOptions, render func() ([]Item, error)) (*Index, error) {
-	key.dim, key.fingerprint, key.opts = em.Dim(), fingerprint(em), opts.normalized()
+	key.dim, key.fingerprint, key.opts = em.Dim(), r.fingerprintOf(em), opts.normalized()
 	r.mu.Lock()
 	e, ok := r.entries[key]
 	if !ok {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -15,11 +16,16 @@ import (
 )
 
 // Job replies. A reply is the JSON of the job's JobStatus, written without
-// reflection into a pooled buffer before any header goes out, byte for
-// byte what json.Encoder with SetEscapeHTML(false) writes for
-// JobStatus{..., Result: JobResultOf(res)} — FuzzReplyWriter holds the two
-// to that, failures included. It reads the job's *pipeline.Result
-// directly, so no JobResult copy is built.
+// reflection, byte for byte what json.Encoder with SetEscapeHTML(false)
+// writes for JobStatus{..., Result: JobResultOf(res)} — FuzzReplyWriter
+// holds the two to that, failures included. No JobResult copy is built.
+//
+// A job's reply changes only until the job finishes. Then runJob seals it
+// once (seal) and the job keeps the seal, not its *pipeline.Result: a
+// retained job is a few pointer-free slices the GC does not scan, where
+// its Result was tables of records it marked on every cycle. The sync
+// submit's reply, each poll's and a cancel's expand the seal into a pooled
+// buffer.
 //
 // Most of a warm reply is the tenant's own records: filter, sort and count
 // pass input records through unchanged. An output record is recognised as
@@ -27,11 +33,12 @@ import (
 // found already interned — when its Fields slice starts where that
 // record's does in the table's one backing array and is as long, and its
 // ID is the record's. No stage writes a record of its input (intern.go),
-// so such a record still holds exactly what was decoded, and the writer
-// copies its bytes from the table's rendering: every record of the table
-// written once by this same writer, the first time a reply reuses one of
-// them. A table seen only once is never rendered; its records are written
-// as any other.
+// so such a record still holds exactly what was decoded. The seal keeps
+// no bytes for it, only a splice naming the table and the record, and an
+// expansion copies its bytes from the table's rendering: every record of
+// the table written once by this same writer, the first time a reply
+// reuses one of them. A table seen only once is never rendered; its
+// records are sealed as any other.
 
 // replyPool recycles reply buffers. One larger than maxPooledReply is
 // dropped rather than kept for every later reply.
@@ -40,7 +47,11 @@ var replyPool = sync.Pool{New: func() any { return new(replyBuf) }}
 const maxPooledReply = 1 << 20
 
 // replyBuf is a pooled reply body; Write lets json.Encoder render into it.
-type replyBuf struct{ b []byte }
+// splices is the scratch a seal is written with.
+type replyBuf struct {
+	b       []byte
+	splices []splice
+}
 
 func (r *replyBuf) Write(p []byte) (int, error) {
 	r.b = append(r.b, p...)
@@ -49,7 +60,7 @@ func (r *replyBuf) Write(p []byte) (int, error) {
 
 func putReplyBuf(r *replyBuf) {
 	if cap(r.b) <= maxPooledReply {
-		r.b = r.b[:0]
+		r.b, r.splices = r.b[:0], r.splices[:0]
 		replyPool.Put(r)
 	}
 }
@@ -83,22 +94,69 @@ func (s *Server) writeReply(w http.ResponseWriter, code int, j *job) {
 // of the bytes were copied from rendered input tables. On error b is
 // returned as it was passed.
 func (s *Server) appendReply(b []byte, j *job) (_ []byte, reused int, err error) {
-	st, res := j.view()
-	w := replyWriter{b: b, tables: s.tables, inputs: j.inputs}
-	w.status(&st, res)
-	if w.err != nil {
-		return b, 0, w.err
+	st, sealed := j.view()
+	if sealed == nil {
+		w := replyWriter{b: b}
+		w.status(&st, nil)
+		return w.b, 0, nil
 	}
-	return w.b, w.reused, nil
+	if sealed.err != nil {
+		return b, 0, sealed.err
+	}
+	b, reused = sealed.expand(b, s.tables, j.inputs)
+	return b, reused, nil
 }
 
-// replyWriter appends one reply.
+// sealedReply is a finished job's reply. lit is every byte the writer
+// wrote itself; each splice stands, at its offset in lit, for a record of
+// one of the job's warm input tables. err is the first float encoding/json
+// would refuse; lit and splices are then empty.
+type sealedReply struct {
+	lit     []byte
+	splices []splice
+	err     error
+}
+
+// splice is record rec of the job's input table inputs[table], standing
+// at lit[at].
+type splice struct{ at, table, rec int32 }
+
+// seal writes the terminal reply st with res as its result, splicing each
+// record of inputs it passes through. The seal is sized to what it holds.
+func seal(st *JobStatus, res *pipeline.Result, inputs []*internedTable) *sealedReply {
+	buf := replyPool.Get().(*replyBuf)
+	defer putReplyBuf(buf)
+	w := replyWriter{b: buf.b[:0], splices: buf.splices[:0], inputs: inputs}
+	w.status(st, res)
+	buf.b, buf.splices = w.b, w.splices
+	if w.err != nil {
+		return &sealedReply{err: w.err}
+	}
+	return &sealedReply{lit: bytes.Clone(w.b), splices: slices.Clone(w.splices)}
+}
+
+// expand appends the reply to b, each spliced record copied from its
+// table's rendering; reused is the bytes so copied.
+func (r *sealedReply) expand(b []byte, tables *tableInterner, inputs []*internedTable) (_ []byte, reused int) {
+	at := int32(0)
+	for _, sp := range r.splices {
+		b = append(b, r.lit[at:sp.at]...)
+		at = sp.at
+		out := tables.rendered(inputs[sp.table])
+		rec := out.b[out.at[sp.rec]:out.at[sp.rec+1]]
+		b = append(b, rec...)
+		reused += len(rec)
+	}
+	return append(b, r.lit[at:]...), reused
+}
+
+// replyWriter writes one reply, noting a splice where a record is one of
+// inputs'.
 type replyWriter struct {
-	b      []byte
-	err    error // the first float encoding/json would refuse
-	tables *tableInterner
-	inputs []*internedTable
-	reused int
+	b       []byte
+	err     error // the first float encoding/json would refuse
+	inputs  []*internedTable
+	splices []splice
 }
 
 // status writes st with res, not st.Result, as its result.
@@ -204,8 +262,7 @@ func (w *replyWriter) stage(st *pipeline.StageReport) {
 	w.b = append(w.b, '}')
 }
 
-// records writes a table, copying each record a warm input table holds
-// rendered.
+// records writes a table, splicing each record of a warm input table.
 func (w *replyWriter) records(rs []dataset.Record) {
 	if rs == nil {
 		w.b = append(w.b, "null"...)
@@ -216,11 +273,8 @@ func (w *replyWriter) records(rs []dataset.Record) {
 		if i > 0 {
 			w.b = append(w.b, ',')
 		}
-		if t, k := inputRecord(w.inputs, &rs[i]); t != nil {
-			out := w.tables.rendered(t)
-			rec := out.b[out.at[k]:out.at[k+1]]
-			w.b = append(w.b, rec...)
-			w.reused += len(rec)
+		if t, k := inputRecord(w.inputs, &rs[i]); t >= 0 {
+			w.splices = append(w.splices, splice{at: int32(len(w.b)), table: int32(t), rec: int32(k)})
 			continue
 		}
 		w.b = appendRecord(w.b, &rs[i])
@@ -361,15 +415,16 @@ func renderTable(t *internedTable) *renderedTable {
 const fieldSize = unsafe.Sizeof(dataset.Field{})
 
 // inputRecord finds r among the records of the warm input tables by
-// identity: it returns the table and index k whose record's Fields starts
-// where r's does and is as long, and whose ID is r's, or nil. Only the
-// addresses are compared; a record with no fields is never matched.
-func inputRecord(inputs []*internedTable, r *dataset.Record) (*internedTable, int) {
+// identity: it returns the index in inputs of the table, and k of its
+// record, whose Fields starts where r's does and is as long, and whose ID
+// is r's, or -1. Only the addresses are compared; a record with no fields
+// is never matched.
+func inputRecord(inputs []*internedTable, r *dataset.Record) (table, k int) {
 	if len(r.Fields) == 0 {
-		return nil, 0
+		return -1, 0
 	}
 	p := uintptr(unsafe.Pointer(unsafe.SliceData(r.Fields)))
-	for _, t := range inputs {
+	for i, t := range inputs {
 		base := uintptr(unsafe.Pointer(unsafe.SliceData(t.fields)))
 		if p < base || p >= base+uintptr(len(t.fields))*fieldSize {
 			continue
@@ -380,9 +435,9 @@ func inputRecord(inputs []*internedTable, r *dataset.Record) (*internedTable, in
 		k, _ := slices.BinarySearch(t.starts, slot+1)
 		k--
 		if t.starts[k] != slot || int(t.starts[k+1]-slot) != len(r.Fields) || t.records[k].ID != r.ID {
-			return nil, 0
+			return -1, 0
 		}
-		return t, k
+		return i, k
 	}
-	return nil, 0
+	return -1, 0
 }

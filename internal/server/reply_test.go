@@ -27,11 +27,9 @@ func encodeStatus(st *JobStatus) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// writeStatus runs the reply writer on st with res as its result.
-func writeStatus(in *tableInterner, inputs []*internedTable, st *JobStatus, res *pipeline.Result) ([]byte, error) {
-	w := replyWriter{tables: in, inputs: inputs}
-	w.status(st, res)
-	return w.b, w.err
+// sealedJob is a finished job whose reply is st with res as its result.
+func sealedJob(st JobStatus, res *pipeline.Result, inputs []*internedTable) *job {
+	return &job{id: st.ID, tenant: st.Tenant, state: st.State, inputs: inputs, reply: seal(&st, res, inputs)}
 }
 
 // oddTables spells a source and a train table the way a tenant may and
@@ -223,10 +221,12 @@ func fuzzStatus(a, b, c string, shape uint16, wall, cost float64) (*JobStatus, *
 // FuzzReplyWriter is the reply writer's differential test against
 // encoding/json: on any strings, nil and empty slices and maps, omitempty
 // zeros and any floats — both sides of the 'f'/'e' switch at 1e-6 and
-// 1e21, -0, NaN and the infinities — it writes exactly json.Encoder's
-// bytes or fails with its error. Each status is written cold, with its
-// passed-through records rendered into the interner, and again copying
-// them.
+// 1e21, -0, NaN and the infinities — and any state, failed and cancelled
+// included, it writes exactly json.Encoder's bytes or fails with its
+// error. Each status is sealed cold, with no warm input, where the seal is
+// the fresh render of the whole reply; and warm, where the input's
+// records passed through are splices, expanded twice: once rendering the
+// table into the interner and once copying.
 func FuzzReplyWriter(f *testing.F) {
 	ls := "\xe2\x80\xa8"
 	strs := []string{"", "plain", `q"uote\back`, "<b>&amp;</b>", "ctl\x00\x01\x08\x0c\n\r\t\x1f\x7f", "bad\xff\xfeutf8", ls + "\xe2\x80\xa9", "caf\xc3\xa9 \xf0\x9f\x8d\xa6"}
@@ -244,16 +244,33 @@ func FuzzReplyWriter(f *testing.F) {
 			ref.Result = JobResultOf(res)
 		}
 		want, wantErr := encodeStatus(&ref)
+		sameErr := func(how string, err error) {
+			t.Helper()
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("%s: writer error %v, encoding/json error %v", how, err, wantErr)
+			}
+		}
+		cold := seal(st, res, nil)
+		sameErr("cold seal", cold.err)
+		if cold.err == nil && (len(cold.splices) != 0 || !bytes.Equal(cold.lit, want)) {
+			t.Fatalf("the cold seal (%d splices) and encoding/json differ:\ngot:  %q\nwant: %q", len(cold.splices), cold.lit, want)
+		}
 		in := newTableInterner()
 		in.recency.PushFront(tab)
 		in.byKey[tab.key] = in.recency.Front()
+		inputs := []*internedTable{tab}
+		warm := seal(st, res, inputs)
+		sameErr("warm seal", warm.err)
+		if warm.err != nil {
+			return
+		}
 		for pass := 0; pass < 2; pass++ {
-			got, err := writeStatus(in, []*internedTable{tab}, st, res)
-			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
-				t.Fatalf("pass %d: writer error %v, encoding/json error %v", pass, err, wantErr)
+			got, reused := warm.expand(nil, in, inputs)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("pass %d: the warm seal's expansion and encoding/json differ:\ngot:  %q\nwant: %q", pass, got, want)
 			}
-			if err == nil && !bytes.Equal(got, want) {
-				t.Fatalf("pass %d: writer and encoding/json differ:\ngot:  %q\nwant: %q", pass, got, want)
+			if reused+len(warm.lit) != len(got) {
+				t.Fatalf("pass %d: %d bytes spliced and %d sealed make a %d-byte reply", pass, reused, len(warm.lit), len(got))
 			}
 		}
 	})
@@ -282,7 +299,7 @@ func TestWriteJSONRendersBeforeSending(t *testing.T) {
 	})
 	t.Run("job reply", func(t *testing.T) {
 		s := &Server{tables: newTableInterner()}
-		j := &job{id: "j", tenant: "t", state: JobDone, result: &pipeline.Result{Cost: math.NaN()}}
+		j := sealedJob(JobStatus{ID: "j", Tenant: "t", State: JobDone}, &pipeline.Result{Cost: math.NaN()}, nil)
 		rec := httptest.NewRecorder()
 		s.writeReply(rec, http.StatusOK, j)
 		check(t, rec)
@@ -317,26 +334,29 @@ func warmReplayBody(t testing.TB, n int) []byte {
 }
 
 // warmJob runs body twice on s, so the second job's table is warm, and
-// returns the second job.
-func warmJob(t testing.TB, s *Server, body []byte) *job {
+// returns the second job and how it finished.
+func warmJob(t testing.TB, s *Server, body []byte) (*job, finished) {
 	t.Helper()
-	var j *job
+	var (
+		j   *job
+		fin finished
+	)
 	for sight := 0; sight < 2; sight++ {
 		req, tables, err := s.decodeSubmit(body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if j, err = s.submit(context.Background(), req, tables); err != nil {
+		if j, fin, err = s.submit(context.Background(), req, tables); err != nil {
 			t.Fatal(err)
 		}
-		if st, _ := j.view(); st.State != JobDone {
-			t.Fatalf("sight %d: job %s (%s)", sight, st.State, st.Error)
+		if fin.status.State != JobDone {
+			t.Fatalf("sight %d: job %s (%s)", sight, fin.status.State, fin.status.Error)
 		}
 	}
-	if len(j.inputs) != 1 {
-		t.Fatalf("the second sight holds %d warm tables, want the source", len(j.inputs))
+	if len(j.inputs) != 1 || len(j.reply.splices) == 0 {
+		t.Fatalf("the second sight holds %d warm tables and seals %d splices, want the source and some", len(j.inputs), len(j.reply.splices))
 	}
-	return j
+	return j, fin
 }
 
 // TestWarmReplyAllocs pins the warm reply's cost: on a warm-replay-shaped
@@ -348,12 +368,15 @@ func TestWarmReplyAllocs(t *testing.T) {
 	}
 	measure := func(n int) (allocs, share float64) {
 		s := New(Config{Model: testOracle()})
-		j := warmJob(t, s, warmReplayBody(t, n))
+		j, _ := warmJob(t, s, warmReplayBody(t, n))
 		buf, reused, err := s.appendReply(nil, j)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := j.status()
+		st, err := s.status(j)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if want, _ := encodeStatus(st); !bytes.Equal(buf, want) {
 			t.Fatalf("%d rows: the reply differs from encoding/json's", n)
 		}
@@ -401,15 +424,17 @@ func TestRenderedTableEvictedUnderReaders(t *testing.T) {
 		if _, _, err := s.decodeSubmit(body); err != nil {
 			t.Fatal(err)
 		}
-		jobs := make([]*job, 4)
+		jobs, wants := make([]*job, 4), make([][]byte, 4)
 		for i := range jobs {
 			req, tables, err := s.decodeSubmit(body)
 			if err != nil || len(tables.warm) != 1 {
 				t.Fatalf("round %d: a repeated table is not warm (err %v)", round, err)
 			}
 			src := req.Tables["source"]
-			jobs[i] = &job{id: fmt.Sprint("job-", i), tenant: "t", state: JobDone, inputs: tables.warm,
-				result: &pipeline.Result{Tables: map[string][]dataset.Record{"all": src, "some": {src[3], src[1]}}}}
+			st := JobStatus{ID: fmt.Sprint("job-", i), Tenant: "t", State: JobDone,
+				Result: JobResultOf(&pipeline.Result{Tables: map[string][]dataset.Record{"all": src, "some": {src[3], src[1]}}})}
+			wants[i], _ = encodeStatus(&st)
+			jobs[i] = sealedJob(st, &pipeline.Result{Tables: st.Result.Tables}, tables.warm)
 		}
 		var wg sync.WaitGroup
 		outs := make([]*renderedTable, len(jobs))
@@ -417,7 +442,7 @@ func TestRenderedTableEvictedUnderReaders(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				want, _ := encodeStatus(j.status())
+				want := wants[i]
 				for k := 0; k < 3; k++ {
 					got, _, err := s.appendReply(nil, j)
 					if err != nil || !bytes.Equal(got, want) {

@@ -27,6 +27,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"regexp"
@@ -369,11 +370,11 @@ type job struct {
 	// copy pre-rendered (reply.go).
 	inputs []*internedTable
 
-	mu     sync.Mutex
-	state  JobState
-	err    error
-	result *pipeline.Result
-	wall   time.Duration
+	mu    sync.Mutex
+	state JobState
+	// reply is the job's whole reply, sealed when it reached a terminal
+	// state; the job does not keep its Result (reply.go).
+	reply *sealedReply
 	// done is when the job reached a terminal state; the retention
 	// sweeper measures age from it.
 	done time.Time
@@ -387,41 +388,42 @@ func (j *job) setState(s JobState) {
 	}
 }
 
-func (j *job) finish(s JobState, res *pipeline.Result, err error, wall time.Duration) {
+// finish publishes the terminal state and the reply sealed for it
+// together, so a reader sees either a live state or the whole seal.
+func (j *job) finish(s JobState, reply *sealedReply) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.terminal() {
 		return
 	}
-	j.state, j.result, j.err, j.wall = s, res, err, wall
+	j.state, j.reply = s, reply
 	j.done = time.Now()
 }
 
-// view reads the job's wire view: its status without a Result, and the
-// result the Result is rendered from once State is done.
-func (j *job) view() (JobStatus, *pipeline.Result) {
+// view reads the job's status as it stands, without a result, and once
+// the job is terminal the sealed reply that says the rest.
+func (j *job) view() (JobStatus, *sealedReply) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := JobStatus{ID: j.id, Tenant: j.tenant, State: j.state}
-	if j.err != nil {
-		st.Error = j.err.Error()
-	}
-	if j.state.terminal() {
-		st.WallMS = float64(j.wall) / float64(time.Millisecond)
-	}
-	if j.state == JobDone {
-		return st, j.result
-	}
-	return st, nil
+	return JobStatus{ID: j.id, Tenant: j.tenant, State: j.state}, j.reply
 }
 
-// status renders the job's wire view for in-process callers.
-func (j *job) status() *JobStatus {
-	st, res := j.view()
-	if res != nil {
-		st.Result = JobResultOf(res)
+// status is the job's reply decoded: the wire view in-process callers
+// get. A string that is not valid UTF-8 — possible only in an in-process
+// submission — reads back with U+FFFD, as a client would read it.
+func (s *Server) status(j *job) (*JobStatus, error) {
+	buf := replyPool.Get().(*replyBuf)
+	defer putReplyBuf(buf)
+	b, _, err := s.appendReply(buf.b[:0], j)
+	buf.b = b
+	if err != nil {
+		return nil, fmt.Errorf("server: encoding reply: %w", err)
 	}
-	return &st
+	st := new(JobStatus)
+	if err := json.Unmarshal(b, st); err != nil {
+		return nil, fmt.Errorf("server: decoding reply: %w", err)
+	}
+	return st, nil
 }
 
 // Server is the multi-tenant pipeline service core. Construct with New;
@@ -660,47 +662,55 @@ func (s *Server) tenantFor(id string) *tenant {
 // ErrBadSpec, ErrRateLimited, ErrBusy, ErrDraining, or the tenant budget's
 // workflow.ErrBudgetExhausted.
 func (s *Server) Submit(ctx context.Context, req SubmitRequest) (*JobStatus, error) {
-	j, err := s.submit(ctx, req, jobTables{})
+	j, fin, err := s.submit(ctx, req, jobTables{})
 	if err != nil {
 		return nil, err
 	}
-	return j.status(), nil
+	if req.Async {
+		return s.status(j)
+	}
+	st := fin.status
+	if fin.res != nil {
+		st.Result = JobResultOf(fin.res)
+	}
+	return &st, nil
 }
 
 // submit is Submit with what the interner knows of req.Tables
-// (decodeSubmit; zero when they were not interned), returning the job.
-func (s *Server) submit(ctx context.Context, req SubmitRequest, in jobTables) (*job, error) {
+// (decodeSubmit; zero when they were not interned), returning the job
+// and, for a sync submission, how it finished.
+func (s *Server) submit(ctx context.Context, req SubmitRequest, in jobTables) (*job, finished, error) {
 	if !tenantIDPattern.MatchString(req.Tenant) {
-		return nil, fmt.Errorf("%w: tenant must match %s", ErrBadSpec, tenantIDPattern)
+		return nil, finished{}, fmt.Errorf("%w: tenant must match %s", ErrBadSpec, tenantIDPattern)
 	}
 	spec := req.Spec
 	if req.Optimize {
 		optimized, _, err := pipeline.Optimize(spec)
 		if err != nil {
-			return nil, fmt.Errorf("%w: optimize: %v", ErrBadSpec, err)
+			return nil, finished{}, fmt.Errorf("%w: optimize: %v", ErrBadSpec, err)
 		}
 		spec = optimized
 	}
 	p, err := pipeline.Compile(spec)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
+		return nil, finished{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
 	tables := req.Tables
 	if tables == nil {
 		tables, err = spec.Source.Tables()
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
+			return nil, finished{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
 		}
 	}
 	if _, ok := tables["source"]; !ok {
-		return nil, fmt.Errorf("%w: tables lack %q", ErrBadSpec, "source")
+		return nil, finished{}, fmt.Errorf("%w: tables lack %q", ErrBadSpec, "source")
 	}
 	// With the upstream breaker open, every job would fail on its first
 	// genuinely-uncached call anyway; refuse at the door with the retry
 	// hint instead of burning a slot (HTTP: 503 + Retry-After).
 	if s.resil != nil {
 		if open, after := s.resil.BreakerState(); open {
-			return nil, fmt.Errorf("server: refusing submission: %w",
+			return nil, finished{}, fmt.Errorf("server: refusing submission: %w",
 				&resil.BreakerOpenError{RetryAfter: after})
 		}
 	}
@@ -708,7 +718,7 @@ func (s *Server) submit(ctx context.Context, req SubmitRequest, in jobTables) (*
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		return nil, ErrDraining
+		return nil, finished{}, ErrDraining
 	}
 	t := s.tenantFor(req.Tenant)
 	if !t.limiter.Allow() {
@@ -716,11 +726,11 @@ func (s *Server) submit(ctx context.Context, req SubmitRequest, in jobTables) (*
 		t.throttled++
 		t.mu.Unlock()
 		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: tenant %q", ErrRateLimited, req.Tenant)
+		return nil, finished{}, fmt.Errorf("%w: tenant %q", ErrRateLimited, req.Tenant)
 	}
 	if !t.budget.Allows(s.counting.Name(), token.Usage{}) {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("tenant %q: %w", req.Tenant, workflow.ErrBudgetExhausted)
+		return nil, finished{}, fmt.Errorf("tenant %q: %w", req.Tenant, workflow.ErrBudgetExhausted)
 	}
 	tk, err := s.gate.reserve()
 	if err != nil {
@@ -728,7 +738,7 @@ func (s *Server) submit(ctx context.Context, req SubmitRequest, in jobTables) (*
 		t.rejectedBusy++
 		t.mu.Unlock()
 		s.mu.Unlock()
-		return nil, fmt.Errorf("%w (tenant %q)", err, req.Tenant)
+		return nil, finished{}, fmt.Errorf("%w (tenant %q)", err, req.Tenant)
 	}
 	// Sync jobs live under the caller's context (a dead client cancels
 	// them); async jobs under the server's, so they outlive the request.
@@ -750,17 +760,23 @@ func (s *Server) submit(ctx context.Context, req SubmitRequest, in jobTables) (*
 
 	if req.Async {
 		go s.runJob(jctx, j, t, tk, p, tables, in.keys)
-		return j, nil
+		return j, finished{}, nil
 	}
-	s.runJob(jctx, j, t, tk, p, tables, in.keys)
-	return j, nil
+	return j, s.runJob(jctx, j, t, tk, p, tables, in.keys), nil
+}
+
+// finished is how a job ended: its terminal status, without a result,
+// and the Result it ran to when it is done.
+type finished struct {
+	status JobStatus
+	res    *pipeline.Result
 }
 
 // runJob waits out the queue, runs the pipeline under the job's context,
-// and records the outcome. It owns the job's gate ticket and WaitGroup
-// slot.
+// and seals the outcome as the job's reply. It owns the job's gate ticket
+// and WaitGroup slot.
 func (s *Server) runJob(ctx context.Context, j *job, t *tenant, tk *ticket, p *pipeline.Pipeline,
-	tables map[string][]dataset.Record, keys map[string]embed.SourceKey) {
+	tables map[string][]dataset.Record, keys map[string]embed.SourceKey) finished {
 	defer s.wg.Done()
 	defer j.cancel()
 	var (
@@ -788,20 +804,27 @@ func (s *Server) runJob(ctx context.Context, j *job, t *tenant, tk *ticket, p *p
 
 	// One classification drives both the tenant's counters and the job's
 	// state, so a job cancelled while still queued counts as cancelled too.
-	state := JobFailed
+	fin := finished{status: JobStatus{ID: j.id, Tenant: j.tenant, State: JobFailed,
+		WallMS: float64(wall) / float64(time.Millisecond)}}
 	t.mu.Lock()
 	switch {
 	case err == nil:
-		state = JobDone
+		fin.status.State, fin.res = JobDone, res
 		t.complete(wall)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		state = JobCancelled
+		fin.status.State = JobCancelled
 		t.cancelled++
 	default:
 		t.failed++
 	}
 	t.mu.Unlock()
-	j.finish(state, res, err, wall)
+	if err != nil {
+		fin.status.Error = err.Error()
+	}
+	// The reply is sealed outside j.mu; the Result goes no further than
+	// this call's caller.
+	j.finish(fin.status.State, seal(&fin.status, fin.res, j.inputs))
+	return fin
 }
 
 // Job returns a job's current status.
@@ -810,7 +833,7 @@ func (s *Server) Job(id string) (*JobStatus, error) {
 	if err != nil {
 		return nil, err
 	}
-	return j.status(), nil
+	return s.status(j)
 }
 
 func (s *Server) lookup(id string) (*job, error) {
@@ -830,7 +853,7 @@ func (s *Server) Cancel(id string) (*JobStatus, error) {
 	if err != nil {
 		return nil, err
 	}
-	return j.status(), nil
+	return s.status(j)
 }
 
 func (s *Server) cancel(id string) (*job, error) {

@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime/metrics"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/llm/sim"
@@ -22,6 +24,72 @@ import (
 //
 //	go test -run '^$' -bench WarmJob -benchmem -cpuprofile cpu.out ./internal/server/
 func BenchmarkWarmJob(b *testing.B) {
+	body := warmJobBody(b)
+	srv := benchServer()
+	defer srv.Drain(context.Background())
+	h := srv.Handler()
+	postJob(b, h, body) // the pre-warm: every unit task's answer lands in the cache
+	calls := srv.Stats().UpstreamCalls
+	b.ReportAllocs()
+	for b.Loop() {
+		postJob(b, h, body)
+	}
+	if got := srv.Stats().UpstreamCalls; got != calls {
+		b.Fatalf("warm jobs made %d upstream calls", got-calls)
+	}
+}
+
+// retainedJobs is about how many finished warm-replay jobs a server with
+// the benchmark module's two-second retention holds.
+const retainedJobs = 512
+
+// BenchmarkWarmJobRetained is BenchmarkWarmJob on a server that holds
+// retainedJobs finished warm jobs throughout, as one retaining two seconds
+// of warm-replay traffic does, so the GC's cost of marking what they keep
+// shows in-tree. gc-cpu-% is the GC's share of the process's CPU time over
+// the loop (runtime/metrics).
+func BenchmarkWarmJobRetained(b *testing.B) {
+	body := warmJobBody(b)
+	srv := New(Config{Model: sim.NewNamed("sim-gpt-3.5-turbo"), TenantRate: 1e9, TenantBurst: 1 << 20,
+		JobRetention: -1, MaxJobs: retainedJobs})
+	defer srv.Drain(context.Background())
+	h := srv.Handler()
+	for range retainedJobs {
+		postJob(b, h, body) // the first pre-warms the cache
+	}
+	calls := srv.Stats().UpstreamCalls
+	gc0, cpu0 := gcCPU()
+	b.ReportAllocs()
+	k := 0
+	for b.Loop() {
+		postJob(b, h, body)
+		if k++; k%64 == 0 {
+			srv.sweepJobs(time.Now()) // back to retainedJobs
+		}
+	}
+	gc1, cpu1 := gcCPU()
+	if got := srv.Stats().UpstreamCalls; got != calls {
+		b.Fatalf("warm jobs made %d upstream calls", got-calls)
+	}
+	if cpu1 > cpu0 {
+		b.ReportMetric(100*(gc1-gc0)/(cpu1-cpu0), "gc-cpu-%")
+	}
+}
+
+// gcCPU reads the CPU time the GC has used and the process has used, in
+// seconds, as runtime/metrics estimates them.
+func gcCPU() (gc, used float64) {
+	s := []metrics.Sample{
+		{Name: "/cpu/classes/gc/total:cpu-seconds"},
+		{Name: "/cpu/classes/total:cpu-seconds"},
+		{Name: "/cpu/classes/idle:cpu-seconds"},
+	}
+	metrics.Read(s)
+	return s[0].Value.Float64(), s[1].Value.Float64() - s[2].Value.Float64()
+}
+
+// warmJobBody is the warm-replay job BenchmarkWarmJob sends.
+func warmJobBody(b *testing.B) []byte {
 	spec := pipeline.Spec{Stages: []pipeline.StageSpec{
 		{Name: "casual", Kind: pipeline.KindFilter, Input: "source", Field: "name", Predicate: "the restaurant sounds like a casual neighbourhood place"},
 		{Name: "seafood", Kind: pipeline.KindFilter, Input: "source", Field: "type", Predicate: "the restaurant serves seafood, steak, or pizza"},
@@ -39,18 +107,7 @@ func BenchmarkWarmJob(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := benchServer()
-	defer srv.Drain(context.Background())
-	h := srv.Handler()
-	postJob(b, h, body) // the pre-warm: every unit task's answer lands in the cache
-	calls := srv.Stats().UpstreamCalls
-	b.ReportAllocs()
-	for b.Loop() {
-		postJob(b, h, body)
-	}
-	if got := srv.Stats().UpstreamCalls; got != calls {
-		b.Fatalf("warm jobs made %d upstream calls", got-calls)
-	}
+	return body
 }
 
 // knnJobs returns the knn-corpus job of the benchmark module: a hybrid
