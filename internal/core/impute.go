@@ -358,22 +358,40 @@ func (p *PreparedImpute) vote(nn []embed.Neighbor) (string, bool) {
 	if len(vote) > p.req.Neighbors {
 		vote = vote[:p.req.Neighbors]
 	}
-	// Each value's count in the order first seen, on the stack for k up to
-	// its size: k is small, so a scan of the values so far beats a map.
+	// Each value's count in the order first seen, on the stack while the
+	// values fit in it: k is small, so a scan of the values so far beats a
+	// map. Past that, a map finds a value's tally, so a large k costs O(k).
 	type tally struct {
 		v string
 		n int
 	}
-	var stack [16]tally
-	tallies := stack[:0]
+	var (
+		stack   [16]tally
+		tallies = stack[:0]
+		index   map[string]int // value → its tally, once the stack is full
+	)
 	for _, nb := range vote {
 		v, _ := p.trainRow(nb).Get(p.req.TargetField)
-		i := 0
-		for i < len(tallies) && tallies[i].v != v {
-			i++
+		i, seen := 0, false
+		if index != nil {
+			i, seen = index[v]
+		} else {
+			for i < len(tallies) && tallies[i].v != v {
+				i++
+			}
+			seen = i < len(tallies)
 		}
-		if i == len(tallies) {
+		if !seen {
+			i = len(tallies)
 			tallies = append(tallies, tally{v: v})
+			if index != nil {
+				index[v] = i
+			} else if len(tallies) == len(stack) {
+				index = make(map[string]int, 2*len(stack))
+				for j, t := range tallies {
+					index[t.v] = j
+				}
+			}
 		}
 		tallies[i].n++
 	}

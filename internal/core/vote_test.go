@@ -38,24 +38,27 @@ func voteByMap(p *PreparedImpute, nn []embed.Neighbor) (string, bool) {
 }
 
 // TestVoteMatchesMapCount: on random neighbour lists over a few values,
-// or more than the tally's stack array holds — ties everywhere, a row
-// without the target, rows remapped as under duplicate IDs — vote decides
-// exactly what the map count does.
+// about as many as the tally's stack array holds, or hundreds — ties
+// everywhere, a row without the target, rows remapped as under duplicate
+// IDs — vote decides exactly what the map count does.
 func TestVoteMatchesMapCount(t *testing.T) {
 	rng := rand.New(rand.NewPCG(44, 7))
 	for trial := 0; trial < 3000; trial++ {
-		values := 1 + rng.IntN(3)
-		if trial%4 == 0 {
-			values = 24 // more than the stack array holds
+		values, size := 1+rng.IntN(3), 24
+		switch trial % 8 {
+		case 0:
+			values = 24 // about as many as the stack array holds
+		case 4:
+			values, size = 300, 400 // far more: the map takes over
 		}
-		train := make([]dataset.Record, 1+rng.IntN(24))
+		train := make([]dataset.Record, 1+rng.IntN(size))
 		for i := range train {
 			train[i] = dataset.Record{ID: fmt.Sprint("t", i)}
 			if k := rng.IntN(values + 1); k < values {
 				train[i].Fields = []dataset.Field{{Name: "city", Value: fmt.Sprint("city", k)}}
 			}
 		}
-		p := &PreparedImpute{req: ImputeRequest{TargetField: "city", Train: train, Neighbors: 1 + rng.IntN(20),
+		p := &PreparedImpute{req: ImputeRequest{TargetField: "city", Train: train, Neighbors: 1 + rng.IntN(size),
 			Strategy: []ImputeStrategy{ImputeKNN, ImputeHybrid, ImputeLLM}[rng.IntN(3)]}}
 		positions := len(train)
 		if rng.IntN(3) == 0 {
@@ -65,7 +68,7 @@ func TestVoteMatchesMapCount(t *testing.T) {
 				p.rows[i] = int32(rng.IntN(len(train)))
 			}
 		}
-		nn := make([]embed.Neighbor, rng.IntN(24))
+		nn := make([]embed.Neighbor, rng.IntN(size))
 		for i := range nn {
 			nn[i] = embed.Neighbor{Pos: rng.IntN(positions)}
 		}
@@ -74,5 +77,23 @@ func TestVoteMatchesMapCount(t *testing.T) {
 		if got != want || gotOK != wantOK {
 			t.Fatalf("trial %d: vote %q/%v, the map count %q/%v, over %+v", trial, got, gotOK, want, wantOK, nn)
 		}
+	}
+}
+
+// BenchmarkVoteLargeK votes over k = 4,000 neighbours whose target values
+// all differ: a vote past its stack array must not scan every value so
+// far for each neighbour.
+func BenchmarkVoteLargeK(b *testing.B) {
+	const k = 4000
+	train := make([]dataset.Record, k)
+	nn := make([]embed.Neighbor, k)
+	for i := range train {
+		train[i] = dataset.Record{ID: fmt.Sprint("t", i), Fields: []dataset.Field{{Name: "city", Value: fmt.Sprint("city", i)}}}
+		nn[i] = embed.Neighbor{Pos: i}
+	}
+	p := &PreparedImpute{req: ImputeRequest{TargetField: "city", Train: train, Neighbors: k, Strategy: ImputeKNN}}
+	b.ReportAllocs()
+	for b.Loop() {
+		p.vote(nn)
 	}
 }

@@ -182,6 +182,12 @@ func TestRegistryConcurrentRequestsBuildOnce(t *testing.T) {
 	em := &countingEmbedder{inner: Default()}
 	r := NewRegistry()
 	corpus := testItems(30, "c")
+	// The registry remembers the embedder's fingerprint from here on, so
+	// no requester below probes it again.
+	r.fingerprintOf(em)
+	if got := em.calls.Load(); got != 1 {
+		t.Fatalf("the fingerprint embedded %d texts, want 1 probe", got)
+	}
 
 	const workers = 16
 	results := make([]*Index, workers)
@@ -199,10 +205,8 @@ func TestRegistryConcurrentRequestsBuildOnce(t *testing.T) {
 			t.Fatal("concurrent requesters got different indexes")
 		}
 	}
-	// Requesters that find the embedder's fingerprint remembered skip the
-	// probe; how many do depends on the schedule.
-	if got := em.calls.Load(); got < 30+1 || got > 30+workers {
-		t.Fatalf("embedded %d texts, want one build of 30 plus 1 to %d probes", got, workers)
+	if got := em.calls.Load(); got != 30+1 {
+		t.Fatalf("embedded %d texts, want one build of 30 plus the 1 probe", got)
 	}
 	if builds, hits := r.Stats(); builds != 1 || hits != workers-1 {
 		t.Fatalf("stats = %d builds / %d hits", builds, hits)

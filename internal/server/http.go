@@ -137,7 +137,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid_request_error", "malformed request body: "+err.Error())
 		return
 	}
-	j, _, err := s.submit(r.Context(), req, tables)
+	j, err := s.submit(r.Context(), req, tables)
 	if err != nil {
 		fail(w, err)
 		return

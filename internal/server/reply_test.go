@@ -333,6 +333,13 @@ func warmReplayBody(t testing.TB, n int) []byte {
 	return raw
 }
 
+// finished is how a job ended: its terminal status, without a result,
+// and the Result it ran to, as Server.sealing saw them.
+type finished struct {
+	status JobStatus
+	res    *pipeline.Result
+}
+
 // warmJob runs body twice on s, so the second job's table is warm, and
 // returns the second job and how it finished.
 func warmJob(t testing.TB, s *Server, body []byte) (*job, finished) {
@@ -341,12 +348,14 @@ func warmJob(t testing.TB, s *Server, body []byte) (*job, finished) {
 		j   *job
 		fin finished
 	)
+	s.sealing = func(st *JobStatus, res *pipeline.Result) { fin = finished{*st, res} }
+	defer func() { s.sealing = nil }()
 	for sight := 0; sight < 2; sight++ {
 		req, tables, err := s.decodeSubmit(body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if j, fin, err = s.submit(context.Background(), req, tables); err != nil {
+		if j, err = s.submit(context.Background(), req, tables); err != nil {
 			t.Fatal(err)
 		}
 		if fin.status.State != JobDone {

@@ -120,7 +120,7 @@ func TestPollsSeeWholeSeal(t *testing.T) {
 			t.Fatal(err)
 		}
 		req.Async = true
-		j, _, err := s.submit(context.Background(), req, tables)
+		j, err := s.submit(context.Background(), req, tables)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,8 +168,7 @@ func TestPollsSeeWholeSeal(t *testing.T) {
 // TestInProcessStatusMatchesReply pins the in-process views to the wire:
 // Job and Cancel of a job done cold or warm, failed, cancelled running or
 // cancelled in the queue are its HTTP reply decoded, and re-encode to its
-// bytes; Submit's status, built from the Result in hand, encodes to the
-// HTTP reply of the same job.
+// bytes; so does a sync Submit's status.
 func TestInProcessStatusMatchesReply(t *testing.T) {
 	check := func(t *testing.T, s *Server, ts *httptest.Server, id string) []byte {
 		t.Helper()

@@ -443,6 +443,9 @@ type Server struct {
 	// replyBytes and replyBytesReused are Stats.ReplyBytes and
 	// ReplyBytesReused.
 	replyBytes, replyBytesReused atomic.Int64
+	// sealing, when set (by tests, before any job runs), sees each job's
+	// terminal status and Result just before they are sealed.
+	sealing func(st *JobStatus, res *pipeline.Result)
 
 	// Job GC: effective retention (negative = disabled) and terminal-job
 	// cap (0 = none), plus the sweeper goroutine's lifecycle.
@@ -662,55 +665,47 @@ func (s *Server) tenantFor(id string) *tenant {
 // ErrBadSpec, ErrRateLimited, ErrBusy, ErrDraining, or the tenant budget's
 // workflow.ErrBudgetExhausted.
 func (s *Server) Submit(ctx context.Context, req SubmitRequest) (*JobStatus, error) {
-	j, fin, err := s.submit(ctx, req, jobTables{})
+	j, err := s.submit(ctx, req, jobTables{})
 	if err != nil {
 		return nil, err
 	}
-	if req.Async {
-		return s.status(j)
-	}
-	st := fin.status
-	if fin.res != nil {
-		st.Result = JobResultOf(fin.res)
-	}
-	return &st, nil
+	return s.status(j)
 }
 
 // submit is Submit with what the interner knows of req.Tables
-// (decodeSubmit; zero when they were not interned), returning the job
-// and, for a sync submission, how it finished.
-func (s *Server) submit(ctx context.Context, req SubmitRequest, in jobTables) (*job, finished, error) {
+// (decodeSubmit; zero when they were not interned), returning the job.
+func (s *Server) submit(ctx context.Context, req SubmitRequest, in jobTables) (*job, error) {
 	if !tenantIDPattern.MatchString(req.Tenant) {
-		return nil, finished{}, fmt.Errorf("%w: tenant must match %s", ErrBadSpec, tenantIDPattern)
+		return nil, fmt.Errorf("%w: tenant must match %s", ErrBadSpec, tenantIDPattern)
 	}
 	spec := req.Spec
 	if req.Optimize {
 		optimized, _, err := pipeline.Optimize(spec)
 		if err != nil {
-			return nil, finished{}, fmt.Errorf("%w: optimize: %v", ErrBadSpec, err)
+			return nil, fmt.Errorf("%w: optimize: %v", ErrBadSpec, err)
 		}
 		spec = optimized
 	}
 	p, err := pipeline.Compile(spec)
 	if err != nil {
-		return nil, finished{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
+		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
 	tables := req.Tables
 	if tables == nil {
 		tables, err = spec.Source.Tables()
 		if err != nil {
-			return nil, finished{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
+			return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 		}
 	}
 	if _, ok := tables["source"]; !ok {
-		return nil, finished{}, fmt.Errorf("%w: tables lack %q", ErrBadSpec, "source")
+		return nil, fmt.Errorf("%w: tables lack %q", ErrBadSpec, "source")
 	}
 	// With the upstream breaker open, every job would fail on its first
 	// genuinely-uncached call anyway; refuse at the door with the retry
 	// hint instead of burning a slot (HTTP: 503 + Retry-After).
 	if s.resil != nil {
 		if open, after := s.resil.BreakerState(); open {
-			return nil, finished{}, fmt.Errorf("server: refusing submission: %w",
+			return nil, fmt.Errorf("server: refusing submission: %w",
 				&resil.BreakerOpenError{RetryAfter: after})
 		}
 	}
@@ -718,7 +713,7 @@ func (s *Server) submit(ctx context.Context, req SubmitRequest, in jobTables) (*
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		return nil, finished{}, ErrDraining
+		return nil, ErrDraining
 	}
 	t := s.tenantFor(req.Tenant)
 	if !t.limiter.Allow() {
@@ -726,11 +721,11 @@ func (s *Server) submit(ctx context.Context, req SubmitRequest, in jobTables) (*
 		t.throttled++
 		t.mu.Unlock()
 		s.mu.Unlock()
-		return nil, finished{}, fmt.Errorf("%w: tenant %q", ErrRateLimited, req.Tenant)
+		return nil, fmt.Errorf("%w: tenant %q", ErrRateLimited, req.Tenant)
 	}
 	if !t.budget.Allows(s.counting.Name(), token.Usage{}) {
 		s.mu.Unlock()
-		return nil, finished{}, fmt.Errorf("tenant %q: %w", req.Tenant, workflow.ErrBudgetExhausted)
+		return nil, fmt.Errorf("tenant %q: %w", req.Tenant, workflow.ErrBudgetExhausted)
 	}
 	tk, err := s.gate.reserve()
 	if err != nil {
@@ -738,7 +733,7 @@ func (s *Server) submit(ctx context.Context, req SubmitRequest, in jobTables) (*
 		t.rejectedBusy++
 		t.mu.Unlock()
 		s.mu.Unlock()
-		return nil, finished{}, fmt.Errorf("%w (tenant %q)", err, req.Tenant)
+		return nil, fmt.Errorf("%w (tenant %q)", err, req.Tenant)
 	}
 	// Sync jobs live under the caller's context (a dead client cancels
 	// them); async jobs under the server's, so they outlive the request.
@@ -760,23 +755,17 @@ func (s *Server) submit(ctx context.Context, req SubmitRequest, in jobTables) (*
 
 	if req.Async {
 		go s.runJob(jctx, j, t, tk, p, tables, in.keys)
-		return j, finished{}, nil
+		return j, nil
 	}
-	return j, s.runJob(jctx, j, t, tk, p, tables, in.keys), nil
-}
-
-// finished is how a job ended: its terminal status, without a result,
-// and the Result it ran to when it is done.
-type finished struct {
-	status JobStatus
-	res    *pipeline.Result
+	s.runJob(jctx, j, t, tk, p, tables, in.keys)
+	return j, nil
 }
 
 // runJob waits out the queue, runs the pipeline under the job's context,
 // and seals the outcome as the job's reply. It owns the job's gate ticket
 // and WaitGroup slot.
 func (s *Server) runJob(ctx context.Context, j *job, t *tenant, tk *ticket, p *pipeline.Pipeline,
-	tables map[string][]dataset.Record, keys map[string]embed.SourceKey) finished {
+	tables map[string][]dataset.Record, keys map[string]embed.SourceKey) {
 	defer s.wg.Done()
 	defer j.cancel()
 	var (
@@ -804,27 +793,29 @@ func (s *Server) runJob(ctx context.Context, j *job, t *tenant, tk *ticket, p *p
 
 	// One classification drives both the tenant's counters and the job's
 	// state, so a job cancelled while still queued counts as cancelled too.
-	fin := finished{status: JobStatus{ID: j.id, Tenant: j.tenant, State: JobFailed,
-		WallMS: float64(wall) / float64(time.Millisecond)}}
+	st := JobStatus{ID: j.id, Tenant: j.tenant, State: JobFailed,
+		WallMS: float64(wall) / float64(time.Millisecond)}
 	t.mu.Lock()
 	switch {
 	case err == nil:
-		fin.status.State, fin.res = JobDone, res
+		st.State = JobDone
 		t.complete(wall)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		fin.status.State = JobCancelled
+		st.State = JobCancelled
 		t.cancelled++
 	default:
 		t.failed++
 	}
 	t.mu.Unlock()
 	if err != nil {
-		fin.status.Error = err.Error()
+		st.Error = err.Error()
+		res = nil // a run that failed replies no partial Result
 	}
-	// The reply is sealed outside j.mu; the Result goes no further than
-	// this call's caller.
-	j.finish(fin.status.State, seal(&fin.status, fin.res, j.inputs))
-	return fin
+	if s.sealing != nil {
+		s.sealing(&st, res)
+	}
+	// The reply is sealed outside j.mu; the Result goes no further.
+	j.finish(st.State, seal(&st, res, j.inputs))
 }
 
 // Job returns a job's current status.
