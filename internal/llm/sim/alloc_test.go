@@ -41,7 +41,7 @@ func TestOracleCompleteAllocs(t *testing.T) {
 		calls  = 200
 		rounds = 5
 	)
-	limits := map[string]uint64{"filter": 64, "categorize": 256, "impute": 96} // bytes per Complete
+	limits := map[string]uint64{"filter": 0, "categorize": 96, "impute": 32} // bytes per Complete
 	o := NewNamed("sim-gpt-3.5-turbo")
 	ctx := context.Background()
 	for _, p := range coldFanoutPrompts() {

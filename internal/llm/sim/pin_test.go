@@ -151,7 +151,7 @@ func TestOracleAnswersPinned(t *testing.T) {
 func TestPinCorpusCoversTemplates(t *testing.T) {
 	seen := map[taskKind]bool{}
 	for _, p := range pinCorpus() {
-		if subs, ok := splitEnvelope(p.prompt); ok {
+		if subs, ok := prompt.ReadTaskBatch(p.prompt); ok {
 			resp := complete(t, NewNamed("sim-gpt-3.5-turbo"), p.prompt)
 			if got := strings.Count(resp.Text, "### Task "); got >= len(subs) {
 				t.Errorf("envelope answered %d of %d sections; the corpus needs one that skips", got, len(subs))

@@ -1,9 +1,10 @@
 package sim
 
 import (
-	"regexp"
 	"strconv"
 	"strings"
+
+	"repro/internal/prompt"
 )
 
 // taskKind enumerates the unit tasks the oracle understands. The
@@ -47,187 +48,90 @@ type task struct {
 
 type exampleIO struct{ input, output string }
 
-var (
-	reSortHead    = regexp.MustCompile(`(?s)^Sort the following \d+ items by (.+?), from most to least\.`)
-	reCompareA    = regexp.MustCompile(`(?m)^Item A: (.*)$`)
-	reCompareB    = regexp.MustCompile(`(?m)^Item B: (.*)$`)
-	reCompareCrit = regexp.MustCompile(`Which item ranks higher by (.+?)\? Answer`)
-	reCompareV1   = regexp.MustCompile(`(?s)^You are ranking items by (.+?)\.\nOption A: (.*?)\nOption B: (.*?)\nWhich option ranks higher\?`)
-	reCompareV2   = regexp.MustCompile(`(?s)^Here are two candidates to judge by (.+?)\.\nCandidate A is: (.*?)\nCandidate B is: (.*?)\nName the stronger candidate`)
-	reBatchHead   = regexp.MustCompile(`^For each of the following \d+ pairs, decide which item ranks higher by (.+?)\.`)
-	reBatchPair   = regexp.MustCompile(`(?m)^Pair \d+\. Item A: (.*) \| Item B: (.*)$`)
-	reRateHead    = regexp.MustCompile(`^On a scale of 1 \(least\) to (\d+) \(most\), rate the following item by (.+?)\.`)
-	reRateItem    = regexp.MustCompile(`(?m)^Item: (.*)$`)
-	reMatchA      = regexp.MustCompile(`(?m)^Citation A is (.*)$`)
-	reMatchB      = regexp.MustCompile(`(?m)^Citation B is (.*)$`)
-	reImputeRec   = regexp.MustCompile(`(?m)^Record: (.*)\.$`)
-	reImputeField = regexp.MustCompile(`missing attribute "([^"]+)"`)
-	reExample     = regexp.MustCompile(`(?m)^Input: (.*)\nOutput: (.*)$`)
-	reFilterHead  = regexp.MustCompile(`(?s)^Does the following item satisfy the condition: (.+?)\?`)
-	reCountHead   = regexp.MustCompile(`(?s)^Estimate what percentage of the following \d+ items satisfy the condition: (.+?)\.`)
-	reGroupHead   = regexp.MustCompile(`^Group the following \d+ records`)
-	reGroupRec    = regexp.MustCompile(`(?m)^R(\d+): (.*)$`)
-	reVerifyHead  = regexp.MustCompile(`(?s)^A previous assistant was asked:\n(.*)\nIt answered: (.*)\nIs that answer correct\?`)
-	reCatHead     = regexp.MustCompile(`^Assign the following item to exactly one of these categories: (.+?)\.`)
-	reDiscover    = regexp.MustCompile(`^Propose at most (\d+) category names`)
-	reNumbered    = regexp.MustCompile(`(?m)^\d+\. (.*)$`)
-)
-
-var (
-	reEnvelopeHead = regexp.MustCompile(`^Below are \d+ independent tasks\.`)
-	reEnvelopeTask = regexp.MustCompile(`(?m)^### Task \d+[ \t]*$`)
-)
-
-// splitEnvelope returns the sub-prompts embedded in a multi-task batch
-// envelope (internal/prompt.TaskBatch) in order, or ok=false for any
-// other prompt. Sub-prompts are recovered byte-for-byte — each runs from
-// the character after its header line to the start of the next header —
-// so the oracle can answer them exactly as it would standalone.
-func splitEnvelope(prompt string) (subs []string, ok bool) {
-	if !reEnvelopeHead.MatchString(prompt) {
-		return nil, false
-	}
-	locs := reEnvelopeTask.FindAllStringIndex(prompt, -1)
-	if len(locs) == 0 {
-		return nil, false
-	}
-	for i, loc := range locs {
-		start := loc[1]
-		if start < len(prompt) && prompt[start] == '\n' {
-			start++
+// recognise reads a prompt with the toolkit's templates. No template's first
+// piece begins another's, so a prompt that embeds another (a verify question
+// quoting a rate prompt) is read by its outer one, and must be read to its
+// last byte; any other prompt is taskUnknown.
+func recognise(p string) task {
+	var t task
+	var n string
+	for v, tm := range prompt.CompareTemplates {
+		holes := []*string{&t.criterion, &t.a, &t.b}
+		if v == 0 {
+			holes = []*string{&t.a, &t.b, &t.criterion}
 		}
-		end := len(prompt)
-		if i+1 < len(locs) {
-			end = locs[i+1][0]
+		if rest, ok := tm.Read(p, holes...); ok && (rest == "" || whole(prompt.CoTLine, rest)) {
+			t.kind, t.variant, t.cot = taskCompare, v, rest != ""
+			return t
 		}
-		subs = append(subs, prompt[start:end])
 	}
-	return subs, true
+	if rest, ok := prompt.SortListHead.Read(p, &n, &t.criterion); ok && t.list(prompt.NumberedLine, rest, n) {
+		t.kind = taskSortList
+	} else if rest, ok := prompt.CompareBatchHead.Read(p, &n, &t.criterion); ok && t.list(prompt.PairLine, rest, n) {
+		t.kind = taskCompareBatch
+	} else if rest, ok := prompt.CountBatchHead.Read(p, &n, &t.predicate); ok && t.list(prompt.NumberedLine, rest, n) {
+		t.kind = taskCount
+	} else if rest, ok := prompt.GroupRecordsHead.Read(p, &n); ok && t.list(prompt.RecordLine, rest, n) {
+		t.kind = taskGroup
+	} else if rest, ok := prompt.DiscoverCategoriesHead.Read(p, &n); ok {
+		var okMax bool
+		t.max, okMax = prompt.ReadCount(n)
+		if t.items, ok = prompt.NumberedLine.ReadList(rest); ok && okMax {
+			t.kind = taskDiscover
+		}
+	} else if whole(prompt.RateItemTemplate, p, &n, &t.criterion, &t.a) {
+		if t.scale, _ = prompt.ReadCount(n); t.scale > 0 { // answerRate draws rng.Intn(scale)
+			t.kind = taskRate
+		}
+	} else if whole(prompt.MatchPairTemplate, p, &t.a, &t.b) {
+		t.kind = taskMatch
+	} else if whole(prompt.FilterItemTemplate, p, &t.predicate, &t.a) {
+		t.kind = taskFilter
+	} else if whole(prompt.CategorizeTemplate, p, &n, &t.a) {
+		t.kind, t.items = taskCategorize, prompt.ReadCategoryList(n)
+	} else if rest, ok := prompt.ImputeHead.Read(p); ok && t.impute(rest) {
+		t.kind = taskImpute
+	} else if v := prompt.VerifyTemplate; strings.HasPrefix(p, v[0]) {
+		body, ok := strings.CutSuffix(p[len(v[0]):], v[2])
+		if i := strings.LastIndex(body, v[1]); ok && i >= 0 {
+			t = task{kind: taskVerify, question: body[:i], answer: body[i+len(v[1]):]}
+		}
+	}
+	if t.kind == taskUnknown {
+		return task{}
+	}
+	return t
 }
 
-// recognise reads the prompt and extracts the structured task. Prompts
-// produced by foreign templates fall through to taskUnknown. The heads are
-// tried in a fixed order and the first that matches decides the task, so a
-// prompt that embeds another (a verify question quoting a rate prompt) is
-// read as whichever head comes first.
-func recognise(prompt string) task {
-	if m := reSortHead.FindStringSubmatch(prompt); m != nil {
-		return task{
-			kind:      taskSortList,
-			criterion: m[1],
-			items:     extractNumbered(prompt),
-		}
-	}
-	if m := reBatchHead.FindStringSubmatch(prompt); m != nil {
-		t := task{kind: taskCompareBatch, criterion: m[1]}
-		for _, pm := range reBatchPair.FindAllStringSubmatch(prompt, -1) {
-			t.items = append(t.items, pm[1], pm[2])
-		}
-		if len(t.items) == 0 {
-			return task{}
-		}
-		return t
-	}
-	if strings.HasPrefix(prompt, "Consider the following two items.") {
-		a := reCompareA.FindStringSubmatch(prompt)
-		b := reCompareB.FindStringSubmatch(prompt)
-		c := reCompareCrit.FindStringSubmatch(prompt)
-		if a == nil || b == nil || c == nil {
-			return task{}
-		}
-		return task{kind: taskCompare, a: a[1], b: b[1], criterion: c[1], cot: hasCoT(prompt)}
-	}
-	if m := reCompareV1.FindStringSubmatch(prompt); m != nil {
-		return task{kind: taskCompare, criterion: m[1], a: m[2], b: m[3], variant: 1, cot: hasCoT(prompt)}
-	}
-	if m := reCompareV2.FindStringSubmatch(prompt); m != nil {
-		return task{kind: taskCompare, criterion: m[1], a: m[2], b: m[3], variant: 2, cot: hasCoT(prompt)}
-	}
-	if m := reRateHead.FindStringSubmatch(prompt); m != nil {
-		it := reRateItem.FindStringSubmatch(prompt)
-		if it == nil {
-			return task{}
-		}
-		scale, _ := strconv.Atoi(m[1])
-		return task{kind: taskRate, scale: scale, criterion: m[2], a: it[1]}
-	}
-	if strings.HasPrefix(prompt, "Are Citation A and Citation B the same?") {
-		a := reMatchA.FindStringSubmatch(prompt)
-		b := reMatchB.FindStringSubmatch(prompt)
-		if a == nil || b == nil {
-			return task{}
-		}
-		return task{kind: taskMatch, a: a[1], b: b[1]}
-	}
-	if strings.HasPrefix(prompt, "Fill in the missing attribute") {
-		rec := reImputeRec.FindStringSubmatch(prompt)
-		field := reImputeField.FindStringSubmatch(prompt)
-		if rec == nil || field == nil {
-			return task{}
-		}
-		t := task{kind: taskImpute, record: rec[1], field: field[1]}
-		for _, ex := range reExample.FindAllStringSubmatch(prompt, -1) {
-			t.examples = append(t.examples, exampleIO{input: ex[1], output: ex[2]})
-		}
-		return t
-	}
-	if m := reFilterHead.FindStringSubmatch(prompt); m != nil {
-		it := reRateItem.FindStringSubmatch(prompt) // same "Item: " line
-		if it == nil {
-			return task{}
-		}
-		return task{kind: taskFilter, predicate: m[1], a: it[1]}
-	}
-	if m := reCountHead.FindStringSubmatch(prompt); m != nil {
-		return task{kind: taskCount, predicate: m[1], items: extractNumbered(prompt)}
-	}
-	if reGroupHead.MatchString(prompt) { // no capture to read
-		var items []string
-		for _, rm := range reGroupRec.FindAllStringSubmatch(prompt, -1) {
-			items = append(items, rm[2])
-		}
-		return task{kind: taskGroup, items: items}
-	}
-	if m := reVerifyHead.FindStringSubmatch(prompt); m != nil {
-		return task{kind: taskVerify, question: m[1], answer: strings.TrimSpace(m[2])}
-	}
-	if m := reCatHead.FindStringSubmatch(prompt); m != nil {
-		it := reRateItem.FindStringSubmatch(prompt)
-		if it == nil {
-			return task{}
-		}
-		return task{
-			kind:  taskCategorize,
-			items: splitCategories(m[1]),
-			a:     it[1],
-		}
-	}
-	if m := reDiscover.FindStringSubmatch(prompt); m != nil {
-		max, _ := strconv.Atoi(m[1])
-		return task{kind: taskDiscover, max: max, items: extractNumbered(prompt)}
-	}
-	return task{}
+// whole reports whether tm reads all of p.
+func whole(tm prompt.Template, p string, holes ...*string) bool {
+	rest, ok := tm.Read(p, holes...)
+	return ok && rest == ""
 }
 
-func hasCoT(prompt string) bool {
-	return strings.Contains(prompt, "Think step by step")
+// list reads rest as exactly count numbered lines into t.items.
+func (t *task) list(line prompt.Template, rest, count string) bool {
+	n, okN := prompt.ReadCount(count)
+	items, ok := line.ReadList(rest)
+	t.items = items
+	return ok && okN && len(items) == n*(len(line)-2)
 }
 
-func extractNumbered(prompt string) []string {
-	var items []string
-	for _, m := range reNumbered.FindAllStringSubmatch(prompt, -1) {
-		items = append(items, m[1])
-	}
-	return items
-}
-
-func splitCategories(s string) []string {
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
+// impute reads what follows an Impute prompt's head into t: the examples
+// block, if any, then the record and its quoted field.
+func (t *task) impute(rest string) bool {
+	ok := true
+	if r, shots := strings.CutPrefix(rest, prompt.Examples[0]); shots {
+		for rest = r; ok && !strings.HasPrefix(rest, prompt.Examples[1]); {
+			var ex exampleIO
+			rest, ok = prompt.ExampleLine.Read(rest, &ex.input, &ex.output)
+			t.examples = append(t.examples, ex)
 		}
+		rest = strings.TrimPrefix(rest, prompt.Examples[1])
 	}
-	return out
+	var field string
+	var err error
+	ok = ok && whole(prompt.ImputeRecord, rest, &t.record, &field)
+	t.field, err = strconv.Unquote(field)
+	return ok && err == nil
 }

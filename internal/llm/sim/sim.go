@@ -43,6 +43,7 @@ import (
 	"sync"
 
 	"repro/internal/llm"
+	"repro/internal/prompt"
 	"repro/internal/token"
 )
 
@@ -215,7 +216,7 @@ func (o *Oracle) Complete(ctx context.Context, req llm.Request) (llm.Response, e
 		return llm.Response{}, fmt.Errorf("sim: %w", err)
 	}
 	var text string
-	if subs, ok := splitEnvelope(req.Prompt); ok {
+	if subs, ok := prompt.ReadTaskBatch(req.Prompt); ok {
 		text = o.answerEnvelope(req, subs)
 	} else {
 		rng := o.rng(req)
@@ -286,7 +287,7 @@ func (o *Oracle) answerEnvelope(req llm.Request, subs []string) string {
 	envRng := o.rng(req)
 	defer rngPool.Put(envRng)
 	skipP := o.cfg.BatchSkipPerPair * float64(len(subs)-1)
-	var b strings.Builder
+	var b []byte
 	for i, sub := range subs {
 		if len(subs) > 1 && envRng.Float64() < skipP {
 			continue
@@ -294,10 +295,10 @@ func (o *Oracle) answerEnvelope(req llm.Request, subs []string) string {
 		subReq := req
 		subReq.Prompt = sub
 		rng := o.rng(subReq)
-		fmt.Fprintf(&b, "### Task %d\n%s\n", i+1, o.answer(sub, rng, req.Temperature))
+		b = append(append(prompt.TaskLine.AppendCount(b, i+1), o.answer(sub, rng, req.Temperature)...), '\n')
 		rngPool.Put(rng)
 	}
-	return b.String()
+	return string(b)
 }
 
 // answer dispatches on the recognised task. Unrecognised prompts receive

@@ -19,16 +19,33 @@ import (
 // so the next header starts at a line boundary and the embedded prompts
 // round-trip byte-for-byte.
 func TaskBatch(prompts []string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Below are %d independent tasks. Answer every task on its own.\n", len(prompts))
-	b.WriteString("Before each answer, write a line of the form \"### Task i\", in order, starting at 1. Do not skip any task.\n\n")
+	b := TaskBatchHead.AppendCount(nil, len(prompts))
 	for i, p := range prompts {
-		fmt.Fprintf(&b, "### Task %d\n%s", i+1, p)
+		b = append(TaskLine.AppendCount(b, i+1), p...)
 		if !strings.HasSuffix(p, "\n") {
-			b.WriteString("\n")
+			b = append(b, '\n')
 		}
 	}
-	return b.String()
+	return string(b)
+}
+
+// ReadTaskBatch is TaskBatch's inverse: an envelope's prompts, each ending
+// in the newline TaskBatch ends it with. A prompt runs to the next task's
+// header line, so every prompt CanEmbed accepts reads back exactly.
+func ReadTaskBatch(p string) (prompts []string, ok bool) {
+	var count string
+	rest, ok := TaskBatchHead.Read(p, &count)
+	n, okN := ReadCount(count)
+	for i := 1; ok && okN && i <= n; i++ {
+		if rest, ok = strings.CutPrefix(rest, TaskLine[0]+strconv.Itoa(i)+TaskLine[1]); ok {
+			end := len(rest)
+			if i < n {
+				end = strings.Index(rest, "\n"+TaskLine[0]+strconv.Itoa(i+1)+TaskLine[1]) + 1
+			}
+			prompts, rest, ok = append(prompts, rest[:end]), rest[end:], end > 0
+		}
+	}
+	return prompts, ok && okN && rest == ""
 }
 
 var (

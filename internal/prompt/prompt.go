@@ -1,8 +1,9 @@
 // Package prompt is the template library of the toolkit: it renders every
 // unit task the declarative engine issues (sort a list, compare a pair,
 // rate an item, match two records, impute a value, filter, count, group,
-// verify) into plain text, and parses the model's free-text responses back
-// into structured answers.
+// verify) into plain text from one Template per prompt form, reads such a
+// prompt back from the same Template, and parses the model's free-text
+// responses into structured answers.
 //
 // The paper (Section 4, "Mitigating Prompt Brittleness") stresses that
 // reliably extracting an answer from an LLM response is itself a data
@@ -16,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -33,33 +35,24 @@ type Example struct {
 	Output string
 }
 
-// appendExamples appends the canonical few-shot block used by every
-// template. An empty slice appends nothing.
-func appendExamples(dst []byte, examples []Example) []byte {
-	if len(examples) == 0 {
-		return dst
+// appendList appends one line per item, numbered from 1, growing dst once.
+func appendList(dst []byte, line Template, items []string) []byte {
+	n := len(items) * (len(line[0]) + len(strconv.Itoa(len(items))) + len(line[1]) + len(line[2]))
+	for _, it := range items {
+		n += len(it)
 	}
-	dst = append(dst, "Here are some examples:\n"...)
-	for _, ex := range examples {
-		dst = append(dst, "Input: "...)
-		dst = append(dst, ex.Input...)
-		dst = append(dst, "\nOutput: "...)
-		dst = append(dst, ex.Output...)
-		dst = append(dst, '\n')
+	dst = slices.Grow(dst, n)
+	for i, it := range items {
+		dst = line.AppendCount(dst, i+1, it)
 	}
-	return append(dst, '\n')
+	return dst
 }
 
 // SortList renders the one-prompt sorting task: all items in a single
 // prompt, asking for the full ordering, best first.
 func SortList(items []string, criterion string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Sort the following %d items by %s, from most to least.\n", len(items), criterion)
-	b.WriteString("Return only the sorted items, one per line, numbered.\n\nItems:\n")
-	for i, it := range items {
-		fmt.Fprintf(&b, "%d. %s\n", i+1, it)
-	}
-	return b.String()
+	b := SortListHead.AppendCount(nil, len(items), criterion)
+	return string(appendList(b, NumberedLine, items))
 }
 
 // ComparePair renders a pairwise comparison task. The answer is expected
@@ -83,25 +76,16 @@ const CompareTemplateCount = 3
 // modulo the count.
 func ComparePairVariant(variant int, a, b, criterion string, cot bool) string {
 	variant = ((variant % CompareTemplateCount) + CompareTemplateCount) % CompareTemplateCount
-	var body string
-	switch variant {
-	case 0:
-		body = fmt.Sprintf(
-			"Consider the following two items.\nItem A: %s\nItem B: %s\nWhich item ranks higher by %s? Answer with exactly one letter, A or B.\n",
-			a, b, criterion)
-	case 1:
-		body = fmt.Sprintf(
-			"You are ranking items by %s.\nOption A: %s\nOption B: %s\nWhich option ranks higher? Reply with A or B only.\n",
-			criterion, a, b)
-	default:
-		body = fmt.Sprintf(
-			"Here are two candidates to judge by %s.\nCandidate A is: %s\nCandidate B is: %s\nName the stronger candidate (A or B).\n",
-			criterion, a, b)
+	var body []byte
+	if t := CompareTemplates[variant]; variant == 0 {
+		body = t.Append(nil, a, b, criterion)
+	} else {
+		body = t.Append(nil, criterion, a, b)
 	}
 	if cot {
-		body += "Think step by step about your reasoning, then finish with a line of the form \"Answer: A\" or \"Answer: B\".\n"
+		body = CoTLine.Append(body)
 	}
-	return body
+	return string(body)
 }
 
 // The per-record templates below (RateItem, MatchPair, Impute, FilterItem,
@@ -116,13 +100,7 @@ func RateItem(item, criterion string, scale int) string {
 
 // AppendRateItem appends RateItem's prompt to dst.
 func AppendRateItem(dst []byte, item, criterion string, scale int) []byte {
-	dst = append(dst, "On a scale of 1 (least) to "...)
-	dst = strconv.AppendInt(dst, int64(scale), 10)
-	dst = append(dst, " (most), rate the following item by "...)
-	dst = append(dst, criterion...)
-	dst = append(dst, ".\nItem: "...)
-	dst = append(dst, item...)
-	return append(dst, "\nAnswer with a single number.\n"...)
+	return RateItemTemplate.AppendCount(dst, scale, criterion, item)
 }
 
 // MatchPair renders the entity-resolution unit task, using the exact
@@ -133,11 +111,7 @@ func MatchPair(a, b string) string {
 
 // AppendMatchPair appends MatchPair's prompt to dst.
 func AppendMatchPair(dst []byte, a, b string) []byte {
-	dst = append(dst, "Are Citation A and Citation B the same? Yes or No?\nCitation A is "...)
-	dst = append(dst, a...)
-	dst = append(dst, "\nCitation B is "...)
-	dst = append(dst, b...)
-	return append(dst, "\nAre Citation A and Citation B the same? Start your response with Yes or No.\n"...)
+	return MatchPairTemplate.Append(dst, a, b)
 }
 
 // Impute renders the missing-value imputation task over a serialized
@@ -149,13 +123,17 @@ func Impute(serialized, field string, examples []Example) string {
 // AppendImpute appends Impute's prompt to dst. The serialized record may
 // be given as bytes, so a caller can render it into a buffer of its own.
 func AppendImpute[S ~string | ~[]byte](dst []byte, serialized S, field string, examples []Example) []byte {
-	dst = append(dst, "Fill in the missing attribute of a record.\n"...)
-	dst = appendExamples(dst, examples)
-	dst = append(dst, "Record: "...)
-	dst = append(dst, serialized...)
-	dst = append(dst, ".\nWhat is the value of the missing attribute "...)
-	dst = strconv.AppendQuote(dst, field)
-	return append(dst, "? Answer with only the value.\n"...)
+	dst = ImputeHead.Append(dst)
+	if len(examples) > 0 {
+		dst = append(dst, Examples[0]...)
+		for _, ex := range examples {
+			dst = ExampleLine.Append(dst, ex.Input, ex.Output)
+		}
+		dst = append(dst, Examples[1]...)
+	}
+	dst = append(append(dst, ImputeRecord[0]...), serialized...)
+	dst = strconv.AppendQuote(append(dst, ImputeRecord[1]...), field)
+	return append(dst, ImputeRecord[2]...)
 }
 
 // FilterItem renders a boolean predicate check on a single item.
@@ -165,44 +143,28 @@ func FilterItem(item, predicate string) string {
 
 // AppendFilterItem appends FilterItem's prompt to dst.
 func AppendFilterItem(dst []byte, item, predicate string) []byte {
-	dst = append(dst, "Does the following item satisfy the condition: "...)
-	dst = append(dst, predicate...)
-	dst = append(dst, "?\nItem: "...)
-	dst = append(dst, item...)
-	return append(dst, "\nAnswer Yes or No.\n"...)
+	return FilterItemTemplate.Append(dst, predicate, item)
 }
 
 // CountBatch renders the coarse "eyeball" counting task: estimate the
 // fraction of items satisfying the predicate without checking each one.
 func CountBatch(items []string, predicate string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Estimate what percentage of the following %d items satisfy the condition: %s.\n", len(items), predicate)
-	b.WriteString("Answer with a single percentage.\n\nItems:\n")
-	for i, it := range items {
-		fmt.Fprintf(&b, "%d. %s\n", i+1, it)
-	}
-	return b.String()
+	b := CountBatchHead.AppendCount(nil, len(items), predicate)
+	return string(appendList(b, NumberedLine, items))
 }
 
 // GroupRecords renders the coarse entity-resolution task: partition a
 // batch of records into duplicate groups. Records are labelled R1..Rn and
 // the answer lists groups like "group: R1, R4".
 func GroupRecords(records []string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Group the following %d records into sets that refer to the same real-world entity.\n", len(records))
-	b.WriteString("Output one line per group in the form \"group: R1, R4\". Every record must appear in exactly one group.\n\nRecords:\n")
-	for i, r := range records {
-		fmt.Fprintf(&b, "R%d: %s\n", i+1, r)
-	}
-	return b.String()
+	b := GroupRecordsHead.AppendCount(nil, len(records))
+	return string(appendList(b, RecordLine, records))
 }
 
 // Verify renders a follow-up verification task (Section 3.5): ask a model
 // whether a previously produced answer is correct.
 func Verify(question, answer string) string {
-	return fmt.Sprintf(
-		"A previous assistant was asked:\n%s\nIt answered: %s\nIs that answer correct? Answer Yes or No.\n",
-		question, answer)
+	return string(VerifyTemplate.Append(nil, question, answer))
 }
 
 // Categorize renders a single-item classification task over a closed
@@ -211,34 +173,36 @@ func Categorize(item string, categories []string) string {
 	return string(AppendCategorize(nil, item, CategoryList(categories)))
 }
 
+const categorySep = ", "
+
 // CategoryList renders a closed category set the way Categorize lists it.
 // A caller that assigns many items to one set joins it once and hands the
 // result to AppendCategorize.
 func CategoryList(categories []string) string {
-	return strings.Join(categories, ", ")
+	return strings.Join(categories, categorySep)
+}
+
+// ReadCategoryList is CategoryList's inverse: the categories of a rendered
+// set, none for the empty set.
+func ReadCategoryList(list string) []string {
+	if list == "" {
+		return nil
+	}
+	return strings.Split(list, categorySep)
 }
 
 // AppendCategorize appends Categorize's prompt to dst, given the category
 // set already rendered by CategoryList.
 func AppendCategorize(dst []byte, item, categoryList string) []byte {
-	dst = append(dst, "Assign the following item to exactly one of these categories: "...)
-	dst = append(dst, categoryList...)
-	dst = append(dst, ".\nItem: "...)
-	dst = append(dst, item...)
-	return append(dst, "\nAnswer with only the category name.\n"...)
+	return CategorizeTemplate.Append(dst, categoryList, item)
 }
 
 // DiscoverCategories renders the first phase of two-stage clustering
 // (Section 3.2): propose a small set of category names for a sample of
 // items.
 func DiscoverCategories(items []string, maxCategories int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Propose at most %d category names that partition the following items by topic.\n", maxCategories)
-	b.WriteString("Return only the category names, one per line.\n\nItems:\n")
-	for i, it := range items {
-		fmt.Fprintf(&b, "%d. %s\n", i+1, it)
-	}
-	return b.String()
+	b := DiscoverCategoriesHead.AppendCount(nil, maxCategories)
+	return string(appendList(b, NumberedLine, items))
 }
 
 var (
@@ -525,13 +489,11 @@ type PairItem struct {
 // latency with implication on accuracy"). The answer format is one letter
 // per line, "1: A" style.
 func CompareBatch(pairs []PairItem, criterion string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "For each of the following %d pairs, decide which item ranks higher by %s.\n", len(pairs), criterion)
-	b.WriteString("Answer with one line per pair in the form \"1: A\" or \"1: B\".\n\nPairs:\n")
+	b := CompareBatchHead.AppendCount(nil, len(pairs), criterion)
 	for i, p := range pairs {
-		fmt.Fprintf(&b, "Pair %d. Item A: %s | Item B: %s\n", i+1, p.A, p.B)
+		b = PairLine.AppendCount(b, i+1, p.A, p.B)
 	}
-	return b.String()
+	return string(b)
 }
 
 var batchAnswerRe = regexp.MustCompile(`(?im)^\s*(?:pair\s*)?(\d+)\s*[:.)-]\s*(?:item\s*)?([AB])\b`)
