@@ -54,7 +54,6 @@ func main() {
 	plModel := sub.String("model", "sim-gpt-3.5-turbo", "model name for pipeline")
 	plNaive := sub.Bool("naive", false, "run the pipeline unoptimized as a chain of one-stage pipelines")
 	plProbe := sub.Int("probe", 0, "sample size for measured filter selectivity in pipeline (0 = trust spec hints)")
-	plMaterialized := sub.Bool("materialized", false, "disable record streaming between pipeline stages")
 	plFaults := sub.String("faults", "",
 		"inject deterministic upstream faults for pipeline: key=val,... over seed, transient, timeout, ratelimit, permanent, malformed, wrong-section, burst-every, burst-len (empty = none)")
 	plRetries := sub.Int("retries", 3, "max attempts per upstream call for pipeline when -faults is set (1 = no retries)")
@@ -232,7 +231,6 @@ func main() {
 			Model:         counting,
 			Batch:         *batch,
 			Parallelism:   16,
-			Materialized:  *plMaterialized,
 			OnRecordError: *plOnRecordError,
 			// Persistent layer and ledger so probe work is re-served from
 			// cache by the run and reported as the __probe row.
@@ -513,13 +511,12 @@ commands:
                   optimizer, record streaming, shared engine, and per-stage
                   attribution (-spec file.json -model M -batch K -naive
                   -probe K measures hintless filter selectivity on a sample,
-                  -materialized disables streaming,
                   -faults key=val,... injects deterministic upstream faults
                   healed by -retries N attempts, -on-record-error
                   fail|skip|quarantine picks the degraded-mode policy)
-  pipeline-study  naive sequential operators vs the optimized pipeline —
-                  materialized and streaming+probed — plus the
-                  side-input overlap scenario (-records N -dup F -batch K)
+  pipeline-study  naive sequential operators vs the optimized pipeline,
+                  hint-trusting and streaming+probed (-records N -dup F
+                  -batch K)
   scenario        run one checkpointed multi-turn scenario against the
                   deterministic sim engine: standing queries with mid-run
                   ingestion, cache replays, burst load, latency shifts

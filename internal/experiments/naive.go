@@ -12,11 +12,11 @@ import (
 
 // RunNaive runs spec the way a user calling operators one by one would:
 // each stage, in the spec's order, compiled and run alone as a one-stage
-// pipeline on a fresh ExecConfig — Materialized, with an execution layer
-// and an index registry of its own and no batching. A stage reads its
-// input stage's output as "source", and an earlier stage it names as its
-// side input as a static table, beside the static tables. The runs share
-// one attribution ledger and merge into one Result. Of cfg only Model,
+// pipeline on a fresh ExecConfig, with an execution layer and an index
+// registry of its own and no batching. A stage reads its input stage's
+// output as "source", and an earlier stage it names as its side input as
+// a static table, beside the static tables. The runs share one
+// attribution ledger and merge into one Result. Of cfg only Model,
 // Parallelism and OnRecordError apply.
 func RunNaive(ctx context.Context, spec pipeline.Spec, cfg pipeline.ExecConfig, tables map[string][]dataset.Record) (*pipeline.Result, error) {
 	whole, err := pipeline.Compile(spec)
@@ -44,7 +44,7 @@ func RunNaive(ctx context.Context, spec pipeline.Spec, cfg pipeline.ExecConfig, 
 		}
 		res, err := p.Run(ctx, pipeline.ExecConfig{
 			Model: cfg.Model, Attribution: attr, Parallelism: cfg.Parallelism,
-			Materialized: true, OnRecordError: cfg.OnRecordError,
+			OnRecordError: cfg.OnRecordError,
 		}, own)
 		if err != nil {
 			return nil, err

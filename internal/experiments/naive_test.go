@@ -15,9 +15,9 @@ import (
 
 // TestRunNaiveMatchesPipeline runs a spec with two branches off source, a
 // join whose side input is an earlier stage, and a scalar stage through
-// the naive chain and as one materialized pipeline: tables, scalars and
-// per-stage record counts and calls must agree, and the merged report
-// must sum to the run total.
+// the naive chain and as one pipeline: tables, scalars and per-stage
+// record counts and calls must agree, and the merged report must sum to
+// the run total.
 func TestRunNaiveMatchesPipeline(t *testing.T) {
 	names := dataset.FlavorNames()
 	source := make([]dataset.Record, 8)
@@ -58,7 +58,7 @@ func TestRunNaiveMatchesPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := runPlan(ctx(), spec, pipeline.ExecConfig{Model: planModel, Parallelism: 4, Materialized: true}, tables)
+	plan, err := runPlan(ctx(), spec, pipeline.ExecConfig{Model: planModel, Parallelism: 4}, tables)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/dataset"
@@ -36,9 +35,6 @@ type PipelineStudyConfig struct {
 	// ProbeSample caps the records the probing optimizer samples per
 	// hintless filter in the streaming configuration (default 8).
 	ProbeSample int
-	// OverlapLatency is the deterministic per-call delay of the side-input
-	// overlap scenario's latency model (default 15ms).
-	OverlapLatency time.Duration
 	// Seed drives the deterministic workload generator.
 	Seed int64
 }
@@ -74,9 +70,8 @@ type PipelineStudyRun struct {
 }
 
 // PipelineStudyResult compares naive sequential operator invocation with
-// the optimized pipeline — materialized with the spec's selectivity
-// hints, and record-streaming with probed (measured) selectivities — on
-// one workload, plus a latency-modelled side-input overlap scenario.
+// the optimized pipeline — with the spec's selectivity hints, and with
+// probed (measured) selectivities — on one workload.
 type PipelineStudyResult struct {
 	Naive, Optimized, Streaming PipelineStudyRun
 	// Rewrites is the hint-trusting optimizer's log.
@@ -89,37 +84,10 @@ type PipelineStudyResult struct {
 	// the optimizer promises.
 	Identical bool
 	// StreamingIdentical reports the same equivalence between the
-	// materialized and the streaming+probed configurations.
+	// hint-trusting and the streaming+probed configurations.
 	StreamingIdentical bool
 	// CallReduction is naive calls divided by optimized calls.
 	CallReduction float64
-	// Overlap is the side-input overlap scenario: the same join-with-
-	// dynamic-side workload timed drain-first (Materialized) versus
-	// overlapped (the default executor), under a deterministic per-call
-	// latency model.
-	Overlap *OverlapScenarioResult
-}
-
-// OverlapScenarioResult times the side-input overlap scenario.
-type OverlapScenarioResult struct {
-	// DrainFirst is the Materialized executor's wall clock: the join's
-	// start gate waits for its whole main input and for the side stage.
-	DrainFirst time.Duration
-	// Overlap is the default executor's wall clock on the same workload:
-	// the join holds its main input while the side stage materializes,
-	// and matching starts the moment the side table lands.
-	Overlap time.Duration
-	// DrainFirstEarly and OverlapEarly count, per run, the join comparisons
-	// issued before the last feed-predicate call returned: the structure
-	// the two clocks are a consequence of. Drain-first issues none — the
-	// join waits for its whole main input — and the overlapped run issues
-	// at least one.
-	DrainFirstEarly, OverlapEarly int
-	// Matches counts the join's output rows (equal in both runs).
-	Matches int
-	// Identical reports whether both runs produced byte-identical match
-	// tables.
-	Identical bool
 }
 
 // pipelineStudySpec is the study workload's user-order plan: dedupe the
@@ -202,15 +170,14 @@ func pipelineStudyModel(name string) (*llm.CountingModel, error) {
 //   - optimized: the hint-trusting optimizer's rewritten order (filter
 //     pushed ahead of the quadratic dedupe) on one shared engine — one
 //     execution layer, one index registry, one budget, unit-task
-//     batching — materialized, with per-stage attribution;
+//     batching, with per-stage attribution;
 //   - streaming: the same rewritten plan with the spec's selectivity
 //     hints stripped, so the optimizer *measures* filter selectivity on a
-//     record sample (probe spend attributed under workflow.StageProbe),
-//     executed with record-level streaming between stages.
+//     record sample (probe spend attributed under workflow.StageProbe)
+//     on a layer it shares with the run.
 //
-// At temperature 0 all three produce identical final tables and scalars;
-// the optimized runs spend strictly fewer upstream calls and tokens, and
-// the per-run wall clocks expose what streaming overlap buys.
+// At temperature 0 all three produce identical final tables and scalars,
+// and the optimized runs spend strictly fewer upstream calls and tokens.
 func PipelineStudy(ctx context.Context, cfg PipelineStudyConfig) (*PipelineStudyResult, error) {
 	if cfg.Records < 4 {
 		return nil, fmt.Errorf("pipeline study: need at least 4 records, got %d", cfg.Records)
@@ -256,15 +223,15 @@ func PipelineStudy(ctx context.Context, cfg PipelineStudyConfig) (*PipelineStudy
 		return nil, err
 	}
 	optimized, optRes, err := runOne("optimized pipeline", runPlan, optSpec, pipeline.ExecConfig{
-		Model: optModel, Parallelism: cfg.Parallelism, Batch: cfg.Batch, Materialized: true,
+		Model: optModel, Parallelism: cfg.Parallelism, Batch: cfg.Batch,
 	}, optModel)
 	if err != nil {
 		return nil, err
 	}
 
 	// Streaming configuration: strip the filter hints so the optimizer
-	// must measure, share one layer and ledger between probing and the
-	// run, and let records flow between stages.
+	// must measure, and share one layer and ledger between probing and the
+	// run.
 	strModel, err := pipelineStudyModel(cfg.Model)
 	if err != nil {
 		return nil, err
@@ -290,11 +257,6 @@ func PipelineStudy(ctx context.Context, cfg PipelineStudyConfig) (*PipelineStudy
 	}
 	streaming.ProbeCalls = attr.Usage(workflow.StageProbe).Calls
 
-	overlap, err := OverlapScenario(ctx, cfg.OverlapLatency)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline study: overlap scenario: %w", err)
-	}
-
 	last := spec.Stages[len(spec.Stages)-1].Name
 	identical := reflect.DeepEqual(naiveRes.Tables[last], optRes.Tables[last]) &&
 		reflect.DeepEqual(naiveRes.Scalars, optRes.Scalars)
@@ -309,7 +271,6 @@ func PipelineStudy(ctx context.Context, cfg PipelineStudyConfig) (*PipelineStudy
 		ProbeTrace:         probeTrace,
 		Identical:          identical,
 		StreamingIdentical: streamingIdentical,
-		Overlap:            overlap,
 	}
 	if optimized.UpstreamCalls > 0 {
 		out.CallReduction = float64(naive.UpstreamCalls) / float64(optimized.UpstreamCalls)
@@ -328,126 +289,6 @@ func runPlan(ctx context.Context, spec pipeline.Spec, cfg pipeline.ExecConfig, t
 		return nil, err
 	}
 	return p.Run(ctx, cfg, tables)
-}
-
-// OverlapScenario times what side-input overlap buys on a workload built
-// to expose it: a slow filter feeds a nested-loop join whose right side
-// is another stage's output. Drain-first (the Materialized executor)
-// makes the join consume its whole main input before matching anything;
-// the default executor holds the main input while the side stage
-// materializes and starts matching the moment the side table lands, so
-// join work pipelines with the slow feed. Latency is deterministic — a
-// fixed per-call delay on the feed predicate and the join comparisons
-// (llm.WithLatency), with the side filter answering instantly — and the
-// model records call order, so what a test asserts is the structure
-// (comparisons issued while the feed is still running), not the roughly
-// 1.6x wall-clock gap that follows from it on an idle machine.
-func OverlapScenario(ctx context.Context, latency time.Duration) (*OverlapScenarioResult, error) {
-	if latency <= 0 {
-		latency = 15 * time.Millisecond
-	}
-	const n = 8
-	names := dataset.FlavorNames()
-	source := make([]dataset.Record, n)
-	for i := 0; i < n; i++ {
-		source[i] = dataset.Record{ID: fmt.Sprintf("flavor-%02d", i),
-			Fields: []dataset.Field{{Name: "name", Value: names[i]}}}
-	}
-	tables := map[string][]dataset.Record{"source": source}
-	// The pool keeps every fourth flavor, the feed the odd ones — disjoint
-	// ID sets, as the join requires; every cross comparison matches.
-	spec := pipeline.Spec{Stages: []pipeline.StageSpec{
-		{Name: "pool", Kind: pipeline.KindFilter, Field: "name", Predicate: "poolpred", Input: "source"},
-		{Name: "feed", Kind: pipeline.KindFilter, Field: "name", Predicate: "feedpred", Input: "source"},
-		{Name: "match", Kind: pipeline.KindJoin, Field: "name", Side: "pool",
-			Strategy: "nested-loop", Input: "feed"},
-	}}
-	// callOrder counts the join comparisons that entered the model before
-	// the last feed-predicate call came back.
-	type callOrder struct {
-		mu                sync.Mutex
-		joins, earlyJoins int
-	}
-	newModel := func(order *callOrder) llm.Model {
-		slow := llm.WithLatency(llm.Func{ModelName: "overlap-base",
-			Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
-				return llm.Response{Text: "Yes", Model: "overlap-base",
-					Usage: token.Usage{PromptTokens: 1, CompletionTokens: 1, Calls: 1}}, nil
-			}}, latency)
-		return llm.Func{ModelName: "overlap", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
-			if strings.Contains(req.Prompt, "feedpred") {
-				defer func() {
-					order.mu.Lock()
-					order.earlyJoins = order.joins
-					order.mu.Unlock()
-				}()
-			} else if !strings.Contains(req.Prompt, "poolpred") {
-				order.mu.Lock()
-				order.joins++
-				order.mu.Unlock()
-			}
-			if strings.Contains(req.Prompt, "satisfy the condition") {
-				idx := -1
-				for i := 0; i < n; i++ {
-					if strings.Contains(req.Prompt, names[i]) {
-						idx = i
-						break
-					}
-				}
-				if strings.Contains(req.Prompt, "poolpred") {
-					// The side filter is the fast path: no latency.
-					text := "No"
-					if idx >= 0 && idx%4 == 0 {
-						text = "Yes"
-					}
-					return llm.Response{Text: text, Model: "overlap",
-						Usage: token.Usage{PromptTokens: 1, CompletionTokens: 1, Calls: 1}}, nil
-				}
-				if idx >= 0 && idx%2 == 0 {
-					// Even flavors fail the feed predicate — after the
-					// deterministic delay, like any real call.
-					resp, err := slow.Complete(ctx, req)
-					if err == nil {
-						resp.Text = "No"
-					}
-					return resp, err
-				}
-			}
-			return slow.Complete(ctx, req)
-		}}
-	}
-	run := func(materialized bool) (time.Duration, int, []dataset.Record, error) {
-		p, err := pipeline.Compile(spec)
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		var order callOrder
-		// One window slot per streaming stage keeps the work close to
-		// serial so the latency model is legible.
-		cfg := pipeline.ExecConfig{Model: newModel(&order), Parallelism: 1, Materialized: materialized}
-		start := time.Now()
-		res, err := p.Run(ctx, cfg, tables)
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		return time.Since(start), order.earlyJoins, res.Tables["match"], nil
-	}
-	drainClock, drainEarly, drainMatches, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	overlapClock, overlapEarly, overlapMatches, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	return &OverlapScenarioResult{
-		DrainFirst:      drainClock,
-		Overlap:         overlapClock,
-		DrainFirstEarly: drainEarly,
-		OverlapEarly:    overlapEarly,
-		Matches:         len(overlapMatches),
-		Identical:       reflect.DeepEqual(drainMatches, overlapMatches),
-	}, nil
 }
 
 // FormatPipelineStudy renders the study as a text report.
@@ -472,11 +313,6 @@ func FormatPipelineStudy(res *PipelineStudyResult) string {
 		res.Identical, res.StreamingIdentical, res.Optimized.Count)
 	fmt.Fprintf(&b, "probe calls: %d of the streaming run's %d (hint-trusting optimized run: 0)\n",
 		res.Streaming.ProbeCalls, res.Streaming.UpstreamCalls)
-	if res.Overlap != nil {
-		fmt.Fprintf(&b, "overlap scenario: drain-first %s vs overlap %s on %d matches (identical: %v); join comparisons issued while the feed was still running: %d vs %d\n",
-			res.Overlap.DrainFirst.Round(time.Millisecond), res.Overlap.Overlap.Round(time.Millisecond),
-			res.Overlap.Matches, res.Overlap.Identical, res.Overlap.DrainFirstEarly, res.Overlap.OverlapEarly)
-	}
 	b.WriteString("per-stage attribution (streaming + probed):\n")
 	for _, s := range res.Streaming.Stages {
 		fmt.Fprintf(&b, "  %-10s %-10s in %3d out %3d  %6d calls %8d tokens  $%.4f  %s\n",

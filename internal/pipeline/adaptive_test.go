@@ -22,10 +22,10 @@ import (
 // whose right side is an earlier stage's output starts matching the
 // main-input records its start gate held as soon as the side table lands
 // — while the main-input producer is still working. The model blocks the
-// producer's last record until a join comparison arrives; the drain-first
-// (Materialized) schedule would deadlock here (guarded by a timeout),
-// exactly like the plain streaming overlap test. Both schedules match the
-// reference run (runReference) record for record.
+// producer's last record until a join comparison arrives; a schedule that
+// drained the main input first would deadlock here (guarded by a
+// timeout), exactly like the plain streaming overlap test. The run
+// matches the reference run (runReference) record for record.
 func TestAdaptiveSideInputOverlap(t *testing.T) {
 	names := dataset.FlavorNames()
 	// splitModel: "poolpred" keeps even-indexed flavors, "feedpred" keeps
@@ -94,23 +94,12 @@ func TestAdaptiveSideInputOverlap(t *testing.T) {
 	if len(res.Tables["match"]) != 4 {
 		t.Fatalf("match table has %d rows, want 2x2", len(res.Tables["match"]))
 	}
-
-	// Equivalence: the overlapped run and the drain-first (Materialized)
-	// run must match the reference run of the same spec record for record.
 	ref, err := runReference(context.Background(), p, ExecConfig{Model: splitModel("calm", nil, nil)}, flavorTables(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, materialized := range []bool{false, true} {
-		res, err := p.Run(context.Background(), ExecConfig{
-			Model: splitModel("calm", nil, nil), Materialized: materialized,
-		}, flavorTables(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want, got := ref.Tables["match"], res.Tables["match"]; !reflect.DeepEqual(want, got) {
-			t.Fatalf("materialized %v: side join differs from the reference:\nwant %v\ngot  %v", materialized, want, got)
-		}
+	if want, got := ref.Tables["match"], res.Tables["match"]; !reflect.DeepEqual(want, got) {
+		t.Fatalf("side join differs from the reference:\nwant %v\ngot  %v", want, got)
 	}
 }
 
@@ -164,12 +153,13 @@ func TestAdaptiveSideOverlapFailureNoLeak(t *testing.T) {
 	}
 }
 
-// TestAdaptiveFieldIsInert pins that ExecConfig.Adaptive selects nothing:
-// filter order is fixed before launch, so a loose → tight filter chain
-// run with the field set — serial or four records in flight, under
-// prompt-determined latency — reports exactly the tables, scalars and
-// per-stage record counts of a Materialized run, every time. A poisoned
-// record under OnRecordQuarantine is dropped alone, as in any other run.
+// TestAdaptiveFieldIsInert pins that the deprecated ExecConfig.Adaptive
+// and Materialized select nothing: filter order and the schedule are fixed
+// before launch, so a loose → tight filter chain run with both set —
+// serial or four records in flight, under prompt-determined latency —
+// reports exactly the tables, scalars and per-stage record counts of the
+// reference run (runReference), every time. A poisoned record under
+// OnRecordQuarantine is dropped alone, as in a default run.
 func TestAdaptiveFieldIsInert(t *testing.T) {
 	const n = 24
 	source := make([]dataset.Record, n)
@@ -203,14 +193,15 @@ func TestAdaptiveFieldIsInert(t *testing.T) {
 		{Name: "loose", Kind: KindFilter, Field: "name", Predicate: "loosepred"},
 		{Name: "tight", Kind: KindFilter, Field: "name", Predicate: "tightpred"},
 	}}
+	p, err := Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := map[string][]dataset.Record{"source": source}
 	run := func(cfg ExecConfig, poison string) *Result {
 		t.Helper()
-		p, err := Compile(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
 		cfg.Model = newModel(poison)
-		res, err := p.Run(context.Background(), cfg, map[string][]dataset.Record{"source": source})
+		res, err := p.Run(context.Background(), cfg, tables)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,27 +215,30 @@ func TestAdaptiveFieldIsInert(t *testing.T) {
 		return io
 	}
 
-	want := run(ExecConfig{Materialized: true}, "")
+	want, err := runReference(context.Background(), p, ExecConfig{Model: newModel("")}, tables)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if l, k := len(want.Tables["loose"]), len(want.Tables["tight"]); k == 0 || l == n || k > len(tight) {
-		t.Fatalf("materialized chain kept %d then %d of %d records: the fixture no longer filters", l, k, n)
+		t.Fatalf("reference chain kept %d then %d of %d records: the fixture no longer filters", l, k, n)
 	}
 	for _, width := range []int{1, 4} {
 		for i := 0; i < 30; i++ {
-			got := run(ExecConfig{Adaptive: true, Parallelism: width}, "")
+			got := run(ExecConfig{Adaptive: true, Materialized: true, Parallelism: width}, "")
 			if !reflect.DeepEqual(want.Tables, got.Tables) || !reflect.DeepEqual(want.Scalars, got.Scalars) {
-				t.Fatalf("window %d run %d: tables differ from materialized:\nwant %v\ngot  %v", width, i, want.Tables, got.Tables)
+				t.Fatalf("window %d run %d: tables differ from the reference:\nwant %v\ngot  %v", width, i, want.Tables, got.Tables)
 			}
 			if !reflect.DeepEqual(flow(want), flow(got)) {
-				t.Fatalf("window %d run %d: stage in/out %v != materialized %v", width, i, flow(got), flow(want))
+				t.Fatalf("window %d run %d: stage in/out %v != reference %v", width, i, flow(got), flow(want))
 			}
 		}
 	}
 
 	// Degraded mode: the poisoned record is quarantined by the stage that
-	// failed on it, and the run reports what any other run would.
+	// failed on it, and the run reports what a default run does.
 	quarantine := ExecConfig{OnRecordError: OnRecordQuarantine, Parallelism: 4}
 	ref := run(quarantine, "scoop 15")
-	quarantine.Adaptive = true
+	quarantine.Adaptive, quarantine.Materialized = true, true
 	got := run(quarantine, "scoop 15")
 	if got.Quarantined != 1 || stageByName(t, got, "loose").Quarantined != 1 {
 		t.Fatalf("quarantined %d (loose %d), want exactly the poisoned record",

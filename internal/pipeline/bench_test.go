@@ -59,19 +59,6 @@ func BenchmarkPipelineOptimized(b *testing.B) {
 	})
 }
 
-// BenchmarkPipelineOptimizedMaterialized is the same plan with every edge
-// a barrier — the wall-clock delta against BenchmarkPipelineOptimized is
-// what overlapping stages buys (or costs) on this workload.
-func BenchmarkPipelineOptimizedMaterialized(b *testing.B) {
-	spec, _, err := Optimize(benchSpec())
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchRun(b, spec, ExecConfig{
-		Model: sim.NewNamed("sim-gpt-3.5-turbo"), Parallelism: 16, Batch: 8, Materialized: true,
-	})
-}
-
 // BenchmarkFanOutWarm runs warm-replay's job without the server: six
 // stages that each read the same 256 restaurants (three filters, a
 // categorize, a rating sort and a per-item count) on an execution layer a
@@ -130,15 +117,15 @@ func BenchmarkPipelineOptimize(b *testing.B) {
 
 // TestBenchCountersPinned pins the execution-layer counters of one cold
 // run of the benchmark workload (restaurants 12 source / 40 train) under
-// every executor configuration benchmarked above, plus a serial standing
-// query fed half the source mid-run. Envelopes are cut by sequence block,
-// so calls, tokens, envelopes and solo retries are exact on every row, as
-// are the distinct unit tasks answered (CacheSize) and the asks served
-// free (CacheHits + Coalesced). How the free serves split between cache
-// hits and coalesced followers depends on the schedule where asks run
-// concurrently, so the split is pinned on the serial row only. A diff here
-// means the engine changed what a run costs — rebase the numbers only
-// with an explanation.
+// the configuration BenchmarkPipelineOptimized runs, plus a serial
+// standing query fed half the source mid-run. Envelopes are cut by
+// sequence block, so calls, tokens, envelopes and solo retries are exact
+// on every row, as are the distinct unit tasks answered (CacheSize) and
+// the asks served free (CacheHits + Coalesced). How the free serves split
+// between cache hits and coalesced followers depends on the schedule
+// where asks run concurrently, so the split is pinned on the serial row
+// only. A diff here means the engine changed what a run costs — rebase
+// the numbers only with an explanation.
 func TestBenchCountersPinned(t *testing.T) {
 	optimized, _, err := Optimize(benchSpec())
 	if err != nil {
@@ -155,10 +142,6 @@ func TestBenchCountersPinned(t *testing.T) {
 		want      counters
 		hits      int // pinned when >= 0: the run is serial
 	}{
-		{name: "optimized-materialized", spec: optimized,
-			cfg:       ExecConfig{Parallelism: 16, Batch: 8, Materialized: true},
-			cacheSize: 30, free: 3, hits: -1,
-			want: counters{calls: 18, tokens: 2835, batches: 3}},
 		{name: "optimized-streaming", spec: optimized,
 			cfg:       ExecConfig{Parallelism: 16, Batch: 8},
 			cacheSize: 30, free: 3, hits: -1,

@@ -109,13 +109,7 @@ type ExecConfig struct {
 	Parallelism int
 	// Deprecated: no effect; kept because benchmark/layers.go assigns it — removed with the pipeline.run_ms.adaptive column.
 	Adaptive bool
-	// Materialized makes every edge a barrier: each stage drains its whole
-	// input before it starts a record. A streamable stage runs the same
-	// window as ever, behind a start gate that opens when its input has
-	// ended, and lends no slot to or from another stage. Temperature-0
-	// results, degraded mode included, are identical either way; the flag
-	// exists for the drain-first-vs-streaming wall-clock comparison in the
-	// experiments.
+	// Deprecated: no effect; kept because benchmark/layers.go assigns it — removed with the pipeline.run_ms.materialized column.
 	Materialized bool
 	// TableKeys optionally names tables passed to Run by a
 	// collision-resistant hash of their content, such as the SHA-256 a
@@ -125,13 +119,13 @@ type ExecConfig struct {
 	// side table, is hashed as before. Leaving it nil changes nothing else.
 	TableKeys map[string]embed.SourceKey
 	// OnRecordError selects degraded-mode execution for streamable
-	// per-record stages, streaming or Materialized: OnRecordFail (default),
-	// OnRecordSkip, or OnRecordQuarantine. Exactly the records whose unit
-	// task failed are dropped (skip) or dropped-and-reported (quarantine)
-	// instead of aborting the run; nothing is asked twice. Context
-	// cancellation, budget exhaustion, and an open circuit breaker always
-	// abort — they poison every record, not one. Barrier strategies fail
-	// fast regardless.
+	// per-record stages: OnRecordFail (default), OnRecordSkip, or
+	// OnRecordQuarantine. Exactly the records whose unit task failed are
+	// dropped (skip) or dropped-and-reported (quarantine) instead of
+	// aborting the run; nothing is asked twice. Context cancellation,
+	// budget exhaustion, and an open circuit breaker always abort — they
+	// poison every record, not one. Barrier strategies fail fast
+	// regardless.
 	OnRecordError string
 }
 
@@ -408,10 +402,9 @@ type Result struct {
 // seqRecord is one record on an inter-stage edge. seq is its position in
 // the stage's output table: the source feeder numbers records as they
 // enter, per-record stages keep the key (a fan-out stage widens it, see
-// runWindow), and barrier stages renumber their output by position, as a
-// streamable stage's start gate renumbers its input under Materialized
-// (see gate). Records may overtake each other on an edge; everything that
-// needs a table — a stage's collected output, a barrier's drained input —
+// runWindow), and barrier stages renumber their output by position.
+// Records may overtake each other on an edge; everything that needs a
+// table — a stage's collected output, a barrier's drained input —
 // restores sequence order once, at collection, never per hop.
 //
 // In a batched run (Batch > 1) an edge also carries marks: a mark's seq
@@ -682,13 +675,11 @@ func drain(ctx context.Context, in *edge, up *streamOut, size int) ([]dataset.Re
 // immediately; one with a dynamic side input holds its input behind a
 // start gate until the side stage finishes, then streams. Barrier stages —
 // sort, max, count, resolve, two-phase categorize, planner-driven impute,
-// transitive join — drain their input first, and with cfg.Materialized
-// set every stage does; results are identical either way at
-// temperature 0. All stages stream their unit tasks through one shared
-// engine: one execution layer, one embedding-index registry, one budget.
-// Each stage's context
-// is tagged with its name, so the returned report attributes the shared
-// budget's spend stage by stage. With cfg.Feed set, the run is a
+// transitive join — drain their input first. All stages stream their
+// unit tasks through one shared engine: one execution layer, one
+// embedding-index registry, one budget. Each stage's context is tagged
+// with its name, so the returned report attributes the shared budget's
+// spend stage by stage. With cfg.Feed set, the run is a
 // standing query: records arriving on the channel extend the source
 // stream mid-run, and Run returns after the feed closes and drains.
 func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]dataset.Record) (*Result, error) {
@@ -879,10 +870,9 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 	// table whole, and the stage must keep consuming its own input while
 	// the side stage finishes — otherwise a shared ancestor could deadlock
 	// on backpressure. A streamable stage reads its input behind its
-	// window's start gate, which opens when the side table lands (and,
-	// under Materialized, when the input has ended), so downstream starts
-	// receiving as soon as it can. A barrier stage drains the main input,
-	// awaits the side, and runs.
+	// window's start gate, which opens when the side table lands, so
+	// downstream starts receiving as soon as it can. A barrier stage
+	// drains the main input, awaits the side, and runs.
 	var side *streamOut
 	if sideStage(p.specs, spec) >= 0 {
 		side = outs[spec.Side]
@@ -899,8 +889,8 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 		if spec.Kind != KindJoin { // one output at most per record
 			out.got.presize(size)
 		}
-		if side != nil || cfg.Materialized {
-			env.gate = &gate{side: side, name: spec.Side, drain: cfg.Materialized}
+		if side != nil {
+			env.gate = &gate{side: side, name: spec.Side}
 		}
 		start := time.Now()
 		var err error

@@ -38,8 +38,8 @@ func (o *stageServes) ObserveServe(ctx context.Context, free bool) {
 // shared layer that is cold, fully warm, or warm on every other record;
 // and once more where each record's first three majority votes are cached
 // and the fourth is not, so every probe in that stage hits three times and
-// then misses. Each streaming run, and a Materialized run, must count what
-// the reference run (runReference, which does not probe) counts on an
+// then misses. Each of three streaming runs must count what the
+// reference run (runReference, which does not probe) counts on an
 // identically pre-warmed layer: free serves (cache hits plus coalesced
 // followers), the ServeObserver's served and free serves per stage, the
 // run's usage, and every stage's detail.
@@ -80,7 +80,7 @@ func TestInlineHitsCountOnce(t *testing.T) {
 	// over warmSource through wrap's model; no pre-warm when warmSource is
 	// nil), then runs the whole table on it — through runReference when
 	// reference is set — and counts the run alone.
-	run := func(reference, materialized bool, warmSource []dataset.Record, wrap func(llm.Model) llm.Model) counts {
+	run := func(reference bool, warmSource []dataset.Record, wrap func(llm.Model) llm.Model) counts {
 		t.Helper()
 		layer := workflow.NewExecLayer()
 		model := sim.NewNamed("sim-gpt-3.5-turbo")
@@ -94,7 +94,7 @@ func TestInlineHitsCountOnce(t *testing.T) {
 		obs := &stageServes{served: map[string]int{}, free: map[string]int{}}
 		layer.SetServeObserver(obs)
 		before := layer.Stats()
-		cfg := ExecConfig{Model: model, Exec: layer, Parallelism: 4, Materialized: materialized}
+		cfg := ExecConfig{Model: model, Exec: layer, Parallelism: 4}
 		var res *Result
 		if reference {
 			res, err = runReference(context.Background(), p, cfg, tables)
@@ -127,11 +127,10 @@ func TestInlineHitsCountOnce(t *testing.T) {
 		{"half-warm", everyOther, identity},
 		{"early votes warm", source, lateVotesFail},
 	} {
-		want := run(true, false, arm.warmSource, arm.wrap)
-		for i := 0; i < 4; i++ {
-			materialized := i == 3
-			got := run(false, materialized, arm.warmSource, arm.wrap)
-			label := fmt.Sprintf("%s, run %d (materialized %v)", arm.name, i, materialized)
+		want := run(true, arm.warmSource, arm.wrap)
+		for i := 0; i < 3; i++ {
+			got := run(false, arm.warmSource, arm.wrap)
+			label := fmt.Sprintf("%s, run %d", arm.name, i)
 			if !reflect.DeepEqual(got.tables, want.tables) {
 				t.Fatalf("%s: tables differ from the reference run", label)
 			}

@@ -15,8 +15,8 @@ import (
 // barrier operator — the way a whole-table executor would. A dynamic side
 // table is the side stage's whole output. Of cfg it reads what
 // ExecConfig.runtime reads (Model, Budget, Exec, Registry, Attribution,
-// Parallelism, Batch) and TableKeys; it ignores Feed, Materialized and
-// OnRecordError, so a record error fails the run. The Result reports each
+// Parallelism, Batch) and TableKeys; it ignores Feed and OnRecordError,
+// so a record error fails the run. The Result reports each
 // stage's table, scalars, detail, In/Out and attributed usage.
 func runReference(ctx context.Context, p *Pipeline, cfg ExecConfig, tables map[string][]dataset.Record) (*Result, error) {
 	rt := cfg.runtime()

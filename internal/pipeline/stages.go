@@ -46,8 +46,7 @@ type Barrier interface {
 // Streamer is the streaming face of a Stage: a stage whose operator
 // decides each record on its own, so the executor can run records as they
 // arrive and emit each the moment it finishes. The executor runs a stage
-// in a window whenever CanStream reports true, in every mode; under
-// Materialized the window's start gate holds it until its input has ended.
+// in a window whenever CanStream reports true.
 type Streamer interface {
 	// CanStream reports whether the configured strategy keeps each
 	// record's outcome independent of which other records it runs beside —
@@ -121,33 +120,22 @@ func solo[T any](task func(context.Context, dataset.Record) (T, error)) groupTas
 	}
 }
 
-// gate is a window's start gate. It opens once the stage's dynamic side
-// stage, if any, has finished and, when it drains (Materialized, where
-// every edge is a barrier), once the stage's input has ended.
+// gate is the start gate of a window with a dynamic side input: it opens
+// once the side stage has finished.
 type gate struct {
-	side  *streamOut // the dynamic side stage, or nil
-	name  string     // the side table's name
-	drain bool       // wait for the input's end, then number the held records by position
+	side *streamOut // the dynamic side stage
+	name string     // the side table's name
 }
 
-// open readies the records the window held behind the gate: it puts them
-// in sequence-key order and, when the gate drains, renumbers them by
-// position, the way a barrier numbers its output, so a batched stage cuts
-// the blocks a whole-table run cuts. It overlays the side table on the
-// stage's tables, or returns the side stage's error.
+// open readies the records the window held behind the gate: it overlays
+// the side table on the stage's tables, or returns the side stage's
+// error, and puts the held records in sequence-key order.
 func (g *gate) open(env *Env, held []seqRecord) error {
-	if g.side != nil {
-		if g.side.err != nil {
-			return g.side.err
-		}
-		env.overlaySide(g.name, g.side.table)
+	if g.side.err != nil {
+		return g.side.err
 	}
+	env.overlaySide(g.name, g.side.table)
 	slices.SortFunc(held, func(a, b seqRecord) int { return cmp.Compare(a.seq, b.seq) })
-	if g.drain {
-		for i := range held {
-			held[i].seq = int64(i)
-		}
-	}
 	return nil
 }
 
@@ -276,7 +264,7 @@ func window[T any](ctx context.Context, env *Env, in *edge, prepare func() (grou
 	var side <-chan struct{} // the side stage's end, until it comes
 	if g == nil {
 		slots.join(in)
-	} else if g.side != nil {
+	} else {
 		side = g.side.done
 	}
 	halt := ctx.Done()
@@ -451,7 +439,7 @@ func window[T any](ctx context.Context, env *Env, in *edge, prepare func() (grou
 		if halted() {
 			return stop(ctx.Err())
 		}
-		if g != nil && side == nil && (!reading || !g.drain) {
+		if g != nil && side == nil {
 			// The gate opens: admit every record it held.
 			if err := g.open(env, held); err != nil {
 				return stop(err)

@@ -32,9 +32,9 @@ func feedRecords(waves ...[]dataset.Record) <-chan dataset.Record {
 // TestStandingQueryMatchesBatch is the standing-query acceptance pin:
 // records ingested mid-run through ExecConfig.Feed must leave every
 // table, scalar, and detail byte-identical to a batch run whose source
-// table already held the full record set — across windowed, serial,
-// materialized and batched execution (where the feeder seals a sequence
-// block whenever the feed has nothing ready).
+// table already held the full record set — across windowed, serial and
+// batched execution (where the feeder seals a sequence block whenever the
+// feed has nothing ready).
 func TestStandingQueryMatchesBatch(t *testing.T) {
 	model := llm.Func{ModelName: "standing", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
 		switch {
@@ -68,7 +68,6 @@ func TestStandingQueryMatchesBatch(t *testing.T) {
 	}{
 		{"streaming", ExecConfig{Parallelism: 2}},
 		{"serial", ExecConfig{Parallelism: 1}},
-		{"materialized", ExecConfig{Materialized: true, Parallelism: 2}},
 		{"batched", ExecConfig{Parallelism: 2, Batch: 4}},
 	}
 	for _, tc := range configs {

@@ -28,8 +28,8 @@ func unit(text string) llm.Response {
 // record in flight per stage, the categorize stage must process the first
 // record while the upstream filter is still working through later ones. The
 // model blocks the filter's last record until a categorize call has
-// arrived — a materialized executor, which runs categorize only after
-// the filter returns its whole table, would deadlock here.
+// arrived — an executor that ran categorize only after the filter
+// returned its whole table would deadlock here.
 func TestStreamingOverlapsStages(t *testing.T) {
 	release := make(chan struct{})
 	var categorized atomic.Int32
@@ -72,10 +72,11 @@ func TestStreamingOverlapsStages(t *testing.T) {
 }
 
 // TestStreamingMatchesMaterialized pins the tentpole equivalence: a
-// streaming run and a Materialized run return byte-identical tables,
-// scalars, details and stage record counts to the reference run
-// (runReference) of the same spec at temperature 0, across streaming
-// (filter, categorize, impute) and barrier (resolve, count) stages.
+// streaming run at any window returns byte-identical tables, scalars,
+// details and stage record counts to the reference run (runReference,
+// each stage materialized whole) of the same spec at temperature 0,
+// across streaming (filter, categorize, impute) and barrier (resolve,
+// count) stages.
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	tables, _ := SourceSpec{Dataset: "restaurants", Records: 12, Train: 30, Seed: 3}.Tables()
 	for i, r := range tables["source"] {
@@ -96,8 +97,8 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []ExecConfig{{Parallelism: 1}, {Parallelism: 3}, {Parallelism: 64}, {Materialized: true}} {
-		mode := fmt.Sprintf("window %d materialized %v", cfg.Parallelism, cfg.Materialized)
+	for _, cfg := range []ExecConfig{{Parallelism: 1}, {Parallelism: 3}, {Parallelism: 64}} {
+		mode := fmt.Sprintf("window %d", cfg.Parallelism)
 		cfg.Model = model()
 		got, err := p.Run(context.Background(), cfg, tables)
 		if err != nil {
@@ -218,13 +219,13 @@ func TestRunCancelNoLeak(t *testing.T) {
 	}
 }
 
-// TestStreamingJoinOrderMatchesMaterialized: the engine's Join sorts
+// TestStreamingJoinOrderMatchesReference: the engine's Join sorts
 // matches by LeftID globally, which a per-record run cannot reproduce —
 // so the join stage orders its output by input position instead, and a
-// nested-loop join over non-ID-ordered input, streamed or Materialized,
-// must collect to exactly the reference run's table (runReference: the
-// engine's whole-table Join), whatever order its records finish in.
-func TestStreamingJoinOrderMatchesMaterialized(t *testing.T) {
+// streamed nested-loop join over non-ID-ordered input must collect to
+// exactly the reference run's table (runReference: the engine's
+// whole-table Join), whatever order its records finish in.
+func TestStreamingJoinOrderMatchesReference(t *testing.T) {
 	model := llm.Func{ModelName: "match-all", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
 		return unit("Yes"), nil
 	}}
@@ -253,14 +254,12 @@ func TestStreamingJoinOrderMatchesMaterialized(t *testing.T) {
 	if len(want) != 6 {
 		t.Fatalf("reference join has %d rows, want 3x2", len(want))
 	}
-	for _, materialized := range []bool{false, true} {
-		res, err := p.Run(context.Background(), ExecConfig{Model: model, Materialized: materialized}, tables)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := res.Tables["match"]; !reflect.DeepEqual(want, got) {
-			t.Fatalf("materialized %v: join order differs:\nreference %v\ngot       %v", materialized, want, got)
-		}
+	res, err := p.Run(context.Background(), ExecConfig{Model: model}, tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Tables["match"]; !reflect.DeepEqual(want, got) {
+		t.Fatalf("join order differs:\nreference %v\ngot       %v", want, got)
 	}
 	// Input position, not ID order, dictates the output.
 	if id := want[0].ID; id != "z9" {

@@ -19,7 +19,12 @@ import (
 // so the next header starts at a line boundary and the embedded prompts
 // round-trip byte-for-byte.
 func TaskBatch(prompts []string) string {
-	b := TaskBatchHead.AppendCount(nil, len(prompts))
+	digits := len(strconv.Itoa(len(prompts)))
+	n := TaskBatchHead.size() + digits + len(prompts)*(TaskLine.size()+digits+1)
+	for _, p := range prompts {
+		n += len(p)
+	}
+	b := TaskBatchHead.AppendCount(make([]byte, 0, n), len(prompts))
 	for i, p := range prompts {
 		b = append(TaskLine.AppendCount(b, i+1), p...)
 		if !strings.HasSuffix(p, "\n") {

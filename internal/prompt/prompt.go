@@ -37,7 +37,7 @@ type Example struct {
 
 // appendList appends one line per item, numbered from 1, growing dst once.
 func appendList(dst []byte, line Template, items []string) []byte {
-	n := len(items) * (len(line[0]) + len(strconv.Itoa(len(items))) + len(line[1]) + len(line[2]))
+	n := len(items) * (line.size() + len(strconv.Itoa(len(items))))
 	for _, it := range items {
 		n += len(it)
 	}
@@ -489,7 +489,12 @@ type PairItem struct {
 // latency with implication on accuracy"). The answer format is one letter
 // per line, "1: A" style.
 func CompareBatch(pairs []PairItem, criterion string) string {
-	b := CompareBatchHead.AppendCount(nil, len(pairs), criterion)
+	digits := len(strconv.Itoa(len(pairs)))
+	n := CompareBatchHead.size() + digits + len(criterion) + len(pairs)*(PairLine.size()+digits)
+	for _, p := range pairs {
+		n += len(p.A) + len(p.B)
+	}
+	b := CompareBatchHead.AppendCount(make([]byte, 0, n), len(pairs), criterion)
 	for i, p := range pairs {
 		b = PairLine.AppendCount(b, i+1, p.A, p.B)
 	}

@@ -65,6 +65,15 @@ func (t Template) Append(dst []byte, holes ...string) []byte {
 	return dst
 }
 
+// size is the length of t's fixed text: its pieces, without their holes.
+func (t Template) size() int {
+	n := 0
+	for _, piece := range t {
+		n += len(piece)
+	}
+	return n
+}
+
 // AppendCount appends t with its first hole the count n and its other
 // holes filled by holes.
 func (t Template) AppendCount(dst []byte, n int, holes ...string) []byte {

@@ -150,6 +150,30 @@ func TestTemplatesByteIdentical(t *testing.T) {
 	check("Record.String/empty", "", dataset.Record{}.String(), "")
 }
 
+// TestListEnvelopesAllocOnce: TaskBatch and CompareBatch size their buffer
+// for every line before writing the first, so an 8-task envelope and an
+// 8-pair batch each cost that buffer and the string it becomes.
+func TestListEnvelopesAllocOnce(t *testing.T) {
+	prompts := make([]string, 8)
+	pairs := make([]PairItem, 8)
+	for i := range prompts {
+		prompts[i] = FilterItem(fmt.Sprintf("flavor %d, churned slowly with cream", i), "the flavor is sweet")
+		pairs[i] = PairItem{A: fmt.Sprintf("flavor %d", i), B: fmt.Sprintf("flavor %d", i+8)}
+	}
+	var sink string
+	for _, r := range []struct {
+		name   string
+		render func()
+	}{
+		{"TaskBatch", func() { sink = TaskBatch(prompts) }},
+		{"CompareBatch", func() { sink = CompareBatch(pairs, "sweetness") }},
+	} {
+		if n := testing.AllocsPerRun(20, r.render); n > 2 {
+			t.Errorf("%s: %.0f allocations per render (%d B), want at most 2", r.name, n, len(sink))
+		}
+	}
+}
+
 // refParseYesNo and refParseValue are ParseYesNo and ParseValue as they
 // were before they stopped allocating: lower-case the whole response,
 // split it into lines.
