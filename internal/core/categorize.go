@@ -141,11 +141,9 @@ func (c *PreparedCategorize) Batched() bool { return c.e.batch > 1 }
 // through answer, from any goroutine; it returns once every one has been
 // reported. Use it when Batched.
 func (c *PreparedCategorize) AskGroup(ctx context.Context, items []string, answer func(i int, v string, err error)) {
-	prompts := make([]string, len(items))
-	for i, item := range items {
-		prompts[i] = string(prompt.AppendCategorize(nil, item, c.list))
-	}
-	askGroup(ctx, c.s.model, prompts, c.parse, answer)
+	askGroup(ctx, c.s.model, len(items), func(dst []byte, i int) []byte {
+		return prompt.AppendCategorize(dst, items[i], c.list)
+	}, c.parse, answer)
 }
 
 // parse reads an assignment, snapped to the closest legal category; junk

@@ -252,15 +252,20 @@ func getPromptBuf() *promptBuf { return promptBufs.Get().(*promptBuf) }
 
 func (b *promptBuf) release() { promptBufs.Put(b) }
 
-// askGroup asks one prompt per item as one group (workflow.CompleteGroup)
-// and reports each parsed answer through answer. An answer that does not
-// parse is asked again, on a goroutine of its own, as
-// quality.AskWithRetry asks: its first attempt is the cached answer.
-func askGroup[T any](ctx context.Context, model llm.Model, prompts []string, parse func(string) (T, error), answer func(i int, v T, err error)) {
-	reqs := make([]llm.Request, len(prompts))
-	for i, p := range prompts {
-		reqs[i].Prompt = p
+// askGroup asks n prompts as one group (workflow.CompleteGroup), render
+// appending item i's prompt to dst, and reports each answer parse reads
+// through answer. An answer that does not parse is asked again, on a
+// goroutine of its own, as quality.AskWithRetry asks: its first attempt is
+// the cached answer.
+func askGroup[T any](ctx context.Context, model llm.Model, n int, render func(dst []byte, i int) []byte,
+	parse func(string) (T, error), answer func(i int, v T, err error)) {
+	buf := getPromptBuf()
+	reqs := make([]llm.Request, n)
+	for i := range reqs {
+		buf.prompt = render(buf.prompt[:0], i)
+		reqs[i].Prompt = string(buf.prompt)
 	}
+	buf.release()
 	resps, errs := workflow.CompleteGroup(ctx, model, reqs)
 	var wg sync.WaitGroup
 	for i, resp := range resps {
@@ -272,7 +277,7 @@ func askGroup[T any](ctx context.Context, model llm.Model, prompts []string, par
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := quality.AskWithRetry(ctx, model, prompts[i], parse, parseRetries)
+			v, err := quality.AskWithRetry(ctx, model, reqs[i].Prompt, parse, parseRetries)
 			answer(i, v, err)
 		}()
 	}
@@ -319,11 +324,6 @@ func mapAsks[I, T any](ctx context.Context, e *Engine, items []I, grouped bool,
 		return struct{}{}, first
 	})
 	return out, err
-}
-
-// mapIdx fans fn out over n indices with the engine's parallelism.
-func (e *Engine) mapIdx(ctx context.Context, n int, fn func(ctx context.Context, i int) (string, error)) ([]string, error) {
-	return workflow.Map(ctx, n, e.parallelism, fn)
 }
 
 func badRequestf(format string, args ...any) error {

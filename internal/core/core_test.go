@@ -407,6 +407,21 @@ func TestCountStrategies(t *testing.T) {
 	}
 }
 
+// TestNegativeBatchSizeRefused checks that a negative batch size is a bad
+// request, not a slice-bounds panic, for both strategies that cut batches.
+func TestNegativeBatchSizeRefused(t *testing.T) {
+	e := newEngine(t, "sim-gpt-3.5-turbo")
+	_, err := e.Count(ctx(), CountRequest{Items: dataset.FlavorNames(), Predicate: "it is sweet", Strategy: CountEyeball, BatchSize: -2})
+	if !errors.Is(err, ErrBadRequest) {
+		t.Errorf("eyeball count at batch size -2: %v, want ErrBadRequest", err)
+	}
+	recs := []Entity{{ID: "a", Text: "x"}, {ID: "b", Text: "y"}, {ID: "c", Text: "z"}}
+	_, err = e.Dedupe(ctx(), DedupeRequest{Records: recs, Strategy: DedupeGroupBatch, BatchSize: -2})
+	if !errors.Is(err, ErrBadRequest) {
+		t.Errorf("group-batch dedupe at batch size -2: %v, want ErrBadRequest", err)
+	}
+}
+
 func TestMaxStrategies(t *testing.T) {
 	e := newEngine(t, "sim-gpt-3.5-turbo")
 	items := dataset.FlavorNames()

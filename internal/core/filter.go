@@ -4,10 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
 
 	"repro/internal/prompt"
 	"repro/internal/quality"
 	"repro/internal/token"
+	"repro/internal/workflow"
 )
 
 // FilterStrategy selects how per-item predicate checks are answered.
@@ -114,11 +117,9 @@ func (f *PreparedFilter) Batched() bool {
 // through answer, from any goroutine; it returns once every one has been
 // reported. Use it when Batched.
 func (f *PreparedFilter) AskGroup(ctx context.Context, items []string, answer func(i int, a FilterAnswer, err error)) {
-	prompts := make([]string, len(items))
-	for i, item := range items {
-		prompts[i] = prompt.FilterItem(item, f.req.Predicate)
-	}
-	askGroup(ctx, f.s.model, prompts, prompt.ParseYesNo, func(i int, keep bool, err error) {
+	askGroup(ctx, f.s.model, len(items), func(dst []byte, i int) []byte {
+		return prompt.AppendFilterItem(dst, items[i], f.req.Predicate)
+	}, prompt.ParseYesNo, func(i int, keep bool, err error) {
 		answer(i, FilterAnswer{Keep: keep, Asks: 1}, err)
 	})
 }
@@ -212,6 +213,9 @@ func (e *Engine) Count(ctx context.Context, req CountRequest) (CountResult, erro
 	if req.Strategy == "" {
 		req.Strategy = CountEyeball
 	}
+	if req.BatchSize < 0 {
+		return CountResult{}, badRequestf("negative batch size")
+	}
 	if req.BatchSize == 0 {
 		req.BatchSize = 20
 	}
@@ -234,31 +238,22 @@ func (e *Engine) Count(ctx context.Context, req CountRequest) (CountResult, erro
 			Usage:    fr.Usage,
 		}, nil
 	case CountEyeball:
-		var batches [][]string
-		for start := 0; start < len(req.Items); start += req.BatchSize {
-			end := start + req.BatchSize
-			if end > len(req.Items) {
-				end = len(req.Items)
-			}
-			batches = append(batches, req.Items[start:end])
-		}
-		fracs, err := e.mapIdx(ctx, len(batches), func(ctx context.Context, i int) (string, error) {
+		batches := slices.Collect(slices.Chunk(req.Items, req.BatchSize))
+		fracs, err := workflow.Map(ctx, len(batches), e.parallelism, func(ctx context.Context, i int) (float64, error) {
 			f, err := quality.AskWithRetry(ctx, s.model, prompt.CountBatch(batches[i], req.Predicate),
 				prompt.ParsePercent, parseRetries)
 			if err != nil {
-				return "", err
+				return 0, err
 			}
-			// The round trip through "%f" is part of the result: it rounds
-			// each batch's fraction to six decimals before the total.
-			return fmt.Sprintf("%f", f), nil
+			// Each batch's fraction enters the total rounded to six
+			// decimals, as %f prints it.
+			return strconv.ParseFloat(strconv.FormatFloat(f, 'f', 6, 64), 64)
 		})
 		if err != nil {
 			return CountResult{}, fmt.Errorf("eyeball count: %w", err)
 		}
 		total := 0.0
-		for i, fs := range fracs {
-			var f float64
-			fmt.Sscanf(fs, "%f", &f)
+		for i, f := range fracs {
 			total += f * float64(len(batches[i]))
 		}
 		frac := total / float64(len(req.Items))

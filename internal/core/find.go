@@ -9,6 +9,7 @@ import (
 	"repro/internal/prompt"
 	"repro/internal/quality"
 	"repro/internal/token"
+	"repro/internal/workflow"
 )
 
 // FindStrategy selects how items matching a description are located.
@@ -81,22 +82,15 @@ func (e *Engine) Find(ctx context.Context, req FindRequest) (FindResult, error) 
 	var res FindResult
 	switch req.Strategy {
 	case FindScan:
-		answers, err := e.mapIdx(ctx, len(req.Items), func(ctx context.Context, i int) (string, error) {
-			ok, err := check(ctx, req.Items[i])
-			if err != nil {
-				return "", err
-			}
-			if ok {
-				return "Y", nil
-			}
-			return "N", nil
+		answers, err := workflow.Map(ctx, len(req.Items), e.parallelism, func(ctx context.Context, i int) (bool, error) {
+			return check(ctx, req.Items[i])
 		})
 		if err != nil {
 			return FindResult{}, fmt.Errorf("find scan: %w", err)
 		}
 		res.Checked = len(req.Items)
 		for i, a := range answers {
-			if a == "Y" && len(res.Matches) < req.Limit {
+			if a && len(res.Matches) < req.Limit {
 				res.Matches = append(res.Matches, req.Items[i])
 			}
 		}

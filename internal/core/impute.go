@@ -276,11 +276,10 @@ func (p *PreparedImpute) AskGroup(ctx context.Context, qs []dataset.Record, answ
 		answer(i, a, err)
 	}
 	var (
-		wg      sync.WaitGroup
-		pctx    context.Context
-		probe   *workflow.HitProbe
-		asked   []int // batched: the queries the group asks
-		prompts []string
+		wg    sync.WaitGroup
+		pctx  context.Context
+		probe *workflow.HitProbe
+		asked []int // batched: the queries the group asks
 	)
 	pending := -1 // the latest query the cache left; the last one asks on this goroutine
 	for i := range qs {
@@ -290,15 +289,13 @@ func (p *PreparedImpute) AskGroup(ctx context.Context, qs []dataset.Record, answ
 			continue
 		}
 		if p.e.batch > 1 {
-			p.renderAsk(bufs[i], nns[i])
-			asked, prompts = append(asked, i), append(prompts, string(bufs[i].prompt))
-			bufs[i].release()
+			asked = append(asked, i)
 			continue
 		}
 		if probe == nil {
 			pctx, probe = workflow.HitsOnly(ctx)
 		}
-		p.renderAsk(bufs[i], nns[i])
+		bufs[i].prompt = p.appendAsk(bufs[i].prompt[:0], bufs[i].record, nns[i])
 		if a, err := p.askRendered(pctx, bufs[i]); probe.Settle(ctx, err) {
 			bufs[i].release()
 			answer(i, a, err)
@@ -314,7 +311,11 @@ func (p *PreparedImpute) AskGroup(ctx context.Context, qs []dataset.Record, answ
 		pending = i
 	}
 	if len(asked) > 0 {
-		askGroup(ctx, p.s.model, prompts, prompt.ParseValue, func(k int, v string, err error) {
+		askGroup(ctx, p.s.model, len(asked), func(dst []byte, k int) []byte {
+			i := asked[k]
+			defer bufs[i].release() // rendered: the query's buffer is done
+			return p.appendAsk(dst, bufs[i].record, nns[i])
+		}, prompt.ParseValue, func(k int, v string, err error) {
 			answer(asked[k], ImputeAnswer{Value: v, ByLLM: true}, err)
 		})
 	}
@@ -407,14 +408,13 @@ func (p *PreparedImpute) vote(nn []embed.Neighbor) (string, bool) {
 // askModel asks the model to impute the query serialized in buf.record,
 // with few-shot examples drawn from its neighbours nn.
 func (p *PreparedImpute) askModel(ctx context.Context, buf *promptBuf, nn []embed.Neighbor) (ImputeAnswer, error) {
-	p.renderAsk(buf, nn)
+	buf.prompt = p.appendAsk(buf.prompt[:0], buf.record, nn)
 	return p.askRendered(ctx, buf)
 }
 
-// renderAsk renders into buf.prompt the imputation prompt for the query
-// serialized in buf.record, with few-shot examples drawn from its
-// neighbours nn.
-func (p *PreparedImpute) renderAsk(buf *promptBuf, nn []embed.Neighbor) {
+// appendAsk appends to dst the imputation prompt for the serialized query
+// record, with few-shot examples drawn from its neighbours nn.
+func (p *PreparedImpute) appendAsk(dst, record []byte, nn []embed.Neighbor) []byte {
 	var examples []prompt.Example
 	if p.req.Examples > 0 {
 		// Few-shot examples: the query's nearest training neighbours,
@@ -429,10 +429,10 @@ func (p *PreparedImpute) renderAsk(buf *promptBuf, nn []embed.Neighbor) {
 			examples = append(examples, prompt.Example{Input: p.serialize(r), Output: v})
 		}
 	}
-	buf.prompt = prompt.AppendImpute(buf.prompt[:0], buf.record, p.req.TargetField, examples)
+	return prompt.AppendImpute(dst, record, p.req.TargetField, examples)
 }
 
-// askRendered asks the model the prompt renderAsk left in buf.prompt.
+// askRendered asks the model the imputation prompt in buf.prompt.
 func (p *PreparedImpute) askRendered(ctx context.Context, buf *promptBuf) (ImputeAnswer, error) {
 	v, err := quality.AskBytesWithRetry(ctx, p.s.model, buf.prompt, prompt.ParseValue, parseRetries)
 	return ImputeAnswer{Value: v, ByLLM: true}, err

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/consistency"
 	"repro/internal/token"
 )
 
@@ -98,28 +97,9 @@ func (e *Engine) Max(ctx context.Context, req MaxRequest) (MaxResult, error) {
 }
 
 func (e *Engine) tournamentWinner(ctx context.Context, s *session, items []string, criterion string) (string, error) {
-	t := consistency.NewTournament(items)
-	pairs := allPairs(len(items))
-	outcomes, err := e.mapIdx(ctx, len(pairs), func(ctx context.Context, k int) (string, error) {
-		p := pairs[k]
-		aWins, err := compareOnce(ctx, s.model, items[p[0]], items[p[1]], criterion, 0, false)
-		if err != nil {
-			return "", err
-		}
-		if aWins {
-			return "A", nil
-		}
-		return "B", nil
-	})
+	t, err := e.tournament(ctx, s, items, criterion, 0, false)
 	if err != nil {
 		return "", fmt.Errorf("tournament: %w", err)
-	}
-	for k, p := range pairs {
-		if outcomes[k] == "A" {
-			t.Record(items[p[0]], items[p[1]])
-		} else {
-			t.Record(items[p[1]], items[p[0]])
-		}
 	}
 	return t.MaxItem(), nil
 }

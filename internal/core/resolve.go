@@ -11,6 +11,7 @@ import (
 	"repro/internal/prompt"
 	"repro/internal/quality"
 	"repro/internal/token"
+	"repro/internal/workflow"
 )
 
 // corpusIDs precomputes the string id of every corpus index once per
@@ -152,26 +153,20 @@ func (e *Engine) matchOnce(ctx context.Context, s *session, a, b Entity) (bool, 
 	return quality.AskBytesWithRetry(ctx, s.model, buf.prompt, prompt.ParseYesNo, parseRetries)
 }
 
-func (e *Engine) resolveDirect(ctx context.Context, s *session, req PairsRequest) (PairsResult, error) {
-	answers, err := e.mapIdx(ctx, len(req.Pairs), func(ctx context.Context, i int) (string, error) {
-		p := req.Pairs[i]
-		yes, err := e.matchOnce(ctx, s, req.Corpus[p[0]], req.Corpus[p[1]])
-		if err != nil {
-			return "", err
-		}
-		if yes {
-			return "Y", nil
-		}
-		return "N", nil
+// matchPairs asks one match question per pair of records, with the
+// engine's parallelism, and returns the answers index-aligned.
+func (e *Engine) matchPairs(ctx context.Context, s *session, records []Entity, pairs [][2]int) ([]bool, error) {
+	return workflow.Map(ctx, len(pairs), e.parallelism, func(ctx context.Context, k int) (bool, error) {
+		return e.matchOnce(ctx, s, records[pairs[k][0]], records[pairs[k][1]])
 	})
+}
+
+func (e *Engine) resolveDirect(ctx context.Context, s *session, req PairsRequest) (PairsResult, error) {
+	match, err := e.matchPairs(ctx, s, req.Corpus, req.Pairs)
 	if err != nil {
 		return PairsResult{}, fmt.Errorf("direct resolve: %w", err)
 	}
-	res := PairsResult{Match: make([]bool, len(req.Pairs)), LLMComparisons: len(req.Pairs)}
-	for i, a := range answers {
-		res.Match[i] = a == "Y"
-	}
-	return res, nil
+	return PairsResult{Match: match, LLMComparisons: len(req.Pairs)}, nil
 }
 
 // resolveTransitive implements the Table 3 treatment: for each question
@@ -218,32 +213,25 @@ func (e *Engine) resolveBlocked(ctx context.Context, s *session, req PairsReques
 	ids := corpusIDs(len(req.Corpus))
 	ix := e.indexEntities(req.Corpus, ids)
 	res := PairsResult{Match: make([]bool, len(req.Pairs))}
-	var askIdx []int
+	var (
+		askIdx []int
+		asked  [][2]int
+	)
 	for i, p := range req.Pairs {
 		if d, ok := ix.DistanceByID(ids[p[0]], ids[p[1]]); ok && d > req.BlockDistance {
 			res.SkippedByBlocking++ // decided "no" for free
 			continue
 		}
-		askIdx = append(askIdx, i)
+		askIdx, asked = append(askIdx, i), append(asked, p)
 	}
-	answers, err := e.mapIdx(ctx, len(askIdx), func(ctx context.Context, k int) (string, error) {
-		p := req.Pairs[askIdx[k]]
-		yes, err := e.matchOnce(ctx, s, req.Corpus[p[0]], req.Corpus[p[1]])
-		if err != nil {
-			return "", err
-		}
-		if yes {
-			return "Y", nil
-		}
-		return "N", nil
-	})
+	answers, err := e.matchPairs(ctx, s, req.Corpus, asked)
 	if err != nil {
 		return PairsResult{}, fmt.Errorf("blocked resolve: %w", err)
 	}
-	for k, a := range answers {
-		res.Match[askIdx[k]] = a == "Y"
+	for k, yes := range answers {
+		res.Match[askIdx[k]] = yes
 	}
-	res.LLMComparisons = len(askIdx)
+	res.LLMComparisons = len(asked)
 	return res, nil
 }
 
@@ -293,6 +281,9 @@ func (e *Engine) Dedupe(ctx context.Context, req DedupeRequest) (DedupeResult, e
 	}
 	if req.Strategy == "" {
 		req.Strategy = DedupePairwise
+	}
+	if req.BatchSize < 0 {
+		return DedupeResult{}, badRequestf("negative batch size")
 	}
 	if req.BatchSize == 0 {
 		req.BatchSize = 10
@@ -354,22 +345,12 @@ func allPairs(n int) [][2]int {
 }
 
 func (e *Engine) dedupePairs(ctx context.Context, s *session, records []Entity, graph *consistency.MatchGraph, pairs [][2]int) (int, error) {
-	answers, err := e.mapIdx(ctx, len(pairs), func(ctx context.Context, k int) (string, error) {
-		p := pairs[k]
-		yes, err := e.matchOnce(ctx, s, records[p[0]], records[p[1]])
-		if err != nil {
-			return "", err
-		}
-		if yes {
-			return "Y", nil
-		}
-		return "N", nil
-	})
+	answers, err := e.matchPairs(ctx, s, records, pairs)
 	if err != nil {
 		return 0, fmt.Errorf("pairwise dedupe: %w", err)
 	}
-	for k, a := range answers {
-		if a == "Y" {
+	for k, yes := range answers {
+		if yes {
 			graph.AddMatch(records[pairs[k][0]].ID, records[pairs[k][1]].ID)
 		}
 	}
@@ -558,23 +539,9 @@ func (e *Engine) neighbourhoodComparisons(ctx context.Context, s *session, req P
 		}
 		return cmps[i][1] < cmps[j][1]
 	})
-	raw, err := e.mapIdx(ctx, len(cmps), func(ctx context.Context, i int) (string, error) {
-		c := cmps[i]
-		v, err := e.matchOnce(ctx, s, req.Corpus[c[0]], req.Corpus[c[1]])
-		if err != nil {
-			return "", err
-		}
-		if v {
-			return "Y", nil
-		}
-		return "N", nil
-	})
+	answers, err := e.matchPairs(ctx, s, req.Corpus, cmps)
 	if err != nil {
 		return nil, nil, fmt.Errorf("neighbourhood comparisons: %w", err)
-	}
-	answers := make([]bool, len(raw))
-	for i, r := range raw {
-		answers[i] = r == "Y"
 	}
 	return cmps, answers, nil
 }

@@ -233,110 +233,85 @@ func compareOnce(ctx context.Context, model llm.Model, a, b, criterion string, v
 	return choice == "A", nil
 }
 
-func (e *Engine) sortPairwise(ctx context.Context, s *session, req SortRequest, repair bool) (SortResult, error) {
-	n := len(req.Items)
-	type pair struct{ i, j int }
-	var pairs []pair
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			pairs = append(pairs, pair{i, j})
-		}
+// tournament asks every pair of items once, in allPairs order, with the
+// engine's parallelism, under the given template variant and
+// chain-of-thought setting, and records the answers.
+func (e *Engine) tournament(ctx context.Context, s *session, items []string, criterion string, variant int, cot bool) (*consistency.Tournament, error) {
+	pairs := allPairs(len(items))
+	aWins, err := workflow.Map(ctx, len(pairs), e.parallelism, func(ctx context.Context, k int) (bool, error) {
+		return compareOnce(ctx, s.model, items[pairs[k][0]], items[pairs[k][1]], criterion, variant, cot)
+	})
+	if err != nil {
+		return nil, err
 	}
-	outcomes := make([]string, len(pairs))
-	batch := req.CompareBatch
-	if batch < 1 {
-		batch = 1
-	}
-	if batch == 1 {
-		got, err := e.mapIdx(ctx, len(pairs), func(ctx context.Context, k int) (string, error) {
-			p := pairs[k]
-			aWins, err := compareOnce(ctx, s.model, req.Items[p.i], req.Items[p.j], req.Criterion, req.TemplateVariant, req.ChainOfThought)
-			if err != nil {
-				return "", err
-			}
-			if aWins {
-				return "A", nil
-			}
-			return "B", nil
-		})
-		if err != nil {
-			return SortResult{}, fmt.Errorf("pairwise sort: %w", err)
-		}
-		outcomes = got
-	} else {
-		// Batched comparisons: pack `batch` pairs per prompt; pairs the
-		// model skips fall back to individual prompts.
-		var chunks [][]pair
-		for start := 0; start < len(pairs); start += batch {
-			end := start + batch
-			if end > len(pairs) {
-				end = len(pairs)
-			}
-			chunks = append(chunks, pairs[start:end])
-		}
-		chunkAnswers, err := e.mapIdx(ctx, len(chunks), func(ctx context.Context, c int) (string, error) {
-			chunk := chunks[c]
-			items := make([]prompt.PairItem, len(chunk))
-			for i, p := range chunk {
-				items[i] = prompt.PairItem{A: req.Items[p.i], B: req.Items[p.j]}
-			}
-			answers, err := quality.AskWithRetry(ctx, s.model, prompt.CompareBatch(items, req.Criterion),
-				func(text string) (map[int]string, error) { return prompt.ParseChoices(text, len(chunk)) },
-				parseRetries)
-			if err != nil {
-				return "", err
-			}
-			// Encode the sparse answers positionally ("A", "B", or "?").
-			enc := make([]byte, len(chunk))
-			for i := range enc {
-				switch answers[i] {
-				case "A":
-					enc[i] = 'A'
-				case "B":
-					enc[i] = 'B'
-				default:
-					enc[i] = '?'
-				}
-			}
-			return string(enc), nil
-		})
-		if err != nil {
-			return SortResult{}, fmt.Errorf("batched pairwise sort: %w", err)
-		}
-		for c, chunk := range chunks {
-			for i := range chunk {
-				outcomes[c*batch+i] = string(chunkAnswers[c][i])
-			}
-		}
-		// Individual fallback for skipped pairs.
-		for k, out := range outcomes {
-			if out != "?" {
-				continue
-			}
-			p := pairs[k]
-			aWins, err := compareOnce(ctx, s.model, req.Items[p.i], req.Items[p.j], req.Criterion, req.TemplateVariant, req.ChainOfThought)
-			if err != nil {
-				return SortResult{}, fmt.Errorf("batched pairwise fallback: %w", err)
-			}
-			if aWins {
-				outcomes[k] = "A"
-			} else {
-				outcomes[k] = "B"
-			}
-		}
-	}
-	t := consistency.NewTournament(req.Items)
+	return recordPairs(items, pairs, aWins), nil
+}
+
+// recordPairs returns a tournament over items holding one answer per pair:
+// aWins[k] reports whether items[pairs[k][0]] beat items[pairs[k][1]].
+func recordPairs(items []string, pairs [][2]int, aWins []bool) *consistency.Tournament {
+	t := consistency.NewTournament(items)
 	for k, p := range pairs {
-		if outcomes[k] == "A" {
-			t.Record(req.Items[p.i], req.Items[p.j])
+		if aWins[k] {
+			t.Record(items[p[0]], items[p[1]])
 		} else {
-			t.Record(req.Items[p.j], req.Items[p.i])
+			t.Record(items[p[1]], items[p[0]])
 		}
+	}
+	return t
+}
+
+func (e *Engine) sortPairwise(ctx context.Context, s *session, req SortRequest, repair bool) (SortResult, error) {
+	t, err := e.sortTournament(ctx, s, req)
+	if err != nil {
+		return SortResult{}, err
 	}
 	if repair {
 		return SortResult{Ranked: t.RepairOrder()}, nil
 	}
 	return SortResult{Ranked: t.CopelandOrder()}, nil
+}
+
+// sortTournament is the tournament over the request's items, with
+// CompareBatch pairs packed into each prompt when it is above 1; the pairs
+// a batch leaves unanswered are then asked alone, one at a time in pair
+// order.
+func (e *Engine) sortTournament(ctx context.Context, s *session, req SortRequest) (*consistency.Tournament, error) {
+	if req.CompareBatch <= 1 {
+		t, err := e.tournament(ctx, s, req.Items, req.Criterion, req.TemplateVariant, req.ChainOfThought)
+		if err != nil {
+			return nil, fmt.Errorf("pairwise sort: %w", err)
+		}
+		return t, nil
+	}
+	pairs := allPairs(len(req.Items))
+	chunks := slices.Collect(slices.Chunk(pairs, req.CompareBatch))
+	// Each chunk's answers by position within it: "A", "B", or absent.
+	choices, err := workflow.Map(ctx, len(chunks), e.parallelism, func(ctx context.Context, c int) (map[int]string, error) {
+		items := make([]prompt.PairItem, len(chunks[c]))
+		for i, p := range chunks[c] {
+			items[i] = prompt.PairItem{A: req.Items[p[0]], B: req.Items[p[1]]}
+		}
+		return quality.AskWithRetry(ctx, s.model, prompt.CompareBatch(items, req.Criterion),
+			func(text string) (map[int]string, error) { return prompt.ParseChoices(text, len(items)) },
+			parseRetries)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("batched pairwise sort: %w", err)
+	}
+	aWins := make([]bool, len(pairs))
+	for k, p := range pairs {
+		switch choices[k/req.CompareBatch][k%req.CompareBatch] {
+		case "A":
+			aWins[k] = true
+		case "B":
+		default:
+			if aWins[k], err = compareOnce(ctx, s.model, req.Items[p[0]], req.Items[p[1]], req.Criterion, req.TemplateVariant, req.ChainOfThought); err != nil {
+				return nil, fmt.Errorf("batched pairwise fallback: %w", err)
+			}
+		}
+	}
+	return recordPairs(req.Items, pairs, aWins), nil
 }
 
 // sortHybridInsert implements the paper's sort-then-insert hybrid: a
@@ -362,34 +337,24 @@ func (e *Engine) sortHybridInsert(ctx context.Context, s *session, req SortReque
 	for _, item := range missing {
 		// Two comparisons per ranked element: item listed first, then
 		// second, cancelling the model's position bias.
-		votes, err := e.mapIdx(ctx, 2*len(ranked), func(ctx context.Context, k int) (string, error) {
-			idx := k / 2
-			var itemHigher bool
-			var cerr error
+		higher, err := workflow.Map(ctx, 2*len(ranked), e.parallelism, func(ctx context.Context, k int) (bool, error) {
+			other := ranked[k/2]
 			if k%2 == 0 {
-				itemHigher, cerr = compareOnce(ctx, s.model, item, ranked[idx], req.Criterion, req.TemplateVariant, req.ChainOfThought)
-			} else {
-				other, oerr := compareOnce(ctx, s.model, ranked[idx], item, req.Criterion, req.TemplateVariant, req.ChainOfThought)
-				itemHigher, cerr = !other, oerr
+				return compareOnce(ctx, s.model, item, other, req.Criterion, req.TemplateVariant, req.ChainOfThought)
 			}
-			if cerr != nil {
-				return "", cerr
-			}
-			if itemHigher {
-				return "H", nil
-			}
-			return "L", nil
+			otherHigher, err := compareOnce(ctx, s.model, other, item, req.Criterion, req.TemplateVariant, req.ChainOfThought)
+			return !otherHigher, err
 		})
 		if err != nil {
 			return coarse, fmt.Errorf("hybrid insert of %q: %w", item, err)
 		}
-		comps := make([]consistency.Comparison, 0, len(votes))
-		for k, v := range votes {
+		comps := make([]consistency.Comparison, 0, len(higher))
+		for k, h := range higher {
 			comps = append(comps, consistency.Comparison{
 				ListIndex: k / 2,
 				// "item ranks higher than ranked[idx]" means the item
 				// precedes that position.
-				Less: v == "H",
+				Less: h,
 			})
 		}
 		pos := consistency.AlignmentInsert(len(ranked), comps)
@@ -405,24 +370,15 @@ func (e *Engine) sortHybridInsert(ctx context.Context, s *session, req SortReque
 // sortRatingThenPairwise is the Khan-style hybrid: coarse ratings bucket
 // the items, fine pairwise comparisons order each bucket.
 func (e *Engine) sortRatingThenPairwise(ctx context.Context, s *session, req SortRequest) (SortResult, error) {
-	rated, err := e.sortRating(ctx, s, req)
+	ratings, err := e.rateAll(ctx, s, req.Items, req.Criterion, req.RatingScale)
 	if err != nil {
-		return SortResult{}, err
+		return SortResult{}, fmt.Errorf("rating sort: %w", err)
 	}
-	// Re-derive each item's rating by rating prompts again — they are
-	// cache hits, so this costs nothing and keeps the code simple.
-	rating := make(map[string]int, len(req.Items))
-	for _, it := range req.Items {
-		r, err := e.rateOnce(ctx, s, it, req.Criterion, req.RatingScale)
-		if err != nil {
-			return SortResult{}, fmt.Errorf("rating-then-pairwise: %w", err)
-		}
-		rating[it] = r
-	}
-	// Bucket by rating, descending.
+	// Bucket by rating, each bucket in input order: the order rating sort
+	// ranks equal ratings in.
 	buckets := make(map[int][]string)
-	for _, it := range rated.Ranked {
-		buckets[rating[it]] = append(buckets[rating[it]], it)
+	for i, it := range req.Items {
+		buckets[ratings[i]] = append(buckets[ratings[i]], it)
 	}
 	var out []string
 	for r := req.RatingScale; r >= 1; r-- {

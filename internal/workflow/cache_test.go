@@ -184,7 +184,7 @@ func TestCacheSaveDeterministicAcrossModels(t *testing.T) {
 func TestExecLayerSaveLoadRoundTrip(t *testing.T) {
 	var calls atomic.Int64
 	dir := t.TempDir()
-	layer := NewExecLayerShards(4)
+	layer := NewExecLayer()
 	if _, err := layer.OpenState(dir); err != nil {
 		t.Fatal(err)
 	}

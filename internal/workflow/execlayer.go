@@ -75,12 +75,8 @@ type ExecLayer struct {
 type serveObsBox struct{ obs ServeObserver }
 
 // NewExecLayer returns a layer with a DefaultCacheShards-way cache.
-func NewExecLayer() *ExecLayer { return NewExecLayerShards(0) }
-
-// NewExecLayerShards returns a layer whose cache has the given shard
-// count; shards <= 0 selects DefaultCacheShards.
-func NewExecLayerShards(shards int) *ExecLayer {
-	return &ExecLayer{cache: NewCache(shards), flights: NewFlightGroup()}
+func NewExecLayer() *ExecLayer {
+	return &ExecLayer{cache: NewCache(0), flights: NewFlightGroup()}
 }
 
 // Cache returns the shared cache handle, for pre-seeding (Cache.Put) and
