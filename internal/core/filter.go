@@ -219,7 +219,6 @@ func (e *Engine) Count(ctx context.Context, req CountRequest) (CountResult, erro
 	if req.BatchSize == 0 {
 		req.BatchSize = 20
 	}
-	s := e.newSession()
 	switch req.Strategy {
 	case CountPerItem:
 		fr, err := e.Filter(ctx, FilterRequest{Items: req.Items, Predicate: req.Predicate, Strategy: FilterPerItem})
@@ -238,6 +237,7 @@ func (e *Engine) Count(ctx context.Context, req CountRequest) (CountResult, erro
 			Usage:    fr.Usage,
 		}, nil
 	case CountEyeball:
+		s := e.newSession()
 		batches := slices.Collect(slices.Chunk(req.Items, req.BatchSize))
 		fracs, err := workflow.Map(ctx, len(batches), e.parallelism, func(ctx context.Context, i int) (float64, error) {
 			f, err := quality.AskWithRetry(ctx, s.model, prompt.CountBatch(batches[i], req.Predicate),

@@ -113,10 +113,9 @@ func (e *Engine) Find(ctx context.Context, req FindRequest) (FindResult, error) 
 			if len(res.Matches) >= req.Limit {
 				break
 			}
-			idx, err := strconv.Atoi(nb.ID)
-			if err != nil {
-				continue
-			}
+			// The index holds the items in order, so a neighbour's position
+			// is its row of req.Items.
+			idx := nb.Pos
 			ok, err := check(ctx, req.Items[idx])
 			if err != nil {
 				return FindResult{}, fmt.Errorf("find embed-first: %w", err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strconv"
 
 	"repro/internal/consistency"
 	"repro/internal/token"
@@ -183,11 +182,7 @@ func (e *Engine) joinTransitive(ctx context.Context, s *session, req JoinRequest
 		nbrs := rix.Within(req.Left[l].Text, req.CandidateDistance)
 		res.SkippedByDistance += len(req.Right) - len(nbrs)
 		for _, nb := range nbrs {
-			r, err := strconv.Atoi(nb.ID)
-			if err != nil {
-				continue
-			}
-			cands = append(cands, cand{l, r, nb.Distance})
+			cands = append(cands, cand{l, nb.Pos, nb.Distance}) // the right row: it is indexed in order
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/embed"
 	"repro/internal/llm/sim"
 )
 
@@ -93,6 +94,53 @@ func TestOperatorsPinned(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNeighbourRowsWithRegistry pins that the strategies which read a
+// neighbour's row from its index position — find's embed-first, the
+// transitive and evidence resolves' neighbourhoods, and transitive join's
+// candidates — answer the same with an index registry attached, on the
+// call that builds the registry's index and on the one it serves.
+func TestNeighbourRowsWithRegistry(t *testing.T) {
+	corpus := dataset.GenerateCitations(dataset.CitationConfig{Entities: 20, Pairs: 40, PositiveFrac: 0.3, Seed: 3})
+	ents := make([]Entity, len(corpus.Records))
+	for i, c := range corpus.Records {
+		ents[i] = Entity{ID: c.ID, Text: c.Text()}
+	}
+	pairs := make([][2]int, len(corpus.Pairs))
+	for i, p := range corpus.Pairs {
+		pairs[i] = [2]int{p.A, p.B}
+	}
+	var cases []operatorCase
+	for _, c := range operatorCases() {
+		if c.name == "find/embed-first" {
+			cases = append(cases, c)
+		}
+	}
+	for _, strategy := range []ResolveStrategy{ResolveTransitive, ResolveEvidence} {
+		cases = append(cases, operatorCase{"resolve/" + string(strategy), func(e *Engine) (any, error) {
+			return e.ResolvePairs(ctx(), PairsRequest{Corpus: ents, Pairs: pairs, Strategy: strategy, Neighbors: 2})
+		}})
+	}
+	cases = append(cases, operatorCase{"join/transitive", func(e *Engine) (any, error) {
+		return e.Join(ctx(), JoinRequest{Left: ents[:8], Right: ents[8:], Strategy: JoinTransitive, CandidateDistance: 0.9})
+	}})
+	for _, c := range cases {
+		want, err := c.run(newEngine(t, "sim-gpt-3.5-turbo"))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		e := newEngine(t, "sim-gpt-3.5-turbo", WithIndexRegistry(embed.NewRegistry()))
+		for call := 0; call < 2; call++ {
+			got, err := c.run(e)
+			if err != nil {
+				t.Fatalf("%s, call %d with a registry: %v", c.name, call, err)
+			}
+			if g, w := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want); g != w {
+				t.Errorf("%s, call %d with a registry:\n got  %s\n want %s", c.name, call, g, w)
+			}
+		}
 	}
 }
 

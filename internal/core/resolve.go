@@ -501,11 +501,7 @@ func (e *Engine) neighbourhoodComparisons(ctx context.Context, s *session, req P
 		}
 		nbs := make([]int, 0, req.Neighbors)
 		for _, nb := range ix.NearestByID(ids[side], req.Neighbors) {
-			idx, err := strconv.Atoi(nb.ID)
-			if err != nil {
-				continue
-			}
-			nbs = append(nbs, idx)
+			nbs = append(nbs, nb.Pos) // the corpus row: it is indexed in order
 		}
 		nbrCache[side] = nbs
 		return nbs

@@ -210,3 +210,32 @@ func BenchmarkUnitTaskMiss(b *testing.B) {
 		unitTaskSink = resp
 	}
 }
+
+// TestCountPerItemAllocs pins that a per-item Count is the Filter it runs
+// and nothing more: over the same items and predicate, with every answer
+// cached, it allocates no more than that Filter does. A session of its
+// own, opened and never used, was 24 allocations more.
+func TestCountPerItemAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins skip under the race detector")
+	}
+	e := newEngine(t, "sim-gpt-3.5-turbo")
+	items := dataset.FlavorNames()
+	const pred = "it is a chocolatey flavor"
+	filter := func() {
+		if _, err := e.Filter(ctx(), FilterRequest{Items: items, Predicate: pred, Strategy: FilterPerItem}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	count := func() {
+		if _, err := e.Count(ctx(), CountRequest{Items: items, Predicate: pred, Strategy: CountPerItem}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	filter() // every answer cached from here on
+	f, c := testing.AllocsPerRun(20, filter), testing.AllocsPerRun(20, count)
+	if c > f {
+		t.Errorf("a per-item Count allocates %.0f times, the same Filter %.0f", c, f)
+	}
+	t.Logf("per-item Count %.0f allocations, Filter %.0f", c, f)
+}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"unicode/utf8"
 	"unsafe"
@@ -28,17 +29,35 @@ import (
 // buffer.
 //
 // Most of a warm reply is the tenant's own records: filter, sort and count
-// pass input records through unchanged. An output record is recognised as
-// record i of one of the job's warm input tables — a table its submission
-// found already interned — when its Fields slice starts where that
-// record's does in the table's one backing array and is as long, and its
-// ID is the record's. No stage writes a record of its input (intern.go),
-// so such a record still holds exactly what was decoded. The seal keeps
-// no bytes for it, only a splice naming the table and the record, and an
-// expansion copies its bytes from the table's rendering: every record of
-// the table written once by this same writer, the first time a reply
-// reuses one of them. A table seen only once is never rendered; its
-// records are sealed as any other.
+// pass input records through unchanged, and categorize, impute and join
+// append a field to each. The seal keeps no bytes of a record one of the
+// job's warm input tables — a table its submission found already
+// interned — holds, only a splice naming the table and the record, and an
+// expansion copies the record's bytes from the table's rendering: every
+// record of the table written once by this same writer, the first time a
+// reply reuses one of them, with the commas between them. A table seen
+// only once is never rendered; its records are sealed as any other.
+//
+// Three kinds of output record become splices:
+//   - A record passed through is recognised by identity: its Fields slice
+//     starts where record k's does in the table's one backing array and
+//     is as long, and its ID is record k's. No stage writes a record of
+//     its input (intern.go), so such a record still holds exactly what
+//     was decoded.
+//   - A run of records passed through in input order, k, k+1, …, is one
+//     splice: one slice of the rendering, commas included.
+//   - A derived record — one whose ID is record k's and whose fields are
+//     record k's fields followed by at least one more — is a splice of
+//     record k's rendering without its closing "]}", and the seal keeps
+//     only the appended fields and the "]}". Record k is the one after the
+//     last record matched in the same output table, or else one with the
+//     record's ID, found through the table's records in ID order; either
+//     way it is compared by value, ID and every field's Name and Value, so
+//     a candidate found wrongly is only a record rendered whole.
+//
+// Anything else is written whole: a record with a changed or reordered
+// field, one whose input record has no fields, one of a table that is not
+// warm.
 
 // replyPool recycles reply buffers. One larger than maxPooledReply is
 // dropped rather than kept for every later reply.
@@ -108,25 +127,37 @@ func (s *Server) appendReply(b []byte, j *job) (_ []byte, reused int, err error)
 }
 
 // sealedReply is a finished job's reply. lit is every byte the writer
-// wrote itself; each splice stands, at its offset in lit, for a record of
-// one of the job's warm input tables. err is the first float encoding/json
-// would refuse; lit and splices are then empty.
+// wrote itself; each splice stands, at its offset in lit, for bytes of one
+// of the job's warm input tables' renderings. err is the first float
+// encoding/json would refuse; lit and splices are then empty.
 type sealedReply struct {
 	lit     []byte
 	splices []splice
 	err     error
 }
 
-// splice is record rec of the job's input table inputs[table], standing
-// at lit[at].
-type splice struct{ at, table, rec int32 }
+// splice stands at lit[at] for records of the job's input table
+// inputs[table]: records rec to rec+n-1 with the commas between them, or,
+// where n is 0, record rec without its closing "]}", the head of a record
+// derived from it.
+type splice struct {
+	at, rec  int32
+	table, n uint16
+}
 
-// seal writes the terminal reply st with res as its result, splicing each
-// record of inputs it passes through. The seal is sized to what it holds.
+// maxSpliceTables is how many of a job's warm input tables a splice can
+// name, and maxRun the longest run one splice holds.
+const (
+	maxSpliceTables = math.MaxUint16 + 1
+	maxRun          = math.MaxUint16
+)
+
+// seal writes the terminal reply st with res as its result, splicing what
+// it finds of inputs' records. The seal is sized to what it holds.
 func seal(st *JobStatus, res *pipeline.Result, inputs []*internedTable) *sealedReply {
 	buf := replyPool.Get().(*replyBuf)
 	defer putReplyBuf(buf)
-	w := replyWriter{b: buf.b[:0], splices: buf.splices[:0], inputs: inputs}
+	w := replyWriter{b: buf.b[:0], splices: buf.splices[:0], inputs: inputs[:min(len(inputs), maxSpliceTables)]}
 	w.status(st, res)
 	buf.b, buf.splices = w.b, w.splices
 	if w.err != nil {
@@ -135,15 +166,20 @@ func seal(st *JobStatus, res *pipeline.Result, inputs []*internedTable) *sealedR
 	return &sealedReply{lit: bytes.Clone(w.b), splices: slices.Clone(w.splices)}
 }
 
-// expand appends the reply to b, each spliced record copied from its
-// table's rendering; reused is the bytes so copied.
+// expand appends the reply to b, each splice copied from its table's
+// rendering; reused is the bytes so copied.
 func (r *sealedReply) expand(b []byte, tables *tableInterner, inputs []*internedTable) (_ []byte, reused int) {
 	at := int32(0)
 	for _, sp := range r.splices {
 		b = append(b, r.lit[at:sp.at]...)
 		at = sp.at
 		out := tables.rendered(inputs[sp.table])
-		rec := out.b[out.at[sp.rec]:out.at[sp.rec+1]]
+		var rec []byte
+		if sp.n == 0 {
+			rec = out.head(sp.rec)
+		} else {
+			rec = out.run(sp.rec, int32(sp.n))
+		}
 		b = append(b, rec...)
 		reused += len(rec)
 	}
@@ -262,24 +298,88 @@ func (w *replyWriter) stage(st *pipeline.StageReport) {
 	w.b = append(w.b, '}')
 }
 
-// records writes a table, splicing each record of a warm input table.
+// records writes a table, splicing what it finds of the warm input
+// tables' records.
 func (w *replyWriter) records(rs []dataset.Record) {
 	if rs == nil {
 		w.b = append(w.b, "null"...)
 		return
 	}
 	w.b = append(w.b, '[')
+	run := -1                // the splice the next record passed through may extend
+	next := recordRef{-1, 0} // the record after the last one found
 	for i := range rs {
 		if i > 0 {
 			w.b = append(w.b, ',')
 		}
-		if t, k := inputRecord(w.inputs, &rs[i]); t >= 0 {
-			w.splices = append(w.splices, splice{at: int32(len(w.b)), table: int32(t), rec: int32(k)})
+		r := &rs[i]
+		if t, k := inputRecord(w.inputs, r); t >= 0 {
+			if run >= 0 && w.splices[run].extends(t, k) {
+				w.b = w.b[:len(w.b)-1] // the run's rendering holds the comma
+				w.splices[run].n++
+			} else {
+				run = len(w.splices)
+				w.splices = append(w.splices, splice{at: int32(len(w.b)), rec: int32(k), table: uint16(t), n: 1})
+			}
+			next = recordRef{t, k + 1}
 			continue
 		}
-		w.b = appendRecord(w.b, &rs[i])
+		run = -1
+		if t, k := w.derivedFrom(r, next); t >= 0 {
+			w.splices = append(w.splices, splice{at: int32(len(w.b)), rec: int32(k), table: uint16(t)})
+			for j := len(w.inputs[t].records[k].Fields); j < len(r.Fields); j++ {
+				w.b = appendField(append(w.b, ','), &r.Fields[j])
+			}
+			w.b = append(w.b, "]}"...)
+			next = recordRef{t, k + 1}
+			continue
+		}
+		w.b = appendRecord(w.b, r)
 	}
 	w.b = append(w.b, ']')
+}
+
+// recordRef is record rec of the warm input table inputs[table].
+type recordRef struct{ table, rec int }
+
+// extends reports whether record k of inputs[t] can join the run sp.
+func (sp *splice) extends(t, k int) bool {
+	return int(sp.table) == t && int(sp.rec)+int(sp.n) == k && sp.n < maxRun
+}
+
+// maxIDCandidates bounds how many records sharing r's ID derivedFrom
+// compares r with, so a table whose records share IDs costs at most that
+// many comparisons a record.
+const maxIDCandidates = 4
+
+// derivedFrom finds the warm input record r derives from (derives): the
+// record next, else one with r's ID, or -1.
+func (w *replyWriter) derivedFrom(r *dataset.Record, next recordRef) (table, k int) {
+	if len(r.Fields) < 2 {
+		return -1, 0
+	}
+	if next.table >= 0 {
+		if rs := w.inputs[next.table].records; next.rec < len(rs) && derives(r, &rs[next.rec]) {
+			return next.table, next.rec
+		}
+	}
+	for i, t := range w.inputs {
+		order := t.idOrder()
+		p, _ := slices.BinarySearchFunc(order, r.ID, func(k int32, id string) int { return strings.Compare(t.records[k].ID, id) })
+		for end := min(p+maxIDCandidates, len(order)); p < end && t.records[order[p]].ID == r.ID; p++ {
+			if derives(r, &t.records[order[p]]) {
+				return i, int(order[p])
+			}
+		}
+	}
+	return -1, 0
+}
+
+// derives reports whether r is in, a record with fields, with fields
+// appended: r's ID is in's and its first fields are in's, Name and Value.
+func derives(r, in *dataset.Record) bool {
+	return len(in.Fields) > 0 && len(r.Fields) > len(in.Fields) && r.ID == in.ID &&
+		slices.Equal(r.Fields[:len(in.Fields)], in.Fields)
 }
 
 // float writes f as encoding/json does, and records the error it would
@@ -328,13 +428,18 @@ func appendRecord(b []byte, r *dataset.Record) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, `{"Name":`...)
-		b = appendString(b, r.Fields[i].Name)
-		b = append(b, `,"Value":`...)
-		b = appendString(b, r.Fields[i].Value)
-		b = append(b, '}')
+		b = appendField(b, &r.Fields[i])
 	}
 	return append(b, "]}"...)
+}
+
+// appendField appends a dataset.Field as encoding/json writes it.
+func appendField(b []byte, f *dataset.Field) []byte {
+	b = append(b, `{"Name":`...)
+	b = appendString(b, f.Name)
+	b = append(b, `,"Value":`...)
+	b = appendString(b, f.Value)
+	return append(b, '}')
 }
 
 const hexDigits = "0123456789abcdef"
@@ -394,11 +499,18 @@ func appendString(b []byte, s string) []byte {
 }
 
 // renderedTable is an interned table's records as the reply writer writes
-// them: record i is b[at[i]:at[i+1]].
+// them, separated by commas: record i starts at b[at[i]] and ends before
+// at[i+1]-1, where its comma is, or at the end of b.
 type renderedTable struct {
 	b  []byte
 	at []int32
 }
+
+// run is records k to k+n-1 with the commas between them.
+func (r *renderedTable) run(k, n int32) []byte { return r.b[r.at[k] : r.at[k+n]-1] }
+
+// head is record k, which has fields, without its closing "]}".
+func (r *renderedTable) head(k int32) []byte { return r.b[r.at[k] : r.at[k+1]-1-int32(len("]}"))] }
 
 // size is what the rendering counts against the interner's bound.
 func (r *renderedTable) size() int64 { return int64(cap(r.b) + 4*cap(r.at)) }
@@ -406,8 +518,11 @@ func (r *renderedTable) size() int64 { return int64(cap(r.b) + 4*cap(r.at)) }
 func renderTable(t *internedTable) *renderedTable {
 	out := &renderedTable{b: make([]byte, 0, len(t.raw)), at: make([]int32, 1, len(t.records)+1)}
 	for i := range t.records {
+		if i > 0 {
+			out.b = append(out.b, ',')
+		}
 		out.b = appendRecord(out.b, &t.records[i])
-		out.at = append(out.at, int32(len(out.b)))
+		out.at = append(out.at, int32(len(out.b)+1))
 	}
 	return out
 }

@@ -5,16 +5,19 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"weak"
 
 	"repro/internal/dataset"
 	"repro/internal/llm"
+	"repro/internal/pipeline"
 )
 
 // encodeFinished is encoding/json's reply for a finished job.
@@ -69,6 +72,88 @@ func TestSealExpandsAfterEviction(t *testing.T) {
 			t.Errorf("rendered first %v: the emptied interner holds %d bytes in %d tables", renderedFirst, in.held, in.recency.Len())
 		}
 		in.mu.Unlock()
+	}
+}
+
+// spliceTestInput is a warm input table of four records, and the same
+// records with a category appended, as categorize writes them.
+func spliceTestInput() (*internedTable, []dataset.Record) {
+	input := make([]dataset.Record, 4)
+	for k := range input {
+		input[k] = dataset.Record{ID: fmt.Sprint("r", k), Fields: []dataset.Field{
+			{Name: "name", Value: fmt.Sprint("<place ", k, ">")}, {Name: "city", Value: "Leeds & York"}}}
+	}
+	tab := newInternedTable(tableKey{}, nil, input)
+	kind := make([]dataset.Record, len(input))
+	for k, r := range tab.records {
+		kind[k] = r.With("category", "cafe")
+	}
+	return tab, kind
+}
+
+// TestSealSplices pins what a warm seal splices, table by table: the
+// whole input as one run; records derived from it, in order and in
+// reverse, each as the head of its input record; a passed-through record
+// alone and a run of two after it; and nothing of a record with a
+// category appended whose first value changed.
+func TestSealSplices(t *testing.T) {
+	tab, kind := spliceTestInput()
+	input := tab.records
+	back := slices.Clone(kind)
+	slices.Reverse(back)
+	miss := input[1].With("category", "diner")
+	miss.Fields[0].Value += "!"
+	res := &pipeline.Result{Tables: map[string][]dataset.Record{
+		"all": input, "back": back, "kind": kind, "miss": {miss}, "some": {input[3], input[1], input[2]}}}
+	st := JobStatus{ID: "j", Tenant: "t", State: JobDone}
+	sealed := seal(&st, res, []*internedTable{tab})
+	type ref struct{ rec, n int }
+	want := []ref{{0, 4}, {3, 0}, {2, 0}, {1, 0}, {0, 0}, {0, 0}, {1, 0}, {2, 0}, {3, 0}, {3, 1}, {1, 2}}
+	var got []ref
+	for _, sp := range sealed.splices {
+		got = append(got, ref{int(sp.rec), int(sp.n)})
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("splices (record, run length; 0 for a head) %v, want %v", got, want)
+	}
+	in := newTableInterner()
+	full := st
+	full.Result = JobResultOf(res)
+	wantReply, _ := encodeStatus(&full)
+	if got, reused := sealed.expand(nil, in, []*internedTable{tab}); !bytes.Equal(got, wantReply) || reused+len(sealed.lit) != len(got) {
+		t.Fatalf("expansion (%d bytes copied, %d sealed) %q, want %q", reused, len(sealed.lit), got, wantReply)
+	}
+}
+
+// TestConcurrentSealsShareIDOrder seals, from several goroutines at once,
+// replies whose derived records come in reverse, so each seal looks them
+// up by ID in a table none has ordered yet: every seal is the same, and
+// one ID order is published. Run with -race.
+func TestConcurrentSealsShareIDOrder(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		tab, kind := spliceTestInput()
+		slices.Reverse(kind)
+		res := &pipeline.Result{Tables: map[string][]dataset.Record{"kind": kind}}
+		seals := make([]*sealedReply, 4)
+		orders := make([][]int32, len(seals))
+		var wg sync.WaitGroup
+		for i := range seals {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				seals[i] = seal(&JobStatus{ID: "j", State: JobDone}, res, []*internedTable{tab})
+				orders[i] = tab.idOrder()
+			}()
+		}
+		wg.Wait()
+		for i, s := range seals {
+			if len(s.splices) != len(kind) || !bytes.Equal(s.lit, seals[0].lit) || !slices.Equal(s.splices, seals[0].splices) {
+				t.Fatalf("round %d: seal %d has %d splices and %q, seal 0 %d and %q", round, i, len(s.splices), s.lit, len(seals[0].splices), seals[0].lit)
+			}
+			if &orders[i][0] != &orders[0][0] {
+				t.Fatalf("round %d: seal %d read another ID order than seal 0", round, i)
+			}
+		}
 	}
 }
 

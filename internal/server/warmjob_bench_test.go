@@ -23,6 +23,8 @@ import (
 // warm-replay job without the network, for profiling in-tree:
 //
 //	go test -run '^$' -bench WarmJob -benchmem -cpuprofile cpu.out ./internal/server/
+//
+// seal-B/op is what each finished job keeps of its reply (sealBytes).
 func BenchmarkWarmJob(b *testing.B) {
 	body := warmJobBody(b)
 	srv := benchServer()
@@ -37,6 +39,23 @@ func BenchmarkWarmJob(b *testing.B) {
 	if got := srv.Stats().UpstreamCalls; got != calls {
 		b.Fatalf("warm jobs made %d upstream calls", got-calls)
 	}
+	b.ReportMetric(float64(sealBytes(warmSeal(b, srv, body))), "seal-B/op")
+}
+
+// warmSeal sends body once more to srv and returns that job's seal.
+func warmSeal(b *testing.B, srv *Server, body []byte) *sealedReply {
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/pipelines", bytes.NewReader(body)))
+	var st struct{ ID string }
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || rec.Code != http.StatusOK {
+		b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	j, err := srv.lookup(st.ID)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, sealed := j.view()
+	return sealed
 }
 
 // retainedJobs is about how many finished warm-replay jobs a server with
