@@ -6,8 +6,6 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"math"
-	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"unicode/utf8"
@@ -79,10 +77,6 @@ type internedTable struct {
 	// out is the records as a reply writes them, set the first time a
 	// reply reuses one of them (tableInterner.rendered).
 	out atomic.Pointer[renderedTable]
-	// byID is the records' indexes in ID order, set the first time a seal
-	// looks a record up by its ID (idOrder). Four bytes a record, it is not
-	// counted against the bound, as the decoded records are not.
-	byID atomic.Pointer[[]int32]
 	// held is what the table counts against the bound while interned:
 	// len(raw), plus out's size once out is counted. Guarded by the
 	// interner's mu.
@@ -361,21 +355,6 @@ func (in *tableInterner) rendered(t *internedTable) *renderedTable {
 		in.evict()
 	}
 	return out
-}
-
-// idOrder returns t's record indexes ordered by ID, and by index among
-// equal IDs, sorting them on first use.
-func (t *internedTable) idOrder() []int32 {
-	if order := t.byID.Load(); order != nil {
-		return *order
-	}
-	order := make([]int32, len(t.records))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortStableFunc(order, func(a, b int32) int { return strings.Compare(t.records[a].ID, t.records[b].ID) })
-	t.byID.CompareAndSwap(nil, &order)
-	return *t.byID.Load()
 }
 
 // known returns the interned table whose JSON b starts with, or nil. The

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"unicode/utf8"
 	"unsafe"
@@ -28,36 +27,28 @@ import (
 // submit's reply, each poll's and a cancel's expand the seal into a pooled
 // buffer.
 //
-// Most of a warm reply is the tenant's own records: filter, sort and count
-// pass input records through unchanged, and categorize, impute and join
-// append a field to each. The seal keeps no bytes of a record one of the
-// job's warm input tables — a table its submission found already
-// interned — holds, only a splice naming the table and the record, and an
-// expansion copies the record's bytes from the table's rendering: every
-// record of the table written once by this same writer, the first time a
-// reply reuses one of them, with the commas between them. A table seen
-// only once is never rendered; its records are sealed as any other.
+// Much of a warm reply is the tenant's own records: filter, sort and count
+// pass input records through unchanged. An output record is recognised as
+// record k of one of the job's warm input tables — a table its submission
+// found already interned — when its Fields slice starts where record k's
+// does in the table's one backing array and is as long, and its ID is
+// record k's. No stage writes a record of its input (intern.go), so such a
+// record still holds exactly what was decoded. The seal keeps no bytes for
+// it, only a splice naming the table and the record, and an expansion
+// copies its bytes from the table's rendering: every record of the table
+// written once by this same writer, the first time a reply reuses one of
+// them, with the commas between them. A run of records passed through in
+// input order, k, k+1, …, is one splice: one slice of the rendering,
+// commas included. A table seen only once is never rendered; its records
+// are sealed as any other.
 //
-// Three kinds of output record become splices:
-//   - A record passed through is recognised by identity: its Fields slice
-//     starts where record k's does in the table's one backing array and
-//     is as long, and its ID is record k's. No stage writes a record of
-//     its input (intern.go), so such a record still holds exactly what
-//     was decoded.
-//   - A run of records passed through in input order, k, k+1, …, is one
-//     splice: one slice of the rendering, commas included.
-//   - A derived record — one whose ID is record k's and whose fields are
-//     record k's fields followed by at least one more — is a splice of
-//     record k's rendering without its closing "]}", and the seal keeps
-//     only the appended fields and the "]}". Record k is the one after the
-//     last record matched in the same output table, or else one with the
-//     record's ID, found through the table's records in ID order; either
-//     way it is compared by value, ID and every field's Name and Value, so
-//     a candidate found wrongly is only a record rendered whole.
-//
-// Anything else is written whole: a record with a changed or reordered
-// field, one whose input record has no fields, one of a table that is not
-// warm.
+// Anything else is written whole, a record categorize or impute derived
+// from an input record included. Sealing such a record as its input
+// record's rendering plus the appended fields would keep a third of the
+// bytes, but on a workload whose process allocates much more than the
+// server retains, the retained seals are what space the GC's cycles:
+// shrinking them made the cycles more frequent and the tail latency
+// worse, not better.
 
 // replyPool recycles reply buffers. One larger than maxPooledReply is
 // dropped rather than kept for every later reply.
@@ -136,10 +127,8 @@ type sealedReply struct {
 	err     error
 }
 
-// splice stands at lit[at] for records of the job's input table
-// inputs[table]: records rec to rec+n-1 with the commas between them, or,
-// where n is 0, record rec without its closing "]}", the head of a record
-// derived from it.
+// splice stands at lit[at] for records rec to rec+n-1 of the job's input
+// table inputs[table], with the commas between them.
 type splice struct {
 	at, rec  int32
 	table, n uint16
@@ -152,8 +141,8 @@ const (
 	maxRun          = math.MaxUint16
 )
 
-// seal writes the terminal reply st with res as its result, splicing what
-// it finds of inputs' records. The seal is sized to what it holds.
+// seal writes the terminal reply st with res as its result, splicing each
+// record of inputs it passes through. The seal is sized to what it holds.
 func seal(st *JobStatus, res *pipeline.Result, inputs []*internedTable) *sealedReply {
 	buf := replyPool.Get().(*replyBuf)
 	defer putReplyBuf(buf)
@@ -173,13 +162,7 @@ func (r *sealedReply) expand(b []byte, tables *tableInterner, inputs []*interned
 	for _, sp := range r.splices {
 		b = append(b, r.lit[at:sp.at]...)
 		at = sp.at
-		out := tables.rendered(inputs[sp.table])
-		var rec []byte
-		if sp.n == 0 {
-			rec = out.head(sp.rec)
-		} else {
-			rec = out.run(sp.rec, int32(sp.n))
-		}
+		rec := tables.rendered(inputs[sp.table]).run(sp.rec, int32(sp.n))
 		b = append(b, rec...)
 		reused += len(rec)
 	}
@@ -298,22 +281,20 @@ func (w *replyWriter) stage(st *pipeline.StageReport) {
 	w.b = append(w.b, '}')
 }
 
-// records writes a table, splicing what it finds of the warm input
-// tables' records.
+// records writes a table, splicing each record of a warm input table and
+// each run of them in input order.
 func (w *replyWriter) records(rs []dataset.Record) {
 	if rs == nil {
 		w.b = append(w.b, "null"...)
 		return
 	}
 	w.b = append(w.b, '[')
-	run := -1                // the splice the next record passed through may extend
-	next := recordRef{-1, 0} // the record after the last one found
+	run := -1 // the splice the next record passed through may extend
 	for i := range rs {
 		if i > 0 {
 			w.b = append(w.b, ',')
 		}
-		r := &rs[i]
-		if t, k := inputRecord(w.inputs, r); t >= 0 {
+		if t, k := inputRecord(w.inputs, &rs[i]); t >= 0 {
 			if run >= 0 && w.splices[run].extends(t, k) {
 				w.b = w.b[:len(w.b)-1] // the run's rendering holds the comma
 				w.splices[run].n++
@@ -321,65 +302,17 @@ func (w *replyWriter) records(rs []dataset.Record) {
 				run = len(w.splices)
 				w.splices = append(w.splices, splice{at: int32(len(w.b)), rec: int32(k), table: uint16(t), n: 1})
 			}
-			next = recordRef{t, k + 1}
 			continue
 		}
 		run = -1
-		if t, k := w.derivedFrom(r, next); t >= 0 {
-			w.splices = append(w.splices, splice{at: int32(len(w.b)), rec: int32(k), table: uint16(t)})
-			for j := len(w.inputs[t].records[k].Fields); j < len(r.Fields); j++ {
-				w.b = appendField(append(w.b, ','), &r.Fields[j])
-			}
-			w.b = append(w.b, "]}"...)
-			next = recordRef{t, k + 1}
-			continue
-		}
-		w.b = appendRecord(w.b, r)
+		w.b = appendRecord(w.b, &rs[i])
 	}
 	w.b = append(w.b, ']')
 }
 
-// recordRef is record rec of the warm input table inputs[table].
-type recordRef struct{ table, rec int }
-
 // extends reports whether record k of inputs[t] can join the run sp.
 func (sp *splice) extends(t, k int) bool {
 	return int(sp.table) == t && int(sp.rec)+int(sp.n) == k && sp.n < maxRun
-}
-
-// maxIDCandidates bounds how many records sharing r's ID derivedFrom
-// compares r with, so a table whose records share IDs costs at most that
-// many comparisons a record.
-const maxIDCandidates = 4
-
-// derivedFrom finds the warm input record r derives from (derives): the
-// record next, else one with r's ID, or -1.
-func (w *replyWriter) derivedFrom(r *dataset.Record, next recordRef) (table, k int) {
-	if len(r.Fields) < 2 {
-		return -1, 0
-	}
-	if next.table >= 0 {
-		if rs := w.inputs[next.table].records; next.rec < len(rs) && derives(r, &rs[next.rec]) {
-			return next.table, next.rec
-		}
-	}
-	for i, t := range w.inputs {
-		order := t.idOrder()
-		p, _ := slices.BinarySearchFunc(order, r.ID, func(k int32, id string) int { return strings.Compare(t.records[k].ID, id) })
-		for end := min(p+maxIDCandidates, len(order)); p < end && t.records[order[p]].ID == r.ID; p++ {
-			if derives(r, &t.records[order[p]]) {
-				return i, int(order[p])
-			}
-		}
-	}
-	return -1, 0
-}
-
-// derives reports whether r is in, a record with fields, with fields
-// appended: r's ID is in's and its first fields are in's, Name and Value.
-func derives(r, in *dataset.Record) bool {
-	return len(in.Fields) > 0 && len(r.Fields) > len(in.Fields) && r.ID == in.ID &&
-		slices.Equal(r.Fields[:len(in.Fields)], in.Fields)
 }
 
 // float writes f as encoding/json does, and records the error it would
@@ -428,18 +361,13 @@ func appendRecord(b []byte, r *dataset.Record) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendField(b, &r.Fields[i])
+		b = append(b, `{"Name":`...)
+		b = appendString(b, r.Fields[i].Name)
+		b = append(b, `,"Value":`...)
+		b = appendString(b, r.Fields[i].Value)
+		b = append(b, '}')
 	}
 	return append(b, "]}"...)
-}
-
-// appendField appends a dataset.Field as encoding/json writes it.
-func appendField(b []byte, f *dataset.Field) []byte {
-	b = append(b, `{"Name":`...)
-	b = appendString(b, f.Name)
-	b = append(b, `,"Value":`...)
-	b = appendString(b, f.Value)
-	return append(b, '}')
 }
 
 const hexDigits = "0123456789abcdef"
@@ -508,9 +436,6 @@ type renderedTable struct {
 
 // run is records k to k+n-1 with the commas between them.
 func (r *renderedTable) run(k, n int32) []byte { return r.b[r.at[k] : r.at[k+n]-1] }
-
-// head is record k, which has fields, without its closing "]}".
-func (r *renderedTable) head(k int32) []byte { return r.b[r.at[k] : r.at[k+1]-1-int32(len("]}"))] }
 
 // size is what the rendering counts against the interner's bound.
 func (r *renderedTable) size() int64 { return int64(cap(r.b) + 4*cap(r.at)) }

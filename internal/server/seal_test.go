@@ -92,10 +92,9 @@ func spliceTestInput() (*internedTable, []dataset.Record) {
 }
 
 // TestSealSplices pins what a warm seal splices, table by table: the
-// whole input as one run; records derived from it, in order and in
-// reverse, each as the head of its input record; a passed-through record
-// alone and a run of two after it; and nothing of a record with a
-// category appended whose first value changed.
+// whole input as one run; nothing of the records categorize derived from
+// it, in order or in reverse, nor of one whose first value also changed;
+// and a passed-through record alone and a run of two after it.
 func TestSealSplices(t *testing.T) {
 	tab, kind := spliceTestInput()
 	input := tab.records
@@ -108,13 +107,13 @@ func TestSealSplices(t *testing.T) {
 	st := JobStatus{ID: "j", Tenant: "t", State: JobDone}
 	sealed := seal(&st, res, []*internedTable{tab})
 	type ref struct{ rec, n int }
-	want := []ref{{0, 4}, {3, 0}, {2, 0}, {1, 0}, {0, 0}, {0, 0}, {1, 0}, {2, 0}, {3, 0}, {3, 1}, {1, 2}}
+	want := []ref{{0, 4}, {3, 1}, {1, 2}}
 	var got []ref
 	for _, sp := range sealed.splices {
 		got = append(got, ref{int(sp.rec), int(sp.n)})
 	}
 	if !slices.Equal(got, want) {
-		t.Errorf("splices (record, run length; 0 for a head) %v, want %v", got, want)
+		t.Errorf("splices (record, run length) %v, want %v", got, want)
 	}
 	in := newTableInterner()
 	full := st
@@ -125,42 +124,10 @@ func TestSealSplices(t *testing.T) {
 	}
 }
 
-// TestConcurrentSealsShareIDOrder seals, from several goroutines at once,
-// replies whose derived records come in reverse, so each seal looks them
-// up by ID in a table none has ordered yet: every seal is the same, and
-// one ID order is published. Run with -race.
-func TestConcurrentSealsShareIDOrder(t *testing.T) {
-	for round := 0; round < 20; round++ {
-		tab, kind := spliceTestInput()
-		slices.Reverse(kind)
-		res := &pipeline.Result{Tables: map[string][]dataset.Record{"kind": kind}}
-		seals := make([]*sealedReply, 4)
-		orders := make([][]int32, len(seals))
-		var wg sync.WaitGroup
-		for i := range seals {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				seals[i] = seal(&JobStatus{ID: "j", State: JobDone}, res, []*internedTable{tab})
-				orders[i] = tab.idOrder()
-			}()
-		}
-		wg.Wait()
-		for i, s := range seals {
-			if len(s.splices) != len(kind) || !bytes.Equal(s.lit, seals[0].lit) || !slices.Equal(s.splices, seals[0].splices) {
-				t.Fatalf("round %d: seal %d has %d splices and %q, seal 0 %d and %q", round, i, len(s.splices), s.lit, len(seals[0].splices), seals[0].lit)
-			}
-			if &orders[i][0] != &orders[0][0] {
-				t.Fatalf("round %d: seal %d read another ID order than seal 0", round, i)
-			}
-		}
-	}
-}
-
 // TestFinishedJobReleasesResult pins that a finished job keeps its reply,
-// not its Result: once the job's run returns, a table the run made is
-// collected while the job, still retained, answers a poll with the same
-// bytes as its sync submit.
+// not its Result nor its context: once the job's run returns, a table the
+// run made is collected while the job, still retained, answers a poll with
+// the same bytes as its sync submit.
 func TestFinishedJobReleasesResult(t *testing.T) {
 	s := New(Config{Model: testOracle()})
 	defer s.Drain(context.Background())
@@ -171,6 +138,11 @@ func TestFinishedJobReleasesResult(t *testing.T) {
 	made := func() weak.Pointer[dataset.Record] {
 		j, fin := warmJob(t, s, warmReplayBody(t, 48))
 		id, want = j.id, encodeFinished(t, fin)
+		j.mu.Lock()
+		if j.cancel != nil {
+			t.Error("the finished job still holds its context's cancel func")
+		}
+		j.mu.Unlock()
 		kind := fin.res.Tables["kind"] // categorize writes every record anew
 		if len(kind) == 0 {
 			t.Fatal("the run categorized nothing")

@@ -365,13 +365,16 @@ func (t *tenant) spendRetry() bool {
 type job struct {
 	id, tenant string
 
-	cancel context.CancelFunc
 	// inputs are the job's warm input tables, whose records its replies
 	// copy pre-rendered (reply.go).
 	inputs []*internedTable
 
 	mu    sync.Mutex
 	state JobState
+	// cancel cancels the job's context, and is nil once the job has
+	// finished: a retained job keeps no context, and through it no
+	// request's, alive.
+	cancel context.CancelFunc
 	// reply is the job's whole reply, sealed when it reached a terminal
 	// state; the job does not keep its Result (reply.go).
 	reply *sealedReply
@@ -398,6 +401,20 @@ func (j *job) finish(s JobState, reply *sealedReply) {
 	}
 	j.state, j.reply = s, reply
 	j.done = time.Now()
+	if j.cancel != nil {
+		j.cancel()
+		j.cancel = nil
+	}
+}
+
+// stop cancels the job's context; a finished job has none left to cancel.
+func (j *job) stop() {
+	j.mu.Lock()
+	cancel := j.cancel
+	j.mu.Unlock()
+	if cancel != nil {
+		cancel()
+	}
 }
 
 // view reads the job's status as it stands, without a result, and once
@@ -767,7 +784,7 @@ func (s *Server) submit(ctx context.Context, req SubmitRequest, in jobTables) (*
 func (s *Server) runJob(ctx context.Context, j *job, t *tenant, tk *ticket, p *pipeline.Pipeline,
 	tables map[string][]dataset.Record, keys map[string]embed.SourceKey) {
 	defer s.wg.Done()
-	defer j.cancel()
+	defer j.stop()
 	var (
 		res  *pipeline.Result
 		wall time.Duration
@@ -852,7 +869,7 @@ func (s *Server) cancel(id string) (*job, error) {
 	if err != nil {
 		return nil, err
 	}
-	j.cancel()
+	j.stop()
 	return j, nil
 }
 
@@ -952,9 +969,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.baseStop()
 		s.mu.RLock()
 		for _, j := range s.jobs {
-			if j.cancel != nil {
-				j.cancel()
-			}
+			j.stop()
 		}
 		s.mu.RUnlock()
 		<-done
