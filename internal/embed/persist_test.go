@@ -3,6 +3,7 @@ package embed
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -332,6 +333,33 @@ func TestSaveCarriesCodeArrayPastCrossover(t *testing.T) {
 	assertIdenticalTopK(t, "no section", built, old, 5)
 	if old.quant.Load() == nil {
 		t.Fatal("the flat path did not build the code array lazily")
+	}
+}
+
+// TestIndexFileBytesPinned pins the exact bytes SaveIndex writes for one
+// index past the certified crossover with its partitions built, so the
+// header, ids, vectors, partitions, member lists and code array are all in
+// the file: any change to the writer or to the format shows here.
+func TestIndexFileBytesPinned(t *testing.T) {
+	em := Default()
+	items := randomCorpus(certMinPoints+20, 76)
+	ix := NewIndexWith(em, IndexOptions{Partitions: 8, Seed: 3})
+	ix.AddAll(items)
+	ix.Blocks(0.8)
+	path := filepath.Join(t.TempDir(), "pinned.dpix")
+	if err := SaveIndex(path, ix, em, items); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		wantLen = 702028
+		wantSum = "4b841d96c89657823a1baee303bdc2b3c45472c709196d10d141fbe4e79c7f1d"
+	)
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); len(b) != wantLen || got != wantSum {
+		t.Fatalf("saved index is %d B with sha256 %s, pinned %d B with %s", len(b), got, wantLen, wantSum)
 	}
 }
 

@@ -3,6 +3,7 @@ package workflow
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -215,6 +216,39 @@ func TestCacheLogReplayCompactEquivalence(t *testing.T) {
 	if st := lg.Stats(); st.Records != entries || st.Bytes != 357788 {
 		t.Fatalf("fixed workload: compacted log holds %d records / %d bytes, pinned %d / 357788",
 			st.Records, st.Bytes, entries)
+	}
+}
+
+// TestCompactedLogBytesPinned pins the exact bytes Compact writes for a
+// fixed set of inserts, superseded ones included, so a change to the
+// compaction writer or to the record format shows here.
+func TestCompactedLogBytesPinned(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cache.log")
+	lg := openLog(t, path)
+	c := NewCache(0)
+	keys := fillCache(c, 60, 1)
+	if _, err := lg.Flush(c); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys[:20] {
+		c.put(k, llm.Response{Text: "superseded " + k.prompt, Model: k.model})
+	}
+	if err := lg.Compact(c); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		wantLen = 4048
+		wantSum = "92f85175b0c9a1f2add62a4c3324a5792418466c14f784b0c769cc31aa2a8043"
+	)
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); len(b) != wantLen || got != wantSum {
+		t.Fatalf("compacted log is %d B with sha256 %s, pinned %d B with %s", len(b), got, wantLen, wantSum)
+	}
+	if st := lg.Stats(); st.Records != len(keys) || st.Bytes != int64(len(b)) {
+		t.Fatalf("compacted log stats %+v, file holds %d records in %d B", st, len(keys), len(b))
 	}
 }
 
