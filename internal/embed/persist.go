@@ -103,24 +103,18 @@ func (key fileKey) fileName() string {
 
 // crcWriter tracks the running CRC-32C and byte offset of everything
 // written, so sections can be padded to 8-byte alignment and the trailer
-// checksum covers the exact stream.
+// checksum covers the exact stream. It ignores write errors: the
+// bufio.Writer keeps the first one, and its Flush reports it.
 type crcWriter struct {
 	w   *bufio.Writer
 	crc uint32
 	off int64
-	err error
 }
 
 var indexCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 func (cw *crcWriter) bytes(p []byte) {
-	if cw.err != nil {
-		return
-	}
-	if _, err := cw.w.Write(p); err != nil {
-		cw.err = err
-		return
-	}
+	cw.w.Write(p)
 	cw.crc = crc32.Update(cw.crc, indexCRCTable, p)
 	cw.off += int64(len(p))
 }
@@ -146,61 +140,34 @@ func (cw *crcWriter) align8() {
 	}
 }
 
-// f32s, i32s, u32s, i8s write raw array sections. On little-endian hosts
-// the slice memory IS the wire format, so one unsafe reinterpretation
-// writes the whole section; big-endian hosts fall back to element-wise
-// conversion.
-func (cw *crcWriter) f32s(v []float32) {
-	if len(v) == 0 {
-		return
-	}
-	if hostLittleEndian {
-		cw.bytes(unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*4))
-		return
-	}
-	for _, x := range v {
-		cw.u32(*(*uint32)(unsafe.Pointer(&x)))
-	}
+// arrayElem is every element type an array section holds.
+type arrayElem interface {
+	float32 | int32 | uint32 | int8
 }
 
-func (cw *crcWriter) i32s(v []int32) {
+// putArray writes a raw array section. On little-endian hosts the slice
+// memory IS the wire format, so one unsafe reinterpretation writes the
+// whole section; big-endian hosts write element by element. Bytes have no
+// order, so an int8 section is always written whole.
+func putArray[T arrayElem](cw *crcWriter, v []T) {
 	if len(v) == 0 {
 		return
 	}
-	if hostLittleEndian {
-		cw.bytes(unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*4))
+	size := int(unsafe.Sizeof(v[0]))
+	if hostLittleEndian || size == 1 {
+		cw.bytes(unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*size))
 		return
 	}
-	for _, x := range v {
-		cw.u32(uint32(x))
+	for i := range v {
+		cw.u32(*(*uint32)(unsafe.Pointer(&v[i])))
 	}
-}
-
-func (cw *crcWriter) u32s(v []uint32) {
-	if len(v) == 0 {
-		return
-	}
-	if hostLittleEndian {
-		cw.bytes(unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*4))
-		return
-	}
-	for _, x := range v {
-		cw.u32(x)
-	}
-}
-
-func (cw *crcWriter) i8s(v []int8) {
-	if len(v) == 0 {
-		return
-	}
-	cw.bytes(unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)))
 }
 
 // SaveIndex persists a fully built index to path, with the partition
 // structure if Within or Blocks has built it and with the code array
 // whenever the index is past the certified path's crossover — built here
 // if no query has yet — so a warm load serves queries without rebuilding
-// either. The write goes through a temp file + rename, so a crash never
+// either. The write goes through workflow.ReplaceFile, so a crash never
 // leaves a half-written file under the final name. The em and items
 // arguments supply the invalidation key and must be the corpus the index
 // was built from.
@@ -214,36 +181,16 @@ func saveIndex(path string, ix *Index, key fileKey) error {
 		ix.ensureQuantized()
 	}
 
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("embed: save index: %w", err)
+	err := os.MkdirAll(filepath.Dir(path), 0o755)
+	if err == nil {
+		err = workflow.ReplaceFile(path, func(w *bufio.Writer) error {
+			cw := &crcWriter{w: w}
+			writeIndexStream(cw, ix, key, ix.part.Load(), ix.quant.Load())
+			cw.u32(cw.crc) // trailer: CRC-32C of everything before it
+			return nil
+		})
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".dpix-*")
 	if err != nil {
-		return fmt.Errorf("embed: save index: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-
-	cw := &crcWriter{w: bufio.NewWriterSize(tmp, 1<<20)}
-	pt := ix.part.Load()
-	qz := ix.quant.Load()
-	writeIndexStream(cw, ix, key, pt, qz)
-	cw.u32(cw.crc) // trailer: CRC-32C of everything before it
-	if cw.err == nil {
-		cw.err = cw.w.Flush()
-	}
-	if cw.err == nil {
-		cw.err = tmp.Sync()
-	}
-	if err := tmp.Close(); cw.err == nil {
-		cw.err = err
-	}
-	if cw.err != nil {
-		return fmt.Errorf("embed: save index: %w", cw.err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("embed: save index: %w", err)
-	}
-	if err := workflow.SyncDir(filepath.Dir(path)); err != nil {
 		return fmt.Errorf("embed: save index: %w", err)
 	}
 	return nil
@@ -281,7 +228,7 @@ func writeIndexStream(cw *crcWriter, ix *Index, key fileKey, pt *partitions, qz 
 		offs[i+1] = uint32(total)
 	}
 	cw.align8()
-	cw.u32s(offs)
+	putArray(cw, offs)
 	cw.align8()
 	for _, id := range ix.ids {
 		cw.bytes([]byte(id))
@@ -289,21 +236,21 @@ func writeIndexStream(cw *crcWriter, ix *Index, key fileKey, pt *partitions, qz 
 
 	// Vector store.
 	cw.align8()
-	cw.f32s(ix.data)
+	putArray(cw, ix.data)
 
 	if pt != nil {
 		p := pt.count()
 		cw.align8()
 		cw.u32(uint32(p))
 		cw.align8()
-		cw.f32s(pt.centroids)
+		putArray(cw, pt.centroids)
 		cw.align8()
-		cw.f32s(pt.radius)
+		putArray(cw, pt.radius)
 		// Row → its partition, once: only ANN probing read the section, and
 		// a file written here is never found under the name of one saved
 		// with ANN on. Zeros keep the layout version 1.
 		cw.align8()
-		cw.i32s(make([]int32, n))
+		putArray(cw, make([]int32, n))
 		// Member lists flatten to per-partition lengths + one contiguous
 		// array each; the loader re-slices the flat arrays in place.
 		writeLists(cw, pt.members)
@@ -317,9 +264,9 @@ func writeIndexStream(cw *crcWriter, ix *Index, key fileKey, pt *partitions, qz 
 		cw.u32(*(*uint32)(unsafe.Pointer(&qz.scale)))
 		cw.u32(0)
 		cw.align8()
-		cw.i8s(qz.codes)
+		putArray(cw, qz.codes)
 		cw.align8()
-		cw.i32s(qz.norms)
+		putArray(cw, qz.norms)
 	}
 	cw.align8()
 }
@@ -333,11 +280,11 @@ func writeLists(cw *crcWriter, lists [][]int32) {
 		total += uint64(len(l))
 	}
 	cw.align8()
-	cw.u32s(lens)
+	putArray(cw, lens)
 	cw.align8()
 	cw.u64(total)
 	for _, l := range lists {
-		cw.i32s(l)
+		putArray(cw, l)
 	}
 }
 
@@ -405,62 +352,27 @@ func (r *indexReader) count(n uint64, elemSize int) int {
 	return int(n)
 }
 
-// f32s decodes a float32 array section: aliased in place when the host
-// is little-endian and the section landed 4-aligned (the 8-byte section
-// padding guarantees this for buffers from os.ReadFile), copied
-// otherwise.
-func (r *indexReader) f32s(n int) []float32 {
-	p := r.take(n * 4)
+// getArray decodes an array section of n elements: aliased in place when
+// the host is little-endian and the section landed aligned for T (the
+// 8-byte section padding guarantees this for buffers from os.ReadFile or
+// the file's mapping), copied element by element otherwise. Bytes have
+// neither order nor alignment, so an int8 section is always aliased.
+func getArray[T arrayElem](r *indexReader, n int) []T {
+	var zero T
+	size := int(unsafe.Sizeof(zero))
+	p := r.take(n * size)
 	if p == nil || n == 0 {
 		return nil
 	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&p[0]))&3 == 0 {
-		return unsafe.Slice((*float32)(unsafe.Pointer(&p[0])), n)
+	if (hostLittleEndian || size == 1) && uintptr(unsafe.Pointer(&p[0]))%unsafe.Alignof(zero) == 0 {
+		return unsafe.Slice((*T)(unsafe.Pointer(&p[0])), n)
 	}
-	out := make([]float32, n)
+	out := make([]T, n)
 	for i := range out {
 		bits := binary.LittleEndian.Uint32(p[i*4:])
-		out[i] = *(*float32)(unsafe.Pointer(&bits))
+		out[i] = *(*T)(unsafe.Pointer(&bits))
 	}
 	return out
-}
-
-func (r *indexReader) i32s(n int) []int32 {
-	p := r.take(n * 4)
-	if p == nil || n == 0 {
-		return nil
-	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&p[0]))&3 == 0 {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&p[0])), n)
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(p[i*4:]))
-	}
-	return out
-}
-
-func (r *indexReader) u32s(n int) []uint32 {
-	p := r.take(n * 4)
-	if p == nil || n == 0 {
-		return nil
-	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&p[0]))&3 == 0 {
-		return unsafe.Slice((*uint32)(unsafe.Pointer(&p[0])), n)
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(p[i*4:])
-	}
-	return out
-}
-
-func (r *indexReader) i8s(n int) []int8 {
-	p := r.take(n)
-	if p == nil || n == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int8)(unsafe.Pointer(&p[0])), n)
 }
 
 // readLists reverses writeLists, re-slicing the flat array in place. Every
@@ -469,10 +381,10 @@ func (r *indexReader) i8s(n int) []int8 {
 // once.
 func (r *indexReader) readLists(p, n int, cover bool) [][]int32 {
 	r.align8()
-	lens := r.u32s(p)
+	lens := getArray[uint32](r, p)
 	r.align8()
 	total := r.count(r.u64(), 4)
-	flat := r.i32s(total)
+	flat := getArray[int32](r, total)
 	if r.err != nil {
 		return nil
 	}
@@ -584,14 +496,14 @@ func decodeIndex(b []byte, path string, em Embedder, key fileKey) (*Index, error
 
 	// Ids: one blob string, n substrings.
 	r.align8()
-	offs := r.u32s(n + 1)
+	offs := getArray[uint32](r, n+1)
 	r.align8()
 	var blob string
 	if r.err == nil {
 		blob = string(r.take(r.count(uint64(offs[n]), 1)))
 	}
 	r.align8()
-	data := r.f32s(r.count(uint64(n)*uint64(dim), 4))
+	data := getArray[float32](r, r.count(uint64(n)*uint64(dim), 4))
 	if r.err != nil {
 		return nil, fmt.Errorf("%w: %s sections truncated", ErrCorruptIndex, path)
 	}
@@ -614,9 +526,9 @@ func decodeIndex(b []byte, path string, em Embedder, key fileKey) (*Index, error
 		p := r.count(uint64(r.u32()), 1)
 		r.align8()
 		pt := &partitions{dim: dim}
-		pt.centroids = r.f32s(r.count(uint64(p)*uint64(dim), 4))
+		pt.centroids = getArray[float32](r, r.count(uint64(p)*uint64(dim), 4))
 		r.align8()
-		pt.radius = r.f32s(p)
+		pt.radius = getArray[float32](r, p)
 		r.align8()
 		r.take(n * 4) // the retired row → partition section
 		pt.members = r.readLists(p, n, true)
@@ -642,9 +554,9 @@ func decodeIndex(b []byte, path string, em Embedder, key fileKey) (*Index, error
 			return nil, fmt.Errorf("%w: %s quant stride inconsistent", ErrCorruptIndex, path)
 		}
 		r.align8()
-		qz.codes = r.i8s(r.count(uint64(n)*uint64(qz.stride), 1))
+		qz.codes = getArray[int8](r, r.count(uint64(n)*uint64(qz.stride), 1))
 		r.align8()
-		qz.norms = r.i32s(n)
+		qz.norms = getArray[int32](r, n)
 		if r.err != nil {
 			return nil, fmt.Errorf("%w: %s quant section truncated", ErrCorruptIndex, path)
 		}

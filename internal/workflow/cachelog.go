@@ -123,7 +123,7 @@ func OpenCacheLog(path string) (*CacheLog, error) {
 
 // openLocked opens the log at path once its writer lock is held.
 func openLocked(path string) (*CacheLog, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, stateFileMode)
 	if err != nil {
 		return nil, fmt.Errorf("workflow: open cache log: %w", err)
 	}
@@ -156,11 +156,13 @@ func openLocked(path string) (*CacheLog, error) {
 // errReplayRequired: see CacheLog.replayed.
 var errReplayRequired = errors.New("workflow: cache log has unvalidated contents; call Replay before Flush")
 
+// logHeader returns the cacheLogHeaderLen bytes every log starts with.
+func logHeader() []byte {
+	return binary.LittleEndian.AppendUint32([]byte(cacheLogMagic), cacheLogVersion)
+}
+
 func (lg *CacheLog) writeHeader() error {
-	var hdr [cacheLogHeaderLen]byte
-	copy(hdr[:4], cacheLogMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], cacheLogVersion)
-	if _, err := lg.f.WriteAt(hdr[:], 0); err != nil {
+	if _, err := lg.f.WriteAt(logHeader(), 0); err != nil {
 		return fmt.Errorf("workflow: write cache log header: %w", err)
 	}
 	lg.size = cacheLogHeaderLen
@@ -385,48 +387,23 @@ func (lg *CacheLog) Compact(c *Cache) error {
 	return nil
 }
 
-// rewrite atomically replaces the log file with exactly these entries:
-// the replacement is written beside the log and renamed over it, so a
-// crash mid-rewrite leaves the old log intact. Caller holds lg.mu.
+// rewrite atomically replaces the log file with exactly these entries
+// (see ReplaceFile), then reopens it positioned at the end it wrote.
+// Caller holds lg.mu.
 func (lg *CacheLog) rewrite(entries []cacheEntry) error {
-	tmp, err := os.CreateTemp(filepath.Dir(lg.path), ".cachelog-compact-*")
-	if err != nil {
-		return fmt.Errorf("workflow: compact cache log: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	w := bufio.NewWriterSize(tmp, 1<<20)
-	var hdr [cacheLogHeaderLen]byte
-	copy(hdr[:4], cacheLogMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], cacheLogVersion)
 	size := int64(cacheLogHeaderLen)
-	if _, err := w.Write(hdr[:]); err != nil {
-		tmp.Close()
-		return fmt.Errorf("workflow: compact cache log: %w", err)
-	}
-	var buf []byte
-	for _, e := range entries {
-		buf = appendRecord(buf, e)
-		if _, err := w.Write(buf); err != nil {
-			tmp.Close()
-			return fmt.Errorf("workflow: compact cache log: %w", err)
+	err := ReplaceFile(lg.path, func(w *bufio.Writer) error {
+		// A failed write surfaces at ReplaceFile's flush.
+		w.Write(logHeader())
+		var buf []byte
+		for _, e := range entries {
+			buf = appendRecord(buf, e)
+			w.Write(buf)
+			size += int64(len(buf))
 		}
-		size += int64(len(buf))
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("workflow: compact cache log: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("workflow: compact cache log: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("workflow: compact cache log: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), lg.path); err != nil {
-		return fmt.Errorf("workflow: compact cache log: %w", err)
-	}
-	if err := SyncDir(filepath.Dir(lg.path)); err != nil {
+		return nil
+	})
+	if err != nil {
 		return fmt.Errorf("workflow: compact cache log: %w", err)
 	}
 	f, err := os.OpenFile(lg.path, os.O_RDWR, 0o644)
@@ -443,19 +420,4 @@ func (lg *CacheLog) rewrite(entries []cacheEntry) error {
 	lg.size = size
 	lg.replayed = true // the rewritten file is fully known
 	return nil
-}
-
-// SyncDir flushes a directory's entries to stable storage, so a file
-// renamed into it survives a crash under its new name; fsyncing the file
-// alone makes its bytes durable, not the rename.
-func SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	if err := d.Sync(); err != nil {
-		d.Close()
-		return err
-	}
-	return d.Close()
 }
